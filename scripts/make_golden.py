@@ -6,9 +6,18 @@ per-iteration churns, objectives, eigenvalues, accuracies, the predicted
 labels, and sha256 digests of the generated features. Rerun this script
 only when an intentional behavior change invalidates the frozen values,
 and say why in the commit message.
+
+    python3 scripts/make_golden.py           # rewrite the fixture
+    python3 scripts/make_golden.py --check   # compare only, write nothing
+
+``--check`` regenerates the fixture in memory and prints, per section, how
+many iteration records differ from the file and the largest relative
+drift of the objectives and eigenvalues. It exits 1 if any predicted
+label, churn, fixed-point iteration or accuracy differs.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -71,7 +80,7 @@ def report_slice(report) -> dict:
     }
 
 
-def main() -> int:
+def build_fixture() -> dict:
     ds = generate_synthetic(RECIPE)
     fixture = {
         "recipe": RECIPE.to_dict(),
@@ -103,7 +112,53 @@ def main() -> int:
     report = run_adaptation(ds.pair, LINEAR_CONFIG, ModelKind.parse("JDA"), ds.target_truth)
     fixture["linear_kernel"]["JDA"] = report_slice(report)
     print(f"{'JDA(linear)':12s} acc={report.final_accuracy:.3f}")
+    return fixture
 
+
+def _rel(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
+def check(fixture: dict, pinned: dict) -> int:
+    """Print float drift per section; return the number of exact mismatches."""
+    exact_keys = ("baseline_accuracy", "final_accuracy", "fixed_point_iteration",
+                  "predicted_labels")
+    failures = 0
+    for section in ("models", "meda", "linear_kernel"):
+        differ = total = 0
+        obj_drift = eig_drift = 0.0
+        for name, pin in pinned[section].items():
+            got = fixture[section][name]
+            bad = [k for k in exact_keys if got[k] != pin[k]]
+            if len(got["iterations"]) != len(pin["iterations"]):
+                bad.append("iteration count")
+            for rec, ref in zip(got["iterations"], pin["iterations"]):
+                total += 1
+                bad += [f"iteration {ref['iteration']} {k}" for k in ("churn", "accuracy")
+                        if rec[k] != ref[k]]
+                differ += rec != ref
+                obj_drift = max(obj_drift, _rel(rec["objective"], ref["objective"]))
+                for a, b in zip(rec["eigenvalues"], ref["eigenvalues"]):
+                    eig_drift = max(eig_drift, _rel(a, b))
+            for item in bad:
+                print(f"MISMATCH {section}/{name}: {item}")
+            failures += len(bad)
+        print(f"{section:14s} {differ}/{total} iteration records differ; max relative drift "
+              f"objective {obj_drift:.3g}, eigenvalues {eig_drift:.3g}")
+    return failures
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare against the fixture instead of writing it")
+    args = parser.parse_args(argv)
+    fixture = build_fixture()
+    if args.check:
+        failures = check(fixture, json.loads(FIXTURE_PATH.read_text()))
+        print("labels, churns, fixed points and accuracies:",
+              "match" if not failures else f"{failures} mismatches")
+        return 1 if failures else 0
     FIXTURE_PATH.parent.mkdir(parents=True, exist_ok=True)
     FIXTURE_PATH.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE_PATH}")

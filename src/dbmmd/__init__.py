@@ -7,7 +7,8 @@ and separate near-boundary different-class pairs. Ships the JDA, CDDA,
 DGA-DA, and MEDA bases plus their +CG / +DB variants, a seeded synthetic
 generator, and an experiment harness with a CLI.
 """
-from .adapt import ModelKind, assemble_db, run_adaptation, run_meda_cg, solve_projection
+from .adapt import (MmdOperator, ModelKind, assemble_db, run_adaptation, run_meda_cg,
+                    solve_projection)
 from .classify import accuracy, hard_labels, nn_classify, one_hot, propagate_labels
 from .datamodel import (
     AdaptConfig,
@@ -39,14 +40,7 @@ from .linalg import (
     median_pairwise_distance,
     pairwise_sq_dists,
 )
-from .mmd import (
-    MmdMatrices,
-    build_all,
-    build_conditional,
-    build_marginal,
-    build_repulsive,
-    class_cross_masks,
-)
+from .mmd import MmdTables, build_all
 from .synthetic import SyntheticDataset, SyntheticRecipe, generate_synthetic
 
 __version__ = "0.1.0"
@@ -64,7 +58,8 @@ __all__ = [
     "FormatError",
     "IterationRecord",
     "LabeledDomain",
-    "MmdMatrices",
+    "MmdOperator",
+    "MmdTables",
     "ModelKind",
     "NumericError",
     "ParameterError",
@@ -77,13 +72,9 @@ __all__ = [
     "assemble_db",
     "build_affinity",
     "build_all",
-    "build_conditional",
     "build_graphs",
     "build_laplacian",
-    "build_marginal",
-    "build_repulsive",
     "centering_matrix",
-    "class_cross_masks",
     "gen_eig_smallest",
     "generate_synthetic",
     "hard_labels",

@@ -13,8 +13,9 @@ The zoo is spanned by a base model and a boundary term:
               separation graph). MEDA has no separation term, so MEDA+DB
               is rejected.
 
-The assembled coefficient matrix is  M0 + compact - separation.  Each
-round projects, re-labels the target, and repeats until the pseudo-labels
+The assembled coefficient operator is M0 + compact - separation, held as
+2C x 2C group tables plus one cross-domain graph block (``MmdOperator``).
+Each round projects, re-labels the target, and repeats until the pseudo-labels
 stop changing or the iteration cap is reached.
 """
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .graphs import BoundaryGraphs, build_affinity, build_graphs, build_laplacian
 from .linalg import centering_matrix, kernel_matrix, median_pairwise_distance, gen_eig_smallest
-from .mmd import MmdMatrices, build_all
+from .mmd import MmdTables, build_all, group_sums
 
 BASE_MODELS = ("JDA", "CDDA", "DGA-DA", "MEDA")
 BOUNDARY_TERMS = ("none", "CG", "DB")
@@ -73,54 +74,113 @@ class ModelKind:
         raise UnsupportedModelError(f"cannot parse model name {text!r}")
 
 
-def _reweight(m: np.ndarray, g: np.ndarray, mask: np.ndarray, mode: str,
-              keep_off_mask: bool) -> np.ndarray:
-    if mode == "literal":
-        # Faithful elementwise product; off-mask entries vanish with the graph.
-        return g * m
-    out = m.copy()
-    out[mask] = g[mask] * m[mask]
-    if not keep_off_mask:
-        out[~mask] = 0.0
-    return out
+@dataclass(frozen=True)
+class MmdOperator:
+    """M = P B P^T + [[0, D], [D^T, 0]] over the packed order [source | target].
+
+    Within each domain M expands the table ``fixed``. On the cross-domain
+    block it is ``fixed + graph * scaled`` entrywise, with ``graph`` the
+    (n_s, n_t) boundary-graph block; so B = fixed + scaled and
+    D = scaled * (graph - 1) there. Unreweighted models have neither
+    ``scaled`` nor ``graph`` and D is None.
+    """
+
+    groups: np.ndarray
+    n_source: int
+    fixed: np.ndarray
+    scaled: np.ndarray | None = None
+    graph: np.ndarray | None = None
+
+    @property
+    def table(self) -> np.ndarray:
+        """B: the 2C x 2C table of P B P^T."""
+        return self.fixed if self.scaled is None else self.fixed + self.scaled
+
+    def _scaled_cross(self) -> np.ndarray:
+        ns = self.n_source
+        return self.scaled[self.groups[:ns]][:, self.groups[ns:]]
+
+    def correction(self) -> np.ndarray | None:
+        """D, the (n_s, n_t) graph correction, or None without a graph."""
+        if self.graph is None:
+            return None
+        return self._scaled_cross() * (self.graph - 1.0)
+
+    def dense(self) -> np.ndarray:
+        """The (n, n) matrix M, entry for entry as the per-sample builders give it."""
+        out = self.fixed[self.groups][:, self.groups]
+        if self.graph is not None:
+            ns = self.n_source
+            cross = out[:ns, ns:] + self.graph * self._scaled_cross()
+            out[:ns, ns:] = cross
+            out[ns:, :ns] = cross.T
+        return out
+
+    def sandwich(self, s: np.ndarray) -> np.ndarray:
+        """s M s^T from the group sums sP and, with a graph, the D block."""
+        sp = group_sums(s, self.groups, self.fixed.shape[0])
+        out = sp @ self.table @ sp.T
+        d = self.correction()
+        if d is not None:
+            ns = self.n_source
+            half = s[:, :ns] @ d @ s[:, ns:].T
+            out += half + half.T
+        return out
 
 
-def assemble_db(mats: MmdMatrices, graphs: BoundaryGraphs | None, kind: ModelKind,
-                keep_off_mask: bool = True) -> np.ndarray:
-    """Full MMD coefficient matrix M0 + compact - separation for one model.
+def assemble_db(mats: MmdTables, graphs: BoundaryGraphs | None, kind: ModelKind) -> MmdOperator:
+    """Coefficient operator M0 + compact - separation for one model.
 
-    In spirit mode the graph values rescale only the masked (cross-domain)
-    entries and, with keep_off_mask (the default), the within-domain
-    entries pass through unchanged, so a unit affinity reproduces the
-    unreweighted model exactly. Literal mode multiplies elementwise as
-    printed, zeroing everything off the mask.
+    The graph scales only cross-domain entries: those of the compact term
+    (CG), or of compact minus separation (DB); the two terms never share a
+    cross-domain group pair. In spirit mode the within-domain entries pass
+    through unchanged, so a unit affinity reproduces the unreweighted
+    model exactly. Literal mode multiplies elementwise as printed, which
+    zeroes the reweighted terms within each domain.
     """
     if kind.boundary != "none" and graphs is None:
         raise StateError(f"{kind.name} needs boundary graphs")
-    compact = mats.conditional
-    if kind.boundary in ("CG", "DB"):
-        compact = _reweight(compact, graphs.g_cg, graphs.cg_mask, graphs.mode, keep_off_mask)
-    out = mats.marginal + compact
+    sep = None
     if kind.base in ("CDDA", "DGA-DA"):
-        rep = mats.repulsive_st + mats.repulsive_ts
+        sep = mats.repulsive_st + mats.repulsive_ts
+    plain = mats.marginal + mats.conditional
+    if sep is not None:
+        plain = plain - sep
+    if kind.boundary == "none":
+        return MmdOperator(mats.groups, mats.n_source, plain)
+    # On the cross block the graph multiplies ``scaled`` and leaves ``kept``.
+    kept, scaled = mats.marginal, mats.conditional
+    if sep is not None:
         if kind.boundary == "DB":
-            rep = _reweight(rep, graphs.g_sg, graphs.sg_mask, graphs.mode, keep_off_mask)
-        out = out - rep
-    return out
+            scaled = scaled - sep
+        else:
+            kept = kept - sep
+    within = plain if graphs.mode == "spirit" else kept
+    is_target = np.arange(2 * mats.class_count) >= mats.class_count
+    cross = is_target[:, None] != is_target[None, :]
+    return MmdOperator(
+        mats.groups,
+        mats.n_source,
+        fixed=np.where(cross, kept, within),
+        scaled=np.where(cross, scaled, 0.0),
+        graph=graphs.weights,
+    )
 
 
-def solve_projection(s: np.ndarray, db: np.ndarray, k: int, lam: float,
-                     ridge: float | None = None) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Projection from the generalized eigenproblem of the assembled matrix.
+def solve_projection(s: np.ndarray, db: MmdOperator, k: int, lam: float,
+                     ridge: float | None = None) -> tuple[np.ndarray, tuple[float, ...], float]:
+    """Projection from the generalized eigenproblem of the assembled operator.
 
     s is the data operand: the raw features (dim, n) in primal mode or a
     kernel Gram matrix (n, n). Solves
 
-        (s db s^T + lam I) a = phi (s H s^T) a
+        (s M s^T + lam I) a = phi (s H s^T) a
 
     for the k smallest eigenpairs; the centered right operand is ridged
-    inside the eigensolver. Returns (A, eigenvalues) with A columnwise
-    normalized against the ridged right operand.
+    inside the eigensolver. s M s^T comes from the group sums of s (see
+    ``MmdOperator.sandwich``). Returns (A, eigenvalues, objective) with A
+    columnwise normalized against the ridged right operand and the
+    objective tr(A^T (s M s^T + lam I) A) taken from the same left operand.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2:
@@ -128,16 +188,17 @@ def solve_projection(s: np.ndarray, db: np.ndarray, k: int, lam: float,
     if not lam > 0.0:
         raise ParameterError(f"lam must be positive, got {lam}")
     n = s.shape[1]
-    if db.shape != (n, n):
-        raise ParameterError(f"coefficient matrix shape {db.shape} does not match n={n}")
+    if db.groups.shape != (n,):
+        raise ParameterError(f"operator covers {db.groups.size} samples, not n={n}")
     h = centering_matrix(n)
-    left = s @ db @ s.T
+    left = db.sandwich(s)
     left = 0.5 * (left + left.T) + lam * np.eye(s.shape[0])
     right = s @ h @ s.T
     right = 0.5 * (right + right.T)
     pairs = gen_eig_smallest(left, right, k, ridge)
     a = np.column_stack([p.vector for p in pairs])
-    return a, tuple(p.value for p in pairs)
+    objective = float(np.trace(a.T @ left @ a))
+    return a, tuple(p.value for p in pairs), objective
 
 
 def _resolve_kernel_sigma(cfg: AdaptConfig, x: np.ndarray) -> float | None:
@@ -209,16 +270,15 @@ def run_adaptation(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind,
         mats = build_all(p, cfg.matrix_mode)
         graphs = None
         if kind.boundary != "none":
-            graphs = build_graphs(p, affinity, mats.per_class_masks, cfg.graph_mode)
+            graphs = build_graphs(p, affinity, cfg.graph_mode)
         db = assemble_db(mats, graphs, kind)
-        a, eigvals = solve_projection(s, db, cfg.k, cfg.lam)
+        a, eigvals, objective = solve_projection(s, db, cfg.k, cfg.lam)
         z = a.T @ s
         if kind.base == "DGA-DA":
             new = _propagated_target_labels(p, z, cfg)
         else:
             new = nn_classify(z[:, :ns], pair.source.labels, z[:, ns:])
         churn = int(np.sum(new != pseudo))
-        objective = float(np.trace(a.T @ s @ db @ s.T @ a) + cfg.lam * np.sum(a * a))
         acc = None if truth is None else accuracy(new, truth)
         records.append(
             IterationRecord(t, churn, objective, eigvals, new, acc)
@@ -294,11 +354,10 @@ def run_meda_cg(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind | None = Non
     for t in range(1, cfg.max_iter + 1):
         p = pair.with_pseudo_labels(pseudo)
         mats = build_all(p, cfg.matrix_mode)
+        graphs = None
         if kind.boundary != "none":
-            graphs = build_graphs(p, affinity, mats.per_class_masks, cfg.graph_mode)
-            m = assemble_db(mats, graphs, kind)
-        else:
-            m = mats.marginal + mats.conditional
+            graphs = build_graphs(p, affinity, cfg.graph_mode)
+        m = assemble_db(mats, graphs, kind).dense()
         g = (e + cfg.meda_alpha * m + cfg.meda_rho * lap) @ kmat + cfg.meda_eta * np.eye(n)
         beta = _solve_with_escalation(g, e @ y)
         scores = kmat @ beta

@@ -2,26 +2,29 @@
 
 The compacting graph (CG) upweights cross-domain same-class pairs that sit
 far apart; the separation graph (SG) weights cross-domain different-class
-pairs by their closeness. Both live only on masked positions taken from
-the MMD matrices.
+pairs by their closeness. Both live only on the cross-domain block, and
+which of the two applies to a pair follows from the group index of
+``mmd.group_index``: source group c and target group C + r share a class
+when r == c.
 
 The printed form of both graphs is the same expression, -(1/W) on the
-mask. ``mode="literal"`` reproduces that sign and shape exactly.
+cross block. ``mode="literal"`` reproduces that sign and shape exactly.
 ``mode="spirit"`` (the default used by the pipeline) keeps the magnitudes
-but applies them as positive multiplicative reweights: 1/W on the CG mask,
-W itself on the SG mask, so distant same-class pairs are pulled harder and
-near inter-class pairs are pushed harder, which is the stated intent of
-the construction.
+but applies them as positive multiplicative reweights: 1/W on same-class
+pairs, W itself on different-class pairs, so distant same-class pairs are
+pulled harder and near inter-class pairs are pushed harder, which is the
+stated intent of the construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datamodel import DomainPair
 from .errors import BandwidthError, DimensionError, ParameterError
 from .linalg import median_pairwise_distance, pairwise_sq_dists
+from .mmd import group_index
 
 # Floor for 1/W so sparsified or underflowed affinities cannot blow up.
 W_FLOOR = 1e-6
@@ -71,7 +74,6 @@ def build_affinity(
     if 0 < p < n - 1:
         keep = np.zeros_like(w, dtype=bool)
         order = np.argsort(d2, axis=1, kind="stable")
-        rows = np.arange(n)
         for j in range(n):
             neigh = order[j][order[j] != j][:p]
             keep[j, neigh] = True
@@ -84,50 +86,38 @@ def build_affinity(
 
 @dataclass(frozen=True)
 class BoundaryGraphs:
-    """CG/SG reweighting values on their masks, zero elsewhere."""
+    """The (n_s, n_t) reweight block G of the cross-domain pairs."""
 
-    g_cg: np.ndarray
-    g_sg: np.ndarray
+    weights: np.ndarray
     mode: str
-    cg_mask: np.ndarray = field(repr=False)
-    sg_mask: np.ndarray = field(repr=False)
 
 
 def build_graphs(
     pair: DomainPair,
     affinity: AffinityMatrix,
-    per_class_masks: dict[int, np.ndarray],
     mode: str = "spirit",
     w_floor: float = W_FLOOR,
 ) -> BoundaryGraphs:
-    """Boundary graphs from an affinity and the per-class cross masks.
+    """Boundary graphs from an affinity and the pair's pseudo-labeling.
 
-    The CG mask is the union of the per-class cross-domain masks; the SG
-    mask is the remaining cross-domain positions (the two never overlap).
+    Spirit mode gives 1/max(W, w_floor) on same-class pairs and W on
+    different-class pairs; literal mode gives -1/max(W, w_floor) on both.
     The affinity should be dense here; the floor only guards entries that
     were sparsified or underflowed to zero.
     """
     if mode not in GRAPH_MODES:
         raise ParameterError(f"mode must be one of {GRAPH_MODES}, got {mode!r}")
+    n, ns = pair.n_total, pair.n_source
     w = affinity.entries
-    n = pair.n_total
     if w.shape != (n, n):
         raise DimensionError(f"affinity shape {w.shape} does not match pair size {n}")
-    cg = np.zeros((n, n), dtype=bool)
-    for m in per_class_masks.values():
-        cg |= m
-    is_src = np.zeros(n, dtype=bool)
-    is_src[: pair.n_source] = True
-    cross = np.outer(is_src, ~is_src) | np.outer(~is_src, is_src)
-    sg = cross & ~cg
+    groups = group_index(pair)
+    w = w[:ns, ns:]
     inv_w = 1.0 / np.maximum(w, w_floor)
     if mode == "literal":
-        g_cg = np.where(cg, -inv_w, 0.0)
-        g_sg = np.where(sg, -inv_w, 0.0)
-    else:
-        g_cg = np.where(cg, inv_w, 0.0)
-        g_sg = np.where(sg, w, 0.0)
-    return BoundaryGraphs(g_cg, g_sg, mode, cg, sg)
+        return BoundaryGraphs(-inv_w, mode)
+    same = groups[:ns, None] == groups[None, ns:] - pair.class_count
+    return BoundaryGraphs(np.where(same, inv_w, w), mode)
 
 
 def build_laplacian(affinity: AffinityMatrix, normalized: bool = False) -> np.ndarray:

@@ -1,174 +1,133 @@
-"""MMD coefficient matrices over the packed sample order [source | target].
+"""MMD coefficient tables over the 2C (domain, pseudo-class) groups.
 
-Every matrix M here is (n, n) with n = n_s + n_t and is built so that for
-an embedding Z (k, n), tr(Z M Z^T) measures a squared distance between
-domain means:
+Samples sit in the packed order [source | target], and each gets one group
+index: source class c is group c, target pseudo-class r is group C + r.
+Every MMD term of the zoo is a squared distance between group means. For
+an embedding Z (k, n):
 
   marginal      ||mean(Z_s) - mean(Z_t)||^2
   conditional   sum_c ||mean(Z_s^c) - mean(Z_t^c)||^2
   repulsive     sum over ordered class pairs c != r of
                 ||mean(Z_a^c) - mean(Z_b^r)||^2  (a, b set by direction)
 
-The conditional and repulsive builders need target pseudo-labels. Classes
-missing on either side are skipped rather than divided by zero, so their
-blocks contribute nothing.
+So the (n, n) coefficient matrix M with tr(Z M Z^T) equal to such a term
+is constant on the blocks of group pairs: M = P B P^T, where P is the
+(n, 2C) group indicator and B a 2C x 2C table. Long et al. (ICCV 2013)
+give this class-mean form for JDA. Then tr(Z M Z^T) = tr((ZP) B (ZP)^T)
+needs only the group sums ZP, and no n x n array is ever built.
 
-For the repulsive matrices the printed entry rules assign the same-class
+Each table entry is computed with the same arithmetic, and for
+``rank_one_sum`` in the same accumulation order, as the entry of the
+dense per-sample matrix, so ``table[g][:, g]`` reproduces that
+matrix bit for bit. Classes missing on either side are skipped rather
+than divided by zero; their groups hold no samples.
+
+For the repulsive tables the printed entry rules assign the same-class
 diagonal blocks once, while the rank-one expansion sum_{c != r} e e^T
 accumulates them once per counterpart class. Both readings are built here
 behind ``mode``: "literal" fills entries once as printed, "rank_one_sum"
 accumulates and is the one that satisfies the trace identity above.
+
+The boundary graphs reweight M entrywise on the cross-domain block only.
+The assembled operator (``adapt.MmdOperator``) holds that as
+M = P B P^T + [[0, D], [D^T, 0]], where the (n_s, n_t) correction
+D = S_x * (G - 1) scales the reweighted part S of the table by the graph
+block G. A unit affinity gives G == 1, so D == 0 exactly and the
+reweighted model is the plain one bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datamodel import DomainPair
 from .errors import ParameterError, StateError
 
-DIRECTIONS = ("source_to_target", "target_to_source")
+MATRIX_MODES = ("literal", "rank_one_sum")
 
 
-def _require_pseudo(pair: DomainPair) -> np.ndarray:
+def group_index(pair: DomainPair) -> np.ndarray:
+    """(n,) group per packed sample: class c for source, C + r for target."""
     if pair.target.pseudo_labels is None:
         raise StateError("target pseudo-labels required; classify the target first")
-    return pair.target.pseudo_labels
+    return np.concatenate(
+        [pair.source.labels, pair.class_count + np.asarray(pair.target.pseudo_labels)]
+    )
 
 
-def build_marginal(pair: DomainPair) -> np.ndarray:
-    """Rank-one marginal MMD matrix e e^T, e = [1/n_s .. | -1/n_t ..]."""
-    ns, nt = pair.n_source, pair.n_target
-    e = np.concatenate([np.full(ns, 1.0 / ns), np.full(nt, -1.0 / nt)])
-    return np.outer(e, e)
+def group_sums(s: np.ndarray, groups: np.ndarray, group_count: int) -> np.ndarray:
+    """s P: the columns of s summed per group, shape (rows, group_count)."""
+    p = np.zeros((groups.size, group_count))
+    p[np.arange(groups.size), groups] = 1.0
+    return s @ p
 
 
-def build_conditional(pair: DomainPair) -> np.ndarray:
-    """Sum over classes of the per-class MMD matrices.
-
-    Within-source block of class c gets 1/n_s^c squared, within-target
-    1/n_t^c squared, the cross block -1/(n_s^c n_t^c). Same-class blocks
-    never overlap across c, so the literal fill and the rank-one sum agree
-    exactly here.
-    """
-    pseudo = _require_pseudo(pair)
-    ns, n = pair.n_source, pair.n_total
-    m = np.zeros((n, n))
-    for c in range(pair.class_count):
-        s_idx = np.flatnonzero(pair.source.labels == c)
-        t_idx = np.flatnonzero(pseudo == c)
-        if s_idx.size == 0 or t_idx.size == 0:
+def _conditional(counts: np.ndarray, c: int) -> np.ndarray:
+    m = np.zeros((2 * c, 2 * c))
+    for k in range(c):
+        if counts[k] == 0 or counts[c + k] == 0:
             continue
-        e = np.zeros(n)
-        e[s_idx] = 1.0 / s_idx.size
-        e[ns + t_idx] = -1.0 / t_idx.size
+        e = np.zeros(2 * c)
+        e[k] = 1.0 / counts[k]
+        e[c + k] = -1.0 / counts[c + k]
         m += np.outer(e, e)
     return m
 
 
-def build_repulsive(pair: DomainPair, direction: str, mode: str = "literal") -> np.ndarray:
-    """Cross-class repulsive MMD matrix for one direction.
-
-    direction "source_to_target" pairs source class c against target class
-    r != c; "target_to_source" swaps the roles. With a single class there
-    are no pairs and the matrix is zero in both modes.
-    """
-    if direction not in DIRECTIONS:
-        raise ParameterError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    if mode not in ("literal", "rank_one_sum"):
-        raise ParameterError(f"mode must be 'literal' or 'rank_one_sum', got {mode!r}")
-    pseudo = _require_pseudo(pair)
-    ns, n = pair.n_source, pair.n_total
-    src_of = [np.flatnonzero(pair.source.labels == c) for c in range(pair.class_count)]
-    tgt_of = [ns + np.flatnonzero(pseudo == c) for c in range(pair.class_count)]
-    if direction == "source_to_target":
-        lead, trail = src_of, tgt_of
-        lead_n, trail_n = (
-            pair.source_class_counts(),
-            pair.target_class_counts(),
-        )
-    else:
-        lead, trail = tgt_of, src_of
-        lead_n, trail_n = (
-            pair.target_class_counts(),
-            pair.source_class_counts(),
-        )
-    m = np.zeros((n, n))
-    for c in range(pair.class_count):
-        if lead_n[c] == 0:
+def _repulsive(counts: np.ndarray, c: int, direction: str, mode: str) -> np.ndarray:
+    """Repulsive table; the lead groups play class c, the trail groups r != c."""
+    lead, trail = (0, c) if direction == "source_to_target" else (c, 0)
+    m = np.zeros((2 * c, 2 * c))
+    for k in range(c):
+        a = lead + k
+        if counts[a] == 0:
             continue
-        for r in range(pair.class_count):
-            if r == c or trail_n[r] == 0:
+        for r in range(c):
+            b = trail + r
+            if r == k or counts[b] == 0:
                 continue
             if mode == "rank_one_sum":
-                e = np.zeros(n)
-                e[lead[c]] = 1.0 / lead_n[c]
-                e[trail[r]] = -1.0 / trail_n[r]
+                e = np.zeros(2 * c)
+                e[a] = 1.0 / counts[a]
+                e[b] = -1.0 / counts[b]
                 m += np.outer(e, e)
             else:
-                m[np.ix_(lead[c], lead[c])] = 1.0 / (lead_n[c] * lead_n[c])
-                m[np.ix_(trail[r], trail[r])] = 1.0 / (trail_n[r] * trail_n[r])
-                cross = -1.0 / (lead_n[c] * trail_n[r])
-                m[np.ix_(lead[c], trail[r])] = cross
-                m[np.ix_(trail[r], lead[c])] = cross
+                m[a, a] = 1.0 / (counts[a] * counts[a])
+                m[b, b] = 1.0 / (counts[b] * counts[b])
+                m[a, b] = m[b, a] = -1.0 / (counts[a] * counts[b])
     return m
 
 
-def class_cross_masks(pair: DomainPair) -> dict[int, np.ndarray]:
-    """Boolean (n, n) mask per class of the cross-domain same-class positions.
-
-    These are exactly the positions where the conditional matrix holds its
-    negative entries; the compacting graph lives on their union.
-    """
-    pseudo = _require_pseudo(pair)
-    ns, n = pair.n_source, pair.n_total
-    masks: dict[int, np.ndarray] = {}
-    for c in range(pair.class_count):
-        s = np.zeros(n, dtype=bool)
-        t = np.zeros(n, dtype=bool)
-        s[np.flatnonzero(pair.source.labels == c)] = True
-        t[ns + np.flatnonzero(pseudo == c)] = True
-        masks[c] = np.outer(s, t) | np.outer(t, s)
-    return masks
-
-
 @dataclass(frozen=True)
-class MmdMatrices:
-    """All MMD building blocks for one pseudo-labeling of a pair."""
+class MmdTables:
+    """The 2C x 2C MMD tables for one pseudo-labeling of a pair."""
 
+    groups: np.ndarray
+    n_source: int
     marginal: np.ndarray
     conditional: np.ndarray
     repulsive_st: np.ndarray
     repulsive_ts: np.ndarray
-    per_class_masks: dict[int, np.ndarray] = field(repr=False)
-    cross_mask: np.ndarray = field(repr=False)
 
     @property
-    def cg_mask(self) -> np.ndarray:
-        """Cross-domain positions sharing a pseudo-class."""
-        out = np.zeros_like(self.cross_mask)
-        for m in self.per_class_masks.values():
-            out |= m
-        return out
-
-    @property
-    def sg_mask(self) -> np.ndarray:
-        """Cross-domain positions with differing pseudo-classes."""
-        return self.cross_mask & ~self.cg_mask
+    def class_count(self) -> int:
+        return self.marginal.shape[0] // 2
 
 
-def build_all(pair: DomainPair, mode: str = "literal") -> MmdMatrices:
-    """Bundle of marginal, conditional, both repulsive directions and masks."""
-    ns, n = pair.n_source, pair.n_total
-    is_src = np.zeros(n, dtype=bool)
-    is_src[:ns] = True
-    cross = np.outer(is_src, ~is_src) | np.outer(~is_src, is_src)
-    return MmdMatrices(
-        marginal=build_marginal(pair),
-        conditional=build_conditional(pair),
-        repulsive_st=build_repulsive(pair, "source_to_target", mode),
-        repulsive_ts=build_repulsive(pair, "target_to_source", mode),
-        per_class_masks=class_cross_masks(pair),
-        cross_mask=cross,
+def build_all(pair: DomainPair, mode: str = "literal") -> MmdTables:
+    """Marginal, conditional and both repulsive tables, plus the group index."""
+    if mode not in MATRIX_MODES:
+        raise ParameterError(f"mode must be one of {MATRIX_MODES}, got {mode!r}")
+    groups = group_index(pair)
+    c, ns, nt = pair.class_count, pair.n_source, pair.n_target
+    counts = np.concatenate([pair.source_class_counts(), pair.target_class_counts()])
+    e = np.concatenate([np.full(c, 1.0 / ns), np.full(c, -1.0 / nt)])
+    return MmdTables(
+        groups=groups,
+        n_source=ns,
+        marginal=np.outer(e, e),
+        conditional=_conditional(counts, c),
+        repulsive_st=_repulsive(counts, c, "source_to_target", mode),
+        repulsive_ts=_repulsive(counts, c, "target_to_source", mode),
     )

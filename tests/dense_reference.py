@@ -1,0 +1,179 @@
+"""Dense n x n reference builders, kept only as test oracles.
+
+These are the original per-sample constructions of the MMD matrices, the
+class masks, the boundary graphs and the assembled coefficient matrix.
+The library now holds every term as a 2C x 2C table over the (domain,
+pseudo-class) groups; the tests check that expanding the engine's
+operator reproduces these matrices exactly.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from dbmmd.datamodel import DomainPair
+from dbmmd.errors import ParameterError, StateError
+from dbmmd.graphs import GRAPH_MODES, W_FLOOR, AffinityMatrix
+
+DIRECTIONS = ("source_to_target", "target_to_source")
+
+
+def _require_pseudo(pair: DomainPair) -> np.ndarray:
+    if pair.target.pseudo_labels is None:
+        raise StateError("target pseudo-labels required; classify the target first")
+    return pair.target.pseudo_labels
+
+
+def build_marginal(pair: DomainPair) -> np.ndarray:
+    """Rank-one marginal MMD matrix e e^T, e = [1/n_s .. | -1/n_t ..]."""
+    ns, nt = pair.n_source, pair.n_target
+    e = np.concatenate([np.full(ns, 1.0 / ns), np.full(nt, -1.0 / nt)])
+    return np.outer(e, e)
+
+
+def build_conditional(pair: DomainPair) -> np.ndarray:
+    """Sum over classes of the per-class MMD matrices."""
+    pseudo = _require_pseudo(pair)
+    ns, n = pair.n_source, pair.n_total
+    m = np.zeros((n, n))
+    for c in range(pair.class_count):
+        s_idx = np.flatnonzero(pair.source.labels == c)
+        t_idx = np.flatnonzero(pseudo == c)
+        if s_idx.size == 0 or t_idx.size == 0:
+            continue
+        e = np.zeros(n)
+        e[s_idx] = 1.0 / s_idx.size
+        e[ns + t_idx] = -1.0 / t_idx.size
+        m += np.outer(e, e)
+    return m
+
+
+def build_repulsive(pair: DomainPair, direction: str, mode: str = "literal") -> np.ndarray:
+    """Cross-class repulsive MMD matrix for one direction."""
+    if direction not in DIRECTIONS:
+        raise ParameterError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    if mode not in ("literal", "rank_one_sum"):
+        raise ParameterError(f"mode must be 'literal' or 'rank_one_sum', got {mode!r}")
+    pseudo = _require_pseudo(pair)
+    ns, n = pair.n_source, pair.n_total
+    src_of = [np.flatnonzero(pair.source.labels == c) for c in range(pair.class_count)]
+    tgt_of = [ns + np.flatnonzero(pseudo == c) for c in range(pair.class_count)]
+    if direction == "source_to_target":
+        lead, trail = src_of, tgt_of
+        lead_n, trail_n = pair.source_class_counts(), pair.target_class_counts()
+    else:
+        lead, trail = tgt_of, src_of
+        lead_n, trail_n = pair.target_class_counts(), pair.source_class_counts()
+    m = np.zeros((n, n))
+    for c in range(pair.class_count):
+        if lead_n[c] == 0:
+            continue
+        for r in range(pair.class_count):
+            if r == c or trail_n[r] == 0:
+                continue
+            if mode == "rank_one_sum":
+                e = np.zeros(n)
+                e[lead[c]] = 1.0 / lead_n[c]
+                e[trail[r]] = -1.0 / trail_n[r]
+                m += np.outer(e, e)
+            else:
+                m[np.ix_(lead[c], lead[c])] = 1.0 / (lead_n[c] * lead_n[c])
+                m[np.ix_(trail[r], trail[r])] = 1.0 / (trail_n[r] * trail_n[r])
+                cross = -1.0 / (lead_n[c] * trail_n[r])
+                m[np.ix_(lead[c], trail[r])] = cross
+                m[np.ix_(trail[r], lead[c])] = cross
+    return m
+
+
+def class_cross_masks(pair: DomainPair) -> dict[int, np.ndarray]:
+    """Boolean (n, n) mask per class of the cross-domain same-class positions."""
+    pseudo = _require_pseudo(pair)
+    ns, n = pair.n_source, pair.n_total
+    masks: dict[int, np.ndarray] = {}
+    for c in range(pair.class_count):
+        s = np.zeros(n, dtype=bool)
+        t = np.zeros(n, dtype=bool)
+        s[np.flatnonzero(pair.source.labels == c)] = True
+        t[ns + np.flatnonzero(pseudo == c)] = True
+        masks[c] = np.outer(s, t) | np.outer(t, s)
+    return masks
+
+
+def cross_mask(pair: DomainPair) -> np.ndarray:
+    """Boolean (n, n) mask of every cross-domain position."""
+    is_src = np.zeros(pair.n_total, dtype=bool)
+    is_src[: pair.n_source] = True
+    return np.outer(is_src, ~is_src) | np.outer(~is_src, is_src)
+
+
+@dataclass(frozen=True)
+class DenseMatrices:
+    marginal: np.ndarray
+    conditional: np.ndarray
+    repulsive_st: np.ndarray
+    repulsive_ts: np.ndarray
+
+
+def dense_build_all(pair: DomainPair, mode: str = "literal") -> DenseMatrices:
+    return DenseMatrices(
+        marginal=build_marginal(pair),
+        conditional=build_conditional(pair),
+        repulsive_st=build_repulsive(pair, "source_to_target", mode),
+        repulsive_ts=build_repulsive(pair, "target_to_source", mode),
+    )
+
+
+@dataclass(frozen=True)
+class DenseGraphs:
+    g_cg: np.ndarray
+    g_sg: np.ndarray
+    mode: str
+    cg_mask: np.ndarray
+    sg_mask: np.ndarray
+
+
+def dense_build_graphs(
+    pair: DomainPair, affinity: AffinityMatrix, mode: str = "spirit", w_floor: float = W_FLOOR
+) -> DenseGraphs:
+    """CG/SG reweighting values on their (n, n) masks, zero elsewhere."""
+    if mode not in GRAPH_MODES:
+        raise ParameterError(f"mode must be one of {GRAPH_MODES}, got {mode!r}")
+    w = affinity.entries
+    cg = np.zeros((pair.n_total, pair.n_total), dtype=bool)
+    for m in class_cross_masks(pair).values():
+        cg |= m
+    sg = cross_mask(pair) & ~cg
+    inv_w = 1.0 / np.maximum(w, w_floor)
+    if mode == "literal":
+        g_cg = np.where(cg, -inv_w, 0.0)
+        g_sg = np.where(sg, -inv_w, 0.0)
+    else:
+        g_cg = np.where(cg, inv_w, 0.0)
+        g_sg = np.where(sg, w, 0.0)
+    return DenseGraphs(g_cg, g_sg, mode, cg, sg)
+
+
+def _reweight(m: np.ndarray, g: np.ndarray, mask: np.ndarray, mode: str) -> np.ndarray:
+    if mode == "literal":
+        # Faithful elementwise product; off-mask entries vanish with the graph.
+        return g * m
+    out = m.copy()
+    out[mask] = g[mask] * m[mask]
+    return out
+
+
+def dense_assemble_db(mats: DenseMatrices, graphs: DenseGraphs | None, kind) -> np.ndarray:
+    """Full (n, n) coefficient matrix M0 + compact - separation for one model."""
+    if kind.boundary != "none" and graphs is None:
+        raise StateError(f"{kind.name} needs boundary graphs")
+    compact = mats.conditional
+    if kind.boundary in ("CG", "DB"):
+        compact = _reweight(compact, graphs.g_cg, graphs.cg_mask, graphs.mode)
+    out = mats.marginal + compact
+    if kind.base in ("CDDA", "DGA-DA"):
+        rep = mats.repulsive_st + mats.repulsive_ts
+        if kind.boundary == "DB":
+            rep = _reweight(rep, graphs.g_sg, graphs.sg_mask, graphs.mode)
+        out = out - rep
+    return out

@@ -22,7 +22,7 @@ from dbmmd.experiment import ExperimentSpec, run_experiment
 from dbmmd.graphs import build_affinity, build_graphs
 from dbmmd.io import load_features, save_features
 from dbmmd.linalg import gen_eig_smallest
-from dbmmd.mmd import build_all, build_conditional, build_marginal, build_repulsive
+from dbmmd.mmd import build_all, group_sums
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden.json"
@@ -102,10 +102,16 @@ def test_criterion_1_mmd_trace_composition():
                 d = a.mean(axis=1) - b.mean(axis=1)
                 return float(d @ d)
 
-            got = float(np.trace(z @ build_marginal(pair) @ z.T))
+            mats = build_all(pair, "rank_one_sum")
+            zp = group_sums(z, mats.groups, 2 * c)
+
+            def trace(table):
+                return float(np.trace(zp @ table @ zp.T))
+
+            got = trace(mats.marginal)
             assert abs(got - msq(zs, zt)) < 1e-10
 
-            got = float(np.trace(z @ build_conditional(pair) @ z.T))
+            got = trace(mats.conditional)
             want = sum(
                 msq(zs[:, ys == k], zt[:, yt == k])
                 for k in range(c)
@@ -113,9 +119,11 @@ def test_criterion_1_mmd_trace_composition():
             )
             assert abs(got - want) < 1e-10
 
-            for direction in ("source_to_target", "target_to_source"):
-                m = build_repulsive(pair, direction, mode="rank_one_sum")
-                got = float(np.trace(z @ m @ z.T))
+            for direction, table in (
+                ("source_to_target", mats.repulsive_st),
+                ("target_to_source", mats.repulsive_ts),
+            ):
+                got = trace(table)
                 want = 0.0
                 for ca in range(c):
                     for cb in range(c):
@@ -173,10 +181,12 @@ def test_criterion_3_unit_affinity_reductions(golden):
         pair = ds.pair.with_pseudo_labels(ds.target_truth)
         mats = build_all(pair, cfg.matrix_mode)
         aff = build_affinity(pair.packed_features(), "fixed", float("inf"))
-        graphs = build_graphs(pair, aff, mats.per_class_masks, cfg.graph_mode)
+        graphs = build_graphs(pair, aff, cfg.graph_mode)
         plain = assemble_db(mats, None, ModelKind("CDDA"))
         reweighted = assemble_db(mats, graphs, ModelKind("CDDA", "DB"))
-        assert np.array_equal(plain, reweighted)
+        assert np.array_equal(plain.table, reweighted.table)
+        assert not np.any(reweighted.correction())
+        assert np.array_equal(plain.dense(), reweighted.dense())
 
         a = run_adaptation(ds.pair, cfg, ModelKind("CDDA"), ds.target_truth)
         b = run_adaptation(ds.pair, cfg, ModelKind("CDDA", "DB"), ds.target_truth)
@@ -193,8 +203,8 @@ def test_criterion_3_unit_affinity_reductions(golden):
         tgt = UnlabeledDomain(
             rng.normal(size=(2, 5)), pseudo_labels=np.zeros(5, dtype=int), name="target"
         )
-        degenerate = DomainPair(src, tgt, class_count=1)
-        assert np.array_equal(build_conditional(degenerate), build_marginal(degenerate))
+        degenerate = build_all(DomainPair(src, tgt, class_count=1))
+        assert np.array_equal(degenerate.conditional, degenerate.marginal)
 
 
 def test_criterion_4_golden_pair(golden, golden_rerun):
@@ -220,6 +230,33 @@ def test_criterion_4_golden_pair(golden, golden_rerun):
             assert_report_matches_pin(reports[name], pinned)
         for name, pinned in golden["linear_kernel"].items():
             assert_report_matches_pin(linear[name], pinned)
+
+
+def test_golden_labels_and_trajectories(golden, golden_rerun):
+    """Every golden run's labels, churns, fixed point and accuracies, exactly.
+
+    Criterion 4 also pins objectives and eigenvalues bit for bit and stops
+    at the first float mismatch; this check covers the discrete outcome of
+    all 11 runs whatever the float pins do.
+    """
+    _, reports, linear, _ = golden_rerun
+    runs = [
+        (golden[section][name], (linear if section == "linear_kernel" else reports)[name], name)
+        for section in ("models", "meda", "linear_kernel")
+        for name in golden[section]
+    ]
+    assert len(runs) == 11
+    for pinned, report, name in runs:
+        assert [int(v) for v in report.predicted_labels] == pinned["predicted_labels"], name
+        assert report.fixed_point_iteration == pinned["fixed_point_iteration"], name
+        assert report.baseline_accuracy == pinned["baseline_accuracy"], name
+        assert report.final_accuracy == pinned["final_accuracy"], name
+        assert [r.churn for r in report.iterations] == [
+            p["churn"] for p in pinned["iterations"]
+        ], name
+        assert [r.accuracy for r in report.iterations] == [
+            p["accuracy"] for p in pinned["iterations"]
+        ], name
 
 
 def test_criterion_5_fixed_points(golden, golden_rerun):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dbmmd.adapt import ModelKind, assemble_db, run_adaptation, run_meda_cg, solve_projection
+from dbmmd.adapt import (
+    MmdOperator,
+    ModelKind,
+    assemble_db,
+    run_adaptation,
+    run_meda_cg,
+    solve_projection,
+)
 from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.errors import ParameterError, StateError, UnsupportedModelError
 from dbmmd.graphs import build_affinity, build_graphs
@@ -34,6 +41,15 @@ def small_dataset(seed=11, per_class=10, noise=0.4):
         seed=seed,
     )
     return generate_synthetic(recipe)
+
+
+def expand(mats, table):
+    return table[np.ix_(mats.groups, mats.groups)]
+
+
+def zero_operator(n):
+    """An all-zero coefficient operator over n samples."""
+    return MmdOperator(np.zeros(n, dtype=int), n // 2, np.zeros((2, 2)))
 
 
 def mean_diff_sq(za, zb):
@@ -71,38 +87,46 @@ class TestAssembleDb:
         pair = labeled_pair(1)
         mats = build_all(pair)
         db = assemble_db(mats, None, ModelKind("JDA"))
-        assert np.array_equal(db, mats.marginal + mats.conditional)
+        assert db.correction() is None
+        assert np.array_equal(db.table, mats.marginal + mats.conditional)
+        assert np.array_equal(db.dense(), expand(mats, mats.marginal + mats.conditional))
 
     def test_cdda_subtracts_both_repulsive_directions(self):
         pair = labeled_pair(2)
         mats = build_all(pair)
         jda = assemble_db(mats, None, ModelKind("JDA"))
         cdda = assemble_db(mats, None, ModelKind("CDDA"))
-        assert_allclose(jda - cdda, mats.repulsive_st + mats.repulsive_ts, atol=1e-15)
+        assert_allclose(
+            jda.dense() - cdda.dense(),
+            expand(mats, mats.repulsive_st + mats.repulsive_ts),
+            atol=1e-15,
+        )
 
     def test_dga_matches_cdda_matrix(self):
         # DGA-DA differs only in how it labels, not in the coefficient matrix
         pair = labeled_pair(3)
         mats = build_all(pair)
-        assert np.array_equal(
-            assemble_db(mats, None, ModelKind("CDDA")),
-            assemble_db(mats, None, ModelKind("DGA-DA")),
-        )
+        cdda = assemble_db(mats, None, ModelKind("CDDA"))
+        dga = assemble_db(mats, None, ModelKind("DGA-DA"))
+        assert np.array_equal(cdda.table, dga.table)
+        assert np.array_equal(cdda.dense(), dga.dense())
 
     def test_unit_affinity_spirit_db_reduces_to_plain(self):
         # W == 1 makes every reweight multiply by exactly 1.0, so the +DB
-        # matrix must equal the plain one bit for bit
+        # operator must equal the plain one bit for bit: same table, D == 0
         pair = labeled_pair(4)
         mats = build_all(pair)
         aff = build_affinity(pair.packed_features(), **UNIT_AFFINITY)
-        graphs = build_graphs(pair, aff, mats.per_class_masks, mode="spirit")
+        graphs = build_graphs(pair, aff, mode="spirit")
         for base in ("JDA", "CDDA", "DGA-DA"):
             plain = assemble_db(mats, None, ModelKind(base))
             for boundary in ("CG", "DB"):
                 if base == "JDA" and boundary == "DB":
                     continue
                 reweighted = assemble_db(mats, graphs, ModelKind(base, boundary))
-                assert np.array_equal(reweighted, plain), (base, boundary)
+                assert np.array_equal(reweighted.table, plain.table), (base, boundary)
+                assert not np.any(reweighted.correction()), (base, boundary)
+                assert np.array_equal(reweighted.dense(), plain.dense()), (base, boundary)
 
     def test_jda_db_degenerates_to_jda_cg(self):
         # JDA has no separation term, so the DB tag can only reweight the
@@ -110,38 +134,49 @@ class TestAssembleDb:
         pair = labeled_pair(5)
         mats = build_all(pair)
         aff = build_affinity(pair.packed_features(), "median")
-        graphs = build_graphs(pair, aff, mats.per_class_masks)
-        assert np.array_equal(
-            assemble_db(mats, graphs, ModelKind("JDA", "DB")),
-            assemble_db(mats, graphs, ModelKind("JDA", "CG")),
-        )
+        graphs = build_graphs(pair, aff)
+        db = assemble_db(mats, graphs, ModelKind("JDA", "DB"))
+        cg = assemble_db(mats, graphs, ModelKind("JDA", "CG"))
+        assert np.array_equal(db.table, cg.table)
+        assert np.array_equal(db.correction(), cg.correction())
+        assert np.array_equal(db.dense(), cg.dense())
 
     def test_spirit_touches_only_masked_entries(self):
+        # the graph reweights cross-domain entries only
         pair = labeled_pair(6)
         mats = build_all(pair)
         aff = build_affinity(pair.packed_features(), "median")
-        graphs = build_graphs(pair, aff, mats.per_class_masks, mode="spirit")
-        plain = assemble_db(mats, None, ModelKind("CDDA"))
-        db = assemble_db(mats, graphs, ModelKind("CDDA", "DB"))
-        touched = graphs.cg_mask | graphs.sg_mask
-        assert np.array_equal(db[~touched], plain[~touched])
+        graphs = build_graphs(pair, aff, mode="spirit")
+        plain = assemble_db(mats, None, ModelKind("CDDA")).dense()
+        db = assemble_db(mats, graphs, ModelKind("CDDA", "DB")).dense()
+        ns = pair.n_source
+        assert np.array_equal(db[:ns, :ns], plain[:ns, :ns])
+        assert np.array_equal(db[ns:, ns:], plain[ns:, ns:])
 
     def test_literal_mode_zeroes_off_mask_compact(self):
         pair = labeled_pair(7)
         mats = build_all(pair)
         aff = build_affinity(pair.packed_features(), "median")
-        graphs = build_graphs(pair, aff, mats.per_class_masks, mode="literal")
+        graphs = build_graphs(pair, aff, mode="literal")
         db = assemble_db(mats, graphs, ModelKind("JDA", "CG"))
-        compact = db - mats.marginal
-        assert np.all(compact[~graphs.cg_mask] == 0.0)
+        compact = db.dense() - expand(mats, mats.marginal)
+        ns = pair.n_source
+        same = pair.source.labels[:, None] == pair.target.pseudo_labels[None, :]
+        cg_mask = np.zeros_like(compact, dtype=bool)
+        cg_mask[:ns, ns:] = same
+        cg_mask[ns:, :ns] = same.T
+        assert np.all(compact[~cg_mask] == 0.0)
+        g = np.zeros_like(compact)
+        g[:ns, ns:] = graphs.weights
+        g[ns:, :ns] = graphs.weights.T
         assert_allclose(
-            compact[graphs.cg_mask],
-            (graphs.g_cg * mats.conditional)[graphs.cg_mask],
+            compact[cg_mask],
+            (g * expand(mats, mats.conditional))[cg_mask],
             atol=0,
         )
 
     def test_trace_composition_oracle(self):
-        # in accumulate mode the assembled matrix keeps the mean-difference
+        # in accumulate mode the assembled operator keeps the mean-difference
         # reading: marginal + per-class pulls - cross-class pushes
         pair = labeled_pair(8)
         mats = build_all(pair, mode="rank_one_sum")
@@ -163,8 +198,9 @@ class TestAssembleDb:
                     expect -= mean_diff_sq(zs[:, ys == c], zt[:, yt == r])
                 if (yt == c).any() and (ys == r).any():
                     expect -= mean_diff_sq(zt[:, yt == c], zs[:, ys == r])
-        got = float(np.trace(z @ db @ z.T))
+        got = float(np.trace(db.sandwich(z)))
         assert abs(got - expect) < 1e-10
+        assert abs(float(np.trace(z @ db.dense() @ z.T)) - expect) < 1e-10
 
     def test_boundary_without_graphs_raises(self):
         pair = labeled_pair(9)
@@ -179,7 +215,7 @@ class TestSolveProjection:
         # ratios sit on the leading principal directions
         rng = np.random.default_rng(60)
         x = rng.normal(size=(4, 30)) * np.array([[4.0], [2.0], [1.0], [0.5]])
-        a, _ = solve_projection(x, np.zeros((30, 30)), k=2, lam=1.0)
+        a, _, _ = solve_projection(x, zero_operator(30), k=2, lam=1.0)
         xc = x - x.mean(axis=1, keepdims=True)
         u = np.linalg.svd(xc, full_matrices=False)[0][:, :2]
         q, _ = np.linalg.qr(a)
@@ -191,7 +227,7 @@ class TestSolveProjection:
         mats = build_all(pair)
         db = assemble_db(mats, None, ModelKind("JDA"))
         x = pair.packed_features()
-        a, vals = solve_projection(x, db, k=2, lam=0.5)
+        a, vals, objective = solve_projection(x, db, k=2, lam=0.5)
         assert list(vals) == sorted(vals)
         n = x.shape[1]
         h = np.eye(n) - np.ones((n, n)) / n
@@ -200,13 +236,16 @@ class TestSolveProjection:
         ridge = 1e-9 * np.trace(right) / right.shape[0]
         gram = a.T @ (right + ridge * np.eye(2)) @ a
         assert_allclose(gram, np.eye(2), atol=1e-8)
+        # the objective is the left operand's trace over the solved vectors
+        dense_objective = np.trace(a.T @ x @ db.dense() @ x.T @ a) + 0.5 * np.sum(a * a)
+        assert_allclose(objective, dense_objective, rtol=1e-12)
 
     def test_shape_and_parameter_errors(self):
         x = np.zeros((2, 5))
         with pytest.raises(ParameterError):
-            solve_projection(x, np.zeros((4, 4)), k=1, lam=1.0)
+            solve_projection(x, zero_operator(4), k=1, lam=1.0)
         with pytest.raises(ParameterError):
-            solve_projection(x, np.zeros((5, 5)), k=1, lam=0.0)
+            solve_projection(x, zero_operator(5), k=1, lam=0.0)
 
 
 class TestRunAdaptation:

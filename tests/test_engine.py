@@ -1,0 +1,73 @@
+"""The block-structured MMD operator against the dense n x n reference.
+
+For seeded random pairs (C from 1 to 5, with a class missing from the
+target pseudo-labels and the single-class pair among them), every base x
+boundary model in both matrix modes and both graph modes must expand to
+the dense reference matrix exactly, and its left operand s M s^T must
+match the dense product for primal and kernel data operands.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from dbmmd.adapt import BASE_MODELS, BOUNDARY_TERMS, ModelKind, assemble_db
+from dbmmd.datamodel import DomainPair, LabeledDomain, UnlabeledDomain
+from dbmmd.graphs import GRAPH_MODES, build_affinity, build_graphs
+from dbmmd.linalg import kernel_matrix
+from dbmmd.mmd import MATRIX_MODES, build_all
+
+from dense_reference import dense_assemble_db, dense_build_all, dense_build_graphs
+
+KINDS = [
+    ModelKind(base, boundary)
+    for base in BASE_MODELS
+    for boundary in BOUNDARY_TERMS
+    if not (base == "MEDA" and boundary == "DB")
+]
+
+
+def random_pair(seed: int) -> DomainPair:
+    """C in 1..5; every third seed leaves the last class out of the target."""
+    rng = np.random.default_rng(seed)
+    c = 1 + seed % 5
+    ns = int(rng.integers(c, 14))
+    nt = int(rng.integers(2, 14))
+    ys = np.concatenate([np.arange(c), rng.integers(0, c, ns - c)])
+    target_classes = c - 1 if seed % 3 == 0 and c > 1 else c
+    yt = rng.integers(0, target_classes, nt)
+    src = LabeledDomain(rng.normal(size=(3, ns)), ys, name="source")
+    tgt = UnlabeledDomain(rng.normal(size=(3, nt)), pseudo_labels=yt, name="target")
+    return DomainPair(src, tgt, class_count=c)
+
+
+@pytest.mark.parametrize("seed", range(15))
+@pytest.mark.parametrize("matrix_mode", MATRIX_MODES)
+def test_operator_matches_dense_reference(seed, matrix_mode):
+    pair = random_pair(seed)
+    x = pair.packed_features()
+    operands = {"primal": x, "kernel": kernel_matrix(x, "rbf", sigma=1.5)}
+    aff = build_affinity(x, "median")
+    mats = build_all(pair, matrix_mode)
+    dense_mats = dense_build_all(pair, matrix_mode)
+    for graph_mode in GRAPH_MODES:
+        graphs = build_graphs(pair, aff, graph_mode)
+        dense_graphs = dense_build_graphs(pair, aff, graph_mode)
+        for kind in KINDS:
+            op = assemble_db(mats, graphs if kind.boundary != "none" else None, kind)
+            want = dense_assemble_db(
+                dense_mats, dense_graphs if kind.boundary != "none" else None, kind
+            )
+            case = (seed, matrix_mode, graph_mode, kind.name)
+            assert np.array_equal(op.dense(), want), case
+            for name, s in operands.items():
+                got, ref = op.sandwich(s), s @ want @ s.T
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (case, name)
+
+
+def test_cases_cover_missing_class_and_single_class():
+    pairs = [random_pair(seed) for seed in range(15)]
+    assert {p.class_count for p in pairs} == {1, 2, 3, 4, 5}
+    assert any(
+        len(np.unique(p.target.pseudo_labels)) < p.class_count for p in pairs if p.class_count > 1
+    )

@@ -14,7 +14,9 @@ from dbmmd.graphs import (
     build_graphs,
     build_laplacian,
 )
-from dbmmd.mmd import build_all, build_conditional
+from dbmmd.mmd import build_all
+
+from dense_reference import dense_build_graphs
 
 
 def labeled_pair(seed=0, n_s=6, n_t=5, class_count=3):
@@ -114,56 +116,69 @@ class TestBuildAffinity:
 
 class TestBuildGraphs:
     def test_literal_unit_affinity_is_minus_one_on_masks(self):
+        # the block covers exactly the cross-domain positions
         pair = labeled_pair(1)
         aff = build_affinity(pair.packed_features(), "fixed", sigma=float("inf"))
-        mats = build_all(pair)
-        graphs = build_graphs(pair, aff, mats.per_class_masks, mode="literal")
-        assert np.array_equal(graphs.g_cg[graphs.cg_mask], np.full(graphs.cg_mask.sum(), -1.0))
-        assert np.array_equal(graphs.g_sg[graphs.sg_mask], np.full(graphs.sg_mask.sum(), -1.0))
-        assert np.all(graphs.g_cg[~graphs.cg_mask] == 0.0)
-        assert np.all(graphs.g_sg[~graphs.sg_mask] == 0.0)
+        graphs = build_graphs(pair, aff, mode="literal")
+        assert graphs.weights.shape == (pair.n_source, pair.n_target)
+        assert np.array_equal(graphs.weights, np.full(graphs.weights.shape, -1.0))
 
     def test_spirit_unit_affinity_values(self):
         pair = labeled_pair(2)
         aff = build_affinity(pair.packed_features(), "fixed", sigma=float("inf"))
-        mats = build_all(pair)
-        graphs = build_graphs(pair, aff, mats.per_class_masks, mode="spirit")
-        # 1/W on the compacting mask, W on the separating mask, W == 1
-        assert np.array_equal(graphs.g_cg[graphs.cg_mask], np.full(graphs.cg_mask.sum(), 1.0))
-        assert np.array_equal(graphs.g_sg[graphs.sg_mask], np.full(graphs.sg_mask.sum(), 1.0))
+        graphs = build_graphs(pair, aff, mode="spirit")
+        # 1/W on same-class pairs, W on different-class pairs, W == 1
+        assert np.array_equal(graphs.weights, np.full(graphs.weights.shape, 1.0))
 
     def test_masks_partition_cross_positions(self):
+        # every cross pair gets exactly one of the two graphs: 1/W when the
+        # classes agree, W otherwise; the dense graphs agree entry for entry
         pair = labeled_pair(3)
         aff = build_affinity(pair.packed_features(), "median")
-        mats = build_all(pair)
-        graphs = build_graphs(pair, aff, mats.per_class_masks)
-        assert not np.any(graphs.cg_mask & graphs.sg_mask)
         n_s = pair.n_source
-        cross = np.zeros((pair.n_total, pair.n_total), dtype=bool)
-        cross[:n_s, n_s:] = True
-        cross[n_s:, :n_s] = True
-        assert np.array_equal(graphs.cg_mask | graphs.sg_mask, cross)
+        ys, yt = pair.source.labels, pair.target.pseudo_labels
+        w = aff.entries
+        for mode in ("spirit", "literal"):
+            graphs = build_graphs(pair, aff, mode=mode)
+            for i in range(n_s):
+                for j in range(pair.n_target):
+                    inv = 1.0 / max(w[i, n_s + j], W_FLOOR)
+                    if mode == "literal":
+                        expect = -inv
+                    else:
+                        expect = inv if ys[i] == yt[j] else w[i, n_s + j]
+                    assert graphs.weights[i, j] == expect, (mode, i, j)
+            dense = dense_build_graphs(pair, aff, mode)
+            assert not np.any(dense.cg_mask & dense.sg_mask)
+            assert np.array_equal(
+                (dense.g_cg + dense.g_sg)[:n_s, n_s:], graphs.weights
+            )
 
     def test_cg_mask_matches_conditional_negatives(self):
-        # the compacting mask is exactly where the conditional matrix is
+        # the same-class pairs are exactly where the conditional matrix is
         # negative when every class has mass on both sides
         pair = labeled_pair(4)
         mats = build_all(pair)
-        mc = build_conditional(pair)
+        n_s = pair.n_source
+        mc = mats.conditional[np.ix_(mats.groups[:n_s], mats.groups[n_s:])]
         aff = build_affinity(pair.packed_features(), "median")
-        graphs = build_graphs(pair, aff, mats.per_class_masks)
-        assert np.array_equal(graphs.cg_mask, mc < 0.0)
+        w = aff.entries[:n_s, n_s:]
+        assert np.all(w < 1.0)
+        graphs = build_graphs(pair, aff)
+        same_class = graphs.weights == 1.0 / np.maximum(w, W_FLOOR)
+        assert np.array_equal(same_class, mc < 0.0)
 
     def test_spirit_weights_monotone_in_distance(self):
         # farther same-class cross pairs must get a strictly larger CG pull
         pair = labeled_pair(5)
         x = pair.packed_features()
+        n_s = pair.n_source
         aff = build_affinity(x, "median")
-        mats = build_all(pair)
-        graphs = build_graphs(pair, aff, mats.per_class_masks, mode="spirit")
-        idx = np.argwhere(graphs.cg_mask)
-        d2 = np.array([np.sum((x[:, i] - x[:, j]) ** 2) for i, j in idx])
-        g = np.array([graphs.g_cg[i, j] for i, j in idx])
+        graphs = build_graphs(pair, aff, mode="spirit")
+        same = pair.source.labels[:, None] == pair.target.pseudo_labels[None, :]
+        idx = np.argwhere(same)
+        d2 = np.array([np.sum((x[:, i] - x[:, n_s + j]) ** 2) for i, j in idx])
+        g = np.array([graphs.weights[i, j] for i, j in idx])
         order = np.argsort(d2)
         assert np.all(np.diff(g[order]) >= 0.0)
 
@@ -174,24 +189,21 @@ class TestBuildGraphs:
         )
         pair = make_pair(src, tgt)
         aff = build_affinity(pair.packed_features(), "fixed", sigma=1.0)
-        mats = build_all(pair)
-        graphs = build_graphs(pair, aff, mats.per_class_masks, mode="spirit")
+        graphs = build_graphs(pair, aff, mode="spirit")
         # the distant same-class pair underflows to w == 0; 1/W is floored
-        assert graphs.g_cg.max() == 1.0 / W_FLOOR
+        assert graphs.weights.max() == 1.0 / W_FLOOR
 
     def test_shape_mismatch_rejected(self):
         pair = labeled_pair(6)
         aff = build_affinity(np.zeros((2, 3)), "fixed", sigma=1.0)
-        mats = build_all(pair)
         with pytest.raises(DimensionError):
-            build_graphs(pair, aff, mats.per_class_masks)
+            build_graphs(pair, aff)
 
     def test_bad_mode(self):
         pair = labeled_pair(7)
         aff = build_affinity(pair.packed_features(), "median")
-        mats = build_all(pair)
         with pytest.raises(ParameterError):
-            build_graphs(pair, aff, mats.per_class_masks, mode="vibes")
+            build_graphs(pair, aff, mode="vibes")
 
 
 class TestLaplacian:

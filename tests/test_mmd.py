@@ -8,12 +8,14 @@ from numpy.testing import assert_allclose
 
 from dbmmd.datamodel import DomainPair, LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.errors import ParameterError, StateError
-from dbmmd.mmd import (
-    build_all,
+from dbmmd.mmd import build_all, group_index, group_sums
+
+from dense_reference import (
     build_conditional,
     build_marginal,
     build_repulsive,
     class_cross_masks,
+    cross_mask,
 )
 
 
@@ -34,6 +36,17 @@ def single_class_pair(seed=4, n_s=5, n_t=4):
         rng.normal(size=(2, n_t)), pseudo_labels=np.zeros(n_t, dtype=int), name="target"
     )
     return DomainPair(src, tgt, class_count=1)
+
+
+def expand(mats, table):
+    """The (n, n) matrix a 2C x 2C table stands for: P B P^T."""
+    return table[np.ix_(mats.groups, mats.groups)]
+
+
+def engine_trace(z, mats, table):
+    """tr(Z P B P^T Z^T) from the group sums Z P, as the engine evaluates it."""
+    zp = group_sums(z, mats.groups, table.shape[0])
+    return float(np.trace(zp @ table @ zp.T))
 
 
 def marginal_trace_oracle(z, n_s):
@@ -82,13 +95,14 @@ def repulsive_trace_oracle(z, pair, direction):
 class TestMarginal:
     def test_one_and_one(self):
         src = LabeledDomain(np.zeros((1, 1)), np.array([0]), name="source")
-        tgt = UnlabeledDomain(np.zeros((1, 1)), name="target")
+        tgt = UnlabeledDomain(np.zeros((1, 1)), pseudo_labels=np.array([0]), name="target")
         pair = DomainPair(src, tgt, class_count=1)
-        assert_allclose(build_marginal(pair), [[1.0, -1.0], [-1.0, 1.0]], atol=0)
+        mats = build_all(pair)
+        assert_allclose(expand(mats, mats.marginal), [[1.0, -1.0], [-1.0, 1.0]], atol=0)
 
     def test_two_source_one_target(self):
         src = LabeledDomain(np.zeros((1, 2)), np.array([0, 0]), name="source")
-        tgt = UnlabeledDomain(np.zeros((1, 1)), name="target")
+        tgt = UnlabeledDomain(np.zeros((1, 1)), pseudo_labels=np.array([0]), name="target")
         pair = DomainPair(src, tgt, class_count=1)
         expect = np.array(
             [
@@ -97,16 +111,16 @@ class TestMarginal:
                 [-0.5, -0.5, 1.0],
             ]
         )
-        assert_allclose(build_marginal(pair), expect, atol=0)
+        mats = build_all(pair)
+        assert_allclose(expand(mats, mats.marginal), expect, atol=0)
 
     def test_entries_sum_to_zero(self):
-        pair = random_pair(1)
-        assert abs(build_marginal(pair).sum()) < 1e-12
+        mats = build_all(random_pair(1))
+        assert abs(expand(mats, mats.marginal).sum()) < 1e-12
 
     def test_rank_one_eigenvalue(self):
-        pair = random_pair(2, n_s=5, n_t=4)
-        m = build_marginal(pair)
-        vals = np.sort(np.linalg.eigvalsh(m))
+        mats = build_all(random_pair(2, n_s=5, n_t=4))
+        vals = np.sort(np.linalg.eigvalsh(expand(mats, mats.marginal)))
         assert_allclose(vals[:-1], 0.0, atol=1e-12)
         assert_allclose(vals[-1], 1.0 / 5 + 1.0 / 4, atol=1e-12)
 
@@ -116,8 +130,8 @@ class TestMarginal:
         pair = random_pair(seed)
         rng = np.random.default_rng(seed + 1)
         z = rng.normal(size=(3, pair.n_total))
-        m = build_marginal(pair)
-        got = float(np.trace(z @ m @ z.T))
+        mats = build_all(pair)
+        got = engine_trace(z, mats, mats.marginal)
         assert abs(got - marginal_trace_oracle(z, pair.n_source)) < 1e-10
 
 
@@ -126,7 +140,7 @@ class TestConditional:
         pair = random_pair(0)
         bare = make_pair(pair.source, UnlabeledDomain(pair.target.features, name="target"))
         with pytest.raises(StateError):
-            build_conditional(bare)
+            build_all(bare)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -134,18 +148,18 @@ class TestConditional:
         pair = random_pair(seed)
         rng = np.random.default_rng(seed + 7)
         z = rng.normal(size=(2, pair.n_total))
-        mc = build_conditional(pair)
-        got = float(np.trace(z @ mc @ z.T))
+        mats = build_all(pair)
+        got = engine_trace(z, mats, mats.conditional)
         assert abs(got - conditional_trace_oracle(z, pair)) < 1e-10
 
     def test_absent_target_class_contributes_zero(self):
         pair = random_pair(3, class_count=3)
         # force every target point into class 0: classes 1, 2 lose target mass
         collapsed = pair.with_pseudo_labels(np.zeros(pair.n_target, dtype=int))
-        mc = build_conditional(collapsed)
+        mats = build_all(collapsed)
         rng = np.random.default_rng(9)
         z = rng.normal(size=(2, pair.n_total))
-        got = float(np.trace(z @ mc @ z.T))
+        got = engine_trace(z, mats, mats.conditional)
         assert abs(got - conditional_trace_oracle(z, collapsed)) < 1e-10
         # only the class-0 term survives
         n_s = pair.n_source
@@ -155,17 +169,18 @@ class TestConditional:
 
     def test_single_class_equals_marginal(self):
         # C=1 collapses the class sum onto the marginal coefficients exactly
-        pair = single_class_pair()
-        assert np.array_equal(build_conditional(pair), build_marginal(pair))
+        mats = build_all(single_class_pair())
+        assert np.array_equal(mats.conditional, mats.marginal)
+        assert np.array_equal(expand(mats, mats.conditional), expand(mats, mats.marginal))
 
 
 class TestRepulsive:
     def test_single_class_zero_both_modes(self):
         pair = single_class_pair(seed=5, n_s=4, n_t=3)
         for mode in ("literal", "rank_one_sum"):
-            for direction in ("source_to_target", "target_to_source"):
-                m = build_repulsive(pair, direction, mode=mode)
-                assert np.count_nonzero(m) == 0
+            mats = build_all(pair, mode)
+            for table in (mats.repulsive_st, mats.repulsive_ts):
+                assert np.count_nonzero(table) == 0
 
     def test_literal_fixture_one_per_class(self):
         # one source and one target point per class, C=2, packed order
@@ -185,8 +200,8 @@ class TestRepulsive:
         for mode in ("literal", "rank_one_sum"):
             # with one point per class the set-once and accumulate readings
             # agree on the cross entries; diagonals differ only for C > 2
-            m = build_repulsive(pair, "source_to_target", mode=mode)
-            assert_allclose(m, expect, atol=0)
+            mats = build_all(pair, mode)
+            assert_allclose(expand(mats, mats.repulsive_st), expect, atol=0)
 
     def test_literal_vs_rank_one_diagonal_multiplicity(self):
         # with C=3 each class meets two counterparts, so the accumulating
@@ -195,8 +210,10 @@ class TestRepulsive:
         src = LabeledDomain(np.zeros((1, 3)), np.array([0, 1, 2]), name="source")
         tgt = UnlabeledDomain(np.zeros((1, 3)), pseudo_labels=np.array([0, 1, 2]), name="target")
         pair = DomainPair(src, tgt, class_count=3)
-        lit = build_repulsive(pair, "source_to_target", mode="literal")
-        acc = build_repulsive(pair, "source_to_target", mode="rank_one_sum")
+        lit_mats = build_all(pair, "literal")
+        acc_mats = build_all(pair, "rank_one_sum")
+        lit = expand(lit_mats, lit_mats.repulsive_st)
+        acc = expand(acc_mats, acc_mats.repulsive_st)
         assert_allclose(np.diag(acc), 2.0 * np.diag(lit), atol=1e-15)
         off = ~np.eye(6, dtype=bool)
         assert_allclose(acc[off], lit[off], atol=1e-15)
@@ -207,36 +224,41 @@ class TestRepulsive:
         pair = random_pair(seed, class_count=3)
         rng = np.random.default_rng(seed + 13)
         z = rng.normal(size=(2, pair.n_total))
-        for direction in ("source_to_target", "target_to_source"):
-            m = build_repulsive(pair, direction, mode="rank_one_sum")
-            got = float(np.trace(z @ m @ z.T))
+        mats = build_all(pair, "rank_one_sum")
+        for direction, table in (
+            ("source_to_target", mats.repulsive_st),
+            ("target_to_source", mats.repulsive_ts),
+        ):
+            got = engine_trace(z, mats, table)
             assert abs(got - repulsive_trace_oracle(z, pair, direction)) < 1e-10
 
     def test_rank_one_sum_psd(self):
-        pair = random_pair(11)
-        m = build_repulsive(pair, "source_to_target", mode="rank_one_sum")
-        assert np.linalg.eigvalsh(m).min() >= -1e-12
+        mats = build_all(random_pair(11), "rank_one_sum")
+        assert np.linalg.eigvalsh(expand(mats, mats.repulsive_st)).min() >= -1e-12
 
     def test_both_modes_symmetric(self):
         pair = random_pair(12)
         for mode in ("literal", "rank_one_sum"):
-            m = build_repulsive(pair, "target_to_source", mode=mode)
-            assert np.array_equal(m, m.T)
+            table = build_all(pair, mode).repulsive_ts
+            assert np.array_equal(table, table.T)
 
     def test_bad_direction_and_mode(self):
+        # direction is internal to the engine, which builds both; the dense
+        # reference keeps its argument check
         pair = random_pair(0)
         with pytest.raises(ParameterError):
             build_repulsive(pair, "sideways")
         with pytest.raises(ParameterError):
-            build_repulsive(pair, "source_to_target", mode="fast")
+            build_all(pair, mode="fast")
 
 
 class TestMasks:
     def test_masks_match_bruteforce(self):
         pair = random_pair(21)
-        masks = class_cross_masks(pair)
+        groups = group_index(pair)
         n_s = pair.n_source
         n = pair.n_total
+        c_count = pair.class_count
         ys = pair.source.labels
         yt = pair.target.pseudo_labels
 
@@ -246,21 +268,33 @@ class TestMasks:
         def cross(i, j):
             return (i < n_s) != (j < n_s)
 
+        for i in range(n):
+            assert groups[i] == label_of(i) + (0 if i < n_s else c_count), i
+        masks = class_cross_masks(pair)
         for c, mask in masks.items():
+            src, tgt = groups == c, groups == c_count + c
+            from_groups = np.outer(src, tgt) | np.outer(tgt, src)
+            assert np.array_equal(from_groups, mask), c
             for i in range(n):
                 for j in range(n):
                     expect = cross(i, j) and label_of(i) == c and label_of(j) == c
                     assert mask[i, j] == expect, (c, i, j)
 
     def test_cg_sg_partition_cross_block(self):
+        # same-class cross pairs are the group pairs (c, C + c); the rest of
+        # the cross block is different-class, and together they tile it
         pair = random_pair(22)
-        mats = build_all(pair)
-        n_s = pair.n_source
-        cross = np.zeros((pair.n_total, pair.n_total), dtype=bool)
-        cross[:n_s, n_s:] = True
-        cross[n_s:, :n_s] = True
-        assert not np.any(mats.cg_mask & mats.sg_mask)
-        assert np.array_equal(mats.cg_mask | mats.sg_mask, cross)
+        groups = group_index(pair)
+        n_s, c_count = pair.n_source, pair.class_count
+        same = groups[:n_s, None] == groups[None, n_s:] - c_count
+        cg = np.zeros((pair.n_total, pair.n_total), dtype=bool)
+        cg[:n_s, n_s:] = same
+        cg[n_s:, :n_s] = same.T
+        sg = cross_mask(pair) & ~cg
+        oracle_cg = np.logical_or.reduce(list(class_cross_masks(pair).values()))
+        assert np.array_equal(cg, oracle_cg)
+        assert not np.any(cg & sg)
+        assert np.array_equal(cg | sg, cross_mask(pair))
 
     def test_masks_scale_invariant(self):
         pair = random_pair(23)
@@ -269,10 +303,7 @@ class TestMasks:
             10.0 * pair.target.features, pseudo_labels=pair.target.pseudo_labels, name="target"
         )
         scaled = make_pair(src, tgt)
-        a = class_cross_masks(pair)
-        b = class_cross_masks(scaled)
-        for c in a:
-            assert np.array_equal(a[c], b[c])
+        assert np.array_equal(group_index(pair), group_index(scaled))
 
 
 class TestRelabelingCommutes:
@@ -290,25 +321,27 @@ class TestRelabelingCommutes:
             name="target",
         )
         relabeled = make_pair(src, tgt)
-        assert_allclose(build_conditional(pair), build_conditional(relabeled), atol=1e-15)
         for mode in ("literal", "rank_one_sum"):
+            a, b = build_all(pair, mode), build_all(relabeled, mode)
+            assert_allclose(expand(a, a.conditional), expand(b, b.conditional), atol=1e-15)
             assert_allclose(
-                build_repulsive(pair, "source_to_target", mode=mode),
-                build_repulsive(relabeled, "source_to_target", mode=mode),
-                atol=1e-15,
+                expand(a, a.repulsive_st), expand(b, b.repulsive_st), atol=1e-15
             )
 
 
 class TestBuildAll:
     def test_bundles_consistent(self):
+        # expanding each table gives the dense per-sample matrix bit for bit
         pair = random_pair(30)
-        mats = build_all(pair, mode="rank_one_sum")
-        assert np.array_equal(mats.marginal, build_marginal(pair))
-        assert np.array_equal(mats.conditional, build_conditional(pair))
-        assert np.array_equal(
-            mats.repulsive_st, build_repulsive(pair, "source_to_target", mode="rank_one_sum")
-        )
-        assert np.array_equal(
-            mats.repulsive_ts, build_repulsive(pair, "target_to_source", mode="rank_one_sum")
-        )
-        assert set(mats.per_class_masks) == set(range(pair.class_count))
+        for mode in ("literal", "rank_one_sum"):
+            mats = build_all(pair, mode=mode)
+            assert np.array_equal(expand(mats, mats.marginal), build_marginal(pair))
+            assert np.array_equal(expand(mats, mats.conditional), build_conditional(pair))
+            assert np.array_equal(
+                expand(mats, mats.repulsive_st), build_repulsive(pair, "source_to_target", mode)
+            )
+            assert np.array_equal(
+                expand(mats, mats.repulsive_ts), build_repulsive(pair, "target_to_source", mode)
+            )
+            assert set(np.unique(mats.groups)) <= set(range(2 * pair.class_count))
+            assert mats.marginal.shape == (2 * pair.class_count, 2 * pair.class_count)

@@ -264,8 +264,8 @@ def _propagated_target_labels(pair: DomainPair, z: np.ndarray, cfg: AdaptConfig)
     projection.
     """
     ns = pair.n_source
-    w = build_affinity(z, "median", None, cfg.neighborhood_p)
-    lap = build_laplacian(w, normalized=True)
+    # The affinity is dropped as soon as its Laplacian exists, before the solve.
+    lap = build_laplacian(build_affinity(z, "median", None, cfg.neighborhood_p), normalized=True)
     y0 = np.zeros((pair.n_total, pair.class_count))
     y0[:ns] = one_hot(pair.source.labels, pair.class_count)
     f = propagate_labels(lap, y0, cfg.mu, clamp_rows=np.arange(ns))

@@ -52,7 +52,8 @@ def propagate_labels(laplacian, y0, mu: float, clamp_rows=None) -> np.ndarray:
     mu clamps F to Y0, small mu trusts the graph. Rows with positive mass
     are renormalized to sum 1 so downstream argmax tie behavior is stable;
     rows listed in clamp_rows (typically the labeled source rows) are reset
-    to their Y0 one-hots after solving.
+    to their Y0 one-hots after solving. The laplacian argument is never
+    modified.
     """
     lap = np.asarray(laplacian, dtype=float)
     y0 = np.asarray(y0, dtype=float)
@@ -62,9 +63,12 @@ def propagate_labels(laplacian, y0, mu: float, clamp_rows=None) -> np.ndarray:
         raise DimensionError("y0 must have one row per graph vertex")
     if not mu > 0.0:
         raise ParameterError(f"mu must be positive, got {mu}")
-    n = lap.shape[0]
+    # The system mu I + L in a fresh Fortran-ordered array, which LAPACK
+    # factors in place; adding 0.0 turns a -0.0 into 0.0 as mu I + L does.
+    a = np.add(lap, 0.0, order="F")
+    a[np.diag_indices_from(a)] += mu
     try:
-        f = scipy.linalg.solve(mu * np.eye(n) + lap, mu * y0, assume_a="pos")
+        f = scipy.linalg.solve(a, mu * y0, assume_a="pos", overwrite_a=True)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise NumericError("propagation system is not positive definite") from exc
     sums = f.sum(axis=1)

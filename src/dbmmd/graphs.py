@@ -23,13 +23,16 @@ import numpy as np
 
 from .datamodel import DomainPair
 from .errors import BandwidthError, DimensionError, ParameterError
-from .linalg import median_pairwise_distance, pairwise_sq_dists
+from .linalg import median_pairwise_distance, pairwise_sq_dists, symmetrize_inplace
 from .mmd import group_index
 
 # Floor for 1/W so sparsified or underflowed affinities cannot blow up.
 W_FLOOR = 1e-6
 
 GRAPH_MODES = ("literal", "spirit")
+
+# Rows per block of the neighbor search; bounds its (block, n) temporaries.
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -49,17 +52,24 @@ def build_affinity(
 ) -> AffinityMatrix:
     """Gaussian affinity w_ij = exp(-d_ij^2 / (2 sigma^2)) over columns of x.
 
+    The squared distances are computed once: the median bandwidth and the
+    neighbor choice read that one array, which then becomes the affinity
+    in place.
+
     sigma_mode "median" takes sigma as the median nonzero pairwise
     distance and fails with BandwidthError when all points coincide.
     neighborhood_p > 0 keeps w_ij only when i is among the p nearest
-    neighbors of j or vice versa; p = 0 keeps the matrix dense.
+    neighbors of j or vice versa; p = 0 keeps the matrix dense. A point is
+    never its own neighbor, and among equally distant candidates the one
+    with the lowest column index is taken first, so coincident points and
+    tied distances give the same graph on every run.
     """
     d2 = pairwise_sq_dists(x)
     n = d2.shape[0]
     if n < 2:
         raise ParameterError("affinity needs at least two samples")
     if sigma_mode == "median":
-        sigma = median_pairwise_distance(x)
+        sigma = median_pairwise_distance(sq_dists=d2)
         if sigma == 0.0:
             raise BandwidthError("all points coincide; median bandwidth is zero")
     elif sigma_mode == "fixed":
@@ -70,18 +80,42 @@ def build_affinity(
     if int(neighborhood_p) != neighborhood_p or neighborhood_p < 0:
         raise ParameterError(f"neighborhood_p must be a nonnegative integer, got {neighborhood_p}")
     p = int(neighborhood_p)
-    w = np.exp(d2 / (-2.0 * sigma * sigma))
-    if 0 < p < n - 1:
-        keep = np.zeros_like(w, dtype=bool)
-        order = np.argsort(d2, axis=1, kind="stable")
-        for j in range(n):
-            neigh = order[j][order[j] != j][:p]
-            keep[j, neigh] = True
+    keep = _nearest_neighbors(d2, p) if 0 < p < n - 1 else None
+    w = d2
+    np.divide(w, -2.0 * sigma * sigma, out=w)
+    np.exp(w, out=w)
+    if keep is not None:
         keep |= keep.T
-        w = np.where(keep, w, 0.0)
+        w[~keep] = 0.0
     np.fill_diagonal(w, 0.0)
-    w = 0.5 * (w + w.T)
+    symmetrize_inplace(w)
     return AffinityMatrix(w, float(sigma), p)
+
+
+def _nearest_neighbors(d2: np.ndarray, p: int) -> np.ndarray:
+    """Boolean (n, n): row j marks the p columns nearest to j, 0 < p < n - 1.
+
+    Self is excluded and ties go to the lowest index, the order a stable
+    argsort of the row gives. Each block of rows takes the p-th smallest
+    distance t by partition and keeps every column closer than t; the rest
+    of a row's p are its columns at exactly t, in index order.
+    """
+    n = d2.shape[0]
+    keep = np.empty((n, n), dtype=bool)
+    for lo in range(0, n, _ROW_BLOCK):
+        d = d2[lo:lo + _ROW_BLOCK].copy()
+        rows = np.arange(d.shape[0])
+        d[rows, lo + rows] = np.inf
+        t = np.partition(d, p - 1, axis=1)[:, p - 1:p]
+        closer = d < t
+        tied = d == t
+        tied[rows, lo + rows] = False
+        room = p - np.count_nonzero(closer, axis=1)
+        # Only rows with more columns at t than room rank them by index.
+        over = np.flatnonzero(np.count_nonzero(tied, axis=1) > room)
+        tied[over] &= np.cumsum(tied[over], axis=1) <= room[over, None]
+        np.logical_or(closer, tied, out=keep[lo:lo + d.shape[0]])
+    return keep
 
 
 @dataclass(frozen=True)
@@ -124,13 +158,18 @@ def build_laplacian(affinity: AffinityMatrix, normalized: bool = False) -> np.nd
     """L = D - W, or its symmetric normalization D^-1/2 (D - W) D^-1/2.
 
     Isolated vertices get degree W_FLOOR under normalization so the scaling
-    stays finite; their Laplacian row is zero either way.
+    stays finite; their Laplacian row is zero either way. Built in place
+    on one (n, n) array, entry for entry as diag(deg) - W and the scalings
+    give it.
     """
     w = affinity.entries
     deg = w.sum(axis=1)
-    lap = np.diag(deg) - w
+    lap = np.subtract(0.0, w)
+    diag = np.diag_indices_from(lap)
+    lap[diag] = deg - w[diag]
     if normalized:
         d = np.where(deg > 0.0, deg, W_FLOOR)
         inv_sqrt = 1.0 / np.sqrt(d)
-        lap = lap * inv_sqrt[:, None] * inv_sqrt[None, :]
-    return 0.5 * (lap + lap.T)
+        lap *= inv_sqrt[:, None]
+        lap *= inv_sqrt[None, :]
+    return symmetrize_inplace(lap)

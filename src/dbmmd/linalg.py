@@ -21,6 +21,9 @@ from .errors import DimensionError, NumericError, ParameterError
 # ridge keeps it definite there.
 DEFAULT_RIDGE_SCALE = 1e-9
 
+# Side of the square tiles ``symmetrize_inplace`` works on.
+_TILE = 256
+
 
 class EigPair(NamedTuple):
     value: float
@@ -47,26 +50,63 @@ def pairwise_sq_dists(x) -> np.ndarray:
     x = _as_feature_matrix(x)
     g = x.T @ x
     sq = np.diag(g).copy()
-    d = sq[:, None] + sq[None, :] - 2.0 * g
+    g *= 2.0
+    d = np.add(sq[:, None], sq[None, :])
+    d -= g
     np.maximum(d, 0.0, out=d)
-    d = 0.5 * (d + d.T)
+    symmetrize_inplace(d)
     np.fill_diagonal(d, 0.0)
     return d
 
 
-def median_pairwise_distance(x) -> float:
+def median_pairwise_distance(x=None, *, sq_dists=None) -> float:
     """Median of the nonzero pairwise Euclidean distances.
+
+    Give either the columns ``x`` or ``sq_dists``, their (n, n) squared
+    distances from ``pairwise_sq_dists``, which a caller that already
+    holds them passes so they are not computed twice. Only the strict
+    upper triangle is read. The square root is taken of the one or two
+    middle squared distances alone: sqrt is monotone, so they are the
+    squares of the middle distances, and the result equals the median of
+    all the distances bit for bit.
 
     Returns 0.0 when every pair of columns coincides; callers that need a
     positive bandwidth must treat that as an error.
     """
-    d2 = pairwise_sq_dists(x)
-    iu = np.triu_indices_from(d2, k=1)
-    vals = d2[iu]
-    vals = vals[vals > 0.0]
-    if vals.size == 0:
+    if (x is None) == (sq_dists is None):
+        raise ParameterError("give exactly one of x and sq_dists")
+    d2 = pairwise_sq_dists(x) if sq_dists is None else np.asarray(sq_dists, dtype=float)
+    if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
+        raise DimensionError(f"squared distances must be square, got shape {d2.shape}")
+    n = d2.shape[0]
+    if n < 2:
         return 0.0
-    return float(np.median(np.sqrt(vals)))
+    vals = np.concatenate([d2[i, i + 1:] for i in range(n - 1)])
+    vals = vals[vals > 0.0]
+    m = vals.size
+    if m == 0:
+        return 0.0
+    middle = [(m - 1) // 2, m // 2]
+    vals.partition(middle)
+    # np.median's own last step: the mean of the middle value(s).
+    return float(np.mean(np.sqrt(vals[middle[0]:middle[1] + 1])))
+
+
+def symmetrize_inplace(a: np.ndarray) -> np.ndarray:
+    """a <- 0.5 * (a + a^T) in place, one pair of mirrored tiles at a time.
+
+    Entry for entry equal to the out-of-place expression, without its two
+    n x n temporaries.
+    """
+    n, t = a.shape[0], _TILE
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            upper = a[i:i + t, j:j + t]
+            lower = a[j:j + t, i:i + t]
+            s = 0.5 * (upper + lower.T)
+            upper[...] = s
+            lower[...] = s.T
+    return a
 
 
 def kernel_matrix(x, kind: str, *, sigma: float | None = None, degree: int = 2) -> np.ndarray:

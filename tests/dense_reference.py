@@ -5,12 +5,20 @@ class masks, the boundary graphs and the assembled coefficient matrix.
 The library now holds every term as a 2C x 2C table over the (domain,
 pseudo-class) groups; the tests check that expanding the engine's
 operator reproduces these matrices exactly.
+
+The neighborhood-graph oracles below are the original out-of-place
+distance, median, affinity, Laplacian and propagation code: a second
+distance pass for the median, a stable argsort per row for the kNN graph,
+and the explicit identity in the propagation system. The library computes
+the same values in one distance pass and in place; the tests require them
+equal bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from dbmmd.datamodel import DomainPair
 from dbmmd.errors import ParameterError, StateError
@@ -177,3 +185,79 @@ def dense_assemble_db(mats: DenseMatrices, graphs: DenseGraphs | None, kind) -> 
             rep = _reweight(rep, graphs.g_sg, graphs.sg_mask, graphs.mode)
         out = out - rep
     return out
+
+
+def dense_pairwise_sq_dists(x) -> np.ndarray:
+    """Squared distances between the columns of x, as one out-of-place expression."""
+    x = np.asarray(x, dtype=float)
+    g = x.T @ x
+    sq = np.diag(g).copy()
+    d = sq[:, None] + sq[None, :] - 2.0 * g
+    np.maximum(d, 0.0, out=d)
+    d = 0.5 * (d + d.T)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def dense_median_pairwise_distance(d2: np.ndarray) -> float:
+    """np.median of the square roots of the positive upper-triangle entries."""
+    vals = d2[np.triu_indices_from(d2, k=1)]
+    vals = vals[vals > 0.0]
+    if vals.size == 0:
+        return 0.0
+    return float(np.median(np.sqrt(vals)))
+
+
+def dense_knn_keep(d2: np.ndarray, p: int) -> np.ndarray:
+    """Row j marks the first p of a stable argsort of row j, j itself skipped."""
+    n = d2.shape[0]
+    keep = np.zeros((n, n), dtype=bool)
+    order = np.argsort(d2, axis=1, kind="stable")
+    for j in range(n):
+        neigh = order[j][order[j] != j][:p]
+        keep[j, neigh] = True
+    return keep
+
+
+def dense_build_affinity(x, sigma_mode: str = "median", sigma: float | None = None,
+                         neighborhood_p: int = 0) -> AffinityMatrix:
+    """The Gaussian (kNN) affinity with the median from a second distance pass."""
+    d2 = dense_pairwise_sq_dists(x)
+    n = d2.shape[0]
+    if sigma_mode == "median":
+        sigma = dense_median_pairwise_distance(dense_pairwise_sq_dists(x))
+    p = int(neighborhood_p)
+    w = np.exp(d2 / (-2.0 * sigma * sigma))
+    if 0 < p < n - 1:
+        keep = dense_knn_keep(d2, p)
+        keep |= keep.T
+        w = np.where(keep, w, 0.0)
+    np.fill_diagonal(w, 0.0)
+    w = 0.5 * (w + w.T)
+    return AffinityMatrix(w, float(sigma), p)
+
+
+def dense_build_laplacian(affinity: AffinityMatrix, normalized: bool = False) -> np.ndarray:
+    """np.diag(deg) - W, optionally scaled by D^-1/2 on both sides, then symmetrized."""
+    w = affinity.entries
+    deg = w.sum(axis=1)
+    lap = np.diag(deg) - w
+    if normalized:
+        d = np.where(deg > 0.0, deg, W_FLOOR)
+        inv_sqrt = 1.0 / np.sqrt(d)
+        lap = lap * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return 0.5 * (lap + lap.T)
+
+
+def dense_propagate_labels(laplacian, y0, mu: float, clamp_rows=None) -> np.ndarray:
+    """Propagation solved on mu * eye(n) + L, rows renormalized, clamp rows reset."""
+    lap = np.asarray(laplacian, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    n = lap.shape[0]
+    f = scipy.linalg.solve(mu * np.eye(n) + lap, mu * y0, assume_a="pos")
+    sums = f.sum(axis=1)
+    pos = sums > 0.0
+    f[pos] = f[pos] / sums[pos, None]
+    if clamp_rows is not None:
+        f[clamp_rows] = y0[clamp_rows]
+    return f

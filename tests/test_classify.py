@@ -8,6 +8,9 @@ from numpy.testing import assert_allclose
 
 from dbmmd.classify import accuracy, hard_labels, nn_classify, one_hot, propagate_labels
 from dbmmd.errors import DimensionError, ParameterError
+from dbmmd.graphs import build_affinity, build_laplacian
+
+from dense_reference import dense_propagate_labels
 
 
 class TestNnClassify:
@@ -134,6 +137,31 @@ class TestPropagateLabels:
         f = propagate_labels(lap, y0, mu=float(rng.uniform(0.05, 5.0)))
         assert f.min() >= -1e-12
         assert_allclose(f.sum(axis=1), np.ones(6), atol=1e-10)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_equal_to_dense_solve_and_laplacian_untouched(self, seed, order):
+        rng = np.random.default_rng(seed)
+        n = 40 + 70 * seed
+        aff = build_affinity(rng.normal(size=(3, n)), "median", neighborhood_p=5)
+        lap = np.array(build_laplacian(aff, normalized=True), order=order)
+        before = lap.copy()
+        labeled = np.arange(n // 2)
+        y0 = np.zeros((n, 3))
+        y0[labeled] = one_hot(rng.integers(0, 3, labeled.size), 3)
+        mu = float(rng.uniform(0.05, 5.0))
+        f = propagate_labels(lap, y0, mu, clamp_rows=labeled)
+        expect = dense_propagate_labels(before, y0, mu, clamp_rows=labeled)
+        assert f.tobytes() == expect.tobytes()
+        assert lap.tobytes() == before.tobytes()
+
+    def test_signed_zeros_solve_as_dense_system(self):
+        # mu I + L turns every -0.0 of L into 0.0; solved with the -0.0 kept,
+        # this system gives -0.0 where the dense one gives 0.0
+        lap = np.array([[0.5, -0.0], [-0.0, 0.0]])
+        y0 = np.array([[-0.0, 1.0], [-1.0, 0.0]])
+        f = propagate_labels(lap, y0, mu=1.0)
+        assert f.tobytes() == dense_propagate_labels(lap, y0, 1.0).tobytes()
 
     def test_errors(self):
         y0 = np.zeros((3, 2))

@@ -10,13 +10,25 @@ from dbmmd.datamodel import LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.errors import BandwidthError, DimensionError, ParameterError
 from dbmmd.graphs import (
     W_FLOOR,
+    AffinityMatrix,
     build_affinity,
     build_graphs,
     build_laplacian,
 )
 from dbmmd.mmd import build_all
 
-from dense_reference import dense_build_graphs
+from dense_reference import dense_build_affinity, dense_build_graphs, dense_build_laplacian
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def grid_points(seed, n, span, d=2):
+    """Columns on an integer grid: many tied distances and coincident points."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, span, size=(d, n)).astype(float)
 
 
 def labeled_pair(seed=0, n_s=6, n_t=5, class_count=3):
@@ -112,6 +124,47 @@ class TestBuildAffinity:
             build_affinity(x, "percentile")
         with pytest.raises(ParameterError):
             build_affinity(x, "fixed", sigma=1.0, neighborhood_p=-2)
+
+
+class TestNeighborTies:
+    """kNN neighbor sets under ties, against the stable-argsort row loop."""
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    @pytest.mark.parametrize("n, span", [(9, 2), (40, 3), (120, 4), (300, 5), (520, 8)])
+    def test_grid_matches_stable_argsort_oracle(self, n, span, p):
+        x = grid_points(n * 10 + p, n, span)
+        aff = build_affinity(x, "median", neighborhood_p=p)
+        ref = dense_build_affinity(x, "median", neighborhood_p=p)
+        assert np.array_equal(aff.entries, ref.entries)
+        assert aff.sigma == ref.sigma
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_neighbor_sets_under_unit_weights(self, p):
+        # infinite sigma makes every kept weight exactly 1, so the nonzero
+        # pattern is the symmetrized neighbor sets themselves
+        x = grid_points(p, 200, 3, d=3)
+        aff = build_affinity(x, "fixed", sigma=float("inf"), neighborhood_p=p)
+        ref = dense_build_affinity(x, "fixed", sigma=float("inf"), neighborhood_p=p)
+        assert np.array_equal(aff.entries, ref.entries)
+        assert np.array_equal(aff.entries != 0.0, ref.entries != 0.0)
+
+    def test_coincident_points_take_lowest_indices(self):
+        # every candidate ties at distance 0: j keeps the two lowest other indices
+        aff = build_affinity(np.zeros((2, 7)), "fixed", sigma=1.0, neighborhood_p=2)
+        keep = np.zeros((7, 7), dtype=bool)
+        keep[0, [1, 2]] = keep[1, [0, 2]] = keep[2, [0, 1]] = True
+        keep[3:, [0, 1]] = True
+        assert np.array_equal(aff.entries != 0.0, keep | keep.T)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_points_match_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(3, 270 + seed))
+        for p in (0, 1, 5, x.shape[1] - 2, x.shape[1] - 1):
+            aff = build_affinity(x, "median", neighborhood_p=p)
+            ref = dense_build_affinity(x, "median", neighborhood_p=p)
+            assert_bits_equal(aff.entries, ref.entries)
+            assert aff.sigma == ref.sigma
 
 
 class TestBuildGraphs:
@@ -237,11 +290,40 @@ class TestLaplacian:
     def test_isolated_vertex_row_is_zero(self):
         # p-sparsification cannot isolate vertices (either-or keeps edges),
         # so build one synthetically through the dataclass
-        from dbmmd.graphs import AffinityMatrix
-
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 0.7
         aff = AffinityMatrix(w, sigma=1.0, neighborhood_p=0)
         lap = build_laplacian(aff, normalized=True)
         assert_allclose(lap[2], np.zeros(3), atol=0)
         assert_allclose(lap[:2, :2], [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("n, p", [(7, 0), (60, 2), (300, 5)])
+    def test_bit_equal_to_dense_expression(self, n, p, normalized):
+        rng = np.random.default_rng(n + p)
+        aff = build_affinity(rng.normal(size=(4, n)), "median", neighborhood_p=p)
+        lap = build_laplacian(aff, normalized=normalized)
+        assert_bits_equal(lap, dense_build_laplacian(aff, normalized=normalized))
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_isolated_vertex_bit_equal_to_dense_expression(self, normalized):
+        # vertex 3 has degree 0, which the normalized form floors at W_FLOOR
+        rng = np.random.default_rng(43)
+        w = rng.uniform(0.1, 1.0, size=(5, 5))
+        w = 0.5 * (w + w.T)
+        w[3] = w[:, 3] = 0.0
+        np.fill_diagonal(w, 0.0)
+        aff = AffinityMatrix(w, sigma=1.0, neighborhood_p=0)
+        lap = build_laplacian(aff, normalized=normalized)
+        assert_bits_equal(lap, dense_build_laplacian(aff, normalized=normalized))
+        assert np.all(lap[3] == 0.0)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_asymmetric_weights_symmetrized_as_dense_expression(self, normalized):
+        rng = np.random.default_rng(47)
+        w = rng.uniform(0.0, 1.0, size=(270, 270))
+        before = w.copy()
+        aff = AffinityMatrix(w, sigma=1.0, neighborhood_p=0)
+        lap = build_laplacian(aff, normalized=normalized)
+        assert_bits_equal(lap, dense_build_laplacian(aff, normalized=normalized))
+        assert_bits_equal(aff.entries, before)

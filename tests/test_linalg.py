@@ -16,6 +16,8 @@ from dbmmd.linalg import (
     pairwise_sq_dists,
 )
 
+from dense_reference import dense_median_pairwise_distance, dense_pairwise_sq_dists
+
 
 def loop_sq_dists(x):
     n = x.shape[1]
@@ -57,6 +59,14 @@ class TestPairwiseSqDists:
         assert d.min() >= 0.0
         assert_allclose(d, d.T, atol=0)
 
+    @pytest.mark.parametrize("n", [5, 64, 300])
+    def test_bit_equal_to_out_of_place_expression(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(8, n))
+        d = pairwise_sq_dists(x)
+        expect = dense_pairwise_sq_dists(x)
+        assert d.tobytes() == expect.tobytes()
+
     def test_rejects_non_finite(self):
         x = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ParameterError):
@@ -75,6 +85,42 @@ class TestMedianPairwiseDistance:
 
     def test_all_coincident_is_zero(self):
         assert median_pairwise_distance(np.ones((2, 4))) == 0.0
+
+    def test_odd_and_even_pair_counts(self):
+        # 3 pairs {1, 3, 2}: the middle one
+        assert median_pairwise_distance(np.array([[0.0, 1.0, 3.0]])) == 2.0
+        # 6 pairs {1, 3, 7, 2, 6, 4}: the mean of the middle two
+        assert median_pairwise_distance(np.array([[0.0, 1.0, 3.0, 7.0]])) == 3.5
+        # 6 pairs, one coincident: {1, 3, 1, 3, 2} leaves an odd count
+        assert median_pairwise_distance(np.array([[0.0, 0.0, 1.0, 3.0]])) == 2.0
+        # 10 pairs, two coincident: {1, 1, 1, 1, 4, 4, 5, 5} leaves an even count
+        assert median_pairwise_distance(np.array([[0.0, 0.0, 1.0, 1.0, 5.0]])) == 2.5
+
+    def test_all_coincident_precomputed_is_zero(self):
+        assert median_pairwise_distance(sq_dists=np.zeros((5, 5))) == 0.0
+        assert median_pairwise_distance(sq_dists=np.zeros((1, 1))) == 0.0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_precomputed_matches_recomputed_and_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 20 + seed  # both parities of n and of the pair count
+        if seed % 2:
+            x = rng.integers(0, 3, size=(2, n)).astype(float)  # ties and coincident pairs
+        else:
+            x = rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-3, 3)
+        d2 = pairwise_sq_dists(x)
+        expect = dense_median_pairwise_distance(d2)
+        assert median_pairwise_distance(x) == expect
+        assert median_pairwise_distance(sq_dists=d2) == expect
+        assert np.array_equal(d2, pairwise_sq_dists(x))
+
+    def test_needs_exactly_one_input(self):
+        with pytest.raises(ParameterError):
+            median_pairwise_distance()
+        with pytest.raises(ParameterError):
+            median_pairwise_distance(np.ones((2, 3)), sq_dists=np.zeros((3, 3)))
+        with pytest.raises(DimensionError):
+            median_pairwise_distance(sq_dists=np.zeros((3, 4)))
 
 
 class TestKernelMatrix:

@@ -29,21 +29,15 @@ import scipy.linalg
 from .classify import accuracy, hard_labels, nn_classify, one_hot, propagate_labels
 from .datamodel import AdaptConfig, AdaptationReport, DomainPair, IterationRecord
 from .errors import (
-    BandwidthError,
     NumericError,
     ParameterError,
     StateError,
     UnsupportedModelError,
 )
 from .graphs import BoundaryGraphs, build_affinity, build_graphs, build_laplacian
-from .linalg import (
-    centering_matrix,
-    gen_eig_smallest,
-    kernel_matrix,
-    kernel_range,
-    median_pairwise_distance,
-)
+from .linalg import centering_matrix, gen_eig_smallest
 from .mmd import MmdTables, build_all, group_sums
+from .operands import InputOperands
 
 BASE_MODELS = ("JDA", "CDDA", "DGA-DA", "MEDA")
 BOUNDARY_TERMS = ("none", "CG", "DB")
@@ -209,32 +203,20 @@ def solve_projection(s: np.ndarray, db: MmdOperator, k: int, lam: float,
     return a, tuple(p.value for p in pairs), objective
 
 
-def _resolve_kernel_sigma(cfg: AdaptConfig, x: np.ndarray) -> float | None:
-    if cfg.kernel != "rbf":
-        return None
-    if cfg.sigma_mode == "fixed":
-        return cfg.sigma
-    sigma = median_pairwise_distance(x)
-    if sigma == 0.0:
-        raise BandwidthError("all points coincide; median kernel bandwidth is zero")
-    return sigma
-
-
-def _data_operand(cfg: AdaptConfig, x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+def _data_operand(cfg: AdaptConfig, ops: InputOperands) -> tuple[np.ndarray | None, np.ndarray]:
     """(basis, s): s is the operand the pencil sees; the projection is basis @ A.
 
-    Primal mode has no basis. Kernel mode factors K once and solves in its
-    numerical range, so the right operand is not held together by the ridge
-    alone and a projection never points into the null space of K.
+    Primal mode has no basis. Kernel mode solves in the numerical range of
+    K, so the right operand is not held together by the ridge alone and a
+    projection never points into the null space of K.
     """
     if cfg.kernel == "primal":
-        return None, x
-    kmat = kernel_matrix(x, cfg.kernel, sigma=_resolve_kernel_sigma(cfg, x), degree=cfg.degree)
-    basis, s = kernel_range(kmat)
+        return None, ops.x
+    basis, s = ops.kernel_range()
     if cfg.k > s.shape[0]:
         raise ParameterError(
             f"k={cfg.k} exceeds the numerical rank r={s.shape[0]} of the {cfg.kernel} "
-            f"kernel matrix (n={kmat.shape[0]}); kernel mode has only r projection directions"
+            f"kernel matrix (n={s.shape[1]}); kernel mode has only r projection directions"
         )
     return basis, s
 
@@ -273,24 +255,25 @@ def _propagated_target_labels(pair: DomainPair, z: np.ndarray, cfg: AdaptConfig)
 
 
 def run_adaptation(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind,
-                   target_truth=None) -> AdaptationReport:
+                   target_truth=None, operands: InputOperands | None = None) -> AdaptationReport:
     """Run one model's refinement loop on a pair.
 
     target_truth, when given, is used only to score each round; it never
-    feeds back into the loop. MEDA variants are dispatched to the
+    feeds back into the loop. operands, when given, holds the input-space
+    operands of this pair and config shared with other cells; without it
+    the run builds its own. MEDA variants are dispatched to the
     structural-risk solver, everything else follows the projection loop.
     """
     if kind.base == "MEDA":
-        return run_meda_cg(pair, cfg, kind, target_truth)
+        return run_meda_cg(pair, cfg, kind, target_truth, operands)
     t0 = time.perf_counter()
     truth = None if target_truth is None else np.asarray(target_truth)
-    x = pair.packed_features()
+    ops = InputOperands.for_cell(pair, cfg, operands)
+    x = ops.x
     ns = pair.n_source
-    basis, s = _data_operand(cfg, x)
-    affinity = None
-    if kind.boundary != "none":
-        # Boundary graphs always see the dense affinity of the input points.
-        affinity = build_affinity(x, cfg.sigma_mode, cfg.sigma, 0)
+    basis, s = _data_operand(cfg, ops)
+    # Boundary graphs always see the dense affinity of the input points.
+    affinity = ops.affinity() if kind.boundary != "none" else None
     pseudo = _initial_pseudo(pair)
     baseline = None if truth is None else accuracy(pseudo, truth)
     records: list[IterationRecord] = []
@@ -334,10 +317,18 @@ def run_adaptation(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind,
 
 
 def _solve_with_escalation(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve g x = rhs, adding a growing jitter to the diagonal while it fails.
+
+    Each attempt factors a fresh Fortran-ordered copy in place; g itself
+    is never modified. Adding 0.0 turns a -0.0 into 0.0, as g + jitter I
+    does, so every attempt sees the entries that sum would give.
+    """
     scale = float(np.linalg.norm(g)) or 1.0
     for jitter in (0.0, 1e-10 * scale, 1e-6 * scale):
+        a = np.add(g, 0.0, order="F")
+        a[np.diag_indices_from(a)] += jitter
         try:
-            out = scipy.linalg.solve(g + jitter * np.eye(g.shape[0]), rhs)
+            out = scipy.linalg.solve(a, rhs, overwrite_a=True)
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
             continue
         if np.isfinite(out).all():
@@ -345,8 +336,30 @@ def _solve_with_escalation(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     raise NumericError("structural-risk system stayed singular after ridge escalation")
 
 
+def _meda_system(m: np.ndarray, lap: np.ndarray, kmat: np.ndarray, ns: int,
+                 cfg: AdaptConfig) -> np.ndarray:
+    """(E + alpha M + rho L) K + eta I, with E the source indicator, built in place.
+
+    Entry for entry equal to that expression over a dense 0/1 E and identity.
+    The factor is C-ordered like that sum, whatever the layout of M, because
+    the summation order of the product depends on it at small n. Where E
+    holds a zero the sum turns a -0.0 of the factor into 0.0; that can only
+    flip the sign of a zero in the product, so adding 0.0 to the product,
+    as + eta I does off the diagonal, gives the same entries.
+    """
+    t = np.multiply(m, cfg.meda_alpha, order="C")
+    src = np.arange(ns)
+    t[src, src] += 1.0
+    t += cfg.meda_rho * lap
+    g = t @ kmat
+    del t
+    np.add(g, 0.0, out=g)
+    g[np.diag_indices_from(g)] += cfg.meda_eta
+    return g
+
+
 def run_meda_cg(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind | None = None,
-                target_truth=None) -> AdaptationReport:
+                target_truth=None, operands: InputOperands | None = None) -> AdaptationReport:
     """MEDA-style structural risk minimization, optionally CG-reweighted.
 
     Learns f = sum_i beta_i k(x_i, .) by the closed-form solve
@@ -355,7 +368,9 @@ def run_meda_cg(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind | None = Non
 
     with E the source indicator, M the (possibly CG-reweighted) MMD
     coefficient matrix, and L the normalized Laplacian of the input
-    neighborhood graph. Requires a kernel config; there is no primal MEDA.
+    neighborhood graph. Y is zero on the target rows, so E Y = Y. Requires
+    a kernel config; there is no primal MEDA. operands is as for
+    ``run_adaptation``.
     """
     if kind is None:
         kind = ModelKind("MEDA", "CG")
@@ -365,17 +380,11 @@ def run_meda_cg(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind | None = Non
         raise ParameterError("MEDA needs a kernel; set kernel to linear, rbf, or poly")
     t0 = time.perf_counter()
     truth = None if target_truth is None else np.asarray(target_truth)
-    x = pair.packed_features()
+    ops = InputOperands.for_cell(pair, cfg, operands)
     n, ns, c = pair.n_total, pair.n_source, pair.class_count
-    kmat = kernel_matrix(x, cfg.kernel, sigma=_resolve_kernel_sigma(cfg, x), degree=cfg.degree)
-    lap = build_laplacian(
-        build_affinity(x, cfg.sigma_mode, cfg.sigma, cfg.neighborhood_p), normalized=True
-    )
-    affinity = None
-    if kind.boundary != "none":
-        affinity = build_affinity(x, cfg.sigma_mode, cfg.sigma, 0)
-    e = np.zeros((n, n))
-    e[np.arange(ns), np.arange(ns)] = 1.0
+    kmat = ops.kernel()
+    lap = ops.laplacian()
+    affinity = ops.affinity() if kind.boundary != "none" else None
     y = np.zeros((n, c))
     y[:ns] = one_hot(pair.source.labels, c)
     pseudo = _initial_pseudo(pair)
@@ -391,18 +400,16 @@ def run_meda_cg(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind | None = Non
         if kind.boundary != "none":
             graphs = build_graphs(p, affinity, cfg.graph_mode)
         m = assemble_db(mats, graphs, kind).dense()
-        g = (e + cfg.meda_alpha * m + cfg.meda_rho * lap) @ kmat + cfg.meda_eta * np.eye(n)
-        beta = _solve_with_escalation(g, e @ y)
+        beta = _solve_with_escalation(_meda_system(m, lap, kmat, ns, cfg), y)
         scores = kmat @ beta
         new = hard_labels(scores[ns:])
         churn = int(np.sum(new != pseudo))
         fit = float(np.sum((y[:ns] - scores[:ns]) ** 2))
-        kb = kmat @ beta
         objective = float(
             fit
             + cfg.meda_eta * np.trace(beta.T @ kmat @ beta)
-            + cfg.meda_alpha * np.trace(kb.T @ m @ kb)
-            + cfg.meda_rho * np.trace(kb.T @ lap @ kb)
+            + cfg.meda_alpha * np.trace(scores.T @ m @ scores)
+            + cfg.meda_rho * np.trace(scores.T @ lap @ scores)
         )
         acc = None if truth is None else accuracy(new, truth)
         records.append(IterationRecord(t, churn, objective, (), new, acc))

@@ -41,6 +41,7 @@ from .adapt import ModelKind, run_adaptation
 from .datamodel import AdaptConfig, DomainPair, LabeledDomain, UnlabeledDomain, make_pair
 from .errors import FormatError, ParameterError
 from .io import atomic_write_text, load_features, save_features
+from .operands import InputOperands
 from .synthetic import SyntheticRecipe, generate_synthetic
 
 SUMMARY_COLUMNS = (
@@ -296,13 +297,16 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Execute every (model, repeat) cell and write all outputs.
 
     Returns the aggregated rows plus an exit code: 0 when every cell ran,
-    1 when any cell failed. Spec-level problems raise instead.
+    1 when any cell failed. Spec-level problems raise instead. The cells
+    of one repeat share one ``InputOperands``, so the kernel, bandwidth
+    and input graphs are built at most once per repeat.
     """
     out_dir = Path(spec.output_dir)
     (out_dir / "reports").mkdir(parents=True, exist_ok=True)
     runs: list[dict] = []
     for rep in range(spec.repeat):
         pair, truth, label_values = _dataset_for_rep(spec, rep)
+        operands = InputOperands(pair, spec.config)
         for name in spec.models:
             kind = ModelKind.parse(name)
             row = {
@@ -316,7 +320,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 "wall_time": None,
             }
             try:
-                report = run_adaptation(pair, spec.config, kind, truth)
+                report = run_adaptation(pair, spec.config, kind, truth, operands)
             except Exception as exc:  # noqa: BLE001 - cell isolation is the point
                 row["status"] = "failed"
                 row["error"] = f"{type(exc).__name__}: {exc}"

@@ -69,9 +69,7 @@ def build_affinity(
     if n < 2:
         raise ParameterError("affinity needs at least two samples")
     if sigma_mode == "median":
-        sigma = median_pairwise_distance(sq_dists=d2)
-        if sigma == 0.0:
-            raise BandwidthError("all points coincide; median bandwidth is zero")
+        sigma = median_bandwidth(d2)
     elif sigma_mode == "fixed":
         if sigma is None or not sigma > 0.0:
             raise ParameterError(f"fixed sigma_mode needs sigma > 0, got {sigma}")
@@ -90,6 +88,19 @@ def build_affinity(
     np.fill_diagonal(w, 0.0)
     symmetrize_inplace(w)
     return AffinityMatrix(w, float(sigma), p)
+
+
+def median_bandwidth(sq_dists: np.ndarray) -> float:
+    """Median nonzero pairwise distance, read from squared distances.
+
+    The one place a median bandwidth is resolved: fails with
+    BandwidthError when all points coincide, since a zero sigma has no
+    Gaussian.
+    """
+    sigma = median_pairwise_distance(sq_dists=sq_dists)
+    if sigma == 0.0:
+        raise BandwidthError("all points coincide; median bandwidth is zero")
+    return sigma
 
 
 def _nearest_neighbors(d2: np.ndarray, p: int) -> np.ndarray:

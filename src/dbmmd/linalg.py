@@ -109,20 +109,35 @@ def symmetrize_inplace(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def kernel_matrix(x, kind: str, *, sigma: float | None = None, degree: int = 2) -> np.ndarray:
+def kernel_matrix(x, kind: str, *, sigma: float | None = None, degree: int = 2,
+                  sq_dists=None) -> np.ndarray:
     """Gram matrix of the columns of ``x`` under the named kernel.
 
     kind is one of "linear", "rbf" (needs sigma > 0, k = exp(-d^2 / 2 sigma^2))
-    or "poly" (degree >= 1, k = (x.y + 1)^degree).
+    or "poly" (degree >= 1, k = (x.y + 1)^degree). An rbf caller that
+    already holds the (n, n) squared distances of x from
+    ``pairwise_sq_dists`` passes them as ``sq_dists`` so they are not
+    computed twice; the other kernels do not read distances and reject it.
     """
     x = _as_feature_matrix(x)
+    if sq_dists is not None and kind != "rbf":
+        raise ParameterError(f"sq_dists is read only by the rbf kernel, not {kind!r}")
     if kind == "linear":
         g = x.T @ x
         return 0.5 * (g + g.T)
     if kind == "rbf":
         if sigma is None or not sigma > 0.0:
             raise ParameterError(f"rbf kernel needs sigma > 0, got {sigma}")
-        return np.exp(pairwise_sq_dists(x) / (-2.0 * sigma * sigma))
+        if sq_dists is None:
+            d2 = pairwise_sq_dists(x)
+        else:
+            d2 = np.asarray(sq_dists, dtype=float)
+            n = x.shape[1]
+            if d2.shape != (n, n):
+                raise DimensionError(
+                    f"squared distances of shape {d2.shape} do not match n={n} samples"
+                )
+        return np.exp(d2 / (-2.0 * sigma * sigma))
     if kind == "poly":
         if int(degree) != degree or degree < 1:
             raise ParameterError(f"poly kernel needs integer degree >= 1, got {degree}")

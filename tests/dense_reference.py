@@ -12,6 +12,11 @@ distance pass for the median, a stable argsort per row for the kNN graph,
 and the explicit identity in the propagation system. The library computes
 the same values in one distance pass and in place; the tests require them
 equal bit for bit.
+
+The MEDA oracles are the original assembly of the structural-risk system
+over a dense 0/1 source indicator E and identity, and its solve on
+g + jitter I. The library builds the same system in place and factors a
+copy of it; the tests require both equal bit for bit.
 """
 from __future__ import annotations
 
@@ -261,3 +266,17 @@ def dense_propagate_labels(laplacian, y0, mu: float, clamp_rows=None) -> np.ndar
     if clamp_rows is not None:
         f[clamp_rows] = y0[clamp_rows]
     return f
+
+
+def dense_meda_system(m, lap, kmat, ns: int, alpha: float, rho: float,
+                      eta: float) -> np.ndarray:
+    """(E + alpha M + rho L) K + eta I with E the dense 0/1 source indicator."""
+    n = m.shape[0]
+    e = np.zeros((n, n))
+    e[np.arange(ns), np.arange(ns)] = 1.0
+    return (e + alpha * m + rho * lap) @ kmat + eta * np.eye(n)
+
+
+def dense_meda_solve(g, rhs, jitter: float = 0.0) -> np.ndarray:
+    """One attempt of the ridge escalation: solve on g + jitter * eye(n)."""
+    return scipy.linalg.solve(g + jitter * np.eye(g.shape[0]), rhs)

@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose
 
 from dbmmd.adapt import (
     MmdOperator,
+    _meda_system,
+    _solve_with_escalation,
     ModelKind,
     assemble_db,
     run_adaptation,
@@ -18,7 +20,10 @@ from dbmmd.graphs import build_affinity, build_graphs
 from dbmmd.linalg import (gen_eig_smallest, kernel_matrix, kernel_range,
                           median_pairwise_distance)
 from dbmmd.mmd import build_all
+from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
+
+from dense_reference import dense_meda_solve, dense_meda_system
 
 UNIT_AFFINITY = dict(sigma_mode="fixed", sigma=float("inf"))
 
@@ -457,3 +462,76 @@ class TestMedaCg:
         report = run_meda_cg(ds.pair, cfg, ModelKind("MEDA", "CG"), ds.target_truth)
         assert all(np.isfinite(r.objective) for r in report.iterations)
         assert report.embedding.shape == (3, ds.pair.n_total)
+
+
+def signed_zero_matrix(rng, n):
+    """Random entries with a share of exact +0.0 and -0.0."""
+    a = rng.normal(size=(n, n))
+    a[rng.random((n, n)) < 0.2] = 0.0
+    a[rng.random((n, n)) < 0.2] = -0.0
+    return a
+
+
+class TestMedaSystem:
+    @pytest.mark.parametrize("alpha, rho", [(10.0, 0.1), (0.0, 0.1), (10.0, 0.0), (0.0, 0.0)])
+    def test_in_place_system_matches_dense_assembly(self, alpha, rho):
+        # alpha = 0 turns every negative entry of M into -0.0, which E and
+        # the identity turn back into 0.0 off their diagonals
+        rng = np.random.default_rng(int(10 * alpha + 100 * rho))
+        n, ns = 23, 9
+        # M comes out of MmdOperator.dense() Fortran-ordered
+        m, lap = np.asfortranarray(signed_zero_matrix(rng, n)), signed_zero_matrix(rng, n)
+        kmat = signed_zero_matrix(rng, n)
+        cfg = AdaptConfig(kernel="rbf", meda_alpha=alpha, meda_rho=rho, meda_eta=0.7)
+        m_before, lap_before = m.tobytes(), lap.tobytes()
+        g = _meda_system(m, lap, kmat, ns, cfg)
+        oracle = dense_meda_system(m, lap, kmat, ns, alpha, rho, 0.7)
+        assert g.tobytes() == oracle.tobytes()
+        assert m.tobytes() == m_before and lap.tobytes() == lap_before
+
+    def test_system_of_a_real_cell_matches_dense_assembly(self):
+        ds = small_dataset(seed=61)
+        cfg = AdaptConfig(kernel="rbf")
+        ops = InputOperands(ds.pair, cfg)
+        p = ds.pair.with_pseudo_labels(np.arange(ds.pair.n_target) % 3)
+        graphs = build_graphs(p, ops.affinity(), cfg.graph_mode)
+        m = assemble_db(build_all(p, cfg.matrix_mode), graphs, ModelKind("MEDA", "CG")).dense()
+        ns = ds.pair.n_source
+        g = _meda_system(m, ops.laplacian(), ops.kernel(), ns, cfg)
+        oracle = dense_meda_system(m, ops.laplacian(), ops.kernel(), ns,
+                                   cfg.meda_alpha, cfg.meda_rho, cfg.meda_eta)
+        assert g.tobytes() == oracle.tobytes()
+
+
+class TestSolveWithEscalation:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_jitter_zero_byte_equal_and_input_untouched(self, order):
+        rng = np.random.default_rng(67)
+        n = 31
+        g = np.asarray(signed_zero_matrix(rng, n) + n * np.eye(n), order=order)
+        rhs = rng.normal(size=(n, 3))
+        g_before, rhs_before = g.tobytes(order="A"), rhs.tobytes()
+        out = _solve_with_escalation(g, rhs)
+        assert out.tobytes() == dense_meda_solve(g, rhs).tobytes()
+        assert g.tobytes(order="A") == g_before and rhs.tobytes() == rhs_before
+        assert g.flags.c_contiguous == (order == "C")
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_singular_system_escalates_to_a_finite_result(self, order):
+        rng = np.random.default_rng(71)
+        n = 12
+        g = rng.normal(size=(n, n))
+        g[4, :] = 0.0
+        g[:, 4] = 0.0
+        g = np.asarray(g, order=order)
+        rhs = rng.normal(size=(n, 2))
+        g_before = g.tobytes(order="A")
+        out = _solve_with_escalation(g, rhs)
+        assert np.isfinite(out).all()
+        jitter = 1e-10 * float(np.linalg.norm(g))
+        assert out.tobytes() == dense_meda_solve(g, rhs, jitter).tobytes()
+        assert g.tobytes(order="A") == g_before
+
+    def test_zero_system_escalates_from_unit_scale(self):
+        out = _solve_with_escalation(np.zeros((3, 3)), np.ones((3, 1)))
+        assert_allclose(out, 1e10, rtol=1e-12)

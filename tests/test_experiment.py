@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from dbmmd.datamodel import AdaptConfig
-from dbmmd.errors import FormatError, ParameterError
+from dbmmd.adapt import ModelKind, run_adaptation
+from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pair
+from dbmmd.errors import BandwidthError, FormatError, ParameterError
 from dbmmd.experiment import (
     ExperimentSpec,
     render_summary_csv,
@@ -14,7 +16,8 @@ from dbmmd.experiment import (
     run_experiment,
     write_synthetic_files,
 )
-from dbmmd.synthetic import SyntheticRecipe
+from dbmmd.io import save_features
+from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
 FAST_RECIPE = SyntheticRecipe(
     class_count=2,
@@ -181,6 +184,93 @@ class TestRunExperiment:
         assert set(first) == {
             "iteration", "churn", "objective", "accuracy", "eigenvalues", "pseudo_labels",
         }
+
+
+# A primal group and an rbf group, each sharing one set of input operands.
+ZOO_GROUPS = (
+    (("JDA", "JDA+CG", "CDDA+DB", "DGA-DA+DB"), AdaptConfig(k=2, lam=1.0, max_iter=3)),
+    (("JDA", "JDA+CG", "MEDA", "MEDA+CG"), AdaptConfig(k=2, lam=1.0, max_iter=3, kernel="rbf")),
+)
+
+
+class TestSharedOperands:
+    @pytest.mark.parametrize("models, config", ZOO_GROUPS)
+    def test_reports_match_cells_run_alone(self, tmp_path, models, config):
+        result = run_experiment(fast_spec(tmp_path, models=models, config=config, repeat=2))
+        assert result.exit_code == 0
+        for rep in range(2):
+            ds = generate_synthetic(
+                dataclasses.replace(FAST_RECIPE, seed=FAST_RECIPE.seed + rep)
+            )
+            for name in models:
+                path = result.output_dir / "reports" / f"{name.replace('+', '_')}_rep{rep}.json"
+                written = path.read_text()
+                alone = run_adaptation(ds.pair, config, ModelKind.parse(name),
+                                       ds.target_truth).to_dict()
+                # wall time is the one field that differs between two runs
+                alone["wall_time"] = json.loads(written)["wall_time"]
+                assert written == json.dumps(alone, indent=2) + "\n", (name, rep)
+
+
+def coincident_spec(tmp_path, models, config):
+    """A file dataset whose every source and target point is the same point."""
+    data = tmp_path / "data"
+    data.mkdir(exist_ok=True)
+    save_features(data / "source.csv", np.ones((2, 6)), np.array([0, 0, 0, 1, 1, 1]))
+    save_features(data / "target.csv", np.ones((2, 6)))
+    return ExperimentSpec(
+        models=models,
+        config=config,
+        output_dir=str(tmp_path / f"out_{config.kernel}"),
+        source_path=str(data / "source.csv"),
+        target_path=str(data / "target.csv"),
+    )
+
+
+class TestCellIsolation:
+    def test_coincident_points_fail_each_kernel_and_boundary_cell(self, tmp_path):
+        models = ("JDA", "JDA+CG", "MEDA", "MEDA+CG")
+        result = run_experiment(coincident_spec(tmp_path, models,
+                                                AdaptConfig(k=1, max_iter=2, kernel="rbf")))
+        assert result.exit_code == 1
+        assert [r["model"] for r in result.runs] == list(models)
+        for row in result.runs:
+            assert row["status"] == "failed"
+            assert row["error"].startswith("BandwidthError: all points coincide"), row
+
+    def test_coincident_points_leave_plain_primal_cell_to_itself(self, tmp_path):
+        # A plain primal JDA asks the shared operands for nothing but x, so
+        # it never sees the boundary cells' BandwidthError. It cannot succeed
+        # here (the centered scatter of coincident points is zero); its row
+        # must carry exactly the error it raises when run alone.
+        models = ("JDA+CG", "JDA", "CDDA+DB", "DGA-DA+DB")
+        config = AdaptConfig(k=1, max_iter=2)
+        spec = coincident_spec(tmp_path, models, config)
+        result = run_experiment(spec)
+        assert result.exit_code == 1
+        by_model = {r["model"]: r for r in result.runs}
+        for name in ("JDA+CG", "CDDA+DB", "DGA-DA+DB"):
+            assert by_model[name]["error"].startswith("BandwidthError"), name
+        pair = make_pair(LabeledDomain(np.ones((2, 6)), np.array([0, 0, 0, 1, 1, 1])),
+                         UnlabeledDomain(np.ones((2, 6))))
+        with pytest.raises(Exception) as alone:
+            run_adaptation(pair, config, ModelKind("JDA"))
+        assert not isinstance(alone.value, BandwidthError)
+        assert by_model["JDA"]["error"] == f"{type(alone.value).__name__}: {alone.value}"
+
+    def test_k_above_rank_fails_each_kernel_cell(self, tmp_path):
+        # linear kernel on d=2 features has rank 2; MEDA does not use k
+        models = ("JDA", "MEDA", "JDA+CG", "MEDA+CG", "CDDA+DB")
+        config = AdaptConfig(k=3, lam=1.0, max_iter=3, kernel="linear")
+        result = run_experiment(fast_spec(tmp_path, models=models, config=config))
+        assert result.exit_code == 1
+        by_model = {r["model"]: r for r in result.runs}
+        for name in ("JDA", "JDA+CG", "CDDA+DB"):
+            assert by_model[name]["status"] == "failed"
+            assert by_model[name]["error"].startswith("ParameterError: k=3 exceeds"), name
+            assert "numerical rank r=2" in by_model[name]["error"]
+        for name in ("MEDA", "MEDA+CG"):
+            assert by_model[name]["status"] == "ok", by_model[name]["error"]
 
 
 class TestFileDatasets:

@@ -174,6 +174,28 @@ class TestKernelMatrix:
         with pytest.raises(ParameterError):
             kernel_matrix(x, "sigmoid")
 
+    @pytest.mark.parametrize("n", [1, 5, 37, 300])
+    def test_rbf_precomputed_distances_byte_equal(self, n):
+        x = np.random.default_rng(n).normal(size=(3, n))
+        d2 = pairwise_sq_dists(x)
+        before = d2.copy()
+        k = kernel_matrix(x, "rbf", sigma=0.9, sq_dists=d2)
+        assert k.tobytes() == kernel_matrix(x, "rbf", sigma=0.9).tobytes()
+        assert d2.tobytes() == before.tobytes()
+
+    def test_precomputed_distances_argument_checks(self):
+        x = np.random.default_rng(3).normal(size=(2, 4))
+        d2 = pairwise_sq_dists(x)
+        for kind in ("linear", "poly"):
+            with pytest.raises(ParameterError, match="only by the rbf kernel"):
+                kernel_matrix(x, kind, sq_dists=d2)
+        with pytest.raises(DimensionError):
+            kernel_matrix(x, "rbf", sigma=1.0, sq_dists=d2[:3, :3])
+        with pytest.raises(DimensionError):
+            kernel_matrix(x, "rbf", sigma=1.0, sq_dists=d2[:, :3])
+        with pytest.raises(ParameterError, match="sigma > 0"):
+            kernel_matrix(x, "rbf", sigma=0.0, sq_dists=d2)
+
 
 class TestKernelRange:
     def test_linear_kernel_rank_is_feature_dim(self):

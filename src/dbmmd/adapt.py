@@ -96,24 +96,22 @@ class MmdOperator:
         """B: the 2C x 2C table of P B P^T."""
         return self.fixed if self.scaled is None else self.fixed + self.scaled
 
-    def _scaled_cross(self) -> np.ndarray:
-        ns = self.n_source
-        return self.scaled[self.groups[:ns]][:, self.groups[ns:]]
-
     def correction(self) -> np.ndarray | None:
         """D, the (n_s, n_t) graph correction, or None without a graph."""
         if self.graph is None:
             return None
-        return self._scaled_cross() * (self.graph - 1.0)
+        ns = self.n_source
+        return self.scaled[self.groups[:ns]][:, self.groups[ns:]] * (self.graph - 1.0)
 
-    def dense(self) -> np.ndarray:
-        """The (n, n) matrix M, entry for entry as the per-sample builders give it."""
-        out = self.fixed[self.groups][:, self.groups]
-        if self.graph is not None:
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """M x for an (n, m) x, from the group sums P^T x and, with a graph, D."""
+        sums = group_sums(x.T, self.groups, self.fixed.shape[0]).T
+        out = (self.table @ sums)[self.groups]
+        d = self.correction()
+        if d is not None:
             ns = self.n_source
-            cross = out[:ns, ns:] + self.graph * self._scaled_cross()
-            out[:ns, ns:] = cross
-            out[ns:, :ns] = cross.T
+            out[:ns] += d @ x[ns:]
+            out[ns:] += d.T @ x[:ns]
         return out
 
     def sandwich(self, s: np.ndarray) -> np.ndarray:
@@ -212,13 +210,13 @@ def _data_operand(cfg: AdaptConfig, ops: InputOperands) -> tuple[np.ndarray | No
     """
     if cfg.kernel == "primal":
         return None, ops.x
-    basis, s = ops.kernel_range()
-    if cfg.k > s.shape[0]:
+    basis, w = ops.kernel_range()
+    if cfg.k > w.size:
         raise ParameterError(
-            f"k={cfg.k} exceeds the numerical rank r={s.shape[0]} of the {cfg.kernel} "
-            f"kernel matrix (n={s.shape[1]}); kernel mode has only r projection directions"
+            f"k={cfg.k} exceeds the numerical rank r={w.size} of the {cfg.kernel} "
+            f"kernel matrix (n={basis.shape[0]}); kernel mode has only r projection directions"
         )
-    return basis, s
+    return basis, w[:, None] * basis.T
 
 
 def _expand(basis: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,6 +252,48 @@ def _propagated_target_labels(pair: DomainPair, z: np.ndarray, cfg: AdaptConfig)
     return hard_labels(f[ns:])
 
 
+def _refine(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind, target_truth,
+            affinity, solve, t0: float) -> AdaptationReport:
+    """The pseudo-label refinement loop both solvers share.
+
+    Each round assembles the operator for the current pseudo-labels and
+    passes it to ``solve(p, db)``, which returns (new labels, objective,
+    eigenvalues, projection, embedding). The loop stops at the first round
+    that changes no label, or after max_iter rounds.
+    """
+    truth = None if target_truth is None else np.asarray(target_truth)
+    pseudo = _initial_pseudo(pair)
+    baseline = None if truth is None else accuracy(pseudo, truth)
+    records: list[IterationRecord] = []
+    fixed_point = None
+    for t in range(1, cfg.max_iter + 1):
+        p = pair.with_pseudo_labels(pseudo)
+        mats = build_all(p, cfg.matrix_mode)
+        graphs = None
+        if kind.boundary != "none":
+            graphs = build_graphs(p, affinity, cfg.graph_mode)
+        projection = embedding = None  # the last round's arrays are not kept through a solve
+        new, objective, eigvals, projection, embedding = solve(p, assemble_db(mats, graphs, kind))
+        churn = int(np.sum(new != pseudo))
+        acc = None if truth is None else accuracy(new, truth)
+        records.append(IterationRecord(t, churn, objective, eigvals, new, acc))
+        pseudo = new
+        if churn == 0:
+            fixed_point = t
+            break
+    return AdaptationReport(
+        model=kind.name,
+        config=cfg,
+        baseline_accuracy=baseline,
+        iterations=records,
+        predicted_labels=np.asarray(pseudo),
+        projection=projection,
+        fixed_point_iteration=fixed_point,
+        wall_time=time.perf_counter() - t0,
+        embedding=embedding,
+    )
+
+
 def run_adaptation(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind,
                    target_truth=None, operands: InputOperands | None = None) -> AdaptationReport:
     """Run one model's refinement loop on a pair.
@@ -267,26 +307,13 @@ def run_adaptation(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind,
     if kind.base == "MEDA":
         return run_meda_cg(pair, cfg, kind, target_truth, operands)
     t0 = time.perf_counter()
-    truth = None if target_truth is None else np.asarray(target_truth)
     ops = InputOperands.for_cell(pair, cfg, operands)
-    x = ops.x
     ns = pair.n_source
     basis, s = _data_operand(cfg, ops)
     # Boundary graphs always see the dense affinity of the input points.
     affinity = ops.affinity() if kind.boundary != "none" else None
-    pseudo = _initial_pseudo(pair)
-    baseline = None if truth is None else accuracy(pseudo, truth)
-    records: list[IterationRecord] = []
-    fixed_point = None
-    a = np.zeros((x.shape[0] if basis is None else x.shape[1], cfg.k))
-    z = None
-    for t in range(1, cfg.max_iter + 1):
-        p = pair.with_pseudo_labels(pseudo)
-        mats = build_all(p, cfg.matrix_mode)
-        graphs = None
-        if kind.boundary != "none":
-            graphs = build_graphs(p, affinity, cfg.graph_mode)
-        db = assemble_db(mats, graphs, kind)
+
+    def solve(p: DomainPair, db: MmdOperator):
         c, eigvals, objective = solve_projection(s, db, cfg.k, cfg.lam)
         a, c = (c, c) if basis is None else _expand(basis, c)
         z = c.T @ s
@@ -294,26 +321,9 @@ def run_adaptation(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind,
             new = _propagated_target_labels(p, z, cfg)
         else:
             new = nn_classify(z[:, :ns], pair.source.labels, z[:, ns:])
-        churn = int(np.sum(new != pseudo))
-        acc = None if truth is None else accuracy(new, truth)
-        records.append(
-            IterationRecord(t, churn, objective, eigvals, new, acc)
-        )
-        pseudo = new
-        if churn == 0:
-            fixed_point = t
-            break
-    return AdaptationReport(
-        model=kind.name,
-        config=cfg,
-        baseline_accuracy=baseline,
-        iterations=records,
-        predicted_labels=np.asarray(pseudo),
-        projection=a,
-        fixed_point_iteration=fixed_point,
-        wall_time=time.perf_counter() - t0,
-        embedding=z,
-    )
+        return new, objective, eigvals, a, z
+
+    return _refine(pair, cfg, kind, target_truth, affinity, solve, t0)
 
 
 def _solve_with_escalation(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -336,41 +346,27 @@ def _solve_with_escalation(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     raise NumericError("structural-risk system stayed singular after ridge escalation")
 
 
-def _meda_system(m: np.ndarray, lap: np.ndarray, kmat: np.ndarray, ns: int,
-                 cfg: AdaptConfig) -> np.ndarray:
-    """(E + alpha M + rho L) K + eta I, with E the source indicator, built in place.
-
-    Entry for entry equal to that expression over a dense 0/1 E and identity.
-    The factor is C-ordered like that sum, whatever the layout of M, because
-    the summation order of the product depends on it at small n. Where E
-    holds a zero the sum turns a -0.0 of the factor into 0.0; that can only
-    flip the sign of a zero in the product, so adding 0.0 to the product,
-    as + eta I does off the diagonal, gives the same entries.
-    """
-    t = np.multiply(m, cfg.meda_alpha, order="C")
-    src = np.arange(ns)
-    t[src, src] += 1.0
-    t += cfg.meda_rho * lap
-    g = t @ kmat
-    del t
-    np.add(g, 0.0, out=g)
-    g[np.diag_indices_from(g)] += cfg.meda_eta
-    return g
-
-
 def run_meda_cg(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind | None = None,
                 target_truth=None, operands: InputOperands | None = None) -> AdaptationReport:
     """MEDA-style structural risk minimization, optionally CG-reweighted.
 
-    Learns f = sum_i beta_i k(x_i, .) by the closed-form solve
+    Learns f = sum_i beta_i k(x_i, .) from ((E + alpha M + rho L) K + eta I)
+    beta = Y, with E the source indicator, M the (possibly CG-reweighted)
+    MMD operator, L the normalized kNN Laplacian of the inputs and Y the
+    one-hot source labels, zero on the target rows. The scores K beta see K
+    only through its numerical range U_r diag(w_r) U_r^T
+    (``linalg.kernel_range``). So with A = E + alpha M + rho L and
+    A_r = U_r[:ns]^T U_r[:ns] + alpha U_r^T M U_r + rho U_r^T L U_r (the
+    first and last shared by the cells of one pair and config), each round
+    solves the r x r system
 
-        beta = ((E + alpha M + rho L) K + eta I)^-1 E Y
+        (eta I + diag(w_r) A_r) gamma = diag(w_r) U_r^T Y
 
-    with E the source indicator, M the (possibly CG-reweighted) MMD
-    coefficient matrix, and L the normalized Laplacian of the input
-    neighborhood graph. Y is zero on the target rows, so E Y = Y. Requires
-    a kernel config; there is no primal MEDA. operands is as for
-    ``run_adaptation``.
+    and takes scores = U_r gamma, beta = (Y - A scores) / eta. The
+    objective ||Y_s - scores_s||^2 + eta tr(beta^T K beta) +
+    alpha tr(scores^T M scores) + rho tr(scores^T L scores) reuses
+    beta^T scores = beta^T K beta, M scores and L scores. Requires a kernel
+    config; there is no primal MEDA. operands is as for ``run_adaptation``.
     """
     if kind is None:
         kind = ModelKind("MEDA", "CG")
@@ -379,52 +375,33 @@ def run_meda_cg(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind | None = Non
     if cfg.kernel == "primal":
         raise ParameterError("MEDA needs a kernel; set kernel to linear, rbf, or poly")
     t0 = time.perf_counter()
-    truth = None if target_truth is None else np.asarray(target_truth)
     ops = InputOperands.for_cell(pair, cfg, operands)
     n, ns, c = pair.n_total, pair.n_source, pair.class_count
-    kmat = ops.kernel()
+    alpha, rho, eta = cfg.meda_alpha, cfg.meda_rho, cfg.meda_eta
+    basis, w = ops.kernel_range()
+    e_r, l_r = ops.range_terms()
     lap = ops.laplacian()
     affinity = ops.affinity() if kind.boundary != "none" else None
     y = np.zeros((n, c))
     y[:ns] = one_hot(pair.source.labels, c)
-    pseudo = _initial_pseudo(pair)
-    baseline = None if truth is None else accuracy(pseudo, truth)
-    records: list[IterationRecord] = []
-    fixed_point = None
-    beta = np.zeros((n, c))
-    scores = np.zeros((n, c))
-    for t in range(1, cfg.max_iter + 1):
-        p = pair.with_pseudo_labels(pseudo)
-        mats = build_all(p, cfg.matrix_mode)
-        graphs = None
-        if kind.boundary != "none":
-            graphs = build_graphs(p, affinity, cfg.graph_mode)
-        m = assemble_db(mats, graphs, kind).dense()
-        beta = _solve_with_escalation(_meda_system(m, lap, kmat, ns, cfg), y)
-        scores = kmat @ beta
-        new = hard_labels(scores[ns:])
-        churn = int(np.sum(new != pseudo))
-        fit = float(np.sum((y[:ns] - scores[:ns]) ** 2))
+    rhs = w[:, None] * (basis[:ns].T @ y[:ns])
+
+    def solve(p: DomainPair, db: MmdOperator):
+        g = e_r + alpha * db.sandwich(basis.T) + rho * l_r
+        g *= w[:, None]
+        g[np.diag_indices_from(g)] += eta
+        scores = basis @ _solve_with_escalation(g, rhs)
+        m_scores = db.matvec(scores)
+        l_scores = lap @ scores
+        a_scores = alpha * m_scores + rho * l_scores
+        a_scores[:ns] += scores[:ns]
+        beta = (y - a_scores) / eta
         objective = float(
-            fit
-            + cfg.meda_eta * np.trace(beta.T @ kmat @ beta)
-            + cfg.meda_alpha * np.trace(scores.T @ m @ scores)
-            + cfg.meda_rho * np.trace(scores.T @ lap @ scores)
+            np.sum((y[:ns] - scores[:ns]) ** 2)
+            + eta * np.sum(beta * scores)
+            + alpha * np.sum(scores * m_scores)
+            + rho * np.sum(scores * l_scores)
         )
-        acc = None if truth is None else accuracy(new, truth)
-        records.append(IterationRecord(t, churn, objective, (), new, acc))
-        pseudo = new
-        if churn == 0:
-            fixed_point = t
-            break
-    return AdaptationReport(
-        model=kind.name,
-        config=cfg,
-        baseline_accuracy=baseline,
-        iterations=records,
-        predicted_labels=np.asarray(pseudo),
-        projection=beta,
-        fixed_point_iteration=fixed_point,
-        wall_time=time.perf_counter() - t0,
-        embedding=scores.T,
-    )
+        return hard_labels(scores[ns:]), objective, (), beta, scores.T
+
+    return _refine(pair, cfg, kind, target_truth, affinity, solve, t0)

@@ -21,15 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import DomainPair
+from .datamodel import GRAPH_MODES, DomainPair
 from .errors import BandwidthError, DimensionError, ParameterError
 from .linalg import median_pairwise_distance, pairwise_sq_dists, symmetrize_inplace
 from .mmd import group_index
 
 # Floor for 1/W so sparsified or underflowed affinities cannot blow up.
 W_FLOOR = 1e-6
-
-GRAPH_MODES = ("literal", "spirit")
 
 # Rows per block of the neighbor search; bounds its (block, n) temporaries.
 _ROW_BLOCK = 256

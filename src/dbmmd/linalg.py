@@ -148,15 +148,16 @@ def kernel_matrix(x, kind: str, *, sigma: float | None = None, degree: int = 2,
 
 
 def kernel_range(kmat) -> tuple[np.ndarray, np.ndarray]:
-    """Basis and data operand of the numerical range of a kernel matrix.
+    """The factor of a kernel matrix restricted to its numerical range.
 
     Factors the symmetric (n, n) K = U diag(w) U^T and keeps the r
     eigenpairs with w > n * eps * max(w), the rank rule of numpy's
-    ``matrix_rank``. Returns (U_r, S_r): U_r is (n, r) orthonormal and
-    S_r = diag(w_r) U_r^T is (r, n). An expansion a = U_r c embeds the
-    samples as a^T K = c^T S_r, so a kernel pencil over a restricted to
-    the range of K is the primal pencil of S_r; the null space of K adds
-    nothing to a^T K and is dropped.
+    ``matrix_rank``. Returns (U_r, w_r): U_r is (n, r) orthonormal and
+    w_r the r kept eigenvalues, ascending. With the reduced data operand
+    S_r = diag(w_r) U_r^T, an expansion a = U_r c embeds the samples as
+    a^T K = c^T S_r, so a kernel pencil over a restricted to the range of
+    K is the primal pencil of S_r; the null space of K adds nothing to
+    a^T K and is dropped.
     """
     k = np.asarray(kmat, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -166,8 +167,7 @@ def kernel_range(kmat) -> tuple[np.ndarray, np.ndarray]:
     w, u = scipy.linalg.eigh(_check_symmetric(k, "kernel"))
     n = k.shape[0]
     keep = w > n * np.finfo(float).eps * max(float(w[-1]), 0.0)
-    u_r = u[:, keep]
-    return u_r, w[keep][:, None] * u_r.T
+    return u[:, keep], w[keep]
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -194,7 +194,8 @@ def gen_eig_smallest(aop, bop, k: int, ridge: float | None = None) -> list[EigPa
         the ridge makes the regularised operand definite.
     k : number of pairs, 1 <= k <= n.
     ridge : nonnegative shift added to B. None selects the default
-        relative ridge 1e-9 * trace(B) / n.
+        relative ridge 1e-9 * trace(B) / n, and raises NumericError when
+        that is not positive (B is zero up to round-off).
 
     Returns eigenpairs sorted ascending by eigenvalue. Each vector v is
     normalised so v^T (B + ridge I) v = 1 and its largest-magnitude
@@ -215,8 +216,14 @@ def gen_eig_smallest(aop, bop, k: int, ridge: float | None = None) -> list[EigPa
     a = _check_symmetric(a, "left")
     b = _check_symmetric(b, "right")
     if ridge is None:
-        ridge = DEFAULT_RIDGE_SCALE * float(np.trace(b)) / n
-    if ridge < 0.0:
+        trace = float(np.trace(b))
+        ridge = DEFAULT_RIDGE_SCALE * trace / n
+        if not ridge > 0.0:  # a zero scatter (coincident points) has a trace of round-off
+            raise NumericError(
+                f"right operand is degenerate: the centered scatter has trace {trace:g}, "
+                f"so the default ridge {ridge:g} is not positive"
+            )
+    elif ridge < 0.0:
         raise ParameterError(f"ridge must be nonnegative, got {ridge}")
     b_reg = b + ridge * np.eye(n)
     try:

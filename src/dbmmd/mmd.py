@@ -41,10 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import DomainPair
+from .datamodel import MATRIX_MODES, DomainPair
 from .errors import ParameterError, StateError
-
-MATRIX_MODES = ("literal", "rank_one_sum")
 
 
 def group_index(pair: DomainPair) -> np.ndarray:

@@ -3,7 +3,8 @@
 An experiment runs several models over one pair under one config, and
 they all read the same input-space quantities: the packed features x, the
 bandwidth sigma, the kernel matrix K and its numerical range, the dense
-affinity behind the boundary graphs, and MEDA's normalized kNN Laplacian.
+affinity behind the boundary graphs, MEDA's normalized kNN Laplacian and
+the fixed part of MEDA's system in the range of K.
 ``InputOperands`` builds each one the first time a cell asks for it and
 hands out read-only arrays, so a cell that writes into K or the affinity
 raises instead of corrupting the cells after it.
@@ -29,6 +30,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def range_products(basis: np.ndarray, ns: int, lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U[:ns]^T U[:ns], U^T L U) for a basis U of n rows, ns of them source."""
+    return basis[:ns].T @ basis[:ns], basis.T @ (lap @ basis)
+
+
 class InputOperands:
     """Lazily built, read-only input-space operands of one (pair, config)."""
 
@@ -39,6 +45,7 @@ class InputOperands:
         self._sigma = cfg.sigma if cfg.sigma_mode == "fixed" else None
         self._kernel: np.ndarray | None = None
         self._range: tuple[np.ndarray, np.ndarray] | None = None
+        self._range_terms: tuple[np.ndarray, np.ndarray] | None = None
         self._affinity: AffinityMatrix | None = None
         self._laplacian: np.ndarray | None = None
 
@@ -69,10 +76,21 @@ class InputOperands:
         return self._kernel
 
     def kernel_range(self) -> tuple[np.ndarray, np.ndarray]:
-        """(U_r, S_r) of ``linalg.kernel_range`` for K."""
+        """(U_r, w_r) of ``linalg.kernel_range`` for K."""
         if self._range is None:
             self._range = tuple(_read_only(a) for a in kernel_range(self.kernel()))
         return self._range
+
+    def range_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(U_r[:ns]^T U_r[:ns], U_r^T L U_r), the fixed part of MEDA's system.
+
+        The source indicator E and the Laplacian L seen from the range of K.
+        """
+        if self._range_terms is None:
+            basis, _ = self.kernel_range()
+            terms = range_products(basis, self.pair.n_source, self.laplacian())
+            self._range_terms = tuple(_read_only(a) for a in terms)
+        return self._range_terms
 
     def affinity(self) -> AffinityMatrix:
         """Dense Gaussian affinity of x, the input of the boundary graphs."""

@@ -13,10 +13,15 @@ and the explicit identity in the propagation system. The library computes
 the same values in one distance pass and in place; the tests require them
 equal bit for bit.
 
+``dense_operator`` expands the engine's MMD operator to the (n, n) matrix
+M entry for entry; the tests compare it with the per-sample builders and
+use it wherever a test needs M itself.
+
 The MEDA oracles are the original assembly of the structural-risk system
-over a dense 0/1 source indicator E and identity, and its solve on
-g + jitter I. The library builds the same system in place and factors a
-copy of it; the tests require both equal bit for bit.
+over the full K, a dense 0/1 source indicator E and identity, and its
+solve on g + jitter I. The library solves the same system in the
+numerical range of K as an r x r one; the tests require the same labels
+and churns, and objectives within 1e-12 relative.
 """
 from __future__ import annotations
 
@@ -189,6 +194,22 @@ def dense_assemble_db(mats: DenseMatrices, graphs: DenseGraphs | None, kind) -> 
         if kind.boundary == "DB":
             rep = _reweight(rep, graphs.g_sg, graphs.sg_mask, graphs.mode)
         out = out - rep
+    return out
+
+
+def dense_operator(op) -> np.ndarray:
+    """The (n, n) matrix M of an ``adapt.MmdOperator``, entry for entry.
+
+    Equal to the per-sample builders' M: the table expanded over the
+    group index, plus the graph-scaled part on the cross-domain block.
+    """
+    out = op.fixed[op.groups][:, op.groups]
+    if op.graph is not None:
+        ns = op.n_source
+        scaled = op.scaled[op.groups[:ns]][:, op.groups[ns:]]
+        cross = out[:ns, ns:] + op.graph * scaled
+        out[:ns, ns:] = cross
+        out[ns:, :ns] = cross.T
     return out
 
 

@@ -30,6 +30,8 @@ from dbmmd.linalg import gen_eig_smallest
 from dbmmd.mmd import build_all, group_sums
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
+from dense_reference import dense_operator
+
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden.json"
 
 # Relative tolerance for pinned objectives and eigenvalues. Each comes out
@@ -37,11 +39,12 @@ FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden.json"
 # scipy.linalg.solve), whose rounding depends on the CPU kernel OpenBLAS
 # dispatches to. Across the core types of one OpenBLAS 0.3.31 build
 # (OPENBLAS_CORETYPE SkylakeX, Haswell, Nehalem, Prescott) the golden runs
-# spread by up to 3.7e-15 relative (primal 1.2e-15 objective, 3.7e-15
-# eigenvalues; MEDA 3.5e-15; linear kernel 1.7e-15). 1e-12 sits over two
-# orders above that and over three below the 1e-8 core-type drift of a
-# kernel pencil solved outside the numerical range of K. Every discrete
-# field (labels, churns, fixed points, accuracies, digests) stays exact.
+# spread by up to 1.3e-14 relative (primal 1.7e-15 objective, 6e-15
+# eigenvalues; MEDA, solved in the numerical range of K, 1.3e-14; linear
+# kernel 1.9e-15). 1e-12 sits over an order above that and over three
+# below the 1e-8 core-type drift of a kernel pencil solved outside the
+# numerical range of K. Every discrete field (labels, churns, fixed
+# points, accuracies, digests) stays exact.
 FLOAT_PIN_REL = 1e-12
 
 
@@ -203,7 +206,7 @@ def test_criterion_3_unit_affinity_reductions(golden):
         reweighted = assemble_db(mats, graphs, ModelKind("CDDA", "DB"))
         assert np.array_equal(plain.table, reweighted.table)
         assert not np.any(reweighted.correction())
-        assert np.array_equal(plain.dense(), reweighted.dense())
+        assert np.array_equal(dense_operator(plain), dense_operator(reweighted))
 
         a = run_adaptation(ds.pair, cfg, ModelKind("CDDA"), ds.target_truth)
         b = run_adaptation(ds.pair, cfg, ModelKind("CDDA", "DB"), ds.target_truth)
@@ -289,44 +292,56 @@ def _openblas_dynamic_arch() -> bool:
             and "DYNAMIC_ARCH" in str(blas.get("openblas configuration", "")))
 
 
-_LINEAR_JDA_SCRIPT = """
+_KERNEL_RUNS_SCRIPT = """
 import json, sys
 from dbmmd.adapt import ModelKind, run_adaptation
 from dbmmd.datamodel import AdaptConfig
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 golden = json.loads(open(sys.argv[1]).read())
 ds = generate_synthetic(SyntheticRecipe.from_dict(golden["recipe"]))
-cfg = AdaptConfig.from_dict(golden["linear_config"])
-report = run_adaptation(ds.pair, cfg, ModelKind("JDA"), ds.target_truth)
-print(json.dumps([[r.objective, list(r.eigenvalues)] for r in report.iterations]))
+runs = [("linear_config", "JDA")] + [("meda_config", name) for name in golden["meda"]]
+out = {}
+for section, name in runs:
+    cfg = AdaptConfig.from_dict(golden[section])
+    report = run_adaptation(ds.pair, cfg, ModelKind.parse(name), ds.target_truth)
+    out[section + "/" + name] = [[r.objective, list(r.eigenvalues), r.pseudo_labels.tolist()]
+                                 for r in report.iterations]
+print(json.dumps(out))
 """
 
 
 @pytest.mark.skipif(not _openblas_dynamic_arch(),
                     reason="needs numpy on an x86-64 OpenBLAS built with DYNAMIC_ARCH")
-def test_linear_kernel_pins_hold_across_blas_kernels(golden_rerun):
-    """The golden linear-kernel JDA under OPENBLAS_CORETYPE=Prescott.
+def test_linear_kernel_pins_hold_across_blas_kernels(golden, golden_rerun):
+    """The golden kernel-mode runs under OPENBLAS_CORETYPE=Prescott.
 
     Prescott's SSE3 kernels round differently from the FMA kernels a modern
-    CPU dispatches to. The kernel-mode pencil, solved in the numerical range
-    of K, must still give the in-process objectives and eigenvalues to
+    CPU dispatches to. The linear-kernel JDA pencil and the MEDA and MEDA+CG
+    systems are all solved in the numerical range of K, whose rank r comes
+    from a cut at n * eps * max eigenvalue. Each run must still give the
+    in-process labels exactly and its objectives and eigenvalues to
     FLOAT_PIN_REL; an n x n pencil held together by its ridge drifts by
     1e-9 to 1e-8 between core types.
     """
-    _, _, linear, _ = golden_rerun
+    _, reports, linear, _ = golden_rerun
     env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
     src = str(Path(dbmmd.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     out = subprocess.run(
-        [sys.executable, "-c", _LINEAR_JDA_SCRIPT, str(FIXTURE_PATH)],
+        [sys.executable, "-c", _KERNEL_RUNS_SCRIPT, str(FIXTURE_PATH)],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     other = json.loads(out.stdout)
-    here = linear["JDA"].iterations
-    assert len(other) == len(here)
-    for rec, (objective, eigenvalues) in zip(here, other):
-        assert objective == pytest.approx(rec.objective, rel=FLOAT_PIN_REL, abs=0)
-        assert eigenvalues == pytest.approx(list(rec.eigenvalues), rel=FLOAT_PIN_REL, abs=0)
+    here = {"linear_config/JDA": linear["JDA"]}
+    here.update({f"meda_config/{name}": reports[name] for name in golden["meda"]})
+    assert sorted(other) == sorted(here)
+    for key, report in here.items():
+        assert len(other[key]) == len(report.iterations), key
+        for rec, (objective, eigenvalues, labels) in zip(report.iterations, other[key]):
+            assert labels == rec.pseudo_labels.tolist(), key
+            assert objective == pytest.approx(rec.objective, rel=FLOAT_PIN_REL, abs=0), key
+            assert eigenvalues == pytest.approx(list(rec.eigenvalues), rel=FLOAT_PIN_REL,
+                                                abs=0), key
 
 
 def test_criterion_5_fixed_points(golden, golden_rerun):

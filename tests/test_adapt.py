@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from dbmmd.adapt import (
     MmdOperator,
-    _meda_system,
     _solve_with_escalation,
     ModelKind,
     assemble_db,
@@ -14,8 +13,9 @@ from dbmmd.adapt import (
     run_meda_cg,
     solve_projection,
 )
+from dbmmd.classify import hard_labels, nn_classify, one_hot
 from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pair
-from dbmmd.errors import ParameterError, StateError, UnsupportedModelError
+from dbmmd.errors import NumericError, ParameterError, StateError, UnsupportedModelError
 from dbmmd.graphs import build_affinity, build_graphs
 from dbmmd.linalg import (gen_eig_smallest, kernel_matrix, kernel_range,
                           median_pairwise_distance)
@@ -23,7 +23,7 @@ from dbmmd.mmd import build_all
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
-from dense_reference import dense_meda_solve, dense_meda_system
+from dense_reference import dense_meda_solve, dense_meda_system, dense_operator
 
 UNIT_AFFINITY = dict(sigma_mode="fixed", sigma=float("inf"))
 
@@ -96,7 +96,7 @@ class TestAssembleDb:
         db = assemble_db(mats, None, ModelKind("JDA"))
         assert db.correction() is None
         assert np.array_equal(db.table, mats.marginal + mats.conditional)
-        assert np.array_equal(db.dense(), expand(mats, mats.marginal + mats.conditional))
+        assert np.array_equal(dense_operator(db), expand(mats, mats.marginal + mats.conditional))
 
     def test_cdda_subtracts_both_repulsive_directions(self):
         pair = labeled_pair(2)
@@ -104,7 +104,7 @@ class TestAssembleDb:
         jda = assemble_db(mats, None, ModelKind("JDA"))
         cdda = assemble_db(mats, None, ModelKind("CDDA"))
         assert_allclose(
-            jda.dense() - cdda.dense(),
+            dense_operator(jda) - dense_operator(cdda),
             expand(mats, mats.repulsive_st + mats.repulsive_ts),
             atol=1e-15,
         )
@@ -116,7 +116,7 @@ class TestAssembleDb:
         cdda = assemble_db(mats, None, ModelKind("CDDA"))
         dga = assemble_db(mats, None, ModelKind("DGA-DA"))
         assert np.array_equal(cdda.table, dga.table)
-        assert np.array_equal(cdda.dense(), dga.dense())
+        assert np.array_equal(dense_operator(cdda), dense_operator(dga))
 
     def test_unit_affinity_spirit_db_reduces_to_plain(self):
         # W == 1 makes every reweight multiply by exactly 1.0, so the +DB
@@ -133,7 +133,8 @@ class TestAssembleDb:
                 reweighted = assemble_db(mats, graphs, ModelKind(base, boundary))
                 assert np.array_equal(reweighted.table, plain.table), (base, boundary)
                 assert not np.any(reweighted.correction()), (base, boundary)
-                assert np.array_equal(reweighted.dense(), plain.dense()), (base, boundary)
+                assert np.array_equal(dense_operator(reweighted),
+                                      dense_operator(plain)), (base, boundary)
 
     def test_jda_db_degenerates_to_jda_cg(self):
         # JDA has no separation term, so the DB tag can only reweight the
@@ -146,7 +147,7 @@ class TestAssembleDb:
         cg = assemble_db(mats, graphs, ModelKind("JDA", "CG"))
         assert np.array_equal(db.table, cg.table)
         assert np.array_equal(db.correction(), cg.correction())
-        assert np.array_equal(db.dense(), cg.dense())
+        assert np.array_equal(dense_operator(db), dense_operator(cg))
 
     def test_spirit_touches_only_masked_entries(self):
         # the graph reweights cross-domain entries only
@@ -154,8 +155,8 @@ class TestAssembleDb:
         mats = build_all(pair)
         aff = build_affinity(pair.packed_features(), "median")
         graphs = build_graphs(pair, aff, mode="spirit")
-        plain = assemble_db(mats, None, ModelKind("CDDA")).dense()
-        db = assemble_db(mats, graphs, ModelKind("CDDA", "DB")).dense()
+        plain = dense_operator(assemble_db(mats, None, ModelKind("CDDA")))
+        db = dense_operator(assemble_db(mats, graphs, ModelKind("CDDA", "DB")))
         ns = pair.n_source
         assert np.array_equal(db[:ns, :ns], plain[:ns, :ns])
         assert np.array_equal(db[ns:, ns:], plain[ns:, ns:])
@@ -166,7 +167,7 @@ class TestAssembleDb:
         aff = build_affinity(pair.packed_features(), "median")
         graphs = build_graphs(pair, aff, mode="literal")
         db = assemble_db(mats, graphs, ModelKind("JDA", "CG"))
-        compact = db.dense() - expand(mats, mats.marginal)
+        compact = dense_operator(db) - expand(mats, mats.marginal)
         ns = pair.n_source
         same = pair.source.labels[:, None] == pair.target.pseudo_labels[None, :]
         cg_mask = np.zeros_like(compact, dtype=bool)
@@ -207,7 +208,7 @@ class TestAssembleDb:
                     expect -= mean_diff_sq(zt[:, yt == c], zs[:, ys == r])
         got = float(np.trace(db.sandwich(z)))
         assert abs(got - expect) < 1e-10
-        assert abs(float(np.trace(z @ db.dense() @ z.T)) - expect) < 1e-10
+        assert abs(float(np.trace(z @ dense_operator(db) @ z.T)) - expect) < 1e-10
 
     def test_boundary_without_graphs_raises(self):
         pair = labeled_pair(9)
@@ -244,7 +245,7 @@ class TestSolveProjection:
         gram = a.T @ (right + ridge * np.eye(2)) @ a
         assert_allclose(gram, np.eye(2), atol=1e-8)
         # the objective is the left operand's trace over the solved vectors
-        dense_objective = np.trace(a.T @ x @ db.dense() @ x.T @ a) + 0.5 * np.sum(a * a)
+        dense_objective = np.trace(a.T @ x @ dense_operator(db) @ x.T @ a) + 0.5 * np.sum(a * a)
         assert_allclose(objective, dense_objective, rtol=1e-12)
 
     def test_kernel_range_operand_matches_range_restricted_pencil(self):
@@ -255,14 +256,15 @@ class TestSolveProjection:
         db = assemble_db(build_all(pair), None, ModelKind("CDDA"))
         x = pair.packed_features()
         kmat = kernel_matrix(x, "linear")
-        _, s_r = kernel_range(kmat)
+        basis, w_r = kernel_range(kmat)
+        s_r = w_r[:, None] * basis.T
         assert s_r.shape == (2, 38)
         c, vals, objective = solve_projection(s_r, db, k=2, lam=1.0)
         q = np.linalg.qr(x.T)[0]
         n = x.shape[1]
         h = np.eye(n) - np.ones((n, n)) / n
         kq = kmat @ q
-        pairs = gen_eig_smallest(kq.T @ db.dense() @ kq + np.eye(2), kq.T @ h @ kq, 2)
+        pairs = gen_eig_smallest(kq.T @ dense_operator(db) @ kq + np.eye(2), kq.T @ h @ kq, 2)
         assert_allclose(vals, [p.value for p in pairs], rtol=1e-10)
         z_ref = np.array([p.vector for p in pairs]) @ kq.T
         z = c.T @ s_r
@@ -404,6 +406,14 @@ class TestRunAdaptation:
         with pytest.raises(ParameterError, match=r"numerical rank r=2\b"):
             run_adaptation(ds.pair, cfg, ModelKind("JDA"), ds.target_truth)
 
+    def test_coincident_points_raise_a_numeric_error(self):
+        # the centered scatter of 12 points at (1, 1) is zero up to round-off
+        pair = make_pair(LabeledDomain(np.ones((2, 6)), np.array([0, 0, 0, 1, 1, 1])),
+                         UnlabeledDomain(np.ones((2, 6))))
+        cfg = AdaptConfig(k=1, lam=1.0, max_iter=2)
+        with pytest.raises(NumericError, match="centered scatter has trace"):
+            run_adaptation(pair, cfg, ModelKind("JDA"))
+
     def test_meda_dispatch(self):
         ds = small_dataset(seed=41)
         cfg = AdaptConfig(k=2, lam=1.0, max_iter=4, kernel="linear")
@@ -472,35 +482,88 @@ def signed_zero_matrix(rng, n):
     return a
 
 
-class TestMedaSystem:
-    @pytest.mark.parametrize("alpha, rho", [(10.0, 0.1), (0.0, 0.1), (10.0, 0.0), (0.0, 0.0)])
-    def test_in_place_system_matches_dense_assembly(self, alpha, rho):
-        # alpha = 0 turns every negative entry of M into -0.0, which E and
-        # the identity turn back into 0.0 off their diagonals
-        rng = np.random.default_rng(int(10 * alpha + 100 * rho))
-        n, ns = 23, 9
-        # M comes out of MmdOperator.dense() Fortran-ordered
-        m, lap = np.asfortranarray(signed_zero_matrix(rng, n)), signed_zero_matrix(rng, n)
-        kmat = signed_zero_matrix(rng, n)
-        cfg = AdaptConfig(kernel="rbf", meda_alpha=alpha, meda_rho=rho, meda_eta=0.7)
-        m_before, lap_before = m.tobytes(), lap.tobytes()
-        g = _meda_system(m, lap, kmat, ns, cfg)
-        oracle = dense_meda_system(m, lap, kmat, ns, alpha, rho, 0.7)
-        assert g.tobytes() == oracle.tobytes()
-        assert m.tobytes() == m_before and lap.tobytes() == lap_before
+def dense_meda_replay(pair, cfg, kind, report):
+    """Each round of ``report`` redone on the full K: dense M, n x n system, LU.
 
-    def test_system_of_a_real_cell_matches_dense_assembly(self):
-        ds = small_dataset(seed=61)
-        cfg = AdaptConfig(kernel="rbf")
-        ops = InputOperands(ds.pair, cfg)
-        p = ds.pair.with_pseudo_labels(np.arange(ds.pair.n_target) % 3)
-        graphs = build_graphs(p, ops.affinity(), cfg.graph_mode)
-        m = assemble_db(build_all(p, cfg.matrix_mode), graphs, ModelKind("MEDA", "CG")).dense()
-        ns = ds.pair.n_source
-        g = _meda_system(m, ops.laplacian(), ops.kernel(), ns, cfg)
-        oracle = dense_meda_system(m, ops.laplacian(), ops.kernel(), ns,
-                                   cfg.meda_alpha, cfg.meda_rho, cfg.meda_eta)
-        assert g.tobytes() == oracle.tobytes()
+    Round t starts from the labels the library's round t - 1 gave (or the
+    initial 1-NN labels), so every round is compared on the same input.
+    Returns per round (labels, churn, objective, beta, scores).
+    """
+    ops = InputOperands(pair, cfg)
+    kmat, lap = ops.kernel(), ops.laplacian()
+    n, ns, c = pair.n_total, pair.n_source, pair.class_count
+    alpha, rho, eta = cfg.meda_alpha, cfg.meda_rho, cfg.meda_eta
+    y = np.zeros((n, c))
+    y[:ns] = one_hot(pair.source.labels, c)
+    pseudo = nn_classify(pair.source.features, pair.source.labels, pair.target.features)
+    rounds = []
+    for rec in report.iterations:
+        p = pair.with_pseudo_labels(pseudo)
+        graphs = None
+        if kind.boundary != "none":
+            graphs = build_graphs(p, ops.affinity(), cfg.graph_mode)
+        m = dense_operator(assemble_db(build_all(p, cfg.matrix_mode), graphs, kind))
+        beta = dense_meda_solve(dense_meda_system(m, lap, kmat, ns, alpha, rho, eta), y)
+        scores = kmat @ beta
+        new = hard_labels(scores[ns:])
+        objective = (np.sum((y[:ns] - scores[:ns]) ** 2)
+                     + eta * np.trace(beta.T @ kmat @ beta)
+                     + alpha * np.trace(scores.T @ m @ scores)
+                     + rho * np.trace(scores.T @ lap @ scores))
+        rounds.append((new, int(np.sum(new != pseudo)), float(objective), beta, scores))
+        pseudo = rec.pseudo_labels
+    return rounds
+
+
+class TestMedaRangeSolve:
+    """run_meda_cg's r x r solve against the n x n system over the full K."""
+
+    # (config, numerical rank r, relative objective tolerance)
+    CASES = {
+        # at this sigma every eigenvalue of K survives the n * eps cut
+        "rbf-full-rank": (dict(kernel="rbf", sigma_mode="fixed", sigma=2.5), "n", 1e-12),
+        # Affinities below W_FLOOR give CG weights of 1e6, and the MEDA+CG
+        # system has condition number 7e7. Against a 40-digit solve of the
+        # same float inputs the range solve's objectives are off by up to
+        # 1.4e-12 relative, the n x n LU's by 1.1e-13.
+        "rbf-floored-graph": (dict(kernel="rbf", sigma_mode="fixed", sigma=1.5), "n", 1e-11),
+        "linear": (dict(kernel="linear"), 2, 1e-12),
+        "poly": (dict(kernel="poly", degree=2), 6, 1e-12),
+    }
+
+    @pytest.mark.parametrize("model", ["MEDA", "MEDA+CG"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_dense_system(self, case, model):
+        kwargs, rank, objective_rel = self.CASES[case]
+        ds = small_dataset(seed=61, per_class=8, noise=0.8)
+        pair = ds.pair
+        cfg = AdaptConfig(k=2, lam=1.0, max_iter=5, **kwargs)
+        kind = ModelKind.parse(model)
+        basis, _ = InputOperands(pair, cfg).kernel_range()
+        assert basis.shape[1] == (pair.n_total if rank == "n" else rank)
+        report = run_meda_cg(pair, cfg, kind, ds.target_truth)
+        rounds = dense_meda_replay(pair, cfg, kind, report)
+        assert len(rounds) == len(report.iterations)
+        for rec, (labels, churn, objective, _, _) in zip(report.iterations, rounds):
+            assert np.array_equal(rec.pseudo_labels, labels)
+            assert rec.churn == churn
+            assert rec.objective == pytest.approx(objective, rel=objective_rel, abs=0)
+        _, _, _, beta, scores = rounds[-1]
+        assert_allclose(report.embedding, scores.T, rtol=0, atol=1e-10 * np.abs(scores).max())
+        assert_allclose(report.projection, beta, rtol=0, atol=1e-10 * np.abs(beta).max())
+
+    def test_zero_kernel_has_an_empty_range(self):
+        # all features zero: K = 0, r = 0, so scores vanish and beta = Y / eta
+        ys = np.array([0, 0, 1, 1, 2, 2])
+        pair = make_pair(LabeledDomain(np.zeros((2, 6)), ys), UnlabeledDomain(np.zeros((2, 5))))
+        cfg = AdaptConfig(kernel="linear", sigma_mode="fixed", sigma=1.0, max_iter=2,
+                          meda_eta=2.0)
+        report = run_meda_cg(pair, cfg, ModelKind("MEDA"))
+        want = np.zeros((11, 3))
+        want[np.arange(6), ys] = 0.5
+        assert np.array_equal(report.projection, want)
+        assert not np.any(report.embedding)
+        assert [r.objective for r in report.iterations] == [6.0]
 
 
 class TestSolveWithEscalation:

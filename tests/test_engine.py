@@ -3,8 +3,9 @@
 For seeded random pairs (C from 1 to 5, with a class missing from the
 target pseudo-labels and the single-class pair among them), every base x
 boundary model in both matrix modes and both graph modes must expand to
-the dense reference matrix exactly, and its left operand s M s^T must
-match the dense product for primal and kernel data operands.
+the dense reference matrix exactly, and its left operand s M s^T and its
+product M x must match the dense products for primal and kernel data
+operands and for a block of vectors.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from dbmmd.graphs import GRAPH_MODES, build_affinity, build_graphs
 from dbmmd.linalg import kernel_matrix
 from dbmmd.mmd import MATRIX_MODES, build_all
 
-from dense_reference import dense_assemble_db, dense_build_all, dense_build_graphs
+from dense_reference import (dense_assemble_db, dense_build_all, dense_build_graphs,
+                             dense_operator)
 
 KINDS = [
     ModelKind(base, boundary)
@@ -47,6 +49,7 @@ def test_operator_matches_dense_reference(seed, matrix_mode):
     pair = random_pair(seed)
     x = pair.packed_features()
     operands = {"primal": x, "kernel": kernel_matrix(x, "rbf", sigma=1.5)}
+    vectors = np.random.default_rng(100 + seed).normal(size=(pair.n_total, 3))
     aff = build_affinity(x, "median")
     mats = build_all(pair, matrix_mode)
     dense_mats = dense_build_all(pair, matrix_mode)
@@ -59,10 +62,12 @@ def test_operator_matches_dense_reference(seed, matrix_mode):
                 dense_mats, dense_graphs if kind.boundary != "none" else None, kind
             )
             case = (seed, matrix_mode, graph_mode, kind.name)
-            assert np.array_equal(op.dense(), want), case
+            assert np.array_equal(dense_operator(op), want), case
             for name, s in operands.items():
                 got, ref = op.sandwich(s), s @ want @ s.T
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (case, name)
+            got, ref = op.matvec(vectors), want @ vectors
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (case, "matvec")
 
 
 def test_cases_cover_missing_class_and_single_class():

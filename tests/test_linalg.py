@@ -201,8 +201,10 @@ class TestKernelRange:
     def test_linear_kernel_rank_is_feature_dim(self):
         x = np.random.default_rng(70).normal(size=(2, 40))
         kmat = kernel_matrix(x, "linear")
-        basis, s_r = kernel_range(kmat)
+        basis, w_r = kernel_range(kmat)
+        s_r = w_r[:, None] * basis.T
         assert basis.shape == (40, 2) and s_r.shape == (2, 40)
+        assert_allclose(w_r, np.linalg.eigvalsh(kmat)[-2:], rtol=1e-12)
         assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
         # U_r S_r rebuilds K, and a = U_r c embeds as c^T S_r
         assert_allclose(basis @ s_r, kmat, atol=1e-12 * np.abs(kmat).max())
@@ -211,12 +213,12 @@ class TestKernelRange:
 
     def test_full_rank_kernel_keeps_every_direction(self):
         x = np.random.default_rng(71).normal(size=(3, 12))
-        basis, s_r = kernel_range(kernel_matrix(x, "rbf", sigma=1.0))
-        assert s_r.shape == (12, 12)
+        basis, w_r = kernel_range(kernel_matrix(x, "rbf", sigma=1.0))
+        assert basis.shape == (12, 12) and w_r.shape == (12,)
 
     def test_zero_kernel_has_empty_range(self):
-        basis, s_r = kernel_range(np.zeros((5, 5)))
-        assert basis.shape == (5, 0) and s_r.shape == (0, 5)
+        basis, w_r = kernel_range(np.zeros((5, 5)))
+        assert basis.shape == (5, 0) and w_r.shape == (0,)
 
     def test_rejects_bad_operands(self):
         with pytest.raises(DimensionError):
@@ -323,6 +325,17 @@ class TestGenEigSmallest:
     def test_indefinite_b_fails(self):
         with pytest.raises(NumericError):
             gen_eig_smallest(np.eye(3), -np.eye(3), k=1, ridge=0.0)
+
+    def test_degenerate_scatter_with_default_ridge_is_a_numeric_error(self):
+        # the centered scatter of coincident points is zero up to round-off,
+        # so the default ridge 1e-9 * trace / n is not positive
+        for b in (np.zeros((3, 3)), np.diag([-1e-17, 0.0, 0.0])):
+            with pytest.raises(NumericError, match="degenerate.*trace"):
+                gen_eig_smallest(np.eye(3), b, k=1)
+
+    def test_explicit_negative_ridge_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="ridge must be nonnegative"):
+            gen_eig_smallest(np.eye(3), np.eye(3), k=1, ridge=-1e-26)
 
     def test_asymmetric_rejected(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])

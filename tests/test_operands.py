@@ -28,7 +28,7 @@ def calls(monkeypatch):
     """Counts the builders the operands call, by name."""
     counts = {}
     for name in ("pairwise_sq_dists", "kernel_matrix", "kernel_range", "build_affinity",
-                 "build_laplacian"):
+                 "build_laplacian", "range_products"):
         fn = getattr(operands_module, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -91,7 +91,7 @@ class TestSharing:
     def test_arrays_are_read_only(self):
         ops = InputOperands(pair_of(), RBF)
         arrays = [ops.x, ops.kernel(), *ops.kernel_range(), ops.affinity().entries,
-                  ops.laplacian()]
+                  ops.laplacian(), *ops.range_terms()]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -104,7 +104,8 @@ class TestSharing:
             run_adaptation(pair, RBF, ModelKind.parse(name), operands=ops)
         # one distance pass for sigma and K, one inside the kNN affinity
         assert calls == {"pairwise_sq_dists": 1, "median": 1, "kernel_matrix": 1,
-                         "kernel_range": 1, "build_affinity": 1, "build_laplacian": 1}
+                         "kernel_range": 1, "build_affinity": 1, "build_laplacian": 1,
+                         "range_products": 1}
 
     def test_experiment_builds_once_per_repeat(self, calls, tmp_path):
         recipe = SyntheticRecipe(class_count=2, samples_per_class=10, feature_dim=2, seed=3)
@@ -112,7 +113,25 @@ class TestSharing:
                               output_dir=str(tmp_path / "out"), repeat=2, synthetic=recipe)
         assert run_experiment(spec).exit_code == 0
         assert calls == {"pairwise_sq_dists": 2, "median": 2, "kernel_matrix": 2,
-                         "kernel_range": 2, "build_affinity": 2, "build_laplacian": 2}
+                         "kernel_range": 2, "build_affinity": 2, "build_laplacian": 2,
+                         "range_products": 2}
+
+    def test_meda_cells_share_the_range_of_k_with_projection_cells(self, calls, tmp_path):
+        # MEDA first: its cells build the range and its E and L terms, JDA reuses the range
+        recipe = SyntheticRecipe(class_count=2, samples_per_class=10, feature_dim=2, seed=4)
+        spec = ExperimentSpec(models=("MEDA", "MEDA+CG", "JDA"), config=RBF,
+                              output_dir=str(tmp_path / "out"), repeat=2, synthetic=recipe)
+        assert run_experiment(spec).exit_code == 0
+        assert calls["kernel_range"] == 2 and calls["range_products"] == 2
+
+    def test_range_terms_equal_separate_products(self):
+        pair = pair_of()
+        ops = InputOperands(pair, RBF)
+        basis, _ = kernel_range(ops.kernel())
+        ns = pair.n_source
+        e_r, l_r = ops.range_terms()
+        assert e_r.tobytes() == (basis[:ns].T @ basis[:ns]).tobytes()
+        assert l_r.tobytes() == (basis.T @ (ops.laplacian() @ basis)).tobytes()
 
     def test_primal_jda_builds_nothing(self, calls):
         pair = pair_of()

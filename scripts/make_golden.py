@@ -18,6 +18,9 @@ drift of the objectives and eigenvalues. It exits 1 if any predicted
 label, churn, fixed-point iteration or accuracy differs, or if an
 objective or eigenvalue drifts by more than FLOAT_REL_TOL relative: the
 same criterion as ``tests/test_acceptance.py::test_criterion_4_golden_pair``.
+The config dicts, the recipe and the feature digests count as discrete
+fields too: each that differs from what the script would write is one
+mismatch.
 """
 from __future__ import annotations
 
@@ -130,13 +133,20 @@ def _rel(a: float, b: float) -> float:
 def check(fixture: dict, pinned: dict) -> tuple[int, int]:
     """Print drift per section; return (discrete mismatches, float mismatches).
 
-    A discrete mismatch is a differing label, churn, fixed point, accuracy
-    or count; a float mismatch is an objective or eigenvalue list off by
-    more than FLOAT_REL_TOL relative.
+    A discrete mismatch is a differing label, churn, fixed point, accuracy,
+    count, config, recipe or feature digest; a float mismatch is an
+    objective or eigenvalue list off by more than FLOAT_REL_TOL relative.
     """
     exact_keys = ("baseline_accuracy", "final_accuracy", "fixed_point_iteration",
                   "predicted_labels")
     discrete = floats = 0
+    for key in ("config", "meda_config", "linear_config", "recipe", "feature_sha256"):
+        written = json.loads(json.dumps(fixture[key]))  # tuples as the file holds them
+        held = pinned.get(key, {})
+        differ = sorted(k for k in written.keys() | held.keys() if written.get(k) != held.get(k))
+        if differ:
+            print(f"MISMATCH {key}: keys {', '.join(differ)} differ from what the script writes")
+            discrete += 1
     for section in ("models", "meda", "linear_kernel"):
         differ = total = 0
         obj_drift = eig_drift = 0.0
@@ -181,7 +191,7 @@ def main(argv=None) -> int:
     fixture = build_fixture()
     if args.check:
         discrete, floats = check(fixture, json.loads(FIXTURE_PATH.read_text()))
-        print("labels, churns, fixed points and accuracies:",
+        print("labels, churns, fixed points, accuracies, configs and digests:",
               "match" if not discrete else f"{discrete} mismatches")
         print(f"objectives and eigenvalues within {FLOAT_REL_TOL:g} relative:",
               "match" if not floats else f"{floats} mismatches")

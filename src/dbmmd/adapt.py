@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .graphs import BoundaryGraphs, build_affinity, build_graphs, build_laplacian
-from .linalg import centering_matrix, gen_eig_smallest
+from .linalg import centering_matrix, gen_eig_smallest, sign_flips
 from .mmd import MmdTables, build_all, group_sums
 from .operands import InputOperands
 
@@ -165,8 +165,8 @@ def assemble_db(mats: MmdTables, graphs: BoundaryGraphs | None, kind: ModelKind)
     )
 
 
-def solve_projection(s: np.ndarray, db: MmdOperator, k: int, lam: float,
-                     ridge: float | None = None) -> tuple[np.ndarray, tuple[float, ...], float]:
+def solve_projection(s: np.ndarray, db: MmdOperator, k: int,
+                     lam: float) -> tuple[np.ndarray, tuple[float, ...], float]:
     """Projection from the generalized eigenproblem of the assembled operator.
 
     s is the (dim, n) data operand: the raw features in primal mode, or in
@@ -195,10 +195,9 @@ def solve_projection(s: np.ndarray, db: MmdOperator, k: int, lam: float,
     left = 0.5 * (left + left.T) + lam * np.eye(s.shape[0])
     right = s @ h @ s.T
     right = 0.5 * (right + right.T)
-    pairs = gen_eig_smallest(left, right, k, ridge)
-    a = np.column_stack([p.vector for p in pairs])
+    eigvals, a = gen_eig_smallest(left, right, k)
     objective = float(np.trace(a.T @ left @ a))
-    return a, tuple(p.value for p in pairs), objective
+    return a, tuple(eigvals.tolist()), objective
 
 
 def _data_operand(cfg: AdaptConfig, ops: InputOperands) -> tuple[np.ndarray | None, np.ndarray]:
@@ -220,13 +219,12 @@ def _data_operand(cfg: AdaptConfig, ops: InputOperands) -> tuple[np.ndarray | No
 
 
 def _expand(basis: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(U_r C, C) with each column's largest-magnitude entry of U_r C positive.
+    """(U_r C, C), with column signs pinned on the expansion U_r C.
 
-    The eigenvectors of K carry arbitrary signs; pinning them on the
-    expansion keeps the reported projection independent of the LAPACK build.
+    The eigenvectors of K carry arbitrary signs of their own.
     """
     a = basis @ c
-    flip = np.where(a[np.argmax(np.abs(a), axis=0), np.arange(a.shape[1])] < 0.0, -1.0, 1.0)
+    flip = sign_flips(a)
     return a * flip, c * flip
 
 
@@ -245,7 +243,7 @@ def _propagated_target_labels(pair: DomainPair, z: np.ndarray, cfg: AdaptConfig)
     """
     ns = pair.n_source
     # The affinity is dropped as soon as its Laplacian exists, before the solve.
-    lap = build_laplacian(build_affinity(z, "median", None, cfg.neighborhood_p), normalized=True)
+    lap = build_laplacian(build_affinity(z, None, cfg.neighborhood_p))
     y0 = np.zeros((pair.n_total, pair.class_count))
     y0[:ns] = one_hot(pair.source.labels, pair.class_count)
     f = propagate_labels(lap, y0, cfg.mu, clamp_rows=np.arange(ns))

@@ -7,7 +7,7 @@ edited in place, so a fixed config and seed always replays bit-identically.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,7 +201,6 @@ class AdaptConfig:
     neighborhood_p: int = 5
     graph_mode: str = "spirit"
     matrix_mode: str = "literal"
-    seed: int = 0
     meda_alpha: float = 10.0
     meda_rho: float = 0.1
     meda_eta: float = 1.0
@@ -239,7 +238,7 @@ class AdaptConfig:
             )
         if not self.meda_eta > 0.0:
             raise ParameterError(f"meda_eta must be positive, got {self.meda_eta}")
-        if self.meda_alpha < 0.0 or self.meda_rho < 0.0:
+        if not self.meda_alpha >= 0.0 or not self.meda_rho >= 0.0:
             raise ParameterError("meda_alpha and meda_rho must be nonnegative")
 
     def replace(self, **kw) -> "AdaptConfig":

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import ModelKind, run_adaptation
-from .datamodel import AdaptConfig, DomainPair, LabeledDomain, UnlabeledDomain, make_pair
+from .datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pair
 from .errors import FormatError, ParameterError
 from .io import atomic_write_text, load_features, save_features
 from .operands import InputOperands
@@ -99,26 +99,29 @@ class ExperimentSpec:
             dataset = d.get("dataset", {})
         except KeyError as exc:
             raise ParameterError(f"spec missing required key: {exc}") from None
-        config = AdaptConfig.from_dict(d.get("config", {}))
-        synthetic = None
-        source = target = target_labels = None
-        if "synthetic" in dataset:
-            synthetic = SyntheticRecipe.from_dict(dataset["synthetic"])
-        else:
-            source = dataset.get("source")
-            target = dataset.get("target")
-            target_labels = dataset.get("target_labels")
+        extra = set(dataset) - {"synthetic", "source", "target", "target_labels"}
+        if extra:
+            raise ParameterError(f"unknown dataset keys: {sorted(extra)}")
+        repeat = d.get("repeat", 1)
+        if isinstance(repeat, float) and repeat.is_integer():
+            repeat = int(repeat)
+        if type(repeat) is not int:  # also rejects a bool
+            raise ParameterError(f"repeat must be an integer, got {repeat!r}")
+        dump_embeddings = d.get("dump_embeddings", False)
+        if not isinstance(dump_embeddings, bool):
+            raise ParameterError(f"dump_embeddings must be true or false, got {dump_embeddings!r}")
+        synthetic = dataset.get("synthetic")
         return cls(
             models=models,
-            config=config,
+            config=AdaptConfig.from_dict(d.get("config", {})),
             output_dir=output_dir,
-            repeat=int(d.get("repeat", 1)),
-            synthetic=synthetic,
-            source_path=source,
-            target_path=target,
-            target_labels_path=target_labels,
+            repeat=repeat,
+            synthetic=None if synthetic is None else SyntheticRecipe.from_dict(synthetic),
+            source_path=dataset.get("source"),
+            target_path=dataset.get("target"),
+            target_labels_path=dataset.get("target_labels"),
             data_format=d.get("data_format"),
-            dump_embeddings=bool(d.get("dump_embeddings", False)),
+            dump_embeddings=dump_embeddings,
         )
 
     @classmethod

@@ -42,37 +42,29 @@ class AffinityMatrix:
     neighborhood_p: int
 
 
-def build_affinity(
-    x,
-    sigma_mode: str = "median",
-    sigma: float | None = None,
-    neighborhood_p: int = 0,
-) -> AffinityMatrix:
+def build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0) -> AffinityMatrix:
     """Gaussian affinity w_ij = exp(-d_ij^2 / (2 sigma^2)) over columns of x.
 
     The squared distances are computed once: the median bandwidth and the
     neighbor choice read that one array, which then becomes the affinity
     in place.
 
-    sigma_mode "median" takes sigma as the median nonzero pairwise
-    distance and fails with BandwidthError when all points coincide.
-    neighborhood_p > 0 keeps w_ij only when i is among the p nearest
-    neighbors of j or vice versa; p = 0 keeps the matrix dense. A point is
-    never its own neighbor, and among equally distant candidates the one
-    with the lowest column index is taken first, so coincident points and
-    tied distances give the same graph on every run.
+    sigma None takes the median nonzero pairwise distance and fails with
+    BandwidthError when all points coincide; a given sigma must be
+    positive. neighborhood_p > 0 keeps w_ij only when i is among the p
+    nearest neighbors of j or vice versa; p = 0 keeps the matrix dense. A
+    point is never its own neighbor, and among equally distant candidates
+    the one with the lowest column index is taken first, so coincident
+    points and tied distances give the same graph on every run.
     """
     d2 = pairwise_sq_dists(x)
     n = d2.shape[0]
     if n < 2:
         raise ParameterError("affinity needs at least two samples")
-    if sigma_mode == "median":
+    if sigma is None:
         sigma = median_bandwidth(d2)
-    elif sigma_mode == "fixed":
-        if sigma is None or not sigma > 0.0:
-            raise ParameterError(f"fixed sigma_mode needs sigma > 0, got {sigma}")
-    else:
-        raise ParameterError(f"sigma_mode must be 'median' or 'fixed', got {sigma_mode!r}")
+    elif not sigma > 0.0:
+        raise ParameterError(f"sigma must be positive, or None for the median, got {sigma}")
     if int(neighborhood_p) != neighborhood_p or neighborhood_p < 0:
         raise ParameterError(f"neighborhood_p must be a nonnegative integer, got {neighborhood_p}")
     p = int(neighborhood_p)
@@ -95,7 +87,7 @@ def median_bandwidth(sq_dists: np.ndarray) -> float:
     BandwidthError when all points coincide, since a zero sigma has no
     Gaussian.
     """
-    sigma = median_pairwise_distance(sq_dists=sq_dists)
+    sigma = median_pairwise_distance(sq_dists)
     if sigma == 0.0:
         raise BandwidthError("all points coincide; median bandwidth is zero")
     return sigma
@@ -135,16 +127,12 @@ class BoundaryGraphs:
     mode: str
 
 
-def build_graphs(
-    pair: DomainPair,
-    affinity: AffinityMatrix,
-    mode: str = "spirit",
-    w_floor: float = W_FLOOR,
-) -> BoundaryGraphs:
+def build_graphs(pair: DomainPair, affinity: AffinityMatrix,
+                 mode: str = "spirit") -> BoundaryGraphs:
     """Boundary graphs from an affinity and the pair's pseudo-labeling.
 
-    Spirit mode gives 1/max(W, w_floor) on same-class pairs and W on
-    different-class pairs; literal mode gives -1/max(W, w_floor) on both.
+    Spirit mode gives 1/max(W, W_FLOOR) on same-class pairs and W on
+    different-class pairs; literal mode gives -1/max(W, W_FLOOR) on both.
     The affinity should be dense here; the floor only guards entries that
     were sparsified or underflowed to zero.
     """
@@ -156,29 +144,26 @@ def build_graphs(
         raise DimensionError(f"affinity shape {w.shape} does not match pair size {n}")
     groups = group_index(pair)
     w = w[:ns, ns:]
-    inv_w = 1.0 / np.maximum(w, w_floor)
+    inv_w = 1.0 / np.maximum(w, W_FLOOR)
     if mode == "literal":
         return BoundaryGraphs(-inv_w, mode)
     same = groups[:ns, None] == groups[None, ns:] - pair.class_count
     return BoundaryGraphs(np.where(same, inv_w, w), mode)
 
 
-def build_laplacian(affinity: AffinityMatrix, normalized: bool = False) -> np.ndarray:
-    """L = D - W, or its symmetric normalization D^-1/2 (D - W) D^-1/2.
+def build_laplacian(affinity: AffinityMatrix) -> np.ndarray:
+    """The normalized Laplacian D^-1/2 (D - W) D^-1/2.
 
-    Isolated vertices get degree W_FLOOR under normalization so the scaling
-    stays finite; their Laplacian row is zero either way. Built in place
-    on one (n, n) array, entry for entry as diag(deg) - W and the scalings
-    give it.
+    Isolated vertices get degree W_FLOOR so the scaling stays finite;
+    their Laplacian row is zero. Built in place on one (n, n) array, entry
+    for entry as diag(deg) - W and the scalings give it.
     """
     w = affinity.entries
     deg = w.sum(axis=1)
     lap = np.subtract(0.0, w)
     diag = np.diag_indices_from(lap)
     lap[diag] = deg - w[diag]
-    if normalized:
-        d = np.where(deg > 0.0, deg, W_FLOOR)
-        inv_sqrt = 1.0 / np.sqrt(d)
-        lap *= inv_sqrt[:, None]
-        lap *= inv_sqrt[None, :]
+    inv_sqrt = 1.0 / np.sqrt(np.where(deg > 0.0, deg, W_FLOOR))
+    lap *= inv_sqrt[:, None]
+    lap *= inv_sqrt[None, :]
     return symmetrize_inplace(lap)

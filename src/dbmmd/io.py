@@ -32,20 +32,6 @@ from .errors import FormatError
 FORMATS = ("csv", "raw")
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def atomic_write_bytes(path: str | Path, blob: bytes) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -58,6 +44,11 @@ def atomic_write_bytes(path: str | Path, blob: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """``atomic_write_bytes`` of the UTF-8 encoding of text, newlines untranslated."""
+    atomic_write_bytes(path, text.encode())
 
 
 def _infer_format(path: Path, fmt: str | None) -> str:

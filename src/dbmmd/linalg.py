@@ -6,8 +6,6 @@ dense numpy; problem sizes here are hundreds of samples, not millions.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 import scipy.linalg
 
@@ -23,11 +21,6 @@ DEFAULT_RIDGE_SCALE = 1e-9
 
 # Side of the square tiles ``symmetrize_inplace`` works on.
 _TILE = 256
-
-
-class EigPair(NamedTuple):
-    value: float
-    vector: np.ndarray
 
 
 def _as_feature_matrix(x) -> np.ndarray:
@@ -59,23 +52,19 @@ def pairwise_sq_dists(x) -> np.ndarray:
     return d
 
 
-def median_pairwise_distance(x=None, *, sq_dists=None) -> float:
+def median_pairwise_distance(sq_dists) -> float:
     """Median of the nonzero pairwise Euclidean distances.
 
-    Give either the columns ``x`` or ``sq_dists``, their (n, n) squared
-    distances from ``pairwise_sq_dists``, which a caller that already
-    holds them passes so they are not computed twice. Only the strict
-    upper triangle is read. The square root is taken of the one or two
-    middle squared distances alone: sqrt is monotone, so they are the
-    squares of the middle distances, and the result equals the median of
-    all the distances bit for bit.
+    ``sq_dists`` are the (n, n) squared distances from
+    ``pairwise_sq_dists``; only their strict upper triangle is read. The
+    square root is taken of the one or two middle squared distances alone:
+    sqrt is monotone, so they are the squares of the middle distances, and
+    the result equals the median of all the distances bit for bit.
 
     Returns 0.0 when every pair of columns coincides; callers that need a
     positive bandwidth must treat that as an error.
     """
-    if (x is None) == (sq_dists is None):
-        raise ParameterError("give exactly one of x and sq_dists")
-    d2 = pairwise_sq_dists(x) if sq_dists is None else np.asarray(sq_dists, dtype=float)
+    d2 = np.asarray(sq_dists, dtype=float)
     if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
         raise DimensionError(f"squared distances must be square, got shape {d2.shape}")
     n = d2.shape[0]
@@ -185,7 +174,19 @@ def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray
     return 0.5 * (m + m.T)
 
 
-def gen_eig_smallest(aop, bop, k: int, ridge: float | None = None) -> list[EigPair]:
+def sign_flips(v: np.ndarray) -> np.ndarray:
+    """+-1 per column of v, making each column's largest-magnitude entry positive.
+
+    Eigenvectors carry arbitrary signs; ``v * sign_flips(v)`` pins them,
+    so results do not depend on the LAPACK build. Among entries of equal
+    magnitude the first decides.
+    """
+    peak = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return np.where(peak < 0.0, -1.0, 1.0)
+
+
+def gen_eig_smallest(aop, bop, k: int,
+                     ridge: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """k smallest eigenpairs of the symmetric pencil A v = w (B + ridge I) v.
 
     Parameters
@@ -197,9 +198,9 @@ def gen_eig_smallest(aop, bop, k: int, ridge: float | None = None) -> list[EigPa
         relative ridge 1e-9 * trace(B) / n, and raises NumericError when
         that is not positive (B is zero up to round-off).
 
-    Returns eigenpairs sorted ascending by eigenvalue. Each vector v is
-    normalised so v^T (B + ridge I) v = 1 and its largest-magnitude
-    component is positive, which pins an otherwise arbitrary sign.
+    Returns (w, V): the k eigenvalues ascending and the C-ordered (n, k)
+    eigenvectors as columns. Each column v is normalised so
+    v^T (B + ridge I) v = 1, and its sign by ``sign_flips``.
     """
     a = np.asarray(aop, dtype=float)
     b = np.asarray(bop, dtype=float)
@@ -232,10 +233,4 @@ def gen_eig_smallest(aop, bop, k: int, ridge: float | None = None) -> list[EigPa
         raise NumericError(
             f"right operand not positive definite with ridge {ridge:g}"
         ) from exc
-    pairs = []
-    for j in range(k):
-        vec = v[:, j].copy()
-        if vec[int(np.argmax(np.abs(vec)))] < 0.0:
-            vec = -vec
-        pairs.append(EigPair(float(w[j]), vec))
-    return pairs
+    return w, np.multiply(v, sign_flips(v), order="C")

@@ -109,7 +109,7 @@ class InputOperands:
         """Normalized Laplacian of the kNN affinity of x (MEDA's manifold term)."""
         if self._laplacian is None:
             knn = self._gaussian(self.cfg.neighborhood_p)
-            self._laplacian = _read_only(build_laplacian(knn, normalized=True))
+            self._laplacian = _read_only(build_laplacian(knn))
         return self._laplacian
 
     def _gaussian(self, p: int) -> AffinityMatrix:
@@ -120,8 +120,6 @@ class InputOperands:
         """
         if self._sigma is None and self.cfg.kernel == "rbf":
             self.kernel()
-        if self._sigma is None:
-            aff = build_affinity(self.x, "median", None, p)
-            self._sigma = aff.sigma
-            return aff
-        return build_affinity(self.x, "fixed", self._sigma, p)
+        aff = build_affinity(self.x, self._sigma, p)
+        self._sigma = aff.sigma
+        return aff

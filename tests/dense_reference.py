@@ -151,9 +151,8 @@ class DenseGraphs:
     sg_mask: np.ndarray
 
 
-def dense_build_graphs(
-    pair: DomainPair, affinity: AffinityMatrix, mode: str = "spirit", w_floor: float = W_FLOOR
-) -> DenseGraphs:
+def dense_build_graphs(pair: DomainPair, affinity: AffinityMatrix,
+                       mode: str = "spirit") -> DenseGraphs:
     """CG/SG reweighting values on their (n, n) masks, zero elsewhere."""
     if mode not in GRAPH_MODES:
         raise ParameterError(f"mode must be one of {GRAPH_MODES}, got {mode!r}")
@@ -162,7 +161,7 @@ def dense_build_graphs(
     for m in class_cross_masks(pair).values():
         cg |= m
     sg = cross_mask(pair) & ~cg
-    inv_w = 1.0 / np.maximum(w, w_floor)
+    inv_w = 1.0 / np.maximum(w, W_FLOOR)
     if mode == "literal":
         g_cg = np.where(cg, -inv_w, 0.0)
         g_sg = np.where(sg, -inv_w, 0.0)
@@ -245,12 +244,11 @@ def dense_knn_keep(d2: np.ndarray, p: int) -> np.ndarray:
     return keep
 
 
-def dense_build_affinity(x, sigma_mode: str = "median", sigma: float | None = None,
-                         neighborhood_p: int = 0) -> AffinityMatrix:
+def dense_build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0) -> AffinityMatrix:
     """The Gaussian (kNN) affinity with the median from a second distance pass."""
     d2 = dense_pairwise_sq_dists(x)
     n = d2.shape[0]
-    if sigma_mode == "median":
+    if sigma is None:
         sigma = dense_median_pairwise_distance(dense_pairwise_sq_dists(x))
     p = int(neighborhood_p)
     w = np.exp(d2 / (-2.0 * sigma * sigma))
@@ -263,15 +261,14 @@ def dense_build_affinity(x, sigma_mode: str = "median", sigma: float | None = No
     return AffinityMatrix(w, float(sigma), p)
 
 
-def dense_build_laplacian(affinity: AffinityMatrix, normalized: bool = False) -> np.ndarray:
-    """np.diag(deg) - W, optionally scaled by D^-1/2 on both sides, then symmetrized."""
+def dense_build_laplacian(affinity: AffinityMatrix) -> np.ndarray:
+    """np.diag(deg) - W scaled by D^-1/2 on both sides, then symmetrized."""
     w = affinity.entries
     deg = w.sum(axis=1)
     lap = np.diag(deg) - w
-    if normalized:
-        d = np.where(deg > 0.0, deg, W_FLOOR)
-        inv_sqrt = 1.0 / np.sqrt(d)
-        lap = lap * inv_sqrt[:, None] * inv_sqrt[None, :]
+    d = np.where(deg > 0.0, deg, W_FLOOR)
+    inv_sqrt = 1.0 / np.sqrt(d)
+    lap = lap * inv_sqrt[:, None] * inv_sqrt[None, :]
     return 0.5 * (lap + lap.T)
 
 

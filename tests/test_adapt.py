@@ -18,7 +18,7 @@ from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pa
 from dbmmd.errors import NumericError, ParameterError, StateError, UnsupportedModelError
 from dbmmd.graphs import build_affinity, build_graphs
 from dbmmd.linalg import (gen_eig_smallest, kernel_matrix, kernel_range,
-                          median_pairwise_distance)
+                          median_pairwise_distance, pairwise_sq_dists)
 from dbmmd.mmd import build_all
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
@@ -123,7 +123,7 @@ class TestAssembleDb:
         # operator must equal the plain one bit for bit: same table, D == 0
         pair = labeled_pair(4)
         mats = build_all(pair)
-        aff = build_affinity(pair.packed_features(), **UNIT_AFFINITY)
+        aff = build_affinity(pair.packed_features(), float("inf"))
         graphs = build_graphs(pair, aff, mode="spirit")
         for base in ("JDA", "CDDA", "DGA-DA"):
             plain = assemble_db(mats, None, ModelKind(base))
@@ -141,7 +141,7 @@ class TestAssembleDb:
         # compact term, exactly what CG does
         pair = labeled_pair(5)
         mats = build_all(pair)
-        aff = build_affinity(pair.packed_features(), "median")
+        aff = build_affinity(pair.packed_features())
         graphs = build_graphs(pair, aff)
         db = assemble_db(mats, graphs, ModelKind("JDA", "DB"))
         cg = assemble_db(mats, graphs, ModelKind("JDA", "CG"))
@@ -153,7 +153,7 @@ class TestAssembleDb:
         # the graph reweights cross-domain entries only
         pair = labeled_pair(6)
         mats = build_all(pair)
-        aff = build_affinity(pair.packed_features(), "median")
+        aff = build_affinity(pair.packed_features())
         graphs = build_graphs(pair, aff, mode="spirit")
         plain = dense_operator(assemble_db(mats, None, ModelKind("CDDA")))
         db = dense_operator(assemble_db(mats, graphs, ModelKind("CDDA", "DB")))
@@ -164,7 +164,7 @@ class TestAssembleDb:
     def test_literal_mode_zeroes_off_mask_compact(self):
         pair = labeled_pair(7)
         mats = build_all(pair)
-        aff = build_affinity(pair.packed_features(), "median")
+        aff = build_affinity(pair.packed_features())
         graphs = build_graphs(pair, aff, mode="literal")
         db = assemble_db(mats, graphs, ModelKind("JDA", "CG"))
         compact = dense_operator(db) - expand(mats, mats.marginal)
@@ -264,13 +264,14 @@ class TestSolveProjection:
         n = x.shape[1]
         h = np.eye(n) - np.ones((n, n)) / n
         kq = kmat @ q
-        pairs = gen_eig_smallest(kq.T @ dense_operator(db) @ kq + np.eye(2), kq.T @ h @ kq, 2)
-        assert_allclose(vals, [p.value for p in pairs], rtol=1e-10)
-        z_ref = np.array([p.vector for p in pairs]) @ kq.T
+        ref_vals, ref_vecs = gen_eig_smallest(kq.T @ dense_operator(db) @ kq + np.eye(2),
+                                              kq.T @ h @ kq, 2)
+        assert_allclose(vals, ref_vals, rtol=1e-10)
+        z_ref = ref_vecs.T @ kq.T
         z = c.T @ s_r
         signs = np.sign(np.sum(z * z_ref, axis=1, keepdims=True))
         assert_allclose(signs * z, z_ref, atol=1e-9 * np.abs(z_ref).max())
-        assert_allclose(objective, sum(p.value for p in pairs), rtol=1e-10)
+        assert_allclose(objective, sum(ref_vals), rtol=1e-10)
 
     def test_shape_and_parameter_errors(self):
         x = np.zeros((2, 5))
@@ -390,7 +391,7 @@ class TestRunAdaptation:
         cfg = AdaptConfig(k=2, lam=1.0, max_iter=4, kernel="rbf")
         report = run_adaptation(ds.pair, cfg, ModelKind("JDA", "CG"), ds.target_truth)
         x = ds.pair.packed_features()
-        kmat = kernel_matrix(x, "rbf", sigma=median_pairwise_distance(x))
+        kmat = kernel_matrix(x, "rbf", sigma=median_pairwise_distance(pairwise_sq_dists(x)))
         a = report.projection
         assert_allclose(report.embedding, a.T @ kmat, atol=1e-10 * np.abs(report.embedding).max())
         basis, _ = kernel_range(kmat)

@@ -143,8 +143,8 @@ class TestPropagateLabels:
     def test_bit_equal_to_dense_solve_and_laplacian_untouched(self, seed, order):
         rng = np.random.default_rng(seed)
         n = 40 + 70 * seed
-        aff = build_affinity(rng.normal(size=(3, n)), "median", neighborhood_p=5)
-        lap = np.array(build_laplacian(aff, normalized=True), order=order)
+        aff = build_affinity(rng.normal(size=(3, n)), neighborhood_p=5)
+        lap = np.array(build_laplacian(aff), order=order)
         before = lap.copy()
         labeled = np.arange(n // 2)
         y0 = np.zeros((n, 3))

@@ -113,6 +113,11 @@ class TestRun:
         spec = write_spec(tmp_path)
         assert main(["run", str(spec), "--warp-speed", "9"]) == 2
 
+    def test_seed_is_not_a_config_flag(self, tmp_path, capsys):
+        # the synthetic recipe carries the seed; the adaptation has none
+        spec = write_spec(tmp_path)
+        assert main(["run", str(spec), "--seed", "1"]) == 2
+
 
 class TestReport:
     def test_rerenders_summary(self, tmp_path, capsys):
@@ -123,6 +128,18 @@ class TestReport:
         assert main(["report", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "summary.md").exists()
         assert "JDA" in capsys.readouterr().out
+
+    def test_config_with_a_seed_is_exit_2(self, tmp_path, capsys):
+        # experiment.json files that still carry the removed "seed" key
+        spec = write_spec(tmp_path)
+        assert main(["run", str(spec)]) == 0
+        stored = tmp_path / "out" / "experiment.json"
+        payload = json.loads(stored.read_text())
+        payload["config"]["seed"] = 0
+        stored.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "out")]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_non_experiment_dir_is_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2

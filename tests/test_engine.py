@@ -50,7 +50,7 @@ def test_operator_matches_dense_reference(seed, matrix_mode):
     x = pair.packed_features()
     operands = {"primal": x, "kernel": kernel_matrix(x, "rbf", sigma=1.5)}
     vectors = np.random.default_rng(100 + seed).normal(size=(pair.n_total, 3))
-    aff = build_affinity(x, "median")
+    aff = build_affinity(x)
     mats = build_all(pair, matrix_mode)
     dense_mats = dense_build_all(pair, matrix_mode)
     for graph_mode in GRAPH_MODES:

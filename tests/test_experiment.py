@@ -77,6 +77,34 @@ class TestSpecValidation:
                 {"models": ["JDA"], "output_dir": "o", "dataset": {}, "gpu": True}
             )
 
+    def test_from_dict_rejects_synthetic_with_file_paths(self, tmp_path):
+        spec = fast_spec(tmp_path).to_dict()
+        spec["dataset"].update(source="s.csv", target="t.csv")
+        with pytest.raises(ParameterError, match="over-specified"):
+            ExperimentSpec.from_dict(spec)
+
+    def test_from_dict_rejects_unknown_dataset_key(self, tmp_path):
+        spec = fast_spec(tmp_path).to_dict()
+        spec["dataset"]["sorce"] = "s.csv"
+        with pytest.raises(ParameterError, match="unknown dataset keys"):
+            ExperimentSpec.from_dict(spec)
+
+    @pytest.mark.parametrize("repeat", [2.7, "2", True, None])
+    def test_from_dict_rejects_non_integral_repeat(self, tmp_path, repeat):
+        spec = {**fast_spec(tmp_path).to_dict(), "repeat": repeat}
+        with pytest.raises(ParameterError, match="repeat"):
+            ExperimentSpec.from_dict(spec)
+
+    def test_from_dict_accepts_an_integral_float_repeat(self, tmp_path):
+        spec = ExperimentSpec.from_dict({**fast_spec(tmp_path).to_dict(), "repeat": 2.0})
+        assert spec.repeat == 2 and type(spec.repeat) is int
+
+    @pytest.mark.parametrize("dump", ["false", 0, None])
+    def test_from_dict_rejects_non_bool_dump_embeddings(self, tmp_path, dump):
+        spec = {**fast_spec(tmp_path).to_dict(), "dump_embeddings": dump}
+        with pytest.raises(ParameterError, match="dump_embeddings"):
+            ExperimentSpec.from_dict(spec)
+
     def test_from_json_file_errors(self, tmp_path):
         with pytest.raises(ParameterError, match="no such spec"):
             ExperimentSpec.from_json_file(tmp_path / "ghost.json")

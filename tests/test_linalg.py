@@ -14,6 +14,7 @@ from dbmmd.linalg import (
     kernel_range,
     median_pairwise_distance,
     pairwise_sq_dists,
+    sign_flips,
 )
 
 from dense_reference import dense_median_pairwise_distance, dense_pairwise_sq_dists
@@ -81,24 +82,24 @@ class TestMedianPairwiseDistance:
     def test_ignores_zero_distances(self):
         x = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 4.0]])
         # distances: {0, 5, 5} -> median of nonzero = 5
-        assert median_pairwise_distance(x) == 5.0
+        assert median_pairwise_distance(pairwise_sq_dists(x)) == 5.0
 
     def test_all_coincident_is_zero(self):
-        assert median_pairwise_distance(np.ones((2, 4))) == 0.0
+        assert median_pairwise_distance(pairwise_sq_dists(np.ones((2, 4)))) == 0.0
 
     def test_odd_and_even_pair_counts(self):
         # 3 pairs {1, 3, 2}: the middle one
-        assert median_pairwise_distance(np.array([[0.0, 1.0, 3.0]])) == 2.0
+        assert median_pairwise_distance(pairwise_sq_dists([[0.0, 1.0, 3.0]])) == 2.0
         # 6 pairs {1, 3, 7, 2, 6, 4}: the mean of the middle two
-        assert median_pairwise_distance(np.array([[0.0, 1.0, 3.0, 7.0]])) == 3.5
+        assert median_pairwise_distance(pairwise_sq_dists([[0.0, 1.0, 3.0, 7.0]])) == 3.5
         # 6 pairs, one coincident: {1, 3, 1, 3, 2} leaves an odd count
-        assert median_pairwise_distance(np.array([[0.0, 0.0, 1.0, 3.0]])) == 2.0
+        assert median_pairwise_distance(pairwise_sq_dists([[0.0, 0.0, 1.0, 3.0]])) == 2.0
         # 10 pairs, two coincident: {1, 1, 1, 1, 4, 4, 5, 5} leaves an even count
-        assert median_pairwise_distance(np.array([[0.0, 0.0, 1.0, 1.0, 5.0]])) == 2.5
+        assert median_pairwise_distance(pairwise_sq_dists([[0.0, 0.0, 1.0, 1.0, 5.0]])) == 2.5
 
     def test_all_coincident_precomputed_is_zero(self):
-        assert median_pairwise_distance(sq_dists=np.zeros((5, 5))) == 0.0
-        assert median_pairwise_distance(sq_dists=np.zeros((1, 1))) == 0.0
+        assert median_pairwise_distance(np.zeros((5, 5))) == 0.0
+        assert median_pairwise_distance(np.zeros((1, 1))) == 0.0
 
     @pytest.mark.parametrize("seed", range(12))
     def test_precomputed_matches_recomputed_and_oracle(self, seed):
@@ -110,17 +111,12 @@ class TestMedianPairwiseDistance:
             x = rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-3, 3)
         d2 = pairwise_sq_dists(x)
         expect = dense_median_pairwise_distance(d2)
-        assert median_pairwise_distance(x) == expect
-        assert median_pairwise_distance(sq_dists=d2) == expect
+        assert median_pairwise_distance(d2) == expect
         assert np.array_equal(d2, pairwise_sq_dists(x))
 
-    def test_needs_exactly_one_input(self):
-        with pytest.raises(ParameterError):
-            median_pairwise_distance()
-        with pytest.raises(ParameterError):
-            median_pairwise_distance(np.ones((2, 3)), sq_dists=np.zeros((3, 3)))
+    def test_rejects_non_square_distances(self):
         with pytest.raises(DimensionError):
-            median_pairwise_distance(sq_dists=np.zeros((3, 4)))
+            median_pairwise_distance(np.zeros((3, 4)))
 
 
 class TestKernelMatrix:
@@ -140,7 +136,7 @@ class TestKernelMatrix:
     def test_rbf_median_heuristic_matches_formula(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 12))
-        sigma = median_pairwise_distance(x)
+        sigma = median_pairwise_distance(pairwise_sq_dists(x))
         k = kernel_matrix(x, "rbf", sigma=sigma)
         n = x.shape[1]
         oracle = np.zeros((n, n))
@@ -252,18 +248,18 @@ class TestCenteringMatrix:
 
 class TestGenEigSmallest:
     def test_diagonal_pencil(self):
-        pairs = gen_eig_smallest(np.diag([3.0, 1.0, 2.0]), np.eye(3), k=1, ridge=0.0)
-        assert len(pairs) == 1
-        assert_allclose(pairs[0].value, 1.0, atol=1e-12)
-        assert_allclose(np.abs(pairs[0].vector), [0.0, 1.0, 0.0], atol=1e-12)
-        assert pairs[0].vector[1] > 0  # sign convention
+        w, v = gen_eig_smallest(np.diag([3.0, 1.0, 2.0]), np.eye(3), k=1, ridge=0.0)
+        assert w.shape == (1,) and v.shape == (3, 1)
+        assert_allclose(w[0], 1.0, atol=1e-12)
+        assert_allclose(np.abs(v[:, 0]), [0.0, 1.0, 0.0], atol=1e-12)
+        assert v[1, 0] > 0  # sign convention
 
     def test_identity_pencil_all_ones(self):
         rng = np.random.default_rng(2)
         m = rng.normal(size=(5, 5))
         spd = m @ m.T + 5.0 * np.eye(5)
-        pairs = gen_eig_smallest(spd, spd, k=5, ridge=0.0)
-        assert_allclose([p.value for p in pairs], np.ones(5), atol=1e-9)
+        w, _ = gen_eig_smallest(spd, spd, k=5, ridge=0.0)
+        assert_allclose(w, np.ones(5), atol=1e-9)
 
     def test_charpoly_oracle_4x4(self):
         rng = np.random.default_rng(17)
@@ -272,8 +268,7 @@ class TestGenEigSmallest:
             a = 0.5 * (a + a.T)
             c = rng.normal(size=(4, 4))
             b = c @ c.T + 4.0 * np.eye(4)
-            pairs = gen_eig_smallest(a, b, k=4, ridge=0.0)
-            got = np.array([p.value for p in pairs])
+            got, _ = gen_eig_smallest(a, b, k=4, ridge=0.0)
             expect = charpoly_eigenvalues(a, b)
             assert_allclose(got, expect, atol=1e-6)
 
@@ -288,13 +283,12 @@ class TestGenEigSmallest:
         b = c @ c.T + 1e-3 * np.eye(n)
         k = int(rng.integers(1, n + 1))
         ridge = 1e-9 * np.trace(b) / n
-        pairs = gen_eig_smallest(a, b, k)
+        w, v = gen_eig_smallest(a, b, k)
         b_reg = b + ridge * np.eye(n)
         tol = 1e-8 * (np.linalg.norm(a) + np.linalg.norm(b))
-        v = np.column_stack([p.vector for p in pairs])
-        for p in pairs:
-            res = np.linalg.norm(a @ p.vector - p.value * (b_reg @ p.vector))
-            assert res <= max(tol, 1e-8 * abs(p.value) * np.linalg.norm(b) + tol)
+        for value, vector in zip(w, v.T):
+            res = np.linalg.norm(a @ vector - value * (b_reg @ vector))
+            assert res <= max(tol, 1e-8 * abs(value) * np.linalg.norm(b) + tol)
         gram = v.T @ b_reg @ v
         assert_allclose(gram, np.eye(k), atol=1e-8)
 
@@ -302,19 +296,35 @@ class TestGenEigSmallest:
         rng = np.random.default_rng(23)
         a = rng.normal(size=(6, 6))
         a = 0.5 * (a + a.T)
-        pairs = gen_eig_smallest(a, np.eye(6), k=6, ridge=0.0)
-        vals = [p.value for p in pairs]
+        w, _ = gen_eig_smallest(a, np.eye(6), k=6, ridge=0.0)
+        vals = list(w)
         assert vals == sorted(vals)
 
     def test_deterministic_sign(self):
         rng = np.random.default_rng(31)
         a = rng.normal(size=(5, 5))
         a = 0.5 * (a + a.T)
-        first = gen_eig_smallest(a, np.eye(5), k=3, ridge=0.0)
-        second = gen_eig_smallest(a.copy(), np.eye(5), k=3, ridge=0.0)
-        for p, q in zip(first, second):
-            assert np.array_equal(p.vector, q.vector)
-            assert p.vector[int(np.argmax(np.abs(p.vector)))] > 0
+        _, first = gen_eig_smallest(a, np.eye(5), k=3, ridge=0.0)
+        _, second = gen_eig_smallest(a.copy(), np.eye(5), k=3, ridge=0.0)
+        assert np.array_equal(first, second)
+        for vector in first.T:
+            assert vector[int(np.argmax(np.abs(vector)))] > 0
+
+    def test_vectors_are_c_ordered_columns(self):
+        # eigh returns a Fortran-ordered block; downstream products read
+        # the C-ordered layout the per-column stack used to give
+        rng = np.random.default_rng(37)
+        a = rng.normal(size=(7, 7))
+        _, v = gen_eig_smallest(a + a.T, np.eye(7), k=3)
+        assert v.shape == (7, 3)
+        assert v.flags.c_contiguous
+
+    def test_sign_flips_pin_the_largest_magnitude_entry(self):
+        v = np.array([[1.0, -3.0, 2.0, -2.0],
+                      [-2.0, 1.0, -2.0, 2.0]])
+        # ties in magnitude go to the first entry
+        assert np.array_equal(sign_flips(v), [-1.0, -1.0, 1.0, -1.0])
+        assert np.array_equal(sign_flips(v * sign_flips(v)), np.ones(4))
 
     def test_k_out_of_range(self):
         with pytest.raises(ParameterError):

@@ -10,7 +10,7 @@ from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pa
 from dbmmd.errors import BandwidthError, ParameterError
 from dbmmd.experiment import ExperimentSpec, run_experiment
 from dbmmd.graphs import build_affinity, build_laplacian
-from dbmmd.linalg import kernel_matrix, kernel_range, median_pairwise_distance
+from dbmmd.linalg import kernel_matrix, kernel_range, median_pairwise_distance, pairwise_sq_dists
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
@@ -53,9 +53,9 @@ class TestValues:
         pair = pair_of(seed, per_class)
         ops = InputOperands(pair, RBF)
         x = pair.packed_features()
-        sigma = median_pairwise_distance(x)
+        sigma = median_pairwise_distance(pairwise_sq_dists(x))
         assert ops.kernel().tobytes() == kernel_matrix(x, "rbf", sigma=sigma).tobytes()
-        alone = build_affinity(x, "median", None, 0)
+        alone = build_affinity(x, None, 0)
         assert ops.affinity().entries.tobytes() == alone.entries.tobytes()
         assert ops.affinity().sigma == alone.sigma == sigma
 
@@ -63,7 +63,7 @@ class TestValues:
         pair = pair_of()
         cfg = RBF.replace(sigma_mode="fixed", sigma=0.7)
         ops = InputOperands(pair, cfg)
-        alone = build_affinity(pair.packed_features(), "fixed", 0.7, 0)
+        alone = build_affinity(pair.packed_features(), 0.7, 0)
         assert ops.affinity().entries.tobytes() == alone.entries.tobytes()
 
     @pytest.mark.parametrize("kernel, sigma_mode", [("rbf", "median"), ("linear", "median"),
@@ -74,11 +74,10 @@ class TestValues:
                           sigma=1.1 if sigma_mode == "fixed" else None)
         ops = InputOperands(pair, cfg)
         lap = ops.laplacian()
-        alone = build_affinity(pair.packed_features(), cfg.sigma_mode, cfg.sigma,
-                               cfg.neighborhood_p)
-        assert lap.tobytes() == build_laplacian(alone, normalized=True).tobytes()
+        alone = build_affinity(pair.packed_features(), cfg.sigma, cfg.neighborhood_p)
+        assert lap.tobytes() == build_laplacian(alone).tobytes()
         # the bandwidth the Laplacian resolved is reused, not recomputed
-        dense = build_affinity(pair.packed_features(), cfg.sigma_mode, cfg.sigma, 0)
+        dense = build_affinity(pair.packed_features(), cfg.sigma, 0)
         assert ops.affinity().entries.tobytes() == dense.entries.tobytes()
 
     def test_kernel_range_of_k(self):

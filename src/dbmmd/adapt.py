@@ -176,11 +176,12 @@ def solve_projection(s: np.ndarray, db: MmdOperator, k: int,
 
         (s M s^T + lam I) a = phi (s H s^T) a
 
-    for the k smallest eigenpairs; the centered right operand is ridged
-    inside the eigensolver. s M s^T comes from the group sums of s (see
-    ``MmdOperator.sandwich``). Returns (A, eigenvalues, objective) with A
-    columnwise normalized against the ridged right operand and the
-    objective tr(A^T (s M s^T + lam I) A) taken from the same left operand.
+    for the k smallest eigenpairs; the centered right operand, formed as
+    (s H) s^T without H, is ridged inside the eigensolver. s M s^T comes
+    from the group sums of s (see ``MmdOperator.sandwich``). Returns
+    (A, eigenvalues, objective) with A columnwise normalized against the
+    ridged right operand and the objective tr(A^T (s M s^T + lam I) A)
+    taken from the same left operand.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2:
@@ -190,10 +191,9 @@ def solve_projection(s: np.ndarray, db: MmdOperator, k: int,
     n = s.shape[1]
     if db.groups.shape != (n,):
         raise ParameterError(f"operator covers {db.groups.size} samples, not n={n}")
-    h = centering_matrix(n)
     left = db.sandwich(s)
     left = 0.5 * (left + left.T) + lam * np.eye(s.shape[0])
-    right = s @ h @ s.T
+    right = centering_matrix(s) @ s.T
     right = 0.5 * (right + right.T)
     eigvals, a = gen_eig_smallest(left, right, k)
     objective = float(np.trace(a.T @ left @ a))
@@ -242,10 +242,10 @@ def _propagated_target_labels(pair: DomainPair, z: np.ndarray, cfg: AdaptConfig)
     projection.
     """
     ns = pair.n_source
-    # The affinity is dropped as soon as its Laplacian exists, before the solve.
-    lap = build_laplacian(build_affinity(z, None, cfg.neighborhood_p))
     y0 = np.zeros((pair.n_total, pair.class_count))
     y0[:ns] = one_hot(pair.source.labels, pair.class_count)
+    # One (n, n) array carries distances, affinity, L, mu I + L and its factor.
+    lap = build_laplacian(build_affinity(z, None, cfg.neighborhood_p))
     f = propagate_labels(lap, y0, cfg.mu, clamp_rows=np.arange(ns))
     return hard_labels(f[ns:])
 
@@ -308,7 +308,7 @@ def run_adaptation(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind,
     ops = InputOperands.for_cell(pair, cfg, operands)
     ns = pair.n_source
     basis, s = _data_operand(cfg, ops)
-    # Boundary graphs always see the dense affinity of the input points.
+    # Boundary graphs always see the cross block of the dense input affinity.
     affinity = ops.affinity() if kind.boundary != "none" else None
 
     def solve(p: DomainPair, db: MmdOperator):

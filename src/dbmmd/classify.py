@@ -52,8 +52,11 @@ def propagate_labels(laplacian, y0, mu: float, clamp_rows=None) -> np.ndarray:
     mu clamps F to Y0, small mu trusts the graph. Rows with positive mass
     are renormalized to sum 1 so downstream argmax tie behavior is stable;
     rows listed in clamp_rows (typically the labeled source rows) are reset
-    to their Y0 one-hots after solving. The laplacian argument is never
-    modified.
+    to their Y0 one-hots after solving.
+
+    The symmetric float64 laplacian is consumed: mu I + L is formed in it
+    and LAPACK factors it in place, so the caller must not read it again
+    (a read-only array raises). Any other input is solved on a copy.
     """
     lap = np.asarray(laplacian, dtype=float)
     y0 = np.asarray(y0, dtype=float)
@@ -63,10 +66,12 @@ def propagate_labels(laplacian, y0, mu: float, clamp_rows=None) -> np.ndarray:
         raise DimensionError("y0 must have one row per graph vertex")
     if not mu > 0.0:
         raise ParameterError(f"mu must be positive, got {mu}")
-    # The system mu I + L in a fresh Fortran-ordered array, which LAPACK
-    # factors in place; adding 0.0 turns a -0.0 into 0.0 as mu I + L does.
-    a = np.add(lap, 0.0, order="F")
-    a[np.diag_indices_from(a)] += mu
+    # mu I + L in place; adding 0.0 turns a -0.0 into 0.0 as mu I + L does.
+    np.add(lap, 0.0, out=lap)
+    lap[np.diag_indices_from(lap)] += mu
+    # L is symmetric, so L^T is the same matrix in the Fortran order LAPACK
+    # factors in place.
+    a = lap.T
     try:
         f = scipy.linalg.solve(a, mu * y0, assume_a="pos", overwrite_a=True)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:

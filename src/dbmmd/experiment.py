@@ -54,6 +54,13 @@ SUMMARY_COLUMNS = (
 )
 
 
+def _json_object(value, what: str) -> dict:
+    """value, when it is a JSON object (a dict); ParameterError otherwise."""
+    if not isinstance(value, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Validated description of one experiment."""
@@ -86,6 +93,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
+        d = _json_object(d, "spec")
         allowed = {
             "models", "config", "output_dir", "repeat", "dataset",
             "data_format", "dump_embeddings",
@@ -96,7 +104,7 @@ class ExperimentSpec:
         try:
             models = tuple(str(m) for m in d["models"])
             output_dir = str(d["output_dir"])
-            dataset = d.get("dataset", {})
+            dataset = _json_object(d.get("dataset", {}), "dataset")
         except KeyError as exc:
             raise ParameterError(f"spec missing required key: {exc}") from None
         extra = set(dataset) - {"synthetic", "source", "target", "target_labels"}
@@ -111,12 +119,14 @@ class ExperimentSpec:
         if not isinstance(dump_embeddings, bool):
             raise ParameterError(f"dump_embeddings must be true or false, got {dump_embeddings!r}")
         synthetic = dataset.get("synthetic")
+        if synthetic is not None:
+            synthetic = SyntheticRecipe.from_dict(_json_object(synthetic, "dataset.synthetic"))
         return cls(
             models=models,
-            config=AdaptConfig.from_dict(d.get("config", {})),
+            config=AdaptConfig.from_dict(_json_object(d.get("config", {}), "config")),
             output_dir=output_dir,
             repeat=repeat,
-            synthetic=None if synthetic is None else SyntheticRecipe.from_dict(synthetic),
+            synthetic=synthetic,
             source_path=dataset.get("source"),
             target_path=dataset.get("target"),
             target_labels_path=dataset.get("target_labels"),

@@ -23,14 +23,11 @@ import numpy as np
 
 from .datamodel import GRAPH_MODES, DomainPair
 from .errors import BandwidthError, DimensionError, ParameterError
-from .linalg import median_pairwise_distance, pairwise_sq_dists, symmetrize_inplace
+from .linalg import _block_rows, median_pairwise_distance, pairwise_sq_dists, symmetrize_inplace
 from .mmd import group_index
 
 # Floor for 1/W so sparsified or underflowed affinities cannot blow up.
 W_FLOOR = 1e-6
-
-# Rows per block of the neighbor search; bounds its (block, n) temporaries.
-_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,7 @@ def build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0) -> Af
 
     The squared distances are computed once: the median bandwidth and the
     neighbor choice read that one array, which then becomes the affinity
-    in place.
+    in place, the one (n, n) float array of the call.
 
     sigma None takes the median nonzero pairwise distance and fails with
     BandwidthError when all points coincide; a given sigma must be
@@ -74,7 +71,8 @@ def build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0) -> Af
     np.exp(w, out=w)
     if keep is not None:
         keep |= keep.T
-        w[~keep] = 0.0
+        np.logical_not(keep, out=keep)
+        w[keep] = 0.0
     np.fill_diagonal(w, 0.0)
     symmetrize_inplace(w)
     return AffinityMatrix(w, float(sigma), p)
@@ -102,9 +100,10 @@ def _nearest_neighbors(d2: np.ndarray, p: int) -> np.ndarray:
     of a row's p are its columns at exactly t, in index order.
     """
     n = d2.shape[0]
+    step = _block_rows(n)
     keep = np.empty((n, n), dtype=bool)
-    for lo in range(0, n, _ROW_BLOCK):
-        d = d2[lo:lo + _ROW_BLOCK].copy()
+    for lo in range(0, n, step):
+        d = d2[lo:lo + step].copy()
         rows = np.arange(d.shape[0])
         d[rows, lo + rows] = np.inf
         t = np.partition(d, p - 1, axis=1)[:, p - 1:p]
@@ -127,23 +126,23 @@ class BoundaryGraphs:
     mode: str
 
 
-def build_graphs(pair: DomainPair, affinity: AffinityMatrix,
+def build_graphs(pair: DomainPair, cross: np.ndarray,
                  mode: str = "spirit") -> BoundaryGraphs:
-    """Boundary graphs from an affinity and the pair's pseudo-labeling.
+    """Boundary graphs from the cross block of an affinity and the pair's pseudo-labeling.
 
-    Spirit mode gives 1/max(W, W_FLOOR) on same-class pairs and W on
-    different-class pairs; literal mode gives -1/max(W, W_FLOOR) on both.
-    The affinity should be dense here; the floor only guards entries that
-    were sparsified or underflowed to zero.
+    ``cross`` is the (n_s, n_t) source-by-target block W[:n_s, n_s:] of a
+    dense affinity W, the only part the graphs read. Spirit mode gives
+    1/max(W, W_FLOOR) on same-class pairs and W on different-class pairs;
+    literal mode gives -1/max(W, W_FLOOR) on both. The floor only guards
+    entries that were sparsified or underflowed to zero.
     """
     if mode not in GRAPH_MODES:
         raise ParameterError(f"mode must be one of {GRAPH_MODES}, got {mode!r}")
-    n, ns = pair.n_total, pair.n_source
-    w = affinity.entries
-    if w.shape != (n, n):
-        raise DimensionError(f"affinity shape {w.shape} does not match pair size {n}")
+    ns, nt = pair.n_source, pair.n_target
+    w = np.asarray(cross, dtype=float)
+    if w.shape != (ns, nt):
+        raise DimensionError(f"cross block shape {w.shape} does not match the pair's {(ns, nt)}")
     groups = group_index(pair)
-    w = w[:ns, ns:]
     inv_w = 1.0 / np.maximum(w, W_FLOOR)
     if mode == "literal":
         return BoundaryGraphs(-inv_w, mode)
@@ -152,17 +151,20 @@ def build_graphs(pair: DomainPair, affinity: AffinityMatrix,
 
 
 def build_laplacian(affinity: AffinityMatrix) -> np.ndarray:
-    """The normalized Laplacian D^-1/2 (D - W) D^-1/2.
+    """The normalized Laplacian D^-1/2 (D - W) D^-1/2, built over W itself.
 
     Isolated vertices get degree W_FLOOR so the scaling stays finite;
-    their Laplacian row is zero. Built in place on one (n, n) array, entry
-    for entry as diag(deg) - W and the scalings give it.
+    their Laplacian row is zero. Entry for entry as diag(deg) - W and the
+    scalings give it, but written into ``affinity.entries`` and returned:
+    the affinity is consumed, and a read-only one raises.
     """
     w = affinity.entries
     deg = w.sum(axis=1)
-    lap = np.subtract(0.0, w)
-    diag = np.diag_indices_from(lap)
-    lap[diag] = deg - w[diag]
+    diag = np.diag_indices_from(w)
+    on_diag = deg - w[diag]
+    # 0 - w, not -w: a zero weight must give 0.0, not -0.0.
+    lap = np.subtract(0.0, w, out=w)
+    lap[diag] = on_diag
     inv_sqrt = 1.0 / np.sqrt(np.where(deg > 0.0, deg, W_FLOOR))
     lap *= inv_sqrt[:, None]
     lap *= inv_sqrt[None, :]

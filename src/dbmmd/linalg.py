@@ -22,6 +22,15 @@ DEFAULT_RIDGE_SCALE = 1e-9
 # Side of the square tiles ``symmetrize_inplace`` works on.
 _TILE = 256
 
+# Entries per (rows, n) block temporary of the distance, median and
+# neighbor passes.
+_BLOCK = 1 << 16
+
+# The median's buckets: the top 16 bits of a positive double's pattern
+# (the zero sign bit, 11 exponent bits and 4 mantissa bits), 2^15 in all.
+_BUCKET_SHIFT = 48
+_BUCKETS = 1 << (63 - _BUCKET_SHIFT)
+
 
 def _as_feature_matrix(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -38,18 +47,53 @@ def pairwise_sq_dists(x) -> np.ndarray:
     """Squared Euclidean distances between the columns of ``x``.
 
     Returns an (n, n) symmetric matrix with an exactly zero diagonal.
-    Negative round-off from the Gram expansion is clamped to zero.
+    Negative round-off from the Gram expansion is clamped to zero. The
+    distances overwrite the Gram array x^T x one block of rows at a time,
+    each entry as (|x_i|^2 + |x_j|^2) - 2 x_i.x_j, so the only n x n array
+    is the one returned.
     """
     x = _as_feature_matrix(x)
-    g = x.T @ x
-    sq = np.diag(g).copy()
-    g *= 2.0
-    d = np.add(sq[:, None], sq[None, :])
-    d -= g
-    np.maximum(d, 0.0, out=d)
+    d = x.T @ x
+    sq = np.diag(d).copy()
+    n = d.shape[0]
+    rows = _block_rows(n)
+    for lo in range(0, n, rows):
+        block = d[lo:lo + rows]
+        # -2g + s is s - 2g bit for bit: negation and doubling are exact.
+        block *= -2.0
+        block += np.add(sq[lo:lo + rows, None], sq[None, :])
+        np.maximum(block, 0.0, out=block)
     symmetrize_inplace(d)
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block so that a (rows, n) temporary holds about _BLOCK entries."""
+    return max(1, _BLOCK // max(n, 1))
+
+
+def _upper_positive(d2: np.ndarray):
+    """The positive entries of the strict upper triangle of d2, a row block at a time."""
+    n = d2.shape[0]
+    rows = _block_rows(n)
+    for lo in range(0, n - 1, rows):
+        block = d2[lo:lo + rows, lo + 1:]
+        keep = block > 0.0
+        # Entry (i, j) of the block is d2[lo + i, lo + 1 + j], on or below the
+        # diagonal of d2 when j < i: only the block's leading square has those.
+        lead = keep[:, :keep.shape[0]]
+        lead[np.tri(*lead.shape, k=-1, dtype=bool)] = False
+        yield block[keep]
+
+
+def _bucket(vals: np.ndarray) -> np.ndarray:
+    """Bucket of each positive double: the top bits of its IEEE pattern.
+
+    For positive doubles the bit pattern read as an integer is monotone in
+    the value, so buckets are ordered as their values are.
+    """
+    return vals.view(np.int64) >> _BUCKET_SHIFT
 
 
 def median_pairwise_distance(sq_dists) -> float:
@@ -61,24 +105,35 @@ def median_pairwise_distance(sq_dists) -> float:
     sqrt is monotone, so they are the squares of the middle distances, and
     the result equals the median of all the distances bit for bit.
 
+    The triangle is never copied. A counting pass tallies the positive
+    entries by bucket (each bucket spans 1/16 of a binary octave), a
+    second pass gathers the entries of the bucket or buckets holding the
+    middle ranks, and a partition of those picks the middle values.
+
     Returns 0.0 when every pair of columns coincides; callers that need a
     positive bandwidth must treat that as an error.
     """
     d2 = np.asarray(sq_dists, dtype=float)
     if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
         raise DimensionError(f"squared distances must be square, got shape {d2.shape}")
-    n = d2.shape[0]
-    if n < 2:
-        return 0.0
-    vals = np.concatenate([d2[i, i + 1:] for i in range(n - 1)])
-    vals = vals[vals > 0.0]
-    m = vals.size
+    counts = np.zeros(_BUCKETS, dtype=np.int64)
+    for vals in _upper_positive(d2):
+        counts += np.bincount(_bucket(vals), minlength=_BUCKETS)
+    cum = np.cumsum(counts)
+    m = int(cum[-1])
     if m == 0:
         return 0.0
-    middle = [(m - 1) // 2, m // 2]
-    vals.partition(middle)
+    middle = np.array([(m - 1) // 2, m // 2])
+    first, last = np.searchsorted(cum, middle, side="right")
+    picked = []
+    for vals in _upper_positive(d2):
+        b = _bucket(vals)
+        picked.append(vals[(b >= first) & (b <= last)])
+    picked = np.concatenate(picked)
+    middle -= cum[first] - counts[first]
+    picked.partition(middle)
     # np.median's own last step: the mean of the middle value(s).
-    return float(np.mean(np.sqrt(vals[middle[0]:middle[1] + 1])))
+    return float(np.mean(np.sqrt(picked[middle[0]:middle[1] + 1])))
 
 
 def symmetrize_inplace(a: np.ndarray) -> np.ndarray:
@@ -106,7 +161,9 @@ def kernel_matrix(x, kind: str, *, sigma: float | None = None, degree: int = 2,
     or "poly" (degree >= 1, k = (x.y + 1)^degree). An rbf caller that
     already holds the (n, n) squared distances of x from
     ``pairwise_sq_dists`` passes them as ``sq_dists`` so they are not
-    computed twice; the other kernels do not read distances and reject it.
+    computed twice; they become K in place, so the caller gives them up
+    (a read-only array raises). The other kernels do not read distances
+    and reject it.
     """
     x = _as_feature_matrix(x)
     if sq_dists is not None and kind != "rbf":
@@ -126,7 +183,8 @@ def kernel_matrix(x, kind: str, *, sigma: float | None = None, degree: int = 2,
                 raise DimensionError(
                     f"squared distances of shape {d2.shape} do not match n={n} samples"
                 )
-        return np.exp(d2 / (-2.0 * sigma * sigma))
+        np.divide(d2, -2.0 * sigma * sigma, out=d2)
+        return np.exp(d2, out=d2)
     if kind == "poly":
         if int(degree) != degree or degree < 1:
             raise ParameterError(f"poly kernel needs integer degree >= 1, got {degree}")
@@ -159,12 +217,16 @@ def kernel_range(kmat) -> tuple[np.ndarray, np.ndarray]:
     return u[:, keep], w[keep]
 
 
-def centering_matrix(n: int) -> np.ndarray:
-    """H = I - (1/n) 11^T. Projects out the all-ones direction."""
-    if int(n) != n or n < 1:
-        raise ParameterError(f"centering matrix needs integer n >= 1, got {n}")
-    n = int(n)
-    return np.eye(n) - np.full((n, n), 1.0 / n)
+def centering_matrix(s) -> np.ndarray:
+    """s H for H = I - (1/n) 11^T: each row of the (l, n) s minus its mean.
+
+    H itself is never formed; the centered scatter s H s^T is
+    ``centering_matrix(s) @ s.T``.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 2 or s.shape[1] < 1:
+        raise ParameterError(f"centering needs an (l, n) operand with n >= 1, got {s.shape}")
+    return s - s.mean(axis=1, keepdims=True)
 
 
 def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:

@@ -2,18 +2,18 @@
 
 An experiment runs several models over one pair under one config, and
 they all read the same input-space quantities: the packed features x, the
-bandwidth sigma, the kernel matrix K and its numerical range, the dense
-affinity behind the boundary graphs, MEDA's normalized kNN Laplacian and
-the fixed part of MEDA's system in the range of K.
-``InputOperands`` builds each one the first time a cell asks for it and
-hands out read-only arrays, so a cell that writes into K or the affinity
-raises instead of corrupting the cells after it.
+bandwidth sigma, the kernel matrix K and its numerical range, the
+source-by-target block of the dense affinity behind the boundary graphs,
+MEDA's normalized kNN Laplacian and the fixed part of MEDA's system in
+the range of K. ``InputOperands`` builds each one the first time a cell
+asks for it and hands out read-only arrays, so a cell that writes into K
+or the affinity raises instead of corrupting the cells after it.
 
 In rbf mode one distance pass gives both the median sigma and K, and the
-dense affinity is K with a zeroed diagonal: the same exponent of the same
-distances, with exp(-0) = 1 on the diagonal, so it equals what
-``build_affinity`` computes bit for bit. The distances themselves are not
-kept.
+distances become K in place. The affinity's cross block is then a view of
+K[:ns, ns:]: the same exponent of the same distances, so it equals that
+block of ``build_affinity`` bit for bit. In the other modes the block is
+copied out of one dense ``build_affinity``, which is then dropped.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ class InputOperands:
         self._kernel: np.ndarray | None = None
         self._range: tuple[np.ndarray, np.ndarray] | None = None
         self._range_terms: tuple[np.ndarray, np.ndarray] | None = None
-        self._affinity: AffinityMatrix | None = None
+        self._affinity: np.ndarray | None = None
         self._laplacian: np.ndarray | None = None
 
     @classmethod
@@ -92,17 +92,17 @@ class InputOperands:
             self._range_terms = tuple(_read_only(a) for a in terms)
         return self._range_terms
 
-    def affinity(self) -> AffinityMatrix:
-        """Dense Gaussian affinity of x, the input of the boundary graphs."""
+    def affinity(self) -> np.ndarray:
+        """The (ns, nt) cross block of the dense Gaussian affinity of x.
+
+        The boundary graphs read nothing else of the affinity.
+        """
         if self._affinity is None:
+            ns = self.pair.n_source
             if self.cfg.kernel == "rbf":
-                w = self.kernel().copy()
-                np.fill_diagonal(w, 0.0)
-                aff = AffinityMatrix(_read_only(w), float(self._sigma), 0)
+                self._affinity = self.kernel()[:ns, ns:]
             else:
-                aff = self._gaussian(0)
-                _read_only(aff.entries)
-            self._affinity = aff
+                self._affinity = _read_only(self._gaussian(0).entries[:ns, ns:].copy())
         return self._affinity
 
     def laplacian(self) -> np.ndarray:

@@ -8,10 +8,12 @@ operator reproduces these matrices exactly.
 
 The neighborhood-graph oracles below are the original out-of-place
 distance, median, affinity, Laplacian and propagation code: a second
-distance pass for the median, a stable argsort per row for the kNN graph,
-and the explicit identity in the propagation system. The library computes
-the same values in one distance pass and in place; the tests require them
-equal bit for bit.
+distance pass for the median, a copy of the whole upper triangle for its
+partition, a stable argsort per row for the kNN graph, and the explicit
+identity in the propagation system. The library computes the same values
+in one distance pass and in place, through one (n, n) buffer; the tests
+require them equal bit for bit. ``dense_centering_matrix`` is the
+explicit n x n H, which the library never forms.
 
 ``dense_operator`` expands the engine's MMD operator to the (n, n) matrix
 M entry for entry; the tests compare it with the per-sample builders and
@@ -210,6 +212,17 @@ def dense_operator(op) -> np.ndarray:
         out[:ns, ns:] = cross
         out[ns:, :ns] = cross.T
     return out
+
+
+def cross_block(pair: DomainPair, affinity: AffinityMatrix) -> np.ndarray:
+    """The (n_s, n_t) source-by-target block of a dense affinity, the boundary graphs' input."""
+    ns = pair.n_source
+    return affinity.entries[:ns, ns:]
+
+
+def dense_centering_matrix(n: int) -> np.ndarray:
+    """H = I - (1/n) 11^T, the centering matrix as an explicit n x n array."""
+    return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
 def dense_pairwise_sq_dists(x) -> np.ndarray:

@@ -30,7 +30,7 @@ from dbmmd.linalg import gen_eig_smallest
 from dbmmd.mmd import build_all, group_sums
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
-from dense_reference import dense_operator
+from dense_reference import cross_block, dense_operator
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden.json"
 
@@ -201,7 +201,7 @@ def test_criterion_3_unit_affinity_reductions(golden):
         pair = ds.pair.with_pseudo_labels(ds.target_truth)
         mats = build_all(pair, cfg.matrix_mode)
         aff = build_affinity(pair.packed_features(), float("inf"))
-        graphs = build_graphs(pair, aff, cfg.graph_mode)
+        graphs = build_graphs(pair, cross_block(pair, aff), cfg.graph_mode)
         plain = assemble_db(mats, None, ModelKind("CDDA"))
         reweighted = assemble_db(mats, graphs, ModelKind("CDDA", "DB"))
         assert np.array_equal(plain.table, reweighted.table)

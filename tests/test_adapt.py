@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from dbmmd.adapt import (
     MmdOperator,
+    _propagated_target_labels,
     _solve_with_escalation,
     ModelKind,
     assemble_db,
@@ -23,7 +26,7 @@ from dbmmd.mmd import build_all
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
-from dense_reference import dense_meda_solve, dense_meda_system, dense_operator
+from dense_reference import cross_block, dense_meda_solve, dense_meda_system, dense_operator
 
 UNIT_AFFINITY = dict(sigma_mode="fixed", sigma=float("inf"))
 
@@ -124,7 +127,7 @@ class TestAssembleDb:
         pair = labeled_pair(4)
         mats = build_all(pair)
         aff = build_affinity(pair.packed_features(), float("inf"))
-        graphs = build_graphs(pair, aff, mode="spirit")
+        graphs = build_graphs(pair, cross_block(pair, aff), mode="spirit")
         for base in ("JDA", "CDDA", "DGA-DA"):
             plain = assemble_db(mats, None, ModelKind(base))
             for boundary in ("CG", "DB"):
@@ -142,7 +145,7 @@ class TestAssembleDb:
         pair = labeled_pair(5)
         mats = build_all(pair)
         aff = build_affinity(pair.packed_features())
-        graphs = build_graphs(pair, aff)
+        graphs = build_graphs(pair, cross_block(pair, aff))
         db = assemble_db(mats, graphs, ModelKind("JDA", "DB"))
         cg = assemble_db(mats, graphs, ModelKind("JDA", "CG"))
         assert np.array_equal(db.table, cg.table)
@@ -154,7 +157,7 @@ class TestAssembleDb:
         pair = labeled_pair(6)
         mats = build_all(pair)
         aff = build_affinity(pair.packed_features())
-        graphs = build_graphs(pair, aff, mode="spirit")
+        graphs = build_graphs(pair, cross_block(pair, aff), mode="spirit")
         plain = dense_operator(assemble_db(mats, None, ModelKind("CDDA")))
         db = dense_operator(assemble_db(mats, graphs, ModelKind("CDDA", "DB")))
         ns = pair.n_source
@@ -165,7 +168,7 @@ class TestAssembleDb:
         pair = labeled_pair(7)
         mats = build_all(pair)
         aff = build_affinity(pair.packed_features())
-        graphs = build_graphs(pair, aff, mode="literal")
+        graphs = build_graphs(pair, cross_block(pair, aff), mode="literal")
         db = assemble_db(mats, graphs, ModelKind("JDA", "CG"))
         compact = dense_operator(db) - expand(mats, mats.marginal)
         ns = pair.n_source
@@ -599,3 +602,23 @@ class TestSolveWithEscalation:
     def test_zero_system_escalates_from_unit_scale(self):
         out = _solve_with_escalation(np.zeros((3, 3)), np.ones((3, 1)))
         assert_allclose(out, 1e10, rtol=1e-12)
+
+
+class TestPropagationMemory:
+    def test_one_n_by_n_array_at_a_time(self):
+        # distances, affinity, L, mu I + L and its Cholesky factor share one
+        # (n, n) buffer; everything else is a row block, a mask of n^2 bytes
+        # or an (n, C) array
+        ds = small_dataset(seed=41, per_class=200)
+        pair = ds.pair.with_pseudo_labels(ds.target_truth)
+        n = pair.n_total
+        assert n == 1200
+        z = np.random.default_rng(41).normal(size=(10, n))
+        tracemalloc.start()
+        try:
+            labels = _propagated_target_labels(pair, z, AdaptConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labels.shape == (pair.n_target,)
+        assert peak < 1.5 * 8 * n * n

@@ -72,6 +72,7 @@ class TestOneHot:
             one_hot(np.array([0, 3]), 3)
 
 
+# propagate_labels consumes its Laplacian, so each test passes a copy.
 PATH_LAPLACIAN = np.array(
     [
         [1.0, -1.0, 0.0],
@@ -89,7 +90,7 @@ class TestPropagateLabels:
 
     def test_huge_mu_clamps_to_y0(self):
         y0 = one_hot(np.array([0, 1, 0]), 2)
-        f = propagate_labels(PATH_LAPLACIAN, y0, mu=1e9)
+        f = propagate_labels(PATH_LAPLACIAN.copy(), y0, mu=1e9)
         assert_allclose(f, y0, atol=1e-6)
 
     def test_path_graph_hand_solved(self):
@@ -97,7 +98,7 @@ class TestPropagateLabels:
         # (I + L) F_raw = Y0 solves to rows (5, 1)/8, (2, 2)/8, (1, 5)/8,
         # which renormalize to (5/6, 1/6), (1/2, 1/2), (1/6, 5/6)
         y0 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        f = propagate_labels(PATH_LAPLACIAN, y0, mu=1.0)
+        f = propagate_labels(PATH_LAPLACIAN.copy(), y0, mu=1.0)
         expect = np.array(
             [
                 [5.0 / 6.0, 1.0 / 6.0],
@@ -111,14 +112,14 @@ class TestPropagateLabels:
 
     def test_single_endpoint_spreads_everywhere(self):
         y0 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        f = propagate_labels(PATH_LAPLACIAN, y0, mu=1.0)
+        f = propagate_labels(PATH_LAPLACIAN.copy(), y0, mu=1.0)
         # every vertex has positive class-0 mass and none of class 1,
         # so renormalization makes all rows exactly (1, 0)
         assert_allclose(f, np.array([[1.0, 0.0]] * 3), atol=1e-12)
 
     def test_clamp_rows_reset_to_y0(self):
         y0 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        f = propagate_labels(PATH_LAPLACIAN, y0, mu=1.0, clamp_rows=np.array([0, 2]))
+        f = propagate_labels(PATH_LAPLACIAN.copy(), y0, mu=1.0, clamp_rows=np.array([0, 2]))
         assert np.array_equal(f[0], [1.0, 0.0])
         assert np.array_equal(f[2], [0.0, 1.0])
         assert_allclose(f[1], [0.5, 0.5], atol=1e-10)
@@ -141,6 +142,7 @@ class TestPropagateLabels:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("seed", range(4))
     def test_bit_equal_to_dense_solve_and_laplacian_untouched(self, seed, order):
+        # the oracle solves an untouched copy; the Laplacian passed in is consumed
         rng = np.random.default_rng(seed)
         n = 40 + 70 * seed
         aff = build_affinity(rng.normal(size=(3, n)), neighborhood_p=5)
@@ -150,25 +152,34 @@ class TestPropagateLabels:
         y0 = np.zeros((n, 3))
         y0[labeled] = one_hot(rng.integers(0, 3, labeled.size), 3)
         mu = float(rng.uniform(0.05, 5.0))
-        f = propagate_labels(lap, y0, mu, clamp_rows=labeled)
         expect = dense_propagate_labels(before, y0, mu, clamp_rows=labeled)
+        f = propagate_labels(lap, y0, mu, clamp_rows=labeled)
         assert f.tobytes() == expect.tobytes()
-        assert lap.tobytes() == before.tobytes()
+        # mu I + L is formed in the caller's array, which LAPACK may factor too
+        assert not np.array_equal(lap, before)
+
+    def test_read_only_laplacian_raises(self):
+        lap = PATH_LAPLACIAN.copy()
+        lap.flags.writeable = False
+        with pytest.raises(ValueError):
+            propagate_labels(lap, np.eye(3)[:, :2], mu=1.0)
+        assert np.array_equal(lap, PATH_LAPLACIAN)
 
     def test_signed_zeros_solve_as_dense_system(self):
         # mu I + L turns every -0.0 of L into 0.0; solved with the -0.0 kept,
         # this system gives -0.0 where the dense one gives 0.0
         lap = np.array([[0.5, -0.0], [-0.0, 0.0]])
         y0 = np.array([[-0.0, 1.0], [-1.0, 0.0]])
+        expect = dense_propagate_labels(lap.copy(), y0, 1.0)
         f = propagate_labels(lap, y0, mu=1.0)
-        assert f.tobytes() == dense_propagate_labels(lap, y0, 1.0).tobytes()
+        assert f.tobytes() == expect.tobytes()
 
     def test_errors(self):
         y0 = np.zeros((3, 2))
         with pytest.raises(ParameterError):
-            propagate_labels(PATH_LAPLACIAN, y0, mu=0.0)
+            propagate_labels(PATH_LAPLACIAN.copy(), y0, mu=0.0)
         with pytest.raises(DimensionError):
-            propagate_labels(PATH_LAPLACIAN, np.zeros((2, 2)), mu=1.0)
+            propagate_labels(PATH_LAPLACIAN.copy(), np.zeros((2, 2)), mu=1.0)
         with pytest.raises(DimensionError):
             propagate_labels(np.zeros((2, 3)), y0, mu=1.0)
 

@@ -98,6 +98,16 @@ class TestRun:
         bad.write_text("{nope")
         assert main(["run", str(bad)]) == 2
 
+    def test_non_object_dataset_is_exit_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, dataset=["source"])
+        assert main(["run", str(spec)]) == 2
+        assert "dataset must be a JSON object" in capsys.readouterr().err
+
+    def test_non_object_config_is_exit_2(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, config=[])
+        assert main(["run", str(spec)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
     def test_bad_override_is_exit_2(self, tmp_path):
         spec = write_spec(tmp_path)
         assert main(["run", str(spec), "--k", "0"]) == 2

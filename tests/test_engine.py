@@ -18,7 +18,7 @@ from dbmmd.graphs import GRAPH_MODES, build_affinity, build_graphs
 from dbmmd.linalg import kernel_matrix
 from dbmmd.mmd import MATRIX_MODES, build_all
 
-from dense_reference import (dense_assemble_db, dense_build_all, dense_build_graphs,
+from dense_reference import (cross_block, dense_assemble_db, dense_build_all, dense_build_graphs,
                              dense_operator)
 
 KINDS = [
@@ -54,7 +54,7 @@ def test_operator_matches_dense_reference(seed, matrix_mode):
     mats = build_all(pair, matrix_mode)
     dense_mats = dense_build_all(pair, matrix_mode)
     for graph_mode in GRAPH_MODES:
-        graphs = build_graphs(pair, aff, graph_mode)
+        graphs = build_graphs(pair, cross_block(pair, aff), graph_mode)
         dense_graphs = dense_build_graphs(pair, aff, graph_mode)
         for kind in KINDS:
             op = assemble_db(mats, graphs if kind.boundary != "none" else None, kind)

@@ -95,6 +95,26 @@ class TestSpecValidation:
         with pytest.raises(ParameterError, match="repeat"):
             ExperimentSpec.from_dict(spec)
 
+    @pytest.mark.parametrize("key, value", [
+        ("dataset", ["source"]), ("dataset", "synthetic"), ("config", []),
+        ("config", None), ("config", "k=2"),
+    ])
+    def test_from_dict_rejects_non_object_dataset_or_config(self, tmp_path, key, value):
+        spec = {**fast_spec(tmp_path).to_dict(), key: value}
+        with pytest.raises(ParameterError, match=f"{key} must be a JSON object"):
+            ExperimentSpec.from_dict(spec)
+
+    @pytest.mark.parametrize("value", [[], ["seed"], 3])
+    def test_from_dict_rejects_a_non_object_recipe(self, tmp_path, value):
+        spec = fast_spec(tmp_path).to_dict()
+        spec["dataset"]["synthetic"] = value
+        with pytest.raises(ParameterError, match="dataset.synthetic must be a JSON object"):
+            ExperimentSpec.from_dict(spec)
+
+    def test_from_dict_rejects_a_non_object_spec(self):
+        with pytest.raises(ParameterError, match="spec must be a JSON object"):
+            ExperimentSpec.from_dict(["models", "output_dir"])
+
     def test_from_dict_accepts_an_integral_float_repeat(self, tmp_path):
         spec = ExperimentSpec.from_dict({**fast_spec(tmp_path).to_dict(), "repeat": 2.0})
         assert spec.repeat == 2 and type(spec.repeat) is int

@@ -17,12 +17,18 @@ from dbmmd.graphs import (
 )
 from dbmmd.mmd import build_all
 
-from dense_reference import dense_build_affinity, dense_build_graphs, dense_build_laplacian
+from dense_reference import (cross_block, dense_build_affinity, dense_build_graphs,
+                             dense_build_laplacian)
 
 
 def assert_bits_equal(a, b):
     assert a.shape == b.shape
     assert a.tobytes() == b.tobytes()
+
+
+def copy_of(aff):
+    """An affinity with its own entries, for an oracle read after the library consumes one."""
+    return AffinityMatrix(aff.entries.copy(), aff.sigma, aff.neighborhood_p)
 
 
 def grid_points(seed, n, span, d=2):
@@ -169,14 +175,14 @@ class TestBuildGraphs:
         # the block covers exactly the cross-domain positions
         pair = labeled_pair(1)
         aff = build_affinity(pair.packed_features(), sigma=float("inf"))
-        graphs = build_graphs(pair, aff, mode="literal")
+        graphs = build_graphs(pair, cross_block(pair, aff), mode="literal")
         assert graphs.weights.shape == (pair.n_source, pair.n_target)
         assert np.array_equal(graphs.weights, np.full(graphs.weights.shape, -1.0))
 
     def test_spirit_unit_affinity_values(self):
         pair = labeled_pair(2)
         aff = build_affinity(pair.packed_features(), sigma=float("inf"))
-        graphs = build_graphs(pair, aff, mode="spirit")
+        graphs = build_graphs(pair, cross_block(pair, aff), mode="spirit")
         # 1/W on same-class pairs, W on different-class pairs, W == 1
         assert np.array_equal(graphs.weights, np.full(graphs.weights.shape, 1.0))
 
@@ -189,7 +195,7 @@ class TestBuildGraphs:
         ys, yt = pair.source.labels, pair.target.pseudo_labels
         w = aff.entries
         for mode in ("spirit", "literal"):
-            graphs = build_graphs(pair, aff, mode=mode)
+            graphs = build_graphs(pair, cross_block(pair, aff), mode=mode)
             for i in range(n_s):
                 for j in range(pair.n_target):
                     inv = 1.0 / max(w[i, n_s + j], W_FLOOR)
@@ -214,7 +220,7 @@ class TestBuildGraphs:
         aff = build_affinity(pair.packed_features())
         w = aff.entries[:n_s, n_s:]
         assert np.all(w < 1.0)
-        graphs = build_graphs(pair, aff)
+        graphs = build_graphs(pair, cross_block(pair, aff))
         same_class = graphs.weights == 1.0 / np.maximum(w, W_FLOOR)
         assert np.array_equal(same_class, mc < 0.0)
 
@@ -224,7 +230,7 @@ class TestBuildGraphs:
         x = pair.packed_features()
         n_s = pair.n_source
         aff = build_affinity(x)
-        graphs = build_graphs(pair, aff, mode="spirit")
+        graphs = build_graphs(pair, cross_block(pair, aff), mode="spirit")
         same = pair.source.labels[:, None] == pair.target.pseudo_labels[None, :]
         idx = np.argwhere(same)
         d2 = np.array([np.sum((x[:, i] - x[:, n_s + j]) ** 2) for i, j in idx])
@@ -239,21 +245,24 @@ class TestBuildGraphs:
         )
         pair = make_pair(src, tgt)
         aff = build_affinity(pair.packed_features(), sigma=1.0)
-        graphs = build_graphs(pair, aff, mode="spirit")
+        graphs = build_graphs(pair, cross_block(pair, aff), mode="spirit")
         # the distant same-class pair underflows to w == 0; 1/W is floored
         assert graphs.weights.max() == 1.0 / W_FLOOR
 
     def test_shape_mismatch_rejected(self):
+        # the graphs take the (n_s, n_t) cross block, not the (n, n) affinity
         pair = labeled_pair(6)
-        aff = build_affinity(np.zeros((2, 3)), sigma=1.0)
+        aff = build_affinity(pair.packed_features())
         with pytest.raises(DimensionError):
-            build_graphs(pair, aff)
+            build_graphs(pair, aff.entries)
+        with pytest.raises(DimensionError):
+            build_graphs(pair, cross_block(pair, aff).T)
 
     def test_bad_mode(self):
         pair = labeled_pair(7)
         aff = build_affinity(pair.packed_features())
         with pytest.raises(ParameterError):
-            build_graphs(pair, aff, mode="vibes")
+            build_graphs(pair, cross_block(pair, aff), mode="vibes")
 
 
 class TestLaplacian:
@@ -285,8 +294,9 @@ class TestLaplacian:
     def test_bit_equal_to_dense_expression(self, n, p):
         rng = np.random.default_rng(n + p)
         aff = build_affinity(rng.normal(size=(4, n)), neighborhood_p=p)
+        expect = dense_build_laplacian(copy_of(aff))
         lap = build_laplacian(aff)
-        assert_bits_equal(lap, dense_build_laplacian(aff))
+        assert_bits_equal(lap, expect)
 
     def test_isolated_vertex_bit_equal_to_dense_expression(self):
         # vertex 3 has degree 0, which the normalization floors at W_FLOOR
@@ -296,15 +306,25 @@ class TestLaplacian:
         w[3] = w[:, 3] = 0.0
         np.fill_diagonal(w, 0.0)
         aff = AffinityMatrix(w, sigma=1.0, neighborhood_p=0)
+        expect = dense_build_laplacian(copy_of(aff))
         lap = build_laplacian(aff)
-        assert_bits_equal(lap, dense_build_laplacian(aff))
+        assert_bits_equal(lap, expect)
         assert np.all(lap[3] == 0.0)
 
     def test_asymmetric_weights_symmetrized_as_dense_expression(self):
         rng = np.random.default_rng(47)
         w = rng.uniform(0.0, 1.0, size=(270, 270))
-        before = w.copy()
         aff = AffinityMatrix(w, sigma=1.0, neighborhood_p=0)
+        expect = dense_build_laplacian(copy_of(aff))
         lap = build_laplacian(aff)
-        assert_bits_equal(lap, dense_build_laplacian(aff))
+        assert_bits_equal(lap, expect)
+        # the affinity is consumed: L is written over its entries
+        assert lap is w
+
+    def test_read_only_affinity_raises(self):
+        aff = build_affinity(np.random.default_rng(53).normal(size=(2, 9)))
+        before = aff.entries.copy()
+        aff.entries.flags.writeable = False
+        with pytest.raises(ValueError):
+            build_laplacian(aff)
         assert_bits_equal(aff.entries, before)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dbmmd import linalg
 from dbmmd.errors import DimensionError, NumericError, ParameterError
 from dbmmd.linalg import (
     centering_matrix,
@@ -17,7 +18,8 @@ from dbmmd.linalg import (
     sign_flips,
 )
 
-from dense_reference import dense_median_pairwise_distance, dense_pairwise_sq_dists
+from dense_reference import (dense_centering_matrix, dense_median_pairwise_distance,
+                             dense_pairwise_sq_dists)
 
 
 def loop_sq_dists(x):
@@ -60,7 +62,7 @@ class TestPairwiseSqDists:
         assert d.min() >= 0.0
         assert_allclose(d, d.T, atol=0)
 
-    @pytest.mark.parametrize("n", [5, 64, 300])
+    @pytest.mark.parametrize("n", [5, 64, 257, 300, 600])
     def test_bit_equal_to_out_of_place_expression(self, n):
         rng = np.random.default_rng(n)
         x = rng.normal(size=(8, n))
@@ -118,6 +120,65 @@ class TestMedianPairwiseDistance:
         with pytest.raises(DimensionError):
             median_pairwise_distance(np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("x", [
+        [[0.0, 2.0]],  # n = 2, one pair
+        [[1.0, 1.0, 1.0, 1.0, 1.0]],  # all points coincident: 0.0
+        [[0.0, 0.0, 0.0, 3.0, 3.0]],  # one positive value among zeros
+        [[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]],  # square corners: two values
+        [[0.0, 1.0, 0.5], [0.0, 0.0, 0.75 ** 0.5]],  # equilateral: all distances equal
+    ])
+    def test_blocked_selection_on_small_cases(self, x):
+        d2 = pairwise_sq_dists(np.array(x))
+        assert median_pairwise_distance(d2) == dense_median_pairwise_distance(d2)
+
+    def test_one_positive_pair(self):
+        d2 = np.zeros((5, 5))
+        d2[1, 3] = d2[3, 1] = 4.0
+        assert median_pairwise_distance(d2) == dense_median_pairwise_distance(d2) == 2.0
+
+    def test_all_distances_equal(self):
+        # a regular simplex: every positive entry is the same squared distance
+        d2 = np.full((40, 40), 2.0)
+        np.fill_diagonal(d2, 0.0)
+        assert median_pairwise_distance(d2) == dense_median_pairwise_distance(d2)
+        assert median_pairwise_distance(d2) == np.sqrt(2.0)
+
+    # B is the first double of a median bucket, its predecessor the last of the one before
+    B = (np.array([1.0]).view(np.int64) + (1 << linalg._BUCKET_SHIFT)).view(float)[0]
+
+    @pytest.mark.parametrize("values, p", [
+        ((np.nextafter(B, 0.0), B, np.nextafter(B, 2.0)), (0.3, 0.4, 0.3)),  # run over both ranks
+        ((np.nextafter(B, 0.0), B), (0.5, 0.5)),  # the ranks split across a bucket edge
+        ((1.0, 1.0 + 2.0 ** -40, 4.0), (0.45, 0.1, 0.45)),  # a run of 1.0 ends at the ranks
+    ])
+    @pytest.mark.parametrize("n", [301, 302, 1030])
+    def test_ties_straddling_the_middle_ranks(self, n, values, p):
+        rng = np.random.default_rng(n)
+        upper = rng.choice(values, size=n * (n - 1) // 2, p=p)
+        d2 = np.zeros((n, n))
+        d2[np.triu_indices(n, k=1)] = upper
+        d2 += d2.T
+        assert median_pairwise_distance(d2) == dense_median_pairwise_distance(d2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 96, 97, 511, 512, 1023])
+    def test_odd_even_and_block_remainders(self, n):
+        # pair counts of both parities, and n that is not a multiple of the
+        # row block of the passes; the two middle values land in different
+        # buckets when the spread is wide
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(3, n)) * np.exp(rng.uniform(-4.0, 4.0, size=n))
+        d2 = pairwise_sq_dists(x)
+        assert median_pairwise_distance(d2) == dense_median_pairwise_distance(d2)
+
+    def test_middle_ranks_in_different_buckets(self):
+        # 6 pairs {1, 1, 4, 4, 4, 9}: the middle two are 4 and 4; zero two
+        # of the 4s and they become 1 and 4, in buckets two octaves apart
+        d2 = np.array([[0.0, 1.0, 1.0, 4.0], [1.0, 0.0, 4.0, 4.0],
+                       [1.0, 4.0, 0.0, 9.0], [4.0, 4.0, 9.0, 0.0]])
+        assert median_pairwise_distance(d2) == dense_median_pairwise_distance(d2) == 2.0
+        d2[1, 2:] = d2[2:, 1] = 0.0
+        assert median_pairwise_distance(d2) == dense_median_pairwise_distance(d2) == 1.5
+
 
 class TestKernelMatrix:
     def test_linear_identity(self):
@@ -174,10 +235,19 @@ class TestKernelMatrix:
     def test_rbf_precomputed_distances_byte_equal(self, n):
         x = np.random.default_rng(n).normal(size=(3, n))
         d2 = pairwise_sq_dists(x)
-        before = d2.copy()
+        expect = np.exp(d2 / (-2.0 * 0.9 * 0.9))
         k = kernel_matrix(x, "rbf", sigma=0.9, sq_dists=d2)
         assert k.tobytes() == kernel_matrix(x, "rbf", sigma=0.9).tobytes()
-        assert d2.tobytes() == before.tobytes()
+        assert k.tobytes() == expect.tobytes()
+        # the distances are consumed: K is computed in their array
+        assert k is d2
+
+    def test_rbf_read_only_distances_raise(self):
+        x = np.random.default_rng(4).normal(size=(2, 6))
+        d2 = pairwise_sq_dists(x)
+        d2.flags.writeable = False
+        with pytest.raises(ValueError):
+            kernel_matrix(x, "rbf", sigma=1.0, sq_dists=d2)
 
     def test_precomputed_distances_argument_checks(self):
         x = np.random.default_rng(3).normal(size=(2, 4))
@@ -226,24 +296,43 @@ class TestKernelRange:
 
 
 class TestCenteringMatrix:
+    """``centering_matrix(s)`` is s H; H's own properties are checked on the oracle."""
+
     def test_n1(self):
-        assert_allclose(centering_matrix(1), np.array([[0.0]]), atol=0)
+        assert_allclose(dense_centering_matrix(1), np.array([[0.0]]), atol=0)
+        assert_allclose(centering_matrix(np.array([[3.0], [-2.0]])), np.zeros((2, 1)), atol=0)
 
     def test_n2(self):
-        assert_allclose(centering_matrix(2), np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=0)
+        assert_allclose(dense_centering_matrix(2), np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=0)
+        assert_allclose(centering_matrix(np.array([[1.0, 3.0]])), [[-1.0, 1.0]], atol=0)
 
     def test_idempotent_and_kills_ones(self):
-        h = centering_matrix(4)
+        h = dense_centering_matrix(4)
         assert_allclose(h @ h, h, atol=1e-14)
         assert_allclose(h @ np.ones(4), np.zeros(4), atol=1e-14)
+        # rows of s H sum to zero, and centering twice changes nothing
+        sh = centering_matrix(np.random.default_rng(8).normal(size=(3, 4)))
+        assert_allclose(sh.sum(axis=1), np.zeros(3), atol=1e-14)
+        assert_allclose(centering_matrix(sh), sh, atol=1e-15)
 
     def test_eigenvalues_zero_and_ones(self):
-        vals = np.sort(np.linalg.eigvalsh(centering_matrix(6)))
+        vals = np.sort(np.linalg.eigvalsh(dense_centering_matrix(6)))
         assert_allclose(vals, [0.0] + [1.0] * 5, atol=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
-            centering_matrix(0)
+            centering_matrix(np.zeros((3, 0)))
+        with pytest.raises(ParameterError):
+            centering_matrix(np.zeros(4))
+
+    @pytest.mark.parametrize("l, n", [(1, 1), (2, 7), (64, 300), (300, 300)])
+    def test_scatter_matches_s_h_st(self, l, n):
+        rng = np.random.default_rng(l + n)
+        s = rng.normal(loc=3.0, size=(l, n))
+        got = centering_matrix(s) @ s.T
+        want = s @ dense_centering_matrix(n) @ s.T
+        assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+        assert_allclose(centering_matrix(s), s @ dense_centering_matrix(n), rtol=0, atol=1e-13)
 
 
 class TestGenEigSmallest:

@@ -14,6 +14,8 @@ from dbmmd.linalg import kernel_matrix, kernel_range, median_pairwise_distance, 
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
+from dense_reference import cross_block
+
 RBF = AdaptConfig(k=2, lam=1.0, max_iter=2, kernel="rbf")
 
 
@@ -56,15 +58,15 @@ class TestValues:
         sigma = median_pairwise_distance(pairwise_sq_dists(x))
         assert ops.kernel().tobytes() == kernel_matrix(x, "rbf", sigma=sigma).tobytes()
         alone = build_affinity(x, None, 0)
-        assert ops.affinity().entries.tobytes() == alone.entries.tobytes()
-        assert ops.affinity().sigma == alone.sigma == sigma
+        assert ops.affinity().tobytes() == cross_block(pair, alone).tobytes()
+        assert alone.sigma == sigma
 
     def test_fixed_sigma_affinity_equals_build_affinity(self):
         pair = pair_of()
         cfg = RBF.replace(sigma_mode="fixed", sigma=0.7)
         ops = InputOperands(pair, cfg)
         alone = build_affinity(pair.packed_features(), 0.7, 0)
-        assert ops.affinity().entries.tobytes() == alone.entries.tobytes()
+        assert ops.affinity().tobytes() == cross_block(pair, alone).tobytes()
 
     @pytest.mark.parametrize("kernel, sigma_mode", [("rbf", "median"), ("linear", "median"),
                                                     ("poly", "fixed"), ("primal", "median")])
@@ -78,7 +80,22 @@ class TestValues:
         assert lap.tobytes() == build_laplacian(alone).tobytes()
         # the bandwidth the Laplacian resolved is reused, not recomputed
         dense = build_affinity(pair.packed_features(), cfg.sigma, 0)
-        assert ops.affinity().entries.tobytes() == dense.entries.tobytes()
+        assert ops.affinity().tobytes() == cross_block(pair, dense).tobytes()
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear", "poly", "primal"])
+    def test_affinity_holds_only_the_cross_block(self, kernel):
+        pair = pair_of(7, 100)
+        ops = InputOperands(pair, AdaptConfig(kernel=kernel))
+        cross = ops.affinity()
+        ns, nt = pair.n_source, pair.n_target
+        assert cross.shape == (ns, nt)
+        assert cross.nbytes == 8 * ns * nt
+        if kernel == "rbf":
+            # a view of K: the affinity adds no array of its own
+            assert np.shares_memory(cross, ops.kernel())
+        else:
+            # a copy: the dense affinity it was cut from is not kept
+            assert cross.base is None
 
     def test_kernel_range_of_k(self):
         ops = InputOperands(pair_of(), RBF)
@@ -89,7 +106,7 @@ class TestValues:
 class TestSharing:
     def test_arrays_are_read_only(self):
         ops = InputOperands(pair_of(), RBF)
-        arrays = [ops.x, ops.kernel(), *ops.kernel_range(), ops.affinity().entries,
+        arrays = [ops.x, ops.kernel(), *ops.kernel_range(), ops.affinity(),
                   ops.laplacian(), *ops.range_terms()]
         for a in arrays:
             assert not a.flags.writeable

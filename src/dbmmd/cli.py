@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
-from .datamodel import AdaptConfig
-from .errors import FormatError, ParameterError
+from .datamodel import AdaptConfig, from_json
 from .experiment import ExperimentSpec, rerender_summary, run_experiment, write_synthetic_files
-from .synthetic import SyntheticRecipe
+from .synthetic import SHIFT_KINDS, SyntheticRecipe
 
 CONFIG_FLAGS = [f.name for f in dataclasses.fields(AdaptConfig)]
 
@@ -28,36 +26,26 @@ def _add_config_overrides(parser: argparse.ArgumentParser) -> None:
         grp.add_argument(f"--{name.replace('_', '-')}", dest=f"cfg_{name}", default=None)
 
 
-def _coerce(raw: str, current):
-    if isinstance(current, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float) or current is None:
+def _override_value(raw: str):
+    """An override as JSON would carry it: none is null, a number a number, else a string."""
+    if raw.lower() == "none":
+        return None
+    try:
         return float(raw)
-    return raw
+    except ValueError:
+        return raw
 
 
 def _apply_overrides(config: AdaptConfig, args: argparse.Namespace) -> AdaptConfig:
-    updates = {}
-    for name in CONFIG_FLAGS:
-        raw = getattr(args, f"cfg_{name}", None)
-        if raw is None:
-            continue
-        current = getattr(config, name)
-        if name in ("kernel", "sigma_mode", "graph_mode", "matrix_mode"):
-            updates[name] = raw
-        else:
-            updates[name] = _coerce(raw, current)
-    return config.replace(**updates) if updates else config
+    """config with the given overrides, each typed by its field as a spec value is."""
+    given = {name: _override_value(raw) for name in CONFIG_FLAGS
+             if (raw := getattr(args, f"cfg_{name}")) is not None}
+    return from_json(AdaptConfig, {**config.to_dict(), **given}, "config") if given else config
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    shift_param = args.shift_param
-    if "," in shift_param:
-        param: float | tuple = tuple(float(v) for v in shift_param.split(","))
-    else:
-        param = float(shift_param)
+    values = tuple(float(v) for v in args.shift_param.split(","))
+    param = values if "," in args.shift_param else values[0]
     recipe = SyntheticRecipe(
         class_count=args.classes,
         samples_per_class=args.per_class,
@@ -101,8 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--classes", type=int, default=3)
     synth.add_argument("--per-class", type=int, default=50)
     synth.add_argument("--dim", type=int, default=2)
-    synth.add_argument("--shift", default="rotation",
-                       choices=("rotation", "translation", "cov_scale"))
+    synth.add_argument("--shift", default="rotation", choices=SHIFT_KINDS)
     synth.add_argument("--shift-param", default="30.0",
                        help="degrees, offset (comma separated for a vector), or scale")
     synth.add_argument("--noise", type=float, default=0.5)
@@ -129,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParameterError, FormatError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # ParameterError, FormatError and bad JSON among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

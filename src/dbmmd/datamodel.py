@@ -6,7 +6,10 @@ edited in place, so a fixed config and seed always replays bit-identically.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import types
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +17,6 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 
 KERNEL_KINDS = ("primal", "linear", "rbf", "poly")
-SIGMA_MODES = ("median", "fixed")
 GRAPH_MODES = ("literal", "spirit")
 MATRIX_MODES = ("literal", "rank_one_sum")
 
@@ -35,16 +37,64 @@ def _frozen_labels(y, m: int, what: str) -> np.ndarray:
     y = np.array(y, copy=True)
     if y.ndim != 1 or y.shape[0] != m:
         raise DimensionError(f"{what} must be 1-D of length {m}, got shape {y.shape}")
-    if not np.issubdtype(y.dtype, np.integer):
-        if not np.all(y == np.floor(y)):
-            raise ParameterError(f"{what} must be integers")
-        y = y.astype(np.int64)
-    else:
-        y = y.astype(np.int64)
+    if not np.issubdtype(y.dtype, np.integer) and not np.all(y == np.floor(y)):
+        raise ParameterError(f"{what} must be integers")
+    y = y.astype(np.int64)
     if (y < 0).any():
         raise ParameterError(f"{what} must be nonnegative")
     y.setflags(write=False)
     return y
+
+
+def _fit(tp, value, key: str):
+    """value, read from JSON, as a field declared tp holds it.
+
+    An int takes an integral number, a float any number, a tuple[X, ...]
+    an array of X, and only a bool field takes a bool. ParameterError
+    names key when the value does not fit.
+    """
+    if isinstance(tp, types.UnionType):
+        for alt in typing.get_args(tp):
+            with contextlib.suppress(ParameterError):
+                return _fit(alt, value, key)
+    elif typing.get_origin(tp) is tuple:
+        if isinstance(value, list):
+            item = typing.get_args(tp)[0]
+            return tuple(_fit(item, v, f"{key}[{i}]") for i, v in enumerate(value))
+    elif isinstance(value, bool) != (tp is bool):
+        pass  # a bool is not a number here, and a bool field takes nothing else
+    elif tp is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    elif isinstance(value, (int, float) if tp is float else tp):
+        return value
+    raise ParameterError(f"{key} must be {tp.__name__ if isinstance(tp, type) else tp}, "
+                         f"got {value!r}")
+
+
+def json_field(cls, name: str, value, key: str | None = None):
+    """``_fit`` to the declared type of field ``name`` of the dataclass cls."""
+    return _fit(typing.get_type_hints(cls)[name], value, key or name)
+
+
+def json_object(value, what: str) -> dict:
+    """value, when it is a JSON object (a dict); ParameterError otherwise."""
+    if not isinstance(value, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def from_json(cls, d, what: str):
+    """The frozen dataclass cls built from d, the JSON object called what.
+
+    Every key must name a field and every value fit that field's type;
+    omitted keys take the field defaults.
+    """
+    json_object(d, what)
+    extra = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if extra:
+        raise ParameterError(f"unknown {what} keys: {sorted(extra)}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{k: _fit(hints[k], v, f"{what}.{k}") for k, v in d.items()})
 
 
 def remap_labels(raw) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -195,8 +245,7 @@ class AdaptConfig:
     mu: float = 0.01
     max_iter: int = 10
     kernel: str = "primal"
-    sigma_mode: str = "median"
-    sigma: float | None = None
+    sigma: float | None = None  # None: the median pairwise distance
     degree: int = 2
     neighborhood_p: int = 5
     graph_mode: str = "spirit"
@@ -216,12 +265,8 @@ class AdaptConfig:
             raise ParameterError(f"max_iter must be a positive integer, got {self.max_iter}")
         if self.kernel not in KERNEL_KINDS:
             raise ParameterError(f"kernel must be one of {KERNEL_KINDS}, got {self.kernel!r}")
-        if self.sigma_mode not in SIGMA_MODES:
-            raise ParameterError(
-                f"sigma_mode must be one of {SIGMA_MODES}, got {self.sigma_mode!r}"
-            )
-        if self.sigma_mode == "fixed" and (self.sigma is None or not self.sigma > 0.0):
-            raise ParameterError("sigma_mode='fixed' needs sigma > 0")
+        if self.sigma is not None and not self.sigma > 0.0:
+            raise ParameterError(f"sigma must be positive or None, got {self.sigma}")
         if int(self.degree) != self.degree or self.degree < 1:
             raise ParameterError(f"degree must be a positive integer, got {self.degree}")
         if int(self.neighborhood_p) != self.neighborhood_p or self.neighborhood_p < 0:
@@ -249,11 +294,7 @@ class AdaptConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AdaptConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(d) - known
-        if extra:
-            raise ParameterError(f"unknown config keys: {sorted(extra)}")
-        return cls(**d)
+        return from_json(cls, d, "config")
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import ModelKind, run_adaptation
-from .datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pair
+from .datamodel import (AdaptConfig, LabeledDomain, UnlabeledDomain, from_json, json_field,
+                        json_object, make_pair)
 from .errors import FormatError, ParameterError
 from .io import atomic_write_text, load_features, save_features
 from .operands import InputOperands
@@ -52,13 +53,6 @@ SUMMARY_COLUMNS = (
     "iterations_to_fixed_point",
     "status",
 )
-
-
-def _json_object(value, what: str) -> dict:
-    """value, when it is a JSON object (a dict); ParameterError otherwise."""
-    if not isinstance(value, dict):
-        raise ParameterError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -93,45 +87,37 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        d = _json_object(d, "spec")
-        allowed = {
-            "models", "config", "output_dir", "repeat", "dataset",
-            "data_format", "dump_embeddings",
-        }
+        json_object(d, "spec")
+        allowed = {"models", "config", "output_dir", "repeat", "dataset", "data_format",
+                   "dump_embeddings"}
         extra = set(d) - allowed
         if extra:
             raise ParameterError(f"unknown spec keys: {sorted(extra)}")
         try:
-            models = tuple(str(m) for m in d["models"])
-            output_dir = str(d["output_dir"])
-            dataset = _json_object(d.get("dataset", {}), "dataset")
+            models = json_field(cls, "models", d["models"])
+            output_dir = json_field(cls, "output_dir", d["output_dir"])
         except KeyError as exc:
             raise ParameterError(f"spec missing required key: {exc}") from None
+        dataset = json_object(d.get("dataset", {}), "dataset")
         extra = set(dataset) - {"synthetic", "source", "target", "target_labels"}
         if extra:
             raise ParameterError(f"unknown dataset keys: {sorted(extra)}")
-        repeat = d.get("repeat", 1)
-        if isinstance(repeat, float) and repeat.is_integer():
-            repeat = int(repeat)
-        if type(repeat) is not int:  # also rejects a bool
-            raise ParameterError(f"repeat must be an integer, got {repeat!r}")
-        dump_embeddings = d.get("dump_embeddings", False)
-        if not isinstance(dump_embeddings, bool):
-            raise ParameterError(f"dump_embeddings must be true or false, got {dump_embeddings!r}")
+        paths = {
+            f"{role}_path": json_field(cls, f"{role}_path", dataset.get(role), f"dataset.{role}")
+            for role in ("source", "target", "target_labels")
+        }
         synthetic = dataset.get("synthetic")
         if synthetic is not None:
-            synthetic = SyntheticRecipe.from_dict(_json_object(synthetic, "dataset.synthetic"))
+            synthetic = from_json(SyntheticRecipe, synthetic, "dataset.synthetic")
         return cls(
             models=models,
-            config=AdaptConfig.from_dict(_json_object(d.get("config", {}), "config")),
+            config=from_json(AdaptConfig, d.get("config", {}), "config"),
             output_dir=output_dir,
-            repeat=repeat,
+            repeat=json_field(cls, "repeat", d.get("repeat", 1)),
             synthetic=synthetic,
-            source_path=dataset.get("source"),
-            target_path=dataset.get("target"),
-            target_labels_path=dataset.get("target_labels"),
-            data_format=d.get("data_format"),
-            dump_embeddings=dump_embeddings,
+            data_format=json_field(cls, "data_format", d.get("data_format")),
+            dump_embeddings=json_field(cls, "dump_embeddings", d.get("dump_embeddings", False)),
+            **paths,
         )
 
     @classmethod
@@ -289,10 +275,16 @@ def render_summary_md(rows: list[dict], title: str) -> str:
     return "\n".join(out)
 
 
-def _write_outputs(spec: ExperimentSpec, rows: list[dict], runs: list[dict],
-                   out_dir: Path) -> None:
+def _summarize(spec: ExperimentSpec, runs: list[dict], out_dir: Path) -> ExperimentResult:
+    """Aggregate the run rows, write summary.csv/summary.md, and set the exit code."""
+    rows = _aggregate(spec, runs)
     atomic_write_text(out_dir / "summary.csv", render_summary_csv(rows))
     atomic_write_text(out_dir / "summary.md", render_summary_md(rows, "Adaptation summary"))
+    exit_code = 0 if all(r["status"] == "ok" for r in runs) else 1
+    return ExperimentResult(rows=rows, runs=runs, output_dir=out_dir, exit_code=exit_code)
+
+
+def _write_outputs(spec: ExperimentSpec, runs: list[dict], out_dir: Path) -> None:
     atomic_write_text(
         out_dir / "runs.json",
         json.dumps([{k: v for k, v in r.items() if k != "wall_time"} for r in runs],
@@ -353,10 +345,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             row["report"] = str(report_path.relative_to(out_dir))
             row["wall_time"] = report.wall_time
             runs.append(row)
-    rows = _aggregate(spec, runs)
-    _write_outputs(spec, rows, runs, out_dir)
-    exit_code = 0 if all(r["status"] == "ok" for r in runs) else 1
-    return ExperimentResult(rows=rows, runs=runs, output_dir=out_dir, exit_code=exit_code)
+    result = _summarize(spec, runs, out_dir)
+    _write_outputs(spec, runs, out_dir)
+    return result
 
 
 def rerender_summary(output_dir: str | Path) -> ExperimentResult:
@@ -370,11 +361,7 @@ def rerender_summary(output_dir: str | Path) -> ExperimentResult:
     runs = json.loads(runs_path.read_text())
     for run in runs:
         run.setdefault("wall_time", None)
-    rows = _aggregate(spec, runs)
-    atomic_write_text(out_dir / "summary.csv", render_summary_csv(rows))
-    atomic_write_text(out_dir / "summary.md", render_summary_md(rows, "Adaptation summary"))
-    exit_code = 0 if all(r["status"] == "ok" for r in runs) else 1
-    return ExperimentResult(rows=rows, runs=runs, output_dir=out_dir, exit_code=exit_code)
+    return _summarize(spec, runs, out_dir)
 
 
 def write_synthetic_files(recipe: SyntheticRecipe, out_dir: str | Path,

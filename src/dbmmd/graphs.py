@@ -74,7 +74,6 @@ def build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0) -> Af
         np.logical_not(keep, out=keep)
         w[keep] = 0.0
     np.fill_diagonal(w, 0.0)
-    symmetrize_inplace(w)
     return AffinityMatrix(w, float(sigma), p)
 
 

@@ -211,7 +211,9 @@ def kernel_range(kmat) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"kernel matrix must be square, got shape {k.shape}")
     if not np.isfinite(k).all():
         raise ParameterError("kernel matrix contains non-finite entries")
-    w, u = scipy.linalg.eigh(_check_symmetric(k, "kernel"))
+    # the symmetrized copy is ours, and its transpose is the same matrix in
+    # the Fortran order LAPACK factors in place, so eigh copies nothing
+    w, u = scipy.linalg.eigh(_check_symmetric(k, "kernel").T, overwrite_a=True)
     n = k.shape[0]
     keep = w > n * np.finfo(float).eps * max(float(w[-1]), 0.0)
     return u[:, keep], w[keep]

@@ -42,7 +42,7 @@ class InputOperands:
         self.pair = pair
         self.cfg = cfg
         self.x = _read_only(pair.packed_features())
-        self._sigma = cfg.sigma if cfg.sigma_mode == "fixed" else None
+        self._sigma = cfg.sigma
         self._kernel: np.ndarray | None = None
         self._range: tuple[np.ndarray, np.ndarray] | None = None
         self._range_terms: tuple[np.ndarray, np.ndarray] | None = None

@@ -8,11 +8,12 @@ complete, replayable description of the dataset.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import DomainPair, LabeledDomain, UnlabeledDomain, make_pair
+from .datamodel import DomainPair, LabeledDomain, UnlabeledDomain, from_json, make_pair
 from .errors import ParameterError
 
 CENTER_RADIUS = 3.0
@@ -48,36 +49,18 @@ class SyntheticRecipe:
             raise ParameterError(f"shift must be one of {SHIFT_KINDS}, got {self.shift!r}")
         if self.noise_sigma < 0.0:
             raise ParameterError("noise_sigma must be nonnegative")
-        if isinstance(self.shift_param, (list, np.ndarray)):
+        if isinstance(self.shift_param, (list, tuple, np.ndarray)):
             object.__setattr__(self, "shift_param", tuple(float(v) for v in self.shift_param))
 
     def to_dict(self) -> dict:
-        d = {
-            "class_count": self.class_count,
-            "samples_per_class": self.samples_per_class,
-            "feature_dim": self.feature_dim,
-            "shift": self.shift,
-            "shift_param": self.shift_param,
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-        }
+        d = dataclasses.asdict(self)
         if isinstance(d["shift_param"], tuple):
             d["shift_param"] = list(d["shift_param"])
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticRecipe":
-        allowed = {
-            "class_count", "samples_per_class", "feature_dim",
-            "shift", "shift_param", "noise_sigma", "seed",
-        }
-        extra = set(d) - allowed
-        if extra:
-            raise ParameterError(f"unknown recipe keys: {sorted(extra)}")
-        d = dict(d)
-        if isinstance(d.get("shift_param"), list):
-            d["shift_param"] = tuple(float(v) for v in d["shift_param"])
-        return cls(**d)
+        return from_json(cls, d, "recipe")
 
 
 @dataclass(frozen=True)

@@ -195,9 +195,7 @@ def test_criterion_3_unit_affinity_reductions(golden):
     with criterion(3, "unit-affinity reductions"):
         recipe = SyntheticRecipe.from_dict(golden["recipe"])
         ds = generate_synthetic(recipe)
-        cfg = AdaptConfig.from_dict(golden["config"]).replace(
-            sigma_mode="fixed", sigma=float("inf")
-        )
+        cfg = AdaptConfig.from_dict(golden["config"]).replace(sigma=float("inf"))
         pair = ds.pair.with_pseudo_labels(ds.target_truth)
         mats = build_all(pair, cfg.matrix_mode)
         aff = build_affinity(pair.packed_features(), float("inf"))

@@ -28,7 +28,7 @@ from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
 from dense_reference import cross_block, dense_meda_solve, dense_meda_system, dense_operator
 
-UNIT_AFFINITY = dict(sigma_mode="fixed", sigma=float("inf"))
+UNIT_AFFINITY = dict(sigma=float("inf"))
 
 
 def labeled_pair(seed=0, n_s=8, n_t=7, class_count=3):
@@ -525,12 +525,12 @@ class TestMedaRangeSolve:
     # (config, numerical rank r, relative objective tolerance)
     CASES = {
         # at this sigma every eigenvalue of K survives the n * eps cut
-        "rbf-full-rank": (dict(kernel="rbf", sigma_mode="fixed", sigma=2.5), "n", 1e-12),
+        "rbf-full-rank": (dict(kernel="rbf", sigma=2.5), "n", 1e-12),
         # Affinities below W_FLOOR give CG weights of 1e6, and the MEDA+CG
         # system has condition number 7e7. Against a 40-digit solve of the
         # same float inputs the range solve's objectives are off by up to
         # 1.4e-12 relative, the n x n LU's by 1.1e-13.
-        "rbf-floored-graph": (dict(kernel="rbf", sigma_mode="fixed", sigma=1.5), "n", 1e-11),
+        "rbf-floored-graph": (dict(kernel="rbf", sigma=1.5), "n", 1e-11),
         "linear": (dict(kernel="linear"), 2, 1e-12),
         "poly": (dict(kernel="poly", degree=2), 6, 1e-12),
     }
@@ -560,7 +560,7 @@ class TestMedaRangeSolve:
         # all features zero: K = 0, r = 0, so scores vanish and beta = Y / eta
         ys = np.array([0, 0, 1, 1, 2, 2])
         pair = make_pair(LabeledDomain(np.zeros((2, 6)), ys), UnlabeledDomain(np.zeros((2, 5))))
-        cfg = AdaptConfig(kernel="linear", sigma_mode="fixed", sigma=1.0, max_iter=2,
+        cfg = AdaptConfig(kernel="linear", sigma=1.0, max_iter=2,
                           meda_eta=2.0)
         report = run_meda_cg(pair, cfg, ModelKind("MEDA"))
         want = np.zeros((11, 3))

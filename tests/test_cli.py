@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from dbmmd.cli import main
 from dbmmd.io import load_features
@@ -128,6 +129,59 @@ class TestRun:
         spec = write_spec(tmp_path)
         assert main(["run", str(spec), "--seed", "1"]) == 2
 
+    def test_sigma_mode_is_not_a_config_flag(self, tmp_path, capsys):
+        # sigma alone picks the bandwidth: a number, or none for the median
+        spec = write_spec(tmp_path)
+        assert main(["run", str(spec), "--sigma-mode", "median"]) == 2
+
+    @pytest.mark.parametrize("key, where, value", [
+        ("lam", "config", "1"),
+        ("class_count", "recipe", "3"),
+        ("k", "config", True),
+        ("max_iter", "config", 2.5),
+        ("sigma_mode", "config", "fixed"),
+        ("models", "spec", "JDA"),
+        ("output_dir", "spec", None),
+    ])
+    def test_malformed_spec_value_is_exit_2(self, tmp_path, capsys, key, where, value):
+        spec = json.loads(write_spec(tmp_path).read_text())
+        target = {"spec": spec, "config": spec["config"],
+                  "recipe": spec["dataset"]["synthetic"]}[where]
+        target[key] = value
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert main(["run", str(tmp_path / "spec.json")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_runs_as_an_int(self, tmp_path):
+        spec = write_spec(tmp_path, config={"k": 2, "lam": 1.0, "max_iter": 2.0})
+        assert main(["run", str(spec)]) == 0
+        report = json.loads((tmp_path / "out" / "reports" / "JDA_rep0.json").read_text())
+        assert report["config"]["max_iter"] == 2 and isinstance(report["config"]["max_iter"], int)
+
+    def test_float_override_over_an_integer_spec_value(self, tmp_path):
+        # the override is typed by the field (float), not by the value the spec holds
+        spec = write_spec(tmp_path, config={"k": 2, "lam": 1, "max_iter": 3})
+        assert main(["run", str(spec), "--lam", "0.5"]) == 0
+        report = json.loads((tmp_path / "out" / "reports" / "JDA_rep0.json").read_text())
+        assert report["config"]["lam"] == 0.5
+
+    def test_sigma_none_override_restores_the_median(self, tmp_path):
+        config = {"k": 2, "lam": 1.0, "max_iter": 3, "kernel": "rbf"}
+        reports = []
+        for i, (extra, flags) in enumerate([({}, []), ({"sigma": 2.0}, ["--sigma", "none"]),
+                                            ({"sigma": 2.0}, [])]):
+            out = tmp_path / f"out{i}"
+            spec = write_spec(tmp_path, config={**config, **extra}, output_dir=str(out))
+            assert main(["run", str(spec), *flags]) == 0
+            reports.append(json.loads((out / "reports" / "JDA_rep0.json").read_text()))
+        median, overridden, fixed = reports
+        assert overridden["config"]["sigma"] is None
+        assert overridden["iterations"] == median["iterations"]
+        # a given sigma is the bandwidth, so it changes the run
+        assert fixed["config"]["sigma"] == 2.0
+        assert fixed["iterations"] != median["iterations"]
+
 
 class TestReport:
     def test_rerenders_summary(self, tmp_path, capsys):
@@ -150,6 +204,18 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(tmp_path / "out")]) == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_config_with_a_sigma_mode_is_exit_2(self, tmp_path, capsys):
+        # experiment.json files that still carry the removed "sigma_mode" key
+        spec = write_spec(tmp_path)
+        assert main(["run", str(spec)]) == 0
+        stored = tmp_path / "out" / "experiment.json"
+        payload = json.loads(stored.read_text())
+        payload["config"]["sigma_mode"] = "median"
+        stored.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "out")]) == 2
+        assert "sigma_mode" in capsys.readouterr().err
 
     def test_non_experiment_dir_is_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2

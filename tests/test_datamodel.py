@@ -167,7 +167,7 @@ class TestAdaptConfig:
         assert cfg.mu == 0.01
         assert cfg.max_iter == 10
         assert cfg.kernel == "primal"
-        assert cfg.sigma_mode == "median"
+        assert cfg.sigma is None
         assert cfg.graph_mode == "spirit"
         assert cfg.matrix_mode == "literal"
         assert cfg.meda_alpha == 10.0
@@ -175,7 +175,7 @@ class TestAdaptConfig:
         assert cfg.meda_eta == 1.0
 
     def test_roundtrip_dict(self):
-        cfg = AdaptConfig(k=5, kernel="rbf", sigma_mode="fixed", sigma=2.0)
+        cfg = AdaptConfig(k=5, kernel="rbf", sigma=2.0)
         assert AdaptConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_key_rejected(self):
@@ -196,9 +196,9 @@ class TestAdaptConfig:
             {"mu": 0.0},
             {"max_iter": 0},
             {"kernel": "quantum"},
-            {"sigma_mode": "guess"},
-            {"sigma_mode": "fixed"},  # fixed requires sigma
-            {"sigma_mode": "fixed", "sigma": 0.0},
+            {"sigma": 0.0},
+            {"sigma": -1.0},
+            {"sigma": float("nan")},
             {"degree": 0},
             {"neighborhood_p": -1},
             {"graph_mode": "vibes"},
@@ -213,9 +213,30 @@ class TestAdaptConfig:
         with pytest.raises(ParameterError):
             AdaptConfig(**kwargs)
 
+    @pytest.mark.parametrize("d, field, expected", [
+        ({"k": 2.0}, "k", 2),
+        ({"lam": 1}, "lam", 1),
+        ({"lam": 0.5}, "lam", 0.5),
+        ({"sigma": None}, "sigma", None),
+        ({"sigma": 3}, "sigma", 3),
+        ({"kernel": "rbf"}, "kernel", "rbf"),
+    ])
+    def test_from_dict_types_by_field(self, d, field, expected):
+        value = getattr(AdaptConfig.from_dict(d), field)
+        assert value == expected and type(value) is type(expected)
+
+    @pytest.mark.parametrize("d", [
+        {"k": 2.5}, {"k": True}, {"k": "2"}, {"k": float("inf")}, {"max_iter": None},
+        {"lam": True}, {"lam": "1"}, {"sigma": "median"}, {"sigma": [1.0]}, {"kernel": 3},
+    ])
+    def test_from_dict_rejects_a_value_of_another_type(self, d):
+        (key,) = d
+        with pytest.raises(ParameterError, match=rf"config\.{key} must be"):
+            AdaptConfig.from_dict(d)
+
     def test_fixed_sigma_inf_allowed(self):
         # exp(-d^2 / inf) == 1 exactly, which is how W == 1 graphs are forced
-        cfg = AdaptConfig(sigma_mode="fixed", sigma=float("inf"))
+        cfg = AdaptConfig(sigma=float("inf"))
         assert cfg.sigma == float("inf")
 
 

@@ -125,6 +125,17 @@ class TestSpecValidation:
         with pytest.raises(ParameterError, match="dump_embeddings"):
             ExperimentSpec.from_dict(spec)
 
+    def test_from_dict_rejects_a_string_of_models(self, tmp_path):
+        # a string is not read as its letters, the models "J", "D" and "A"
+        spec = {**fast_spec(tmp_path).to_dict(), "models": "JDA"}
+        with pytest.raises(ParameterError, match="models"):
+            ExperimentSpec.from_dict(spec)
+
+    def test_from_dict_rejects_a_null_output_dir(self, tmp_path):
+        spec = {**fast_spec(tmp_path).to_dict(), "output_dir": None}
+        with pytest.raises(ParameterError, match="output_dir"):
+            ExperimentSpec.from_dict(spec)
+
     def test_from_json_file_errors(self, tmp_path):
         with pytest.raises(ParameterError, match="no such spec"):
             ExperimentSpec.from_json_file(tmp_path / "ghost.json")
@@ -194,6 +205,13 @@ class TestRunExperiment:
         assert "ParameterError" in failed_run["error"]
         summary = (result.output_dir / "summary.csv").read_text()
         assert "failed" in summary
+
+    def test_vector_shift_param_round_trips_byte_identically(self, tmp_path):
+        recipe = dataclasses.replace(FAST_RECIPE, shift="translation", shift_param=[1.5, -0.5])
+        run_experiment(fast_spec(tmp_path, synthetic=recipe, models=("JDA",)))
+        stored = (tmp_path / "out" / "experiment.json").read_text()
+        again = ExperimentSpec.from_dict(json.loads(stored)).to_dict()
+        assert json.dumps(again, indent=2) + "\n" == stored
 
     def test_rerender_matches_original(self, tmp_path):
         result = run_experiment(fast_spec(tmp_path))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,6 +295,20 @@ class TestKernelRange:
             kernel_range(np.array([[1.0, 2.0], [0.0, 1.0]]))
         with pytest.raises(ParameterError):
             kernel_range(np.full((2, 2), np.nan))
+
+    def test_one_symmetrized_copy_and_the_basis(self):
+        # the symmetrized copy of K is factored in place: besides it the call
+        # holds only the eigenvectors, LAPACK workspace and n^2-byte masks
+        n = 600
+        kmat = kernel_matrix(np.random.default_rng(72).normal(size=(3, n)), "rbf", sigma=1.0)
+        tracemalloc.start()
+        try:
+            basis, _ = kernel_range(kmat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.shape[0] == n
+        assert peak < 2.5 * 8 * n * n
 
 
 class TestCenteringMatrix:

@@ -63,17 +63,16 @@ class TestValues:
 
     def test_fixed_sigma_affinity_equals_build_affinity(self):
         pair = pair_of()
-        cfg = RBF.replace(sigma_mode="fixed", sigma=0.7)
+        cfg = RBF.replace(sigma=0.7)
         ops = InputOperands(pair, cfg)
         alone = build_affinity(pair.packed_features(), 0.7, 0)
         assert ops.affinity().tobytes() == cross_block(pair, alone).tobytes()
 
-    @pytest.mark.parametrize("kernel, sigma_mode", [("rbf", "median"), ("linear", "median"),
-                                                    ("poly", "fixed"), ("primal", "median")])
-    def test_laplacian_equals_separate_build(self, kernel, sigma_mode):
+    @pytest.mark.parametrize("kernel, bandwidth", [("rbf", "median"), ("linear", "median"),
+                                                   ("poly", "fixed"), ("primal", "median")])
+    def test_laplacian_equals_separate_build(self, kernel, bandwidth):
         pair = pair_of()
-        cfg = AdaptConfig(kernel=kernel, sigma_mode=sigma_mode,
-                          sigma=1.1 if sigma_mode == "fixed" else None)
+        cfg = AdaptConfig(kernel=kernel, sigma=1.1 if bandwidth == "fixed" else None)
         ops = InputOperands(pair, cfg)
         lap = ops.laplacian()
         alone = build_affinity(pair.packed_features(), cfg.sigma, cfg.neighborhood_p)

@@ -17,6 +17,22 @@ class TestRecipe:
         with pytest.raises(ParameterError):
             SyntheticRecipe.from_dict({"class_count": 2, "flavor": "spicy"})
 
+    def test_from_dict_reads_an_array_shift_param_as_floats(self):
+        recipe = SyntheticRecipe.from_dict({"shift": "translation", "shift_param": [1, -2]})
+        assert recipe.shift_param == (1.0, -2.0)
+        assert all(type(v) is float for v in recipe.shift_param)
+        assert recipe.to_dict()["shift_param"] == [1.0, -2.0]
+
+    @pytest.mark.parametrize("d, key", [
+        ({"shift_param": [1.0, "x"]}, "shift_param"),
+        ({"shift_param": True}, "shift_param"),
+        ({"seed": 7.5}, "seed"),
+        ({"shift": None}, "shift"),
+    ])
+    def test_from_dict_rejects_a_value_of_another_type(self, d, key):
+        with pytest.raises(ParameterError, match=f"recipe.{key} must be"):
+            SyntheticRecipe.from_dict(d)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

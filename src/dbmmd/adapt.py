@@ -20,11 +20,13 @@ stop changing or the iteration cap is reached.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 
 from .classify import accuracy, hard_labels, nn_classify, one_hot, propagate_labels
 from .datamodel import AdaptConfig, AdaptationReport, DomainPair, IterationRecord
@@ -35,7 +37,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .graphs import BoundaryGraphs, build_affinity, build_graphs, build_laplacian
-from .linalg import centering_matrix, gen_eig_smallest, sign_flips
+from .linalg import centering_matrix, gen_eig_smallest, matmul, sign_flips
 from .mmd import MmdTables, build_all, group_sums
 from .operands import InputOperands
 
@@ -106,22 +108,22 @@ class MmdOperator:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """M x for an (n, m) x, from the group sums P^T x and, with a graph, D."""
         sums = group_sums(x.T, self.groups, self.fixed.shape[0]).T
-        out = (self.table @ sums)[self.groups]
+        out = matmul(self.table, sums)[self.groups]
         d = self.correction()
         if d is not None:
             ns = self.n_source
-            out[:ns] += d @ x[ns:]
-            out[ns:] += d.T @ x[:ns]
+            out[:ns] += matmul(d, x[ns:])
+            out[ns:] += matmul(d.T, x[:ns])
         return out
 
     def sandwich(self, s: np.ndarray) -> np.ndarray:
         """s M s^T from the group sums sP and, with a graph, the D block."""
         sp = group_sums(s, self.groups, self.fixed.shape[0])
-        out = sp @ self.table @ sp.T
+        out = matmul(matmul(sp, self.table), sp.T)
         d = self.correction()
         if d is not None:
             ns = self.n_source
-            half = s[:, :ns] @ d @ s[:, ns:].T
+            half = matmul(matmul(s[:, :ns], d), s[:, ns:].T)
             out += half + half.T
         return out
 
@@ -193,15 +195,15 @@ def solve_projection(s: np.ndarray, db: MmdOperator, k: int,
         raise ParameterError(f"operator covers {db.groups.size} samples, not n={n}")
     left = db.sandwich(s)
     left = 0.5 * (left + left.T) + lam * np.eye(s.shape[0])
-    right = centering_matrix(s) @ s.T
+    right = matmul(centering_matrix(s), s.T)
     right = 0.5 * (right + right.T)
     eigvals, a = gen_eig_smallest(left, right, k)
-    objective = float(np.trace(a.T @ left @ a))
+    objective = float(np.trace(matmul(matmul(a.T, left), a)))
     return a, tuple(eigvals.tolist()), objective
 
 
 def _data_operand(cfg: AdaptConfig, ops: InputOperands) -> tuple[np.ndarray | None, np.ndarray]:
-    """(basis, s): s is the operand the pencil sees; the projection is basis @ A.
+    """(basis, s): s is the operand the pencil sees; the projection is basis A.
 
     Primal mode has no basis. Kernel mode solves in the numerical range of
     K, so the right operand is not held together by the ridge alone and a
@@ -223,7 +225,7 @@ def _expand(basis: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The eigenvectors of K carry arbitrary signs of their own.
     """
-    a = basis @ c
+    a = matmul(basis, c)
     flip = sign_flips(a)
     return a * flip, c * flip
 
@@ -314,7 +316,7 @@ def run_adaptation(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind,
     def solve(p: DomainPair, db: MmdOperator):
         c, eigvals, objective = solve_projection(s, db, cfg.k, cfg.lam)
         a, c = (c, c) if basis is None else _expand(basis, c)
-        z = c.T @ s
+        z = matmul(c.T, s)
         if kind.base == "DGA-DA":
             new = _propagated_target_labels(p, z, cfg)
         else:
@@ -331,13 +333,16 @@ def _solve_with_escalation(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     is never modified. Adding 0.0 turns a -0.0 into 0.0, as g + jitter I
     does, so every attempt sees the entries that sum would give.
     """
-    scale = float(np.linalg.norm(g)) or 1.0
+    # the Frobenius norm as np.linalg.norm takes it, from scipy's ddot
+    # (which rejects the empty vector of an empty range)
+    v = g.ravel(order="K")
+    scale = (math.sqrt(blas.ddot(v, v)) if v.size else 0.0) or 1.0
     for jitter in (0.0, 1e-10 * scale, 1e-6 * scale):
         a = np.add(g, 0.0, order="F")
         a[np.diag_indices_from(a)] += jitter
         try:
             out = scipy.linalg.solve(a, rhs, overwrite_a=True)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+        except scipy.linalg.LinAlgError:
             continue
         if np.isfinite(out).all():
             return out
@@ -382,15 +387,15 @@ def run_meda_cg(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind | None = Non
     affinity = ops.affinity() if kind.boundary != "none" else None
     y = np.zeros((n, c))
     y[:ns] = one_hot(pair.source.labels, c)
-    rhs = w[:, None] * (basis[:ns].T @ y[:ns])
+    rhs = w[:, None] * matmul(basis[:ns].T, y[:ns])
 
     def solve(p: DomainPair, db: MmdOperator):
         g = e_r + alpha * db.sandwich(basis.T) + rho * l_r
         g *= w[:, None]
         g[np.diag_indices_from(g)] += eta
-        scores = basis @ _solve_with_escalation(g, rhs)
+        scores = matmul(basis, _solve_with_escalation(g, rhs))
         m_scores = db.matvec(scores)
-        l_scores = lap @ scores
+        l_scores = matmul(lap, scores)
         a_scores = alpha * m_scores + rho * l_scores
         a_scores[:ns] += scores[:ns]
         beta = (y - a_scores) / eta

@@ -5,6 +5,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, NumericError, ParameterError
+from .linalg import matmul
 
 
 def nn_classify(train_x, train_labels, query_x) -> np.ndarray:
@@ -28,7 +29,7 @@ def nn_classify(train_x, train_labels, query_x) -> np.ndarray:
         raise DimensionError("one training label per training column required")
     t_sq = np.einsum("ij,ij->j", train_x, train_x)
     q_sq = np.einsum("ij,ij->j", query_x, query_x)
-    d2 = t_sq[:, None] + q_sq[None, :] - 2.0 * (train_x.T @ query_x)
+    d2 = t_sq[:, None] + q_sq[None, :] - 2.0 * matmul(train_x.T, query_x)
     nearest = np.argmin(d2, axis=0)
     return train_labels[nearest].astype(np.int64)
 
@@ -74,7 +75,7 @@ def propagate_labels(laplacian, y0, mu: float, clamp_rows=None) -> np.ndarray:
     a = lap.T
     try:
         f = scipy.linalg.solve(a, mu * y0, assume_a="pos", overwrite_a=True)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+    except scipy.linalg.LinAlgError as exc:
         raise NumericError("propagation system is not positive definite") from exc
     sums = f.sum(axis=1)
     pos = sums > 0.0

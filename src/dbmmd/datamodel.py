@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
+import numbers
 import types
 import typing
 from dataclasses import dataclass
@@ -46,6 +48,31 @@ def _frozen_labels(y, m: int, what: str) -> np.ndarray:
     return y
 
 
+def _integral(value, key: str) -> int:
+    """value as an int, when it is an integral number such as 2 or 2.0.
+
+    A bool, a fractional or non-finite float and a non-number raise
+    ParameterError naming key.
+    """
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise ParameterError(f"{key} must be int, got {value!r}")
+
+
+@functools.cache
+def _int_fields(cls) -> tuple[str, ...]:
+    return tuple(name for name, tp in typing.get_type_hints(cls).items() if tp is int)
+
+
+def fit_int_fields(obj) -> None:
+    """Hold every int field of the frozen dataclass obj as an int (``_integral``)."""
+    for name in _int_fields(type(obj)):
+        object.__setattr__(obj, name, _integral(getattr(obj, name), name))
+
+
 def _fit(tp, value, key: str):
     """value, read from JSON, as a field declared tp holds it.
 
@@ -63,8 +90,8 @@ def _fit(tp, value, key: str):
             return tuple(_fit(item, v, f"{key}[{i}]") for i, v in enumerate(value))
     elif isinstance(value, bool) != (tp is bool):
         pass  # a bool is not a number here, and a bool field takes nothing else
-    elif tp is int and isinstance(value, float) and value.is_integer():
-        return int(value)
+    elif tp is int:
+        return _integral(value, key)
     elif isinstance(value, (int, float) if tp is float else tp):
         return value
     raise ParameterError(f"{key} must be {tp.__name__ if isinstance(tp, type) else tp}, "
@@ -255,21 +282,22 @@ class AdaptConfig:
     meda_eta: float = 1.0
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
+        fit_int_fields(self)
+        if self.k < 1:
             raise ParameterError(f"k must be a positive integer, got {self.k}")
         if not self.lam > 0.0:
             raise ParameterError(f"lam must be positive, got {self.lam}")
         if not self.mu > 0.0:
             raise ParameterError(f"mu must be positive, got {self.mu}")
-        if int(self.max_iter) != self.max_iter or self.max_iter < 1:
+        if self.max_iter < 1:
             raise ParameterError(f"max_iter must be a positive integer, got {self.max_iter}")
         if self.kernel not in KERNEL_KINDS:
             raise ParameterError(f"kernel must be one of {KERNEL_KINDS}, got {self.kernel!r}")
         if self.sigma is not None and not self.sigma > 0.0:
             raise ParameterError(f"sigma must be positive or None, got {self.sigma}")
-        if int(self.degree) != self.degree or self.degree < 1:
+        if self.degree < 1:
             raise ParameterError(f"degree must be a positive integer, got {self.degree}")
-        if int(self.neighborhood_p) != self.neighborhood_p or self.neighborhood_p < 0:
+        if self.neighborhood_p < 0:
             raise ParameterError(
                 f"neighborhood_p must be a nonnegative integer, got {self.neighborhood_p}"
             )

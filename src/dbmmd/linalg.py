@@ -2,12 +2,15 @@
 
 Feature matrices follow the column-sample convention throughout: an
 ``(l, n)`` array holds n samples of dimension l. All routines are plain
-dense numpy; problem sizes here are hundreds of samples, not millions.
+dense arrays; problem sizes here are hundreds of samples, not millions.
+Every dense product goes through ``matmul`` and so, like every LAPACK
+call here, runs on scipy's BLAS.
 """
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 
 from .errors import DimensionError, NumericError, ParameterError
 
@@ -32,6 +35,43 @@ _BUCKET_SHIFT = 48
 _BUCKETS = 1 << (63 - _BUCKET_SHIFT)
 
 
+def _blas_operand(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(y, trans): a Fortran-ordered y with op(y) = x^T, op = transpose if trans.
+
+    A C- or F-contiguous x is passed as is; any other is copied once.
+    """
+    if x.ndim != 2:
+        raise DimensionError(f"matmul operands must be 2-D, got shape {x.shape}")
+    if x.flags.c_contiguous:
+        return x.T, 0
+    if x.flags.f_contiguous:
+        return x, 1
+    return np.ascontiguousarray(x).T, 0
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D float64 operands, computed by scipy's dgemm.
+
+    numpy and scipy each bundle an OpenBLAS with its own thread pool, and
+    after a call a pool's workers keep spinning on the cores the other
+    pool then waits for. Running products on the pool LAPACK already uses
+    leaves one pool. dgemm works in Fortran order, so this computes
+    (a b)^T = b^T a^T: the transpose of a C-ordered array is a
+    Fortran-ordered view, and the Fortran-ordered result read transposed
+    is the C-ordered a b. No contiguous operand and no result is copied.
+    """
+    at, trans_b = _blas_operand(a)
+    bt, trans_a = _blas_operand(b)
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul shapes {a.shape} and {b.shape} do not chain")
+    # With beta = 0 dgemm writes every entry of c, so c is not zeroed first
+    # (the array f2py would allocate is, at the cost of one more pass).
+    c = np.empty((b.shape[1], a.shape[0]), order="F")
+    if c.size == 0:
+        return c.T  # nothing to compute, and f2py rejects an empty c
+    return blas.dgemm(1.0, bt, at, c=c, overwrite_c=True, trans_a=trans_a, trans_b=trans_b).T
+
+
 def _as_feature_matrix(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -53,7 +93,7 @@ def pairwise_sq_dists(x) -> np.ndarray:
     is the one returned.
     """
     x = _as_feature_matrix(x)
-    d = x.T @ x
+    d = matmul(x.T, x)
     sq = np.diag(d).copy()
     n = d.shape[0]
     rows = _block_rows(n)
@@ -169,7 +209,7 @@ def kernel_matrix(x, kind: str, *, sigma: float | None = None, degree: int = 2,
     if sq_dists is not None and kind != "rbf":
         raise ParameterError(f"sq_dists is read only by the rbf kernel, not {kind!r}")
     if kind == "linear":
-        g = x.T @ x
+        g = matmul(x.T, x)
         return 0.5 * (g + g.T)
     if kind == "rbf":
         if sigma is None or not sigma > 0.0:
@@ -188,7 +228,7 @@ def kernel_matrix(x, kind: str, *, sigma: float | None = None, degree: int = 2,
     if kind == "poly":
         if int(degree) != degree or degree < 1:
             raise ParameterError(f"poly kernel needs integer degree >= 1, got {degree}")
-        g = x.T @ x
+        g = matmul(x.T, x)
         g = 0.5 * (g + g.T)
         return (g + 1.0) ** int(degree)
     raise ParameterError(f"unknown kernel kind {kind!r}")
@@ -223,7 +263,7 @@ def centering_matrix(s) -> np.ndarray:
     """s H for H = I - (1/n) 11^T: each row of the (l, n) s minus its mean.
 
     H itself is never formed; the centered scatter s H s^T is
-    ``centering_matrix(s) @ s.T``.
+    ``matmul(centering_matrix(s), s.T)``.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[1] < 1:
@@ -293,7 +333,7 @@ def gen_eig_smallest(aop, bop, k: int,
     b_reg = b + ridge * np.eye(n)
     try:
         w, v = scipy.linalg.eigh(a, b_reg, subset_by_index=(0, k - 1))
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+    except scipy.linalg.LinAlgError as exc:
         raise NumericError(
             f"right operand not positive definite with ridge {ridge:g}"
         ) from exc

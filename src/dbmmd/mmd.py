@@ -43,6 +43,7 @@ import numpy as np
 
 from .datamodel import MATRIX_MODES, DomainPair
 from .errors import ParameterError, StateError
+from .linalg import matmul
 
 
 def group_index(pair: DomainPair) -> np.ndarray:
@@ -58,7 +59,7 @@ def group_sums(s: np.ndarray, groups: np.ndarray, group_count: int) -> np.ndarra
     """s P: the columns of s summed per group, shape (rows, group_count)."""
     p = np.zeros((groups.size, group_count))
     p[np.arange(groups.size), groups] = 1.0
-    return s @ p
+    return matmul(s, p)
 
 
 def _conditional(counts: np.ndarray, c: int) -> np.ndarray:

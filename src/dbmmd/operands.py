@@ -22,7 +22,7 @@ import numpy as np
 from .datamodel import AdaptConfig, DomainPair
 from .errors import ParameterError
 from .graphs import AffinityMatrix, build_affinity, build_laplacian, median_bandwidth
-from .linalg import kernel_matrix, kernel_range, pairwise_sq_dists
+from .linalg import kernel_matrix, kernel_range, matmul, pairwise_sq_dists
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -32,7 +32,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def range_products(basis: np.ndarray, ns: int, lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(U[:ns]^T U[:ns], U^T L U) for a basis U of n rows, ns of them source."""
-    return basis[:ns].T @ basis[:ns], basis.T @ (lap @ basis)
+    return matmul(basis[:ns].T, basis[:ns]), matmul(basis.T, matmul(lap, basis))
 
 
 class InputOperands:

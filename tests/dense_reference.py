@@ -35,6 +35,7 @@ import scipy.linalg
 from dbmmd.datamodel import DomainPair
 from dbmmd.errors import ParameterError, StateError
 from dbmmd.graphs import GRAPH_MODES, W_FLOOR, AffinityMatrix
+from dbmmd.linalg import matmul
 
 DIRECTIONS = ("source_to_target", "target_to_source")
 
@@ -226,9 +227,13 @@ def dense_centering_matrix(n: int) -> np.ndarray:
 
 
 def dense_pairwise_sq_dists(x) -> np.ndarray:
-    """Squared distances between the columns of x, as one out-of-place expression."""
+    """Squared distances between the columns of x, as one out-of-place expression.
+
+    The Gram matrix is the library's own product: these bytes check the
+    arithmetic around it, not the BLAS build under it.
+    """
     x = np.asarray(x, dtype=float)
-    g = x.T @ x
+    g = matmul(x.T, x)
     sq = np.diag(g).copy()
     d = sq[:, None] + sq[None, :] - 2.0 * g
     np.maximum(d, 0.0, out=d)

@@ -315,6 +315,18 @@ class TestRunAdaptation:
             r.eigenvalues for r in second.iterations
         ]
 
+    @pytest.mark.parametrize("kind", ["JDA", "MEDA"])
+    def test_integral_float_fields_run_as_ints(self, kind):
+        ds = small_dataset(seed=17)
+        floats = AdaptConfig(k=2.0, lam=1.0, max_iter=2.0, kernel="rbf", neighborhood_p=3.0)
+        ints = AdaptConfig(k=2, lam=1.0, max_iter=2, kernel="rbf", neighborhood_p=3)
+        assert floats == ints
+        got = run_adaptation(ds.pair, floats, ModelKind(kind), ds.target_truth)
+        want = run_adaptation(ds.pair, ints, ModelKind(kind), ds.target_truth)
+        assert len(got.iterations) == len(want.iterations) >= 1
+        assert np.array_equal(got.predicted_labels, want.predicted_labels)
+        assert [r.objective for r in got.iterations] == [r.objective for r in want.iterations]
+
     def test_truth_never_feeds_back(self):
         ds = small_dataset(seed=13)
         cfg = AdaptConfig(k=2, lam=1.0, max_iter=4)

@@ -234,6 +234,22 @@ class TestAdaptConfig:
         with pytest.raises(ParameterError, match=rf"config\.{key} must be"):
             AdaptConfig.from_dict(d)
 
+    @pytest.mark.parametrize("field", ["k", "max_iter", "degree", "neighborhood_p"])
+    def test_integral_float_is_held_as_int(self, field):
+        value = getattr(AdaptConfig(**{field: 2.0}), field)
+        assert value == 2 and type(value) is int
+        value = getattr(AdaptConfig(**{field: np.int64(3)}), field)
+        assert value == 3 and type(value) is int
+
+    @pytest.mark.parametrize("kwargs", [
+        {"k": 2.5}, {"k": float("nan")}, {"max_iter": float("inf")}, {"max_iter": True},
+        {"degree": "2"}, {"degree": None}, {"neighborhood_p": 0.5},
+    ])
+    def test_non_integer_int_field_rejected(self, kwargs):
+        (key,) = kwargs
+        with pytest.raises(ParameterError, match=rf"^{key} must be int"):
+            AdaptConfig(**kwargs)
+
     def test_fixed_sigma_inf_allowed(self):
         # exp(-d^2 / inf) == 1 exactly, which is how W == 1 graphs are forced
         cfg = AdaptConfig(sigma=float("inf"))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import blas
 
 from dbmmd import linalg
 from dbmmd.errors import DimensionError, NumericError, ParameterError
@@ -460,3 +461,70 @@ class TestGenEigSmallest:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             gen_eig_smallest(np.eye(3), np.eye(2), k=1)
+
+
+def layout(x: np.ndarray, order: str) -> np.ndarray:
+    """x in C or F order, or for "N" a strided view of it.
+
+    The view is neither C- nor F-contiguous unless x has fewer than two
+    rows or columns.
+    """
+    if order != "N":
+        return np.asarray(x, order=order)
+    wide = np.zeros((x.shape[0], 2 * x.shape[1] + 1))
+    wide[:, 1::2] = x
+    view = wide[:, 1::2]
+    assert min(x.shape) < 2 or not (view.flags.c_contiguous or view.flags.f_contiguous)
+    return view
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("m, k, n", [(5, 4, 3), (1, 7, 1), (17, 9, 13), (8, 0, 6),
+                                         (0, 4, 3), (6, 3, 0), (40, 0, 3)])
+    @pytest.mark.parametrize("order_a", ["C", "F", "N"])
+    @pytest.mark.parametrize("order_b", ["C", "F", "N"])
+    def test_equals_numpy_product(self, m, k, n, order_a, order_b):
+        # (8, 0, 6) and (40, 0, 3) are the products of an empty kernel range
+        rng = np.random.default_rng(m * 100 + k * 10 + n)
+        a0 = rng.normal(size=(m, k))
+        b0 = rng.normal(size=(k, n))
+        a, b = layout(a0, order_a), layout(b0, order_b)
+        out = linalg.matmul(a, b)
+        assert out.shape == (m, n) and out.dtype == np.float64
+        assert out.flags.c_contiguous
+        # both products are within k eps |a| |b| of the exact one
+        assert (np.abs(out - a0 @ b0) <= 1e-13 * (np.abs(a0) @ np.abs(b0))).all()
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_dgemm_overwrites_an_uninitialized_output(self, k):
+        # matmul hands dgemm an np.empty buffer: with beta = 0 whatever it
+        # holds, NaN included, must be overwritten, also for an empty inner
+        # dimension
+        a, b = np.ones((4, k)), np.ones((k, 5))
+        c = np.full((5, 4), np.nan, order="F")
+        out = blas.dgemm(1.0, b.T, a.T, c=c, overwrite_c=True)
+        assert np.shares_memory(out, c)
+        assert np.array_equal(out.T, a @ b)
+
+    def test_transposed_views_are_not_copied(self):
+        # a C- or F-ordered operand reaches dgemm as is: besides the (n, n)
+        # result the call allocates nothing of size n^2
+        n = 400
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(n, n))
+        for a, b in [(x, x), (x.T, x), (x, x.T), (x.T, x.T)]:
+            tracemalloc.start()
+            try:
+                out = linalg.matmul(a, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.flags.c_contiguous
+            assert peak < 8 * n * n + 4096
+            del out
+
+    def test_rejects_non_matrices_and_mismatched_shapes(self):
+        with pytest.raises(DimensionError):
+            linalg.matmul(np.ones(3), np.ones((3, 2)))
+        with pytest.raises(DimensionError):
+            linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))

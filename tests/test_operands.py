@@ -10,7 +10,8 @@ from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pa
 from dbmmd.errors import BandwidthError, ParameterError
 from dbmmd.experiment import ExperimentSpec, run_experiment
 from dbmmd.graphs import build_affinity, build_laplacian
-from dbmmd.linalg import kernel_matrix, kernel_range, median_pairwise_distance, pairwise_sq_dists
+from dbmmd.linalg import (kernel_matrix, kernel_range, matmul, median_pairwise_distance,
+                          pairwise_sq_dists)
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
@@ -145,8 +146,8 @@ class TestSharing:
         basis, _ = kernel_range(ops.kernel())
         ns = pair.n_source
         e_r, l_r = ops.range_terms()
-        assert e_r.tobytes() == (basis[:ns].T @ basis[:ns]).tobytes()
-        assert l_r.tobytes() == (basis.T @ (ops.laplacian() @ basis)).tobytes()
+        assert e_r.tobytes() == matmul(basis[:ns].T, basis[:ns]).tobytes()
+        assert l_r.tobytes() == matmul(basis.T, matmul(ops.laplacian(), basis)).tobytes()
 
     def test_primal_jda_builds_nothing(self, calls):
         pair = pair_of()

@@ -47,6 +47,26 @@ class TestRecipe:
         with pytest.raises(ParameterError):
             SyntheticRecipe(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"class_count": 2.5}, {"samples_per_class": float("nan")}, {"feature_dim": "2"},
+        {"seed": 7.5}, {"class_count": True},
+    ])
+    def test_non_integer_int_field_rejected(self, kwargs):
+        (key,) = kwargs
+        with pytest.raises(ParameterError, match=rf"^{key} must be int"):
+            SyntheticRecipe(**kwargs)
+
+    def test_integral_floats_generate_as_ints(self):
+        floats = SyntheticRecipe(class_count=2.0, samples_per_class=4.0, feature_dim=3.0,
+                                 seed=np.int64(5))
+        assert all(type(getattr(floats, f)) is int
+                   for f in ("class_count", "samples_per_class", "feature_dim", "seed"))
+        want = generate_synthetic(SyntheticRecipe(class_count=2, samples_per_class=4,
+                                                  feature_dim=3, seed=5))
+        got = generate_synthetic(floats)
+        assert np.array_equal(got.pair.source.features, want.pair.source.features)
+        assert np.array_equal(got.pair.target.features, want.pair.target.features)
+
 
 class TestGenerate:
     def test_deterministic_replay(self):

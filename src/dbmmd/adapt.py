@@ -36,8 +36,8 @@ from .errors import (
     StateError,
     UnsupportedModelError,
 )
-from .graphs import BoundaryGraphs, build_affinity, build_graphs, build_laplacian
-from .linalg import centering_matrix, gen_eig_smallest, matmul, sign_flips
+from .graphs import build_affinity, build_graphs, build_laplacian
+from .linalg import _block_rows, centering_matrix, gen_eig_smallest, matmul, sign_flips
 from .mmd import MmdTables, build_all, group_sums
 from .operands import InputOperands
 
@@ -82,8 +82,8 @@ class MmdOperator:
 
     Within each domain M expands the table ``fixed``. On the cross-domain
     block it is ``fixed + graph * scaled`` entrywise, with ``graph`` the
-    (n_s, n_t) boundary-graph block; so B = fixed + scaled and
-    D = scaled * (graph - 1) there. Unreweighted models have neither
+    (n_s, n_t) block G of ``graphs.build_graphs``; so B = fixed + scaled
+    and D = scaled * (graph - 1) there. Unreweighted models have neither
     ``scaled`` nor ``graph`` and D is None.
     """
 
@@ -99,11 +99,20 @@ class MmdOperator:
         return self.fixed if self.scaled is None else self.fixed + self.scaled
 
     def correction(self) -> np.ndarray | None:
-        """D, the (n_s, n_t) graph correction, or None without a graph."""
+        """D, the (n_s, n_t) graph correction, or None without a graph.
+
+        D is the one (n_s, n_t) array built: the table is gathered onto it
+        a block of rows at a time.
+        """
         if self.graph is None:
             return None
         ns = self.n_source
-        return self.scaled[self.groups[:ns]][:, self.groups[ns:]] * (self.graph - 1.0)
+        source, target = self.groups[:ns], self.groups[ns:]
+        d = self.graph - 1.0
+        step = _block_rows(d.shape[1])
+        for lo in range(0, ns, step):
+            d[lo:lo + step] *= self.scaled[source[lo:lo + step]][:, target]
+        return d
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """M x for an (n, m) x, from the group sums P^T x and, with a graph, D."""
@@ -128,17 +137,17 @@ class MmdOperator:
         return out
 
 
-def assemble_db(mats: MmdTables, graphs: BoundaryGraphs | None, kind: ModelKind) -> MmdOperator:
+def assemble_db(mats: MmdTables, graph: np.ndarray | None, kind: ModelKind) -> MmdOperator:
     """Coefficient operator M0 + compact - separation for one model.
 
-    The graph scales only cross-domain entries: those of the compact term
-    (CG), or of compact minus separation (DB); the two terms never share a
-    cross-domain group pair. In spirit mode the within-domain entries pass
-    through unchanged, so a unit affinity reproduces the unreweighted
-    model exactly. Literal mode multiplies elementwise as printed, which
-    zeroes the reweighted terms within each domain.
+    ``graph`` is the (n_s, n_t) block G of ``graphs.build_graphs``. It
+    scales only cross-domain entries: those of the compact term (CG), or
+    of compact minus separation (DB); the two terms never share a
+    cross-domain group pair. The within-domain entries pass through
+    unchanged, so a unit affinity reproduces the unreweighted model
+    exactly.
     """
-    if kind.boundary != "none" and graphs is None:
+    if kind.boundary != "none" and graph is None:
         raise StateError(f"{kind.name} needs boundary graphs")
     sep = None
     if kind.base in ("CDDA", "DGA-DA"):
@@ -155,15 +164,14 @@ def assemble_db(mats: MmdTables, graphs: BoundaryGraphs | None, kind: ModelKind)
             scaled = scaled - sep
         else:
             kept = kept - sep
-    within = plain if graphs.mode == "spirit" else kept
     is_target = np.arange(2 * mats.class_count) >= mats.class_count
     cross = is_target[:, None] != is_target[None, :]
     return MmdOperator(
         mats.groups,
         mats.n_source,
-        fixed=np.where(cross, kept, within),
+        fixed=np.where(cross, kept, plain),
         scaled=np.where(cross, scaled, 0.0),
-        graph=graphs.weights,
+        graph=graph,
     )
 
 
@@ -268,12 +276,10 @@ def _refine(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind, target_truth,
     fixed_point = None
     for t in range(1, cfg.max_iter + 1):
         p = pair.with_pseudo_labels(pseudo)
-        mats = build_all(p, cfg.matrix_mode)
-        graphs = None
-        if kind.boundary != "none":
-            graphs = build_graphs(p, affinity, cfg.graph_mode)
+        mats = build_all(p)
+        graph = None if kind.boundary == "none" else build_graphs(p, affinity)
         projection = embedding = None  # the last round's arrays are not kept through a solve
-        new, objective, eigvals, projection, embedding = solve(p, assemble_db(mats, graphs, kind))
+        new, objective, eigvals, projection, embedding = solve(p, assemble_db(mats, graph, kind))
         churn = int(np.sum(new != pseudo))
         acc = None if truth is None else accuracy(new, truth)
         records.append(IterationRecord(t, churn, objective, eigvals, new, acc))
@@ -349,7 +355,7 @@ def _solve_with_escalation(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     raise NumericError("structural-risk system stayed singular after ridge escalation")
 
 
-def run_meda_cg(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind | None = None,
+def run_meda_cg(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind,
                 target_truth=None, operands: InputOperands | None = None) -> AdaptationReport:
     """MEDA-style structural risk minimization, optionally CG-reweighted.
 
@@ -371,8 +377,6 @@ def run_meda_cg(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind | None = Non
     beta^T scores = beta^T K beta, M scores and L scores. Requires a kernel
     config; there is no primal MEDA. operands is as for ``run_adaptation``.
     """
-    if kind is None:
-        kind = ModelKind("MEDA", "CG")
     if kind.base != "MEDA":
         raise UnsupportedModelError(f"run_meda_cg got base model {kind.base!r}")
     if cfg.kernel == "primal":

@@ -15,6 +15,7 @@ import sys
 
 from .datamodel import AdaptConfig, from_json
 from .experiment import ExperimentSpec, rerender_summary, run_experiment, write_synthetic_files
+from .io import FORMATS
 from .synthetic import SHIFT_KINDS, SyntheticRecipe
 
 CONFIG_FLAGS = [f.name for f in dataclasses.fields(AdaptConfig)]
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="degrees, offset (comma separated for a vector), or scale")
     synth.add_argument("--noise", type=float, default=0.5)
     synth.add_argument("--seed", type=int, default=7)
-    synth.add_argument("--format", default="csv", choices=("csv", "raw"))
+    synth.add_argument("--format", default="csv", choices=FORMATS)
     synth.set_defaults(func=_cmd_synth)
 
     run = sub.add_parser("run", help="execute an experiment spec")

@@ -19,8 +19,6 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 
 KERNEL_KINDS = ("primal", "linear", "rbf", "poly")
-GRAPH_MODES = ("literal", "spirit")
-MATRIX_MODES = ("literal", "rank_one_sum")
 
 
 def _frozen_features(x) -> np.ndarray:
@@ -275,8 +273,6 @@ class AdaptConfig:
     sigma: float | None = None  # None: the median pairwise distance
     degree: int = 2
     neighborhood_p: int = 5
-    graph_mode: str = "spirit"
-    matrix_mode: str = "literal"
     meda_alpha: float = 10.0
     meda_rho: float = 0.1
     meda_eta: float = 1.0
@@ -300,14 +296,6 @@ class AdaptConfig:
         if self.neighborhood_p < 0:
             raise ParameterError(
                 f"neighborhood_p must be a nonnegative integer, got {self.neighborhood_p}"
-            )
-        if self.graph_mode not in GRAPH_MODES:
-            raise ParameterError(
-                f"graph_mode must be one of {GRAPH_MODES}, got {self.graph_mode!r}"
-            )
-        if self.matrix_mode not in MATRIX_MODES:
-            raise ParameterError(
-                f"matrix_mode must be one of {MATRIX_MODES}, got {self.matrix_mode!r}"
             )
         if not self.meda_eta > 0.0:
             raise ParameterError(f"meda_eta must be positive, got {self.meda_eta}")

@@ -41,7 +41,7 @@ from .adapt import ModelKind, run_adaptation
 from .datamodel import (AdaptConfig, LabeledDomain, UnlabeledDomain, from_json, json_field,
                         json_object, make_pair)
 from .errors import FormatError, ParameterError
-from .io import atomic_write_text, load_features, save_features
+from .io import FORMATS, atomic_write_text, load_features, save_features
 from .operands import InputOperands
 from .synthetic import SyntheticRecipe, generate_synthetic
 
@@ -371,8 +371,8 @@ def write_synthetic_files(recipe: SyntheticRecipe, out_dir: str | Path,
     Writes source (with labels), target (features only), and a truth file
     carrying the target features with their held-back labels.
     """
-    if fmt not in ("csv", "raw"):
-        raise ParameterError(f"format must be 'csv' or 'raw', got {fmt!r}")
+    if fmt not in FORMATS:
+        raise ParameterError(f"format must be one of {FORMATS}, got {fmt!r}")
     ds = generate_synthetic(recipe)
     out = Path(out_dir)
     suffix = "csv" if fmt == "csv" else "f64"

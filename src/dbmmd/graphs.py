@@ -8,12 +8,13 @@ which of the two applies to a pair follows from the group index of
 when r == c.
 
 The printed form of both graphs is the same expression, -(1/W) on the
-cross block. ``mode="literal"`` reproduces that sign and shape exactly.
-``mode="spirit"`` (the default used by the pipeline) keeps the magnitudes
-but applies them as positive multiplicative reweights: 1/W on same-class
-pairs, W itself on different-class pairs, so distant same-class pairs are
-pulled harder and near inter-class pairs are pushed harder, which is the
-stated intent of the construction.
+cross block. Taken as printed, an elementwise product with M, that sign
+would turn the compacting pull into a push, and the graph's zeros off the
+cross block would erase the reweighted terms within each domain. The
+graphs here keep the magnitudes and apply them as positive multiplicative
+reweights instead: 1/W on same-class pairs, W itself on different-class
+pairs, so distant same-class pairs are pulled harder and near inter-class
+pairs are pushed harder, which is the stated intent of the construction.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import GRAPH_MODES, DomainPair
+from .datamodel import DomainPair
 from .errors import BandwidthError, DimensionError, ParameterError
 from .linalg import _block_rows, median_pairwise_distance, pairwise_sq_dists, symmetrize_inplace
 from .mmd import group_index
@@ -36,7 +37,6 @@ class AffinityMatrix:
 
     entries: np.ndarray
     sigma: float
-    neighborhood_p: int
 
 
 def build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0) -> AffinityMatrix:
@@ -74,7 +74,7 @@ def build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0) -> Af
         np.logical_not(keep, out=keep)
         w[keep] = 0.0
     np.fill_diagonal(w, 0.0)
-    return AffinityMatrix(w, float(sigma), p)
+    return AffinityMatrix(w, float(sigma))
 
 
 def median_bandwidth(sq_dists: np.ndarray) -> float:
@@ -117,36 +117,25 @@ def _nearest_neighbors(d2: np.ndarray, p: int) -> np.ndarray:
     return keep
 
 
-@dataclass(frozen=True)
-class BoundaryGraphs:
-    """The (n_s, n_t) reweight block G of the cross-domain pairs."""
-
-    weights: np.ndarray
-    mode: str
-
-
-def build_graphs(pair: DomainPair, cross: np.ndarray,
-                 mode: str = "spirit") -> BoundaryGraphs:
-    """Boundary graphs from the cross block of an affinity and the pair's pseudo-labeling.
+def build_graphs(pair: DomainPair, cross: np.ndarray) -> np.ndarray:
+    """The (n_s, n_t) reweight block G of the cross-domain pairs.
 
     ``cross`` is the (n_s, n_t) source-by-target block W[:n_s, n_s:] of a
-    dense affinity W, the only part the graphs read. Spirit mode gives
-    1/max(W, W_FLOOR) on same-class pairs and W on different-class pairs;
-    literal mode gives -1/max(W, W_FLOOR) on both. The floor only guards
+    dense affinity W, the only part the graphs read. G is
+    1/max(W, W_FLOOR) on same-class pairs and W on different-class pairs,
+    classes taken from the pair's pseudo-labeling. The floor only guards
     entries that were sparsified or underflowed to zero.
     """
-    if mode not in GRAPH_MODES:
-        raise ParameterError(f"mode must be one of {GRAPH_MODES}, got {mode!r}")
     ns, nt = pair.n_source, pair.n_target
     w = np.asarray(cross, dtype=float)
     if w.shape != (ns, nt):
         raise DimensionError(f"cross block shape {w.shape} does not match the pair's {(ns, nt)}")
     groups = group_index(pair)
-    inv_w = 1.0 / np.maximum(w, W_FLOOR)
-    if mode == "literal":
-        return BoundaryGraphs(-inv_w, mode)
-    same = groups[:ns, None] == groups[None, ns:] - pair.class_count
-    return BoundaryGraphs(np.where(same, inv_w, w), mode)
+    # One (n_s, n_t) array: 1/W everywhere, then W back on different-class pairs.
+    g = np.maximum(w, W_FLOOR)
+    np.divide(1.0, g, out=g)
+    np.copyto(g, w, where=groups[:ns, None] != groups[None, ns:] - pair.class_count)
+    return g
 
 
 def build_laplacian(affinity: AffinityMatrix) -> np.ndarray:

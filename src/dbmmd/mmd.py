@@ -25,8 +25,9 @@ than divided by zero; their groups hold no samples.
 For the repulsive tables the printed entry rules assign the same-class
 diagonal blocks once, while the rank-one expansion sum_{c != r} e e^T
 accumulates them once per counterpart class. Both readings are built here
-behind ``mode``: "literal" fills entries once as printed, "rank_one_sum"
-accumulates and is the one that satisfies the trace identity above.
+behind ``mode``: "literal", the one the pipeline runs, fills entries once
+as printed; "rank_one_sum" accumulates and is the one that satisfies the
+trace identity above.
 
 The boundary graphs reweight M entrywise on the cross-domain block only.
 The assembled operator (``adapt.MmdOperator``) holds that as
@@ -41,9 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import MATRIX_MODES, DomainPair
+from .datamodel import DomainPair
 from .errors import ParameterError, StateError
 from .linalg import matmul
+
+MATRIX_MODES = ("literal", "rank_one_sum")
 
 
 def group_index(pair: DomainPair) -> np.ndarray:

@@ -71,7 +71,6 @@ class SyntheticDataset:
 
     pair: DomainPair
     target_truth: np.ndarray
-    recipe: SyntheticRecipe
 
     def __post_init__(self):
         truth = np.array(self.target_truth, dtype=np.int64, copy=True)
@@ -158,4 +157,4 @@ def generate_synthetic(recipe: SyntheticRecipe) -> SyntheticDataset:
         pair = DomainPair(source, target, 1)
     else:
         pair = make_pair(source, target)
-    return SyntheticDataset(pair=pair, target_truth=labels, recipe=recipe)
+    return SyntheticDataset(pair=pair, target_truth=labels)

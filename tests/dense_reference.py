@@ -34,7 +34,7 @@ import scipy.linalg
 
 from dbmmd.datamodel import DomainPair
 from dbmmd.errors import ParameterError, StateError
-from dbmmd.graphs import GRAPH_MODES, W_FLOOR, AffinityMatrix
+from dbmmd.graphs import W_FLOOR, AffinityMatrix
 from dbmmd.linalg import matmul
 
 DIRECTIONS = ("source_to_target", "target_to_source")
@@ -149,35 +149,23 @@ def dense_build_all(pair: DomainPair, mode: str = "literal") -> DenseMatrices:
 class DenseGraphs:
     g_cg: np.ndarray
     g_sg: np.ndarray
-    mode: str
     cg_mask: np.ndarray
     sg_mask: np.ndarray
 
 
-def dense_build_graphs(pair: DomainPair, affinity: AffinityMatrix,
-                       mode: str = "spirit") -> DenseGraphs:
+def dense_build_graphs(pair: DomainPair, affinity: AffinityMatrix) -> DenseGraphs:
     """CG/SG reweighting values on their (n, n) masks, zero elsewhere."""
-    if mode not in GRAPH_MODES:
-        raise ParameterError(f"mode must be one of {GRAPH_MODES}, got {mode!r}")
     w = affinity.entries
     cg = np.zeros((pair.n_total, pair.n_total), dtype=bool)
     for m in class_cross_masks(pair).values():
         cg |= m
     sg = cross_mask(pair) & ~cg
-    inv_w = 1.0 / np.maximum(w, W_FLOOR)
-    if mode == "literal":
-        g_cg = np.where(cg, -inv_w, 0.0)
-        g_sg = np.where(sg, -inv_w, 0.0)
-    else:
-        g_cg = np.where(cg, inv_w, 0.0)
-        g_sg = np.where(sg, w, 0.0)
-    return DenseGraphs(g_cg, g_sg, mode, cg, sg)
+    g_cg = np.where(cg, 1.0 / np.maximum(w, W_FLOOR), 0.0)
+    g_sg = np.where(sg, w, 0.0)
+    return DenseGraphs(g_cg, g_sg, cg, sg)
 
 
-def _reweight(m: np.ndarray, g: np.ndarray, mask: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "literal":
-        # Faithful elementwise product; off-mask entries vanish with the graph.
-        return g * m
+def _reweight(m: np.ndarray, g: np.ndarray, mask: np.ndarray) -> np.ndarray:
     out = m.copy()
     out[mask] = g[mask] * m[mask]
     return out
@@ -189,12 +177,12 @@ def dense_assemble_db(mats: DenseMatrices, graphs: DenseGraphs | None, kind) -> 
         raise StateError(f"{kind.name} needs boundary graphs")
     compact = mats.conditional
     if kind.boundary in ("CG", "DB"):
-        compact = _reweight(compact, graphs.g_cg, graphs.cg_mask, graphs.mode)
+        compact = _reweight(compact, graphs.g_cg, graphs.cg_mask)
     out = mats.marginal + compact
     if kind.base in ("CDDA", "DGA-DA"):
         rep = mats.repulsive_st + mats.repulsive_ts
         if kind.boundary == "DB":
-            rep = _reweight(rep, graphs.g_sg, graphs.sg_mask, graphs.mode)
+            rep = _reweight(rep, graphs.g_sg, graphs.sg_mask)
         out = out - rep
     return out
 
@@ -276,7 +264,7 @@ def dense_build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0)
         w = np.where(keep, w, 0.0)
     np.fill_diagonal(w, 0.0)
     w = 0.5 * (w + w.T)
-    return AffinityMatrix(w, float(sigma), p)
+    return AffinityMatrix(w, float(sigma))
 
 
 def dense_build_laplacian(affinity: AffinityMatrix) -> np.ndarray:

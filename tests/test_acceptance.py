@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from numpy.testing import assert_allclose
 
 import dbmmd
@@ -37,12 +38,13 @@ FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden.json"
 # Relative tolerance for pinned objectives and eigenvalues. Each comes out
 # of a BLAS reduction or a LAPACK solve (MEDA's beta from
 # scipy.linalg.solve), whose rounding depends on the CPU kernel OpenBLAS
-# dispatches to. Across the core types of one OpenBLAS 0.3.31 build
-# (OPENBLAS_CORETYPE SkylakeX, Haswell, Nehalem, Prescott) the golden runs
-# spread by up to 1.3e-14 relative (primal 1.7e-15 objective, 6e-15
-# eigenvalues; MEDA, solved in the numerical range of K, 1.3e-14; linear
-# kernel 1.9e-15). 1e-12 sits over an order above that and over three
-# below the 1e-8 core-type drift of a kernel pencil solved outside the
+# dispatches to. Every product and solve runs on scipy's OpenBLAS
+# (``linalg.matmul``). Across the core types of one scipy-openblas 0.3.30
+# build (OPENBLAS_CORETYPE SkylakeX, Haswell, Nehalem, Prescott) the golden
+# runs stay within 9.8e-14 relative of the fixture (primal 1.3e-15
+# objective, 3.5e-15 eigenvalues; MEDA, solved in the numerical range of
+# K, 9.8e-14; linear kernel 1e-15). 1e-12 sits an order above that and
+# four below the 1e-8 core-type drift of a kernel pencil solved outside the
 # numerical range of K. Every discrete field (labels, churns, fixed
 # points, accuracies, digests) stays exact.
 FLOAT_PIN_REL = 1e-12
@@ -197,11 +199,11 @@ def test_criterion_3_unit_affinity_reductions(golden):
         ds = generate_synthetic(recipe)
         cfg = AdaptConfig.from_dict(golden["config"]).replace(sigma=float("inf"))
         pair = ds.pair.with_pseudo_labels(ds.target_truth)
-        mats = build_all(pair, cfg.matrix_mode)
+        mats = build_all(pair)
         aff = build_affinity(pair.packed_features(), float("inf"))
-        graphs = build_graphs(pair, cross_block(pair, aff), cfg.graph_mode)
+        graph = build_graphs(pair, cross_block(pair, aff))
         plain = assemble_db(mats, None, ModelKind("CDDA"))
-        reweighted = assemble_db(mats, graphs, ModelKind("CDDA", "DB"))
+        reweighted = assemble_db(mats, graph, ModelKind("CDDA", "DB"))
         assert np.array_equal(plain.table, reweighted.table)
         assert not np.any(reweighted.correction())
         assert np.array_equal(dense_operator(plain), dense_operator(reweighted))
@@ -282,10 +284,14 @@ def test_golden_labels_and_trajectories(golden, golden_rerun):
 
 
 def _openblas_dynamic_arch() -> bool:
-    """numpy's BLAS is an x86-64 OpenBLAS that picks its kernels at load time."""
+    """scipy's BLAS is an x86-64 OpenBLAS that picks its kernels at load time.
+
+    Every product and solve of a run goes through scipy's BLAS and LAPACK,
+    so that is the build OPENBLAS_CORETYPE has to switch.
+    """
     if platform.machine().lower() not in ("x86_64", "amd64"):
         return False
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    blas = scipy.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return ("openblas" in str(blas.get("name", "")).lower()
             and "DYNAMIC_ARCH" in str(blas.get("openblas configuration", "")))
 
@@ -309,7 +315,7 @@ print(json.dumps(out))
 
 
 @pytest.mark.skipif(not _openblas_dynamic_arch(),
-                    reason="needs numpy on an x86-64 OpenBLAS built with DYNAMIC_ARCH")
+                    reason="needs scipy on an x86-64 OpenBLAS built with DYNAMIC_ARCH")
 def test_linear_kernel_pins_hold_across_blas_kernels(golden, golden_rerun):
     """The golden kernel-mode runs under OPENBLAS_CORETYPE=Prescott.
 

@@ -127,13 +127,13 @@ class TestAssembleDb:
         pair = labeled_pair(4)
         mats = build_all(pair)
         aff = build_affinity(pair.packed_features(), float("inf"))
-        graphs = build_graphs(pair, cross_block(pair, aff), mode="spirit")
+        graph = build_graphs(pair, cross_block(pair, aff))
         for base in ("JDA", "CDDA", "DGA-DA"):
             plain = assemble_db(mats, None, ModelKind(base))
             for boundary in ("CG", "DB"):
                 if base == "JDA" and boundary == "DB":
                     continue
-                reweighted = assemble_db(mats, graphs, ModelKind(base, boundary))
+                reweighted = assemble_db(mats, graph, ModelKind(base, boundary))
                 assert np.array_equal(reweighted.table, plain.table), (base, boundary)
                 assert not np.any(reweighted.correction()), (base, boundary)
                 assert np.array_equal(dense_operator(reweighted),
@@ -145,9 +145,9 @@ class TestAssembleDb:
         pair = labeled_pair(5)
         mats = build_all(pair)
         aff = build_affinity(pair.packed_features())
-        graphs = build_graphs(pair, cross_block(pair, aff))
-        db = assemble_db(mats, graphs, ModelKind("JDA", "DB"))
-        cg = assemble_db(mats, graphs, ModelKind("JDA", "CG"))
+        graph = build_graphs(pair, cross_block(pair, aff))
+        db = assemble_db(mats, graph, ModelKind("JDA", "DB"))
+        cg = assemble_db(mats, graph, ModelKind("JDA", "CG"))
         assert np.array_equal(db.table, cg.table)
         assert np.array_equal(db.correction(), cg.correction())
         assert np.array_equal(dense_operator(db), dense_operator(cg))
@@ -157,34 +157,24 @@ class TestAssembleDb:
         pair = labeled_pair(6)
         mats = build_all(pair)
         aff = build_affinity(pair.packed_features())
-        graphs = build_graphs(pair, cross_block(pair, aff), mode="spirit")
+        graph = build_graphs(pair, cross_block(pair, aff))
         plain = dense_operator(assemble_db(mats, None, ModelKind("CDDA")))
-        db = dense_operator(assemble_db(mats, graphs, ModelKind("CDDA", "DB")))
+        db = dense_operator(assemble_db(mats, graph, ModelKind("CDDA", "DB")))
         ns = pair.n_source
         assert np.array_equal(db[:ns, :ns], plain[:ns, :ns])
         assert np.array_equal(db[ns:, ns:], plain[ns:, ns:])
 
-    def test_literal_mode_zeroes_off_mask_compact(self):
-        pair = labeled_pair(7)
-        mats = build_all(pair)
+    def test_correction_bit_equal_to_gathered_product(self):
+        # 400 target columns give 163-row blocks, so D is built over three of them
+        pair = labeled_pair(9, n_s=450, n_t=400, class_count=4)
         aff = build_affinity(pair.packed_features())
-        graphs = build_graphs(pair, cross_block(pair, aff), mode="literal")
-        db = assemble_db(mats, graphs, ModelKind("JDA", "CG"))
-        compact = dense_operator(db) - expand(mats, mats.marginal)
+        op = assemble_db(build_all(pair), build_graphs(pair, cross_block(pair, aff)),
+                         ModelKind("CDDA", "DB"))
         ns = pair.n_source
-        same = pair.source.labels[:, None] == pair.target.pseudo_labels[None, :]
-        cg_mask = np.zeros_like(compact, dtype=bool)
-        cg_mask[:ns, ns:] = same
-        cg_mask[ns:, :ns] = same.T
-        assert np.all(compact[~cg_mask] == 0.0)
-        g = np.zeros_like(compact)
-        g[:ns, ns:] = graphs.weights
-        g[ns:, :ns] = graphs.weights.T
-        assert_allclose(
-            compact[cg_mask],
-            (g * expand(mats, mats.conditional))[cg_mask],
-            atol=0,
-        )
+        gathered = op.scaled[op.groups[:ns]][:, op.groups[ns:]]
+        d = op.correction()
+        assert d.tobytes() == (gathered * (op.graph - 1.0)).tobytes()
+        assert np.any(d != 0.0)
 
     def test_trace_composition_oracle(self):
         # in accumulate mode the assembled operator keeps the mean-difference
@@ -443,7 +433,7 @@ class TestMedaCg:
         ds = small_dataset(seed=43)
         cfg = AdaptConfig(k=2, lam=1.0, kernel="primal")
         with pytest.raises(ParameterError):
-            run_meda_cg(ds.pair, cfg)
+            run_meda_cg(ds.pair, cfg, ModelKind("MEDA", "CG"))
 
     def test_wrong_base_rejected(self):
         ds = small_dataset(seed=43)
@@ -515,10 +505,8 @@ def dense_meda_replay(pair, cfg, kind, report):
     rounds = []
     for rec in report.iterations:
         p = pair.with_pseudo_labels(pseudo)
-        graphs = None
-        if kind.boundary != "none":
-            graphs = build_graphs(p, ops.affinity(), cfg.graph_mode)
-        m = dense_operator(assemble_db(build_all(p, cfg.matrix_mode), graphs, kind))
+        graph = None if kind.boundary == "none" else build_graphs(p, ops.affinity())
+        m = dense_operator(assemble_db(build_all(p), graph, kind))
         beta = dense_meda_solve(dense_meda_system(m, lap, kmat, ns, alpha, rho, eta), y)
         scores = kmat @ beta
         new = hard_labels(scores[ns:])

@@ -8,6 +8,10 @@ import pytest
 from dbmmd.cli import main
 from dbmmd.io import load_features
 
+# Config keys that were removed without a shim, each with a value it used to take.
+REMOVED_CONFIG_KEYS = [("sigma_mode", "median"), ("graph_mode", "spirit"),
+                       ("matrix_mode", "literal")]
+
 
 def write_spec(tmp_path, **overrides):
     spec = {
@@ -129,10 +133,12 @@ class TestRun:
         spec = write_spec(tmp_path)
         assert main(["run", str(spec), "--seed", "1"]) == 2
 
-    def test_sigma_mode_is_not_a_config_flag(self, tmp_path, capsys):
-        # sigma alone picks the bandwidth: a number, or none for the median
+    @pytest.mark.parametrize("key, value", REMOVED_CONFIG_KEYS)
+    def test_removed_config_key_is_not_a_flag(self, tmp_path, capsys, key, value):
+        # sigma alone picks the bandwidth, and one reading of the boundary
+        # graphs and the MMD tables runs
         spec = write_spec(tmp_path)
-        assert main(["run", str(spec), "--sigma-mode", "median"]) == 2
+        assert main(["run", str(spec), f"--{key.replace('_', '-')}", value]) == 2
 
     @pytest.mark.parametrize("key, where, value", [
         ("lam", "config", "1"),
@@ -140,6 +146,8 @@ class TestRun:
         ("k", "config", True),
         ("max_iter", "config", 2.5),
         ("sigma_mode", "config", "fixed"),
+        ("graph_mode", "config", "spirit"),
+        ("matrix_mode", "config", "literal"),
         ("models", "spec", "JDA"),
         ("output_dir", "spec", None),
     ])
@@ -205,17 +213,18 @@ class TestReport:
         assert main(["report", str(tmp_path / "out")]) == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_config_with_a_sigma_mode_is_exit_2(self, tmp_path, capsys):
-        # experiment.json files that still carry the removed "sigma_mode" key
+    @pytest.mark.parametrize("key, value", REMOVED_CONFIG_KEYS)
+    def test_config_with_a_removed_key_is_exit_2(self, tmp_path, capsys, key, value):
+        # experiment.json files written before the key was removed
         spec = write_spec(tmp_path)
         assert main(["run", str(spec)]) == 0
         stored = tmp_path / "out" / "experiment.json"
         payload = json.loads(stored.read_text())
-        payload["config"]["sigma_mode"] = "median"
+        payload["config"][key] = value
         stored.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main(["report", str(tmp_path / "out")]) == 2
-        assert "sigma_mode" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_non_experiment_dir_is_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2

@@ -168,8 +168,6 @@ class TestAdaptConfig:
         assert cfg.max_iter == 10
         assert cfg.kernel == "primal"
         assert cfg.sigma is None
-        assert cfg.graph_mode == "spirit"
-        assert cfg.matrix_mode == "literal"
         assert cfg.meda_alpha == 10.0
         assert cfg.meda_rho == 0.1
         assert cfg.meda_eta == 1.0
@@ -201,8 +199,6 @@ class TestAdaptConfig:
             {"sigma": float("nan")},
             {"degree": 0},
             {"neighborhood_p": -1},
-            {"graph_mode": "vibes"},
-            {"matrix_mode": "dense"},
             {"meda_eta": 0.0},
             {"meda_alpha": -2.0},
             {"meda_alpha": float("nan")},

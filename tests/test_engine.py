@@ -2,10 +2,10 @@
 
 For seeded random pairs (C from 1 to 5, with a class missing from the
 target pseudo-labels and the single-class pair among them), every base x
-boundary model in both matrix modes and both graph modes must expand to
-the dense reference matrix exactly, and its left operand s M s^T and its
-product M x must match the dense products for primal and kernel data
-operands and for a block of vectors.
+boundary model in both matrix modes must expand to the dense reference
+matrix exactly, and its left operand s M s^T and its product M x must
+match the dense products for primal and kernel data operands and for a
+block of vectors.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import pytest
 
 from dbmmd.adapt import BASE_MODELS, BOUNDARY_TERMS, ModelKind, assemble_db
 from dbmmd.datamodel import DomainPair, LabeledDomain, UnlabeledDomain
-from dbmmd.graphs import GRAPH_MODES, build_affinity, build_graphs
+from dbmmd.graphs import build_affinity, build_graphs
 from dbmmd.linalg import kernel_matrix
 from dbmmd.mmd import MATRIX_MODES, build_all
 
@@ -53,21 +53,20 @@ def test_operator_matches_dense_reference(seed, matrix_mode):
     aff = build_affinity(x)
     mats = build_all(pair, matrix_mode)
     dense_mats = dense_build_all(pair, matrix_mode)
-    for graph_mode in GRAPH_MODES:
-        graphs = build_graphs(pair, cross_block(pair, aff), graph_mode)
-        dense_graphs = dense_build_graphs(pair, aff, graph_mode)
-        for kind in KINDS:
-            op = assemble_db(mats, graphs if kind.boundary != "none" else None, kind)
-            want = dense_assemble_db(
-                dense_mats, dense_graphs if kind.boundary != "none" else None, kind
-            )
-            case = (seed, matrix_mode, graph_mode, kind.name)
-            assert np.array_equal(dense_operator(op), want), case
-            for name, s in operands.items():
-                got, ref = op.sandwich(s), s @ want @ s.T
-                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (case, name)
-            got, ref = op.matvec(vectors), want @ vectors
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (case, "matvec")
+    graph = build_graphs(pair, cross_block(pair, aff))
+    dense_graphs = dense_build_graphs(pair, aff)
+    for kind in KINDS:
+        op = assemble_db(mats, graph if kind.boundary != "none" else None, kind)
+        want = dense_assemble_db(
+            dense_mats, dense_graphs if kind.boundary != "none" else None, kind
+        )
+        case = (seed, matrix_mode, kind.name)
+        assert np.array_equal(dense_operator(op), want), case
+        for name, s in operands.items():
+            got, ref = op.sandwich(s), s @ want @ s.T
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (case, name)
+        got, ref = op.matvec(vectors), want @ vectors
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (case, "matvec")
 
 
 def test_cases_cover_missing_class_and_single_class():

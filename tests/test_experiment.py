@@ -387,6 +387,11 @@ class TestFileDatasets:
         assert result.rows[0]["accuracy_mean"] is None
         assert result.rows[0]["status"] == "ok"
 
+    def test_unknown_format_rejected(self, tmp_path):
+        with pytest.raises(ParameterError, match="format must be one of"):
+            write_synthetic_files(FAST_RECIPE, tmp_path / "data", fmt="xml")
+        assert not (tmp_path / "data").exists()
+
     def test_unlabeled_source_rejected(self, tmp_path):
         paths = write_synthetic_files(FAST_RECIPE, tmp_path / "data", fmt="csv")
         spec = ExperimentSpec(

@@ -28,7 +28,7 @@ def assert_bits_equal(a, b):
 
 def copy_of(aff):
     """An affinity with its own entries, for an oracle read after the library consumes one."""
-    return AffinityMatrix(aff.entries.copy(), aff.sigma, aff.neighborhood_p)
+    return AffinityMatrix(aff.entries.copy(), aff.sigma)
 
 
 def grid_points(seed, n, span, d=2):
@@ -171,20 +171,13 @@ class TestNeighborTies:
 
 
 class TestBuildGraphs:
-    def test_literal_unit_affinity_is_minus_one_on_masks(self):
-        # the block covers exactly the cross-domain positions
-        pair = labeled_pair(1)
-        aff = build_affinity(pair.packed_features(), sigma=float("inf"))
-        graphs = build_graphs(pair, cross_block(pair, aff), mode="literal")
-        assert graphs.weights.shape == (pair.n_source, pair.n_target)
-        assert np.array_equal(graphs.weights, np.full(graphs.weights.shape, -1.0))
-
     def test_spirit_unit_affinity_values(self):
         pair = labeled_pair(2)
         aff = build_affinity(pair.packed_features(), sigma=float("inf"))
-        graphs = build_graphs(pair, cross_block(pair, aff), mode="spirit")
+        g = build_graphs(pair, cross_block(pair, aff))
         # 1/W on same-class pairs, W on different-class pairs, W == 1
-        assert np.array_equal(graphs.weights, np.full(graphs.weights.shape, 1.0))
+        assert isinstance(g, np.ndarray)
+        assert np.array_equal(g, np.full((pair.n_source, pair.n_target), 1.0))
 
     def test_masks_partition_cross_positions(self):
         # every cross pair gets exactly one of the two graphs: 1/W when the
@@ -194,21 +187,15 @@ class TestBuildGraphs:
         n_s = pair.n_source
         ys, yt = pair.source.labels, pair.target.pseudo_labels
         w = aff.entries
-        for mode in ("spirit", "literal"):
-            graphs = build_graphs(pair, cross_block(pair, aff), mode=mode)
-            for i in range(n_s):
-                for j in range(pair.n_target):
-                    inv = 1.0 / max(w[i, n_s + j], W_FLOOR)
-                    if mode == "literal":
-                        expect = -inv
-                    else:
-                        expect = inv if ys[i] == yt[j] else w[i, n_s + j]
-                    assert graphs.weights[i, j] == expect, (mode, i, j)
-            dense = dense_build_graphs(pair, aff, mode)
-            assert not np.any(dense.cg_mask & dense.sg_mask)
-            assert np.array_equal(
-                (dense.g_cg + dense.g_sg)[:n_s, n_s:], graphs.weights
-            )
+        g = build_graphs(pair, cross_block(pair, aff))
+        for i in range(n_s):
+            for j in range(pair.n_target):
+                inv = 1.0 / max(w[i, n_s + j], W_FLOOR)
+                expect = inv if ys[i] == yt[j] else w[i, n_s + j]
+                assert g[i, j] == expect, (i, j)
+        dense = dense_build_graphs(pair, aff)
+        assert not np.any(dense.cg_mask & dense.sg_mask)
+        assert np.array_equal((dense.g_cg + dense.g_sg)[:n_s, n_s:], g)
 
     def test_cg_mask_matches_conditional_negatives(self):
         # the same-class pairs are exactly where the conditional matrix is
@@ -220,8 +207,8 @@ class TestBuildGraphs:
         aff = build_affinity(pair.packed_features())
         w = aff.entries[:n_s, n_s:]
         assert np.all(w < 1.0)
-        graphs = build_graphs(pair, cross_block(pair, aff))
-        same_class = graphs.weights == 1.0 / np.maximum(w, W_FLOOR)
+        g = build_graphs(pair, cross_block(pair, aff))
+        same_class = g == 1.0 / np.maximum(w, W_FLOOR)
         assert np.array_equal(same_class, mc < 0.0)
 
     def test_spirit_weights_monotone_in_distance(self):
@@ -230,11 +217,11 @@ class TestBuildGraphs:
         x = pair.packed_features()
         n_s = pair.n_source
         aff = build_affinity(x)
-        graphs = build_graphs(pair, cross_block(pair, aff), mode="spirit")
+        graph = build_graphs(pair, cross_block(pair, aff))
         same = pair.source.labels[:, None] == pair.target.pseudo_labels[None, :]
         idx = np.argwhere(same)
         d2 = np.array([np.sum((x[:, i] - x[:, n_s + j]) ** 2) for i, j in idx])
-        g = np.array([graphs.weights[i, j] for i, j in idx])
+        g = np.array([graph[i, j] for i, j in idx])
         order = np.argsort(d2)
         assert np.all(np.diff(g[order]) >= 0.0)
 
@@ -245,9 +232,9 @@ class TestBuildGraphs:
         )
         pair = make_pair(src, tgt)
         aff = build_affinity(pair.packed_features(), sigma=1.0)
-        graphs = build_graphs(pair, cross_block(pair, aff), mode="spirit")
+        g = build_graphs(pair, cross_block(pair, aff))
         # the distant same-class pair underflows to w == 0; 1/W is floored
-        assert graphs.weights.max() == 1.0 / W_FLOOR
+        assert g.max() == 1.0 / W_FLOOR
 
     def test_shape_mismatch_rejected(self):
         # the graphs take the (n_s, n_t) cross block, not the (n, n) affinity
@@ -257,12 +244,6 @@ class TestBuildGraphs:
             build_graphs(pair, aff.entries)
         with pytest.raises(DimensionError):
             build_graphs(pair, cross_block(pair, aff).T)
-
-    def test_bad_mode(self):
-        pair = labeled_pair(7)
-        aff = build_affinity(pair.packed_features())
-        with pytest.raises(ParameterError):
-            build_graphs(pair, cross_block(pair, aff), mode="vibes")
 
 
 class TestLaplacian:
@@ -285,7 +266,7 @@ class TestLaplacian:
         # so build one synthetically through the dataclass
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 0.7
-        aff = AffinityMatrix(w, sigma=1.0, neighborhood_p=0)
+        aff = AffinityMatrix(w, sigma=1.0)
         lap = build_laplacian(aff)
         assert_allclose(lap[2], np.zeros(3), atol=0)
         assert_allclose(lap[:2, :2], [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
@@ -305,7 +286,7 @@ class TestLaplacian:
         w = 0.5 * (w + w.T)
         w[3] = w[:, 3] = 0.0
         np.fill_diagonal(w, 0.0)
-        aff = AffinityMatrix(w, sigma=1.0, neighborhood_p=0)
+        aff = AffinityMatrix(w, sigma=1.0)
         expect = dense_build_laplacian(copy_of(aff))
         lap = build_laplacian(aff)
         assert_bits_equal(lap, expect)
@@ -314,7 +295,7 @@ class TestLaplacian:
     def test_asymmetric_weights_symmetrized_as_dense_expression(self):
         rng = np.random.default_rng(47)
         w = rng.uniform(0.0, 1.0, size=(270, 270))
-        aff = AffinityMatrix(w, sigma=1.0, neighborhood_p=0)
+        aff = AffinityMatrix(w, sigma=1.0)
         expect = dense_build_laplacian(copy_of(aff))
         lap = build_laplacian(aff)
         assert_bits_equal(lap, expect)

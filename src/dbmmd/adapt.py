@@ -14,7 +14,8 @@ The zoo is spanned by a base model and a boundary term:
               is rejected.
 
 The assembled coefficient operator is M0 + compact - separation, held as
-2C x 2C group tables plus one cross-domain graph block (``MmdOperator``).
+the plain model's 2C x 2C group table plus, for a reweighted model, one
+cross-domain block D written into the graph block G (``mmd.MmdOperator``).
 Each round projects, re-labels the target, and repeats until the pseudo-labels
 stop changing or the iteration cap is reached.
 """
@@ -37,8 +38,8 @@ from .errors import (
     UnsupportedModelError,
 )
 from .graphs import build_affinity, build_graphs, build_laplacian
-from .linalg import _block_rows, centering_matrix, gen_eig_smallest, matmul, sign_flips
-from .mmd import MmdTables, build_all, group_sums
+from .linalg import centering_matrix, gen_eig_smallest, matmul, sign_flips
+from .mmd import MmdOperator, MmdTables, build_all
 from .operands import InputOperands
 
 BASE_MODELS = ("JDA", "CDDA", "DGA-DA", "MEDA")
@@ -76,103 +77,28 @@ class ModelKind:
         raise UnsupportedModelError(f"cannot parse model name {text!r}")
 
 
-@dataclass(frozen=True)
-class MmdOperator:
-    """M = P B P^T + [[0, D], [D^T, 0]] over the packed order [source | target].
-
-    Within each domain M expands the table ``fixed``. On the cross-domain
-    block it is ``fixed + graph * scaled`` entrywise, with ``graph`` the
-    (n_s, n_t) block G of ``graphs.build_graphs``; so B = fixed + scaled
-    and D = scaled * (graph - 1) there. Unreweighted models have neither
-    ``scaled`` nor ``graph`` and D is None.
-    """
-
-    groups: np.ndarray
-    n_source: int
-    fixed: np.ndarray
-    scaled: np.ndarray | None = None
-    graph: np.ndarray | None = None
-
-    @property
-    def table(self) -> np.ndarray:
-        """B: the 2C x 2C table of P B P^T."""
-        return self.fixed if self.scaled is None else self.fixed + self.scaled
-
-    def correction(self) -> np.ndarray | None:
-        """D, the (n_s, n_t) graph correction, or None without a graph.
-
-        D is the one (n_s, n_t) array built: the table is gathered onto it
-        a block of rows at a time.
-        """
-        if self.graph is None:
-            return None
-        ns = self.n_source
-        source, target = self.groups[:ns], self.groups[ns:]
-        d = self.graph - 1.0
-        step = _block_rows(d.shape[1])
-        for lo in range(0, ns, step):
-            d[lo:lo + step] *= self.scaled[source[lo:lo + step]][:, target]
-        return d
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """M x for an (n, m) x, from the group sums P^T x and, with a graph, D."""
-        sums = group_sums(x.T, self.groups, self.fixed.shape[0]).T
-        out = matmul(self.table, sums)[self.groups]
-        d = self.correction()
-        if d is not None:
-            ns = self.n_source
-            out[:ns] += matmul(d, x[ns:])
-            out[ns:] += matmul(d.T, x[:ns])
-        return out
-
-    def sandwich(self, s: np.ndarray) -> np.ndarray:
-        """s M s^T from the group sums sP and, with a graph, the D block."""
-        sp = group_sums(s, self.groups, self.fixed.shape[0])
-        out = matmul(matmul(sp, self.table), sp.T)
-        d = self.correction()
-        if d is not None:
-            ns = self.n_source
-            half = matmul(matmul(s[:, :ns], d), s[:, ns:].T)
-            out += half + half.T
-        return out
-
-
 def assemble_db(mats: MmdTables, graph: np.ndarray | None, kind: ModelKind) -> MmdOperator:
     """Coefficient operator M0 + compact - separation for one model.
 
-    ``graph`` is the (n_s, n_t) block G of ``graphs.build_graphs``. It
-    scales only cross-domain entries: those of the compact term (CG), or
-    of compact minus separation (DB); the two terms never share a
-    cross-domain group pair. The within-domain entries pass through
-    unchanged, so a unit affinity reproduces the unreweighted model
-    exactly.
+    ``graph`` is the (n_s, n_t) block G of ``graphs.build_graphs``; the
+    operator consumes it (see ``MmdOperator.reweighted``). It scales only
+    cross-domain entries: those of the compact term (CG), or of compact
+    minus separation (DB). The two terms never share a cross-domain group
+    pair, so the operator's table is the plain model's and G enters only
+    through D. A unit affinity reproduces the unreweighted model exactly.
     """
     if kind.boundary != "none" and graph is None:
         raise StateError(f"{kind.name} needs boundary graphs")
-    sep = None
+    table = mats.marginal + mats.conditional
+    weighted = mats.conditional
     if kind.base in ("CDDA", "DGA-DA"):
         sep = mats.repulsive_st + mats.repulsive_ts
-    plain = mats.marginal + mats.conditional
-    if sep is not None:
-        plain = plain - sep
-    if kind.boundary == "none":
-        return MmdOperator(mats.groups, mats.n_source, plain)
-    # On the cross block the graph multiplies ``scaled`` and leaves ``kept``.
-    kept, scaled = mats.marginal, mats.conditional
-    if sep is not None:
+        table = table - sep
         if kind.boundary == "DB":
-            scaled = scaled - sep
-        else:
-            kept = kept - sep
-    is_target = np.arange(2 * mats.class_count) >= mats.class_count
-    cross = is_target[:, None] != is_target[None, :]
-    return MmdOperator(
-        mats.groups,
-        mats.n_source,
-        fixed=np.where(cross, kept, plain),
-        scaled=np.where(cross, scaled, 0.0),
-        graph=graph,
-    )
+            weighted = weighted - sep
+    if kind.boundary == "none":
+        return MmdOperator(mats.groups, mats.n_source, table)
+    return MmdOperator.reweighted(mats.groups, mats.n_source, table, weighted, graph)
 
 
 def solve_projection(s: np.ndarray, db: MmdOperator, k: int,
@@ -274,12 +200,16 @@ def _refine(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind, target_truth,
     baseline = None if truth is None else accuracy(pseudo, truth)
     records: list[IterationRecord] = []
     fixed_point = None
+
+    def operator(p: DomainPair) -> MmdOperator:
+        graph = None if kind.boundary == "none" else build_graphs(p, affinity)
+        return assemble_db(build_all(p), graph, kind)
+
     for t in range(1, cfg.max_iter + 1):
         p = pair.with_pseudo_labels(pseudo)
-        mats = build_all(p)
-        graph = None if kind.boundary == "none" else build_graphs(p, affinity)
         projection = embedding = None  # the last round's arrays are not kept through a solve
-        new, objective, eigvals, projection, embedding = solve(p, assemble_db(mats, graph, kind))
+        # Only the operator holds G (D is written into it), and only until solve returns.
+        new, objective, eigvals, projection, embedding = solve(p, operator(p))
         churn = int(np.sum(new != pseudo))
         acc = None if truth is None else accuracy(new, truth)
         records.append(IterationRecord(t, churn, objective, eigvals, new, acc))

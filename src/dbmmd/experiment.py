@@ -359,7 +359,12 @@ def rerender_summary(output_dir: str | Path) -> ExperimentResult:
         raise ParameterError(f"{out_dir}: not an experiment directory")
     spec = ExperimentSpec.from_dict(json.loads(spec_path.read_text()))
     runs = json.loads(runs_path.read_text())
+    if not isinstance(runs, list) or not all(isinstance(run, dict) for run in runs):
+        raise ParameterError(f"{runs_path}: not a list of run objects")
     for run in runs:
+        if run.get("model") not in spec.models:
+            raise ParameterError(f"{runs_path}: run of model {run.get('model')!r}, "
+                                 f"which experiment.json does not list")
         run.setdefault("wall_time", None)
     return _summarize(spec, runs, out_dir)
 

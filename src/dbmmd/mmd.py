@@ -1,4 +1,4 @@
-"""MMD coefficient tables over the 2C (domain, pseudo-class) groups.
+"""MMD coefficient tables and the MMD operator over the 2C (domain, pseudo-class) groups.
 
 Samples sit in the packed order [source | target], and each gets one group
 index: source class c is group c, target pseudo-class r is group C + r.
@@ -30,11 +30,12 @@ as printed; "rank_one_sum" accumulates and is the one that satisfies the
 trace identity above.
 
 The boundary graphs reweight M entrywise on the cross-domain block only.
-The assembled operator (``adapt.MmdOperator``) holds that as
-M = P B P^T + [[0, D], [D^T, 0]], where the (n_s, n_t) correction
-D = S_x * (G - 1) scales the reweighted part S of the table by the graph
-block G. A unit affinity gives G == 1, so D == 0 exactly and the
-reweighted model is the plain one bit for bit.
+The assembled operator (``MmdOperator``) holds that as
+M = P B P^T + [[0, D], [D^T, 0]]: B is the plain model's table and the
+(n_s, n_t) block D = S_x * (G - 1) scales the reweighted part S of it by
+the graph block G of ``graphs.build_graphs``. A unit affinity gives
+G == 1, so D == 0 exactly and the reweighted model is the plain one bit
+for bit.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from .datamodel import DomainPair
 from .errors import ParameterError, StateError
-from .linalg import matmul
+from .linalg import _block_rows, matmul
 
 MATRIX_MODES = ("literal", "rank_one_sum")
 
@@ -99,6 +100,60 @@ def _repulsive(counts: np.ndarray, c: int, direction: str, mode: str) -> np.ndar
                 m[b, b] = 1.0 / (counts[b] * counts[b])
                 m[a, b] = m[b, a] = -1.0 / (counts[a] * counts[b])
     return m
+
+
+@dataclass(frozen=True)
+class MmdOperator:
+    """M = P B P^T + [[0, D], [D^T, 0]] over the packed order [source | target].
+
+    ``table`` is B, the 2C x 2C table of the plain model; ``cross`` is D,
+    the (n_s, n_t) graph block, or None for an unreweighted model.
+    """
+
+    groups: np.ndarray
+    n_source: int
+    table: np.ndarray
+    cross: np.ndarray | None = None
+
+    @classmethod
+    def reweighted(cls, groups: np.ndarray, n_source: int, table: np.ndarray,
+                   weighted: np.ndarray, graph: np.ndarray) -> "MmdOperator":
+        """The operator whose cross block reweights the table ``weighted`` by ``graph``.
+
+        D = S_x * (G - 1), with S = ``weighted``, is written into the graph
+        block G a block of rows at a time, each gathered from the C x C
+        source-by-target block of S. G is consumed, and a read-only one
+        raises.
+        """
+        c = table.shape[0] // 2
+        st = weighted[:c, c:]
+        source, target = groups[:n_source], groups[n_source:] - c
+        step = _block_rows(graph.shape[1])
+        for lo in range(0, n_source, step):
+            rows = graph[lo:lo + step]
+            rows -= 1.0
+            rows *= st[source[lo:lo + step]][:, target]
+        return cls(groups, n_source, table, graph)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """M x for an (n, m) x, from the group sums P^T x and, with a graph, D."""
+        sums = group_sums(x.T, self.groups, self.table.shape[0]).T
+        out = matmul(self.table, sums)[self.groups]
+        if self.cross is not None:
+            ns = self.n_source
+            out[:ns] += matmul(self.cross, x[ns:])
+            out[ns:] += matmul(self.cross.T, x[:ns])
+        return out
+
+    def sandwich(self, s: np.ndarray) -> np.ndarray:
+        """s M s^T from the group sums sP and, with a graph, the D block."""
+        sp = group_sums(s, self.groups, self.table.shape[0])
+        out = matmul(matmul(sp, self.table), sp.T)
+        if self.cross is not None:
+            ns = self.n_source
+            half = matmul(matmul(s[:, :ns], self.cross), s[:, ns:].T)
+            out += half + half.T
+        return out
 
 
 @dataclass(frozen=True)

@@ -115,11 +115,10 @@ class InputOperands:
     def _gaussian(self, p: int) -> AffinityMatrix:
         """``build_affinity`` of x with p neighbors, reusing a resolved sigma.
 
-        In rbf mode the kernel's distance pass resolves a median sigma;
-        otherwise the first affinity built does, and later ones reuse it.
+        A median sigma is resolved by whichever comes first, the rbf
+        kernel's distance pass or an affinity's; both take the median of
+        the same distances, and later builds reuse it.
         """
-        if self._sigma is None and self.cfg.kernel == "rbf":
-            self.kernel()
         aff = build_affinity(self.x, self._sigma, p)
         self._sigma = aff.sigma
         return aff

@@ -53,6 +53,16 @@ class SyntheticRecipe:
             raise ParameterError("noise_sigma must be nonnegative")
         if isinstance(self.shift_param, (list, tuple, np.ndarray)):
             object.__setattr__(self, "shift_param", tuple(float(v) for v in self.shift_param))
+            if self.shift != "translation":
+                raise ParameterError(f"a vector shift_param applies only to translation, "
+                                     f"not {self.shift}")
+            if len(self.shift_param) != self.feature_dim:
+                raise ParameterError(f"translation vector length {len(self.shift_param)} "
+                                     f"!= feature_dim {self.feature_dim}")
+        if self.shift == "rotation" and self.feature_dim < 2:
+            raise ParameterError("rotation shift needs feature_dim >= 2")
+        if self.shift == "cov_scale" and self.shift_param < 0.0:
+            raise ParameterError("cov_scale factor must be nonnegative")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -97,8 +107,6 @@ def _class_centers(recipe: SyntheticRecipe, rng: np.random.Generator) -> np.ndar
 def _apply_shift(samples: np.ndarray, labels: np.ndarray, centers: np.ndarray,
                  recipe: SyntheticRecipe) -> np.ndarray:
     if recipe.shift == "rotation":
-        if recipe.feature_dim < 2:
-            raise ParameterError("rotation shift needs feature_dim >= 2")
         theta = np.deg2rad(float(recipe.shift_param))
         rot = np.eye(recipe.feature_dim)
         rot[0, 0] = np.cos(theta)
@@ -110,20 +118,10 @@ def _apply_shift(samples: np.ndarray, labels: np.ndarray, centers: np.ndarray,
         # to scipy's BLAS only together with a new pin.
         return rot @ samples
     if recipe.shift == "translation":
-        param = recipe.shift_param
-        if isinstance(param, tuple):
-            if len(param) != recipe.feature_dim:
-                raise ParameterError(
-                    f"translation vector length {len(param)} != feature_dim {recipe.feature_dim}"
-                )
-            offset = np.asarray(param, dtype=float)
-        else:
-            offset = np.full(recipe.feature_dim, float(param))
+        offset = np.broadcast_to(np.asarray(recipe.shift_param, dtype=float), recipe.feature_dim)
         return samples + offset[:, None]
     # cov_scale: widen or tighten every class around its own center
     scale = float(recipe.shift_param)
-    if scale < 0.0:
-        raise ParameterError("cov_scale factor must be nonnegative")
     out = samples.copy()
     for c in range(recipe.class_count):
         idx = np.flatnonzero(labels == c)

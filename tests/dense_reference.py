@@ -3,8 +3,8 @@
 These are the original per-sample constructions of the MMD matrices, the
 class masks, the boundary graphs and the assembled coefficient matrix.
 The library now holds every term as a 2C x 2C table over the (domain,
-pseudo-class) groups; the tests check that expanding the engine's
-operator reproduces these matrices exactly.
+pseudo-class) groups plus one cross-domain block; the tests check that
+the engine's table and block reproduce these matrices exactly.
 
 The neighborhood-graph oracles below are the original out-of-place
 distance, median, affinity, Laplacian and propagation code: a second
@@ -16,8 +16,7 @@ require them equal bit for bit. ``dense_centering_matrix`` is the
 explicit n x n H, which the library never forms.
 
 ``dense_operator`` expands the engine's MMD operator to the (n, n) matrix
-M entry for entry; the tests compare it with the per-sample builders and
-use it wherever a test needs M itself.
+M entry for entry; the tests use it wherever a test needs M itself.
 
 The MEDA oracles are the original assembly of the structural-risk system
 over the full K, a dense 0/1 source indicator E and identity, and its
@@ -188,18 +187,19 @@ def dense_assemble_db(mats: DenseMatrices, graphs: DenseGraphs | None, kind) -> 
 
 
 def dense_operator(op) -> np.ndarray:
-    """The (n, n) matrix M of an ``adapt.MmdOperator``, entry for entry.
+    """The (n, n) matrix M of an ``mmd.MmdOperator``, entry for entry.
 
-    Equal to the per-sample builders' M: the table expanded over the
-    group index, plus the graph-scaled part on the cross-domain block.
+    The table expanded over the group index, plus the D block on the
+    cross-domain block. Unreweighted, it equals the per-sample builders'
+    M exactly; reweighted, table + D can differ from their
+    m + G * c - s in the last bits, so the tests compare the table and D
+    with the per-sample terms separately.
     """
-    out = op.fixed[op.groups][:, op.groups]
-    if op.graph is not None:
+    out = op.table[op.groups][:, op.groups]
+    if op.cross is not None:
         ns = op.n_source
-        scaled = op.scaled[op.groups[:ns]][:, op.groups[ns:]]
-        cross = out[:ns, ns:] + op.graph * scaled
-        out[:ns, ns:] = cross
-        out[ns:, :ns] = cross.T
+        out[:ns, ns:] += op.cross
+        out[ns:, :ns] += op.cross.T
     return out
 
 

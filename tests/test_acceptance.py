@@ -205,7 +205,7 @@ def test_criterion_3_unit_affinity_reductions(golden):
         plain = assemble_db(mats, None, ModelKind("CDDA"))
         reweighted = assemble_db(mats, graph, ModelKind("CDDA", "DB"))
         assert np.array_equal(plain.table, reweighted.table)
-        assert not np.any(reweighted.correction())
+        assert not np.any(reweighted.cross)
         assert np.array_equal(dense_operator(plain), dense_operator(reweighted))
 
         a = run_adaptation(ds.pair, cfg, ModelKind("CDDA"), ds.target_truth)

@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dbmmd.adapt import (
-    MmdOperator,
     _propagated_target_labels,
     _solve_with_escalation,
     ModelKind,
@@ -22,7 +21,7 @@ from dbmmd.errors import NumericError, ParameterError, StateError, UnsupportedMo
 from dbmmd.graphs import build_affinity, build_graphs
 from dbmmd.linalg import (gen_eig_smallest, kernel_matrix, kernel_range,
                           median_pairwise_distance, pairwise_sq_dists)
-from dbmmd.mmd import build_all
+from dbmmd.mmd import MmdOperator, build_all
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
@@ -97,7 +96,7 @@ class TestAssembleDb:
         pair = labeled_pair(1)
         mats = build_all(pair)
         db = assemble_db(mats, None, ModelKind("JDA"))
-        assert db.correction() is None
+        assert db.cross is None
         assert np.array_equal(db.table, mats.marginal + mats.conditional)
         assert np.array_equal(dense_operator(db), expand(mats, mats.marginal + mats.conditional))
 
@@ -133,9 +132,9 @@ class TestAssembleDb:
             for boundary in ("CG", "DB"):
                 if base == "JDA" and boundary == "DB":
                     continue
-                reweighted = assemble_db(mats, graph, ModelKind(base, boundary))
+                reweighted = assemble_db(mats, graph.copy(), ModelKind(base, boundary))
                 assert np.array_equal(reweighted.table, plain.table), (base, boundary)
-                assert not np.any(reweighted.correction()), (base, boundary)
+                assert not np.any(reweighted.cross), (base, boundary)
                 assert np.array_equal(dense_operator(reweighted),
                                       dense_operator(plain)), (base, boundary)
 
@@ -146,10 +145,10 @@ class TestAssembleDb:
         mats = build_all(pair)
         aff = build_affinity(pair.packed_features())
         graph = build_graphs(pair, cross_block(pair, aff))
-        db = assemble_db(mats, graph, ModelKind("JDA", "DB"))
-        cg = assemble_db(mats, graph, ModelKind("JDA", "CG"))
+        db = assemble_db(mats, graph.copy(), ModelKind("JDA", "DB"))
+        cg = assemble_db(mats, graph.copy(), ModelKind("JDA", "CG"))
         assert np.array_equal(db.table, cg.table)
-        assert np.array_equal(db.correction(), cg.correction())
+        assert np.array_equal(db.cross, cg.cross)
         assert np.array_equal(dense_operator(db), dense_operator(cg))
 
     def test_spirit_touches_only_masked_entries(self):
@@ -168,13 +167,38 @@ class TestAssembleDb:
         # 400 target columns give 163-row blocks, so D is built over three of them
         pair = labeled_pair(9, n_s=450, n_t=400, class_count=4)
         aff = build_affinity(pair.packed_features())
-        op = assemble_db(build_all(pair), build_graphs(pair, cross_block(pair, aff)),
-                         ModelKind("CDDA", "DB"))
+        mats = build_all(pair)
+        graph = build_graphs(pair, cross_block(pair, aff))
         ns = pair.n_source
-        gathered = op.scaled[op.groups[:ns]][:, op.groups[ns:]]
-        d = op.correction()
-        assert d.tobytes() == (gathered * (op.graph - 1.0)).tobytes()
-        assert np.any(d != 0.0)
+        scaled = mats.conditional - (mats.repulsive_st + mats.repulsive_ts)
+        gathered = scaled[mats.groups[:ns]][:, mats.groups[ns:]]
+        want = (gathered * (graph - 1.0)).tobytes()
+        op = assemble_db(mats, graph, ModelKind("CDDA", "DB"))
+        # D is written into G, which the operator consumes
+        assert op.cross is graph
+        assert op.cross.tobytes() == want
+        assert np.any(op.cross != 0.0)
+
+    def test_reweighted_operator_allocates_no_ns_by_nt_array(self):
+        # D is written into G a block of rows at a time, and sandwich and
+        # matvec only read it: none of the three calls allocates an
+        # (n_s, n_t) array of its own
+        pair = labeled_pair(13, n_s=600, n_t=600, class_count=4)
+        mats = build_all(pair)
+        x = pair.packed_features()
+        graph = build_graphs(pair, cross_block(pair, build_affinity(x)))
+        vectors = np.random.default_rng(130).normal(size=(pair.n_total, 3))
+        tracemalloc.start()
+        try:
+            op = assemble_db(mats, graph, ModelKind("CDDA", "DB"))
+            peaks = [tracemalloc.get_traced_memory()[1]]
+            for call in (lambda: op.sandwich(x), lambda: op.matvec(vectors)):
+                tracemalloc.reset_peak()
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 8 * pair.n_source * pair.n_target, peaks
 
     def test_trace_composition_oracle(self):
         # in accumulate mode the assembled operator keeps the mean-difference

@@ -67,6 +67,14 @@ class TestSynth:
         offset = tgt.features - src.features
         assert np.allclose(offset[0], 1.0) and np.allclose(offset[1], -2.0)
 
+    @pytest.mark.parametrize("shift", ["rotation", "cov_scale"])
+    def test_vector_param_outside_translation_exits_2(self, tmp_path, capsys, shift):
+        code = main(["synth", "--out", str(tmp_path / "d"), "--shift", shift,
+                     "--shift-param", "1,2"])
+        assert code == 2
+        assert "only to translation" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_raw_format(self, tmp_path):
         code = main(["synth", "--out", str(tmp_path / "d"), "--format", "raw"])
         assert code == 0
@@ -228,6 +236,15 @@ class TestReport:
 
     def test_non_experiment_dir_is_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("runs", ['"JDA"', '[{"model": "CDDA", "status": "ok"}]'])
+    def test_malformed_runs_is_exit_2(self, tmp_path, capsys, runs):
+        spec = write_spec(tmp_path)
+        assert main(["run", str(spec)]) == 0
+        (tmp_path / "out" / "runs.json").write_text(runs)
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "out")]) == 2
+        assert "runs.json" in capsys.readouterr().err
 
 
 class TestParser:

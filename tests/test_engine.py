@@ -2,10 +2,11 @@
 
 For seeded random pairs (C from 1 to 5, with a class missing from the
 target pseudo-labels and the single-class pair among them), every base x
-boundary model in both matrix modes must expand to the dense reference
-matrix exactly, and its left operand s M s^T and its product M x must
-match the dense products for primal and kernel data operands and for a
-block of vectors.
+boundary model in both matrix modes must hold the dense reference exactly:
+its table expands to the plain model's matrix, and a reweighted model's
+cross block D is (G - 1) times the reweighted part S of the dense terms.
+Its left operand s M s^T and its product M x must match the dense
+products for primal and kernel data operands and for a block of vectors.
 """
 from __future__ import annotations
 
@@ -18,8 +19,7 @@ from dbmmd.graphs import build_affinity, build_graphs
 from dbmmd.linalg import kernel_matrix
 from dbmmd.mmd import MATRIX_MODES, build_all
 
-from dense_reference import (cross_block, dense_assemble_db, dense_build_all, dense_build_graphs,
-                             dense_operator)
+from dense_reference import cross_block, dense_assemble_db, dense_build_all, dense_build_graphs
 
 KINDS = [
     ModelKind(base, boundary)
@@ -55,13 +55,23 @@ def test_operator_matches_dense_reference(seed, matrix_mode):
     dense_mats = dense_build_all(pair, matrix_mode)
     graph = build_graphs(pair, cross_block(pair, aff))
     dense_graphs = dense_build_graphs(pair, aff)
+    ns = pair.n_source
+    dense_graph = (dense_graphs.g_cg + dense_graphs.g_sg)[:ns, ns:]
     for kind in KINDS:
-        op = assemble_db(mats, graph if kind.boundary != "none" else None, kind)
-        want = dense_assemble_db(
-            dense_mats, dense_graphs if kind.boundary != "none" else None, kind
-        )
+        reweighted = kind.boundary != "none"
+        op = assemble_db(mats, graph.copy() if reweighted else None, kind)
+        want = dense_assemble_db(dense_mats, dense_graphs if reweighted else None, kind)
         case = (seed, matrix_mode, kind.name)
-        assert np.array_equal(dense_operator(op), want), case
+        plain = dense_assemble_db(dense_mats, None, ModelKind(kind.base))
+        table = op.table[op.groups][:, op.groups]
+        assert table.tobytes() == plain.tobytes(), case
+        if reweighted:
+            scaled = dense_mats.conditional
+            if kind.boundary == "DB" and kind.base in ("CDDA", "DGA-DA"):
+                scaled = scaled - (dense_mats.repulsive_st + dense_mats.repulsive_ts)
+            assert op.cross.tobytes() == ((dense_graph - 1.0) * scaled[:ns, ns:]).tobytes(), case
+        else:
+            assert op.cross is None, case
         for name, s in operands.items():
             got, ref = op.sandwich(s), s @ want @ s.T
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (case, name)

@@ -225,6 +225,22 @@ class TestRunExperiment:
         with pytest.raises(ParameterError):
             rerender_summary(tmp_path)
 
+    @pytest.mark.parametrize("runs", ['"JDA"', '["JDA"]', '{"model": "JDA"}'])
+    def test_rerender_rejects_runs_that_are_not_a_list_of_objects(self, tmp_path, runs):
+        result = run_experiment(fast_spec(tmp_path))
+        (result.output_dir / "runs.json").write_text(runs)
+        with pytest.raises(ParameterError, match="not a list of run objects"):
+            rerender_summary(result.output_dir)
+
+    def test_rerender_rejects_a_run_of_an_unlisted_model(self, tmp_path):
+        result = run_experiment(fast_spec(tmp_path))
+        runs_path = result.output_dir / "runs.json"
+        runs = json.loads(runs_path.read_text())
+        runs[0]["model"] = "CDDA+DB"
+        runs_path.write_text(json.dumps(runs))
+        with pytest.raises(ParameterError, match=r"'CDDA\+DB', which experiment.json"):
+            rerender_summary(result.output_dir)
+
     def test_dump_embeddings(self, tmp_path):
         spec = fast_spec(tmp_path, models=("JDA",), dump_embeddings=True)
         result = run_experiment(spec)

@@ -47,6 +47,19 @@ class TestRecipe:
         with pytest.raises(ParameterError):
             SyntheticRecipe(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"shift": "rotation", "shift_param": (1.0, 2.0)}, "only to translation"),
+        ({"shift": "cov_scale", "shift_param": [1.0, 2.0]}, "only to translation"),
+        ({"shift": "cov_scale", "shift_param": -0.5}, "cov_scale factor"),
+    ])
+    def test_shift_param_checked_at_construction(self, kwargs, match):
+        with pytest.raises(ParameterError, match=match):
+            SyntheticRecipe(**kwargs)
+
+    def test_shift_param_checked_in_a_json_recipe(self):
+        with pytest.raises(ParameterError, match="only to translation"):
+            SyntheticRecipe.from_dict({"shift": "rotation", "shift_param": [1, 2]})
+
     @pytest.mark.parametrize("kwargs", [
         {"class_count": 2.5}, {"samples_per_class": float("nan")}, {"feature_dim": "2"},
         {"seed": 7.5}, {"class_count": True},
@@ -134,12 +147,11 @@ class TestGenerate:
         assert_allclose(ds.pair.target.features, ds.pair.source.features + 2.0, atol=1e-12)
 
     def test_translation_vector_length_checked(self):
-        recipe = SyntheticRecipe(
-            class_count=2, samples_per_class=3, feature_dim=3,
-            shift="translation", shift_param=(1.0, 2.0),
-        )
-        with pytest.raises(ParameterError):
-            generate_synthetic(recipe)
+        with pytest.raises(ParameterError, match="length 2 != feature_dim 3"):
+            SyntheticRecipe(
+                class_count=2, samples_per_class=3, feature_dim=3,
+                shift="translation", shift_param=(1.0, 2.0),
+            )
 
     def test_cov_scale_spreads_around_centers(self):
         recipe = SyntheticRecipe(
@@ -159,9 +171,8 @@ class TestGenerate:
         assert 7.0 < ratio < 11.0  # variance scales with the square, 9 +- sampling noise
 
     def test_rotation_needs_two_dims(self):
-        recipe = SyntheticRecipe(class_count=2, feature_dim=1, shift="rotation")
-        with pytest.raises(ParameterError):
-            generate_synthetic(recipe)
+        with pytest.raises(ParameterError, match="feature_dim >= 2"):
+            SyntheticRecipe(class_count=2, feature_dim=1, shift="rotation")
 
     def test_single_class_pair_constructible(self):
         ds = generate_synthetic(SyntheticRecipe(class_count=1, samples_per_class=5))

@@ -92,10 +92,9 @@ def assemble_db(mats: MmdTables, graph: np.ndarray | None, kind: ModelKind) -> M
     table = mats.marginal + mats.conditional
     weighted = mats.conditional
     if kind.base in ("CDDA", "DGA-DA"):
-        sep = mats.repulsive_st + mats.repulsive_ts
-        table = table - sep
+        table = table - mats.separation
         if kind.boundary == "DB":
-            weighted = weighted - sep
+            weighted = weighted - mats.separation
     if kind.boundary == "none":
         return MmdOperator(mats.groups, mats.n_source, table)
     return MmdOperator.reweighted(mats.groups, mats.n_source, table, weighted, graph)
@@ -182,7 +181,7 @@ def _propagated_target_labels(pair: DomainPair, z: np.ndarray, cfg: AdaptConfig)
     y0[:ns] = one_hot(pair.source.labels, pair.class_count)
     # One (n, n) array carries distances, affinity, L, mu I + L and its factor.
     lap = build_laplacian(build_affinity(z, None, cfg.neighborhood_p))
-    f = propagate_labels(lap, y0, cfg.mu, clamp_rows=np.arange(ns))
+    f = propagate_labels(lap, y0, cfg.mu)
     return hard_labels(f[ns:])
 
 

@@ -46,14 +46,12 @@ def one_hot(labels, class_count: int) -> np.ndarray:
     return out
 
 
-def propagate_labels(laplacian, y0, mu: float, clamp_rows=None) -> np.ndarray:
+def propagate_labels(laplacian, y0, mu: float) -> np.ndarray:
     """Graph label propagation F = mu (mu I + L)^-1 Y0.
 
     This is the stationary point of mu ||F - Y0||_F^2 + tr(F^T L F): large
     mu clamps F to Y0, small mu trusts the graph. Rows with positive mass
-    are renormalized to sum 1 so downstream argmax tie behavior is stable;
-    rows listed in clamp_rows (typically the labeled source rows) are reset
-    to their Y0 one-hots after solving.
+    are renormalized to sum 1 so downstream argmax tie behavior is stable.
 
     The symmetric float64 laplacian is consumed: mu I + L is formed in it
     and LAPACK factors it in place, so the caller must not read it again
@@ -80,9 +78,6 @@ def propagate_labels(laplacian, y0, mu: float, clamp_rows=None) -> np.ndarray:
     sums = f.sum(axis=1)
     pos = sums > 0.0
     f[pos] = f[pos] / sums[pos, None]
-    if clamp_rows is not None:
-        clamp_rows = np.asarray(clamp_rows)
-        f[clamp_rows] = y0[clamp_rows]
     return f
 
 

@@ -235,14 +235,6 @@ class DomainPair:
         """Samples in the packed order [source | target] used by all matrices."""
         return np.hstack([self.source.features, self.target.features])
 
-    def source_class_counts(self) -> np.ndarray:
-        return np.bincount(self.source.labels, minlength=self.class_count)
-
-    def target_class_counts(self) -> np.ndarray:
-        if self.target.pseudo_labels is None:
-            return np.zeros(self.class_count, dtype=np.int64)
-        return np.bincount(self.target.pseudo_labels, minlength=self.class_count)
-
     def with_pseudo_labels(self, pseudo) -> "DomainPair":
         target = UnlabeledDomain(self.target.features, pseudo, self.target.name)
         return DomainPair(self.source, target, self.class_count)

@@ -350,6 +350,15 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     return result
 
 
+# The fields of a runs.json row that _aggregate reads, what each must hold and
+# its check; a JSON true or false loads as a bool, whose type is not int.
+_RUN_FIELDS = {
+    "status": ('"ok" or "failed"', lambda v: v in ("ok", "failed")),
+    "accuracy": ("null or a number", lambda v: v is None or type(v) in (int, float)),
+    "fixed_point_iteration": ("null or an integer", lambda v: v is None or type(v) is int),
+}
+
+
 def rerender_summary(output_dir: str | Path) -> ExperimentResult:
     """Rebuild summary.csv/summary.md from the stored run rows."""
     out_dir = Path(output_dir)
@@ -365,6 +374,11 @@ def rerender_summary(output_dir: str | Path) -> ExperimentResult:
         if run.get("model") not in spec.models:
             raise ParameterError(f"{runs_path}: run of model {run.get('model')!r}, "
                                  f"which experiment.json does not list")
+        for key, (want, fits) in _RUN_FIELDS.items():
+            if key not in run or not fits(run[key]):
+                got = repr(run[key]) if key in run else "nothing"
+                raise ParameterError(f"{runs_path}: {key} of a {run['model']} run "
+                                     f"must be {want}, got {got}")
         run.setdefault("wall_time", None)
     return _summarize(spec, runs, out_dir)
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .datamodel import DomainPair
 from .errors import BandwidthError, DimensionError, ParameterError
-from .linalg import _block_rows, median_pairwise_distance, pairwise_sq_dists, symmetrize_inplace
+from .linalg import (_block_rows, _mirrored_tiles, median_pairwise_distance, pairwise_sq_dists,
+                     symmetrize_inplace)
 from .mmd import group_index
 
 # Floor for 1/W so sparsified or underflowed affinities cannot blow up.
@@ -70,7 +71,10 @@ def build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0) -> Af
     np.divide(w, -2.0 * sigma * sigma, out=w)
     np.exp(w, out=w)
     if keep is not None:
-        keep |= keep.T
+        # keep |= keep^T by mirrored tiles: the whole-array form copies keep^T.
+        for upper, lower in _mirrored_tiles(keep):
+            upper |= lower.T
+            lower[...] = upper.T
         np.logical_not(keep, out=keep)
         w[keep] = 0.0
     np.fill_diagonal(w, 0.0)

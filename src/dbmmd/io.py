@@ -7,7 +7,8 @@ columns-as-samples, so loaders transpose):
         Floats are written with repr, which round-trips doubles exactly.
   raw   little-endian float64, row-major, alongside a JSON sidecar
         {"rows": samples, "cols": dims, "labels": [...]?} at the same
-        path with a .json suffix.
+        path with a .json suffix; rows, cols and every label are JSON
+        integers.
 
 Labels may be arbitrary integers on disk; loading remaps them onto dense
 0..C-1 (sorted by original value) and keeps the original values on the
@@ -157,10 +158,10 @@ def _load_raw(path: Path):
         sidecar = json.loads(sidecar_path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{sidecar_path}: malformed JSON sidecar") from exc
-    try:
-        rows, cols = int(sidecar["rows"]), int(sidecar["cols"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{sidecar_path}: sidecar needs integer rows and cols") from exc
+    # A JSON integer loads as an int; true and false load as bools, whose type is not int.
+    if not isinstance(sidecar, dict) or {type(sidecar.get(k)) for k in ("rows", "cols")} != {int}:
+        raise FormatError(f"{sidecar_path}: sidecar needs integer rows and cols")
+    rows, cols = sidecar["rows"], sidecar["cols"]
     if rows < 1 or cols < 1:
         raise FormatError(f"{sidecar_path}: rows and cols must be positive")
     blob = path.read_bytes()
@@ -171,14 +172,13 @@ def _load_raw(path: Path):
         )
     x = np.frombuffer(blob, dtype="<f8").reshape(rows, cols).astype(float)
     y = None
-    if "labels" in sidecar and sidecar["labels"] is not None:
-        labels = sidecar["labels"]
+    labels = sidecar.get("labels")
+    if labels is not None:
+        if not isinstance(labels, list) or not all(type(v) is int for v in labels):
+            raise FormatError(f"{sidecar_path}: labels must be a list of integers")
         if len(labels) != rows:
             raise FormatError(f"{sidecar_path}: {len(labels)} labels for {rows} rows")
-        try:
-            y = np.asarray([int(v) for v in labels], dtype=np.int64)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{sidecar_path}: malformed label") from exc
+        y = np.asarray(labels, dtype=np.int64)
     return x, y
 
 

@@ -22,7 +22,7 @@ from .errors import DimensionError, NumericError, ParameterError
 # ridge keeps it definite there.
 DEFAULT_RIDGE_SCALE = 1e-9
 
-# Side of the square tiles ``symmetrize_inplace`` works on.
+# Side of the square tiles ``_mirrored_tiles`` walks.
 _TILE = 256
 
 # Entries per (rows, n) block temporary of the distance, median and
@@ -176,20 +176,28 @@ def median_pairwise_distance(sq_dists) -> float:
     return float(np.mean(np.sqrt(picked[middle[0]:middle[1] + 1])))
 
 
+def _mirrored_tiles(a: np.ndarray):
+    """Each pair (upper, lower) of mirrored square tiles of a, upper on or above the diagonal.
+
+    An (n, n) update that reads a^T a tile pair at a time needs no n x n
+    copy, which numpy makes when a whole-array operand overlaps its output.
+    """
+    n, t = a.shape[0], _TILE
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            yield a[i:i + t, j:j + t], a[j:j + t, i:i + t]
+
+
 def symmetrize_inplace(a: np.ndarray) -> np.ndarray:
     """a <- 0.5 * (a + a^T) in place, one pair of mirrored tiles at a time.
 
     Entry for entry equal to the out-of-place expression, without its two
     n x n temporaries.
     """
-    n, t = a.shape[0], _TILE
-    for i in range(0, n, t):
-        for j in range(i, n, t):
-            upper = a[i:i + t, j:j + t]
-            lower = a[j:j + t, i:i + t]
-            s = 0.5 * (upper + lower.T)
-            upper[...] = s
-            lower[...] = s.T
+    for upper, lower in _mirrored_tiles(a):
+        s = 0.5 * (upper + lower.T)
+        upper[...] = s
+        lower[...] = s.T
     return a
 
 

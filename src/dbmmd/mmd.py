@@ -2,13 +2,12 @@
 
 Samples sit in the packed order [source | target], and each gets one group
 index: source class c is group c, target pseudo-class r is group C + r.
-Every MMD term of the zoo is a squared distance between group means. For
-an embedding Z (k, n):
+Every MMD term of the zoo is a quadratic form in the group means. For an
+embedding Z (k, n):
 
   marginal      ||mean(Z_s) - mean(Z_t)||^2
   conditional   sum_c ||mean(Z_s^c) - mean(Z_t^c)||^2
-  repulsive     sum over ordered class pairs c != r of
-                ||mean(Z_a^c) - mean(Z_b^r)||^2  (a, b set by direction)
+  separation    twice the repulsive form below, over class pairs c != r
 
 So the (n, n) coefficient matrix M with tr(Z M Z^T) equal to such a term
 is constant on the blocks of group pairs: M = P B P^T, where P is the
@@ -16,18 +15,20 @@ is constant on the blocks of group pairs: M = P B P^T, where P is the
 give this class-mean form for JDA. Then tr(Z M Z^T) = tr((ZP) B (ZP)^T)
 needs only the group sums ZP, and no n x n array is ever built.
 
-Each table entry is computed with the same arithmetic, and for
-``rank_one_sum`` in the same accumulation order, as the entry of the
-dense per-sample matrix, so ``table[g][:, g]`` reproduces that
-matrix bit for bit. Classes missing on either side are skipped rather
-than divided by zero; their groups hold no samples.
+Every table is built in closed form from the group counts, with the same
+arithmetic as the entry of the dense per-sample matrix, so
+``table[g][:, g]`` reproduces that matrix bit for bit. Classes missing on
+either side are skipped rather than divided by zero; their groups hold no
+samples.
 
-For the repulsive tables the printed entry rules assign the same-class
-diagonal blocks once, while the rank-one expansion sum_{c != r} e e^T
-accumulates them once per counterpart class. Both readings are built here
-behind ``mode``: "literal", the one the pipeline runs, fills entries once
-as printed; "rank_one_sum" accumulates and is the one that satisfies the
-trace identity above.
+The repulsive term is the printed entry rule R: over the ordered pairs of
+source class k and target class r != k, both non-empty, it writes
+1/n_s^k^2 on (k, k), 1/n_t^r^2 on (C+r, C+r) and -1/(n_s^k n_t^r) on the
+cross entries, each once. The source-to-target and target-to-source
+directions cover the same pairs and so give the same R; the separation
+table is their sum R + R. With mu the group means,
+tr((ZP) R (ZP)^T) = sum_k ||mu_s^k||^2 + sum_r ||mu_t^r||^2
+- 2 sum_(k, r) mu_s^k . mu_t^r, k and r over the classes in some pair.
 
 The boundary graphs reweight M entrywise on the cross-domain block only.
 The assembled operator (``MmdOperator``) holds that as
@@ -44,10 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import DomainPair
-from .errors import ParameterError, StateError
+from .errors import StateError
 from .linalg import _block_rows, matmul
-
-MATRIX_MODES = ("literal", "rank_one_sum")
 
 
 def group_index(pair: DomainPair) -> np.ndarray:
@@ -67,38 +66,26 @@ def group_sums(s: np.ndarray, groups: np.ndarray, group_count: int) -> np.ndarra
 
 
 def _conditional(counts: np.ndarray, c: int) -> np.ndarray:
+    """sum_k e_k e_k^T, e_k = 1/n_s^k on group k and -1/n_t^k on group C + k."""
+    k = np.flatnonzero((counts[:c] > 0) & (counts[c:] > 0))
+    es, et = 1.0 / counts[k], -1.0 / counts[c + k]
     m = np.zeros((2 * c, 2 * c))
-    for k in range(c):
-        if counts[k] == 0 or counts[c + k] == 0:
-            continue
-        e = np.zeros(2 * c)
-        e[k] = 1.0 / counts[k]
-        e[c + k] = -1.0 / counts[c + k]
-        m += np.outer(e, e)
+    m[k, k] = es * es
+    m[c + k, c + k] = et * et
+    m[k, c + k] = m[c + k, k] = es * et
     return m
 
 
-def _repulsive(counts: np.ndarray, c: int, direction: str, mode: str) -> np.ndarray:
-    """Repulsive table; the lead groups play class c, the trail groups r != c."""
-    lead, trail = (0, c) if direction == "source_to_target" else (c, 0)
+def _repulsive(counts: np.ndarray, c: int) -> np.ndarray:
+    """The printed repulsive table R over the pairs (source k, target r != k)."""
+    pairs = np.outer(counts[:c] > 0, counts[c:] > 0)
+    np.fill_diagonal(pairs, False)
+    k, r = np.nonzero(pairs)
+    r += c
     m = np.zeros((2 * c, 2 * c))
-    for k in range(c):
-        a = lead + k
-        if counts[a] == 0:
-            continue
-        for r in range(c):
-            b = trail + r
-            if r == k or counts[b] == 0:
-                continue
-            if mode == "rank_one_sum":
-                e = np.zeros(2 * c)
-                e[a] = 1.0 / counts[a]
-                e[b] = -1.0 / counts[b]
-                m += np.outer(e, e)
-            else:
-                m[a, a] = 1.0 / (counts[a] * counts[a])
-                m[b, b] = 1.0 / (counts[b] * counts[b])
-                m[a, b] = m[b, a] = -1.0 / (counts[a] * counts[b])
+    m[k, k] = 1.0 / (counts[k] * counts[k])
+    m[r, r] = 1.0 / (counts[r] * counts[r])
+    m[k, r] = m[r, k] = -1.0 / (counts[k] * counts[r])
     return m
 
 
@@ -164,27 +151,20 @@ class MmdTables:
     n_source: int
     marginal: np.ndarray
     conditional: np.ndarray
-    repulsive_st: np.ndarray
-    repulsive_ts: np.ndarray
-
-    @property
-    def class_count(self) -> int:
-        return self.marginal.shape[0] // 2
+    separation: np.ndarray
 
 
-def build_all(pair: DomainPair, mode: str = "literal") -> MmdTables:
-    """Marginal, conditional and both repulsive tables, plus the group index."""
-    if mode not in MATRIX_MODES:
-        raise ParameterError(f"mode must be one of {MATRIX_MODES}, got {mode!r}")
+def build_all(pair: DomainPair) -> MmdTables:
+    """Marginal, conditional and separation tables, plus the group index."""
     groups = group_index(pair)
     c, ns, nt = pair.class_count, pair.n_source, pair.n_target
-    counts = np.concatenate([pair.source_class_counts(), pair.target_class_counts()])
+    counts = np.bincount(groups, minlength=2 * c)
     e = np.concatenate([np.full(c, 1.0 / ns), np.full(c, -1.0 / nt)])
+    r = _repulsive(counts, c)
     return MmdTables(
         groups=groups,
         n_source=ns,
         marginal=np.outer(e, e),
         conditional=_conditional(counts, c),
-        repulsive_st=_repulsive(counts, c, "source_to_target", mode),
-        repulsive_ts=_repulsive(counts, c, "target_to_source", mode),
+        separation=r + r,
     )

@@ -70,7 +70,14 @@ def build_conditional(pair: DomainPair) -> np.ndarray:
 
 
 def build_repulsive(pair: DomainPair, direction: str, mode: str = "literal") -> np.ndarray:
-    """Cross-class repulsive MMD matrix for one direction."""
+    """Cross-class repulsive MMD matrix for one direction.
+
+    "literal" writes the printed entries once per class pair, the reading
+    the engine builds (both directions give the same matrix). "rank_one_sum"
+    accumulates sum_{c != r} e e^T, which counts the same-class diagonal
+    blocks once per counterpart class and satisfies the mean-difference
+    trace identity of each direction.
+    """
     if direction not in DIRECTIONS:
         raise ParameterError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if mode not in ("literal", "rank_one_sum"):
@@ -79,12 +86,12 @@ def build_repulsive(pair: DomainPair, direction: str, mode: str = "literal") -> 
     ns, n = pair.n_source, pair.n_total
     src_of = [np.flatnonzero(pair.source.labels == c) for c in range(pair.class_count)]
     tgt_of = [ns + np.flatnonzero(pseudo == c) for c in range(pair.class_count)]
+    src_n = np.bincount(pair.source.labels, minlength=pair.class_count)
+    tgt_n = np.bincount(pseudo, minlength=pair.class_count)
     if direction == "source_to_target":
-        lead, trail = src_of, tgt_of
-        lead_n, trail_n = pair.source_class_counts(), pair.target_class_counts()
+        lead, trail, lead_n, trail_n = src_of, tgt_of, src_n, tgt_n
     else:
-        lead, trail = tgt_of, src_of
-        lead_n, trail_n = pair.target_class_counts(), pair.source_class_counts()
+        lead, trail, lead_n, trail_n = tgt_of, src_of, tgt_n, src_n
     m = np.zeros((n, n))
     for c in range(pair.class_count):
         if lead_n[c] == 0:
@@ -135,12 +142,12 @@ class DenseMatrices:
     repulsive_ts: np.ndarray
 
 
-def dense_build_all(pair: DomainPair, mode: str = "literal") -> DenseMatrices:
+def dense_build_all(pair: DomainPair) -> DenseMatrices:
     return DenseMatrices(
         marginal=build_marginal(pair),
         conditional=build_conditional(pair),
-        repulsive_st=build_repulsive(pair, "source_to_target", mode),
-        repulsive_ts=build_repulsive(pair, "target_to_source", mode),
+        repulsive_st=build_repulsive(pair, "source_to_target"),
+        repulsive_ts=build_repulsive(pair, "target_to_source"),
     )
 
 
@@ -278,8 +285,8 @@ def dense_build_laplacian(affinity: AffinityMatrix) -> np.ndarray:
     return 0.5 * (lap + lap.T)
 
 
-def dense_propagate_labels(laplacian, y0, mu: float, clamp_rows=None) -> np.ndarray:
-    """Propagation solved on mu * eye(n) + L, rows renormalized, clamp rows reset."""
+def dense_propagate_labels(laplacian, y0, mu: float) -> np.ndarray:
+    """Propagation solved on mu * eye(n) + L, rows renormalized."""
     lap = np.asarray(laplacian, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     n = lap.shape[0]
@@ -287,8 +294,6 @@ def dense_propagate_labels(laplacian, y0, mu: float, clamp_rows=None) -> np.ndar
     sums = f.sum(axis=1)
     pos = sums > 0.0
     f[pos] = f[pos] / sums[pos, None]
-    if clamp_rows is not None:
-        f[clamp_rows] = y0[clamp_rows]
     return f
 
 

@@ -31,7 +31,7 @@ from dbmmd.linalg import gen_eig_smallest
 from dbmmd.mmd import build_all, group_sums
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
-from dense_reference import cross_block, dense_operator
+from dense_reference import build_repulsive, cross_block, dense_operator
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden.json"
 
@@ -124,7 +124,7 @@ def test_criterion_1_mmd_trace_composition():
                 d = a.mean(axis=1) - b.mean(axis=1)
                 return float(d @ d)
 
-            mats = build_all(pair, "rank_one_sum")
+            mats = build_all(pair)
             zp = group_sums(z, mats.groups, 2 * c)
 
             def trace(table):
@@ -141,11 +141,28 @@ def test_criterion_1_mmd_trace_composition():
             )
             assert abs(got - want) < 1e-10
 
-            for direction, table in (
-                ("source_to_target", mats.repulsive_st),
-                ("target_to_source", mats.repulsive_ts),
-            ):
-                got = trace(table)
+            # The separation table is R + R, R the printed repulsive rule over
+            # the ordered pairs (source k, target r != k), both groups non-empty.
+            ns_k, nt_r = np.bincount(ys, minlength=c), np.bincount(yt, minlength=c)
+            pairs = [(k, r) for k in range(c) for r in range(c)
+                     if k != r and ns_k[k] and nt_r[r]]
+            rep = np.zeros((2 * c, 2 * c))
+            for k, r in pairs:
+                rep[k, k] = 1.0 / (ns_k[k] * ns_k[k])
+                rep[c + r, c + r] = 1.0 / (nt_r[r] * nt_r[r])
+                rep[k, c + r] = rep[c + r, k] = -1.0 / (ns_k[k] * nt_r[r])
+            assert mats.separation.tobytes() == (rep + rep).tobytes()
+            mu_s = {k: zs[:, ys == k].mean(axis=1) for k, _ in pairs}
+            mu_t = {r: zt[:, yt == r].mean(axis=1) for _, r in pairs}
+            want = (sum(m @ m for m in mu_s.values()) + sum(m @ m for m in mu_t.values())
+                    - 2.0 * sum(mu_s[k] @ mu_t[r] for k, r in pairs))
+            assert abs(trace(rep) - want) < 1e-10
+
+            # The accumulated reading of each direction, sum_{c != r} e e^T,
+            # is the mean-difference sum; it lives in the dense oracle.
+            for direction in ("source_to_target", "target_to_source"):
+                m = build_repulsive(pair, direction, "rank_one_sum")
+                got = float(np.trace(z @ m @ z.T))
                 want = 0.0
                 for ca in range(c):
                     for cb in range(c):

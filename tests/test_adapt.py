@@ -107,7 +107,7 @@ class TestAssembleDb:
         cdda = assemble_db(mats, None, ModelKind("CDDA"))
         assert_allclose(
             dense_operator(jda) - dense_operator(cdda),
-            expand(mats, mats.repulsive_st + mats.repulsive_ts),
+            expand(mats, mats.separation),
             atol=1e-15,
         )
 
@@ -170,7 +170,7 @@ class TestAssembleDb:
         mats = build_all(pair)
         graph = build_graphs(pair, cross_block(pair, aff))
         ns = pair.n_source
-        scaled = mats.conditional - (mats.repulsive_st + mats.repulsive_ts)
+        scaled = mats.conditional - mats.separation
         gathered = scaled[mats.groups[:ns]][:, mats.groups[ns:]]
         want = (gathered * (graph - 1.0)).tobytes()
         op = assemble_db(mats, graph, ModelKind("CDDA", "DB"))
@@ -201,10 +201,10 @@ class TestAssembleDb:
         assert max(peaks) < 8 * pair.n_source * pair.n_target, peaks
 
     def test_trace_composition_oracle(self):
-        # in accumulate mode the assembled operator keeps the mean-difference
-        # reading: marginal + per-class pulls - cross-class pushes
+        # marginal + per-class pulls - both directions of the printed
+        # repulsive form, which coincide: twice its group-mean identity
         pair = labeled_pair(8)
-        mats = build_all(pair, mode="rank_one_sum")
+        mats = build_all(pair)
         db = assemble_db(mats, None, ModelKind("CDDA"))
         rng = np.random.default_rng(80)
         z = rng.normal(size=(2, pair.n_total))
@@ -215,14 +215,13 @@ class TestAssembleDb:
         for c in range(3):
             if (ys == c).any() and (yt == c).any():
                 expect += mean_diff_sq(zs[:, ys == c], zt[:, yt == c])
-        for c in range(3):
-            for r in range(3):
-                if r == c:
-                    continue
-                if (ys == c).any() and (yt == r).any():
-                    expect -= mean_diff_sq(zs[:, ys == c], zt[:, yt == r])
-                if (yt == c).any() and (ys == r).any():
-                    expect -= mean_diff_sq(zt[:, yt == c], zs[:, ys == r])
+        pairs = [(k, r) for k in range(3) for r in range(3)
+                 if k != r and (ys == k).any() and (yt == r).any()]
+        mu_s = {k: zs[:, ys == k].mean(axis=1) for k, _ in pairs}
+        mu_t = {r: zt[:, yt == r].mean(axis=1) for _, r in pairs}
+        literal = (sum(m @ m for m in mu_s.values()) + sum(m @ m for m in mu_t.values())
+                   - 2.0 * sum(mu_s[k] @ mu_t[r] for k, r in pairs))
+        expect -= 2.0 * literal
         got = float(np.trace(db.sandwich(z)))
         assert abs(got - expect) < 1e-10
         assert abs(float(np.trace(z @ dense_operator(db) @ z.T)) - expect) < 1e-10

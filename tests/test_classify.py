@@ -117,13 +117,6 @@ class TestPropagateLabels:
         # so renormalization makes all rows exactly (1, 0)
         assert_allclose(f, np.array([[1.0, 0.0]] * 3), atol=1e-12)
 
-    def test_clamp_rows_reset_to_y0(self):
-        y0 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        f = propagate_labels(PATH_LAPLACIAN.copy(), y0, mu=1.0, clamp_rows=np.array([0, 2]))
-        assert np.array_equal(f[0], [1.0, 0.0])
-        assert np.array_equal(f[2], [0.0, 1.0])
-        assert_allclose(f[1], [0.5, 0.5], atol=1e-10)
-
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_rows_stay_on_simplex(self, seed):
@@ -152,8 +145,8 @@ class TestPropagateLabels:
         y0 = np.zeros((n, 3))
         y0[labeled] = one_hot(rng.integers(0, 3, labeled.size), 3)
         mu = float(rng.uniform(0.05, 5.0))
-        expect = dense_propagate_labels(before, y0, mu, clamp_rows=labeled)
-        f = propagate_labels(lap, y0, mu, clamp_rows=labeled)
+        expect = dense_propagate_labels(before, y0, mu)
+        f = propagate_labels(lap, y0, mu)
         assert f.tobytes() == expect.tobytes()
         # mu I + L is formed in the caller's array, which LAPACK may factor too
         assert not np.array_equal(lap, before)

@@ -2,7 +2,7 @@
 
 For seeded random pairs (C from 1 to 5, with a class missing from the
 target pseudo-labels and the single-class pair among them), every base x
-boundary model in both matrix modes must hold the dense reference exactly:
+boundary model must hold the dense reference exactly:
 its table expands to the plain model's matrix, and a reweighted model's
 cross block D is (G - 1) times the reweighted part S of the dense terms.
 Its left operand s M s^T and its product M x must match the dense
@@ -17,7 +17,7 @@ from dbmmd.adapt import BASE_MODELS, BOUNDARY_TERMS, ModelKind, assemble_db
 from dbmmd.datamodel import DomainPair, LabeledDomain, UnlabeledDomain
 from dbmmd.graphs import build_affinity, build_graphs
 from dbmmd.linalg import kernel_matrix
-from dbmmd.mmd import MATRIX_MODES, build_all
+from dbmmd.mmd import build_all
 
 from dense_reference import cross_block, dense_assemble_db, dense_build_all, dense_build_graphs
 
@@ -44,15 +44,14 @@ def random_pair(seed: int) -> DomainPair:
 
 
 @pytest.mark.parametrize("seed", range(15))
-@pytest.mark.parametrize("matrix_mode", MATRIX_MODES)
-def test_operator_matches_dense_reference(seed, matrix_mode):
+def test_operator_matches_dense_reference(seed):
     pair = random_pair(seed)
     x = pair.packed_features()
     operands = {"primal": x, "kernel": kernel_matrix(x, "rbf", sigma=1.5)}
     vectors = np.random.default_rng(100 + seed).normal(size=(pair.n_total, 3))
     aff = build_affinity(x)
-    mats = build_all(pair, matrix_mode)
-    dense_mats = dense_build_all(pair, matrix_mode)
+    mats = build_all(pair)
+    dense_mats = dense_build_all(pair)
     graph = build_graphs(pair, cross_block(pair, aff))
     dense_graphs = dense_build_graphs(pair, aff)
     ns = pair.n_source
@@ -61,7 +60,7 @@ def test_operator_matches_dense_reference(seed, matrix_mode):
         reweighted = kind.boundary != "none"
         op = assemble_db(mats, graph.copy() if reweighted else None, kind)
         want = dense_assemble_db(dense_mats, dense_graphs if reweighted else None, kind)
-        case = (seed, matrix_mode, kind.name)
+        case = (seed, kind.name)
         plain = dense_assemble_db(dense_mats, None, ModelKind(kind.base))
         table = op.table[op.groups][:, op.groups]
         assert table.tobytes() == plain.tobytes(), case

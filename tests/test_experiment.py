@@ -241,6 +241,28 @@ class TestRunExperiment:
         with pytest.raises(ParameterError, match=r"'CDDA\+DB', which experiment.json"):
             rerender_summary(result.output_dir)
 
+    @pytest.mark.parametrize("key, value", [
+        ("status", None),  # deleted
+        ("status", "done"),
+        ("accuracy", None),  # deleted
+        ("accuracy", "high"),
+        ("accuracy", True),
+        ("fixed_point_iteration", "x"),
+        ("fixed_point_iteration", 2.0),
+        ("fixed_point_iteration", False),
+    ])
+    def test_rerender_rejects_a_run_field_that_does_not_fit(self, tmp_path, key, value):
+        result = run_experiment(fast_spec(tmp_path, models=("JDA",)))
+        runs_path = result.output_dir / "runs.json"
+        runs = json.loads(runs_path.read_text())
+        if value is None:
+            del runs[0][key]
+        else:
+            runs[0][key] = value
+        runs_path.write_text(json.dumps(runs))
+        with pytest.raises(ParameterError, match=rf"runs.json: {key} of a JDA run must be"):
+            rerender_summary(result.output_dir)
+
     def test_dump_embeddings(self, tmp_path):
         spec = fast_spec(tmp_path, models=("JDA",), dump_embeddings=True)
         result = run_experiment(spec)

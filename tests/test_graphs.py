@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,20 @@ class TestBuildAffinity:
                 build_affinity(x, sigma=sigma)
         with pytest.raises(ParameterError):
             build_affinity(x, sigma=1.0, neighborhood_p=-2)
+
+    def test_mask_symmetrized_without_an_n_by_n_copy(self):
+        # the distances (which become the affinity, 8 n^2 bytes) and the kNN
+        # mask (n^2) are the call's two n x n arrays; keep |= keep.T on the
+        # whole mask would copy keep.T first, one n^2 more
+        n = 1800
+        x = np.random.default_rng(18).normal(size=(4, n))
+        tracemalloc.start()
+        try:
+            build_affinity(x, None, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.75 * n * n, peak / (n * n)
 
 
 class TestNeighborTies:

@@ -156,6 +156,28 @@ class TestRaw:
         with pytest.raises(FormatError, match="size"):
             load_features(path)
 
+    @pytest.mark.parametrize("sidecar", [
+        '{"rows": 2.0, "cols": 2}',
+        '{"rows": 2, "cols": true}',
+        '{"rows": "2", "cols": 2}',
+        '[2, 2]',
+    ])
+    def test_rows_and_cols_must_be_json_integers(self, tmp_path, sidecar):
+        path = tmp_path / "feat.f64"
+        path.write_bytes(b"\x00" * 32)
+        (tmp_path / "feat.json").write_text(sidecar)
+        with pytest.raises(FormatError, match="feat.json: sidecar needs integer rows and cols"):
+            load_features(path)
+
+    @pytest.mark.parametrize("labels", ["[0, 1.5, 1]", "[0, true, 1]", '[0, "1", 1]', "[0, 1.0, 1]",
+                                        '"011"', "3"])
+    def test_labels_must_be_json_integers(self, tmp_path, labels):
+        path = tmp_path / "feat.f64"
+        path.write_bytes(b"\x00" * 24)
+        (tmp_path / "feat.json").write_text(f'{{"rows": 3, "cols": 1, "labels": {labels}}}')
+        with pytest.raises(FormatError, match="feat.json: labels must be a list of integers"):
+            load_features(path)
+
     def test_labels_length_mismatch(self, tmp_path):
         path = tmp_path / "feat.f64"
         path.write_bytes(b"\x00" * 32)

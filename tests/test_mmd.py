@@ -174,13 +174,32 @@ class TestConditional:
         assert np.array_equal(expand(mats, mats.conditional), expand(mats, mats.marginal))
 
 
+def printed_trace_oracle(z, pair):
+    """tr(Z R Z^T) of the printed repulsive rule R, from the group means.
+
+    Over the ordered pairs (source k, target r != k) with both groups
+    non-empty: sum_k ||mu_s^k||^2 + sum_r ||mu_t^r||^2 - 2 sum mu_s^k . mu_t^r,
+    k and r over the classes that appear in some pair.
+    """
+    n_s = pair.n_source
+    ys, yt = pair.source.labels, pair.target.pseudo_labels
+    pairs = [(k, r) for k in range(pair.class_count) for r in range(pair.class_count)
+             if k != r and (ys == k).any() and (yt == r).any()]
+    mu_s = {k: z[:, :n_s][:, ys == k].mean(axis=1) for k, _ in pairs}
+    mu_t = {r: z[:, n_s:][:, yt == r].mean(axis=1) for _, r in pairs}
+    return float(sum(m @ m for m in mu_s.values()) + sum(m @ m for m in mu_t.values())
+                 - 2.0 * sum(mu_s[k] @ mu_t[r] for k, r in pairs))
+
+
 class TestRepulsive:
+    """The engine's separation table, and both readings of the dense oracle."""
+
     def test_single_class_zero_both_modes(self):
         pair = single_class_pair(seed=5, n_s=4, n_t=3)
+        assert np.count_nonzero(build_all(pair).separation) == 0
         for mode in ("literal", "rank_one_sum"):
-            mats = build_all(pair, mode)
-            for table in (mats.repulsive_st, mats.repulsive_ts):
-                assert np.count_nonzero(table) == 0
+            for direction in ("source_to_target", "target_to_source"):
+                assert np.count_nonzero(build_repulsive(pair, direction, mode)) == 0
 
     def test_literal_fixture_one_per_class(self):
         # one source and one target point per class, C=2, packed order
@@ -197,11 +216,12 @@ class TestRepulsive:
                 [-1.0, 0.0, 0.0, 1.0],
             ]
         )
+        mats = build_all(pair)
+        assert_allclose(expand(mats, mats.separation), 2.0 * expect, atol=0)
         for mode in ("literal", "rank_one_sum"):
             # with one point per class the set-once and accumulate readings
             # agree on the cross entries; diagonals differ only for C > 2
-            mats = build_all(pair, mode)
-            assert_allclose(expand(mats, mats.repulsive_st), expect, atol=0)
+            assert_allclose(build_repulsive(pair, "source_to_target", mode), expect, atol=0)
 
     def test_literal_vs_rank_one_diagonal_multiplicity(self):
         # with C=3 each class meets two counterparts, so the accumulating
@@ -210,13 +230,37 @@ class TestRepulsive:
         src = LabeledDomain(np.zeros((1, 3)), np.array([0, 1, 2]), name="source")
         tgt = UnlabeledDomain(np.zeros((1, 3)), pseudo_labels=np.array([0, 1, 2]), name="target")
         pair = DomainPair(src, tgt, class_count=3)
-        lit_mats = build_all(pair, "literal")
-        acc_mats = build_all(pair, "rank_one_sum")
-        lit = expand(lit_mats, lit_mats.repulsive_st)
-        acc = expand(acc_mats, acc_mats.repulsive_st)
+        lit = build_repulsive(pair, "source_to_target", "literal")
+        acc = build_repulsive(pair, "source_to_target", "rank_one_sum")
         assert_allclose(np.diag(acc), 2.0 * np.diag(lit), atol=1e-15)
         off = ~np.eye(6, dtype=bool)
         assert_allclose(acc[off], lit[off], atol=1e-15)
+
+    def test_literal_directions_coincide(self):
+        # both directions cover the same ordered (source, target) class
+        # pairs, so the printed rule gives one matrix; separation is its double
+        for seed in range(6):
+            pair = random_pair(seed, class_count=4)
+            yt = pair.target.pseudo_labels
+            for p in (pair, pair.with_pseudo_labels(np.where(yt == 3, 0, yt))):
+                forward = build_repulsive(p, "source_to_target")
+                backward = build_repulsive(p, "target_to_source")
+                assert forward.tobytes() == backward.tobytes()
+                mats = build_all(p)
+                assert expand(mats, mats.separation).tobytes() == (forward + backward).tobytes()
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_printed_trace_oracle(self, seed):
+        # half the separation table is R; a target class may be missing
+        pair = random_pair(seed, class_count=3)
+        if seed % 2:
+            yt = pair.target.pseudo_labels
+            pair = pair.with_pseudo_labels(np.where(yt == 2, 1, yt))
+        z = np.random.default_rng(seed + 17).normal(size=(2, pair.n_total))
+        mats = build_all(pair)
+        got = 0.5 * engine_trace(z, mats, mats.separation)
+        assert abs(got - printed_trace_oracle(z, pair)) < 1e-10
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -224,32 +268,31 @@ class TestRepulsive:
         pair = random_pair(seed, class_count=3)
         rng = np.random.default_rng(seed + 13)
         z = rng.normal(size=(2, pair.n_total))
-        mats = build_all(pair, "rank_one_sum")
-        for direction, table in (
-            ("source_to_target", mats.repulsive_st),
-            ("target_to_source", mats.repulsive_ts),
-        ):
-            got = engine_trace(z, mats, table)
+        for direction in ("source_to_target", "target_to_source"):
+            m = build_repulsive(pair, direction, "rank_one_sum")
+            got = float(np.trace(z @ m @ z.T))
             assert abs(got - repulsive_trace_oracle(z, pair, direction)) < 1e-10
 
     def test_rank_one_sum_psd(self):
-        mats = build_all(random_pair(11), "rank_one_sum")
-        assert np.linalg.eigvalsh(expand(mats, mats.repulsive_st)).min() >= -1e-12
+        m = build_repulsive(random_pair(11), "source_to_target", "rank_one_sum")
+        assert np.linalg.eigvalsh(m).min() >= -1e-12
 
     def test_both_modes_symmetric(self):
         pair = random_pair(12)
+        table = build_all(pair).separation
+        assert np.array_equal(table, table.T)
         for mode in ("literal", "rank_one_sum"):
-            table = build_all(pair, mode).repulsive_ts
-            assert np.array_equal(table, table.T)
+            m = build_repulsive(pair, "target_to_source", mode)
+            assert np.array_equal(m, m.T)
 
     def test_bad_direction_and_mode(self):
-        # direction is internal to the engine, which builds both; the dense
-        # reference keeps its argument check
+        # the engine builds one table and takes neither argument; the dense
+        # reference keeps its argument checks
         pair = random_pair(0)
         with pytest.raises(ParameterError):
             build_repulsive(pair, "sideways")
         with pytest.raises(ParameterError):
-            build_all(pair, mode="fast")
+            build_repulsive(pair, "source_to_target", mode="fast")
 
 
 class TestMasks:
@@ -321,27 +364,22 @@ class TestRelabelingCommutes:
             name="target",
         )
         relabeled = make_pair(src, tgt)
-        for mode in ("literal", "rank_one_sum"):
-            a, b = build_all(pair, mode), build_all(relabeled, mode)
-            assert_allclose(expand(a, a.conditional), expand(b, b.conditional), atol=1e-15)
-            assert_allclose(
-                expand(a, a.repulsive_st), expand(b, b.repulsive_st), atol=1e-15
-            )
+        a, b = build_all(pair), build_all(relabeled)
+        assert_allclose(expand(a, a.conditional), expand(b, b.conditional), atol=1e-15)
+        assert_allclose(expand(a, a.separation), expand(b, b.separation), atol=1e-15)
 
 
 class TestBuildAll:
     def test_bundles_consistent(self):
-        # expanding each table gives the dense per-sample matrix bit for bit
+        # expanding each table gives the dense per-sample matrix bit for bit,
+        # also with a class missing from the target
         pair = random_pair(30)
-        for mode in ("literal", "rank_one_sum"):
-            mats = build_all(pair, mode=mode)
-            assert np.array_equal(expand(mats, mats.marginal), build_marginal(pair))
-            assert np.array_equal(expand(mats, mats.conditional), build_conditional(pair))
-            assert np.array_equal(
-                expand(mats, mats.repulsive_st), build_repulsive(pair, "source_to_target", mode)
-            )
-            assert np.array_equal(
-                expand(mats, mats.repulsive_ts), build_repulsive(pair, "target_to_source", mode)
-            )
-            assert set(np.unique(mats.groups)) <= set(range(2 * pair.class_count))
-            assert mats.marginal.shape == (2 * pair.class_count, 2 * pair.class_count)
+        collapsed = pair.with_pseudo_labels(np.minimum(pair.target.pseudo_labels, 1))
+        for p in (pair, collapsed):
+            mats = build_all(p)
+            assert np.array_equal(expand(mats, mats.marginal), build_marginal(p))
+            assert np.array_equal(expand(mats, mats.conditional), build_conditional(p))
+            rep = build_repulsive(p, "source_to_target")
+            assert np.array_equal(expand(mats, mats.separation), rep + rep)
+            assert set(np.unique(mats.groups)) <= set(range(2 * p.class_count))
+            assert mats.marginal.shape == (2 * p.class_count, 2 * p.class_count)

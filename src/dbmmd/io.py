@@ -32,6 +32,13 @@ from .errors import FormatError
 
 FORMATS = ("csv", "raw")
 
+# Labels are held as int64; a larger integer on disk is a format error.
+_LABEL_RANGE = np.iinfo(np.int64)
+
+
+def _label_fits(label: int) -> bool:
+    return _LABEL_RANGE.min <= label <= _LABEL_RANGE.max
+
 
 def atomic_write_bytes(path: str | Path, blob: bytes) -> None:
     path = Path(path)
@@ -140,9 +147,12 @@ def _load_csv(path: Path):
                 raise FormatError(f"{path}:{lineno}: malformed feature value") from exc
             if label_col is not None:
                 try:
-                    labels.append(int(cells[label_col]))
+                    label = int(cells[label_col])
                 except ValueError as exc:
                     raise FormatError(f"{path}:{lineno}: malformed label") from exc
+                if not _label_fits(label):
+                    raise FormatError(f"{path}:{lineno}: label outside the int64 range")
+                labels.append(label)
     if not rows:
         raise FormatError(f"{path}: no samples")
     x = np.asarray(rows, dtype=float)
@@ -178,6 +188,8 @@ def _load_raw(path: Path):
             raise FormatError(f"{sidecar_path}: labels must be a list of integers")
         if len(labels) != rows:
             raise FormatError(f"{sidecar_path}: {len(labels)} labels for {rows} rows")
+        if not all(map(_label_fits, labels)):
+            raise FormatError(f"{sidecar_path}: label outside the int64 range")
         y = np.asarray(labels, dtype=np.int64)
     return x, y
 

@@ -5,6 +5,11 @@ Feature matrices follow the column-sample convention throughout: an
 dense arrays; problem sizes here are hundreds of samples, not millions.
 Every dense product goes through ``matmul`` and so, like every LAPACK
 call here, runs on scipy's BLAS.
+
+``kernel_range`` finds the numerical range of an (n, n) kernel matrix
+with a seeded randomized sketch of l = 160 columns, in O(n^2 l), and
+factors K in full only when the range is too wide for the sketch. The
+sketch's draws are fixed, so a result depends on K and the BLAS alone.
 """
 from __future__ import annotations
 
@@ -24,6 +29,13 @@ DEFAULT_RIDGE_SCALE = 1e-9
 
 # Side of the square tiles ``_mirrored_tiles`` walks.
 _TILE = 256
+
+# ``kernel_range``'s randomized range finder: the columns l of its
+# Gaussian test matrix, the margin below l a range must stay under for
+# the sketch to be trusted, and the seed of the test matrix.
+_SKETCH_COLS = 160
+_SKETCH_OVERSAMPLE = 16
+_SKETCH_SEED = 0x5EED
 
 # Entries per (rows, n) block temporary of the distance, median and
 # neighbor passes.
@@ -253,18 +265,70 @@ def kernel_range(kmat) -> tuple[np.ndarray, np.ndarray]:
     a^T K = c^T S_r, so a kernel pencil over a restricted to the range of
     K is the primal pencil of S_r; the null space of K adds nothing to
     a^T K and is dropped.
+
+    For n >= 2 l (l = _SKETCH_COLS) the pairs come from ``_sketch``, a
+    seeded randomized range finder that costs O(n^2 l) instead of the
+    O(n^3) of a full eigendecomposition. When the cut keeps l -
+    _SKETCH_OVERSAMPLE or more of the sketch's l directions, the sketch
+    has saturated and may miss part of the range; it is dropped and K is
+    factored exactly.
     """
     k = np.asarray(kmat, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise DimensionError(f"kernel matrix must be square, got shape {k.shape}")
     if not np.isfinite(k).all():
         raise ParameterError("kernel matrix contains non-finite entries")
-    # the symmetrized copy is ours, and its transpose is the same matrix in
-    # the Fortran order LAPACK factors in place, so eigh copies nothing
-    w, u = scipy.linalg.eigh(_check_symmetric(k, "kernel").T, overwrite_a=True)
+    k = _check_symmetric(k, "kernel")
     n = k.shape[0]
-    keep = w > n * np.finfo(float).eps * max(float(w[-1]), 0.0)
+    if n >= 2 * _SKETCH_COLS:
+        q, w, v = _sketch(k)
+        keep = _range_cut(w, n)
+        if np.count_nonzero(keep) < _SKETCH_COLS - _SKETCH_OVERSAMPLE:
+            # the copy of K goes before the basis is allocated, which keeps
+            # the basis from pinning the copy's pages in the heap
+            del k
+            return matmul(q, v[:, keep]), w[keep]
+        del q, w, v  # saturated: freed before the full eigh below
+    # the symmetrized copy is ours, and its transpose is the same matrix in
+    # the Fortran order LAPACK factors in place, so eigh copies nothing; it
+    # is dropped before u[:, keep] copies the kept columns
+    w, u = scipy.linalg.eigh(k.T, overwrite_a=True)
+    del k
+    keep = _range_cut(w, n)
     return u[:, keep], w[keep]
+
+
+def _range_cut(w: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the ascending eigenvalues w above n * eps * max(w)."""
+    return w > n * np.finfo(float).eps * max(float(w[-1]), 0.0)
+
+
+def _orth(y: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the columns of the Fortran-ordered y, overwriting y."""
+    return scipy.linalg.qr(y, mode="economic", overwrite_a=True, check_finite=False)[0]
+
+
+def _times(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K x for the exactly symmetric K, as (x^T K)^T: a Fortran-ordered result."""
+    return matmul(x.T, k).T
+
+
+def _sketch(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q, w, V): K ~ (Q V) diag(w) (Q V)^T for the symmetric (n, n) k.
+
+    Halko, Martinsson & Tropp, "Finding structure with randomness" (SIAM
+    Review 2011), Algorithms 4.4 and 5.3 with one power iteration: Q is
+    an (n, l) orthonormal basis of K K Omega for an (n, l) Gaussian Omega
+    drawn from a fixed seed, and (w, V) are the eigenpairs of the l x l
+    Q^T K Q, w ascending.
+    """
+    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((k.shape[0], _SKETCH_COLS))
+    q = _orth(_times(k, omega))
+    del omega
+    q = _orth(_times(k, q))
+    b = matmul(q.T, _times(k, q))
+    w, v = scipy.linalg.eigh(symmetrize_inplace(b), overwrite_a=True, check_finite=False)
+    return q, w, v
 
 
 def centering_matrix(s) -> np.ndarray:
@@ -280,10 +344,19 @@ def centering_matrix(s) -> np.ndarray:
 
 
 def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if np.abs(m - m.T).max(initial=0.0) > tol * scale:
+    """A symmetrized copy of the square m, 0.5 * (m + m^T), or ParameterError.
+
+    The scale max|m| and the largest |m - m^T| come from one walk of the
+    mirrored tiles, and the copy is symmetrized in place, so the copy is
+    the only n x n array made.
+    """
+    peak, skew = 0.0, 0.0
+    for upper, lower in _mirrored_tiles(m):
+        peak = max(peak, float(np.abs(upper).max()), float(np.abs(lower).max()))
+        skew = max(skew, float(np.abs(upper - lower.T).max()))
+    if skew > tol * max(1.0, peak):
         raise ParameterError(f"{name} operand must be symmetric")
-    return 0.5 * (m + m.T)
+    return symmetrize_inplace(m.copy())
 
 
 def sign_flips(v: np.ndarray) -> np.ndarray:

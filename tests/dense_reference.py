@@ -18,6 +18,10 @@ explicit n x n H, which the library never forms.
 ``dense_operator`` expands the engine's MMD operator to the (n, n) matrix
 M entry for entry; the tests use it wherever a test needs M itself.
 
+``dense_kernel_range`` is the full eigendecomposition of K that
+``linalg.kernel_range`` falls back to when its randomized sketch
+saturates; elsewhere the tests hold the sketch to its accuracy.
+
 The MEDA oracles are the original assembly of the structural-risk system
 over the full K, a dense 0/1 source indicator E and identity, and its
 solve on g + jitter I. The library solves the same system in the
@@ -295,6 +299,18 @@ def dense_propagate_labels(laplacian, y0, mu: float) -> np.ndarray:
     pos = sums > 0.0
     f[pos] = f[pos] / sums[pos, None]
     return f
+
+
+def dense_kernel_range(kmat) -> tuple[np.ndarray, np.ndarray]:
+    """(U_r, w_r) from one full eigh of the symmetrized K, cut at n * eps * max(w).
+
+    The library's exact path; it sketches the range instead wherever the
+    range is narrow next to n.
+    """
+    k = np.asarray(kmat, dtype=float)
+    w, u = scipy.linalg.eigh(0.5 * (k + k.T))
+    keep = w > k.shape[0] * np.finfo(float).eps * max(float(w[-1]), 0.0)
+    return u[:, keep], w[keep]
 
 
 def dense_meda_system(m, lap, kmat, ns: int, alpha: float, rho: float,

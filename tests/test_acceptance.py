@@ -21,6 +21,7 @@ import scipy
 from numpy.testing import assert_allclose
 
 import dbmmd
+from dbmmd import linalg
 from dbmmd.adapt import ModelKind, assemble_db, run_adaptation
 from dbmmd.classify import propagate_labels
 from dbmmd.datamodel import AdaptConfig, DomainPair, LabeledDomain, UnlabeledDomain, make_pair
@@ -29,6 +30,7 @@ from dbmmd.graphs import build_affinity, build_graphs
 from dbmmd.io import load_features, save_features
 from dbmmd.linalg import gen_eig_smallest
 from dbmmd.mmd import build_all, group_sums
+from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
 from dense_reference import build_repulsive, cross_block, dense_operator
@@ -363,6 +365,58 @@ def test_linear_kernel_pins_hold_across_blas_kernels(golden, golden_rerun):
             assert objective == pytest.approx(rec.objective, rel=FLOAT_PIN_REL, abs=0), key
             assert eigenvalues == pytest.approx(list(rec.eigenvalues), rel=FLOAT_PIN_REL,
                                                 abs=0), key
+
+
+# The golden recipe at 60 samples a class: n = 360 >= 2 l, so K's range comes
+# from kernel_range's randomized sketch instead of a full eigh.
+SKETCHED_PER_CLASS = 60
+SKETCHED_MODELS = ("JDA+CG", "MEDA+CG")
+
+
+def sketched_runs(fixture_path) -> dict:
+    """r and every round's labels of rbf JDA+CG and MEDA+CG on the wider recipe."""
+    golden = json.loads(Path(fixture_path).read_text())
+    recipe = dict(golden["recipe"], samples_per_class=SKETCHED_PER_CLASS)
+    ds = generate_synthetic(SyntheticRecipe.from_dict(recipe))
+    cfg = AdaptConfig.from_dict(golden["meda_config"])
+    basis, _ = InputOperands(ds.pair, cfg).kernel_range()
+    out = {"n": basis.shape[0], "r": basis.shape[1]}
+    for name in SKETCHED_MODELS:
+        report = run_adaptation(ds.pair, cfg, ModelKind.parse(name), ds.target_truth)
+        out[name] = [r.pseudo_labels.tolist() for r in report.iterations]
+    return out
+
+
+_SKETCHED_RUNS_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_acceptance import sketched_runs
+print(json.dumps(sketched_runs(sys.argv[2])))
+"""
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(),
+                    reason="needs scipy on an x86-64 OpenBLAS built with DYNAMIC_ARCH")
+def test_sketched_range_holds_across_blas_kernels():
+    """The sketched kernel range gives the same r and labels under Prescott.
+
+    The golden runs (n = 300) factor K exactly; these runs reach the
+    sketch. No eigenvalue or objective is pinned: under Prescott the rbf
+    JDA+CG pencil's eigenvalues here move by up to 3e-6 relative and its
+    objectives by 1.5e-11, above FLOAT_PIN_REL.
+    """
+    here = sketched_runs(FIXTURE_PATH)
+    assert here["n"] >= 2 * linalg._SKETCH_COLS
+    assert here["r"] < linalg._SKETCH_COLS - linalg._SKETCH_OVERSAMPLE
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    src = str(Path(dbmmd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", _SKETCHED_RUNS_SCRIPT, str(Path(__file__).parent),
+         str(FIXTURE_PATH)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert json.loads(out.stdout) == here
 
 
 def test_criterion_5_fixed_points(golden, golden_rerun):

@@ -25,7 +25,8 @@ from dbmmd.mmd import MmdOperator, build_all
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
-from dense_reference import cross_block, dense_meda_solve, dense_meda_system, dense_operator
+from dense_reference import (cross_block, dense_kernel_range, dense_meda_solve,
+                             dense_meda_system, dense_operator)
 
 UNIT_AFFINITY = dict(sigma=float("inf"))
 
@@ -578,6 +579,14 @@ class TestMedaRangeSolve:
         _, _, _, beta, scores = rounds[-1]
         assert_allclose(report.embedding, scores.T, rtol=0, atol=1e-10 * np.abs(scores).max())
         assert_allclose(report.projection, beta, rtol=0, atol=1e-10 * np.abs(beta).max())
+
+    @pytest.mark.parametrize("case", ["rbf-full-rank", "rbf-floored-graph"])
+    def test_full_rank_range_is_the_dense_oracle(self, case):
+        ds = small_dataset(seed=61, per_class=8, noise=0.8)
+        ops = InputOperands(ds.pair, AdaptConfig(k=2, lam=1.0, max_iter=5, **self.CASES[case][0]))
+        basis, w_r = ops.kernel_range()
+        want_u, want_w = dense_kernel_range(ops.kernel())
+        assert basis.tobytes() == want_u.tobytes() and w_r.tobytes() == want_w.tobytes()
 
     def test_zero_kernel_has_an_empty_range(self):
         # all features zero: K = 0, r = 0, so scores vanish and beta = Y / eta

@@ -111,6 +111,14 @@ class TestRun:
         bad.write_text("{nope")
         assert main(["run", str(bad)]) == 2
 
+    def test_label_beyond_int64_is_exit_2(self, tmp_path, capsys):
+        (tmp_path / "s.csv").write_text("f0,label\n1.0,0\n2.0,99999999999999999999999\n")
+        (tmp_path / "t.csv").write_text("f0\n1.5\n")
+        spec = write_spec(tmp_path, dataset={"source": str(tmp_path / "s.csv"),
+                                             "target": str(tmp_path / "t.csv")})
+        assert main(["run", str(spec)]) == 2
+        assert "s.csv:3: label outside the int64 range" in capsys.readouterr().err
+
     def test_non_object_dataset_is_exit_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, dataset=["source"])
         assert main(["run", str(spec)]) == 2

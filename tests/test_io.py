@@ -95,6 +95,18 @@ class TestCsv:
         with pytest.raises(FormatError, match="malformed label"):
             load_features(path)
 
+    @pytest.mark.parametrize("label", ["99999999999999999999999", "-9223372036854775809"])
+    def test_label_beyond_int64_names_its_line(self, tmp_path, label):
+        path = tmp_path / "big.csv"
+        path.write_text(f"f0,label\n1.0,0\n2.0,{label}\n")
+        with pytest.raises(FormatError, match="big.csv:3: label outside the int64 range"):
+            load_features(path)
+
+    def test_int64_extremes_load(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text("f0,label\n1.0,9223372036854775807\n2.0,-9223372036854775808\n")
+        assert load_features(path).label_values == (-2**63, 2**63 - 1)
+
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("f0,f1\n1.0,nan\n")
@@ -176,6 +188,14 @@ class TestRaw:
         path.write_bytes(b"\x00" * 24)
         (tmp_path / "feat.json").write_text(f'{{"rows": 3, "cols": 1, "labels": {labels}}}')
         with pytest.raises(FormatError, match="feat.json: labels must be a list of integers"):
+            load_features(path)
+
+    @pytest.mark.parametrize("label", [2**70, -2**63 - 1])
+    def test_label_beyond_int64(self, tmp_path, label):
+        path = tmp_path / "feat.f64"
+        path.write_bytes(b"\x00" * 16)
+        (tmp_path / "feat.json").write_text(f'{{"rows": 2, "cols": 1, "labels": [0, {label}]}}')
+        with pytest.raises(FormatError, match="feat.json: label outside the int64 range"):
             load_features(path)
 
     def test_labels_length_mismatch(self, tmp_path):

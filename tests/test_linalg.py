@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -21,8 +22,8 @@ from dbmmd.linalg import (
     sign_flips,
 )
 
-from dense_reference import (dense_centering_matrix, dense_median_pairwise_distance,
-                             dense_pairwise_sq_dists)
+from dense_reference import (dense_centering_matrix, dense_kernel_range,
+                             dense_median_pairwise_distance, dense_pairwise_sq_dists)
 
 
 def loop_sq_dists(x):
@@ -286,8 +287,9 @@ class TestKernelRange:
         assert basis.shape == (12, 12) and w_r.shape == (12,)
 
     def test_zero_kernel_has_empty_range(self):
-        basis, w_r = kernel_range(np.zeros((5, 5)))
-        assert basis.shape == (5, 0) and w_r.shape == (0,)
+        for n in (5, 2 * linalg._SKETCH_COLS):  # the exact path and the sketch
+            basis, w_r = kernel_range(np.zeros((n, n)))
+            assert basis.shape == (n, 0) and w_r.shape == (0,)
 
     def test_rejects_bad_operands(self):
         with pytest.raises(DimensionError):
@@ -298,8 +300,9 @@ class TestKernelRange:
             kernel_range(np.full((2, 2), np.nan))
 
     def test_one_symmetrized_copy_and_the_basis(self):
-        # the symmetrized copy of K is factored in place: besides it the call
-        # holds only the eigenvectors, LAPACK workspace and n^2-byte masks
+        # r = 551 of 600 saturates the sketch, which is freed before the full
+        # eigh; the symmetrized copy of K is factored in place, and besides it
+        # the call holds only the eigenvectors and LAPACK workspace
         n = 600
         kmat = kernel_matrix(np.random.default_rng(72).normal(size=(3, n)), "rbf", sigma=1.0)
         tracemalloc.start()
@@ -310,6 +313,87 @@ class TestKernelRange:
             tracemalloc.stop()
         assert basis.shape[0] == n
         assert peak < 2.5 * 8 * n * n
+
+
+def median_rbf(seed: int, n: int, d: int = 2) -> np.ndarray:
+    x = np.random.default_rng(seed).normal(size=(d, n))
+    d2 = pairwise_sq_dists(x)
+    return kernel_matrix(x, "rbf", sigma=median_pairwise_distance(d2), sq_dists=d2)
+
+
+def eigh_orders(monkeypatch) -> list[int]:
+    """The order of every matrix scipy.linalg.eigh is given from here on."""
+    orders, eigh = [], scipy.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        orders.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    return orders
+
+
+class TestSketchedKernelRange:
+    """kernel_range's randomized range finder against the full eigh of K."""
+
+    @pytest.mark.parametrize("seed, n", [(73, 600), (74, 900)])
+    def test_low_rank_kernel_matches_the_dense_oracle(self, monkeypatch, seed, n):
+        kmat = median_rbf(seed, n)
+        want_u, want_w = dense_kernel_range(kmat)
+        orders = eigh_orders(monkeypatch)
+        basis, w_r = kernel_range(kmat)
+        assert orders == [linalg._SKETCH_COLS]  # no n x n factorization
+        r = want_w.size
+        assert basis.shape == (n, r) and w_r.shape == (r,)
+        top = want_w[-1]
+        assert_allclose(w_r, want_w, rtol=0, atol=1e-13 * top)
+        residual = np.linalg.norm(kmat @ basis - basis * w_r) / top
+        assert residual <= 10 * np.linalg.norm(kmat @ want_u - want_u * want_w) / top
+        assert_allclose(basis.T @ basis, np.eye(r), rtol=0, atol=1e-12)
+        again_u, again_w = kernel_range(kmat)
+        assert again_u.tobytes() == basis.tobytes() and again_w.tobytes() == w_r.tobytes()
+
+    @pytest.mark.parametrize("case", ["saturated", "small"])
+    def test_exact_path_is_the_dense_oracle(self, case):
+        if case == "saturated":  # r = 551 of 600: the sketch is dropped
+            x = np.random.default_rng(72).normal(size=(3, 600))
+            kmat = kernel_matrix(x, "rbf", sigma=1.0)
+        else:  # n < 2 l: never sketched
+            kmat = median_rbf(75, 2 * linalg._SKETCH_COLS - 1)
+        basis, w_r = kernel_range(kmat)
+        want_u, want_w = dense_kernel_range(kmat)
+        assert basis.tobytes() == want_u.tobytes() and w_r.tobytes() == want_w.tobytes()
+
+    def test_sketch_holds_one_copy_of_k(self):
+        # the symmetrized copy of K, the (n, l) sketch arrays and the basis
+        n = 1800
+        kmat = median_rbf(76, n)
+        tracemalloc.start()
+        try:
+            basis, _ = kernel_range(kmat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.shape[1] < linalg._SKETCH_COLS - linalg._SKETCH_OVERSAMPLE
+        assert peak < 1.5 * 8 * n * n
+
+
+class TestCheckSymmetric:
+    @pytest.mark.parametrize("n", [0, 1, 255, 600])
+    def test_byte_equal_to_the_out_of_place_form(self, n):
+        m = np.random.default_rng(n).normal(size=(n, n))
+        m += m.T
+        m[0:1, -1:] += 1e-12  # a skew within the tolerance, across tiles
+        got = linalg._check_symmetric(m, "test")
+        assert got.tobytes() == (0.5 * (m + m.T)).tobytes() and got.flags.c_contiguous
+
+    def test_skew_in_a_far_tile_is_rejected(self):
+        m = np.ones((600, 600))
+        m[599, 300] = 1.0 + 1e-9  # beyond 1e-10 * max|m|, in the last tile pair
+        with pytest.raises(ParameterError, match="symmetric"):
+            linalg._check_symmetric(m, "test")
+        m[599, 300] = 1.0 + 1e-11
+        linalg._check_symmetric(m, "test")
 
 
 class TestCenteringMatrix:

@@ -294,14 +294,15 @@ def run_meda_cg(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind,
     one-hot source labels, zero on the target rows. The scores K beta see K
     only through its numerical range U_r diag(w_r) U_r^T
     (``linalg.kernel_range``). So with A = E + alpha M + rho L and
-    A_r = U_r[:ns]^T U_r[:ns] + alpha U_r^T M U_r + rho U_r^T L U_r (the
-    first and last shared by the cells of one pair and config), each round
-    solves the r x r system
+    A_r = U_r[:ns]^T U_r[:ns] + alpha U_r^T M U_r + rho U_r^T L U_r, each
+    round solves the r x r system
 
         (eta I + diag(w_r) A_r) gamma = diag(w_r) U_r^T Y
 
-    and takes scores = U_r gamma, beta = (Y - A scores) / eta. The
-    objective ||Y_s - scores_s||^2 + eta tr(beta^T K beta) +
+    and takes scores = U_r gamma, beta = (Y - A scores) / eta. L enters
+    only as L U_r (``InputOperands.range_terms``, shared by the cells of
+    one pair and config), so L scores = (L U_r) gamma. The objective
+    ||Y_s - scores_s||^2 + eta tr(beta^T K beta) +
     alpha tr(scores^T M scores) + rho tr(scores^T L scores) reuses
     beta^T scores = beta^T K beta, M scores and L scores. Requires a kernel
     config; there is no primal MEDA. operands is as for ``run_adaptation``.
@@ -315,8 +316,8 @@ def run_meda_cg(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind,
     n, ns, c = pair.n_total, pair.n_source, pair.class_count
     alpha, rho, eta = cfg.meda_alpha, cfg.meda_rho, cfg.meda_eta
     basis, w = ops.kernel_range()
-    e_r, l_r = ops.range_terms()
-    lap = ops.laplacian()
+    e_r, l_basis = ops.range_terms()
+    l_r = matmul(basis.T, l_basis)
     affinity = ops.affinity() if kind.boundary != "none" else None
     y = np.zeros((n, c))
     y[:ns] = one_hot(pair.source.labels, c)
@@ -326,9 +327,10 @@ def run_meda_cg(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind,
         g = e_r + alpha * db.sandwich(basis.T) + rho * l_r
         g *= w[:, None]
         g[np.diag_indices_from(g)] += eta
-        scores = matmul(basis, _solve_with_escalation(g, rhs))
+        gamma = _solve_with_escalation(g, rhs)
+        scores = matmul(basis, gamma)
         m_scores = db.matvec(scores)
-        l_scores = matmul(lap, scores)
+        l_scores = matmul(l_basis, gamma)
         a_scores = alpha * m_scores + rho * l_scores
         a_scores[:ns] += scores[:ns]
         beta = (y - a_scores) / eta

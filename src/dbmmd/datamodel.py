@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import math
 import numbers
 import types
 import typing
@@ -33,13 +34,25 @@ def _frozen_features(x) -> np.ndarray:
     return x
 
 
+def _integral_labels(y: np.ndarray, what: str) -> np.ndarray:
+    """y unchanged when of an integer dtype, else its integral values as int64.
+
+    A float outside the int64 range (inf, 1e30) raises; a cast would give INT64_MIN.
+    """
+    if np.issubdtype(y.dtype, np.integer):
+        return y
+    if not np.all(y == np.floor(y)):
+        raise ParameterError(f"{what} must be integers")
+    if not np.all((y >= -2.0**63) & (y < 2.0**63)):
+        raise ParameterError(f"{what} outside the int64 range")
+    return y.astype(np.int64)
+
+
 def _frozen_labels(y, m: int, what: str) -> np.ndarray:
     y = np.array(y, copy=True)
     if y.ndim != 1 or y.shape[0] != m:
         raise DimensionError(f"{what} must be 1-D of length {m}, got shape {y.shape}")
-    if not np.issubdtype(y.dtype, np.integer) and not np.all(y == np.floor(y)):
-        raise ParameterError(f"{what} must be integers")
-    y = y.astype(np.int64)
+    y = _integral_labels(y, what).astype(np.int64, copy=False)
     if (y < 0).any():
         raise ParameterError(f"{what} must be nonnegative")
     y.setflags(write=False)
@@ -131,11 +144,7 @@ def remap_labels(raw) -> tuple[np.ndarray, tuple[int, ...]]:
     raw = np.asarray(raw)
     if raw.ndim != 1 or raw.size == 0:
         raise ParameterError("labels must be a nonempty 1-D array")
-    if not np.issubdtype(raw.dtype, np.integer):
-        if not np.all(raw == np.floor(raw)):
-            raise ParameterError("labels must be integers")
-        raw = raw.astype(np.int64)
-    values, dense = np.unique(raw, return_inverse=True)
+    values, dense = np.unique(_integral_labels(raw, "labels"), return_inverse=True)
     return dense.astype(np.int64), tuple(int(v) for v in values)
 
 
@@ -271,6 +280,9 @@ class AdaptConfig:
 
     def __post_init__(self):
         fit_int_fields(self)
+        for key in ("lam", "mu", "meda_alpha", "meda_rho", "meda_eta"):
+            if not math.isfinite(value := getattr(self, key)):
+                raise ParameterError(f"{key} must be finite, got {value}")
         if self.k < 1:
             raise ParameterError(f"k must be a positive integer, got {self.k}")
         if not self.lam > 0.0:

@@ -274,8 +274,8 @@ def kernel_range(kmat) -> tuple[np.ndarray, np.ndarray]:
     factored exactly.
     """
     k = np.asarray(kmat, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise DimensionError(f"kernel matrix must be square, got shape {k.shape}")
+    if k.ndim != 2 or k.shape[0] != k.shape[1] or not k.size:
+        raise DimensionError(f"kernel matrix must be square and nonempty, got shape {k.shape}")
     if not np.isfinite(k).all():
         raise ParameterError("kernel matrix contains non-finite entries")
     k = _check_symmetric(k, "kernel")

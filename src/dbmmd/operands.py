@@ -2,12 +2,14 @@
 
 An experiment runs several models over one pair under one config, and
 they all read the same input-space quantities: the packed features x, the
-bandwidth sigma, the kernel matrix K and its numerical range, the
+bandwidth sigma, the kernel matrix K and its numerical range U_r, the
 source-by-target block of the dense affinity behind the boundary graphs,
-MEDA's normalized kNN Laplacian and the fixed part of MEDA's system in
-the range of K. ``InputOperands`` builds each one the first time a cell
-asks for it and hands out read-only arrays, so a cell that writes into K
-or the affinity raises instead of corrupting the cells after it.
+and the fixed part of MEDA's system in the range of K. ``InputOperands``
+builds each one the first time a cell asks for it and hands out
+read-only arrays, so a cell that writes into K or the affinity raises
+instead of corrupting the cells after it. MEDA's normalized kNN
+Laplacian L only ever meets U_r, so it is held as L U_r and the n x n L
+is dropped once that product is taken: K is the one n x n array kept.
 
 In rbf mode one distance pass gives both the median sigma and K, and the
 distances become K in place. The affinity's cross block is then a view of
@@ -30,11 +32,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def range_products(basis: np.ndarray, ns: int, lap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(U[:ns]^T U[:ns], U^T L U) for a basis U of n rows, ns of them source."""
-    return matmul(basis[:ns].T, basis[:ns]), matmul(basis.T, matmul(lap, basis))
-
-
 class InputOperands:
     """Lazily built, read-only input-space operands of one (pair, config)."""
 
@@ -47,7 +44,6 @@ class InputOperands:
         self._range: tuple[np.ndarray, np.ndarray] | None = None
         self._range_terms: tuple[np.ndarray, np.ndarray] | None = None
         self._affinity: np.ndarray | None = None
-        self._laplacian: np.ndarray | None = None
 
     @classmethod
     def for_cell(cls, pair: DomainPair, cfg: AdaptConfig,
@@ -82,13 +78,17 @@ class InputOperands:
         return self._range
 
     def range_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(U_r[:ns]^T U_r[:ns], U_r^T L U_r), the fixed part of MEDA's system.
+        """(U_r[:ns]^T U_r[:ns], L U_r), the fixed part of MEDA's system.
 
-        The source indicator E and the Laplacian L seen from the range of K.
+        The source indicator E seen from the range of K, and the normalized
+        Laplacian L of the kNN affinity of x (MEDA's manifold term) applied
+        to U_r. L itself is not kept.
         """
         if self._range_terms is None:
             basis, _ = self.kernel_range()
-            terms = range_products(basis, self.pair.n_source, self.laplacian())
+            ns = self.pair.n_source
+            lap = build_laplacian(self._gaussian(self.cfg.neighborhood_p))
+            terms = matmul(basis[:ns].T, basis[:ns]), matmul(lap, basis)
             self._range_terms = tuple(_read_only(a) for a in terms)
         return self._range_terms
 
@@ -104,13 +104,6 @@ class InputOperands:
             else:
                 self._affinity = _read_only(self._gaussian(0).entries[:ns, ns:].copy())
         return self._affinity
-
-    def laplacian(self) -> np.ndarray:
-        """Normalized Laplacian of the kNN affinity of x (MEDA's manifold term)."""
-        if self._laplacian is None:
-            knn = self._gaussian(self.cfg.neighborhood_p)
-            self._laplacian = _read_only(build_laplacian(knn))
-        return self._laplacian
 
     def _gaussian(self, p: int) -> AffinityMatrix:
         """``build_affinity`` of x with p neighbors, reusing a resolved sigma.

@@ -9,6 +9,7 @@ complete, replayable description of the dataset.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,9 @@ class SyntheticRecipe:
             raise ParameterError("feature_dim must be at least 1")
         if self.shift not in SHIFT_KINDS:
             raise ParameterError(f"shift must be one of {SHIFT_KINDS}, got {self.shift!r}")
-        if self.noise_sigma < 0.0:
-            raise ParameterError("noise_sigma must be nonnegative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ParameterError(
+                f"noise_sigma must be nonnegative and finite, got {self.noise_sigma}")
         if isinstance(self.shift_param, (list, tuple, np.ndarray)):
             object.__setattr__(self, "shift_param", tuple(float(v) for v in self.shift_param))
             if self.shift != "translation":
@@ -59,6 +61,8 @@ class SyntheticRecipe:
             if len(self.shift_param) != self.feature_dim:
                 raise ParameterError(f"translation vector length {len(self.shift_param)} "
                                      f"!= feature_dim {self.feature_dim}")
+        if not np.isfinite(self.shift_param).all():
+            raise ParameterError(f"shift_param must be finite, got {self.shift_param}")
         if self.shift == "rotation" and self.feature_dim < 2:
             raise ParameterError("rotation shift needs feature_dim >= 2")
         if self.shift == "cov_scale" and self.shift_param < 0.0:

@@ -18,7 +18,7 @@ from dbmmd.adapt import (
 from dbmmd.classify import hard_labels, nn_classify, one_hot
 from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.errors import NumericError, ParameterError, StateError, UnsupportedModelError
-from dbmmd.graphs import build_affinity, build_graphs
+from dbmmd.graphs import build_affinity, build_graphs, build_laplacian
 from dbmmd.linalg import (gen_eig_smallest, kernel_matrix, kernel_range,
                           median_pairwise_distance, pairwise_sq_dists)
 from dbmmd.mmd import MmdOperator, build_all
@@ -520,7 +520,8 @@ def dense_meda_replay(pair, cfg, kind, report):
     Returns per round (labels, churn, objective, beta, scores).
     """
     ops = InputOperands(pair, cfg)
-    kmat, lap = ops.kernel(), ops.laplacian()
+    kmat = ops.kernel()
+    lap = build_laplacian(build_affinity(pair.packed_features(), cfg.sigma, cfg.neighborhood_p))
     n, ns, c = pair.n_total, pair.n_source, pair.class_count
     alpha, rho, eta = cfg.meda_alpha, cfg.meda_rho, cfg.meda_eta
     y = np.zeros((n, c))

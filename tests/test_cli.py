@@ -133,6 +133,17 @@ class TestRun:
         spec = write_spec(tmp_path)
         assert main(["run", str(spec), "--k", "0"]) == 2
 
+    def test_infinite_hyper_parameter_is_exit_2(self, tmp_path, capsys):
+        # not a failed cell (exit 1): the config is rejected before any cell runs
+        spec = write_spec(tmp_path)
+        assert main(["run", str(spec), "--lam", "inf"]) == 2
+        assert "lam must be finite" in capsys.readouterr().err
+        spec = write_spec(tmp_path, config={"k": 2, "meda_eta": float("inf")})
+        assert "Infinity" in spec.read_text()
+        assert main(["run", str(spec)]) == 2
+        assert "meda_eta must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_cell_is_exit_1(self, tmp_path, capsys):
         # MEDA needs a kernel; the primal spec makes exactly that cell fail
         spec = write_spec(tmp_path, models=["JDA", "MEDA"])

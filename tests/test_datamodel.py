@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -51,6 +52,17 @@ class TestRemapLabels:
         with pytest.raises(ParameterError):
             remap_labels(np.array([0.5, 1.0]))
 
+    @pytest.mark.parametrize("big", [np.inf, -np.inf, 1e30, 2.0**63])
+    def test_float_outside_int64_rejected(self, big):
+        # a cast would turn each of these into INT64_MIN
+        with pytest.raises(ParameterError, match="outside the int64 range"):
+            remap_labels(np.array([0.0, big, 1.0]))
+
+    def test_int64_bounds_as_floats(self):
+        dense, values = remap_labels(np.array([0.0, -2.0**63, 3.0]))
+        assert np.array_equal(dense, [1, 0, 2])
+        assert values == (-2**63, 0, 3)
+
 
 class TestDomains:
     def test_features_immutable(self):
@@ -75,6 +87,14 @@ class TestDomains:
     def test_label_count_mismatch(self):
         with pytest.raises(DimensionError):
             LabeledDomain(np.zeros((2, 3)), np.array([0, 1]), name="source")
+
+    @pytest.mark.parametrize("big", [np.inf, 1e30])
+    def test_float_labels_outside_int64_rejected(self, big):
+        # not reported as negative, which is what their int64 cast would be
+        with pytest.raises(ParameterError, match="labels outside the int64 range"):
+            LabeledDomain(np.zeros((2, 3)), np.array([0.0, big, 1.0]), name="source")
+        with pytest.raises(ParameterError, match="pseudo-labels outside the int64 range"):
+            UnlabeledDomain(np.zeros((2, 3)), pseudo_labels=np.array([0.0, big, 1.0]))
 
     def test_negative_labels_rejected(self):
         with pytest.raises(ParameterError):
@@ -245,6 +265,18 @@ class TestAdaptConfig:
         (key,) = kwargs
         with pytest.raises(ParameterError, match=rf"^{key} must be int"):
             AdaptConfig(**kwargs)
+
+    @pytest.mark.parametrize("key", ["lam", "mu", "meda_alpha", "meda_rho", "meda_eta"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_hyper_parameter_rejected(self, key, value):
+        with pytest.raises(ParameterError, match=rf"^{key} must be finite"):
+            AdaptConfig(**{key: value})
+
+    def test_infinity_in_a_json_config_rejected(self):
+        # Python's json reads Infinity as a float
+        d = json.loads('{"lam": Infinity}')
+        with pytest.raises(ParameterError, match="^lam must be finite"):
+            AdaptConfig.from_dict(d)
 
     def test_fixed_sigma_inf_allowed(self):
         # exp(-d^2 / inf) == 1 exactly, which is how W == 1 graphs are forced

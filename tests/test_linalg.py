@@ -299,6 +299,11 @@ class TestKernelRange:
         with pytest.raises(ParameterError):
             kernel_range(np.full((2, 2), np.nan))
 
+    def test_empty_kernel_is_a_dimension_error(self):
+        # the n * eps * max cut has no largest eigenvalue to read
+        with pytest.raises(DimensionError, match="nonempty"):
+            kernel_range(np.zeros((0, 0)))
+
     def test_one_symmetrized_copy_and_the_basis(self):
         # r = 551 of 600 saturates the sketch, which is freed before the full
         # eigh; the symmetrized copy of K is factored in place, and besides it

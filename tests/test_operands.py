@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ def calls(monkeypatch):
     """Counts the builders the operands call, by name."""
     counts = {}
     for name in ("pairwise_sq_dists", "kernel_matrix", "kernel_range", "build_affinity",
-                 "build_laplacian", "range_products"):
+                 "build_laplacian"):
         fn = getattr(operands_module, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -70,14 +72,16 @@ class TestValues:
         assert ops.affinity().tobytes() == cross_block(pair, alone).tobytes()
 
     @pytest.mark.parametrize("kernel, bandwidth", [("rbf", "median"), ("linear", "median"),
-                                                   ("poly", "fixed"), ("primal", "median")])
+                                                   ("poly", "fixed")])
     def test_laplacian_equals_separate_build(self, kernel, bandwidth):
+        # MEDA's Laplacian is held only as L U_r, the product its cells read
         pair = pair_of()
         cfg = AdaptConfig(kernel=kernel, sigma=1.1 if bandwidth == "fixed" else None)
         ops = InputOperands(pair, cfg)
-        lap = ops.laplacian()
+        l_basis = ops.range_terms()[1]
+        basis, _ = ops.kernel_range()
         alone = build_affinity(pair.packed_features(), cfg.sigma, cfg.neighborhood_p)
-        assert lap.tobytes() == build_laplacian(alone).tobytes()
+        assert l_basis.tobytes() == matmul(build_laplacian(alone), basis).tobytes()
         # the bandwidth the Laplacian resolved is reused, not recomputed
         dense = build_affinity(pair.packed_features(), cfg.sigma, 0)
         assert ops.affinity().tobytes() == cross_block(pair, dense).tobytes()
@@ -106,8 +110,7 @@ class TestValues:
 class TestSharing:
     def test_arrays_are_read_only(self):
         ops = InputOperands(pair_of(), RBF)
-        arrays = [ops.x, ops.kernel(), *ops.kernel_range(), ops.affinity(),
-                  ops.laplacian(), *ops.range_terms()]
+        arrays = [ops.x, ops.kernel(), *ops.kernel_range(), ops.affinity(), *ops.range_terms()]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -120,8 +123,7 @@ class TestSharing:
             run_adaptation(pair, RBF, ModelKind.parse(name), operands=ops)
         # one distance pass for sigma and K, one inside the kNN affinity
         assert calls == {"pairwise_sq_dists": 1, "median": 1, "kernel_matrix": 1,
-                         "kernel_range": 1, "build_affinity": 1, "build_laplacian": 1,
-                         "range_products": 1}
+                         "kernel_range": 1, "build_affinity": 1, "build_laplacian": 1}
 
     def test_experiment_builds_once_per_repeat(self, calls, tmp_path):
         recipe = SyntheticRecipe(class_count=2, samples_per_class=10, feature_dim=2, seed=3)
@@ -129,8 +131,7 @@ class TestSharing:
                               output_dir=str(tmp_path / "out"), repeat=2, synthetic=recipe)
         assert run_experiment(spec).exit_code == 0
         assert calls == {"pairwise_sq_dists": 2, "median": 2, "kernel_matrix": 2,
-                         "kernel_range": 2, "build_affinity": 2, "build_laplacian": 2,
-                         "range_products": 2}
+                         "kernel_range": 2, "build_affinity": 2, "build_laplacian": 2}
 
     def test_meda_cells_share_the_range_of_k_with_projection_cells(self, calls, tmp_path):
         # MEDA first: its cells build the range and its E and L terms, JDA reuses the range
@@ -138,16 +139,33 @@ class TestSharing:
         spec = ExperimentSpec(models=("MEDA", "MEDA+CG", "JDA"), config=RBF,
                               output_dir=str(tmp_path / "out"), repeat=2, synthetic=recipe)
         assert run_experiment(spec).exit_code == 0
-        assert calls["kernel_range"] == 2 and calls["range_products"] == 2
+        assert calls["kernel_range"] == 2 and calls["build_laplacian"] == 2
 
     def test_range_terms_equal_separate_products(self):
         pair = pair_of()
         ops = InputOperands(pair, RBF)
         basis, _ = kernel_range(ops.kernel())
         ns = pair.n_source
-        e_r, l_r = ops.range_terms()
+        e_r, l_basis = ops.range_terms()
+        lap = build_laplacian(build_affinity(pair.packed_features(), None, RBF.neighborhood_p))
         assert e_r.tobytes() == matmul(basis[:ns].T, basis[:ns]).tobytes()
-        assert l_r.tobytes() == matmul(basis.T, matmul(ops.laplacian(), basis)).tobytes()
+        assert l_basis.tobytes() == matmul(lap, basis).tobytes()
+
+    def test_meda_cell_leaves_only_k_held(self):
+        # the n x n Laplacian is dropped once L U_r is taken; K is the one
+        # n x n array the operands keep between cells
+        pair = pair_of(7, 100)
+        n = pair.n_total
+        assert n >= 600
+        tracemalloc.start()
+        try:
+            ops = InputOperands(pair, RBF)
+            run_adaptation(pair, RBF, ModelKind("MEDA", "CG"), operands=ops)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ops.kernel().nbytes == 8 * n * n
+        assert held < 1.5 * 8 * n * n, held / (8 * n * n)
 
     def test_primal_jda_builds_nothing(self, calls):
         pair = pair_of()
@@ -177,6 +195,6 @@ class TestSharing:
         pair = make_pair(LabeledDomain(np.ones((2, 4)), np.array([0, 0, 1, 1])),
                          UnlabeledDomain(np.ones((2, 4))))
         ops = InputOperands(pair, RBF)
-        for request in (ops.kernel, ops.affinity, ops.laplacian, ops.kernel):
+        for request in (ops.kernel, ops.affinity, ops.range_terms, ops.kernel):
             with pytest.raises(BandwidthError):
                 request()

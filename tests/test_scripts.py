@@ -19,3 +19,17 @@ def test_run_benchmark_writes_both_summaries(tmp_path):
         summary = tmp_path / group / "summary.md"
         assert summary.exists(), group
         assert summary.read_text() in out.stdout
+
+
+def test_make_golden_check_matches_the_fixture():
+    fixture = SCRIPTS.parent / "tests" / "fixtures" / "golden.json"
+    before = fixture.read_bytes()
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "make_golden.py"), "--check"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    assert "labels, churns, fixed points, accuracies, configs and digests: match" in lines
+    assert "objectives and eigenvalues within 1e-12 relative: match" in lines
+    assert fixture.read_bytes() == before

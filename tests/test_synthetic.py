@@ -56,6 +56,18 @@ class TestRecipe:
         with pytest.raises(ParameterError, match=match):
             SyntheticRecipe(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"noise_sigma": float("inf")}, "noise_sigma"),
+        ({"noise_sigma": float("nan")}, "noise_sigma"),
+        ({"shift_param": float("inf")}, "shift_param"),
+        ({"shift": "cov_scale", "shift_param": float("nan")}, "shift_param"),
+        ({"shift": "translation", "shift_param": (0.0, float("-inf"))}, "shift_param"),
+    ])
+    def test_non_finite_float_field_rejected(self, kwargs, key):
+        # named here, not later as "features contain non-finite entries"
+        with pytest.raises(ParameterError, match=rf"^{key} must be"):
+            SyntheticRecipe(**kwargs)
+
     def test_shift_param_checked_in_a_json_recipe(self):
         with pytest.raises(ParameterError, match="only to translation"):
             SyntheticRecipe.from_dict({"shift": "rotation", "shift_param": [1, 2]})

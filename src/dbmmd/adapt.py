@@ -37,7 +37,7 @@ from .errors import (
     StateError,
     UnsupportedModelError,
 )
-from .graphs import build_affinity, build_graphs, build_laplacian
+from .graphs import affinity_edges, build_graphs, build_laplacian
 from .linalg import centering_matrix, gen_eig_smallest, matmul, sign_flips
 from .mmd import MmdOperator, MmdTables, build_all
 from .operands import InputOperands
@@ -163,12 +163,6 @@ def _expand(basis: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a * flip, c * flip
 
 
-def _initial_pseudo(pair: DomainPair) -> np.ndarray:
-    if pair.target.pseudo_labels is not None:
-        return np.asarray(pair.target.pseudo_labels)
-    return nn_classify(pair.source.features, pair.source.labels, pair.target.features)
-
-
 def _propagated_target_labels(pair: DomainPair, z: np.ndarray, cfg: AdaptConfig) -> np.ndarray:
     """DGA-style labeling: propagate source labels over the embedded graph.
 
@@ -179,23 +173,26 @@ def _propagated_target_labels(pair: DomainPair, z: np.ndarray, cfg: AdaptConfig)
     ns = pair.n_source
     y0 = np.zeros((pair.n_total, pair.class_count))
     y0[:ns] = one_hot(pair.source.labels, pair.class_count)
-    # One (n, n) array carries distances, affinity, L, mu I + L and its factor.
-    lap = build_laplacian(build_affinity(z, None, cfg.neighborhood_p))
+    # The kNN graph is held on its edges: the distances are its one (n, n) array.
+    lap = build_laplacian(affinity_edges(z, None, cfg.neighborhood_p))
     f = propagate_labels(lap, y0, cfg.mu)
     return hard_labels(f[ns:])
 
 
-def _refine(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind, target_truth,
-            affinity, solve, t0: float) -> AdaptationReport:
+def _refine(ops: InputOperands, kind: ModelKind, target_truth, solve,
+            t0: float) -> AdaptationReport:
     """The pseudo-label refinement loop both solvers share.
 
     Each round assembles the operator for the current pseudo-labels and
     passes it to ``solve(p, db)``, which returns (new labels, objective,
     eigenvalues, projection, embedding). The loop stops at the first round
-    that changes no label, or after max_iter rounds.
+    that changes no label, or after max_iter rounds. Boundary graphs
+    always see the cross block of the dense input affinity.
     """
+    pair, cfg = ops.pair, ops.cfg
+    affinity = ops.affinity() if kind.boundary != "none" else None
     truth = None if target_truth is None else np.asarray(target_truth)
-    pseudo = _initial_pseudo(pair)
+    pseudo = ops.initial_labels()
     baseline = None if truth is None else accuracy(pseudo, truth)
     records: list[IterationRecord] = []
     fixed_point = None
@@ -245,8 +242,6 @@ def run_adaptation(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind,
     ops = InputOperands.for_cell(pair, cfg, operands)
     ns = pair.n_source
     basis, s = _data_operand(cfg, ops)
-    # Boundary graphs always see the cross block of the dense input affinity.
-    affinity = ops.affinity() if kind.boundary != "none" else None
 
     def solve(p: DomainPair, db: MmdOperator):
         c, eigvals, objective = solve_projection(s, db, cfg.k, cfg.lam)
@@ -258,7 +253,7 @@ def run_adaptation(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind,
             new = nn_classify(z[:, :ns], pair.source.labels, z[:, ns:])
         return new, objective, eigvals, a, z
 
-    return _refine(pair, cfg, kind, target_truth, affinity, solve, t0)
+    return _refine(ops, kind, target_truth, solve, t0)
 
 
 def _solve_with_escalation(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -318,7 +313,6 @@ def run_meda_cg(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind,
     basis, w = ops.kernel_range()
     e_r, l_basis = ops.range_terms()
     l_r = matmul(basis.T, l_basis)
-    affinity = ops.affinity() if kind.boundary != "none" else None
     y = np.zeros((n, c))
     y[:ns] = one_hot(pair.source.labels, c)
     rhs = w[:, None] * matmul(basis[:ns].T, y[:ns])
@@ -342,4 +336,4 @@ def run_meda_cg(pair: DomainPair, cfg: AdaptConfig, kind: ModelKind,
         )
         return hard_labels(scores[ns:]), objective, (), beta, scores.T
 
-    return _refine(pair, cfg, kind, target_truth, affinity, solve, t0)
+    return _refine(ops, kind, target_truth, solve, t0)

@@ -1,10 +1,13 @@
 """Base classifiers: nearest neighbor, graph label propagation, accuracy."""
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, NumericError, ParameterError
+from .graphs import EdgeGraph, rcm_order
 from .linalg import matmul
 
 
@@ -46,33 +49,39 @@ def one_hot(labels, class_count: int) -> np.ndarray:
     return out
 
 
-def propagate_labels(laplacian, y0, mu: float) -> np.ndarray:
+def propagate_labels(laplacian: EdgeGraph, y0, mu: float) -> np.ndarray:
     """Graph label propagation F = mu (mu I + L)^-1 Y0.
 
     This is the stationary point of mu ||F - Y0||_F^2 + tr(F^T L F): large
     mu clamps F to Y0, small mu trusts the graph. Rows with positive mass
     are renormalized to sum 1 so downstream argmax tie behavior is stable.
 
-    The symmetric float64 laplacian is consumed: mu I + L is formed in it
-    and LAPACK factors it in place, so the caller must not read it again
-    (a read-only array raises). Any other input is solved on a copy.
+    L is held on its edges (``graphs.build_laplacian`` of an ``EdgeGraph``).
+    In reverse Cuthill-McKee order every edge lies within b of the
+    diagonal, and mu I + L is solved as a banded SPD system (LAPACK pbsv):
+    O(n b^2) time and a (b + 1, n) array, b up to n - 1 for a complete graph.
     """
-    lap = np.asarray(laplacian, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
-        raise DimensionError(f"laplacian must be square, got shape {lap.shape}")
-    if y0.ndim != 2 or y0.shape[0] != lap.shape[0]:
+    n = laplacian.diag.size
+    if y0.ndim != 2 or y0.shape[0] != n:
         raise DimensionError("y0 must have one row per graph vertex")
     if not mu > 0.0:
         raise ParameterError(f"mu must be positive, got {mu}")
-    # mu I + L in place; adding 0.0 turns a -0.0 into 0.0 as mu I + L does.
-    np.add(lap, 0.0, out=lap)
-    lap[np.diag_indices_from(lap)] += mu
-    # L is symmetric, so L^T is the same matrix in the Fortran order LAPACK
-    # factors in place.
-    a = lap.T
+    order = rcm_order(laplacian)
+    at = np.empty(n, dtype=np.intp)
+    at[order] = np.arange(n)
+    i, j = at[laplacian.rows], at[laplacian.cols]
+    # LAPACK lower band storage, entry (i, j), i >= j, at band[i - j, j], in
+    # Fortran order so that pbsv factors it without a copy. Its own zeroed
+    # anonymous mapping: once freed, its pages go back to the OS and do not
+    # stay resident on the malloc heap under later peaks.
+    rows = int(np.abs(i - j).max(initial=0)) + 1
+    band = np.frombuffer(mmap.mmap(-1, 8 * rows * n), dtype=float).reshape((rows, n), order="F")
+    band[0] = laplacian.diag[order] + mu
+    band[np.abs(i - j), np.minimum(i, j)] = laplacian.values
     try:
-        f = scipy.linalg.solve(a, mu * y0, assume_a="pos", overwrite_a=True)
+        f = scipy.linalg.solveh_banded(band, mu * y0[order], overwrite_ab=True,
+                                       overwrite_b=True, lower=True)[at]
     except scipy.linalg.LinAlgError as exc:
         raise NumericError("propagation system is not positive definite") from exc
     sums = f.sum(axis=1)

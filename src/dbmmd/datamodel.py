@@ -52,7 +52,10 @@ def _frozen_labels(y, m: int, what: str) -> np.ndarray:
     y = np.array(y, copy=True)
     if y.ndim != 1 or y.shape[0] != m:
         raise DimensionError(f"{what} must be 1-D of length {m}, got shape {y.shape}")
-    y = _integral_labels(y, what).astype(np.int64, copy=False)
+    y = _integral_labels(y, what)
+    if y.dtype.kind == "u" and y.size and y.max() > np.iinfo(np.int64).max:
+        raise ParameterError(f"{what} outside the int64 range")
+    y = y.astype(np.int64, copy=False)
     if (y < 0).any():
         raise ParameterError(f"{what} must be nonnegative")
     y.setflags(write=False)

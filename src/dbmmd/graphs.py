@@ -40,6 +40,17 @@ class AffinityMatrix:
     sigma: float
 
 
+@dataclass(frozen=True)
+class EdgeGraph:
+    """A symmetric (n, n) matrix: its diagonal, values[e] at (rows[e], cols[e])
+    and its mirror for each edge, listed once with rows[e] < cols[e], else 0."""
+
+    diag: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
 def build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0) -> AffinityMatrix:
     """Gaussian affinity w_ij = exp(-d_ij^2 / (2 sigma^2)) over columns of x.
 
@@ -55,9 +66,33 @@ def build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0) -> Af
     the one with the lowest column index is taken first, so coincident
     points and tied distances give the same graph on every run.
     """
+    w, sigma, keep = _distances_and_neighbors(x, sigma, neighborhood_p)
+    np.divide(w, -2.0 * sigma * sigma, out=w)
+    np.exp(w, out=w)
+    if keep is not None:
+        np.logical_not(keep, out=keep)
+        w[keep] = 0.0
+    np.fill_diagonal(w, 0.0)
+    return AffinityMatrix(w, sigma)
+
+
+def affinity_edges(x, sigma: float | None = None, neighborhood_p: int = 0) -> EdgeGraph:
+    """``build_affinity``'s entries, bit for bit, on the edges of its neighbor union
+    (every pair when dense); the distances are the call's one (n, n) float array."""
+    d2, sigma, keep = _distances_and_neighbors(x, sigma, neighborhood_p)
+    if keep is None:
+        rows, cols = np.triu_indices(d2.shape[0], 1)
+    else:
+        rows, cols = np.nonzero(keep)
+        rows, cols = rows[rows < cols], cols[rows < cols]
+    w = np.exp(d2[rows, cols] / (-2.0 * sigma * sigma))
+    return EdgeGraph(np.zeros(d2.shape[0]), rows, cols, w)
+
+
+def _distances_and_neighbors(x, sigma, neighborhood_p):
+    """(d2, sigma, keep): the distances, the resolved bandwidth, ``_nearest_neighbors``."""
     d2 = pairwise_sq_dists(x)
-    n = d2.shape[0]
-    if n < 2:
+    if d2.shape[0] < 2:
         raise ParameterError("affinity needs at least two samples")
     if sigma is None:
         sigma = median_bandwidth(d2)
@@ -65,20 +100,7 @@ def build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0) -> Af
         raise ParameterError(f"sigma must be positive, or None for the median, got {sigma}")
     if int(neighborhood_p) != neighborhood_p or neighborhood_p < 0:
         raise ParameterError(f"neighborhood_p must be a nonnegative integer, got {neighborhood_p}")
-    p = int(neighborhood_p)
-    keep = _nearest_neighbors(d2, p) if 0 < p < n - 1 else None
-    w = d2
-    np.divide(w, -2.0 * sigma * sigma, out=w)
-    np.exp(w, out=w)
-    if keep is not None:
-        # keep |= keep^T by mirrored tiles: the whole-array form copies keep^T.
-        for upper, lower in _mirrored_tiles(keep):
-            upper |= lower.T
-            lower[...] = upper.T
-        np.logical_not(keep, out=keep)
-        w[keep] = 0.0
-    np.fill_diagonal(w, 0.0)
-    return AffinityMatrix(w, float(sigma))
+    return d2, float(sigma), _nearest_neighbors(d2, int(neighborhood_p))
 
 
 def median_bandwidth(sq_dists: np.ndarray) -> float:
@@ -94,15 +116,18 @@ def median_bandwidth(sq_dists: np.ndarray) -> float:
     return sigma
 
 
-def _nearest_neighbors(d2: np.ndarray, p: int) -> np.ndarray:
-    """Boolean (n, n): row j marks the p columns nearest to j, 0 < p < n - 1.
+def _nearest_neighbors(d2: np.ndarray, p: int) -> np.ndarray | None:
+    """Symmetric boolean (n, n): i, j when either is among the other's p nearest.
 
-    Self is excluded and ties go to the lowest index, the order a stable
-    argsort of the row gives. Each block of rows takes the p-th smallest
-    distance t by partition and keeps every column closer than t; the rest
-    of a row's p are its columns at exactly t, in index order.
+    None for p = 0 or p >= n - 1: every pair. Self is excluded and ties go
+    to the lowest index, the order a stable argsort of the row gives. Each
+    block of rows takes the p-th smallest distance t by partition and keeps
+    every column closer than t; the rest of a row's p are its columns at
+    exactly t, in index order.
     """
     n = d2.shape[0]
+    if not 0 < p < n - 1:
+        return None
     step = _block_rows(n)
     keep = np.empty((n, n), dtype=bool)
     for lo in range(0, n, step):
@@ -118,6 +143,10 @@ def _nearest_neighbors(d2: np.ndarray, p: int) -> np.ndarray:
         over = np.flatnonzero(np.count_nonzero(tied, axis=1) > room)
         tied[over] &= np.cumsum(tied[over], axis=1) <= room[over, None]
         np.logical_or(closer, tied, out=keep[lo:lo + d.shape[0]])
+    # keep |= keep^T by mirrored tiles: the whole-array form copies keep^T.
+    for upper, lower in _mirrored_tiles(keep):
+        upper |= lower.T
+        lower[...] = upper.T
     return keep
 
 
@@ -142,14 +171,20 @@ def build_graphs(pair: DomainPair, cross: np.ndarray) -> np.ndarray:
     return g
 
 
-def build_laplacian(affinity: AffinityMatrix) -> np.ndarray:
+def build_laplacian(affinity: AffinityMatrix | EdgeGraph) -> np.ndarray | EdgeGraph:
     """The normalized Laplacian D^-1/2 (D - W) D^-1/2, built over W itself.
 
     Isolated vertices get degree W_FLOOR so the scaling stays finite;
     their Laplacian row is zero. Entry for entry as diag(deg) - W and the
     scalings give it, but written into ``affinity.entries`` and returned:
-    the affinity is consumed, and a read-only one raises.
+    the affinity is consumed, and a read-only one raises. An ``EdgeGraph``
+    (zero diagonal) gives an ``EdgeGraph`` on the same edges instead.
     """
+    if isinstance(affinity, EdgeGraph):
+        g, n = affinity, affinity.diag.size
+        deg = np.bincount(g.rows, g.values, n) + np.bincount(g.cols, g.values, n)
+        s = 1.0 / np.sqrt(np.where(deg > 0.0, deg, W_FLOOR))
+        return EdgeGraph(deg * s * s, g.rows, g.cols, (0.0 - g.values) * s[g.rows] * s[g.cols])
     w = affinity.entries
     deg = w.sum(axis=1)
     diag = np.diag_indices_from(w)
@@ -161,3 +196,31 @@ def build_laplacian(affinity: AffinityMatrix) -> np.ndarray:
     lap *= inv_sqrt[:, None]
     lap *= inv_sqrt[None, :]
     return symmetrize_inplace(lap)
+
+
+def rcm_order(graph: EdgeGraph) -> np.ndarray:
+    """Reverse Cuthill-McKee order (Cuthill & McKee, 1969): every edge near the diagonal.
+
+    Breadth first a level at a time; a component starts at its lowest-degree
+    vertex, lowest index first, and a level lists the unvisited neighbors of
+    the one before in (parent position, edge count, index) order.
+    """
+    n = graph.diag.size
+    heads, tails = np.r_[graph.rows, graph.cols], np.r_[graph.cols, graph.rows]
+    degree = np.bincount(heads, minlength=n)
+    # Each adjacency list in (degree, index) order, so no level needs a sort.
+    adj = tails[np.lexsort((tails, degree[tails], heads))]
+    starts = np.cumsum(degree) - degree
+    visited = np.zeros(n, dtype=bool)
+    order: list[np.ndarray] = []
+    while not visited.all():
+        level = np.array([np.argmin(np.where(visited, n, degree))])
+        while level.size:
+            visited[level] = True
+            order.append(level)
+            counts = degree[level]
+            at = np.arange(counts.sum()) + np.repeat(starts[level] - np.cumsum(counts) + counts, counts)
+            near = adj[at][~visited[adj[at]]]
+            _, first = np.unique(near, return_index=True)
+            level = near[np.sort(first)]
+    return np.concatenate(order)[::-1]

@@ -4,7 +4,8 @@ An experiment runs several models over one pair under one config, and
 they all read the same input-space quantities: the packed features x, the
 bandwidth sigma, the kernel matrix K and its numerical range U_r, the
 source-by-target block of the dense affinity behind the boundary graphs,
-and the fixed part of MEDA's system in the range of K. ``InputOperands``
+the fixed part of MEDA's system in the range of K, and the target's
+starting pseudo-labels. ``InputOperands``
 builds each one the first time a cell asks for it and hands out
 read-only arrays, so a cell that writes into K or the affinity raises
 instead of corrupting the cells after it. MEDA's normalized kNN
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .classify import nn_classify
 from .datamodel import AdaptConfig, DomainPair
 from .errors import ParameterError
 from .graphs import AffinityMatrix, build_affinity, build_laplacian, median_bandwidth
@@ -44,6 +46,7 @@ class InputOperands:
         self._range: tuple[np.ndarray, np.ndarray] | None = None
         self._range_terms: tuple[np.ndarray, np.ndarray] | None = None
         self._affinity: np.ndarray | None = None
+        self._initial: np.ndarray | None = None
 
     @classmethod
     def for_cell(cls, pair: DomainPair, cfg: AdaptConfig,
@@ -104,6 +107,14 @@ class InputOperands:
             else:
                 self._affinity = _read_only(self._gaussian(0).entries[:ns, ns:].copy())
         return self._affinity
+
+    def initial_labels(self) -> np.ndarray:
+        """The target's own pseudo-labels, or else its 1-NN labels from the source."""
+        if self._initial is None:
+            source, target = self.pair.source, self.pair.target
+            self._initial = target.pseudo_labels if target.pseudo_labels is not None else (
+                _read_only(nn_classify(source.features, source.labels, target.features)))
+        return self._initial
 
     def _gaussian(self, p: int) -> AffinityMatrix:
         """``build_affinity`` of x with p neighbors, reusing a resolved sigma.

@@ -7,12 +7,15 @@ pseudo-class) groups plus one cross-domain block; the tests check that
 the engine's table and block reproduce these matrices exactly.
 
 The neighborhood-graph oracles below are the original out-of-place
-distance, median, affinity, Laplacian and propagation code: a second
-distance pass for the median, a copy of the whole upper triangle for its
-partition, a stable argsort per row for the kNN graph, and the explicit
-identity in the propagation system. The library computes the same values
-in one distance pass and in place, through one (n, n) buffer; the tests
-require them equal bit for bit. ``dense_centering_matrix`` is the
+distance, median, affinity and Laplacian code: a second distance pass
+for the median, a copy of the whole upper triangle for its partition,
+and a stable argsort per row for the kNN graph. The library computes the
+same values in one distance pass and in place, through one (n, n)
+buffer; the tests require them equal bit for bit. The propagation oracle
+is the dense solve on mu * eye(n) + L. The library solves that system
+in band form over the graph's edges, in another order of operations, so
+the tests hold it to ``propagation_tolerance``; ``edge_graph`` hands a
+dense matrix to it. ``dense_centering_matrix`` is the
 explicit n x n H, which the library never forms.
 
 ``dense_operator`` expands the engine's MMD operator to the (n, n) matrix
@@ -37,7 +40,7 @@ import scipy.linalg
 
 from dbmmd.datamodel import DomainPair
 from dbmmd.errors import ParameterError, StateError
-from dbmmd.graphs import W_FLOOR, AffinityMatrix
+from dbmmd.graphs import W_FLOOR, AffinityMatrix, EdgeGraph
 from dbmmd.linalg import matmul
 
 DIRECTIONS = ("source_to_target", "target_to_source")
@@ -299,6 +302,24 @@ def dense_propagate_labels(laplacian, y0, mu: float) -> np.ndarray:
     pos = sums > 0.0
     f[pos] = f[pos] / sums[pos, None]
     return f
+
+
+def edge_graph(matrix) -> EdgeGraph:
+    """A dense symmetric matrix as its diagonal and its nonzero strict upper entries."""
+    m = np.asarray(matrix, dtype=float)
+    rows, cols = np.nonzero(np.triu(m, 1))
+    return EdgeGraph(np.diag(m).copy(), rows, cols, m[rows, cols])
+
+
+def propagation_tolerance(n: int, mu: float) -> float:
+    """Entrywise bound on two propagations of one normalized-Laplacian system.
+
+    Each Cholesky solve is backward stable, so its F is within about
+    n eps cond of the exact one, and mu I + L has cond <= (2 + mu) / mu
+    since L's spectrum lies in [0, 2]. Two solves, and the row
+    renormalization, double that.
+    """
+    return 4.0 * n * np.finfo(float).eps * (2.0 + mu) / mu
 
 
 def dense_kernel_range(kmat) -> tuple[np.ndarray, np.ndarray]:

@@ -33,7 +33,7 @@ from dbmmd.mmd import build_all, group_sums
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
-from dense_reference import build_repulsive, cross_block, dense_operator
+from dense_reference import build_repulsive, cross_block, dense_operator, edge_graph
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden.json"
 
@@ -456,7 +456,7 @@ def test_criterion_7_label_propagation():
             ]
         )
         y0 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        f = propagate_labels(lap, y0, mu=1.0)
+        f = propagate_labels(edge_graph(lap), y0, mu=1.0)
         expect = np.array(
             [
                 [5.0 / 6.0, 1.0 / 6.0],
@@ -476,7 +476,7 @@ def test_criterion_7_label_propagation():
             labels = rng.integers(0, 3, 6)
             y_full = np.zeros((6, 3))
             y_full[np.arange(6), labels] = 1.0
-            f_clamped = propagate_labels(any_lap, y_full, mu=1e9)
+            f_clamped = propagate_labels(edge_graph(any_lap), y_full, mu=1e9)
             assert np.max(np.abs(f_clamped - y_full)) < 1e-6
 
 

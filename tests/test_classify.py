@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dbmmd.classify import accuracy, hard_labels, nn_classify, one_hot, propagate_labels
-from dbmmd.errors import DimensionError, ParameterError
-from dbmmd.graphs import build_affinity, build_laplacian
+from dbmmd.errors import DimensionError, NumericError, ParameterError
+from dbmmd.graphs import EdgeGraph, affinity_edges, build_affinity, build_laplacian
 
-from dense_reference import dense_propagate_labels
+from dense_reference import (dense_build_affinity, dense_build_laplacian, dense_propagate_labels,
+                             edge_graph, propagation_tolerance)
 
 
 class TestNnClassify:
@@ -72,8 +73,7 @@ class TestOneHot:
             one_hot(np.array([0, 3]), 3)
 
 
-# propagate_labels consumes its Laplacian, so each test passes a copy.
-PATH_LAPLACIAN = np.array(
+PATH_LAPLACIAN = edge_graph(
     [
         [1.0, -1.0, 0.0],
         [-1.0, 2.0, -1.0],
@@ -82,15 +82,33 @@ PATH_LAPLACIAN = np.array(
 )
 
 
+def read_only(graph: EdgeGraph) -> EdgeGraph:
+    for a in (graph.diag, graph.rows, graph.cols, graph.values):
+        a.flags.writeable = False
+    return graph
+
+
+def blobs(rng, centers, per_blob: int, spread: float = 1.0) -> np.ndarray:
+    """(3, len(centers) * per_blob) points scattered about the given centers."""
+    return np.concatenate(
+        [c[:, None] + spread * rng.normal(size=(3, per_blob)) for c in np.asarray(centers, float)],
+        axis=1,
+    )
+
+
+def dense_oracle(x, p: int, y0, mu: float) -> np.ndarray:
+    return dense_propagate_labels(dense_build_laplacian(dense_build_affinity(x, None, p)), y0, mu)
+
+
 class TestPropagateLabels:
     def test_zero_laplacian_returns_y0(self):
         y0 = one_hot(np.array([0, 1, 1]), 2)
-        f = propagate_labels(np.zeros((3, 3)), y0, mu=0.5)
+        f = propagate_labels(edge_graph(np.zeros((3, 3))), y0, mu=0.5)
         assert_allclose(f, y0, atol=1e-14)
 
     def test_huge_mu_clamps_to_y0(self):
         y0 = one_hot(np.array([0, 1, 0]), 2)
-        f = propagate_labels(PATH_LAPLACIAN.copy(), y0, mu=1e9)
+        f = propagate_labels(PATH_LAPLACIAN, y0, mu=1e9)
         assert_allclose(f, y0, atol=1e-6)
 
     def test_path_graph_hand_solved(self):
@@ -98,7 +116,7 @@ class TestPropagateLabels:
         # (I + L) F_raw = Y0 solves to rows (5, 1)/8, (2, 2)/8, (1, 5)/8,
         # which renormalize to (5/6, 1/6), (1/2, 1/2), (1/6, 5/6)
         y0 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        f = propagate_labels(PATH_LAPLACIAN.copy(), y0, mu=1.0)
+        f = propagate_labels(PATH_LAPLACIAN, y0, mu=1.0)
         expect = np.array(
             [
                 [5.0 / 6.0, 1.0 / 6.0],
@@ -112,7 +130,7 @@ class TestPropagateLabels:
 
     def test_single_endpoint_spreads_everywhere(self):
         y0 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        f = propagate_labels(PATH_LAPLACIAN.copy(), y0, mu=1.0)
+        f = propagate_labels(PATH_LAPLACIAN, y0, mu=1.0)
         # every vertex has positive class-0 mass and none of class 1,
         # so renormalization makes all rows exactly (1, 0)
         assert_allclose(f, np.array([[1.0, 0.0]] * 3), atol=1e-12)
@@ -128,53 +146,89 @@ class TestPropagateLabels:
         np.fill_diagonal(w, 0.0)
         lap = np.diag(w.sum(axis=1)) - w
         y0 = one_hot(rng.integers(0, 3, 6), 3)
-        f = propagate_labels(lap, y0, mu=float(rng.uniform(0.05, 5.0)))
+        f = propagate_labels(edge_graph(lap), y0, mu=float(rng.uniform(0.05, 5.0)))
         assert f.min() >= -1e-12
         assert_allclose(f.sum(axis=1), np.ones(6), atol=1e-10)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("seed", range(4))
     def test_bit_equal_to_dense_solve_and_laplacian_untouched(self, seed, order):
-        # the oracle solves an untouched copy; the Laplacian passed in is consumed
+        # Hard labels bit-equal to the dense solve's, F within the
+        # tolerance, the (read-only) Laplacian not written, y0 in either order.
         rng = np.random.default_rng(seed)
         n = 40 + 70 * seed
-        aff = build_affinity(rng.normal(size=(3, n)), neighborhood_p=5)
-        lap = np.array(build_laplacian(aff), order=order)
-        before = lap.copy()
+        x = rng.normal(size=(3, n))
+        lap = read_only(build_laplacian(affinity_edges(x, None, 5)))
+        before = [a.copy() for a in (lap.diag, lap.rows, lap.cols, lap.values)]
         labeled = np.arange(n // 2)
-        y0 = np.zeros((n, 3))
+        y0 = np.zeros((n, 3), order=order)
         y0[labeled] = one_hot(rng.integers(0, 3, labeled.size), 3)
         mu = float(rng.uniform(0.05, 5.0))
-        expect = dense_propagate_labels(before, y0, mu)
+        expect = dense_propagate_labels(build_laplacian(build_affinity(x, None, 5)), y0, mu)
         f = propagate_labels(lap, y0, mu)
-        assert f.tobytes() == expect.tobytes()
-        # mu I + L is formed in the caller's array, which LAPACK may factor too
-        assert not np.array_equal(lap, before)
-
-    def test_read_only_laplacian_raises(self):
-        lap = PATH_LAPLACIAN.copy()
-        lap.flags.writeable = False
-        with pytest.raises(ValueError):
-            propagate_labels(lap, np.eye(3)[:, :2], mu=1.0)
-        assert np.array_equal(lap, PATH_LAPLACIAN)
+        assert_allclose(f, expect, rtol=0, atol=propagation_tolerance(n, mu))
+        assert hard_labels(f).tobytes() == hard_labels(expect).tobytes()
+        for a, b in zip((lap.diag, lap.rows, lap.cols, lap.values), before):
+            assert a.tobytes() == b.tobytes()
 
     def test_signed_zeros_solve_as_dense_system(self):
-        # mu I + L turns every -0.0 of L into 0.0; solved with the -0.0 kept,
-        # this system gives -0.0 where the dense one gives 0.0
-        lap = np.array([[0.5, -0.0], [-0.0, 0.0]])
+        # a -0.0 edge and -0.0 labels solve as the dense system on 0.0
+        lap = EdgeGraph(np.array([0.5, 0.0]), np.array([0]), np.array([1]), np.array([-0.0]))
         y0 = np.array([[-0.0, 1.0], [-1.0, 0.0]])
-        expect = dense_propagate_labels(lap.copy(), y0, 1.0)
+        expect = dense_propagate_labels(np.array([[0.5, -0.0], [-0.0, 0.0]]), y0, 1.0)
         f = propagate_labels(lap, y0, mu=1.0)
-        assert f.tobytes() == expect.tobytes()
+        assert_allclose(f, expect, rtol=0, atol=propagation_tolerance(2, 1.0))
+
+    @pytest.mark.parametrize("mu", [0.01, 1.0])
+    @pytest.mark.parametrize("case", ["connected", "components", "underflowed", "coincident",
+                                      "complete", "p-at-least-n-1"])
+    def test_matches_dense_oracle(self, case, mu):
+        rng = np.random.default_rng(3)
+        p = 5
+        if case == "connected":
+            x = blobs(rng, [[0.0, 0.0, 0.0]], 200)
+        elif case == "components":
+            # far-apart blobs: the kNN union has one component per blob
+            x = blobs(rng, [[0.0] * 3, [100.0] * 3, [-100.0, 0.0, 100.0]], 40, 0.5)
+        elif case == "underflowed":
+            # the outlier's weights underflow to 0: an isolated vertex, degree W_FLOOR
+            x = np.concatenate([blobs(rng, [[0.0] * 3], 60), [[1e4], [0.0], [0.0]]], axis=1)
+        elif case == "coincident":
+            # a grid of tied distances, each point doubled
+            g = np.stack(np.meshgrid(np.arange(6.0), np.arange(6.0), [0.0]), 0).reshape(3, -1)
+            x = np.concatenate([g, g], axis=1)
+        elif case == "complete":
+            x, p = blobs(rng, [[0.0] * 3], 80), 0
+        else:
+            x, p = blobs(rng, [[0.0] * 3], 30), 29
+        n = x.shape[1]
+        y0 = np.zeros((n, 3))
+        labeled = rng.permutation(n)[: n // 3]
+        y0[labeled] = one_hot(rng.integers(0, 3, labeled.size), 3)
+        f = propagate_labels(build_laplacian(affinity_edges(x, None, p)), y0, mu)
+        assert_allclose(f, dense_oracle(x, p, y0, mu), rtol=0, atol=propagation_tolerance(n, mu))
+
+    def test_unlabeled_component_gets_zero_rows(self):
+        x = blobs(np.random.default_rng(4), [[0.0] * 3, [100.0] * 3], 20, 0.5)
+        y0 = np.zeros((40, 2))
+        y0[:20] = one_hot(np.arange(20) % 2, 2)
+        f = propagate_labels(build_laplacian(affinity_edges(x, None, 3)), y0, mu=0.01)
+        assert not f[20:].any()
+        assert_allclose(f[:20].sum(axis=1), 1.0, atol=1e-12)
 
     def test_errors(self):
         y0 = np.zeros((3, 2))
         with pytest.raises(ParameterError):
-            propagate_labels(PATH_LAPLACIAN.copy(), y0, mu=0.0)
+            propagate_labels(PATH_LAPLACIAN, y0, mu=0.0)
         with pytest.raises(DimensionError):
-            propagate_labels(PATH_LAPLACIAN.copy(), np.zeros((2, 2)), mu=1.0)
+            propagate_labels(PATH_LAPLACIAN, np.zeros((2, 2)), mu=1.0)
         with pytest.raises(DimensionError):
-            propagate_labels(np.zeros((2, 3)), y0, mu=1.0)
+            propagate_labels(PATH_LAPLACIAN, np.zeros(3), mu=1.0)
+        # a failed band factorization is a NumericError
+        with pytest.raises(NumericError):
+            propagate_labels(edge_graph(-np.eye(3)), y0, mu=1.0)
+        with pytest.raises(NumericError):
+            propagate_labels(edge_graph(np.array([[0.0, -3.0], [-3.0, 0.0]])), y0[:2], mu=1.0)
 
 
 class TestHardLabels:

@@ -96,6 +96,15 @@ class TestDomains:
         with pytest.raises(ParameterError, match="pseudo-labels outside the int64 range"):
             UnlabeledDomain(np.zeros((2, 3)), pseudo_labels=np.array([0.0, big, 1.0]))
 
+    def test_unsigned_labels_outside_int64_rejected(self):
+        big = np.array([0, 2**63], dtype=np.uint64)
+        with pytest.raises(ParameterError, match="labels outside the int64 range"):
+            LabeledDomain(np.zeros((1, 2)), big)
+        with pytest.raises(ParameterError, match="pseudo-labels outside the int64 range"):
+            UnlabeledDomain(np.zeros((1, 2)), pseudo_labels=big)
+        edge = np.array([0, 2**63 - 1], dtype=np.uint64)
+        assert LabeledDomain(np.zeros((1, 2)), edge).labels.tolist() == [0, 2**63 - 1]
+
     def test_negative_labels_rejected(self):
         with pytest.raises(ParameterError):
             LabeledDomain(np.zeros((2, 2)), np.array([0, -1]), name="source")

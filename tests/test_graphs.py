@@ -13,9 +13,12 @@ from dbmmd.errors import BandwidthError, DimensionError, ParameterError
 from dbmmd.graphs import (
     W_FLOOR,
     AffinityMatrix,
+    EdgeGraph,
+    affinity_edges,
     build_affinity,
     build_graphs,
     build_laplacian,
+    rcm_order,
 )
 from dbmmd.mmd import build_all
 
@@ -325,3 +328,82 @@ class TestLaplacian:
         with pytest.raises(ValueError):
             build_laplacian(aff)
         assert_bits_equal(aff.entries, before)
+
+
+def edge_graph_cases():
+    """(x, p): random points, a grid of ties, coincident points, each at several p."""
+    rng = np.random.default_rng(61)
+    twins = np.repeat(np.eye(2), 6, axis=1)  # two places, six points at each
+    for x in (rng.normal(size=(3, 90)), grid_points(62, 120, 4), twins):
+        n = x.shape[1]
+        for p in (0, 1, 5, n - 2, n - 1):
+            yield x, p
+
+
+class TestEdgeGraphs:
+    @pytest.mark.parametrize("x, p", list(edge_graph_cases()))
+    def test_edges_are_the_affinity_bit_for_bit(self, x, p):
+        g = affinity_edges(x, None, p)
+        assert np.all(g.rows < g.cols) and not g.diag.any()
+        n = x.shape[1]
+        on_edge = np.zeros((n, n), dtype=bool)
+        on_edge[g.rows, g.cols] = True
+        # infinite sigma weighs every kept pair 1: the pattern is the kNN union
+        union = build_affinity(x, float("inf"), p).entries != 0.0
+        assert np.array_equal(on_edge, np.triu(union, 1))
+        assert_bits_equal(g.values, build_affinity(x, None, p).entries[g.rows, g.cols])
+
+    @pytest.mark.parametrize("x, p", list(edge_graph_cases()))
+    def test_edge_laplacian_is_the_dense_one(self, x, p):
+        # degrees summed by bincount, not by row: equal up to rounding
+        lap = build_laplacian(affinity_edges(x, None, p))
+        dense = build_laplacian(build_affinity(x, None, p))
+        assert_allclose(lap.diag, np.diag(dense), rtol=1e-13, atol=0)
+        assert_allclose(lap.values, dense[lap.rows, lap.cols], rtol=1e-13, atol=0)
+
+    def test_isolated_vertex_row_is_zero(self):
+        g = EdgeGraph(np.zeros(4), np.array([0, 0, 1]), np.array([1, 3, 3]),
+                      np.array([0.7, 0.0, 0.0]))
+        lap = build_laplacian(g)
+        assert_allclose(lap.diag, [1.0, 1.0, 0.0, 0.0], atol=1e-15)
+        assert_allclose(lap.values, [-1.0, 0.0, 0.0], atol=1e-15)
+        assert not np.signbit(lap.values[1:]).any()
+
+
+def path_graph(order: np.ndarray) -> EdgeGraph:
+    """The path order[0] - order[1] - ... with unit weights."""
+    a, b = order[:-1], order[1:]
+    return EdgeGraph(np.zeros(order.size), np.minimum(a, b), np.maximum(a, b),
+                     np.ones(order.size - 1))
+
+
+def bandwidth(graph: EdgeGraph, order: np.ndarray) -> int:
+    at = np.empty(order.size, dtype=np.intp)
+    at[order] = np.arange(order.size)
+    return int(np.abs(at[graph.rows] - at[graph.cols]).max(initial=0))
+
+
+class TestRcmOrder:
+    def test_hand_ordered_example(self):
+        # edges 0-1, 0-2, 0-3, 2-4, 2-5, 3-7 and an isolated 6. Cuthill-McKee
+        # starts at 6 (degree 0), then at 1 (degree 1, lowest index). 0's
+        # neighbors go 3 (degree 2) before 2 (degree 3); the next level puts
+        # 3's child 7 before 2's children 4 and 5. RCM reverses that order.
+        g = EdgeGraph(np.zeros(8), np.array([0, 0, 0, 2, 2, 3]), np.array([1, 2, 3, 4, 5, 7]),
+                      np.ones(6))
+        assert rcm_order(g).tolist() == [5, 4, 7, 2, 3, 0, 1, 6]
+
+    @pytest.mark.parametrize("n", [2, 17, 300])
+    def test_shuffled_path_gets_bandwidth_one(self, n):
+        g = path_graph(np.random.default_rng(n).permutation(n))
+        assert bandwidth(g, np.arange(n)) > 1 or n == 2
+        assert bandwidth(g, rcm_order(g)) == 1
+
+    @pytest.mark.parametrize("x, p", list(edge_graph_cases()))
+    def test_order_is_a_permutation(self, x, p):
+        order = rcm_order(affinity_edges(x, None, p))
+        assert np.array_equal(np.sort(order), np.arange(x.shape[1]))
+
+    def test_no_edges_is_the_reversed_identity(self):
+        g = EdgeGraph(np.zeros(4), np.zeros(0, int), np.zeros(0, int), np.zeros(0))
+        assert rcm_order(g).tolist() == [3, 2, 1, 0]

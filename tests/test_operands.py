@@ -8,6 +8,7 @@ import pytest
 import dbmmd.graphs as graphs_module
 import dbmmd.operands as operands_module
 from dbmmd.adapt import ModelKind, run_adaptation
+from dbmmd.classify import nn_classify
 from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.errors import BandwidthError, ParameterError
 from dbmmd.experiment import ExperimentSpec, run_experiment
@@ -101,6 +102,15 @@ class TestValues:
             # a copy: the dense affinity it was cut from is not kept
             assert cross.base is None
 
+    def test_initial_labels_are_the_target_1nn_labels(self):
+        pair = pair_of()
+        src, tgt = pair.source, pair.target
+        expect = nn_classify(src.features, src.labels, tgt.features)
+        assert InputOperands(pair, RBF).initial_labels().tobytes() == expect.tobytes()
+        # a target that carries pseudo-labels starts from them
+        given = pair.with_pseudo_labels((expect + 1) % pair.class_count)
+        assert InputOperands(given, RBF).initial_labels() is given.target.pseudo_labels
+
     def test_kernel_range_of_k(self):
         ops = InputOperands(pair_of(), RBF)
         for ours, alone in zip(ops.kernel_range(), kernel_range(ops.kernel())):
@@ -115,6 +125,8 @@ class TestSharing:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ops.initial_labels()[0] = 1
 
     def test_each_operand_is_built_once(self, calls):
         pair = pair_of()
@@ -132,6 +144,20 @@ class TestSharing:
         assert run_experiment(spec).exit_code == 0
         assert calls == {"pairwise_sq_dists": 2, "median": 2, "kernel_matrix": 2,
                          "kernel_range": 2, "build_affinity": 2, "build_laplacian": 2}
+
+    def test_initial_labels_once_per_repeat(self, monkeypatch, tmp_path):
+        scans = []
+
+        def counted(*args):
+            scans.append(1)
+            return nn_classify(*args)
+
+        monkeypatch.setattr(operands_module, "nn_classify", counted)
+        recipe = SyntheticRecipe(class_count=2, samples_per_class=10, feature_dim=2, seed=3)
+        spec = ExperimentSpec(models=("JDA", "CDDA+DB", "DGA-DA+DB", "MEDA+CG"), config=RBF,
+                              output_dir=str(tmp_path / "out"), repeat=2, synthetic=recipe)
+        assert run_experiment(spec).exit_code == 0
+        assert len(scans) == 2
 
     def test_meda_cells_share_the_range_of_k_with_projection_cells(self, calls, tmp_path):
         # MEDA first: its cells build the range and its E and L terms, JDA reuses the range

@@ -37,7 +37,7 @@ from .errors import (
     StateError,
     UnsupportedModelError,
 )
-from .graphs import affinity_edges, build_graphs, build_laplacian
+from .graphs import build_affinity, build_graphs, build_laplacian
 from .linalg import centering_matrix, gen_eig_smallest, matmul, sign_flips
 from .mmd import MmdOperator, MmdTables, build_all
 from .operands import InputOperands
@@ -174,7 +174,7 @@ def _propagated_target_labels(pair: DomainPair, z: np.ndarray, cfg: AdaptConfig)
     y0 = np.zeros((pair.n_total, pair.class_count))
     y0[:ns] = one_hot(pair.source.labels, pair.class_count)
     # The kNN graph is held on its edges: the distances are its one (n, n) array.
-    lap = build_laplacian(affinity_edges(z, None, cfg.neighborhood_p))
+    lap = build_laplacian(build_affinity(z, None, cfg.neighborhood_p)[0])
     f = propagate_labels(lap, y0, cfg.mu)
     return hard_labels(f[ns:])
 
@@ -187,7 +187,7 @@ def _refine(ops: InputOperands, kind: ModelKind, target_truth, solve,
     passes it to ``solve(p, db)``, which returns (new labels, objective,
     eigenvalues, projection, embedding). The loop stops at the first round
     that changes no label, or after max_iter rounds. Boundary graphs
-    always see the cross block of the dense input affinity.
+    always see the cross block of the input affinity.
     """
     pair, cfg = ops.pair, ops.cfg
     affinity = ops.affinity() if kind.boundary != "none" else None

@@ -24,20 +24,12 @@ import numpy as np
 
 from .datamodel import DomainPair
 from .errors import BandwidthError, DimensionError, ParameterError
-from .linalg import (_block_rows, _mirrored_tiles, median_pairwise_distance, pairwise_sq_dists,
-                     symmetrize_inplace)
+from .linalg import (_as_feature_matrix, _block_rows, _mirrored_tiles, median_pairwise_distance,
+                     pairwise_sq_dists)
 from .mmd import group_index
 
-# Floor for 1/W so sparsified or underflowed affinities cannot blow up.
+# Floor for 1/W so underflowed affinities cannot blow up.
 W_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class AffinityMatrix:
-    """Symmetric nonnegative weights with a zero diagonal."""
-
-    entries: np.ndarray
-    sigma: float
 
 
 @dataclass(frozen=True)
@@ -50,57 +42,54 @@ class EdgeGraph:
     cols: np.ndarray
     values: np.ndarray
 
+    def dense(self) -> np.ndarray:
+        """The (n, n) matrix itself, a new array."""
+        n = self.diag.size
+        out = np.zeros((n, n))
+        out[self.rows, self.cols] = self.values
+        out[self.cols, self.rows] = self.values
+        np.fill_diagonal(out, self.diag)
+        return out
 
-def build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0) -> AffinityMatrix:
-    """Gaussian affinity w_ij = exp(-d_ij^2 / (2 sigma^2)) over columns of x.
 
-    The squared distances are computed once: the median bandwidth and the
-    neighbor choice read that one array, which then becomes the affinity
-    in place, the one (n, n) float array of the call.
+def build_affinity(x, sigma: float | None = None,
+                   neighborhood_p: int = 0) -> tuple[EdgeGraph, float]:
+    """(W, sigma): Gaussian weights w_ij = exp(-d_ij^2 / (2 sigma^2)) between
+    columns of x on the graph's edges, and the bandwidth used.
 
-    sigma None takes the median nonzero pairwise distance and fails with
+    The squared distances, computed once after the arguments are checked,
+    are the call's one (n, n) float array. sigma None takes the median nonzero pairwise distance and fails with
     BandwidthError when all points coincide; a given sigma must be
-    positive. neighborhood_p > 0 keeps w_ij only when i is among the p
-    nearest neighbors of j or vice versa; p = 0 keeps the matrix dense. A
-    point is never its own neighbor, and among equally distant candidates
-    the one with the lowest column index is taken first, so coincident
-    points and tied distances give the same graph on every run.
+    positive. neighborhood_p > 0 keeps edge i, j when i is among the p
+    nearest neighbors of j or vice versa; p = 0 keeps every pair. A point
+    is never its own neighbor, and among equally distant candidates the
+    one with the lowest column index is taken first, so coincident points
+    and tied distances give the same graph on every run.
     """
-    w, sigma, keep = _distances_and_neighbors(x, sigma, neighborhood_p)
-    np.divide(w, -2.0 * sigma * sigma, out=w)
-    np.exp(w, out=w)
-    if keep is not None:
-        np.logical_not(keep, out=keep)
-        w[keep] = 0.0
-    np.fill_diagonal(w, 0.0)
-    return AffinityMatrix(w, sigma)
-
-
-def affinity_edges(x, sigma: float | None = None, neighborhood_p: int = 0) -> EdgeGraph:
-    """``build_affinity``'s entries, bit for bit, on the edges of its neighbor union
-    (every pair when dense); the distances are the call's one (n, n) float array."""
-    d2, sigma, keep = _distances_and_neighbors(x, sigma, neighborhood_p)
-    if keep is None:
-        rows, cols = np.triu_indices(d2.shape[0], 1)
-    else:
-        rows, cols = np.nonzero(keep)
-        rows, cols = rows[rows < cols], cols[rows < cols]
-    w = np.exp(d2[rows, cols] / (-2.0 * sigma * sigma))
-    return EdgeGraph(np.zeros(d2.shape[0]), rows, cols, w)
-
-
-def _distances_and_neighbors(x, sigma, neighborhood_p):
-    """(d2, sigma, keep): the distances, the resolved bandwidth, ``_nearest_neighbors``."""
-    d2 = pairwise_sq_dists(x)
-    if d2.shape[0] < 2:
+    x = _as_feature_matrix(x)
+    n = x.shape[1]
+    if n < 2:
         raise ParameterError("affinity needs at least two samples")
-    if sigma is None:
-        sigma = median_bandwidth(d2)
-    elif not sigma > 0.0:
+    if sigma is not None and not sigma > 0.0:
         raise ParameterError(f"sigma must be positive, or None for the median, got {sigma}")
     if int(neighborhood_p) != neighborhood_p or neighborhood_p < 0:
         raise ParameterError(f"neighborhood_p must be a nonnegative integer, got {neighborhood_p}")
-    return d2, float(sigma), _nearest_neighbors(d2, int(neighborhood_p))
+    d2 = pairwise_sq_dists(x)
+    sigma = median_bandwidth(d2) if sigma is None else float(sigma)
+    keep = _nearest_neighbors(d2, int(neighborhood_p))
+    if keep is None:
+        # Every i < j in row order, as int32: half the bytes of triu_indices' pairs.
+        idx = np.arange(n, dtype=np.int32)
+        rows = np.repeat(idx, n - 1 - idx)
+        cols = np.concatenate([idx[i + 1:] for i in range(n - 1)])
+    else:
+        rows, cols = np.nonzero(keep)
+        upper = rows < cols
+        rows, cols = rows[upper].astype(np.int32), cols[upper].astype(np.int32)
+    w = d2[rows, cols]
+    np.divide(w, -2.0 * sigma * sigma, out=w)
+    np.exp(w, out=w)
+    return EdgeGraph(np.zeros(n), rows, cols, w), sigma
 
 
 def median_bandwidth(sq_dists: np.ndarray) -> float:
@@ -153,11 +142,10 @@ def _nearest_neighbors(d2: np.ndarray, p: int) -> np.ndarray | None:
 def build_graphs(pair: DomainPair, cross: np.ndarray) -> np.ndarray:
     """The (n_s, n_t) reweight block G of the cross-domain pairs.
 
-    ``cross`` is the (n_s, n_t) source-by-target block W[:n_s, n_s:] of a
-    dense affinity W, the only part the graphs read. G is
-    1/max(W, W_FLOOR) on same-class pairs and W on different-class pairs,
-    classes taken from the pair's pseudo-labeling. The floor only guards
-    entries that were sparsified or underflowed to zero.
+    ``cross`` is the (n_s, n_t) source-by-target block W of the Gaussian
+    affinity of x, the only part the graphs read. G is 1/max(W, W_FLOOR)
+    on same-class pairs and W on different-class pairs, classes taken from
+    the pair's pseudo-labeling. The floor only guards underflowed entries.
     """
     ns, nt = pair.n_source, pair.n_target
     w = np.asarray(cross, dtype=float)
@@ -171,31 +159,17 @@ def build_graphs(pair: DomainPair, cross: np.ndarray) -> np.ndarray:
     return g
 
 
-def build_laplacian(affinity: AffinityMatrix | EdgeGraph) -> np.ndarray | EdgeGraph:
-    """The normalized Laplacian D^-1/2 (D - W) D^-1/2, built over W itself.
+def build_laplacian(affinity: EdgeGraph) -> EdgeGraph:
+    """The normalized Laplacian D^-1/2 (D - W) D^-1/2 of a zero-diagonal W, on W's edges.
 
-    Isolated vertices get degree W_FLOOR so the scaling stays finite;
-    their Laplacian row is zero. Entry for entry as diag(deg) - W and the
-    scalings give it, but written into ``affinity.entries`` and returned:
-    the affinity is consumed, and a read-only one raises. An ``EdgeGraph``
-    (zero diagonal) gives an ``EdgeGraph`` on the same edges instead.
+    Degrees are summed over the edges. Isolated vertices get degree
+    W_FLOOR so the scaling stays finite; their Laplacian row is zero.
     """
-    if isinstance(affinity, EdgeGraph):
-        g, n = affinity, affinity.diag.size
-        deg = np.bincount(g.rows, g.values, n) + np.bincount(g.cols, g.values, n)
-        s = 1.0 / np.sqrt(np.where(deg > 0.0, deg, W_FLOOR))
-        return EdgeGraph(deg * s * s, g.rows, g.cols, (0.0 - g.values) * s[g.rows] * s[g.cols])
-    w = affinity.entries
-    deg = w.sum(axis=1)
-    diag = np.diag_indices_from(w)
-    on_diag = deg - w[diag]
+    g, n = affinity, affinity.diag.size
+    deg = np.bincount(g.rows, g.values, n) + np.bincount(g.cols, g.values, n)
+    s = 1.0 / np.sqrt(np.where(deg > 0.0, deg, W_FLOOR))
     # 0 - w, not -w: a zero weight must give 0.0, not -0.0.
-    lap = np.subtract(0.0, w, out=w)
-    lap[diag] = on_diag
-    inv_sqrt = 1.0 / np.sqrt(np.where(deg > 0.0, deg, W_FLOOR))
-    lap *= inv_sqrt[:, None]
-    lap *= inv_sqrt[None, :]
-    return symmetrize_inplace(lap)
+    return EdgeGraph(deg * s * s, g.rows, g.cols, (0.0 - g.values) * s[g.rows] * s[g.cols])
 
 
 def rcm_order(graph: EdgeGraph) -> np.ndarray:

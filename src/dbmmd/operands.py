@@ -3,20 +3,19 @@
 An experiment runs several models over one pair under one config, and
 they all read the same input-space quantities: the packed features x, the
 bandwidth sigma, the kernel matrix K and its numerical range U_r, the
-source-by-target block of the dense affinity behind the boundary graphs,
-the fixed part of MEDA's system in the range of K, and the target's
-starting pseudo-labels. ``InputOperands``
-builds each one the first time a cell asks for it and hands out
-read-only arrays, so a cell that writes into K or the affinity raises
-instead of corrupting the cells after it. MEDA's normalized kNN
-Laplacian L only ever meets U_r, so it is held as L U_r and the n x n L
-is dropped once that product is taken: K is the one n x n array kept.
+source-by-target block of the Gaussian affinity behind the boundary
+graphs, the fixed part of MEDA's system in the range of K, and the
+target's starting pseudo-labels. ``InputOperands`` builds each one the
+first time a cell asks for it and hands out read-only arrays, so a cell
+that writes into K or the affinity block raises instead of corrupting the
+cells after it. MEDA's normalized kNN Laplacian L only ever meets U_r, so
+its edge list is scattered into one transient n x n array for the product
+L U_r: K is the one n x n array kept.
 
-In rbf mode one distance pass gives both the median sigma and K, and the
-distances become K in place. The affinity's cross block is then a view of
-K[:ns, ns:]: the same exponent of the same distances, so it equals that
-block of ``build_affinity`` bit for bit. In the other modes the block is
-copied out of one dense ``build_affinity``, which is then dropped.
+The first distance pass resolves a median sigma, and later builds reuse
+it. In rbf mode that pass gives K in place, and the affinity's cross
+block is a view of K[:ns, ns:], the same exponent of the same distances.
+In the other modes the block is exp(d2[:ns, ns:] / (-2 sigma^2)).
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ import numpy as np
 from .classify import nn_classify
 from .datamodel import AdaptConfig, DomainPair
 from .errors import ParameterError
-from .graphs import AffinityMatrix, build_affinity, build_laplacian, median_bandwidth
+from .graphs import build_affinity, build_laplacian, median_bandwidth
 from .linalg import kernel_matrix, kernel_range, matmul, pairwise_sq_dists
 
 
@@ -90,13 +89,15 @@ class InputOperands:
         if self._range_terms is None:
             basis, _ = self.kernel_range()
             ns = self.pair.n_source
-            lap = build_laplacian(self._gaussian(self.cfg.neighborhood_p))
-            terms = matmul(basis[:ns].T, basis[:ns]), matmul(lap, basis)
+            aff, self._sigma = build_affinity(self.x, self._sigma, self.cfg.neighborhood_p)
+            lap = build_laplacian(aff)
+            del aff  # its weights go before L is scattered
+            terms = matmul(basis[:ns].T, basis[:ns]), matmul(lap.dense(), basis)
             self._range_terms = tuple(_read_only(a) for a in terms)
         return self._range_terms
 
     def affinity(self) -> np.ndarray:
-        """The (ns, nt) cross block of the dense Gaussian affinity of x.
+        """The (ns, nt) cross block of the Gaussian affinity of x.
 
         The boundary graphs read nothing else of the affinity.
         """
@@ -105,7 +106,11 @@ class InputOperands:
             if self.cfg.kernel == "rbf":
                 self._affinity = self.kernel()[:ns, ns:]
             else:
-                self._affinity = _read_only(self._gaussian(0).entries[:ns, ns:].copy())
+                d2 = pairwise_sq_dists(self.x)
+                if self._sigma is None:
+                    self._sigma = median_bandwidth(d2)
+                block = d2[:ns, ns:] / (-2.0 * self._sigma * self._sigma)
+                self._affinity = _read_only(np.exp(block, out=block))
         return self._affinity
 
     def initial_labels(self) -> np.ndarray:
@@ -115,14 +120,3 @@ class InputOperands:
             self._initial = target.pseudo_labels if target.pseudo_labels is not None else (
                 _read_only(nn_classify(source.features, source.labels, target.features)))
         return self._initial
-
-    def _gaussian(self, p: int) -> AffinityMatrix:
-        """``build_affinity`` of x with p neighbors, reusing a resolved sigma.
-
-        A median sigma is resolved by whichever comes first, the rbf
-        kernel's distance pass or an affinity's; both take the median of
-        the same distances, and later builds reuse it.
-        """
-        aff = build_affinity(self.x, self._sigma, p)
-        self._sigma = aff.sigma
-        return aff

@@ -9,9 +9,13 @@ the engine's table and block reproduce these matrices exactly.
 The neighborhood-graph oracles below are the original out-of-place
 distance, median, affinity and Laplacian code: a second distance pass
 for the median, a copy of the whole upper triangle for its partition,
-and a stable argsort per row for the kNN graph. The library computes the
-same values in one distance pass and in place, through one (n, n)
-buffer; the tests require them equal bit for bit. The propagation oracle
+and a stable argsort per row for the kNN graph, with the affinity and
+its Laplacian as (n, n) arrays (``DenseAffinity``). The library computes
+the distances once, through one (n, n) buffer, and holds the affinity
+and the Laplacian as edge lists (``graphs.EdgeGraph``). The tests require
+the distances, the median and the edge weights equal to these bit for
+bit, and the edge Laplacian within 1e-13 relative: its degrees are
+summed over the edges, in another order than a row sum. The propagation oracle
 is the dense solve on mu * eye(n) + L. The library solves that system
 in band form over the graph's edges, in another order of operations, so
 the tests hold it to ``propagation_tolerance``; ``edge_graph`` hands a
@@ -40,10 +44,18 @@ import scipy.linalg
 
 from dbmmd.datamodel import DomainPair
 from dbmmd.errors import ParameterError, StateError
-from dbmmd.graphs import W_FLOOR, AffinityMatrix, EdgeGraph
+from dbmmd.graphs import W_FLOOR, EdgeGraph
 from dbmmd.linalg import matmul
 
 DIRECTIONS = ("source_to_target", "target_to_source")
+
+
+@dataclass(frozen=True)
+class DenseAffinity:
+    """Symmetric nonnegative weights with a zero diagonal, as one (n, n) array."""
+
+    entries: np.ndarray
+    sigma: float
 
 
 def _require_pseudo(pair: DomainPair) -> np.ndarray:
@@ -166,7 +178,7 @@ class DenseGraphs:
     sg_mask: np.ndarray
 
 
-def dense_build_graphs(pair: DomainPair, affinity: AffinityMatrix) -> DenseGraphs:
+def dense_build_graphs(pair: DomainPair, affinity: DenseAffinity) -> DenseGraphs:
     """CG/SG reweighting values on their (n, n) masks, zero elsewhere."""
     w = affinity.entries
     cg = np.zeros((pair.n_total, pair.n_total), dtype=bool)
@@ -217,7 +229,7 @@ def dense_operator(op) -> np.ndarray:
     return out
 
 
-def cross_block(pair: DomainPair, affinity: AffinityMatrix) -> np.ndarray:
+def cross_block(pair: DomainPair, affinity: DenseAffinity) -> np.ndarray:
     """The (n_s, n_t) source-by-target block of a dense affinity, the boundary graphs' input."""
     ns = pair.n_source
     return affinity.entries[:ns, ns:]
@@ -264,7 +276,7 @@ def dense_knn_keep(d2: np.ndarray, p: int) -> np.ndarray:
     return keep
 
 
-def dense_build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0) -> AffinityMatrix:
+def dense_build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0) -> DenseAffinity:
     """The Gaussian (kNN) affinity with the median from a second distance pass."""
     d2 = dense_pairwise_sq_dists(x)
     n = d2.shape[0]
@@ -278,10 +290,10 @@ def dense_build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0)
         w = np.where(keep, w, 0.0)
     np.fill_diagonal(w, 0.0)
     w = 0.5 * (w + w.T)
-    return AffinityMatrix(w, float(sigma))
+    return DenseAffinity(w, float(sigma))
 
 
-def dense_build_laplacian(affinity: AffinityMatrix) -> np.ndarray:
+def dense_build_laplacian(affinity: DenseAffinity) -> np.ndarray:
     """np.diag(deg) - W scaled by D^-1/2 on both sides, then symmetrized."""
     w = affinity.entries
     deg = w.sum(axis=1)

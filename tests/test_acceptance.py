@@ -26,14 +26,15 @@ from dbmmd.adapt import ModelKind, assemble_db, run_adaptation
 from dbmmd.classify import propagate_labels
 from dbmmd.datamodel import AdaptConfig, DomainPair, LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.experiment import ExperimentSpec, run_experiment
-from dbmmd.graphs import build_affinity, build_graphs
+from dbmmd.graphs import build_graphs
 from dbmmd.io import load_features, save_features
 from dbmmd.linalg import gen_eig_smallest
 from dbmmd.mmd import build_all, group_sums
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
-from dense_reference import build_repulsive, cross_block, dense_operator, edge_graph
+from dense_reference import (build_repulsive, cross_block, dense_build_affinity, dense_operator,
+                             edge_graph)
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden.json"
 
@@ -219,7 +220,7 @@ def test_criterion_3_unit_affinity_reductions(golden):
         cfg = AdaptConfig.from_dict(golden["config"]).replace(sigma=float("inf"))
         pair = ds.pair.with_pseudo_labels(ds.target_truth)
         mats = build_all(pair)
-        aff = build_affinity(pair.packed_features(), float("inf"))
+        aff = dense_build_affinity(pair.packed_features(), float("inf"))
         graph = build_graphs(pair, cross_block(pair, aff))
         plain = assemble_db(mats, None, ModelKind("CDDA"))
         reweighted = assemble_db(mats, graph, ModelKind("CDDA", "DB"))

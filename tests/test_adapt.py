@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -23,15 +24,16 @@ from dbmmd.adapt import (
 from dbmmd.classify import hard_labels, nn_classify, one_hot
 from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.errors import NumericError, ParameterError, StateError, UnsupportedModelError
-from dbmmd.graphs import affinity_edges, build_affinity, build_graphs, build_laplacian, rcm_order
+from dbmmd.graphs import build_affinity, build_graphs, rcm_order
 from dbmmd.linalg import (gen_eig_smallest, kernel_matrix, kernel_range,
                           median_pairwise_distance, pairwise_sq_dists)
 from dbmmd.mmd import MmdOperator, build_all
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
-from dense_reference import (cross_block, dense_kernel_range, dense_meda_solve,
-                             dense_meda_system, dense_operator)
+from dense_reference import (cross_block, dense_build_affinity, dense_build_laplacian,
+                             dense_kernel_range, dense_meda_solve, dense_meda_system,
+                             dense_operator)
 
 UNIT_AFFINITY = dict(sigma=float("inf"))
 
@@ -131,7 +133,7 @@ class TestAssembleDb:
         # operator must equal the plain one bit for bit: same table, D == 0
         pair = labeled_pair(4)
         mats = build_all(pair)
-        aff = build_affinity(pair.packed_features(), float("inf"))
+        aff = dense_build_affinity(pair.packed_features(), float("inf"))
         graph = build_graphs(pair, cross_block(pair, aff))
         for base in ("JDA", "CDDA", "DGA-DA"):
             plain = assemble_db(mats, None, ModelKind(base))
@@ -149,7 +151,7 @@ class TestAssembleDb:
         # compact term, exactly what CG does
         pair = labeled_pair(5)
         mats = build_all(pair)
-        aff = build_affinity(pair.packed_features())
+        aff = dense_build_affinity(pair.packed_features())
         graph = build_graphs(pair, cross_block(pair, aff))
         db = assemble_db(mats, graph.copy(), ModelKind("JDA", "DB"))
         cg = assemble_db(mats, graph.copy(), ModelKind("JDA", "CG"))
@@ -161,7 +163,7 @@ class TestAssembleDb:
         # the graph reweights cross-domain entries only
         pair = labeled_pair(6)
         mats = build_all(pair)
-        aff = build_affinity(pair.packed_features())
+        aff = dense_build_affinity(pair.packed_features())
         graph = build_graphs(pair, cross_block(pair, aff))
         plain = dense_operator(assemble_db(mats, None, ModelKind("CDDA")))
         db = dense_operator(assemble_db(mats, graph, ModelKind("CDDA", "DB")))
@@ -172,7 +174,7 @@ class TestAssembleDb:
     def test_correction_bit_equal_to_gathered_product(self):
         # 400 target columns give 163-row blocks, so D is built over three of them
         pair = labeled_pair(9, n_s=450, n_t=400, class_count=4)
-        aff = build_affinity(pair.packed_features())
+        aff = dense_build_affinity(pair.packed_features())
         mats = build_all(pair)
         graph = build_graphs(pair, cross_block(pair, aff))
         ns = pair.n_source
@@ -192,7 +194,7 @@ class TestAssembleDb:
         pair = labeled_pair(13, n_s=600, n_t=600, class_count=4)
         mats = build_all(pair)
         x = pair.packed_features()
-        graph = build_graphs(pair, cross_block(pair, build_affinity(x)))
+        graph = build_graphs(pair, cross_block(pair, dense_build_affinity(x)))
         vectors = np.random.default_rng(130).normal(size=(pair.n_total, 3))
         tracemalloc.start()
         try:
@@ -456,6 +458,25 @@ class TestRunAdaptation:
         assert report.model == "MEDA"
         assert report.iterations[0].eigenvalues == ()
 
+    @pytest.mark.parametrize("k, nn_labelings, dga_labelings", [(8, 1, 1), (3, 5, 3)])
+    def test_k_equal_to_d_hides_the_mmd_operator(self, k, nn_labelings, dga_labelings):
+        # With k = d the whitening A^T B A = I fixes A up to an orthogonal
+        # factor Q, and only Q sees the MMD term. 1-NN distances and the
+        # median-sigma propagation graph do not see Q, so every model of a
+        # family gives the same labels; at k < d they all differ.
+        recipe = SyntheticRecipe(class_count=5, samples_per_class=40, feature_dim=8,
+                                 shift="rotation", shift_param=45.0, noise_sigma=1.0, seed=101)
+        ds = generate_synthetic(recipe)
+        cfg = AdaptConfig(k=k, max_iter=1)
+        ops = InputOperands(ds.pair, cfg)
+
+        def labelings(names):
+            return {run_adaptation(ds.pair, cfg, ModelKind.parse(name), operands=ops)
+                    .predicted_labels.tobytes() for name in names}
+
+        assert len(labelings(["JDA", "JDA+CG", "CDDA", "CDDA+CG", "CDDA+DB"])) == nn_labelings
+        assert len(labelings(["DGA-DA", "DGA-DA+CG", "DGA-DA+DB"])) == dga_labelings
+
 
 class TestMedaCg:
     def test_primal_rejected(self):
@@ -526,7 +547,8 @@ def dense_meda_replay(pair, cfg, kind, report):
     """
     ops = InputOperands(pair, cfg)
     kmat = ops.kernel()
-    lap = build_laplacian(build_affinity(pair.packed_features(), cfg.sigma, cfg.neighborhood_p))
+    lap = dense_build_laplacian(dense_build_affinity(pair.packed_features(), cfg.sigma,
+                                                     cfg.neighborhood_p))
     n, ns, c = pair.n_total, pair.n_source, pair.class_count
     alpha, rho, eta = cfg.meda_alpha, cfg.meda_rho, cfg.meda_eta
     y = np.zeros((n, c))
@@ -608,6 +630,21 @@ class TestMedaRangeSolve:
         assert [r.objective for r in report.iterations] == [6.0]
 
 
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_meda_range_solve_holds_on_nehalem_kernels():
+    # OpenBLAS's Nehalem kernels have no FMA, so their products round
+    # differently; TestMedaRangeSolve's 1e-12 objective pins must hold there
+    # too. A fresh interpreter, since the core type is read at load time.
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).relative_to(root)}::TestMedaRangeSolve"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=300)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-2000:]
+
+
 class TestSolveWithEscalation:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_jitter_zero_byte_equal_and_input_untouched(self, order):
@@ -662,7 +699,7 @@ class TestPropagationMemory:
             tracemalloc.stop()
         assert labels.shape == (pair.n_target,)
         assert peak <= 10.2 * n * n
-        graph = affinity_edges(z, None, AdaptConfig().neighborhood_p)
+        graph, _ = build_affinity(z, None, AdaptConfig().neighborhood_p)
         at = np.argsort(rcm_order(graph))
         band = int(np.abs(at[graph.rows] - at[graph.cols]).max())
         assert 8 * (band + 1) * n < peak

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from dbmmd.classify import accuracy, hard_labels, nn_classify, one_hot, propagate_labels
 from dbmmd.errors import DimensionError, NumericError, ParameterError
-from dbmmd.graphs import EdgeGraph, affinity_edges, build_affinity, build_laplacian
+from dbmmd.graphs import EdgeGraph, build_affinity, build_laplacian
 
 from dense_reference import (dense_build_affinity, dense_build_laplacian, dense_propagate_labels,
                              edge_graph, propagation_tolerance)
@@ -158,13 +158,14 @@ class TestPropagateLabels:
         rng = np.random.default_rng(seed)
         n = 40 + 70 * seed
         x = rng.normal(size=(3, n))
-        lap = read_only(build_laplacian(affinity_edges(x, None, 5)))
+        lap = read_only(build_laplacian(build_affinity(x, None, 5)[0]))
         before = [a.copy() for a in (lap.diag, lap.rows, lap.cols, lap.values)]
         labeled = np.arange(n // 2)
         y0 = np.zeros((n, 3), order=order)
         y0[labeled] = one_hot(rng.integers(0, 3, labeled.size), 3)
         mu = float(rng.uniform(0.05, 5.0))
-        expect = dense_propagate_labels(build_laplacian(build_affinity(x, None, 5)), y0, mu)
+        dense_lap = dense_build_laplacian(dense_build_affinity(x, None, 5))
+        expect = dense_propagate_labels(dense_lap, y0, mu)
         f = propagate_labels(lap, y0, mu)
         assert_allclose(f, expect, rtol=0, atol=propagation_tolerance(n, mu))
         assert hard_labels(f).tobytes() == hard_labels(expect).tobytes()
@@ -205,14 +206,14 @@ class TestPropagateLabels:
         y0 = np.zeros((n, 3))
         labeled = rng.permutation(n)[: n // 3]
         y0[labeled] = one_hot(rng.integers(0, 3, labeled.size), 3)
-        f = propagate_labels(build_laplacian(affinity_edges(x, None, p)), y0, mu)
+        f = propagate_labels(build_laplacian(build_affinity(x, None, p)[0]), y0, mu)
         assert_allclose(f, dense_oracle(x, p, y0, mu), rtol=0, atol=propagation_tolerance(n, mu))
 
     def test_unlabeled_component_gets_zero_rows(self):
         x = blobs(np.random.default_rng(4), [[0.0] * 3, [100.0] * 3], 20, 0.5)
         y0 = np.zeros((40, 2))
         y0[:20] = one_hot(np.arange(20) % 2, 2)
-        f = propagate_labels(build_laplacian(affinity_edges(x, None, 3)), y0, mu=0.01)
+        f = propagate_labels(build_laplacian(build_affinity(x, None, 3)[0]), y0, mu=0.01)
         assert not f[20:].any()
         assert_allclose(f[:20].sum(axis=1), 1.0, atol=1e-12)
 

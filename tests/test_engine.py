@@ -15,11 +15,12 @@ import pytest
 
 from dbmmd.adapt import BASE_MODELS, BOUNDARY_TERMS, ModelKind, assemble_db
 from dbmmd.datamodel import DomainPair, LabeledDomain, UnlabeledDomain
-from dbmmd.graphs import build_affinity, build_graphs
+from dbmmd.graphs import build_graphs
 from dbmmd.linalg import kernel_matrix
 from dbmmd.mmd import build_all
 
-from dense_reference import cross_block, dense_assemble_db, dense_build_all, dense_build_graphs
+from dense_reference import (cross_block, dense_assemble_db, dense_build_affinity, dense_build_all,
+                             dense_build_graphs)
 
 KINDS = [
     ModelKind(base, boundary)
@@ -49,7 +50,7 @@ def test_operator_matches_dense_reference(seed):
     x = pair.packed_features()
     operands = {"primal": x, "kernel": kernel_matrix(x, "rbf", sigma=1.5)}
     vectors = np.random.default_rng(100 + seed).normal(size=(pair.n_total, 3))
-    aff = build_affinity(x)
+    aff = dense_build_affinity(x)
     mats = build_all(pair)
     dense_mats = dense_build_all(pair)
     graph = build_graphs(pair, cross_block(pair, aff))

@@ -8,22 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import dbmmd.graphs as graphs_module
 from dbmmd.datamodel import LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.errors import BandwidthError, DimensionError, ParameterError
-from dbmmd.graphs import (
-    W_FLOOR,
-    AffinityMatrix,
-    EdgeGraph,
-    affinity_edges,
-    build_affinity,
-    build_graphs,
-    build_laplacian,
-    rcm_order,
-)
+from dbmmd.graphs import W_FLOOR, EdgeGraph, build_affinity, build_graphs, build_laplacian, rcm_order
 from dbmmd.mmd import build_all
 
-from dense_reference import (cross_block, dense_build_affinity, dense_build_graphs,
-                             dense_build_laplacian)
+from dense_reference import (DenseAffinity, cross_block, dense_build_affinity,
+                             dense_build_graphs, dense_build_laplacian, edge_graph)
 
 
 def assert_bits_equal(a, b):
@@ -31,9 +23,10 @@ def assert_bits_equal(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def copy_of(aff):
-    """An affinity with its own entries, for an oracle read after the library consumes one."""
-    return AffinityMatrix(aff.entries.copy(), aff.sigma)
+def affinity_matrix(x, sigma=None, neighborhood_p=0):
+    """The library's affinity of x as an (n, n) array, and the sigma it used."""
+    graph, sigma = build_affinity(x, sigma, neighborhood_p)
+    return graph.dense(), sigma
 
 
 def grid_points(seed, n, span, d=2):
@@ -54,16 +47,16 @@ def labeled_pair(seed=0, n_s=6, n_t=5, class_count=3):
 class TestBuildAffinity:
     def test_coincident_points_weight_one(self):
         x = np.zeros((2, 3))
-        aff = build_affinity(x, sigma=1.0)
+        w, _ = affinity_matrix(x, sigma=1.0)
         expect = np.ones((3, 3)) - np.eye(3)
-        assert_allclose(aff.entries, expect, atol=0)
+        assert_allclose(w, expect, atol=0)
 
     def test_known_distance_value(self):
         # d = sigma * sqrt(2)  ->  w = exp(-d^2 / (2 sigma^2)) = exp(-1)
         sigma = 1.7
         x = np.array([[0.0, sigma * np.sqrt(2.0)]])
-        aff = build_affinity(x, sigma=sigma)
-        assert_allclose(aff.entries[0, 1], np.exp(-1.0), atol=1e-15)
+        w, _ = affinity_matrix(x, sigma=sigma)
+        assert_allclose(w[0, 1], np.exp(-1.0), atol=1e-15)
 
     def test_median_sigma_matches_bruteforce(self):
         rng = np.random.default_rng(13)
@@ -73,14 +66,14 @@ class TestBuildAffinity:
             for j in range(i + 1, 10):
                 dists.append(float(np.linalg.norm(x[:, i] - x[:, j])))
         expect = float(np.median([d for d in dists if d > 0.0]))
-        aff = build_affinity(x)
-        assert abs(aff.sigma - expect) < 1e-12
+        w, sigma = affinity_matrix(x)
+        assert abs(sigma - expect) < 1e-12
         w_oracle = np.exp(
             -np.array([[np.sum((x[:, i] - x[:, j]) ** 2) for j in range(10)] for i in range(10)])
             / (2.0 * expect**2)
         )
         np.fill_diagonal(w_oracle, 0.0)
-        assert_allclose(aff.entries, w_oracle, atol=1e-12)
+        assert_allclose(w, w_oracle, atol=1e-12)
 
     def test_median_mode_coincident_fails(self):
         with pytest.raises(BandwidthError):
@@ -89,16 +82,16 @@ class TestBuildAffinity:
     def test_infinite_sigma_gives_unit_weights(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 6))
-        aff = build_affinity(x, sigma=float("inf"))
+        w, _ = affinity_matrix(x, sigma=float("inf"))
         expect = np.ones((6, 6)) - np.eye(6)
         # exp(-d^2/inf) is exactly exp(-0.0) == 1.0, no tolerance needed
-        assert np.array_equal(aff.entries, expect)
+        assert np.array_equal(w, expect)
 
     def test_neighborhood_either_or_rule(self):
         rng = np.random.default_rng(29)
         x = rng.normal(size=(2, 9))
         p = 2
-        aff = build_affinity(x, neighborhood_p=p)
+        w, _ = affinity_matrix(x, neighborhood_p=p)
         d2 = np.array([[np.sum((x[:, i] - x[:, j]) ** 2) for j in range(9)] for i in range(9)])
         keep = np.zeros((9, 9), dtype=bool)
         for j in range(9):
@@ -106,21 +99,21 @@ class TestBuildAffinity:
             keep[j, order[:p]] = True
         keep = keep | keep.T
         np.fill_diagonal(keep, False)
-        assert np.array_equal(aff.entries != 0.0, keep)
+        assert np.array_equal(w != 0.0, keep)
 
     def test_dense_when_p_zero_or_large(self):
         rng = np.random.default_rng(31)
         x = rng.normal(size=(2, 5))
-        dense = build_affinity(x, neighborhood_p=0)
-        assert np.count_nonzero(dense.entries) == 5 * 4
-        huge = build_affinity(x, neighborhood_p=50)
-        assert np.array_equal(dense.entries, huge.entries)
+        dense, _ = affinity_matrix(x, neighborhood_p=0)
+        assert np.count_nonzero(dense) == 5 * 4
+        huge, _ = affinity_matrix(x, neighborhood_p=50)
+        assert np.array_equal(dense, huge)
 
     def test_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(37)
-        aff = build_affinity(rng.normal(size=(3, 8)), neighborhood_p=3)
-        assert np.array_equal(aff.entries, aff.entries.T)
-        assert np.all(np.diag(aff.entries) == 0.0)
+        graph, _ = build_affinity(rng.normal(size=(3, 8)), neighborhood_p=3)
+        assert np.all(graph.rows < graph.cols)
+        assert not graph.diag.any()
 
     def test_parameter_errors(self):
         x = np.zeros((2, 1))
@@ -133,10 +126,25 @@ class TestBuildAffinity:
         with pytest.raises(ParameterError):
             build_affinity(x, sigma=1.0, neighborhood_p=-2)
 
+    def test_arguments_checked_before_the_distance_pass(self, monkeypatch):
+        # a bad call fails in O(d n), before the O(d n^2) distances
+        def no_distances(x):
+            raise AssertionError("pairwise_sq_dists ran before the arguments were checked")
+
+        monkeypatch.setattr(graphs_module, "pairwise_sq_dists", no_distances)
+        x = np.random.default_rng(19).normal(size=(2, 50))
+        for sigma, p in ((0.0, 0), (-1.0, 5), (float("nan"), 5), (1.0, -1), (1.0, 2.5)):
+            with pytest.raises(ParameterError):
+                build_affinity(x, sigma, p)
+        with pytest.raises(ParameterError):
+            build_affinity(x[:, :1])
+        with pytest.raises(AssertionError, match="ran before"):
+            build_affinity(x, 1.0, 5)
+
     def test_mask_symmetrized_without_an_n_by_n_copy(self):
-        # the distances (which become the affinity, 8 n^2 bytes) and the kNN
-        # mask (n^2) are the call's two n x n arrays; keep |= keep.T on the
-        # whole mask would copy keep.T first, one n^2 more
+        # the distances (8 n^2 bytes) and the kNN mask (n^2) are the call's
+        # two n x n arrays; keep |= keep.T on the whole mask would copy keep.T
+        # first, one n^2 more
         n = 1800
         x = np.random.default_rng(18).normal(size=(4, n))
         tracemalloc.start()
@@ -155,44 +163,44 @@ class TestNeighborTies:
     @pytest.mark.parametrize("n, span", [(9, 2), (40, 3), (120, 4), (300, 5), (520, 8)])
     def test_grid_matches_stable_argsort_oracle(self, n, span, p):
         x = grid_points(n * 10 + p, n, span)
-        aff = build_affinity(x, neighborhood_p=p)
+        w, sigma = affinity_matrix(x, neighborhood_p=p)
         ref = dense_build_affinity(x, neighborhood_p=p)
-        assert np.array_equal(aff.entries, ref.entries)
-        assert aff.sigma == ref.sigma
+        assert np.array_equal(w, ref.entries)
+        assert sigma == ref.sigma
 
     @pytest.mark.parametrize("p", [1, 2, 5])
     def test_neighbor_sets_under_unit_weights(self, p):
         # infinite sigma makes every kept weight exactly 1, so the nonzero
         # pattern is the symmetrized neighbor sets themselves
         x = grid_points(p, 200, 3, d=3)
-        aff = build_affinity(x, sigma=float("inf"), neighborhood_p=p)
+        w, _ = affinity_matrix(x, sigma=float("inf"), neighborhood_p=p)
         ref = dense_build_affinity(x, sigma=float("inf"), neighborhood_p=p)
-        assert np.array_equal(aff.entries, ref.entries)
-        assert np.array_equal(aff.entries != 0.0, ref.entries != 0.0)
+        assert np.array_equal(w, ref.entries)
+        assert np.array_equal(w != 0.0, ref.entries != 0.0)
 
     def test_coincident_points_take_lowest_indices(self):
         # every candidate ties at distance 0: j keeps the two lowest other indices
-        aff = build_affinity(np.zeros((2, 7)), sigma=1.0, neighborhood_p=2)
+        w, _ = affinity_matrix(np.zeros((2, 7)), sigma=1.0, neighborhood_p=2)
         keep = np.zeros((7, 7), dtype=bool)
         keep[0, [1, 2]] = keep[1, [0, 2]] = keep[2, [0, 1]] = True
         keep[3:, [0, 1]] = True
-        assert np.array_equal(aff.entries != 0.0, keep | keep.T)
+        assert np.array_equal(w != 0.0, keep | keep.T)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_points_match_oracle(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(3, 270 + seed))
         for p in (0, 1, 5, x.shape[1] - 2, x.shape[1] - 1):
-            aff = build_affinity(x, neighborhood_p=p)
+            w, sigma = affinity_matrix(x, neighborhood_p=p)
             ref = dense_build_affinity(x, neighborhood_p=p)
-            assert_bits_equal(aff.entries, ref.entries)
-            assert aff.sigma == ref.sigma
+            assert_bits_equal(w, ref.entries)
+            assert sigma == ref.sigma
 
 
 class TestBuildGraphs:
     def test_spirit_unit_affinity_values(self):
         pair = labeled_pair(2)
-        aff = build_affinity(pair.packed_features(), sigma=float("inf"))
+        aff = dense_build_affinity(pair.packed_features(), sigma=float("inf"))
         g = build_graphs(pair, cross_block(pair, aff))
         # 1/W on same-class pairs, W on different-class pairs, W == 1
         assert isinstance(g, np.ndarray)
@@ -202,7 +210,7 @@ class TestBuildGraphs:
         # every cross pair gets exactly one of the two graphs: 1/W when the
         # classes agree, W otherwise; the dense graphs agree entry for entry
         pair = labeled_pair(3)
-        aff = build_affinity(pair.packed_features())
+        aff = dense_build_affinity(pair.packed_features())
         n_s = pair.n_source
         ys, yt = pair.source.labels, pair.target.pseudo_labels
         w = aff.entries
@@ -223,7 +231,7 @@ class TestBuildGraphs:
         mats = build_all(pair)
         n_s = pair.n_source
         mc = mats.conditional[np.ix_(mats.groups[:n_s], mats.groups[n_s:])]
-        aff = build_affinity(pair.packed_features())
+        aff = dense_build_affinity(pair.packed_features())
         w = aff.entries[:n_s, n_s:]
         assert np.all(w < 1.0)
         g = build_graphs(pair, cross_block(pair, aff))
@@ -235,7 +243,7 @@ class TestBuildGraphs:
         pair = labeled_pair(5)
         x = pair.packed_features()
         n_s = pair.n_source
-        aff = build_affinity(x)
+        aff = dense_build_affinity(x)
         graph = build_graphs(pair, cross_block(pair, aff))
         same = pair.source.labels[:, None] == pair.target.pseudo_labels[None, :]
         idx = np.argwhere(same)
@@ -250,7 +258,7 @@ class TestBuildGraphs:
             np.array([[1000.0, 0.0]]), pseudo_labels=np.array([0, 1]), name="target"
         )
         pair = make_pair(src, tgt)
-        aff = build_affinity(pair.packed_features(), sigma=1.0)
+        aff = dense_build_affinity(pair.packed_features(), sigma=1.0)
         g = build_graphs(pair, cross_block(pair, aff))
         # the distant same-class pair underflows to w == 0; 1/W is floored
         assert g.max() == 1.0 / W_FLOOR
@@ -258,7 +266,7 @@ class TestBuildGraphs:
     def test_shape_mismatch_rejected(self):
         # the graphs take the (n_s, n_t) cross block, not the (n, n) affinity
         pair = labeled_pair(6)
-        aff = build_affinity(pair.packed_features())
+        aff = dense_build_affinity(pair.packed_features())
         with pytest.raises(DimensionError):
             build_graphs(pair, aff.entries)
         with pytest.raises(DimensionError):
@@ -267,67 +275,53 @@ class TestBuildGraphs:
 
 class TestLaplacian:
     def test_normalized_two_node(self):
-        aff = build_affinity(np.array([[0.0, 1.0]]), sigma=1.0)
-        lap = build_laplacian(aff)
+        graph, _ = build_affinity(np.array([[0.0, 1.0]]), sigma=1.0)
+        lap = build_laplacian(graph).dense()
         assert_allclose(lap, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_psd_both_variants(self, seed):
+        # the complete graph (p = 0) and a kNN graph
         rng = np.random.default_rng(seed)
-        aff = build_affinity(rng.normal(size=(2, 6)), neighborhood_p=2)
-        lap = build_laplacian(aff)
-        assert np.array_equal(lap, lap.T)
-        assert np.linalg.eigvalsh(lap).min() >= -1e-10
+        x = rng.normal(size=(2, 6))
+        for p in (0, 2):
+            lap = build_laplacian(build_affinity(x, neighborhood_p=p)[0]).dense()
+            assert np.array_equal(lap, lap.T)
+            assert np.linalg.eigvalsh(lap).min() >= -1e-10
 
     def test_isolated_vertex_row_is_zero(self):
         # p-sparsification cannot isolate vertices (either-or keeps edges),
-        # so build one synthetically through the dataclass
+        # so build one synthetically
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 0.7
-        aff = AffinityMatrix(w, sigma=1.0)
-        lap = build_laplacian(aff)
+        lap = build_laplacian(edge_graph(w)).dense()
         assert_allclose(lap[2], np.zeros(3), atol=0)
         assert_allclose(lap[:2, :2], [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
 
-    @pytest.mark.parametrize("n, p", [(7, 0), (60, 2), (300, 5)])
-    def test_bit_equal_to_dense_expression(self, n, p):
-        rng = np.random.default_rng(n + p)
-        aff = build_affinity(rng.normal(size=(4, n)), neighborhood_p=p)
-        expect = dense_build_laplacian(copy_of(aff))
-        lap = build_laplacian(aff)
-        assert_bits_equal(lap, expect)
-
-    def test_isolated_vertex_bit_equal_to_dense_expression(self):
-        # vertex 3 has degree 0, which the normalization floors at W_FLOOR
+    def test_isolated_vertex_matches_dense_expression(self):
+        # vertex 3 has degree 0, which the normalization floors at W_FLOOR;
+        # the degrees are summed over the edges, so equal up to rounding
         rng = np.random.default_rng(43)
         w = rng.uniform(0.1, 1.0, size=(5, 5))
         w = 0.5 * (w + w.T)
         w[3] = w[:, 3] = 0.0
         np.fill_diagonal(w, 0.0)
-        aff = AffinityMatrix(w, sigma=1.0)
-        expect = dense_build_laplacian(copy_of(aff))
-        lap = build_laplacian(aff)
-        assert_bits_equal(lap, expect)
+        lap = build_laplacian(edge_graph(w)).dense()
+        expect = dense_build_laplacian(DenseAffinity(w, sigma=1.0))
+        assert_allclose(lap, expect, rtol=1e-13, atol=0)
         assert np.all(lap[3] == 0.0)
 
-    def test_asymmetric_weights_symmetrized_as_dense_expression(self):
-        rng = np.random.default_rng(47)
-        w = rng.uniform(0.0, 1.0, size=(270, 270))
-        aff = AffinityMatrix(w, sigma=1.0)
-        expect = dense_build_laplacian(copy_of(aff))
-        lap = build_laplacian(aff)
-        assert_bits_equal(lap, expect)
-        # the affinity is consumed: L is written over its entries
-        assert lap is w
-
-    def test_read_only_affinity_raises(self):
-        aff = build_affinity(np.random.default_rng(53).normal(size=(2, 9)))
-        before = aff.entries.copy()
-        aff.entries.flags.writeable = False
-        with pytest.raises(ValueError):
-            build_laplacian(aff)
-        assert_bits_equal(aff.entries, before)
+    def test_affinity_is_not_written(self):
+        graph, _ = build_affinity(np.random.default_rng(53).normal(size=(2, 9)))
+        before = [a.copy() for a in (graph.diag, graph.rows, graph.cols, graph.values)]
+        for a in (graph.diag, graph.rows, graph.cols, graph.values):
+            a.flags.writeable = False
+        lap = build_laplacian(graph)
+        # L is on W's edges: the index arrays are shared, not copied
+        assert lap.rows is graph.rows and lap.cols is graph.cols
+        for a, b in zip((graph.diag, graph.rows, graph.cols, graph.values), before):
+            assert_bits_equal(a, b)
 
 
 def edge_graph_cases():
@@ -343,21 +337,21 @@ def edge_graph_cases():
 class TestEdgeGraphs:
     @pytest.mark.parametrize("x, p", list(edge_graph_cases()))
     def test_edges_are_the_affinity_bit_for_bit(self, x, p):
-        g = affinity_edges(x, None, p)
+        g, _ = build_affinity(x, None, p)
         assert np.all(g.rows < g.cols) and not g.diag.any()
         n = x.shape[1]
         on_edge = np.zeros((n, n), dtype=bool)
         on_edge[g.rows, g.cols] = True
         # infinite sigma weighs every kept pair 1: the pattern is the kNN union
-        union = build_affinity(x, float("inf"), p).entries != 0.0
+        union = dense_build_affinity(x, float("inf"), p).entries != 0.0
         assert np.array_equal(on_edge, np.triu(union, 1))
-        assert_bits_equal(g.values, build_affinity(x, None, p).entries[g.rows, g.cols])
+        assert_bits_equal(g.values, dense_build_affinity(x, None, p).entries[g.rows, g.cols])
 
     @pytest.mark.parametrize("x, p", list(edge_graph_cases()))
     def test_edge_laplacian_is_the_dense_one(self, x, p):
         # degrees summed by bincount, not by row: equal up to rounding
-        lap = build_laplacian(affinity_edges(x, None, p))
-        dense = build_laplacian(build_affinity(x, None, p))
+        lap = build_laplacian(build_affinity(x, None, p)[0])
+        dense = dense_build_laplacian(dense_build_affinity(x, None, p))
         assert_allclose(lap.diag, np.diag(dense), rtol=1e-13, atol=0)
         assert_allclose(lap.values, dense[lap.rows, lap.cols], rtol=1e-13, atol=0)
 
@@ -401,7 +395,7 @@ class TestRcmOrder:
 
     @pytest.mark.parametrize("x, p", list(edge_graph_cases()))
     def test_order_is_a_permutation(self, x, p):
-        order = rcm_order(affinity_edges(x, None, p))
+        order = rcm_order(build_affinity(x, None, p)[0])
         assert np.array_equal(np.sort(order), np.arange(x.shape[1]))
 
     def test_no_edges_is_the_reversed_identity(self):

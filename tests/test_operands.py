@@ -18,7 +18,7 @@ from dbmmd.linalg import (kernel_matrix, kernel_range, matmul, median_pairwise_d
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
-from dense_reference import cross_block
+from dense_reference import dense_build_affinity, dense_build_laplacian
 
 RBF = AdaptConfig(k=2, lam=1.0, max_iter=2, kernel="rbf")
 
@@ -27,6 +27,17 @@ def pair_of(seed=5, per_class=15):
     recipe = SyntheticRecipe(class_count=3, samples_per_class=per_class, feature_dim=2,
                              shift="rotation", shift_param=30.0, noise_sigma=0.8, seed=seed)
     return generate_synthetic(recipe).pair
+
+
+def cross_of(pair, graph):
+    """The (ns, nt) source-by-target block of an affinity held on its edges."""
+    ns = pair.n_source
+    return graph.dense()[:ns, ns:]
+
+
+def assert_near(got, want):
+    """Within 1e-13 of want's largest entry: L's degrees sum over edges, not rows."""
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.fixture
@@ -61,31 +72,35 @@ class TestValues:
         x = pair.packed_features()
         sigma = median_pairwise_distance(pairwise_sq_dists(x))
         assert ops.kernel().tobytes() == kernel_matrix(x, "rbf", sigma=sigma).tobytes()
-        alone = build_affinity(x, None, 0)
-        assert ops.affinity().tobytes() == cross_block(pair, alone).tobytes()
-        assert alone.sigma == sigma
+        alone, alone_sigma = build_affinity(x, None, 0)
+        assert ops.affinity().tobytes() == cross_of(pair, alone).tobytes()
+        assert alone_sigma == sigma
 
     def test_fixed_sigma_affinity_equals_build_affinity(self):
         pair = pair_of()
         cfg = RBF.replace(sigma=0.7)
         ops = InputOperands(pair, cfg)
-        alone = build_affinity(pair.packed_features(), 0.7, 0)
-        assert ops.affinity().tobytes() == cross_block(pair, alone).tobytes()
+        alone, _ = build_affinity(pair.packed_features(), 0.7, 0)
+        assert ops.affinity().tobytes() == cross_of(pair, alone).tobytes()
 
     @pytest.mark.parametrize("kernel, bandwidth", [("rbf", "median"), ("linear", "median"),
                                                    ("poly", "fixed")])
     def test_laplacian_equals_separate_build(self, kernel, bandwidth):
-        # MEDA's Laplacian is held only as L U_r, the product its cells read
+        # MEDA's Laplacian is held only as L U_r, the product its cells read:
+        # the edge Laplacian's, scattered, and near the dense reference's
         pair = pair_of()
+        x = pair.packed_features()
         cfg = AdaptConfig(kernel=kernel, sigma=1.1 if bandwidth == "fixed" else None)
         ops = InputOperands(pair, cfg)
         l_basis = ops.range_terms()[1]
         basis, _ = ops.kernel_range()
-        alone = build_affinity(pair.packed_features(), cfg.sigma, cfg.neighborhood_p)
-        assert l_basis.tobytes() == matmul(build_laplacian(alone), basis).tobytes()
+        alone, _ = build_affinity(x, cfg.sigma, cfg.neighborhood_p)
+        assert l_basis.tobytes() == matmul(build_laplacian(alone).dense(), basis).tobytes()
+        dense = dense_build_laplacian(dense_build_affinity(x, cfg.sigma, cfg.neighborhood_p))
+        assert_near(l_basis, matmul(dense, basis))
         # the bandwidth the Laplacian resolved is reused, not recomputed
-        dense = build_affinity(pair.packed_features(), cfg.sigma, 0)
-        assert ops.affinity().tobytes() == cross_block(pair, dense).tobytes()
+        complete, _ = build_affinity(x, cfg.sigma, 0)
+        assert ops.affinity().tobytes() == cross_of(pair, complete).tobytes()
 
     @pytest.mark.parametrize("kernel", ["rbf", "linear", "poly", "primal"])
     def test_affinity_holds_only_the_cross_block(self, kernel):
@@ -99,7 +114,7 @@ class TestValues:
             # a view of K: the affinity adds no array of its own
             assert np.shares_memory(cross, ops.kernel())
         else:
-            # a copy: the dense affinity it was cut from is not kept
+            # its own array: the distances it was cut from are not kept
             assert cross.base is None
 
     def test_initial_labels_are_the_target_1nn_labels(self):
@@ -173,9 +188,12 @@ class TestSharing:
         basis, _ = kernel_range(ops.kernel())
         ns = pair.n_source
         e_r, l_basis = ops.range_terms()
-        lap = build_laplacian(build_affinity(pair.packed_features(), None, RBF.neighborhood_p))
+        x = pair.packed_features()
+        lap = build_laplacian(build_affinity(x, None, RBF.neighborhood_p)[0])
         assert e_r.tobytes() == matmul(basis[:ns].T, basis[:ns]).tobytes()
-        assert l_basis.tobytes() == matmul(lap, basis).tobytes()
+        assert l_basis.tobytes() == matmul(lap.dense(), basis).tobytes()
+        dense = dense_build_laplacian(dense_build_affinity(x, None, RBF.neighborhood_p))
+        assert_near(l_basis, matmul(dense, basis))
 
     def test_meda_cell_leaves_only_k_held(self):
         # the n x n Laplacian is dropped once L U_r is taken; K is the one
@@ -199,11 +217,28 @@ class TestSharing:
         run_adaptation(pair, cfg, ModelKind("JDA"), operands=InputOperands(pair, cfg))
         assert calls == {}
 
-    def test_boundary_cell_builds_only_the_dense_affinity(self, calls):
+    def test_boundary_cell_builds_only_the_cross_block(self, calls):
+        # one distance pass and its median, and no affinity beyond the block
         pair = pair_of()
         cfg = RBF.replace(kernel="primal")
         run_adaptation(pair, cfg, ModelKind("CDDA", "DB"), operands=InputOperands(pair, cfg))
-        assert calls == {"build_affinity": 1, "median": 1}
+        assert calls == {"pairwise_sq_dists": 1, "median": 1}
+
+    def test_complete_graph_range_terms_peak(self):
+        # neighborhood_p = 0: the edge list of the complete graph, int32
+        # index pairs and the weights, then the scattered n x n Laplacian
+        pair = pair_of(7, 200)
+        n = pair.n_total
+        assert n == 1200
+        ops = InputOperands(pair, RBF.replace(neighborhood_p=0))
+        ops.kernel_range()
+        tracemalloc.start()
+        try:
+            ops.range_terms()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n * n, peak / (8 * n * n)
 
     def test_operands_of_another_pair_or_config_are_rejected(self):
         pair = pair_of()

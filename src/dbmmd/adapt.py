@@ -15,7 +15,7 @@ The zoo is spanned by a base model and a boundary term:
 
 The assembled coefficient operator is M0 + compact - separation, held as
 the plain model's 2C x 2C group table plus, for a reweighted model, one
-cross-domain block D written into the graph block G (``mmd.MmdOperator``).
+cross-domain block D built from the affinity block W (``mmd.MmdOperator``).
 Each round projects, re-labels the target, and repeats until the pseudo-labels
 stop changing or the iteration cap is reached.
 """
@@ -77,17 +77,18 @@ class ModelKind:
         raise UnsupportedModelError(f"cannot parse model name {text!r}")
 
 
-def assemble_db(mats: MmdTables, graph: np.ndarray | None, kind: ModelKind) -> MmdOperator:
+def assemble_db(mats: MmdTables, cross: np.ndarray | None, kind: ModelKind) -> MmdOperator:
     """Coefficient operator M0 + compact - separation for one model.
 
-    ``graph`` is the (n_s, n_t) block G of ``graphs.build_graphs``; the
-    operator consumes it (see ``MmdOperator.reweighted``). It scales only
-    cross-domain entries: those of the compact term (CG), or of compact
-    minus separation (DB). The two terms never share a cross-domain group
-    pair, so the operator's table is the plain model's and G enters only
-    through D. A unit affinity reproduces the unreweighted model exactly.
+    ``cross`` is the (n_s, n_t) source-by-target block W of the input
+    affinity, only read, and ignored by an unreweighted model. The graphs
+    scale only cross-domain entries: those of the compact term (CG), or of
+    compact minus separation (DB). The two terms never share a
+    cross-domain group pair, so the operator's table is the plain model's
+    and the graphs enter only through D (``graphs.build_graphs``). A unit
+    affinity reproduces the unreweighted model exactly.
     """
-    if kind.boundary != "none" and graph is None:
+    if kind.boundary != "none" and cross is None:
         raise StateError(f"{kind.name} needs boundary graphs")
     table = mats.marginal + mats.conditional
     weighted = mats.conditional
@@ -97,7 +98,9 @@ def assemble_db(mats: MmdTables, graph: np.ndarray | None, kind: ModelKind) -> M
             weighted = weighted - mats.separation
     if kind.boundary == "none":
         return MmdOperator(mats.groups, mats.n_source, table)
-    return MmdOperator.reweighted(mats.groups, mats.n_source, table, weighted, graph)
+    c = table.shape[0] // 2
+    d = build_graphs(mats.groups, mats.n_source, cross, weighted[:c, c:])
+    return MmdOperator(mats.groups, mats.n_source, table, d)
 
 
 def solve_projection(s: np.ndarray, db: MmdOperator, k: int,
@@ -196,16 +199,12 @@ def _refine(ops: InputOperands, kind: ModelKind, target_truth, solve,
     baseline = None if truth is None else accuracy(pseudo, truth)
     records: list[IterationRecord] = []
     fixed_point = None
-
-    def operator(p: DomainPair) -> MmdOperator:
-        graph = None if kind.boundary == "none" else build_graphs(p, affinity)
-        return assemble_db(build_all(p), graph, kind)
-
     for t in range(1, cfg.max_iter + 1):
         p = pair.with_pseudo_labels(pseudo)
         projection = embedding = None  # the last round's arrays are not kept through a solve
-        # Only the operator holds G (D is written into it), and only until solve returns.
-        new, objective, eigvals, projection, embedding = solve(p, operator(p))
+        # Only the operator holds D, and only until solve returns.
+        new, objective, eigvals, projection, embedding = solve(
+            p, assemble_db(build_all(p), affinity, kind))
         churn = int(np.sum(new != pseudo))
         acc = None if truth is None else accuracy(new, truth)
         records.append(IterationRecord(t, churn, objective, eigvals, new, acc))

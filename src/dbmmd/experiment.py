@@ -55,6 +55,16 @@ SUMMARY_COLUMNS = (
 )
 
 
+def _load_json(path: Path, what: str):
+    """The JSON value stored in ``path``; ParameterError naming the file if missing or malformed."""
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        raise ParameterError(f"{path}: no such {what}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParameterError(f"{path}: malformed JSON {what}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Validated description of one experiment."""
@@ -122,13 +132,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentSpec":
-        try:
-            payload = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ParameterError(f"{path}: no such spec file") from None
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"{path}: malformed JSON spec") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(_load_json(Path(path), "spec file"))
 
     def to_dict(self) -> dict:
         if self.synthetic is not None:
@@ -366,8 +370,8 @@ def rerender_summary(output_dir: str | Path) -> ExperimentResult:
     runs_path = out_dir / "runs.json"
     if not spec_path.exists() or not runs_path.exists():
         raise ParameterError(f"{out_dir}: not an experiment directory")
-    spec = ExperimentSpec.from_dict(json.loads(spec_path.read_text()))
-    runs = json.loads(runs_path.read_text())
+    spec = ExperimentSpec.from_dict(_load_json(spec_path, "spec file"))
+    runs = _load_json(runs_path, "run list")
     if not isinstance(runs, list) or not all(isinstance(run, dict) for run in runs):
         raise ParameterError(f"{runs_path}: not a list of run objects")
     for run in runs:

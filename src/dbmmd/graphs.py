@@ -3,9 +3,8 @@
 The compacting graph (CG) upweights cross-domain same-class pairs that sit
 far apart; the separation graph (SG) weights cross-domain different-class
 pairs by their closeness. Both live only on the cross-domain block, and
-which of the two applies to a pair follows from the group index of
-``mmd.group_index``: source group c and target group C + r share a class
-when r == c.
+which of the two applies to a pair follows from the packed group index:
+source group c and target group C + r share a class when r == c.
 
 The printed form of both graphs is the same expression, -(1/W) on the
 cross block. Taken as printed, an elementwise product with M, that sign
@@ -22,11 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import DomainPair
 from .errors import BandwidthError, DimensionError, ParameterError
 from .linalg import (_as_feature_matrix, _block_rows, _mirrored_tiles, median_pairwise_distance,
                      pairwise_sq_dists)
-from .mmd import group_index
 
 # Floor for 1/W so underflowed affinities cannot blow up.
 W_FLOOR = 1e-6
@@ -58,13 +55,14 @@ def build_affinity(x, sigma: float | None = None,
     columns of x on the graph's edges, and the bandwidth used.
 
     The squared distances, computed once after the arguments are checked,
-    are the call's one (n, n) float array. sigma None takes the median nonzero pairwise distance and fails with
-    BandwidthError when all points coincide; a given sigma must be
-    positive. neighborhood_p > 0 keeps edge i, j when i is among the p
-    nearest neighbors of j or vice versa; p = 0 keeps every pair. A point
-    is never its own neighbor, and among equally distant candidates the
-    one with the lowest column index is taken first, so coincident points
-    and tied distances give the same graph on every run.
+    are the call's one (n, n) float array. sigma None takes the median
+    nonzero pairwise distance and fails with BandwidthError when all
+    points coincide; a given sigma must be positive. neighborhood_p > 0
+    keeps edge i, j when i is among the p nearest neighbors of j or vice
+    versa; p = 0 keeps every pair. A point is never its own neighbor, and
+    among equally distant candidates the one with the lowest column index
+    is taken first, so coincident points and tied distances give the same
+    graph on every run.
     """
     x = _as_feature_matrix(x)
     n = x.shape[1]
@@ -139,24 +137,34 @@ def _nearest_neighbors(d2: np.ndarray, p: int) -> np.ndarray | None:
     return keep
 
 
-def build_graphs(pair: DomainPair, cross: np.ndarray) -> np.ndarray:
-    """The (n_s, n_t) reweight block G of the cross-domain pairs.
+def build_graphs(groups: np.ndarray, n_source: int, cross: np.ndarray,
+                 scale: np.ndarray) -> np.ndarray:
+    """D = S_x * (G - 1), the (n_s, n_t) cross block of a reweighted MMD operator.
 
-    ``cross`` is the (n_s, n_t) source-by-target block W of the Gaussian
-    affinity of x, the only part the graphs read. G is 1/max(W, W_FLOOR)
-    on same-class pairs and W on different-class pairs, classes taken from
-    the pair's pseudo-labeling. The floor only guards underflowed entries.
+    ``groups`` is the packed group index and ``cross`` the source-by-target
+    block W of the Gaussian affinity of x, which is only read. G is
+    1/max(W, W_FLOOR) on same-class pairs and W on different-class pairs;
+    the floor only guards underflowed entries. ``scale`` is S_x, the C x C
+    source-by-target block of the reweighted table. D is built a block of
+    source rows at a time, so G and the class mask are never held whole.
     """
-    ns, nt = pair.n_source, pair.n_target
+    c = scale.shape[0]
+    source, target = groups[:n_source], groups[n_source:] - c
     w = np.asarray(cross, dtype=float)
-    if w.shape != (ns, nt):
-        raise DimensionError(f"cross block shape {w.shape} does not match the pair's {(ns, nt)}")
-    groups = group_index(pair)
-    # One (n_s, n_t) array: 1/W everywhere, then W back on different-class pairs.
-    g = np.maximum(w, W_FLOOR)
-    np.divide(1.0, g, out=g)
-    np.copyto(g, w, where=groups[:ns, None] != groups[None, ns:] - pair.class_count)
-    return g
+    if w.shape != (source.size, target.size):
+        raise DimensionError(f"cross block shape {w.shape} does not match the pair's "
+                             f"{(source.size, target.size)}")
+    d = np.empty(w.shape)
+    step = _block_rows(target.size)
+    for lo in range(0, n_source, step):
+        rows, w_rows, s = d[lo:lo + step], w[lo:lo + step], source[lo:lo + step]
+        # 1/W everywhere, then W back on different-class pairs.
+        np.maximum(w_rows, W_FLOOR, out=rows)
+        np.divide(1.0, rows, out=rows)
+        np.copyto(rows, w_rows, where=s[:, None] != target)
+        rows -= 1.0
+        rows *= scale[s][:, target]
+    return d
 
 
 def build_laplacian(affinity: EdgeGraph) -> EdgeGraph:

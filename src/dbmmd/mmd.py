@@ -34,7 +34,8 @@ The boundary graphs reweight M entrywise on the cross-domain block only.
 The assembled operator (``MmdOperator``) holds that as
 M = P B P^T + [[0, D], [D^T, 0]]: B is the plain model's table and the
 (n_s, n_t) block D = S_x * (G - 1) scales the reweighted part S of it by
-the graph block G of ``graphs.build_graphs``. A unit affinity gives
+the graph reweights G. ``graphs.build_graphs`` writes D straight from the
+affinity block W, so G itself is never held. A unit affinity gives
 G == 1, so D == 0 exactly and the reweighted model is the plain one bit
 for bit.
 """
@@ -46,7 +47,7 @@ import numpy as np
 
 from .datamodel import DomainPair
 from .errors import StateError
-from .linalg import _block_rows, matmul
+from .linalg import matmul
 
 
 def group_index(pair: DomainPair) -> np.ndarray:
@@ -94,33 +95,14 @@ class MmdOperator:
     """M = P B P^T + [[0, D], [D^T, 0]] over the packed order [source | target].
 
     ``table`` is B, the 2C x 2C table of the plain model; ``cross`` is D,
-    the (n_s, n_t) graph block, or None for an unreweighted model.
+    the (n_s, n_t) block of ``graphs.build_graphs``, or None for an
+    unreweighted model.
     """
 
     groups: np.ndarray
     n_source: int
     table: np.ndarray
     cross: np.ndarray | None = None
-
-    @classmethod
-    def reweighted(cls, groups: np.ndarray, n_source: int, table: np.ndarray,
-                   weighted: np.ndarray, graph: np.ndarray) -> "MmdOperator":
-        """The operator whose cross block reweights the table ``weighted`` by ``graph``.
-
-        D = S_x * (G - 1), with S = ``weighted``, is written into the graph
-        block G a block of rows at a time, each gathered from the C x C
-        source-by-target block of S. G is consumed, and a read-only one
-        raises.
-        """
-        c = table.shape[0] // 2
-        st = weighted[:c, c:]
-        source, target = groups[:n_source], groups[n_source:] - c
-        step = _block_rows(graph.shape[1])
-        for lo in range(0, n_source, step):
-            rows = graph[lo:lo + step]
-            rows -= 1.0
-            rows *= st[source[lo:lo + step]][:, target]
-        return cls(groups, n_source, table, graph)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """M x for an (n, m) x, from the group sums P^T x and, with a graph, D."""

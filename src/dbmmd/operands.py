@@ -57,19 +57,24 @@ class InputOperands:
             raise ParameterError("shared operands were built for another pair or config")
         return operands
 
+    def _sq_dists(self) -> np.ndarray:
+        """A new (n, n) array of the squared distances of x; resolves a median sigma if unset."""
+        d2 = pairwise_sq_dists(self.x)
+        if self._sigma is None:
+            self._sigma = median_bandwidth(d2)
+        return d2
+
     def kernel(self) -> np.ndarray:
         """K, the (n, n) kernel matrix of x. Needs a kernel config."""
         if self._kernel is None:
             cfg = self.cfg
             if cfg.kernel == "primal":
                 raise ParameterError("primal mode has no kernel matrix")
-            if cfg.kernel == "rbf" and self._sigma is None:
-                d2 = pairwise_sq_dists(self.x)
-                self._sigma = median_bandwidth(d2)
+            if cfg.kernel == "rbf":
+                d2 = self._sq_dists()
                 kmat = kernel_matrix(self.x, "rbf", sigma=self._sigma, sq_dists=d2)
             else:
-                sigma = self._sigma if cfg.kernel == "rbf" else None
-                kmat = kernel_matrix(self.x, cfg.kernel, sigma=sigma, degree=cfg.degree)
+                kmat = kernel_matrix(self.x, cfg.kernel, degree=cfg.degree)
             self._kernel = _read_only(kmat)
         return self._kernel
 
@@ -106,9 +111,7 @@ class InputOperands:
             if self.cfg.kernel == "rbf":
                 self._affinity = self.kernel()[:ns, ns:]
             else:
-                d2 = pairwise_sq_dists(self.x)
-                if self._sigma is None:
-                    self._sigma = median_bandwidth(d2)
+                d2 = self._sq_dists()
                 block = d2[:ns, ns:] / (-2.0 * self._sigma * self._sigma)
                 self._affinity = _read_only(np.exp(block, out=block))
         return self._affinity

@@ -24,6 +24,8 @@ explicit n x n H, which the library never forms.
 
 ``dense_operator`` expands the engine's MMD operator to the (n, n) matrix
 M entry for entry; the tests use it wherever a test needs M itself.
+``dense_boundary_block`` is the cross block D a reweighted operator must
+hold, bit for bit.
 
 ``dense_kernel_range`` is the full eigendecomposition of K that
 ``linalg.kernel_range`` falls back to when its randomized sketch
@@ -210,6 +212,22 @@ def dense_assemble_db(mats: DenseMatrices, graphs: DenseGraphs | None, kind) -> 
             rep = _reweight(rep, graphs.g_sg, graphs.sg_mask)
         out = out - rep
     return out
+
+
+def dense_boundary_block(pair: DomainPair, affinity: DenseAffinity, kind) -> np.ndarray:
+    """(G - 1) * S_x: the cross block D a reweighted operator adds to the plain table.
+
+    G is the dense CG + SG reweights and S the reweighted part of the
+    per-sample terms (the compact term, minus the separation term for
+    CDDA+DB and DGA-DA+DB), both cut to the (n_s, n_t) cross block.
+    """
+    ns = pair.n_source
+    graphs = dense_build_graphs(pair, affinity)
+    mats = dense_build_all(pair)
+    scaled = mats.conditional
+    if kind.boundary == "DB" and kind.base in ("CDDA", "DGA-DA"):
+        scaled = scaled - (mats.repulsive_st + mats.repulsive_ts)
+    return ((graphs.g_cg + graphs.g_sg)[:ns, ns:] - 1.0) * scaled[:ns, ns:]
 
 
 def dense_operator(op) -> np.ndarray:

@@ -26,7 +26,6 @@ from dbmmd.adapt import ModelKind, assemble_db, run_adaptation
 from dbmmd.classify import propagate_labels
 from dbmmd.datamodel import AdaptConfig, DomainPair, LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.experiment import ExperimentSpec, run_experiment
-from dbmmd.graphs import build_graphs
 from dbmmd.io import load_features, save_features
 from dbmmd.linalg import gen_eig_smallest
 from dbmmd.mmd import build_all, group_sums
@@ -220,10 +219,9 @@ def test_criterion_3_unit_affinity_reductions(golden):
         cfg = AdaptConfig.from_dict(golden["config"]).replace(sigma=float("inf"))
         pair = ds.pair.with_pseudo_labels(ds.target_truth)
         mats = build_all(pair)
-        aff = dense_build_affinity(pair.packed_features(), float("inf"))
-        graph = build_graphs(pair, cross_block(pair, aff))
+        cross = cross_block(pair, dense_build_affinity(pair.packed_features(), float("inf")))
         plain = assemble_db(mats, None, ModelKind("CDDA"))
-        reweighted = assemble_db(mats, graph, ModelKind("CDDA", "DB"))
+        reweighted = assemble_db(mats, cross, ModelKind("CDDA", "DB"))
         assert np.array_equal(plain.table, reweighted.table)
         assert not np.any(reweighted.cross)
         assert np.array_equal(dense_operator(plain), dense_operator(reweighted))

@@ -24,16 +24,16 @@ from dbmmd.adapt import (
 from dbmmd.classify import hard_labels, nn_classify, one_hot
 from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.errors import NumericError, ParameterError, StateError, UnsupportedModelError
-from dbmmd.graphs import build_affinity, build_graphs, rcm_order
+from dbmmd.graphs import build_affinity, rcm_order
 from dbmmd.linalg import (gen_eig_smallest, kernel_matrix, kernel_range,
                           median_pairwise_distance, pairwise_sq_dists)
 from dbmmd.mmd import MmdOperator, build_all
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
-from dense_reference import (cross_block, dense_build_affinity, dense_build_laplacian,
-                             dense_kernel_range, dense_meda_solve, dense_meda_system,
-                             dense_operator)
+from dense_reference import (cross_block, dense_boundary_block, dense_build_affinity,
+                             dense_build_laplacian, dense_kernel_range, dense_meda_solve,
+                             dense_meda_system, dense_operator)
 
 UNIT_AFFINITY = dict(sigma=float("inf"))
 
@@ -133,14 +133,13 @@ class TestAssembleDb:
         # operator must equal the plain one bit for bit: same table, D == 0
         pair = labeled_pair(4)
         mats = build_all(pair)
-        aff = dense_build_affinity(pair.packed_features(), float("inf"))
-        graph = build_graphs(pair, cross_block(pair, aff))
+        cross = cross_block(pair, dense_build_affinity(pair.packed_features(), float("inf")))
         for base in ("JDA", "CDDA", "DGA-DA"):
             plain = assemble_db(mats, None, ModelKind(base))
             for boundary in ("CG", "DB"):
                 if base == "JDA" and boundary == "DB":
                     continue
-                reweighted = assemble_db(mats, graph.copy(), ModelKind(base, boundary))
+                reweighted = assemble_db(mats, cross, ModelKind(base, boundary))
                 assert np.array_equal(reweighted.table, plain.table), (base, boundary)
                 assert not np.any(reweighted.cross), (base, boundary)
                 assert np.array_equal(dense_operator(reweighted),
@@ -151,10 +150,9 @@ class TestAssembleDb:
         # compact term, exactly what CG does
         pair = labeled_pair(5)
         mats = build_all(pair)
-        aff = dense_build_affinity(pair.packed_features())
-        graph = build_graphs(pair, cross_block(pair, aff))
-        db = assemble_db(mats, graph.copy(), ModelKind("JDA", "DB"))
-        cg = assemble_db(mats, graph.copy(), ModelKind("JDA", "CG"))
+        cross = cross_block(pair, dense_build_affinity(pair.packed_features()))
+        db = assemble_db(mats, cross, ModelKind("JDA", "DB"))
+        cg = assemble_db(mats, cross, ModelKind("JDA", "CG"))
         assert np.array_equal(db.table, cg.table)
         assert np.array_equal(db.cross, cg.cross)
         assert np.array_equal(dense_operator(db), dense_operator(cg))
@@ -163,10 +161,9 @@ class TestAssembleDb:
         # the graph reweights cross-domain entries only
         pair = labeled_pair(6)
         mats = build_all(pair)
-        aff = dense_build_affinity(pair.packed_features())
-        graph = build_graphs(pair, cross_block(pair, aff))
+        cross = cross_block(pair, dense_build_affinity(pair.packed_features()))
         plain = dense_operator(assemble_db(mats, None, ModelKind("CDDA")))
-        db = dense_operator(assemble_db(mats, graph, ModelKind("CDDA", "DB")))
+        db = dense_operator(assemble_db(mats, cross, ModelKind("CDDA", "DB")))
         ns = pair.n_source
         assert np.array_equal(db[:ns, :ns], plain[:ns, :ns])
         assert np.array_equal(db[ns:, ns:], plain[ns:, ns:])
@@ -175,31 +172,22 @@ class TestAssembleDb:
         # 400 target columns give 163-row blocks, so D is built over three of them
         pair = labeled_pair(9, n_s=450, n_t=400, class_count=4)
         aff = dense_build_affinity(pair.packed_features())
-        mats = build_all(pair)
-        graph = build_graphs(pair, cross_block(pair, aff))
-        ns = pair.n_source
-        scaled = mats.conditional - mats.separation
-        gathered = scaled[mats.groups[:ns]][:, mats.groups[ns:]]
-        want = (gathered * (graph - 1.0)).tobytes()
-        op = assemble_db(mats, graph, ModelKind("CDDA", "DB"))
-        # D is written into G, which the operator consumes
-        assert op.cross is graph
-        assert op.cross.tobytes() == want
+        kind = ModelKind("CDDA", "DB")
+        op = assemble_db(build_all(pair), cross_block(pair, aff), kind)
+        assert op.cross.tobytes() == dense_boundary_block(pair, aff, kind).tobytes()
         assert np.any(op.cross != 0.0)
 
     def test_reweighted_operator_allocates_no_ns_by_nt_array(self):
-        # D is written into G a block of rows at a time, and sandwich and
-        # matvec only read it: none of the three calls allocates an
-        # (n_s, n_t) array of its own
+        # sandwich and matvec only read D: neither allocates an (n_s, n_t)
+        # array of its own
         pair = labeled_pair(13, n_s=600, n_t=600, class_count=4)
-        mats = build_all(pair)
         x = pair.packed_features()
-        graph = build_graphs(pair, cross_block(pair, dense_build_affinity(x)))
+        op = assemble_db(build_all(pair), cross_block(pair, dense_build_affinity(x)),
+                         ModelKind("CDDA", "DB"))
         vectors = np.random.default_rng(130).normal(size=(pair.n_total, 3))
         tracemalloc.start()
         try:
-            op = assemble_db(mats, graph, ModelKind("CDDA", "DB"))
-            peaks = [tracemalloc.get_traced_memory()[1]]
+            peaks = []
             for call in (lambda: op.sandwich(x), lambda: op.matvec(vectors)):
                 tracemalloc.reset_peak()
                 call()
@@ -207,6 +195,33 @@ class TestAssembleDb:
         finally:
             tracemalloc.stop()
         assert max(peaks) < 8 * pair.n_source * pair.n_target, peaks
+
+    def test_boundary_round_holds_one_ns_by_nt_array(self):
+        # One CDDA+DB round's operator build: D is written a block of source
+        # rows at a time straight from W, so neither the reweights G nor an
+        # (n_s, n_t) class mask is ever held whole beside it
+        pair = labeled_pair(14, n_s=1200, n_t=1200, class_count=4)
+        cross = InputOperands(pair, AdaptConfig()).affinity()
+        tracemalloc.start()
+        try:
+            op = assemble_db(build_all(pair), cross, ModelKind("CDDA", "DB"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = 8 * pair.n_source * pair.n_target
+        assert op.cross.nbytes == size
+        assert peak < 1.09 * size, peak / size
+
+    def test_read_only_strided_affinity_is_not_written(self):
+        # kernel mode hands the graphs a read-only view K[:ns, ns:]
+        pair = labeled_pair(15, n_s=30, n_t=25)
+        cross = InputOperands(pair, AdaptConfig(kernel="rbf")).affinity()
+        assert not cross.flags.writeable and not cross.flags.c_contiguous
+        before = cross.copy()
+        for base, boundary in (("JDA", "CG"), ("CDDA", "DB"), ("DGA-DA", "CG")):
+            op = assemble_db(build_all(pair), cross, ModelKind(base, boundary))
+            assert np.any(op.cross != 0.0)
+        assert cross.tobytes() == before.tobytes()
 
     def test_trace_composition_oracle(self):
         # marginal + per-class pulls - both directions of the printed
@@ -557,8 +572,8 @@ def dense_meda_replay(pair, cfg, kind, report):
     rounds = []
     for rec in report.iterations:
         p = pair.with_pseudo_labels(pseudo)
-        graph = None if kind.boundary == "none" else build_graphs(p, ops.affinity())
-        m = dense_operator(assemble_db(build_all(p), graph, kind))
+        cross = None if kind.boundary == "none" else ops.affinity()
+        m = dense_operator(assemble_db(build_all(p), cross, kind))
         beta = dense_meda_solve(dense_meda_system(m, lap, kmat, ns, alpha, rho, eta), y)
         scores = kmat @ beta
         new = hard_labels(scores[ns:])

@@ -256,7 +256,7 @@ class TestReport:
     def test_non_experiment_dir_is_exit_2(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("runs", ['"JDA"', '[{"model": "CDDA", "status": "ok"}]'])
+    @pytest.mark.parametrize("runs", ['"JDA"', '[{"model": "CDDA", "status": "ok"}]', '[{'])
     def test_malformed_runs_is_exit_2(self, tmp_path, capsys, runs):
         spec = write_spec(tmp_path)
         assert main(["run", str(spec)]) == 0
@@ -264,6 +264,17 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(tmp_path / "out")]) == 2
         assert "runs.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, content", [("experiment.json", b'{"models": ["JDA"'),
+                                               ("runs.json", b"\xff\xfe[]")])
+    def test_undecodable_stored_json_is_exit_2(self, tmp_path, capsys, name, content):
+        # a truncated spec, and a run list that is not UTF-8
+        spec = write_spec(tmp_path)
+        assert main(["run", str(spec)]) == 0
+        (tmp_path / "out" / name).write_bytes(content)
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "out")]) == 2
+        assert f"{name}: malformed JSON" in capsys.readouterr().err
 
 
 class TestParser:

@@ -4,7 +4,8 @@ For seeded random pairs (C from 1 to 5, with a class missing from the
 target pseudo-labels and the single-class pair among them), every base x
 boundary model must hold the dense reference exactly:
 its table expands to the plain model's matrix, and a reweighted model's
-cross block D is (G - 1) times the reweighted part S of the dense terms.
+cross block D is (G - 1) times the reweighted part S of the dense terms
+(``dense_reference.dense_boundary_block``).
 Its left operand s M s^T and its product M x must match the dense
 products for primal and kernel data operands and for a block of vectors.
 """
@@ -15,12 +16,11 @@ import pytest
 
 from dbmmd.adapt import BASE_MODELS, BOUNDARY_TERMS, ModelKind, assemble_db
 from dbmmd.datamodel import DomainPair, LabeledDomain, UnlabeledDomain
-from dbmmd.graphs import build_graphs
 from dbmmd.linalg import kernel_matrix
 from dbmmd.mmd import build_all
 
-from dense_reference import (cross_block, dense_assemble_db, dense_build_affinity, dense_build_all,
-                             dense_build_graphs)
+from dense_reference import (cross_block, dense_assemble_db, dense_boundary_block,
+                             dense_build_affinity, dense_build_all, dense_build_graphs)
 
 KINDS = [
     ModelKind(base, boundary)
@@ -53,23 +53,18 @@ def test_operator_matches_dense_reference(seed):
     aff = dense_build_affinity(x)
     mats = build_all(pair)
     dense_mats = dense_build_all(pair)
-    graph = build_graphs(pair, cross_block(pair, aff))
+    cross = cross_block(pair, aff)
     dense_graphs = dense_build_graphs(pair, aff)
-    ns = pair.n_source
-    dense_graph = (dense_graphs.g_cg + dense_graphs.g_sg)[:ns, ns:]
     for kind in KINDS:
         reweighted = kind.boundary != "none"
-        op = assemble_db(mats, graph.copy() if reweighted else None, kind)
+        op = assemble_db(mats, cross if reweighted else None, kind)
         want = dense_assemble_db(dense_mats, dense_graphs if reweighted else None, kind)
         case = (seed, kind.name)
         plain = dense_assemble_db(dense_mats, None, ModelKind(kind.base))
         table = op.table[op.groups][:, op.groups]
         assert table.tobytes() == plain.tobytes(), case
         if reweighted:
-            scaled = dense_mats.conditional
-            if kind.boundary == "DB" and kind.base in ("CDDA", "DGA-DA"):
-                scaled = scaled - (dense_mats.repulsive_st + dense_mats.repulsive_ts)
-            assert op.cross.tobytes() == ((dense_graph - 1.0) * scaled[:ns, ns:]).tobytes(), case
+            assert op.cross.tobytes() == dense_boundary_block(pair, aff, kind).tobytes(), case
         else:
             assert op.cross is None, case
         for name, s in operands.items():

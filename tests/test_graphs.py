@@ -12,7 +12,7 @@ import dbmmd.graphs as graphs_module
 from dbmmd.datamodel import LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.errors import BandwidthError, DimensionError, ParameterError
 from dbmmd.graphs import W_FLOOR, EdgeGraph, build_affinity, build_graphs, build_laplacian, rcm_order
-from dbmmd.mmd import build_all
+from dbmmd.mmd import build_all, group_index
 
 from dense_reference import (DenseAffinity, cross_block, dense_build_affinity,
                              dense_build_graphs, dense_build_laplacian, edge_graph)
@@ -197,14 +197,20 @@ class TestNeighborTies:
             assert sigma == ref.sigma
 
 
+def unit_scaled_block(pair, cross):
+    """``build_graphs`` with S_x == 1, so D is G - 1: the graph reweights less one."""
+    c = pair.class_count
+    return build_graphs(group_index(pair), pair.n_source, cross, np.ones((c, c)))
+
+
 class TestBuildGraphs:
     def test_spirit_unit_affinity_values(self):
         pair = labeled_pair(2)
         aff = dense_build_affinity(pair.packed_features(), sigma=float("inf"))
-        g = build_graphs(pair, cross_block(pair, aff))
-        # 1/W on same-class pairs, W on different-class pairs, W == 1
-        assert isinstance(g, np.ndarray)
-        assert np.array_equal(g, np.full((pair.n_source, pair.n_target), 1.0))
+        d = unit_scaled_block(pair, cross_block(pair, aff))
+        # 1/W on same-class pairs, W on different-class pairs, W == 1: G - 1 == 0
+        assert isinstance(d, np.ndarray)
+        assert_bits_equal(d, np.zeros((pair.n_source, pair.n_target)))
 
     def test_masks_partition_cross_positions(self):
         # every cross pair gets exactly one of the two graphs: 1/W when the
@@ -214,15 +220,15 @@ class TestBuildGraphs:
         n_s = pair.n_source
         ys, yt = pair.source.labels, pair.target.pseudo_labels
         w = aff.entries
-        g = build_graphs(pair, cross_block(pair, aff))
+        d = unit_scaled_block(pair, cross_block(pair, aff))
         for i in range(n_s):
             for j in range(pair.n_target):
                 inv = 1.0 / max(w[i, n_s + j], W_FLOOR)
                 expect = inv if ys[i] == yt[j] else w[i, n_s + j]
-                assert g[i, j] == expect, (i, j)
+                assert d[i, j] == expect - 1.0, (i, j)
         dense = dense_build_graphs(pair, aff)
         assert not np.any(dense.cg_mask & dense.sg_mask)
-        assert np.array_equal((dense.g_cg + dense.g_sg)[:n_s, n_s:], g)
+        assert_bits_equal(d, (dense.g_cg + dense.g_sg)[:n_s, n_s:] - 1.0)
 
     def test_cg_mask_matches_conditional_negatives(self):
         # the same-class pairs are exactly where the conditional matrix is
@@ -234,8 +240,8 @@ class TestBuildGraphs:
         aff = dense_build_affinity(pair.packed_features())
         w = aff.entries[:n_s, n_s:]
         assert np.all(w < 1.0)
-        g = build_graphs(pair, cross_block(pair, aff))
-        same_class = g == 1.0 / np.maximum(w, W_FLOOR)
+        d = unit_scaled_block(pair, cross_block(pair, aff))
+        same_class = d == 1.0 / np.maximum(w, W_FLOOR) - 1.0
         assert np.array_equal(same_class, mc < 0.0)
 
     def test_spirit_weights_monotone_in_distance(self):
@@ -244,11 +250,11 @@ class TestBuildGraphs:
         x = pair.packed_features()
         n_s = pair.n_source
         aff = dense_build_affinity(x)
-        graph = build_graphs(pair, cross_block(pair, aff))
+        block = unit_scaled_block(pair, cross_block(pair, aff))
         same = pair.source.labels[:, None] == pair.target.pseudo_labels[None, :]
         idx = np.argwhere(same)
         d2 = np.array([np.sum((x[:, i] - x[:, n_s + j]) ** 2) for i, j in idx])
-        g = np.array([graph[i, j] for i, j in idx])
+        g = np.array([block[i, j] for i, j in idx])
         order = np.argsort(d2)
         assert np.all(np.diff(g[order]) >= 0.0)
 
@@ -259,18 +265,18 @@ class TestBuildGraphs:
         )
         pair = make_pair(src, tgt)
         aff = dense_build_affinity(pair.packed_features(), sigma=1.0)
-        g = build_graphs(pair, cross_block(pair, aff))
+        d = unit_scaled_block(pair, cross_block(pair, aff))
         # the distant same-class pair underflows to w == 0; 1/W is floored
-        assert g.max() == 1.0 / W_FLOOR
+        assert d.max() == 1.0 / W_FLOOR - 1.0
 
     def test_shape_mismatch_rejected(self):
         # the graphs take the (n_s, n_t) cross block, not the (n, n) affinity
         pair = labeled_pair(6)
         aff = dense_build_affinity(pair.packed_features())
         with pytest.raises(DimensionError):
-            build_graphs(pair, aff.entries)
+            unit_scaled_block(pair, aff.entries)
         with pytest.raises(DimensionError):
-            build_graphs(pair, cross_block(pair, aff).T)
+            unit_scaled_block(pair, cross_block(pair, aff).T)
 
 
 class TestLaplacian:

@@ -152,6 +152,17 @@ class TestSharing:
         assert calls == {"pairwise_sq_dists": 1, "median": 1, "kernel_matrix": 1,
                          "kernel_range": 1, "build_affinity": 1, "build_laplacian": 1}
 
+    def test_fixed_sigma_kernel_takes_one_distance_pass(self, calls):
+        # a given sigma needs no median; K and the affinity view share one pass
+        pair = pair_of()
+        cfg = RBF.replace(sigma=0.7)
+        want = kernel_matrix(pair.packed_features(), "rbf", sigma=0.7)
+        ops = InputOperands(pair, cfg)
+        for name in ("JDA", "JDA+CG", "CDDA+DB"):
+            run_adaptation(pair, cfg, ModelKind.parse(name), operands=ops)
+        assert calls == {"pairwise_sq_dists": 1, "kernel_matrix": 1, "kernel_range": 1}
+        assert ops.kernel().tobytes() == want.tobytes()
+
     def test_experiment_builds_once_per_repeat(self, calls, tmp_path):
         recipe = SyntheticRecipe(class_count=2, samples_per_class=10, feature_dim=2, seed=3)
         spec = ExperimentSpec(models=("JDA", "JDA+CG", "MEDA", "MEDA+CG"), config=RBF,

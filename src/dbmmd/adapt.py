@@ -176,7 +176,7 @@ def _propagated_target_labels(pair: DomainPair, z: np.ndarray, cfg: AdaptConfig)
     ns = pair.n_source
     y0 = np.zeros((pair.n_total, pair.class_count))
     y0[:ns] = one_hot(pair.source.labels, pair.class_count)
-    # The kNN graph is held on its edges: the distances are its one (n, n) array.
+    # The kNN graph is held on its edges, built from distances taken a row block at a time.
     lap = build_laplacian(build_affinity(z, None, cfg.neighborhood_p)[0])
     f = propagate_labels(lap, y0, cfg.mu)
     return hard_labels(f[ns:])

@@ -8,14 +8,16 @@ import scipy.linalg
 
 from .errors import DimensionError, NumericError, ParameterError
 from .graphs import EdgeGraph, rcm_order
-from .linalg import matmul
+from .linalg import _row_blocks, matmul
 
 
 def nn_classify(train_x, train_labels, query_x) -> np.ndarray:
     """1-NN labels for each column of query_x given labeled columns train_x.
 
-    Brute-force squared Euclidean scan. Distance ties go to the lowest
-    training index, so results are deterministic.
+    Brute-force squared Euclidean scan: |t|^2 + |q|^2 - 2 t.q, written in
+    place into the one train-by-query product a block of query columns at
+    a time, each block's argmin taken as it is done. Distance ties go to
+    the lowest training index, so results are deterministic.
     """
     train_x = np.asarray(train_x, dtype=float)
     query_x = np.asarray(query_x, dtype=float)
@@ -32,8 +34,13 @@ def nn_classify(train_x, train_labels, query_x) -> np.ndarray:
         raise DimensionError("one training label per training column required")
     t_sq = np.einsum("ij,ij->j", train_x, train_x)
     q_sq = np.einsum("ij,ij->j", query_x, query_x)
-    d2 = t_sq[:, None] + q_sq[None, :] - 2.0 * matmul(train_x.T, query_x)
-    nearest = np.argmin(d2, axis=0)
+    d2 = matmul(train_x.T, query_x, alpha=-2.0)
+    nearest = np.empty(query_x.shape[1], dtype=np.intp)
+    for cols in _row_blocks(query_x.shape[1], train_x.shape[1]):
+        block = d2[:, cols]
+        # -2g + (t + q) is (t + q) - 2g bit for bit: negation and doubling are exact.
+        block += t_sq[:, None] + q_sq[None, cols]
+        nearest[cols] = np.argmin(block, axis=0)
     return train_labels[nearest].astype(np.int64)
 
 

@@ -40,7 +40,7 @@ import numpy as np
 from .adapt import ModelKind, run_adaptation
 from .datamodel import (AdaptConfig, LabeledDomain, UnlabeledDomain, from_json, json_field,
                         json_object, make_pair)
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, UnsupportedModelError
 from .io import FORMATS, atomic_write_text, load_features, save_features
 from .operands import InputOperands
 from .synthetic import SyntheticRecipe, generate_synthetic
@@ -132,7 +132,13 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentSpec":
-        return cls.from_dict(_load_json(Path(path), "spec file"))
+        """The spec stored in ``path``; its errors name the file."""
+        path = Path(path)
+        data = _load_json(path, "spec file")
+        try:
+            return cls.from_dict(data)
+        except (ParameterError, UnsupportedModelError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
     def to_dict(self) -> dict:
         if self.synthetic is not None:
@@ -370,7 +376,7 @@ def rerender_summary(output_dir: str | Path) -> ExperimentResult:
     runs_path = out_dir / "runs.json"
     if not spec_path.exists() or not runs_path.exists():
         raise ParameterError(f"{out_dir}: not an experiment directory")
-    spec = ExperimentSpec.from_dict(_load_json(spec_path, "spec file"))
+    spec = ExperimentSpec.from_json_file(spec_path)
     runs = _load_json(runs_path, "run list")
     if not isinstance(runs, list) or not all(isinstance(run, dict) for run in runs):
         raise ParameterError(f"{runs_path}: not a list of run objects")

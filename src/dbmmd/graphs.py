@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandwidthError, DimensionError, ParameterError
-from .linalg import (_as_feature_matrix, _block_rows, _mirrored_tiles, median_pairwise_distance,
-                     pairwise_sq_dists)
+from .linalg import (_as_feature_matrix, _empty, _MedianCount, _row_blocks, _strict_upper,
+                     median_pairwise_distance, pairwise_sq_dists)
 
 # Floor for 1/W so underflowed affinities cannot blow up.
 W_FLOOR = 1e-6
@@ -54,15 +54,19 @@ def build_affinity(x, sigma: float | None = None,
     """(W, sigma): Gaussian weights w_ij = exp(-d_ij^2 / (2 sigma^2)) between
     columns of x on the graph's edges, and the bandwidth used.
 
-    The squared distances, computed once after the arguments are checked,
-    are the call's one (n, n) float array. sigma None takes the median
-    nonzero pairwise distance and fails with BandwidthError when all
-    points coincide; a given sigma must be positive. neighborhood_p > 0
-    keeps edge i, j when i is among the p nearest neighbors of j or vice
-    versa; p = 0 keeps every pair. A point is never its own neighbor, and
-    among equally distant candidates the one with the lowest column index
-    is taken first, so coincident points and tied distances give the same
-    graph on every run.
+    The squared distances come from x a block of rows at a time, by the
+    products of ``median_pairwise_distance`` (each block's columns against
+    the columns from its first on), with for p > 0 those against the
+    columns before it; no (n, n) array is held. sigma None takes the
+    median nonzero pairwise distance, counted in the same walk, and fails
+    with BandwidthError when all points coincide; a given sigma must be
+    positive. neighborhood_p > 0 keeps edge i, j when i is among
+    the p nearest neighbors of j or vice versa; p = 0 keeps every pair. A
+    point is never its own neighbor, and among equally distant candidates
+    the one with the lowest column index is taken first, so coincident
+    points and tied distances give the same graph on every run. An edge's
+    weight is the distance in the row of its lower end when that end
+    chose it, else in the row of the other end.
     """
     x = _as_feature_matrix(x)
     n = x.shape[1]
@@ -72,69 +76,109 @@ def build_affinity(x, sigma: float | None = None,
         raise ParameterError(f"sigma must be positive, or None for the median, got {sigma}")
     if int(neighborhood_p) != neighborhood_p or neighborhood_p < 0:
         raise ParameterError(f"neighborhood_p must be a nonnegative integer, got {neighborhood_p}")
-    d2 = pairwise_sq_dists(x)
-    sigma = median_bandwidth(d2) if sigma is None else float(sigma)
-    keep = _nearest_neighbors(d2, int(neighborhood_p))
-    if keep is None:
-        # Every i < j in row order, as int32: half the bytes of triu_indices' pairs.
-        idx = np.arange(n, dtype=np.int32)
-        rows = np.repeat(idx, n - 1 - idx)
-        cols = np.concatenate([idx[i + 1:] for i in range(n - 1)])
-    else:
-        rows, cols = np.nonzero(keep)
-        upper = rows < cols
-        rows, cols = rows[upper].astype(np.int32), cols[upper].astype(np.int32)
-    w = d2[rows, cols]
+    p = int(neighborhood_p)
+    knn = 0 < p < n - 1
+    count = _MedianCount() if sigma is None else None
+    rows, cols, w = _nearest_edges(x, p, count) if knn else _all_edges(x, count)
+    if count is not None:
+        # The median's second pass, if it needs one: the same products again,
+        # or for the complete graph the distances w holds.
+        again = ((_strict_upper(block, positive=True) for _, block in _upper_rows(x)) if knn
+                 else (w[b][w[b] > 0.0] for b in _row_blocks(w.size, 1)))
+        sigma = _nonzero_bandwidth(count.median(again))
     np.divide(w, -2.0 * sigma * sigma, out=w)
     np.exp(w, out=w)
-    return EdgeGraph(np.zeros(n), rows, cols, w), sigma
+    return EdgeGraph(np.zeros(n), rows, cols, w), float(sigma)
 
 
-def median_bandwidth(sq_dists: np.ndarray) -> float:
-    """Median nonzero pairwise distance, read from squared distances.
+def _upper_rows(x: np.ndarray):
+    """``linalg._upper_rows`` through this module's ``pairwise_sq_dists`` binding.
 
-    The one place a median bandwidth is resolved: fails with
-    BandwidthError when all points coincide, since a zero sigma has no
-    Gaussian.
+    Per row block, the distances from its columns to the columns from its first on.
     """
-    sigma = median_pairwise_distance(sq_dists)
-    if sigma == 0.0:
-        raise BandwidthError("all points coincide; median bandwidth is zero")
-    return sigma
+    n = x.shape[1]
+    for rows in _row_blocks(n, n):
+        yield rows, pairwise_sq_dists(x[:, rows], x[:, rows.start:])
 
 
-def _nearest_neighbors(d2: np.ndarray, p: int) -> np.ndarray | None:
-    """Symmetric boolean (n, n): i, j when either is among the other's p nearest.
+def _all_edges(x: np.ndarray, count: _MedianCount | None):
+    """Every pair i < j in row order, as int32 index pairs, with its squared distance.
 
-    None for p = 0 or p >= n - 1: every pair. Self is excluded and ties go
-    to the lowest index, the order a stable argsort of the row gives. Each
-    block of rows takes the p-th smallest distance t by partition and keeps
-    every column closer than t; the rest of a row's p are its columns at
-    exactly t, in index order.
+    Feeds the positive distances to the median's ``count`` unless None.
     """
-    n = d2.shape[0]
-    if not 0 < p < n - 1:
-        return None
-    step = _block_rows(n)
-    keep = np.empty((n, n), dtype=bool)
-    for lo in range(0, n, step):
-        d = d2[lo:lo + step].copy()
-        rows = np.arange(d.shape[0])
-        d[rows, lo + rows] = np.inf
+    n = x.shape[1]
+    idx = np.arange(n, dtype=np.int32)
+    rows = np.repeat(idx, n - 1 - idx)
+    cols = np.concatenate([idx[i + 1:] for i in range(n - 1)])
+    d2 = np.empty(rows.size)
+    at = 0
+    for _, block in _upper_rows(x):
+        vals = _strict_upper(block)
+        d2[at:at + vals.size] = vals
+        at += vals.size
+        if count is not None:
+            count.add(vals[vals > 0.0])
+    return rows, cols, d2
+
+
+def _nearest_edges(x: np.ndarray, p: int, count: _MedianCount | None):
+    """The symmetrized kNN union as int32 pairs i < j in row order, with squared distances.
+
+    A block's rows are its ``_upper_rows`` distances with the distances
+    to the columns before it in front. Each block of rows takes the p-th
+    smallest distance t by partition and keeps every column closer than
+    t; the rest of a row's p are its columns at exactly t, in index
+    order, as a stable argsort of the row would give. Each row emits its
+    p edges; a pair chosen from both ends keeps the lower end's distance.
+    Feeds the positive distances above the diagonal to the median's
+    ``count`` unless None.
+    """
+    n = x.shape[1]
+    heads, tails, dists = [], [], []
+    for rows, upper in _upper_rows(x):
+        if count is not None:
+            count.add(_strict_upper(upper, positive=True))
+        lo = rows.start
+        d = np.empty((upper.shape[0], n))
+        d[:, lo:] = upper
+        del upper
+        if lo:
+            d[:, :lo] = pairwise_sq_dists(x[:, rows], x[:, :lo])
+        own = np.arange(d.shape[0])
+        d[own, lo + own] = np.inf  # never its own neighbor
         t = np.partition(d, p - 1, axis=1)[:, p - 1:p]
-        closer = d < t
+        keep = d < t
         tied = d == t
-        tied[rows, lo + rows] = False
-        room = p - np.count_nonzero(closer, axis=1)
+        room = p - np.count_nonzero(keep, axis=1)
         # Only rows with more columns at t than room rank them by index.
         over = np.flatnonzero(np.count_nonzero(tied, axis=1) > room)
         tied[over] &= np.cumsum(tied[over], axis=1) <= room[over, None]
-        np.logical_or(closer, tied, out=keep[lo:lo + d.shape[0]])
-    # keep |= keep^T by mirrored tiles: the whole-array form copies keep^T.
-    for upper, lower in _mirrored_tiles(keep):
-        upper |= lower.T
-        lower[...] = upper.T
-    return keep
+        keep |= tied
+        at = np.flatnonzero(keep)
+        heads.append(lo + at // n)
+        tails.append(at % n)
+        dists.append(d.reshape(-1)[at])
+    heads, tails, dists = np.concatenate(heads), np.concatenate(tails), np.concatenate(dists)
+    low, high = np.minimum(heads, tails), np.maximum(heads, tails)
+    # Rows emit in order, so a pair's first occurrence is from its lower end if that chose it.
+    _, first = np.unique(low * n + high, return_index=True)
+    return low[first].astype(np.int32), high[first].astype(np.int32), dists[first]
+
+
+def median_bandwidth(x) -> float:
+    """Median nonzero pairwise distance between the columns of x.
+
+    The bandwidth of a kernel or affinity of x with no sigma given: fails
+    with BandwidthError when all points coincide, since a zero sigma has
+    no Gaussian.
+    """
+    return _nonzero_bandwidth(median_pairwise_distance(x))
+
+
+def _nonzero_bandwidth(sigma: float) -> float:
+    if sigma == 0.0:
+        raise BandwidthError("all points coincide; median bandwidth is zero")
+    return sigma
 
 
 def build_graphs(groups: np.ndarray, n_source: int, cross: np.ndarray,
@@ -154,10 +198,9 @@ def build_graphs(groups: np.ndarray, n_source: int, cross: np.ndarray,
     if w.shape != (source.size, target.size):
         raise DimensionError(f"cross block shape {w.shape} does not match the pair's "
                              f"{(source.size, target.size)}")
-    d = np.empty(w.shape)
-    step = _block_rows(target.size)
-    for lo in range(0, n_source, step):
-        rows, w_rows, s = d[lo:lo + step], w[lo:lo + step], source[lo:lo + step]
+    d = _empty(w.shape)
+    for block in _row_blocks(n_source, target.size):
+        rows, w_rows, s = d[block], w[block], source[block]
         # 1/W everywhere, then W back on different-class pairs.
         np.maximum(w_rows, W_FLOOR, out=rows)
         np.divide(1.0, rows, out=rows)

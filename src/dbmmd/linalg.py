@@ -6,12 +6,21 @@ dense arrays; problem sizes here are hundreds of samples, not millions.
 Every dense product goes through ``matmul`` and so, like every LAPACK
 call here, runs on scipy's BLAS.
 
+Distances are computed from x in place in their Gram product, and the
+passes over all pairs of columns (the median bandwidth here, the kNN
+graph in ``graphs``) take them a block of rows at a time
+(``_upper_rows``): rows lo.. against columns lo.., so no (n, n) array is
+held and every pass sees the same bits for a pair i < j from row i.
+
 ``kernel_range`` finds the numerical range of an (n, n) kernel matrix
 with a seeded randomized sketch of l = 160 columns, in O(n^2 l), and
 factors K in full only when the range is too wide for the sketch. The
 sketch's draws are fixed, so a result depends on K and the BLAS alone.
 """
 from __future__ import annotations
+
+import math
+import mmap
 
 import numpy as np
 import scipy.linalg
@@ -37,14 +46,43 @@ _SKETCH_COLS = 160
 _SKETCH_OVERSAMPLE = 16
 _SKETCH_SEED = 0x5EED
 
-# Entries per (rows, n) block temporary of the distance, median and
-# neighbor passes.
+# Entries per (rows, n) block temporary of the distance passes, and of
+# the blocked loops over an (m, n) array.
 _BLOCK = 1 << 16
+
+# Arrays of at least this many bytes that ``_empty`` gives get an
+# anonymous mapping of their own. Smaller ones stay on the heap, whose
+# free pages they can reuse: mapping the 6 MB cross blocks of an n = 1800
+# rbf run beside a heap holding 28 MB free raised its peak by 9 MB.
+_MAPPED_BYTES = 1 << 23
 
 # The median's buckets: the top 16 bits of a positive double's pattern
 # (the zero sign bit, 11 exponent bits and 4 mantissa bits), 2^15 in all.
 _BUCKET_SHIFT = 48
 _BUCKETS = 1 << (63 - _BUCKET_SHIFT)
+
+
+def _empty(shape: tuple[int, ...], order: str = "C") -> np.ndarray:
+    """np.empty(shape) of float64, in its own anonymous mapping from _MAPPED_BYTES on.
+
+    glibc serves a request below its dynamic mmap threshold from the brk
+    heap, and the threshold rises to the largest mapped block freed so far
+    (up to 32 MiB). Smaller arrays then carve up the holes a freed large
+    array leaves, the heap grows for the next one, and its pages stay
+    resident: the high-water mark depends on the allocation history. A
+    mapping's pages go back to the OS when the array is freed. Where the
+    OS offers it (Linux), they are faulted in by the one mmap call, which
+    costs about half the system time of faulting them a write at a time;
+    the caller writes every entry anyway.
+    """
+    nbytes = 8 * math.prod(shape)
+    if nbytes < _MAPPED_BYTES:
+        return np.empty(shape, order=order)
+    if hasattr(mmap, "MAP_POPULATE"):
+        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE)
+    else:
+        buf = mmap.mmap(-1, nbytes)
+    return np.frombuffer(buf, dtype=float).reshape(shape, order=order)
 
 
 def _blas_operand(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -61,8 +99,8 @@ def _blas_operand(x: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ascontiguousarray(x).T, 0
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2-D float64 operands, computed by scipy's dgemm.
+def matmul(a: np.ndarray, b: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    """alpha * (a @ b) for 2-D float64 operands, computed by scipy's dgemm.
 
     numpy and scipy each bundle an OpenBLAS with its own thread pool, and
     after a call a pool's workers keep spinning on the cores the other
@@ -71,6 +109,9 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (a b)^T = b^T a^T: the transpose of a C-ordered array is a
     Fortran-ordered view, and the Fortran-ordered result read transposed
     is the C-ordered a b. No contiguous operand and no result is copied.
+    A power-of-two alpha scales every rounded partial sum exactly (short of
+    overflow or underflow), so the result is alpha times the product bit
+    for bit, with no pass of its own.
     """
     at, trans_b = _blas_operand(a)
     bt, trans_a = _blas_operand(b)
@@ -78,10 +119,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionError(f"matmul shapes {a.shape} and {b.shape} do not chain")
     # With beta = 0 dgemm writes every entry of c, so c is not zeroed first
     # (the array f2py would allocate is, at the cost of one more pass).
-    c = np.empty((b.shape[1], a.shape[0]), order="F")
+    c = _empty((b.shape[1], a.shape[0]), order="F")
     if c.size == 0:
         return c.T  # nothing to compute, and f2py rejects an empty c
-    return blas.dgemm(1.0, bt, at, c=c, overwrite_c=True, trans_a=trans_a, trans_b=trans_b).T
+    return blas.dgemm(alpha, bt, at, c=c, overwrite_c=True, trans_a=trans_a, trans_b=trans_b).T
 
 
 def _as_feature_matrix(x) -> np.ndarray:
@@ -95,48 +136,90 @@ def _as_feature_matrix(x) -> np.ndarray:
     return x
 
 
-def pairwise_sq_dists(x) -> np.ndarray:
-    """Squared Euclidean distances between the columns of ``x``.
+def pairwise_sq_dists(x, y=None) -> np.ndarray:
+    """Squared Euclidean distances between the columns of ``x`` and ``y``.
 
-    Returns an (n, n) symmetric matrix with an exactly zero diagonal.
-    Negative round-off from the Gram expansion is clamped to zero. The
-    distances overwrite the Gram array x^T x one block of rows at a time,
-    each entry as (|x_i|^2 + |x_j|^2) - 2 x_i.x_j, so the only n x n array
-    is the one returned.
+    With ``y`` None, the (n, n) distances among the columns of x: symmetric,
+    with an exactly zero diagonal. With ``y``, the (m, n') distances from
+    each column of the (d, m) x to each column of the (d, n') y.
+
+    Each entry is (|x_i|^2 + |y_j|^2) - 2 x_i.y_j, written in place into
+    the one dgemm product -2 x^T y a block of rows at a time, so the only
+    large array is the one returned. An entry below the rounding error of
+    that expression, 2 gamma_d (|x_i|^2 + |y_j|^2) with
+    gamma_d = d eps / (1 - d eps) (Higham 2002, section 3.1), is set to
+    0: coincident columns are exactly 0 apart on any BLAS, and no
+    distance is negative.
     """
     x = _as_feature_matrix(x)
-    d = matmul(x.T, x)
-    sq = np.diag(d).copy()
-    n = d.shape[0]
-    rows = _block_rows(n)
-    for lo in range(0, n, rows):
-        block = d[lo:lo + rows]
-        # -2g + s is s - 2g bit for bit: negation and doubling are exact.
-        block *= -2.0
-        block += np.add(sq[lo:lo + rows, None], sq[None, :])
-        np.maximum(block, 0.0, out=block)
-    symmetrize_inplace(d)
-    np.fill_diagonal(d, 0.0)
+    if y is None:
+        d = matmul(x.T, x, alpha=-2.0)
+        sq = np.diag(d) / -2.0
+        _sq_dists_in_place(d, sq, sq, x.shape[0])
+        symmetrize_inplace(d)
+        np.fill_diagonal(d, 0.0)
+        return d
+    y = _as_feature_matrix(y)
+    if y.shape[0] != x.shape[0]:
+        raise DimensionError(f"feature dims differ: {x.shape[0]} and {y.shape[0]}")
+    d = matmul(x.T, y, alpha=-2.0)
+    _sq_dists_in_place(d, _sq_norms(x), _sq_norms(y), x.shape[0])
     return d
 
 
-def _block_rows(n: int) -> int:
-    """Rows per block so that a (rows, n) temporary holds about _BLOCK entries."""
-    return max(1, _BLOCK // max(n, 1))
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """|x_j|^2 for each column of x; a column's bits do not depend on its neighbors."""
+    return np.einsum("ij,ij->j", x, x)
 
 
-def _upper_positive(d2: np.ndarray):
-    """The positive entries of the strict upper triangle of d2, a row block at a time."""
-    n = d2.shape[0]
-    rows = _block_rows(n)
-    for lo in range(0, n - 1, rows):
-        block = d2[lo:lo + rows, lo + 1:]
-        keep = block > 0.0
-        # Entry (i, j) of the block is d2[lo + i, lo + 1 + j], on or below the
-        # diagonal of d2 when j < i: only the block's leading square has those.
-        lead = keep[:, :keep.shape[0]]
-        lead[np.tri(*lead.shape, k=-1, dtype=bool)] = False
-        yield block[keep]
+def _sq_dists_in_place(g: np.ndarray, sq_rows: np.ndarray, sq_cols: np.ndarray,
+                       dim: int) -> None:
+    """g <- (sq_rows_i + sq_cols_j) + g_ij in place for g = -2 x^T y, cut below the error bound.
+
+    An entry under 2 gamma_dim (sq_rows_i + sq_cols_j) is set to 0. Only
+    entries under the bound of their row's largest sum can be, so those
+    are found first and each is then held to its own bound.
+    """
+    eps = np.finfo(float).eps
+    bound = 2.0 * dim * eps / (1.0 - dim * eps)
+    widest = sq_cols.max(initial=0.0)
+    for rows in _row_blocks(g.shape[0], g.shape[1]):
+        block, sq = g[rows], sq_rows[rows]
+        # (-2g) + s is s - 2g bit for bit: the sum is the same one.
+        block += np.add(sq[:, None], sq_cols[None, :])
+        i, j = np.divmod(np.flatnonzero(block < bound * (sq[:, None] + widest)), block.shape[1])
+        cut = block[i, j] < bound * (sq[i] + sq_cols[j])
+        block[i[cut], j[cut]] = 0.0
+
+
+def _row_blocks(m: int, n: int) -> list[slice]:
+    """Slices of consecutive rows of an (m, n) array, each about _BLOCK entries."""
+    step = max(1, _BLOCK // max(n, 1))
+    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+
+
+def _upper_rows(x: np.ndarray):
+    """(rows, d2) per row block of the (n, n) distances of x: rows lo.. from columns lo..
+
+    The distance passes over x all take these products, so the distances
+    above the diagonal that two passes see are the same bits: d2[r, c] is
+    the distance from column lo + r to column lo + c.
+    """
+    n = x.shape[1]
+    for rows in _row_blocks(n, n):
+        yield rows, pairwise_sq_dists(x[:, rows], x[:, rows.start:])
+
+
+def _strict_upper(block: np.ndarray, positive: bool = False) -> np.ndarray:
+    """The entries (r, c), c > r, of an ``_upper_rows`` block, row by row.
+
+    Those are the distances of pairs i < j, each once. ``positive`` keeps
+    only the entries > 0.
+    """
+    keep = block > 0.0 if positive else np.ones(block.shape, dtype=bool)
+    lead = keep[:, :keep.shape[0]]
+    lead[np.tri(*lead.shape, dtype=bool)] = False
+    return block[keep]
 
 
 def _bucket(vals: np.ndarray) -> np.ndarray:
@@ -148,44 +231,75 @@ def _bucket(vals: np.ndarray) -> np.ndarray:
     return vals.view(np.int64) >> _BUCKET_SHIFT
 
 
-def median_pairwise_distance(sq_dists) -> float:
-    """Median of the nonzero pairwise Euclidean distances.
+class _MedianCount:
+    """The median's counting pass, fed the positive squared distances a block at a time.
 
-    ``sq_dists`` are the (n, n) squared distances from
-    ``pairwise_sq_dists``; only their strict upper triangle is read. The
-    square root is taken of the one or two middle squared distances alone:
-    sqrt is monotone, so they are the squares of the middle distances, and
-    the result equals the median of all the distances bit for bit.
+    Tallies them by bucket, and keeps the values themselves while they
+    total at most _BLOCK, so that a second pass over the blocks is needed
+    only past that.
+    """
 
-    The triangle is never copied. A counting pass tallies the positive
-    entries by bucket (each bucket spans 1/16 of a binary octave), a
-    second pass gathers the entries of the bucket or buckets holding the
-    middle ranks, and a partition of those picks the middle values.
+    def __init__(self):
+        self.counts = np.zeros(_BUCKETS, dtype=np.int64)
+        self.kept: list[np.ndarray] | None = []
+        self.size = 0
+
+    def add(self, vals: np.ndarray) -> None:
+        self.counts += np.bincount(_bucket(vals), minlength=_BUCKETS)
+        self.size += vals.size
+        if self.kept is not None:
+            self.kept.append(vals)
+            if self.size > _BLOCK:
+                self.kept = None
+
+    def median(self, again) -> float:
+        """Median of the square roots of the counted values.
+
+        ``again`` yields the same values again in blocks; it is read only
+        if they were not kept and there is at least one. The blocks'
+        entries in the bucket or buckets holding the middle ranks are
+        gathered, and a partition of those picks the middle value(s).
+        sqrt is monotone, so their square roots are the middle distances,
+        and the result equals np.median of all the square roots bit for
+        bit.
+        """
+        counts = self.counts
+        cum = np.cumsum(counts)
+        m = int(cum[-1])
+        if m == 0:
+            return 0.0
+        middle = np.array([(m - 1) // 2, m // 2])
+        first, last = np.searchsorted(cum, middle, side="right")
+        picked = []
+        for vals in self.kept if self.kept is not None else again:
+            b = _bucket(vals)
+            picked.append(vals[(b >= first) & (b <= last)])
+        picked = np.concatenate(picked)
+        middle -= cum[first] - counts[first]
+        picked.partition(middle)
+        # np.median's own last step: the mean of the middle value(s).
+        return float(np.mean(np.sqrt(picked[middle[0]:middle[1] + 1])))
+
+
+def median_pairwise_distance(x) -> float:
+    """Median of the nonzero pairwise Euclidean distances between the columns of x.
+
+    Taken from x by row blocks of ``pairwise_sq_dists``, each block the
+    distances from its columns to those after it (``_upper_rows``); no
+    (n, n) array is held. A counting pass tallies the positive squared
+    distances by bucket (each bucket spans 1/16 of a binary octave), and
+    a second pass gathers the bucket or buckets holding the middle ranks
+    (``_MedianCount``). When the distances fit in one block the second
+    pass reads those kept from the first.
 
     Returns 0.0 when every pair of columns coincides; callers that need a
     positive bandwidth must treat that as an error.
     """
-    d2 = np.asarray(sq_dists, dtype=float)
-    if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
-        raise DimensionError(f"squared distances must be square, got shape {d2.shape}")
-    counts = np.zeros(_BUCKETS, dtype=np.int64)
-    for vals in _upper_positive(d2):
-        counts += np.bincount(_bucket(vals), minlength=_BUCKETS)
-    cum = np.cumsum(counts)
-    m = int(cum[-1])
-    if m == 0:
-        return 0.0
-    middle = np.array([(m - 1) // 2, m // 2])
-    first, last = np.searchsorted(cum, middle, side="right")
-    picked = []
-    for vals in _upper_positive(d2):
-        b = _bucket(vals)
-        picked.append(vals[(b >= first) & (b <= last)])
-    picked = np.concatenate(picked)
-    middle -= cum[first] - counts[first]
-    picked.partition(middle)
-    # np.median's own last step: the mean of the middle value(s).
-    return float(np.mean(np.sqrt(picked[middle[0]:middle[1] + 1])))
+    x = _as_feature_matrix(x)
+    count = _MedianCount()
+    for _, block in _upper_rows(x):
+        count.add(_strict_upper(block, positive=True))
+    return count.median(_strict_upper(b, positive=True) for _, b in _upper_rows(x))
 
 
 def _mirrored_tiles(a: np.ndarray):

@@ -12,10 +12,13 @@ cells after it. MEDA's normalized kNN Laplacian L only ever meets U_r, so
 its edge list is scattered into one transient n x n array for the product
 L U_r: K is the one n x n array kept.
 
-The first distance pass resolves a median sigma, and later builds reuse
-it. In rbf mode that pass gives K in place, and the affinity's cross
-block is a view of K[:ns, ns:], the same exponent of the same distances.
-In the other modes the block is exp(d2[:ns, ns:] / (-2 sigma^2)).
+The first build that needs a bandwidth resolves the median sigma, from
+x by row blocks (``linalg.median_pairwise_distance``, or inside the kNN
+affinity's own pass), and later builds reuse it. In rbf mode the
+affinity's cross block is a view of K[:ns, ns:]. In the other modes it is
+exp(d2 / (-2 sigma^2)) of the (ns, nt) cross-form distances of the source
+and target columns, computed in place in that one array: no (n, n)
+distances are held.
 """
 from __future__ import annotations
 
@@ -57,12 +60,11 @@ class InputOperands:
             raise ParameterError("shared operands were built for another pair or config")
         return operands
 
-    def _sq_dists(self) -> np.ndarray:
-        """A new (n, n) array of the squared distances of x; resolves a median sigma if unset."""
-        d2 = pairwise_sq_dists(self.x)
+    def _bandwidth(self) -> float:
+        """sigma: the config's, or else the median pairwise distance of x, resolved once."""
         if self._sigma is None:
-            self._sigma = median_bandwidth(d2)
-        return d2
+            self._sigma = median_bandwidth(self.x)
+        return self._sigma
 
     def kernel(self) -> np.ndarray:
         """K, the (n, n) kernel matrix of x. Needs a kernel config."""
@@ -71,8 +73,7 @@ class InputOperands:
             if cfg.kernel == "primal":
                 raise ParameterError("primal mode has no kernel matrix")
             if cfg.kernel == "rbf":
-                d2 = self._sq_dists()
-                kmat = kernel_matrix(self.x, "rbf", sigma=self._sigma, sq_dists=d2)
+                kmat = kernel_matrix(self.x, "rbf", sigma=self._bandwidth())
             else:
                 kmat = kernel_matrix(self.x, cfg.kernel, degree=cfg.degree)
             self._kernel = _read_only(kmat)
@@ -111,9 +112,10 @@ class InputOperands:
             if self.cfg.kernel == "rbf":
                 self._affinity = self.kernel()[:ns, ns:]
             else:
-                d2 = self._sq_dists()
-                block = d2[:ns, ns:] / (-2.0 * self._sigma * self._sigma)
-                self._affinity = _read_only(np.exp(block, out=block))
+                sigma = self._bandwidth()
+                w = pairwise_sq_dists(self.x[:, :ns], self.x[:, ns:])
+                np.divide(w, -2.0 * sigma * sigma, out=w)
+                self._affinity = _read_only(np.exp(w, out=w))
         return self._affinity
 
     def initial_labels(self) -> np.ndarray:

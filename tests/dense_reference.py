@@ -7,12 +7,14 @@ pseudo-class) groups plus one cross-domain block; the tests check that
 the engine's table and block reproduce these matrices exactly.
 
 The neighborhood-graph oracles below are the original out-of-place
-distance, median, affinity and Laplacian code: a second distance pass
-for the median, a copy of the whole upper triangle for its partition,
-and a stable argsort per row for the kNN graph, with the affinity and
-its Laplacian as (n, n) arrays (``DenseAffinity``). The library computes
-the distances once, through one (n, n) buffer, and holds the affinity
-and the Laplacian as edge lists (``graphs.EdgeGraph``). The tests require
+distance, median, affinity and Laplacian code: an (n, n) distance array,
+a second one for the median, a copy of the whole upper triangle for its
+partition, and a stable argsort per row for the kNN graph, with the
+affinity and its Laplacian as (n, n) arrays (``DenseAffinity``). Their
+Gram products are the library's own, taken by the same row blocks
+(``dense_distance_rows``). The library computes the distances a row
+block at a time, never holding them whole, and holds the affinity and
+the Laplacian as edge lists (``graphs.EdgeGraph``). The tests require
 the distances, the median and the edge weights equal to these bit for
 bit, and the edge Laplacian within 1e-13 relative: its degrees are
 summed over the edges, in another order than a row sum. The propagation oracle
@@ -47,7 +49,7 @@ import scipy.linalg
 from dbmmd.datamodel import DomainPair
 from dbmmd.errors import ParameterError, StateError
 from dbmmd.graphs import W_FLOOR, EdgeGraph
-from dbmmd.linalg import matmul
+from dbmmd.linalg import _row_blocks, matmul
 
 DIRECTIONS = ("source_to_target", "target_to_source")
 
@@ -258,20 +260,51 @@ def dense_centering_matrix(n: int) -> np.ndarray:
     return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
-def dense_pairwise_sq_dists(x) -> np.ndarray:
-    """Squared distances between the columns of x, as one out-of-place expression.
+def dense_pairwise_sq_dists(x, y=None) -> np.ndarray:
+    """Squared distances between the columns of x and y, as one out-of-place expression.
 
     The Gram matrix is the library's own product: these bytes check the
-    arithmetic around it, not the BLAS build under it.
+    arithmetic around it, not the BLAS build under it. Entries below the
+    rounding bound 2 gamma_d (|x_i|^2 + |y_j|^2) are 0. With y None, the
+    norms are the Gram diagonal and the result is symmetrized with a zero
+    diagonal.
     """
     x = np.asarray(x, dtype=float)
-    g = matmul(x.T, x)
-    sq = np.diag(g).copy()
-    d = sq[:, None] + sq[None, :] - 2.0 * g
-    np.maximum(d, 0.0, out=d)
-    d = 0.5 * (d + d.T)
-    np.fill_diagonal(d, 0.0)
+    if y is None:
+        g = matmul(x.T, x)
+        sq_x = sq_y = np.diag(g).copy()
+    else:
+        y = np.asarray(y, dtype=float)
+        g = matmul(x.T, y)
+        sq_x, sq_y = np.einsum("ij,ij->j", x, x), np.einsum("ij,ij->j", y, y)
+    s = sq_x[:, None] + sq_y[None, :]
+    d = s - 2.0 * g
+    eps = np.finfo(float).eps
+    dim = x.shape[0]
+    d[d < 2.0 * dim * eps / (1.0 - dim * eps) * s] = 0.0
+    if y is None:
+        d = 0.5 * (d + d.T)
+        np.fill_diagonal(d, 0.0)
     return d
+
+
+def dense_distance_rows(x) -> np.ndarray:
+    """The (n, n) squared distances that the library's blocked passes over x see.
+
+    Per row block of ``linalg._row_blocks``, rows lo..: the cross-form
+    distances to the columns lo.. (the products every pass takes), with
+    those to the columns before lo in front (the kNN pass's own). Rows
+    are not symmetrized.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[1]
+    blocks = []
+    for rows in _row_blocks(n, n):
+        lo = rows.start
+        upper = dense_pairwise_sq_dists(x[:, rows], x[:, lo:])
+        blocks.append(np.hstack([dense_pairwise_sq_dists(x[:, rows], x[:, :lo]), upper])
+                      if lo else upper)
+    return np.concatenate(blocks)
 
 
 def dense_median_pairwise_distance(d2: np.ndarray) -> float:
@@ -295,20 +328,21 @@ def dense_knn_keep(d2: np.ndarray, p: int) -> np.ndarray:
 
 
 def dense_build_affinity(x, sigma: float | None = None, neighborhood_p: int = 0) -> DenseAffinity:
-    """The Gaussian (kNN) affinity with the median from a second distance pass."""
-    d2 = dense_pairwise_sq_dists(x)
+    """The Gaussian (kNN) affinity with the median from a second distance pass.
+
+    Row j's neighbors come from row j of the distances. A pair chosen from
+    both ends takes its weight from the row of its lower index, a pair
+    chosen from one end from that end's row.
+    """
+    d2 = dense_distance_rows(x)
     n = d2.shape[0]
     if sigma is None:
-        sigma = dense_median_pairwise_distance(dense_pairwise_sq_dists(x))
+        sigma = dense_median_pairwise_distance(dense_distance_rows(x))
     p = int(neighborhood_p)
     w = np.exp(d2 / (-2.0 * sigma * sigma))
-    if 0 < p < n - 1:
-        keep = dense_knn_keep(d2, p)
-        keep |= keep.T
-        w = np.where(keep, w, 0.0)
-    np.fill_diagonal(w, 0.0)
-    w = 0.5 * (w + w.T)
-    return DenseAffinity(w, float(sigma))
+    keep = dense_knn_keep(d2, p) if 0 < p < n - 1 else np.ones((n, n), dtype=bool)
+    upper = np.triu(np.where(keep, w, np.where(keep.T, w.T, 0.0)), 1)
+    return DenseAffinity(upper + upper.T, float(sigma))
 
 
 def dense_build_laplacian(affinity: DenseAffinity) -> np.ndarray:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from numpy.testing import assert_allclose
 from dbmmd.classify import accuracy, hard_labels, nn_classify, one_hot, propagate_labels
 from dbmmd.errors import DimensionError, NumericError, ParameterError
 from dbmmd.graphs import EdgeGraph, build_affinity, build_laplacian
+from dbmmd import linalg
+from dbmmd.linalg import matmul
 
 from dense_reference import (dense_build_affinity, dense_build_laplacian, dense_propagate_labels,
                              edge_graph, propagation_tolerance)
@@ -50,6 +54,40 @@ class TestNnClassify:
             nn_classify(train, labels, query),
             nn_classify(q @ train, labels, q @ query),
         )
+
+    @pytest.mark.parametrize("m, q, grid", [(40, 3000, False), (700, 500, False), (300, 400, True)])
+    def test_labels_of_the_out_of_place_expression(self, m, q, grid):
+        # the in-place blocks give the same distances, bit for bit, so the
+        # same argmin, ties included: grid points tie and coincide
+        rng = np.random.default_rng(m + q)
+        if grid:
+            train, query = rng.integers(0, 4, size=(2, m)), rng.integers(0, 4, size=(2, q))
+            train, query = train.astype(float), query.astype(float)
+        else:
+            train, query = rng.normal(size=(5, m)), rng.normal(size=(5, q))
+        labels = np.arange(m)
+        t_sq = np.einsum("ij,ij->j", train, train)
+        q_sq = np.einsum("ij,ij->j", query, query)
+        d2 = t_sq[:, None] + q_sq[None, :] - 2.0 * matmul(train.T, query)
+        assert np.array_equal(nn_classify(train, labels, query), np.argmin(d2, axis=0))
+
+    def test_one_train_by_query_array(self, monkeypatch):
+        # one m x q product; the expression and the argmin copy a block of
+        # query columns at a time. The out-of-place expression peaked at
+        # 3.0 x 8 m q traced bytes, this at 1.11 x. Traced in full: the
+        # product would otherwise get a mapping tracemalloc does not see.
+        monkeypatch.setattr(linalg, "_MAPPED_BYTES", np.inf)
+        m = q = 1200
+        rng = np.random.default_rng(12)
+        train, query = rng.normal(size=(64, m)), rng.normal(size=(64, q))
+        labels = rng.integers(0, 3, m)
+        tracemalloc.start()
+        try:
+            nn_classify(train, labels, query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 8 * m * q, peak / (8 * m * q)
 
     def test_errors(self):
         with pytest.raises(DimensionError):

@@ -265,6 +265,26 @@ class TestReport:
         assert main(["report", str(tmp_path / "out")]) == 2
         assert "runs.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ["[]", '"x"', "{}", '{"models": 3}',
+                                         '{"models": ["JDA+XY"], "output_dir": "o"}'])
+    def test_wrong_shape_stored_spec_names_the_file(self, tmp_path, capsys, content):
+        # valid JSON that is not a spec: the error says which file it was in
+        spec = write_spec(tmp_path)
+        assert main(["run", str(spec)]) == 0
+        stored = tmp_path / "out" / "experiment.json"
+        stored.write_text(content)
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "out")]) == 2
+        assert f"{stored}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["[]", '"x"', "{}", '{"models": 3}',
+                                         '{"models": ["JDA+XY"], "output_dir": "o"}'])
+    def test_wrong_shape_spec_file_names_the_file(self, tmp_path, capsys, content):
+        spec = tmp_path / "spec.json"
+        spec.write_text(content)
+        assert main(["run", str(spec)]) == 2
+        assert f"{spec}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("name, content", [("experiment.json", b'{"models": ["JDA"'),
                                                ("runs.json", b"\xff\xfe[]")])
     def test_undecodable_stored_json_is_exit_2(self, tmp_path, capsys, name, content):

@@ -128,7 +128,7 @@ class TestBuildAffinity:
 
     def test_arguments_checked_before_the_distance_pass(self, monkeypatch):
         # a bad call fails in O(d n), before the O(d n^2) distances
-        def no_distances(x):
+        def no_distances(*blocks):
             raise AssertionError("pairwise_sq_dists ran before the arguments were checked")
 
         monkeypatch.setattr(graphs_module, "pairwise_sq_dists", no_distances)
@@ -141,19 +141,45 @@ class TestBuildAffinity:
         with pytest.raises(AssertionError, match="ran before"):
             build_affinity(x, 1.0, 5)
 
-    def test_mask_symmetrized_without_an_n_by_n_copy(self):
-        # the distances (8 n^2 bytes) and the kNN mask (n^2) are the call's
-        # two n x n arrays; keep |= keep.T on the whole mask would copy keep.T
-        # first, one n^2 more
-        n = 1800
-        x = np.random.default_rng(18).normal(size=(4, n))
+    @pytest.mark.parametrize("d, n", [(64, 300), (10, 3000)])
+    def test_coincident_columns_have_no_median_and_unit_weights(self, d, n):
+        # one column repeated: the products round, but under their error
+        # bound, so every distance is exactly 0
+        x = np.tile(np.random.default_rng(0).normal(size=(d, 1)), (1, n))
+        with pytest.raises(BandwidthError):
+            build_affinity(x, None, 5)
+        with pytest.raises(BandwidthError):
+            build_affinity(x[:, :300], None, 0)
+        assert np.all(build_affinity(x, 1.0, 5)[0].values == 1.0)
+        assert np.all(build_affinity(x[:, :300], 1.0, 0)[0].values == 1.0)
+
+    def test_knn_pass_holds_no_n_by_n_array(self):
+        # the distances come a row block at a time and each row emits its
+        # p edges; the median's count rides on that pass. The n x n distances
+        # and the kNN mask peaked at 1.27 x 8 n^2 traced bytes, this at 0.32 x.
+        n = 1200
+        z = np.random.default_rng(41).normal(size=(10, n))
         tracemalloc.start()
         try:
-            build_affinity(x, None, 5)
+            build_affinity(z, None, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 9.75 * n * n, peak / (n * n)
+        assert peak < 0.35 * 8 * n * n, peak / (8 * n * n)
+
+    def test_complete_graph_holds_only_its_edges(self):
+        # p = 0: the int32 pairs and the weights of every pair, 8 n^2 bytes
+        # together, filled a row block at a time. With the n x n distances
+        # this peaked at 2.01 x 8 n^2, now at 1.26 x.
+        n = 1200
+        z = np.random.default_rng(41).normal(size=(10, n))
+        tracemalloc.start()
+        try:
+            build_affinity(z, None, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * 8 * n * n, peak / (8 * n * n)
 
 
 class TestNeighborTies:
@@ -185,6 +211,16 @@ class TestNeighborTies:
         keep[0, [1, 2]] = keep[1, [0, 2]] = keep[2, [0, 1]] = True
         keep[3:, [0, 1]] = True
         assert np.array_equal(w != 0.0, keep | keep.T)
+
+    @pytest.mark.parametrize("p", [0, 3])
+    def test_median_past_one_block_matches_oracle(self, p):
+        # n (n - 1) / 2 distances over one block's worth: the median's second
+        # pass walks the blocks again (p > 0) or reads the weights (p = 0)
+        x = grid_points(p, 400, 9)
+        w, sigma = affinity_matrix(x, neighborhood_p=p)
+        ref = dense_build_affinity(x, neighborhood_p=p)
+        assert_bits_equal(w, ref.entries)
+        assert sigma == ref.sigma
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_points_match_oracle(self, seed):

@@ -22,7 +22,7 @@ from dbmmd.linalg import (
     sign_flips,
 )
 
-from dense_reference import (dense_centering_matrix, dense_kernel_range,
+from dense_reference import (dense_centering_matrix, dense_distance_rows, dense_kernel_range,
                              dense_median_pairwise_distance, dense_pairwise_sq_dists)
 
 
@@ -45,11 +45,38 @@ def charpoly_eigenvalues(a, b):
     return np.sort(roots.real)
 
 
+def median_of_sq_dists(d2):
+    """The library's two-pass selection over the upper triangle of a given (n, n) d2.
+
+    d2 is read in the row blocks of the library's distance passes, so
+    crafted values reach the same code as ``median_pairwise_distance``.
+    Values are not kept between the passes, so the second pass runs.
+    """
+    n = d2.shape[0]
+
+    def upper():
+        return (linalg._strict_upper(d2[rows, rows.start:], positive=True)
+                for rows in linalg._row_blocks(n, n))
+
+    count = linalg._MedianCount()
+    for vals in upper():
+        count.add(vals)
+    count.kept = None
+    return count.median(upper())
+
+
 class TestPairwiseSqDists:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(42)
         x = rng.normal(size=(5, 6))
         assert_allclose(pairwise_sq_dists(x), loop_sq_dists(x), atol=1e-12)
+
+    def test_cross_form_matches_loop_oracle(self):
+        rng = np.random.default_rng(43)
+        x, y = rng.normal(size=(5, 6)), rng.normal(size=(5, 4))
+        d = pairwise_sq_dists(x, y)
+        assert d.shape == (6, 4)
+        assert_allclose(d, loop_sq_dists(np.hstack([x, y]))[:6, 6:], atol=1e-12)
 
     def test_zero_diagonal_and_symmetry(self):
         rng = np.random.default_rng(3)
@@ -65,6 +92,7 @@ class TestPairwiseSqDists:
         d = pairwise_sq_dists(x)
         assert d.min() >= 0.0
         assert_allclose(d, d.T, atol=0)
+        assert pairwise_sq_dists(x[:, :3], x).min() >= 0.0
 
     @pytest.mark.parametrize("n", [5, 64, 257, 300, 600])
     def test_bit_equal_to_out_of_place_expression(self, n):
@@ -73,39 +101,64 @@ class TestPairwiseSqDists:
         d = pairwise_sq_dists(x)
         expect = dense_pairwise_sq_dists(x)
         assert d.tobytes() == expect.tobytes()
+        k = n // 3
+        assert pairwise_sq_dists(x[:, :k], x[:, k:]).tobytes() == \
+            dense_pairwise_sq_dists(x[:, :k], x[:, k:]).tobytes()
+
+    @pytest.mark.parametrize("d, n", [(64, 300), (10, 3000)])
+    def test_coincident_columns_are_exactly_zero(self, d, n):
+        # one column repeated: x_i.x_j rounds differently from |x_i|^2, but
+        # stays within the dot product's error bound, which is cut to 0
+        x = np.tile(np.random.default_rng(d).normal(size=(d, 1)), (1, n))
+        assert not pairwise_sq_dists(x[:, :300]).any()
+        assert not pairwise_sq_dists(x[:, :7], x).any()
+
+    def test_distances_above_the_bound_are_kept(self):
+        # two columns eps-close relative to their norm survive the cut only
+        # when they are farther apart than the bound
+        x = np.ones((4, 3))
+        x[0, 1] += 1e-6
+        x[0, 2] += 1e-9
+        d = pairwise_sq_dists(x)
+        assert d[0, 1] > 0.0 and d[0, 2] == 0.0
 
     def test_rejects_non_finite(self):
         x = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ParameterError):
             pairwise_sq_dists(x)
+        with pytest.raises(ParameterError):
+            pairwise_sq_dists(np.ones((2, 2)), x)
 
     def test_rejects_1d(self):
         with pytest.raises(DimensionError):
             pairwise_sq_dists(np.ones(4))
+        with pytest.raises(DimensionError):
+            pairwise_sq_dists(np.ones((2, 3)), np.ones((3, 3)))
 
 
 class TestMedianPairwiseDistance:
     def test_ignores_zero_distances(self):
         x = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 4.0]])
         # distances: {0, 5, 5} -> median of nonzero = 5
-        assert median_pairwise_distance(pairwise_sq_dists(x)) == 5.0
+        assert median_pairwise_distance(x) == 5.0
 
     def test_all_coincident_is_zero(self):
-        assert median_pairwise_distance(pairwise_sq_dists(np.ones((2, 4)))) == 0.0
+        assert median_pairwise_distance(np.ones((2, 4))) == 0.0
 
     def test_odd_and_even_pair_counts(self):
         # 3 pairs {1, 3, 2}: the middle one
-        assert median_pairwise_distance(pairwise_sq_dists([[0.0, 1.0, 3.0]])) == 2.0
+        assert median_pairwise_distance([[0.0, 1.0, 3.0]]) == 2.0
         # 6 pairs {1, 3, 7, 2, 6, 4}: the mean of the middle two
-        assert median_pairwise_distance(pairwise_sq_dists([[0.0, 1.0, 3.0, 7.0]])) == 3.5
+        assert median_pairwise_distance([[0.0, 1.0, 3.0, 7.0]]) == 3.5
         # 6 pairs, one coincident: {1, 3, 1, 3, 2} leaves an odd count
-        assert median_pairwise_distance(pairwise_sq_dists([[0.0, 0.0, 1.0, 3.0]])) == 2.0
+        assert median_pairwise_distance([[0.0, 0.0, 1.0, 3.0]]) == 2.0
         # 10 pairs, two coincident: {1, 1, 1, 1, 4, 4, 5, 5} leaves an even count
-        assert median_pairwise_distance(pairwise_sq_dists([[0.0, 0.0, 1.0, 1.0, 5.0]])) == 2.5
+        assert median_pairwise_distance([[0.0, 0.0, 1.0, 1.0, 5.0]]) == 2.5
 
     def test_all_coincident_precomputed_is_zero(self):
-        assert median_pairwise_distance(np.zeros((5, 5))) == 0.0
-        assert median_pairwise_distance(np.zeros((1, 1))) == 0.0
+        assert median_of_sq_dists(np.zeros((5, 5))) == 0.0
+        assert median_of_sq_dists(np.zeros((1, 1))) == 0.0
+        assert median_pairwise_distance(np.zeros((3, 1))) == 0.0
 
     @pytest.mark.parametrize("seed", range(12))
     def test_precomputed_matches_recomputed_and_oracle(self, seed):
@@ -115,14 +168,18 @@ class TestMedianPairwiseDistance:
             x = rng.integers(0, 3, size=(2, n)).astype(float)  # ties and coincident pairs
         else:
             x = rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-3, 3)
-        d2 = pairwise_sq_dists(x)
+        d2 = dense_distance_rows(x)
         expect = dense_median_pairwise_distance(d2)
-        assert median_pairwise_distance(d2) == expect
-        assert np.array_equal(d2, pairwise_sq_dists(x))
+        assert median_pairwise_distance(x) == expect
+        assert median_of_sq_dists(d2) == expect
 
-    def test_rejects_non_square_distances(self):
+    def test_rejects_non_matrix_features(self):
         with pytest.raises(DimensionError):
-            median_pairwise_distance(np.zeros((3, 4)))
+            median_pairwise_distance(np.zeros(4))
+        with pytest.raises(DimensionError):
+            median_pairwise_distance(np.zeros((2, 3, 4)))
+        with pytest.raises(ParameterError):
+            median_pairwise_distance([[0.0, np.inf]])
 
     @pytest.mark.parametrize("x", [
         [[0.0, 2.0]],  # n = 2, one pair
@@ -132,20 +189,22 @@ class TestMedianPairwiseDistance:
         [[0.0, 1.0, 0.5], [0.0, 0.0, 0.75 ** 0.5]],  # equilateral: all distances equal
     ])
     def test_blocked_selection_on_small_cases(self, x):
-        d2 = pairwise_sq_dists(np.array(x))
-        assert median_pairwise_distance(d2) == dense_median_pairwise_distance(d2)
+        x = np.array(x)
+        assert median_pairwise_distance(x) == dense_median_pairwise_distance(dense_distance_rows(x))
 
     def test_one_positive_pair(self):
         d2 = np.zeros((5, 5))
         d2[1, 3] = d2[3, 1] = 4.0
-        assert median_pairwise_distance(d2) == dense_median_pairwise_distance(d2) == 2.0
+        assert median_of_sq_dists(d2) == dense_median_pairwise_distance(d2) == 2.0
 
     def test_all_distances_equal(self):
         # a regular simplex: every positive entry is the same squared distance
         d2 = np.full((40, 40), 2.0)
         np.fill_diagonal(d2, 0.0)
-        assert median_pairwise_distance(d2) == dense_median_pairwise_distance(d2)
-        assert median_pairwise_distance(d2) == np.sqrt(2.0)
+        assert median_of_sq_dists(d2) == dense_median_pairwise_distance(d2)
+        assert median_of_sq_dists(d2) == np.sqrt(2.0)
+        # the unit vectors of R^40 are such a simplex, with exact distances
+        assert median_pairwise_distance(np.eye(40)) == np.sqrt(2.0)
 
     # B is the first double of a median bucket, its predecessor the last of the one before
     B = (np.array([1.0]).view(np.int64) + (1 << linalg._BUCKET_SHIFT)).view(float)[0]
@@ -162,7 +221,7 @@ class TestMedianPairwiseDistance:
         d2 = np.zeros((n, n))
         d2[np.triu_indices(n, k=1)] = upper
         d2 += d2.T
-        assert median_pairwise_distance(d2) == dense_median_pairwise_distance(d2)
+        assert median_of_sq_dists(d2) == dense_median_pairwise_distance(d2)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 96, 97, 511, 512, 1023])
     def test_odd_even_and_block_remainders(self, n):
@@ -171,17 +230,30 @@ class TestMedianPairwiseDistance:
         # buckets when the spread is wide
         rng = np.random.default_rng(n)
         x = rng.normal(size=(3, n)) * np.exp(rng.uniform(-4.0, 4.0, size=n))
-        d2 = pairwise_sq_dists(x)
-        assert median_pairwise_distance(d2) == dense_median_pairwise_distance(d2)
+        expect = dense_median_pairwise_distance(dense_distance_rows(x))
+        assert median_pairwise_distance(x) == expect
 
     def test_middle_ranks_in_different_buckets(self):
         # 6 pairs {1, 1, 4, 4, 4, 9}: the middle two are 4 and 4; zero two
         # of the 4s and they become 1 and 4, in buckets two octaves apart
         d2 = np.array([[0.0, 1.0, 1.0, 4.0], [1.0, 0.0, 4.0, 4.0],
                        [1.0, 4.0, 0.0, 9.0], [4.0, 4.0, 9.0, 0.0]])
-        assert median_pairwise_distance(d2) == dense_median_pairwise_distance(d2) == 2.0
+        assert median_of_sq_dists(d2) == dense_median_pairwise_distance(d2) == 2.0
         d2[1, 2:] = d2[2:, 1] = 0.0
-        assert median_pairwise_distance(d2) == dense_median_pairwise_distance(d2) == 1.5
+        assert median_of_sq_dists(d2) == dense_median_pairwise_distance(d2) == 1.5
+
+    def test_two_passes_by_row_blocks_hold_no_n_by_n_array(self):
+        # 1.18 x 8 n^2 traced bytes with the (n, n) distances computed first,
+        # 0.28 x when each pass computes them a row block at a time
+        n = 1200
+        x = np.random.default_rng(12).normal(size=(10, n))
+        tracemalloc.start()
+        try:
+            median_pairwise_distance(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.35 * 8 * n * n, peak / (8 * n * n)
 
 
 class TestKernelMatrix:
@@ -201,7 +273,7 @@ class TestKernelMatrix:
     def test_rbf_median_heuristic_matches_formula(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 12))
-        sigma = median_pairwise_distance(pairwise_sq_dists(x))
+        sigma = median_pairwise_distance(x)
         k = kernel_matrix(x, "rbf", sigma=sigma)
         n = x.shape[1]
         oracle = np.zeros((n, n))
@@ -322,8 +394,7 @@ class TestKernelRange:
 
 def median_rbf(seed: int, n: int, d: int = 2) -> np.ndarray:
     x = np.random.default_rng(seed).normal(size=(d, n))
-    d2 = pairwise_sq_dists(x)
-    return kernel_matrix(x, "rbf", sigma=median_pairwise_distance(d2), sq_dists=d2)
+    return kernel_matrix(x, "rbf", sigma=median_pairwise_distance(x))
 
 
 def eigh_orders(monkeypatch) -> list[int]:
@@ -611,6 +682,25 @@ class TestMatmul:
             assert out.flags.c_contiguous
             assert peak < 8 * n * n + 4096
             del out
+
+    def test_large_results_get_their_own_mapping(self, monkeypatch):
+        # from _MAPPED_BYTES on, the result lives in an anonymous mapping,
+        # which tracemalloc does not see; its bits are those of a heap array
+        rng = np.random.default_rng(6)
+        a, b = rng.normal(size=(1100, 5)), rng.normal(size=(5, 1000))
+        assert 8 * 1100 * 1000 >= linalg._MAPPED_BYTES
+        tracemalloc.start()
+        try:
+            out = linalg.matmul(a, b, alpha=-2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.flags.c_contiguous and out.flags.writeable
+        assert peak < out.nbytes / 100
+        monkeypatch.setattr(linalg, "_MAPPED_BYTES", np.inf)
+        on_heap = linalg.matmul(a, b, alpha=-2.0)
+        assert on_heap.tobytes() == out.tobytes()
+        assert on_heap.tobytes() == (-2.0 * linalg.matmul(a, b)).tobytes()
 
     def test_rejects_non_matrices_and_mismatched_shapes(self):
         with pytest.raises(DimensionError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dbmmd.graphs as graphs_module
+import dbmmd.linalg as linalg_module
 import dbmmd.operands as operands_module
 from dbmmd.adapt import ModelKind, run_adaptation
 from dbmmd.classify import nn_classify
@@ -29,10 +30,10 @@ def pair_of(seed=5, per_class=15):
     return generate_synthetic(recipe).pair
 
 
-def cross_of(pair, graph):
-    """The (ns, nt) source-by-target block of an affinity held on its edges."""
-    ns = pair.n_source
-    return graph.dense()[:ns, ns:]
+def cross_affinity(pair, sigma):
+    """exp(-d^2 / (2 sigma^2)) over the (ns, nt) cross-form distances of the pair."""
+    x, ns = pair.packed_features(), pair.n_source
+    return np.exp(pairwise_sq_dists(x[:, :ns], x[:, ns:]) / (-2.0 * sigma * sigma))
 
 
 def assert_near(got, want):
@@ -42,17 +43,28 @@ def assert_near(got, want):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts the builders the operands call, by name."""
+    """Counts the builders the operands call, by name, and every distance product.
+
+    The distance products are counted wherever they are made: in the
+    operands, in the median's and the affinity's row-block passes and in
+    the kernel. The pairs here are small enough for one row block, so a
+    pass over x is one product.
+    """
     counts = {}
-    for name in ("pairwise_sq_dists", "kernel_matrix", "kernel_range", "build_affinity",
-                 "build_laplacian"):
-        fn = getattr(operands_module, name)
 
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _fn(*args, **kwargs)
+    def count(module, name):
+        fn = getattr(module, name)
 
-        monkeypatch.setattr(operands_module, name, counted)
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("kernel_matrix", "kernel_range", "build_affinity", "build_laplacian"):
+        count(operands_module, name)
+    for module in (operands_module, graphs_module, linalg_module):
+        count(module, "pairwise_sq_dists")
     median = graphs_module.median_pairwise_distance
 
     def counted_median(*args, **kwargs):
@@ -70,18 +82,26 @@ class TestValues:
         pair = pair_of(seed, per_class)
         ops = InputOperands(pair, RBF)
         x = pair.packed_features()
-        sigma = median_pairwise_distance(pairwise_sq_dists(x))
-        assert ops.kernel().tobytes() == kernel_matrix(x, "rbf", sigma=sigma).tobytes()
-        alone, alone_sigma = build_affinity(x, None, 0)
-        assert ops.affinity().tobytes() == cross_of(pair, alone).tobytes()
-        assert alone_sigma == sigma
+        sigma = median_pairwise_distance(x)
+        kmat = kernel_matrix(x, "rbf", sigma=sigma)
+        assert ops.kernel().tobytes() == kmat.tobytes()
+        ns = pair.n_source
+        assert ops.affinity().tobytes() == kmat[:ns, ns:].tobytes()
+        # the affinity's own pass resolves the same median
+        assert build_affinity(x, None, 0)[1] == sigma
 
-    def test_fixed_sigma_affinity_equals_build_affinity(self):
+    @pytest.mark.parametrize("kernel", ["rbf", "primal"])
+    def test_fixed_sigma_affinity_is_the_cross_block(self, kernel):
+        # rbf: the cross block of K; primal: the cross-form distances of x
         pair = pair_of()
-        cfg = RBF.replace(sigma=0.7)
+        cfg = RBF.replace(sigma=0.7, kernel=kernel)
         ops = InputOperands(pair, cfg)
-        alone, _ = build_affinity(pair.packed_features(), 0.7, 0)
-        assert ops.affinity().tobytes() == cross_of(pair, alone).tobytes()
+        x, ns = pair.packed_features(), pair.n_source
+        if kernel == "rbf":
+            want = kernel_matrix(x, "rbf", sigma=0.7)[:ns, ns:]
+        else:
+            want = cross_affinity(pair, 0.7)
+        assert ops.affinity().tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kernel, bandwidth", [("rbf", "median"), ("linear", "median"),
                                                    ("poly", "fixed")])
@@ -99,8 +119,13 @@ class TestValues:
         dense = dense_build_laplacian(dense_build_affinity(x, cfg.sigma, cfg.neighborhood_p))
         assert_near(l_basis, matmul(dense, basis))
         # the bandwidth the Laplacian resolved is reused, not recomputed
-        complete, _ = build_affinity(x, cfg.sigma, 0)
-        assert ops.affinity().tobytes() == cross_of(pair, complete).tobytes()
+        _, sigma = build_affinity(x, cfg.sigma, 0)
+        if kernel == "rbf":
+            ns = pair.n_source
+            want = kernel_matrix(x, "rbf", sigma=sigma)[:ns, ns:]
+        else:
+            want = cross_affinity(pair, sigma)
+        assert ops.affinity().tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kernel", ["rbf", "linear", "poly", "primal"])
     def test_affinity_holds_only_the_cross_block(self, kernel):
@@ -114,8 +139,9 @@ class TestValues:
             # a view of K: the affinity adds no array of its own
             assert np.shares_memory(cross, ops.kernel())
         else:
-            # its own array: the distances it was cut from are not kept
-            assert cross.base is None
+            # its own array, or a view of one no larger: no distances kept
+            owner = cross if cross.base is None else cross.base
+            assert owner.nbytes == 8 * ns * nt
 
     def test_initial_labels_are_the_target_1nn_labels(self):
         pair = pair_of()
@@ -148,19 +174,20 @@ class TestSharing:
         ops = InputOperands(pair, RBF)
         for name in ("JDA", "JDA+CG", "MEDA", "MEDA+CG", "CDDA+DB"):
             run_adaptation(pair, RBF, ModelKind.parse(name), operands=ops)
-        # one distance pass for sigma and K, one inside the kNN affinity
-        assert calls == {"pairwise_sq_dists": 1, "median": 1, "kernel_matrix": 1,
+        # one pass each for the median, K and the kNN affinity: the median's
+        # distances fit in one block, so its second pass reads them back
+        assert calls == {"pairwise_sq_dists": 3, "median": 1, "kernel_matrix": 1,
                          "kernel_range": 1, "build_affinity": 1, "build_laplacian": 1}
 
     def test_fixed_sigma_kernel_takes_one_distance_pass(self, calls):
         # a given sigma needs no median; K and the affinity view share one pass
         pair = pair_of()
         cfg = RBF.replace(sigma=0.7)
-        want = kernel_matrix(pair.packed_features(), "rbf", sigma=0.7)
         ops = InputOperands(pair, cfg)
         for name in ("JDA", "JDA+CG", "CDDA+DB"):
             run_adaptation(pair, cfg, ModelKind.parse(name), operands=ops)
         assert calls == {"pairwise_sq_dists": 1, "kernel_matrix": 1, "kernel_range": 1}
+        want = kernel_matrix(pair.packed_features(), "rbf", sigma=0.7)
         assert ops.kernel().tobytes() == want.tobytes()
 
     def test_experiment_builds_once_per_repeat(self, calls, tmp_path):
@@ -168,7 +195,7 @@ class TestSharing:
         spec = ExperimentSpec(models=("JDA", "JDA+CG", "MEDA", "MEDA+CG"), config=RBF,
                               output_dir=str(tmp_path / "out"), repeat=2, synthetic=recipe)
         assert run_experiment(spec).exit_code == 0
-        assert calls == {"pairwise_sq_dists": 2, "median": 2, "kernel_matrix": 2,
+        assert calls == {"pairwise_sq_dists": 6, "median": 2, "kernel_matrix": 2,
                          "kernel_range": 2, "build_affinity": 2, "build_laplacian": 2}
 
     def test_initial_labels_once_per_repeat(self, monkeypatch, tmp_path):
@@ -229,11 +256,12 @@ class TestSharing:
         assert calls == {}
 
     def test_boundary_cell_builds_only_the_cross_block(self, calls):
-        # one distance pass and its median, and no affinity beyond the block
+        # the median's pass and the cross block's one product, and no
+        # affinity beyond the block
         pair = pair_of()
         cfg = RBF.replace(kernel="primal")
         run_adaptation(pair, cfg, ModelKind("CDDA", "DB"), operands=InputOperands(pair, cfg))
-        assert calls == {"pairwise_sq_dists": 1, "median": 1}
+        assert calls == {"pairwise_sq_dists": 2, "median": 1}
 
     def test_complete_graph_range_terms_peak(self):
         # neighborhood_p = 0: the edge list of the complete graph, int32
@@ -262,6 +290,38 @@ class TestSharing:
     def test_primal_has_no_kernel(self):
         with pytest.raises(ParameterError):
             InputOperands(pair_of(), RBF.replace(kernel="primal")).kernel()
+
+    @pytest.mark.parametrize("d, n", [(64, 300), (10, 3000)])
+    def test_coincident_columns_raise_and_weigh_one(self, d, n):
+        # one column repeated: the distances round to within their error
+        # bound, which is cut to 0, so the median is 0 and every weight 1
+        x = np.tile(np.random.default_rng(0).normal(size=(d, 1)), (1, n // 2))
+        pair = make_pair(LabeledDomain(x, np.arange(n // 2) % 2), UnlabeledDomain(x.copy()))
+        with pytest.raises(BandwidthError):
+            InputOperands(pair, RBF.replace(kernel="primal")).affinity()
+        with pytest.raises(BandwidthError):
+            InputOperands(pair, RBF).kernel()
+        assert np.all(InputOperands(pair, AdaptConfig(sigma=1.0)).affinity() == 1.0)
+        assert np.all(InputOperands(pair, RBF.replace(sigma=1.0)).kernel() == 1.0)
+
+    def test_primal_cross_block_is_its_one_array(self, monkeypatch):
+        # exp(d2 / (-2 sigma^2)) in place in the cross-form product, after
+        # the median's row-block passes. Cut from the n x n distances it
+        # peaked at 5.0 x 8 ns nt traced bytes, now at 1.11 x. Traced in
+        # full: the block would otherwise get a mapping tracemalloc does not see.
+        monkeypatch.setattr(linalg_module, "_MAPPED_BYTES", np.inf)
+        ns = nt = 1200
+        rng = np.random.default_rng(3)
+        pair = make_pair(LabeledDomain(rng.normal(size=(64, ns)), np.arange(ns) % 3),
+                         UnlabeledDomain(rng.normal(size=(64, nt))))
+        ops = InputOperands(pair, AdaptConfig())
+        tracemalloc.start()
+        try:
+            ops.affinity()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 8 * ns * nt, peak / (8 * ns * nt)
 
     def test_coincident_points_raise_on_every_request(self):
         pair = make_pair(LabeledDomain(np.ones((2, 4)), np.array([0, 0, 1, 1])),

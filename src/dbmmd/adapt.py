@@ -222,6 +222,7 @@ def _refine(ops: InputOperands, kind: ModelKind, target_truth, solve,
         fixed_point_iteration=fixed_point,
         wall_time=time.perf_counter() - t0,
         embedding=embedding,
+        kernel_rank=None if cfg.kernel == "primal" else ops.kernel_range()[1].size,
     )
 
 

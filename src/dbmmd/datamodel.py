@@ -353,6 +353,8 @@ class AdaptationReport:
     wall_time: float
     embedding: np.ndarray | None = None
     label_values: tuple[int, ...] | None = None
+    # r, the numerical rank of K that kernel mode solves in; None in primal mode
+    kernel_rank: int | None = None
 
     @property
     def final_accuracy(self) -> float | None:
@@ -374,6 +376,7 @@ class AdaptationReport:
             "predicted_labels": [int(v) for v in self.predicted_labels],
             "projection": [[float(v) for v in row] for row in np.asarray(self.projection)],
             "label_values": list(self.label_values) if self.label_values else None,
+            "kernel_rank": self.kernel_rank,
             "iterations": [
                 {
                     "iteration": r.iteration,

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandwidthError, DimensionError, ParameterError
-from .linalg import (_as_feature_matrix, _empty, _MedianCount, _row_blocks, _strict_upper,
+from .linalg import (_PANEL_ROWS, _as_feature_matrix, _empty, _MedianCount, _row_blocks,
+                     _row_panels, _strict_upper, gaussian_in_place, matmul,
                      median_pairwise_distance, pairwise_sq_dists)
 
 # Floor for 1/W so underflowed affinities cannot blow up.
@@ -39,13 +40,25 @@ class EdgeGraph:
     cols: np.ndarray
     values: np.ndarray
 
-    def dense(self) -> np.ndarray:
-        """The (n, n) matrix itself, a new array."""
+    def times(self, u: np.ndarray) -> np.ndarray:
+        """The (n, n) matrix times the (n, m) u, a panel of its rows at a time.
+
+        Each panel's rows are scattered from the edges into one zeroed
+        (rows, n) buffer, reused from panel to panel, and multiplied by u
+        in one dgemm, so no (n, n) array is made.
+        """
         n = self.diag.size
-        out = np.zeros((n, n))
-        out[self.rows, self.cols] = self.values
-        out[self.cols, self.rows] = self.values
-        np.fill_diagonal(out, self.diag)
+        out = np.empty((n, u.shape[1]))
+        buffer = np.empty((min(n, _PANEL_ROWS), n))
+        for rows in _row_panels(n):
+            lo, hi = rows.start, rows.stop
+            panel = buffer[:hi - lo]
+            panel.fill(0.0)
+            for ends, others in ((self.rows, self.cols), (self.cols, self.rows)):
+                at = np.flatnonzero((ends >= lo) & (ends < hi))
+                panel[ends[at] - lo, others[at]] = self.values[at]
+            panel[np.arange(hi - lo), np.arange(lo, hi)] = self.diag[rows]
+            out[rows] = matmul(panel, u)
         return out
 
 
@@ -86,8 +99,7 @@ def build_affinity(x, sigma: float | None = None,
         again = ((_strict_upper(block, positive=True) for _, block in _upper_rows(x)) if knn
                  else (w[b][w[b] > 0.0] for b in _row_blocks(w.size, 1)))
         sigma = _nonzero_bandwidth(count.median(again))
-    np.divide(w, -2.0 * sigma * sigma, out=w)
-    np.exp(w, out=w)
+    gaussian_in_place(w, sigma)
     return EdgeGraph(np.zeros(n), rows, cols, w), float(sigma)
 
 

@@ -12,10 +12,13 @@ graph in ``graphs``) take them a block of rows at a time
 (``_upper_rows``): rows lo.. against columns lo.., so no (n, n) array is
 held and every pass sees the same bits for a pair i < j from row i.
 
-``kernel_range`` finds the numerical range of an (n, n) kernel matrix
-with a seeded randomized sketch of l = 160 columns, in O(n^2 l), and
-factors K in full only when the range is too wide for the sketch. The
-sketch's draws are fixed, so a result depends on K and the BLAS alone.
+``kernel_range`` finds the numerical range of the (n, n) kernel matrix
+K of x with a seeded randomized sketch of l = 160 columns, in O(n^2 l).
+The sketch reads K only through products, and takes each from x a panel
+of K's rows at a time (``kernel_matrix``'s cross form), so no (n, n)
+array is held; K is built and factored in full only when the range is
+too wide for the sketch. The sketch's draws are fixed, so a result
+depends on x, the kernel and the BLAS alone.
 """
 from __future__ import annotations
 
@@ -49,6 +52,10 @@ _SKETCH_SEED = 0x5EED
 # Entries per (rows, n) block temporary of the distance passes, and of
 # the blocked loops over an (m, n) array.
 _BLOCK = 1 << 16
+
+# Rows per panel of a product whose (n, l) right operand each panel reads
+# whole (``_row_panels``): thin panels would read it again and again.
+_PANEL_ROWS = 256
 
 # Arrays of at least this many bytes that ``_empty`` gives get an
 # anonymous mapping of their own. Smaller ones stay on the heap, whose
@@ -198,6 +205,11 @@ def _row_blocks(m: int, n: int) -> list[slice]:
     return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
+def _row_panels(n: int) -> list[slice]:
+    """Slices of _PANEL_ROWS consecutive rows of an (n, .) array, the last one shorter."""
+    return [slice(lo, min(lo + _PANEL_ROWS, n)) for lo in range(0, n, _PANEL_ROWS)]
+
+
 def _upper_rows(x: np.ndarray):
     """(rows, d2) per row block of the (n, n) distances of x: rows lo.. from columns lo..
 
@@ -327,52 +339,56 @@ def symmetrize_inplace(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def gaussian_in_place(d2: np.ndarray, sigma: float) -> np.ndarray:
+    """d2 <- exp(d2 / (-2 sigma^2)) in place: Gaussian weights of squared distances."""
+    np.divide(d2, -2.0 * sigma * sigma, out=d2)
+    return np.exp(d2, out=d2)
+
+
 def kernel_matrix(x, kind: str, *, sigma: float | None = None, degree: int = 2,
-                  sq_dists=None) -> np.ndarray:
-    """Gram matrix of the columns of ``x`` under the named kernel.
+                  y=None) -> np.ndarray:
+    """Gram matrix of the columns of ``x`` under the named kernel, or its cross form.
 
     kind is one of "linear", "rbf" (needs sigma > 0, k = exp(-d^2 / 2 sigma^2))
-    or "poly" (degree >= 1, k = (x.y + 1)^degree). An rbf caller that
-    already holds the (n, n) squared distances of x from
-    ``pairwise_sq_dists`` passes them as ``sq_dists`` so they are not
-    computed twice; they become K in place, so the caller gives them up
-    (a read-only array raises). The other kernels do not read distances
-    and reject it.
+    or "poly" (degree >= 1, k = (x.y + 1)^degree). With ``y`` None, the
+    (n, n) K of the columns of x, exactly symmetric. With ``y``, the cross
+    form: the (m, n') block k(x_i, y_j) between the columns of the (d, m)
+    x and the (d, n') y, such as a panel of K's rows when y is every
+    column and x some of them. rbf takes its distances from
+    ``pairwise_sq_dists`` and its weights in place in that one array.
     """
     x = _as_feature_matrix(x)
-    if sq_dists is not None and kind != "rbf":
-        raise ParameterError(f"sq_dists is read only by the rbf kernel, not {kind!r}")
+    if y is not None:
+        y = _as_feature_matrix(y)
+        if y.shape[0] != x.shape[0]:
+            raise DimensionError(f"feature dims differ: {x.shape[0]} and {y.shape[0]}")
     if kind == "linear":
+        if y is not None:
+            return matmul(x.T, y)
         g = matmul(x.T, x)
         return 0.5 * (g + g.T)
     if kind == "rbf":
         if sigma is None or not sigma > 0.0:
             raise ParameterError(f"rbf kernel needs sigma > 0, got {sigma}")
-        if sq_dists is None:
-            d2 = pairwise_sq_dists(x)
-        else:
-            d2 = np.asarray(sq_dists, dtype=float)
-            n = x.shape[1]
-            if d2.shape != (n, n):
-                raise DimensionError(
-                    f"squared distances of shape {d2.shape} do not match n={n} samples"
-                )
-        np.divide(d2, -2.0 * sigma * sigma, out=d2)
-        return np.exp(d2, out=d2)
+        return gaussian_in_place(pairwise_sq_dists(x, y), sigma)
     if kind == "poly":
         if int(degree) != degree or degree < 1:
             raise ParameterError(f"poly kernel needs integer degree >= 1, got {degree}")
+        if y is not None:
+            return (matmul(x.T, y) + 1.0) ** int(degree)
         g = matmul(x.T, x)
         g = 0.5 * (g + g.T)
         return (g + 1.0) ** int(degree)
     raise ParameterError(f"unknown kernel kind {kind!r}")
 
 
-def kernel_range(kmat) -> tuple[np.ndarray, np.ndarray]:
-    """The factor of a kernel matrix restricted to its numerical range.
+def kernel_range(x, kind: str, *, sigma: float | None = None,
+                 degree: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """The factor of the kernel matrix of x restricted to its numerical range.
 
-    Factors the symmetric (n, n) K = U diag(w) U^T and keeps the r
-    eigenpairs with w > n * eps * max(w), the rank rule of numpy's
+    K is ``kernel_matrix(x, kind, sigma=sigma, degree=degree)``, the
+    symmetric (n, n) U diag(w) U^T; the r eigenpairs with
+    w > n * eps * max(w) are kept, the rank rule of numpy's
     ``matrix_rank``. Returns (U_r, w_r): U_r is (n, r) orthonormal and
     w_r the r kept eigenvalues, ascending. With the reduced data operand
     S_r = diag(w_r) U_r^T, an expansion a = U_r c embeds the samples as
@@ -382,30 +398,28 @@ def kernel_range(kmat) -> tuple[np.ndarray, np.ndarray]:
 
     For n >= 2 l (l = _SKETCH_COLS) the pairs come from ``_sketch``, a
     seeded randomized range finder that costs O(n^2 l) instead of the
-    O(n^3) of a full eigendecomposition. When the cut keeps l -
+    O(n^3) of a full eigendecomposition. It reads K only through the
+    products K M of ``_kernel_times``, each taken from x a panel of K's
+    rows at a time, so K is never held. When the cut keeps l -
     _SKETCH_OVERSAMPLE or more of the sketch's l directions, the sketch
     has saturated and may miss part of the range; it is dropped and K is
-    factored exactly.
+    built and factored exactly, as it is for n < 2 l.
     """
-    k = np.asarray(kmat, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1] or not k.size:
-        raise DimensionError(f"kernel matrix must be square and nonempty, got shape {k.shape}")
-    if not np.isfinite(k).all():
-        raise ParameterError("kernel matrix contains non-finite entries")
-    k = _check_symmetric(k, "kernel")
-    n = k.shape[0]
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2 and not x.shape[1]:
+        raise DimensionError(f"kernel matrix must be nonempty, got x of shape {x.shape}")
+    x = _as_feature_matrix(x)
+    n = x.shape[1]
     if n >= 2 * _SKETCH_COLS:
-        q, w, v = _sketch(k)
+        q, w, v = _sketch(lambda m: _kernel_times(x, kind, sigma, degree, m), n)
         keep = _range_cut(w, n)
         if np.count_nonzero(keep) < _SKETCH_COLS - _SKETCH_OVERSAMPLE:
-            # the copy of K goes before the basis is allocated, which keeps
-            # the basis from pinning the copy's pages in the heap
-            del k
             return matmul(q, v[:, keep]), w[keep]
-        del q, w, v  # saturated: freed before the full eigh below
-    # the symmetrized copy is ours, and its transpose is the same matrix in
-    # the Fortran order LAPACK factors in place, so eigh copies nothing; it
-    # is dropped before u[:, keep] copies the kept columns
+        del q, w, v  # saturated: freed before K is built
+    k = kernel_matrix(x, kind, sigma=sigma, degree=degree)
+    # K is exactly symmetric as built, so its transpose is the same matrix
+    # in the Fortran order LAPACK factors in place: eigh copies nothing, and
+    # K is dropped before u[:, keep] copies the kept columns
     w, u = scipy.linalg.eigh(k.T, overwrite_a=True)
     del k
     keep = _range_cut(w, n)
@@ -422,25 +436,33 @@ def _orth(y: np.ndarray) -> np.ndarray:
     return scipy.linalg.qr(y, mode="economic", overwrite_a=True, check_finite=False)[0]
 
 
-def _times(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """K x for the exactly symmetric K, as (x^T K)^T: a Fortran-ordered result."""
-    return matmul(x.T, k).T
+def _kernel_times(x: np.ndarray, kind: str, sigma: float | None, degree: int,
+                  m: np.ndarray) -> np.ndarray:
+    """K m for the kernel matrix K of x, a panel of K's rows at a time: Fortran-ordered.
+
+    Each panel is the cross form ``kernel_matrix(x[:, rows], ..., y=x)``,
+    so the (rows, n) panel is the largest array made.
+    """
+    out = _empty((x.shape[1], m.shape[1]), order="F")
+    for rows in _row_panels(x.shape[1]):
+        out[rows] = matmul(kernel_matrix(x[:, rows], kind, sigma=sigma, degree=degree, y=x), m)
+    return out
 
 
-def _sketch(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Q, w, V): K ~ (Q V) diag(w) (Q V)^T for the symmetric (n, n) k.
+def _sketch(times, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q, w, V): K ~ (Q V) diag(w) (Q V)^T for the symmetric (n, n) K that ``times`` applies.
 
     Halko, Martinsson & Tropp, "Finding structure with randomness" (SIAM
     Review 2011), Algorithms 4.4 and 5.3 with one power iteration: Q is
     an (n, l) orthonormal basis of K K Omega for an (n, l) Gaussian Omega
     drawn from a fixed seed, and (w, V) are the eigenpairs of the l x l
-    Q^T K Q, w ascending.
+    Q^T K Q, w ascending. ``times(M)`` returns the Fortran-ordered K M.
     """
-    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((k.shape[0], _SKETCH_COLS))
-    q = _orth(_times(k, omega))
+    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((n, _SKETCH_COLS))
+    q = _orth(times(omega))
     del omega
-    q = _orth(_times(k, q))
-    b = matmul(q.T, _times(k, q))
+    q = _orth(times(q))
+    b = matmul(q.T, times(q))
     w, v = scipy.linalg.eigh(symmetrize_inplace(b), overwrite_a=True, check_finite=False)
     return q, w, v
 

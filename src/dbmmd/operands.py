@@ -2,23 +2,27 @@
 
 An experiment runs several models over one pair under one config, and
 they all read the same input-space quantities: the packed features x, the
-bandwidth sigma, the kernel matrix K and its numerical range U_r, the
+bandwidth sigma, the numerical range U_r of the kernel matrix K, the
 source-by-target block of the Gaussian affinity behind the boundary
 graphs, the fixed part of MEDA's system in the range of K, and the
 target's starting pseudo-labels. ``InputOperands`` builds each one the
 first time a cell asks for it and hands out read-only arrays, so a cell
-that writes into K or the affinity block raises instead of corrupting the
-cells after it. MEDA's normalized kNN Laplacian L only ever meets U_r, so
-its edge list is scattered into one transient n x n array for the product
-L U_r: K is the one n x n array kept.
+that writes into the affinity block raises instead of corrupting the
+cells after it.
+
+No (n, n) array is kept. K is read only through the range finder, which
+takes its products from x a panel of K's rows at a time and builds K
+whole only on its exact path (``linalg.kernel_range``). MEDA's
+normalized kNN Laplacian L only ever meets U_r, so its edge list gives
+L U_r a panel of L's rows at a time (``EdgeGraph.times``).
 
 The first build that needs a bandwidth resolves the median sigma, from
 x by row blocks (``linalg.median_pairwise_distance``, or inside the kNN
-affinity's own pass), and later builds reuse it. In rbf mode the
-affinity's cross block is a view of K[:ns, ns:]. In the other modes it is
-exp(d2 / (-2 sigma^2)) of the (ns, nt) cross-form distances of the source
-and target columns, computed in place in that one array: no (n, n)
-distances are held.
+affinity's own pass), and later builds reuse it. In every mode the
+affinity's cross block is exp(d2 / (-2 sigma^2)) of the (ns, nt)
+cross-form distances of the source and target columns, computed in place
+in that one array: bit for bit the rbf kernel's cross form
+``kernel_matrix(x_s, "rbf", sigma=sigma, y=x_t)``.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from .classify import nn_classify
 from .datamodel import AdaptConfig, DomainPair
 from .errors import ParameterError
 from .graphs import build_affinity, build_laplacian, median_bandwidth
-from .linalg import kernel_matrix, kernel_range, matmul, pairwise_sq_dists
+from .linalg import gaussian_in_place, kernel_range, matmul, pairwise_sq_dists
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -44,7 +48,6 @@ class InputOperands:
         self.cfg = cfg
         self.x = _read_only(pair.packed_features())
         self._sigma = cfg.sigma
-        self._kernel: np.ndarray | None = None
         self._range: tuple[np.ndarray, np.ndarray] | None = None
         self._range_terms: tuple[np.ndarray, np.ndarray] | None = None
         self._affinity: np.ndarray | None = None
@@ -66,23 +69,15 @@ class InputOperands:
             self._sigma = median_bandwidth(self.x)
         return self._sigma
 
-    def kernel(self) -> np.ndarray:
-        """K, the (n, n) kernel matrix of x. Needs a kernel config."""
-        if self._kernel is None:
+    def kernel_range(self) -> tuple[np.ndarray, np.ndarray]:
+        """(U_r, w_r) of ``linalg.kernel_range`` for the config's kernel of x."""
+        if self._range is None:
             cfg = self.cfg
             if cfg.kernel == "primal":
                 raise ParameterError("primal mode has no kernel matrix")
-            if cfg.kernel == "rbf":
-                kmat = kernel_matrix(self.x, "rbf", sigma=self._bandwidth())
-            else:
-                kmat = kernel_matrix(self.x, cfg.kernel, degree=cfg.degree)
-            self._kernel = _read_only(kmat)
-        return self._kernel
-
-    def kernel_range(self) -> tuple[np.ndarray, np.ndarray]:
-        """(U_r, w_r) of ``linalg.kernel_range`` for K."""
-        if self._range is None:
-            self._range = tuple(_read_only(a) for a in kernel_range(self.kernel()))
+            sigma = self._bandwidth() if cfg.kernel == "rbf" else None
+            self._range = tuple(_read_only(a) for a in kernel_range(
+                self.x, cfg.kernel, sigma=sigma, degree=cfg.degree))
         return self._range
 
     def range_terms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -90,15 +85,15 @@ class InputOperands:
 
         The source indicator E seen from the range of K, and the normalized
         Laplacian L of the kNN affinity of x (MEDA's manifold term) applied
-        to U_r. L itself is not kept.
+        to U_r, from L's edge list a panel of rows at a time. L is not kept.
         """
         if self._range_terms is None:
             basis, _ = self.kernel_range()
             ns = self.pair.n_source
             aff, self._sigma = build_affinity(self.x, self._sigma, self.cfg.neighborhood_p)
             lap = build_laplacian(aff)
-            del aff  # its weights go before L is scattered
-            terms = matmul(basis[:ns].T, basis[:ns]), matmul(lap.dense(), basis)
+            del aff  # its weights go before L's panels are scattered
+            terms = matmul(basis[:ns].T, basis[:ns]), lap.times(basis)
             self._range_terms = tuple(_read_only(a) for a in terms)
         return self._range_terms
 
@@ -109,13 +104,9 @@ class InputOperands:
         """
         if self._affinity is None:
             ns = self.pair.n_source
-            if self.cfg.kernel == "rbf":
-                self._affinity = self.kernel()[:ns, ns:]
-            else:
-                sigma = self._bandwidth()
-                w = pairwise_sq_dists(self.x[:, :ns], self.x[:, ns:])
-                np.divide(w, -2.0 * sigma * sigma, out=w)
-                self._affinity = _read_only(np.exp(w, out=w))
+            sigma = self._bandwidth()
+            w = pairwise_sq_dists(self.x[:, :ns], self.x[:, ns:])
+            self._affinity = _read_only(gaussian_in_place(w, sigma))
         return self._affinity
 
     def initial_labels(self) -> np.ndarray:

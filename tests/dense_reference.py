@@ -29,9 +29,13 @@ M entry for entry; the tests use it wherever a test needs M itself.
 ``dense_boundary_block`` is the cross block D a reweighted operator must
 hold, bit for bit.
 
-``dense_kernel_range`` is the full eigendecomposition of K that
-``linalg.kernel_range`` falls back to when its randomized sketch
-saturates; elsewhere the tests hold the sketch to its accuracy.
+``dense_kernel`` builds the (n, n) K that the library reads only through
+``linalg.kernel_range``, and ``dense_kernel_range`` is the full
+eigendecomposition of K that ``kernel_range`` falls back to when its
+randomized sketch saturates; elsewhere the tests hold the sketch to its
+accuracy. ``dense_matrix`` scatters an edge list into its (n, n) matrix,
+and ``dense_panel_product`` multiplies that matrix by the row panels
+``EdgeGraph.times`` uses.
 
 The MEDA oracles are the original assembly of the structural-risk system
 over the full K, a dense 0/1 source indicator E and identity, and its
@@ -49,7 +53,7 @@ import scipy.linalg
 from dbmmd.datamodel import DomainPair
 from dbmmd.errors import ParameterError, StateError
 from dbmmd.graphs import W_FLOOR, EdgeGraph
-from dbmmd.linalg import _row_blocks, matmul
+from dbmmd.linalg import _row_blocks, _row_panels, kernel_matrix, matmul, median_pairwise_distance
 
 DIRECTIONS = ("source_to_target", "target_to_source")
 
@@ -368,6 +372,30 @@ def dense_propagate_labels(laplacian, y0, mu: float) -> np.ndarray:
     return f
 
 
+def dense_matrix(graph: EdgeGraph) -> np.ndarray:
+    """The (n, n) matrix an ``EdgeGraph`` holds, as a new array."""
+    n = graph.diag.size
+    out = np.zeros((n, n))
+    out[graph.rows, graph.cols] = graph.values
+    out[graph.cols, graph.rows] = graph.values
+    np.fill_diagonal(out, graph.diag)
+    return out
+
+
+def dense_panel_product(matrix, u) -> np.ndarray:
+    """matrix @ u by the row panels ``EdgeGraph.times`` takes: one dgemm per panel.
+
+    dgemm rounds by the shape of its operands, so a panel's product can
+    differ in its last bits from the rows of the one (n, n) product; this
+    is the same product, panel for panel, from the dense matrix.
+    """
+    m = np.asarray(matrix, dtype=float)
+    out = np.empty((m.shape[0], u.shape[1]))
+    for rows in _row_panels(m.shape[0]):
+        out[rows] = matmul(m[rows], u)
+    return out
+
+
 def edge_graph(matrix) -> EdgeGraph:
     """A dense symmetric matrix as its diagonal and its nonzero strict upper entries."""
     m = np.asarray(matrix, dtype=float)
@@ -384,6 +412,14 @@ def propagation_tolerance(n: int, mu: float) -> float:
     renormalization, double that.
     """
     return 4.0 * n * np.finfo(float).eps * (2.0 + mu) / mu
+
+
+def dense_kernel(x, cfg) -> np.ndarray:
+    """The (n, n) K of x under a kernel config, at its sigma or else the median's."""
+    sigma = None
+    if cfg.kernel == "rbf":
+        sigma = cfg.sigma if cfg.sigma is not None else median_pairwise_distance(x)
+    return kernel_matrix(x, cfg.kernel, sigma=sigma, degree=cfg.degree)
 
 
 def dense_kernel_range(kmat) -> tuple[np.ndarray, np.ndarray]:

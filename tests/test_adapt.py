@@ -32,8 +32,8 @@ from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
 from dense_reference import (cross_block, dense_boundary_block, dense_build_affinity,
-                             dense_build_laplacian, dense_kernel_range, dense_meda_solve,
-                             dense_meda_system, dense_operator)
+                             dense_build_laplacian, dense_kernel, dense_kernel_range,
+                             dense_meda_solve, dense_meda_system, dense_operator)
 
 UNIT_AFFINITY = dict(sigma=float("inf"))
 
@@ -215,10 +215,14 @@ class TestAssembleDb:
         assert peak < 1.09 * size, peak / size
 
     def test_read_only_strided_affinity_is_not_written(self):
-        # kernel mode hands the graphs a read-only view K[:ns, ns:]
+        # the graphs take any (ns, nt) W: here a read-only view that is
+        # neither C- nor F-contiguous, the source rows of the affinity of
+        # every column of x
         pair = labeled_pair(15, n_s=30, n_t=25)
-        cross = InputOperands(pair, AdaptConfig(kernel="rbf")).affinity()
-        assert not cross.flags.writeable and not cross.flags.c_contiguous
+        x, ns = pair.packed_features(), pair.n_source
+        cross = kernel_matrix(x, "rbf", sigma=1.0)[:ns, ns:]
+        cross.flags.writeable = False
+        assert not (cross.flags.c_contiguous or cross.flags.f_contiguous)
         before = cross.copy()
         for base, boundary in (("JDA", "CG"), ("CDDA", "DB"), ("DGA-DA", "CG")):
             op = assemble_db(build_all(pair), cross, ModelKind(base, boundary))
@@ -297,7 +301,7 @@ class TestSolveProjection:
         db = assemble_db(build_all(pair), None, ModelKind("CDDA"))
         x = pair.packed_features()
         kmat = kernel_matrix(x, "linear")
-        basis, w_r = kernel_range(kmat)
+        basis, w_r = kernel_range(x, "linear")
         s_r = w_r[:, None] * basis.T
         assert s_r.shape == (2, 38)
         c, vals, objective = solve_projection(s_r, db, k=2, lam=1.0)
@@ -444,10 +448,11 @@ class TestRunAdaptation:
         cfg = AdaptConfig(k=2, lam=1.0, max_iter=4, kernel="rbf")
         report = run_adaptation(ds.pair, cfg, ModelKind("JDA", "CG"), ds.target_truth)
         x = ds.pair.packed_features()
-        kmat = kernel_matrix(x, "rbf", sigma=median_pairwise_distance(x))
+        sigma = median_pairwise_distance(x)
+        kmat = kernel_matrix(x, "rbf", sigma=sigma)
         a = report.projection
         assert_allclose(report.embedding, a.T @ kmat, atol=1e-10 * np.abs(report.embedding).max())
-        basis, _ = kernel_range(kmat)
+        basis, _ = kernel_range(x, "rbf", sigma=sigma)
         assert_allclose(basis @ (basis.T @ a), a, atol=1e-10 * np.abs(a).max())
         # the sign convention of gen_eig_smallest holds on the expansion
         assert (a[np.argmax(np.abs(a), axis=0), np.arange(cfg.k)] > 0).all()
@@ -563,7 +568,7 @@ def dense_meda_replay(pair, cfg, kind, report):
     Returns per round (labels, churn, objective, beta, scores).
     """
     ops = InputOperands(pair, cfg)
-    kmat = ops.kernel()
+    kmat = dense_kernel(pair.packed_features(), cfg)
     lap = dense_build_laplacian(dense_build_affinity(pair.packed_features(), cfg.sigma,
                                                      cfg.neighborhood_p))
     n, ns, c = pair.n_total, pair.n_source, pair.class_count
@@ -630,7 +635,7 @@ class TestMedaRangeSolve:
         ds = small_dataset(seed=61, per_class=8, noise=0.8)
         ops = InputOperands(ds.pair, AdaptConfig(k=2, lam=1.0, max_iter=5, **self.CASES[case][0]))
         basis, w_r = ops.kernel_range()
-        want_u, want_w = dense_kernel_range(ops.kernel())
+        want_u, want_w = dense_kernel_range(dense_kernel(ds.pair.packed_features(), ops.cfg))
         assert basis.tobytes() == want_u.tobytes() and w_r.tobytes() == want_w.tobytes()
 
     def test_zero_kernel_has_an_empty_range(self):

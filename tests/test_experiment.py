@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from dbmmd import linalg
 from dbmmd.adapt import ModelKind, run_adaptation
 from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.errors import BandwidthError, FormatError, ParameterError
@@ -17,6 +18,7 @@ from dbmmd.experiment import (
     write_synthetic_files,
 )
 from dbmmd.io import save_features
+from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
 FAST_RECIPE = SyntheticRecipe(
@@ -160,6 +162,24 @@ class TestRunExperiment:
         assert by_model["JDA"]["delta_vs_base"] is None
         expected_delta = by_model["JDA+CG"]["accuracy_mean"] - by_model["JDA"]["accuracy_mean"]
         assert by_model["JDA+CG"]["delta_vs_base"] == pytest.approx(expected_delta, abs=1e-15)
+
+    def test_reports_record_the_kernel_rank(self, tmp_path):
+        # n = 600 >= 2 l: r comes from the sketch. It goes into each cell's
+        # report, and not into the run rows or the summary tables.
+        recipe = dataclasses.replace(FAST_RECIPE, class_count=3, samples_per_class=100)
+        config = FAST_CONFIG.replace(kernel="rbf", max_iter=1)
+        result = run_experiment(fast_spec(tmp_path, models=("JDA+CG", "MEDA+CG"),
+                                          config=config, synthetic=recipe))
+        assert result.exit_code == 0
+        out = result.output_dir
+        basis, w_r = InputOperands(generate_synthetic(recipe).pair, config).kernel_range()
+        assert basis.shape[0] == 600 and 0 < w_r.size < linalg._SKETCH_COLS
+        for row in json.loads((out / "runs.json").read_text()):
+            assert json.loads((out / row["report"]).read_text())["kernel_rank"] == w_r.size
+        for name in ("runs.json", "summary.csv", "summary.md"):
+            assert "kernel_rank" not in (out / name).read_text(), name
+        primal = run_adaptation(generate_synthetic(recipe).pair, FAST_CONFIG, ModelKind("JDA"))
+        assert primal.to_dict()["kernel_rank"] is None
 
     def test_summary_is_reproducible_bytes(self, tmp_path):
         a = run_experiment(fast_spec(tmp_path, output_dir=str(tmp_path / "a")))

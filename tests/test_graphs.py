@@ -15,7 +15,8 @@ from dbmmd.graphs import W_FLOOR, EdgeGraph, build_affinity, build_graphs, build
 from dbmmd.mmd import build_all, group_index
 
 from dense_reference import (DenseAffinity, cross_block, dense_build_affinity,
-                             dense_build_graphs, dense_build_laplacian, edge_graph)
+                             dense_build_graphs, dense_build_laplacian, dense_matrix,
+                             dense_panel_product, edge_graph)
 
 
 def assert_bits_equal(a, b):
@@ -26,7 +27,7 @@ def assert_bits_equal(a, b):
 def affinity_matrix(x, sigma=None, neighborhood_p=0):
     """The library's affinity of x as an (n, n) array, and the sigma it used."""
     graph, sigma = build_affinity(x, sigma, neighborhood_p)
-    return graph.dense(), sigma
+    return dense_matrix(graph), sigma
 
 
 def grid_points(seed, n, span, d=2):
@@ -318,7 +319,7 @@ class TestBuildGraphs:
 class TestLaplacian:
     def test_normalized_two_node(self):
         graph, _ = build_affinity(np.array([[0.0, 1.0]]), sigma=1.0)
-        lap = build_laplacian(graph).dense()
+        lap = dense_matrix(build_laplacian(graph))
         assert_allclose(lap, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
 
     @given(st.integers(0, 10_000))
@@ -328,7 +329,7 @@ class TestLaplacian:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(2, 6))
         for p in (0, 2):
-            lap = build_laplacian(build_affinity(x, neighborhood_p=p)[0]).dense()
+            lap = dense_matrix(build_laplacian(build_affinity(x, neighborhood_p=p)[0]))
             assert np.array_equal(lap, lap.T)
             assert np.linalg.eigvalsh(lap).min() >= -1e-10
 
@@ -337,7 +338,7 @@ class TestLaplacian:
         # so build one synthetically
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 0.7
-        lap = build_laplacian(edge_graph(w)).dense()
+        lap = dense_matrix(build_laplacian(edge_graph(w)))
         assert_allclose(lap[2], np.zeros(3), atol=0)
         assert_allclose(lap[:2, :2], [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
 
@@ -349,7 +350,7 @@ class TestLaplacian:
         w = 0.5 * (w + w.T)
         w[3] = w[:, 3] = 0.0
         np.fill_diagonal(w, 0.0)
-        lap = build_laplacian(edge_graph(w)).dense()
+        lap = dense_matrix(build_laplacian(edge_graph(w)))
         expect = dense_build_laplacian(DenseAffinity(w, sigma=1.0))
         assert_allclose(lap, expect, rtol=1e-13, atol=0)
         assert np.all(lap[3] == 0.0)
@@ -404,6 +405,19 @@ class TestEdgeGraphs:
         assert_allclose(lap.diag, [1.0, 1.0, 0.0, 0.0], atol=1e-15)
         assert_allclose(lap.values, [-1.0, 0.0, 0.0], atol=1e-15)
         assert not np.signbit(lap.values[1:]).any()
+
+    @pytest.mark.parametrize("n, p", [(90, 5), (600, 5), (600, 0), (1000, 1)])
+    def test_panel_product_is_the_dense_one(self, n, p):
+        # n = 600 and 1000 span several row panels; p = 1 leaves vertices
+        # whose every edge lies in another panel
+        x = np.random.default_rng(n + p).normal(size=(2, n))
+        lap = build_laplacian(build_affinity(x, None, p)[0])
+        u = np.random.default_rng(7).normal(size=(n, 9))
+        dense = dense_matrix(lap)
+        got = lap.times(u)
+        assert_bits_equal(got, dense_panel_product(dense, u))
+        want = dense @ u
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(dense).sum(axis=1).max()
 
 
 def path_graph(order: np.ndarray) -> EdgeGraph:

@@ -307,43 +307,48 @@ class TestKernelMatrix:
         with pytest.raises(ParameterError):
             kernel_matrix(x, "sigmoid")
 
-    @pytest.mark.parametrize("n", [1, 5, 37, 300])
-    def test_rbf_precomputed_distances_byte_equal(self, n):
-        x = np.random.default_rng(n).normal(size=(3, n))
-        d2 = pairwise_sq_dists(x)
-        expect = np.exp(d2 / (-2.0 * 0.9 * 0.9))
-        k = kernel_matrix(x, "rbf", sigma=0.9, sq_dists=d2)
-        assert k.tobytes() == kernel_matrix(x, "rbf", sigma=0.9).tobytes()
-        assert k.tobytes() == expect.tobytes()
-        # the distances are consumed: K is computed in their array
-        assert k is d2
+    @pytest.mark.parametrize("m, n", [(1, 1), (5, 37), (300, 7), (256, 900)])
+    def test_rbf_cross_form_byte_equal(self, m, n):
+        rng = np.random.default_rng(m + n)
+        x, y = rng.normal(size=(3, m)), rng.normal(size=(3, n))
+        want = np.exp(pairwise_sq_dists(x, y) / (-2.0 * 0.9 * 0.9))
+        assert kernel_matrix(x, "rbf", sigma=0.9, y=y).tobytes() == want.tobytes()
 
-    def test_rbf_read_only_distances_raise(self):
-        x = np.random.default_rng(4).normal(size=(2, 6))
-        d2 = pairwise_sq_dists(x)
-        d2.flags.writeable = False
-        with pytest.raises(ValueError):
-            kernel_matrix(x, "rbf", sigma=1.0, sq_dists=d2)
+    @pytest.mark.parametrize("m, n", [(1, 1), (5, 37), (256, 900)])
+    def test_linear_and_poly_cross_forms(self, m, n):
+        rng = np.random.default_rng(m * n)
+        x, y = rng.normal(size=(4, m)), rng.normal(size=(4, n))
+        g = linalg.matmul(x.T, y)
+        assert kernel_matrix(x, "linear", y=y).tobytes() == g.tobytes()
+        assert kernel_matrix(x, "poly", degree=3, y=y).tobytes() == ((g + 1.0) ** 3).tobytes()
 
-    def test_precomputed_distances_argument_checks(self):
+    @pytest.mark.parametrize("kind, kwargs", [("linear", {}), ("rbf", {"sigma": 1.3}),
+                                              ("poly", {"degree": 2})])
+    def test_cross_form_rows_are_the_rows_of_k(self, kind, kwargs):
+        # the panels the range finder reads: K's rows, up to the rounding of
+        # the product they come from
+        x = np.random.default_rng(9).normal(size=(3, 700))
+        k = kernel_matrix(x, kind, **kwargs)
+        rows = kernel_matrix(x[:, 256:512], kind, y=x, **kwargs)
+        assert rows.shape == (256, 700)
+        assert_allclose(rows, k[256:512], rtol=0, atol=1e-13 * np.abs(k).max())
+
+    def test_cross_form_argument_checks(self):
         x = np.random.default_rng(3).normal(size=(2, 4))
-        d2 = pairwise_sq_dists(x)
-        for kind in ("linear", "poly"):
-            with pytest.raises(ParameterError, match="only by the rbf kernel"):
-                kernel_matrix(x, kind, sq_dists=d2)
-        with pytest.raises(DimensionError):
-            kernel_matrix(x, "rbf", sigma=1.0, sq_dists=d2[:3, :3])
-        with pytest.raises(DimensionError):
-            kernel_matrix(x, "rbf", sigma=1.0, sq_dists=d2[:, :3])
+        for kind, kwargs in (("linear", {}), ("rbf", {"sigma": 1.0}), ("poly", {})):
+            with pytest.raises(DimensionError, match="feature dims differ"):
+                kernel_matrix(x, kind, y=np.ones((3, 5)), **kwargs)
         with pytest.raises(ParameterError, match="sigma > 0"):
-            kernel_matrix(x, "rbf", sigma=0.0, sq_dists=d2)
+            kernel_matrix(x, "rbf", sigma=0.0, y=x)
+        with pytest.raises(ParameterError, match="non-finite"):
+            kernel_matrix(x, "linear", y=np.full((2, 3), np.nan))
 
 
 class TestKernelRange:
     def test_linear_kernel_rank_is_feature_dim(self):
         x = np.random.default_rng(70).normal(size=(2, 40))
         kmat = kernel_matrix(x, "linear")
-        basis, w_r = kernel_range(kmat)
+        basis, w_r = kernel_range(x, "linear")
         s_r = w_r[:, None] * basis.T
         assert basis.shape == (40, 2) and s_r.shape == (2, 40)
         assert_allclose(w_r, np.linalg.eigvalsh(kmat)[-2:], rtol=1e-12)
@@ -355,36 +360,42 @@ class TestKernelRange:
 
     def test_full_rank_kernel_keeps_every_direction(self):
         x = np.random.default_rng(71).normal(size=(3, 12))
-        basis, w_r = kernel_range(kernel_matrix(x, "rbf", sigma=1.0))
+        basis, w_r = kernel_range(x, "rbf", sigma=1.0)
         assert basis.shape == (12, 12) and w_r.shape == (12,)
 
     def test_zero_kernel_has_empty_range(self):
         for n in (5, 2 * linalg._SKETCH_COLS):  # the exact path and the sketch
-            basis, w_r = kernel_range(np.zeros((n, n)))
+            basis, w_r = kernel_range(np.zeros((2, n)), "linear")
             assert basis.shape == (n, 0) and w_r.shape == (0,)
 
     def test_rejects_bad_operands(self):
         with pytest.raises(DimensionError):
-            kernel_range(np.zeros((3, 4)))
-        with pytest.raises(ParameterError):
-            kernel_range(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(ParameterError):
-            kernel_range(np.full((2, 2), np.nan))
+            kernel_range(np.zeros(4), "linear")
+        with pytest.raises(ParameterError, match="non-finite"):
+            kernel_range(np.full((2, 3), np.nan), "linear")
+        for n in (3, 2 * linalg._SKETCH_COLS):  # checked on either path
+            x = np.random.default_rng(n).normal(size=(2, n))
+            with pytest.raises(ParameterError, match="unknown kernel"):
+                kernel_range(x, "sigmoid")
+            with pytest.raises(ParameterError, match="sigma > 0"):
+                kernel_range(x, "rbf")
+            with pytest.raises(ParameterError, match="degree"):
+                kernel_range(x, "poly", degree=0)
 
     def test_empty_kernel_is_a_dimension_error(self):
         # the n * eps * max cut has no largest eigenvalue to read
         with pytest.raises(DimensionError, match="nonempty"):
-            kernel_range(np.zeros((0, 0)))
+            kernel_range(np.zeros((2, 0)), "linear")
 
     def test_one_symmetrized_copy_and_the_basis(self):
-        # r = 551 of 600 saturates the sketch, which is freed before the full
-        # eigh; the symmetrized copy of K is factored in place, and besides it
-        # the call holds only the eigenvectors and LAPACK workspace
+        # r = 551 of 600 saturates the sketch, which is freed before K is
+        # built; K, exactly symmetric as built, is factored in place, and
+        # besides it the call holds only the eigenvectors and LAPACK workspace
         n = 600
-        kmat = kernel_matrix(np.random.default_rng(72).normal(size=(3, n)), "rbf", sigma=1.0)
+        x = np.random.default_rng(72).normal(size=(3, n))
         tracemalloc.start()
         try:
-            basis, _ = kernel_range(kmat)
+            basis, _ = kernel_range(x, "rbf", sigma=1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -392,9 +403,10 @@ class TestKernelRange:
         assert peak < 2.5 * 8 * n * n
 
 
-def median_rbf(seed: int, n: int, d: int = 2) -> np.ndarray:
+def median_x(seed: int, n: int, d: int = 2) -> tuple[np.ndarray, float]:
+    """(x, sigma): normal points and their median pairwise distance."""
     x = np.random.default_rng(seed).normal(size=(d, n))
-    return kernel_matrix(x, "rbf", sigma=median_pairwise_distance(x))
+    return x, median_pairwise_distance(x)
 
 
 def eigh_orders(monkeypatch) -> list[int]:
@@ -409,49 +421,78 @@ def eigh_orders(monkeypatch) -> list[int]:
     return orders
 
 
+# (kind, kernel parameters, d) of sketched cases: n >= 2 l, and a range well
+# inside the sketch's l columns
+SKETCHED = {
+    "rbf": ("rbf", None, 2),
+    "linear": ("linear", {}, 40),
+    "poly": ("poly", {"degree": 2}, 8),
+}
+
+
 class TestSketchedKernelRange:
     """kernel_range's randomized range finder against the full eigh of K."""
 
-    @pytest.mark.parametrize("seed, n", [(73, 600), (74, 900)])
-    def test_low_rank_kernel_matches_the_dense_oracle(self, monkeypatch, seed, n):
-        kmat = median_rbf(seed, n)
+    @pytest.mark.parametrize("case, seed, n", [("rbf", 73, 600), ("rbf", 74, 900),
+                                               ("linear", 77, 640), ("poly", 78, 700)],
+                             ids=["73-600", "74-900", "linear-640", "poly-700"])
+    def test_low_rank_kernel_matches_the_dense_oracle(self, monkeypatch, case, seed, n):
+        kind, kwargs, d = SKETCHED[case]
+        x, sigma = median_x(seed, n, d)
+        kwargs = {"sigma": sigma} if kwargs is None else kwargs
+        kmat = kernel_matrix(x, kind, **kwargs)
         want_u, want_w = dense_kernel_range(kmat)
         orders = eigh_orders(monkeypatch)
-        basis, w_r = kernel_range(kmat)
+        basis, w_r = kernel_range(x, kind, **kwargs)
         assert orders == [linalg._SKETCH_COLS]  # no n x n factorization
         r = want_w.size
+        assert r < linalg._SKETCH_COLS - linalg._SKETCH_OVERSAMPLE
         assert basis.shape == (n, r) and w_r.shape == (r,)
         top = want_w[-1]
         assert_allclose(w_r, want_w, rtol=0, atol=1e-13 * top)
         residual = np.linalg.norm(kmat @ basis - basis * w_r) / top
         assert residual <= 10 * np.linalg.norm(kmat @ want_u - want_u * want_w) / top
         assert_allclose(basis.T @ basis, np.eye(r), rtol=0, atol=1e-12)
-        again_u, again_w = kernel_range(kmat)
+        again_u, again_w = kernel_range(x, kind, **kwargs)
         assert again_u.tobytes() == basis.tobytes() and again_w.tobytes() == w_r.tobytes()
+
+    def test_rank_deficient_linear_kernel_keeps_its_rank(self, monkeypatch):
+        # d = 2: K = x^T x has rank 2, and the sketch finds just those two
+        x = np.random.default_rng(79).normal(size=(2, 2 * linalg._SKETCH_COLS))
+        orders = eigh_orders(monkeypatch)
+        basis, w_r = kernel_range(x, "linear")
+        assert orders == [linalg._SKETCH_COLS]
+        assert basis.shape == (x.shape[1], 2)
+        assert_allclose(w_r, np.linalg.eigvalsh(x @ x.T), rtol=1e-12)
+        assert_allclose(basis @ (w_r[:, None] * basis.T), x.T @ x,
+                        rtol=0, atol=1e-12 * np.abs(x.T @ x).max())
 
     @pytest.mark.parametrize("case", ["saturated", "small"])
     def test_exact_path_is_the_dense_oracle(self, case):
         if case == "saturated":  # r = 551 of 600: the sketch is dropped
-            x = np.random.default_rng(72).normal(size=(3, 600))
-            kmat = kernel_matrix(x, "rbf", sigma=1.0)
+            x, sigma = np.random.default_rng(72).normal(size=(3, 600)), 1.0
         else:  # n < 2 l: never sketched
-            kmat = median_rbf(75, 2 * linalg._SKETCH_COLS - 1)
-        basis, w_r = kernel_range(kmat)
-        want_u, want_w = dense_kernel_range(kmat)
+            x, sigma = median_x(75, 2 * linalg._SKETCH_COLS - 1)
+        basis, w_r = kernel_range(x, "rbf", sigma=sigma)
+        want_u, want_w = dense_kernel_range(kernel_matrix(x, "rbf", sigma=sigma))
         assert basis.tobytes() == want_u.tobytes() and w_r.tobytes() == want_w.tobytes()
 
-    def test_sketch_holds_one_copy_of_k(self):
-        # the symmetrized copy of K, the (n, l) sketch arrays and the basis
+    def test_sketch_holds_one_copy_of_k(self, monkeypatch):
+        # at most one panel of K's rows, the (n, l) sketch arrays and the
+        # basis: well under one copy of K, which the array form held in full
+        # beside its symmetrized copy (1.0 x 8 n^2 and more). Traced in full:
+        # the (n, l) arrays would otherwise get mappings tracemalloc does not see.
+        monkeypatch.setattr(linalg, "_MAPPED_BYTES", np.inf)
         n = 1800
-        kmat = median_rbf(76, n)
+        x, sigma = median_x(76, n)
         tracemalloc.start()
         try:
-            basis, _ = kernel_range(kmat)
+            basis, _ = kernel_range(x, "rbf", sigma=sigma)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert basis.shape[1] < linalg._SKETCH_COLS - linalg._SKETCH_OVERSAMPLE
-        assert peak < 1.5 * 8 * n * n
+        assert peak < 0.5 * 8 * n * n, peak / (8 * n * n)
 
 
 class TestCheckSymmetric:

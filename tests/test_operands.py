@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import dbmmd.graphs as graphs_module
 import dbmmd.linalg as linalg_module
@@ -19,7 +20,8 @@ from dbmmd.linalg import (kernel_matrix, kernel_range, matmul, median_pairwise_d
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
-from dense_reference import dense_build_affinity, dense_build_laplacian
+from dense_reference import (dense_build_affinity, dense_build_laplacian, dense_kernel_range,
+                             dense_matrix, dense_panel_product)
 
 RBF = AdaptConfig(k=2, lam=1.0, max_iter=2, kernel="rbf")
 
@@ -36,6 +38,12 @@ def cross_affinity(pair, sigma):
     return np.exp(pairwise_sq_dists(x[:, :ns], x[:, ns:]) / (-2.0 * sigma * sigma))
 
 
+def cross_kernel(pair, sigma):
+    """The rbf kernel's (ns, nt) cross form between the pair's source and target columns."""
+    x, ns = pair.packed_features(), pair.n_source
+    return kernel_matrix(x[:, :ns], "rbf", sigma=sigma, y=x[:, ns:])
+
+
 def assert_near(got, want):
     """Within 1e-13 of want's largest entry: L's degrees sum over edges, not rows."""
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -48,7 +56,8 @@ def calls(monkeypatch):
     The distance products are counted wherever they are made: in the
     operands, in the median's and the affinity's row-block passes and in
     the kernel. The pairs here are small enough for one row block, so a
-    pass over x is one product.
+    pass over x is one product, and for K's exact path (n < 2 l), so K is
+    one ``kernel_matrix`` call.
     """
     counts = {}
 
@@ -61,8 +70,9 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("kernel_matrix", "kernel_range", "build_affinity", "build_laplacian"):
+    for name in ("kernel_range", "build_affinity", "build_laplacian"):
         count(operands_module, name)
+    count(linalg_module, "kernel_matrix")
     for module in (operands_module, graphs_module, linalg_module):
         count(module, "pairwise_sq_dists")
     median = graphs_module.median_pairwise_distance
@@ -83,49 +93,41 @@ class TestValues:
         ops = InputOperands(pair, RBF)
         x = pair.packed_features()
         sigma = median_pairwise_distance(x)
-        kmat = kernel_matrix(x, "rbf", sigma=sigma)
-        assert ops.kernel().tobytes() == kmat.tobytes()
-        ns = pair.n_source
-        assert ops.affinity().tobytes() == kmat[:ns, ns:].tobytes()
+        for ours, alone in zip(ops.kernel_range(), kernel_range(x, "rbf", sigma=sigma)):
+            assert ours.tobytes() == alone.tobytes()
+        assert ops.affinity().tobytes() == cross_kernel(pair, sigma).tobytes()
         # the affinity's own pass resolves the same median
         assert build_affinity(x, None, 0)[1] == sigma
 
     @pytest.mark.parametrize("kernel", ["rbf", "primal"])
     def test_fixed_sigma_affinity_is_the_cross_block(self, kernel):
-        # rbf: the cross block of K; primal: the cross-form distances of x
+        # in either mode the rbf kernel's cross form of the source and target
         pair = pair_of()
         cfg = RBF.replace(sigma=0.7, kernel=kernel)
-        ops = InputOperands(pair, cfg)
-        x, ns = pair.packed_features(), pair.n_source
-        if kernel == "rbf":
-            want = kernel_matrix(x, "rbf", sigma=0.7)[:ns, ns:]
-        else:
-            want = cross_affinity(pair, 0.7)
-        assert ops.affinity().tobytes() == want.tobytes()
+        got = InputOperands(pair, cfg).affinity()
+        assert got.tobytes() == cross_kernel(pair, 0.7).tobytes()
+        assert got.tobytes() == cross_affinity(pair, 0.7).tobytes()
 
     @pytest.mark.parametrize("kernel, bandwidth", [("rbf", "median"), ("linear", "median"),
                                                    ("poly", "fixed")])
     def test_laplacian_equals_separate_build(self, kernel, bandwidth):
         # MEDA's Laplacian is held only as L U_r, the product its cells read:
-        # the edge Laplacian's, scattered, and near the dense reference's
-        pair = pair_of()
+        # the edge Laplacian's by row panels, and near the dense reference's
+        pair = pair_of(7, 100)
+        assert pair.n_total > linalg_module._PANEL_ROWS
         x = pair.packed_features()
         cfg = AdaptConfig(kernel=kernel, sigma=1.1 if bandwidth == "fixed" else None)
         ops = InputOperands(pair, cfg)
         l_basis = ops.range_terms()[1]
         basis, _ = ops.kernel_range()
         alone, _ = build_affinity(x, cfg.sigma, cfg.neighborhood_p)
-        assert l_basis.tobytes() == matmul(build_laplacian(alone).dense(), basis).tobytes()
+        lap = dense_matrix(build_laplacian(alone))
+        assert l_basis.tobytes() == dense_panel_product(lap, basis).tobytes()
         dense = dense_build_laplacian(dense_build_affinity(x, cfg.sigma, cfg.neighborhood_p))
         assert_near(l_basis, matmul(dense, basis))
         # the bandwidth the Laplacian resolved is reused, not recomputed
         _, sigma = build_affinity(x, cfg.sigma, 0)
-        if kernel == "rbf":
-            ns = pair.n_source
-            want = kernel_matrix(x, "rbf", sigma=sigma)[:ns, ns:]
-        else:
-            want = cross_affinity(pair, sigma)
-        assert ops.affinity().tobytes() == want.tobytes()
+        assert ops.affinity().tobytes() == cross_kernel(pair, sigma).tobytes()
 
     @pytest.mark.parametrize("kernel", ["rbf", "linear", "poly", "primal"])
     def test_affinity_holds_only_the_cross_block(self, kernel):
@@ -135,13 +137,12 @@ class TestValues:
         ns, nt = pair.n_source, pair.n_target
         assert cross.shape == (ns, nt)
         assert cross.nbytes == 8 * ns * nt
+        # its own array, or a view of one no larger: no K and no distances kept
+        owner = cross if cross.base is None else cross.base
+        assert owner.nbytes == 8 * ns * nt
         if kernel == "rbf":
-            # a view of K: the affinity adds no array of its own
-            assert np.shares_memory(cross, ops.kernel())
-        else:
-            # its own array, or a view of one no larger: no distances kept
-            owner = cross if cross.base is None else cross.base
-            assert owner.nbytes == 8 * ns * nt
+            sigma = median_pairwise_distance(pair.packed_features())
+            assert cross.tobytes() == cross_kernel(pair, sigma).tobytes()
 
     def test_initial_labels_are_the_target_1nn_labels(self):
         pair = pair_of()
@@ -153,15 +154,17 @@ class TestValues:
         assert InputOperands(given, RBF).initial_labels() is given.target.pseudo_labels
 
     def test_kernel_range_of_k(self):
-        ops = InputOperands(pair_of(), RBF)
-        for ours, alone in zip(ops.kernel_range(), kernel_range(ops.kernel())):
+        pair = pair_of()
+        x = pair.packed_features()
+        want = dense_kernel_range(kernel_matrix(x, "rbf", sigma=median_pairwise_distance(x)))
+        for ours, alone in zip(InputOperands(pair, RBF).kernel_range(), want):
             assert ours.tobytes() == alone.tobytes()
 
 
 class TestSharing:
     def test_arrays_are_read_only(self):
         ops = InputOperands(pair_of(), RBF)
-        arrays = [ops.x, ops.kernel(), *ops.kernel_range(), ops.affinity(), *ops.range_terms()]
+        arrays = [ops.x, *ops.kernel_range(), ops.affinity(), *ops.range_terms()]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -174,28 +177,31 @@ class TestSharing:
         ops = InputOperands(pair, RBF)
         for name in ("JDA", "JDA+CG", "MEDA", "MEDA+CG", "CDDA+DB"):
             run_adaptation(pair, RBF, ModelKind.parse(name), operands=ops)
-        # one pass each for the median, K and the kNN affinity: the median's
-        # distances fit in one block, so its second pass reads them back
-        assert calls == {"pairwise_sq_dists": 3, "median": 1, "kernel_matrix": 1,
+        # one pass each for the median, K, the kNN affinity and the cross
+        # block: the median's distances fit in one block, so its second pass
+        # reads them back
+        assert calls == {"pairwise_sq_dists": 4, "median": 1, "kernel_matrix": 1,
                          "kernel_range": 1, "build_affinity": 1, "build_laplacian": 1}
 
     def test_fixed_sigma_kernel_takes_one_distance_pass(self, calls):
-        # a given sigma needs no median; K and the affinity view share one pass
+        # a given sigma needs no median: the kernel takes one distance pass,
+        # for K on its exact path, and the affinity's cross block one more
         pair = pair_of()
         cfg = RBF.replace(sigma=0.7)
         ops = InputOperands(pair, cfg)
         for name in ("JDA", "JDA+CG", "CDDA+DB"):
             run_adaptation(pair, cfg, ModelKind.parse(name), operands=ops)
-        assert calls == {"pairwise_sq_dists": 1, "kernel_matrix": 1, "kernel_range": 1}
-        want = kernel_matrix(pair.packed_features(), "rbf", sigma=0.7)
-        assert ops.kernel().tobytes() == want.tobytes()
+        assert calls == {"pairwise_sq_dists": 2, "kernel_matrix": 1, "kernel_range": 1}
+        want = dense_kernel_range(kernel_matrix(pair.packed_features(), "rbf", sigma=0.7))
+        for ours, alone in zip(ops.kernel_range(), want):
+            assert ours.tobytes() == alone.tobytes()
 
     def test_experiment_builds_once_per_repeat(self, calls, tmp_path):
         recipe = SyntheticRecipe(class_count=2, samples_per_class=10, feature_dim=2, seed=3)
         spec = ExperimentSpec(models=("JDA", "JDA+CG", "MEDA", "MEDA+CG"), config=RBF,
                               output_dir=str(tmp_path / "out"), repeat=2, synthetic=recipe)
         assert run_experiment(spec).exit_code == 0
-        assert calls == {"pairwise_sq_dists": 6, "median": 2, "kernel_matrix": 2,
+        assert calls == {"pairwise_sq_dists": 8, "median": 2, "kernel_matrix": 2,
                          "kernel_range": 2, "build_affinity": 2, "build_laplacian": 2}
 
     def test_initial_labels_once_per_repeat(self, monkeypatch, tmp_path):
@@ -221,21 +227,25 @@ class TestSharing:
         assert calls["kernel_range"] == 2 and calls["build_laplacian"] == 2
 
     def test_range_terms_equal_separate_products(self):
-        pair = pair_of()
+        # n = 600: the sketched range, and L U_r over three row panels
+        pair = pair_of(7, 100)
+        x = pair.packed_features()
         ops = InputOperands(pair, RBF)
-        basis, _ = kernel_range(ops.kernel())
+        basis, _ = kernel_range(x, "rbf", sigma=median_pairwise_distance(x))
         ns = pair.n_source
         e_r, l_basis = ops.range_terms()
-        x = pair.packed_features()
         lap = build_laplacian(build_affinity(x, None, RBF.neighborhood_p)[0])
         assert e_r.tobytes() == matmul(basis[:ns].T, basis[:ns]).tobytes()
-        assert l_basis.tobytes() == matmul(lap.dense(), basis).tobytes()
+        assert l_basis.tobytes() == dense_panel_product(dense_matrix(lap), basis).tobytes()
         dense = dense_build_laplacian(dense_build_affinity(x, None, RBF.neighborhood_p))
         assert_near(l_basis, matmul(dense, basis))
 
-    def test_meda_cell_leaves_only_k_held(self):
-        # the n x n Laplacian is dropped once L U_r is taken; K is the one
-        # n x n array the operands keep between cells
+    def test_meda_cell_leaves_no_n_by_n_array_held(self, monkeypatch):
+        # neither K nor L is kept: between cells the operands hold the
+        # (ns, nt) affinity block, a quarter of 8 n^2 bytes here, and three
+        # (n, r) arrays, 0.48 x in all (K alone was 1.0 x). Traced in full,
+        # as no array gets a mapping.
+        monkeypatch.setattr(linalg_module, "_MAPPED_BYTES", np.inf)
         pair = pair_of(7, 100)
         n = pair.n_total
         assert n >= 600
@@ -246,8 +256,41 @@ class TestSharing:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert ops.kernel().nbytes == 8 * n * n
-        assert held < 1.5 * 8 * n * n, held / (8 * n * n)
+        assert held < 0.6 * 8 * n * n, held / (8 * n * n)
+
+    def test_sketched_projection_cell_holds_no_n_by_n_array(self, monkeypatch):
+        # rbf JDA+CG at n = 1200 >= 2 l: the range's panels, then the
+        # (ns, nt) affinity, a round's D and nn_classify's train-by-query
+        # product, a quarter of 8 n^2 bytes each: 0.92 x in all. With K and
+        # its symmetrized copy held, the peak was 2.3 x.
+        monkeypatch.setattr(linalg_module, "_MAPPED_BYTES", np.inf)
+        pair = pair_of(7, 200)
+        n = pair.n_total
+        assert n == 1200
+        tracemalloc.start()
+        try:
+            run_adaptation(pair, RBF, ModelKind("JDA", "CG"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * 8 * n * n, peak / (8 * n * n)
+
+    def test_range_terms_hold_no_n_by_n_array(self, monkeypatch):
+        # the kNN pass's row blocks and edges, then one (rows, n) panel of L
+        # at a time: 0.29 x; the scattered L alone was 1.0 x, and the call
+        # peaked at 1.06 x
+        monkeypatch.setattr(linalg_module, "_MAPPED_BYTES", np.inf)
+        pair = pair_of(7, 200)
+        n = pair.n_total
+        ops = InputOperands(pair, RBF)
+        ops.kernel_range()
+        tracemalloc.start()
+        try:
+            ops.range_terms()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 8 * n * n, peak / (8 * n * n)
 
     def test_primal_jda_builds_nothing(self, calls):
         pair = pair_of()
@@ -265,7 +308,8 @@ class TestSharing:
 
     def test_complete_graph_range_terms_peak(self):
         # neighborhood_p = 0: the edge list of the complete graph, int32
-        # index pairs and the weights, then the scattered n x n Laplacian
+        # index pairs and the weights, its Laplacian's weights, then one
+        # (rows, n) panel of L at a time
         pair = pair_of(7, 200)
         n = pair.n_total
         assert n == 1200
@@ -288,8 +332,8 @@ class TestSharing:
             run_adaptation(pair, RBF.replace(k=3), ModelKind("MEDA"), operands=ops)
 
     def test_primal_has_no_kernel(self):
-        with pytest.raises(ParameterError):
-            InputOperands(pair_of(), RBF.replace(kernel="primal")).kernel()
+        with pytest.raises(ParameterError, match="no kernel matrix"):
+            InputOperands(pair_of(), RBF.replace(kernel="primal")).kernel_range()
 
     @pytest.mark.parametrize("d, n", [(64, 300), (10, 3000)])
     def test_coincident_columns_raise_and_weigh_one(self, d, n):
@@ -300,9 +344,14 @@ class TestSharing:
         with pytest.raises(BandwidthError):
             InputOperands(pair, RBF.replace(kernel="primal")).affinity()
         with pytest.raises(BandwidthError):
-            InputOperands(pair, RBF).kernel()
+            InputOperands(pair, RBF).kernel_range()
         assert np.all(InputOperands(pair, AdaptConfig(sigma=1.0)).affinity() == 1.0)
-        assert np.all(InputOperands(pair, RBF.replace(sigma=1.0)).kernel() == 1.0)
+        # K is all ones: one direction, of eigenvalue n
+        ops = InputOperands(pair, RBF.replace(sigma=1.0))
+        assert np.all(ops.affinity() == 1.0)
+        basis, w_r = ops.kernel_range()
+        assert_allclose(w_r[-1], n, rtol=1e-12)
+        assert_allclose(np.abs(basis[:, -1]), 1.0 / np.sqrt(n), rtol=1e-12)
 
     def test_primal_cross_block_is_its_one_array(self, monkeypatch):
         # exp(d2 / (-2 sigma^2)) in place in the cross-form product, after
@@ -327,6 +376,6 @@ class TestSharing:
         pair = make_pair(LabeledDomain(np.ones((2, 4)), np.array([0, 0, 1, 1])),
                          UnlabeledDomain(np.ones((2, 4))))
         ops = InputOperands(pair, RBF)
-        for request in (ops.kernel, ops.affinity, ops.range_terms, ops.kernel):
+        for request in (ops.kernel_range, ops.affinity, ops.range_terms, ops.kernel_range):
             with pytest.raises(BandwidthError):
                 request()

@@ -15,7 +15,8 @@ The zoo is spanned by a base model and a boundary term:
 
 The assembled coefficient operator is M0 + compact - separation, held as
 the plain model's 2C x 2C group table plus, for a reweighted model, one
-cross-domain block D built from the affinity block W (``mmd.MmdOperator``).
+cross-domain block D, rebuilt from x a block of source rows at a time
+whenever the operator is read (``mmd.MmdOperator``).
 Each round projects, re-labels the target, and repeats until the pseudo-labels
 stop changing or the iteration cap is reached.
 """
@@ -32,12 +33,13 @@ from scipy.linalg import blas
 from .classify import accuracy, hard_labels, nn_classify, one_hot, propagate_labels
 from .datamodel import AdaptConfig, AdaptationReport, DomainPair, IterationRecord
 from .errors import (
+    DimensionError,
     NumericError,
     ParameterError,
     StateError,
     UnsupportedModelError,
 )
-from .graphs import build_affinity, build_graphs, build_laplacian
+from .graphs import build_affinity, build_laplacian
 from .linalg import centering_matrix, gen_eig_smallest, matmul, sign_flips
 from .mmd import MmdOperator, MmdTables, build_all
 from .operands import InputOperands
@@ -77,18 +79,20 @@ class ModelKind:
         raise UnsupportedModelError(f"cannot parse model name {text!r}")
 
 
-def assemble_db(mats: MmdTables, cross: np.ndarray | None, kind: ModelKind) -> MmdOperator:
+def assemble_db(mats: MmdTables, affinity, kind: ModelKind) -> MmdOperator:
     """Coefficient operator M0 + compact - separation for one model.
 
-    ``cross`` is the (n_s, n_t) source-by-target block W of the input
-    affinity, only read, and ignored by an unreweighted model. The graphs
-    scale only cross-domain entries: those of the compact term (CG), or of
+    ``affinity`` is the (n_s, n_t) source-by-target block W of the input
+    affinity, read a block of source rows at a time (``graphs.CrossAffinity``,
+    or an array), and ignored by an unreweighted model. The graphs scale
+    only cross-domain entries: those of the compact term (CG), or of
     compact minus separation (DB). The two terms never share a
     cross-domain group pair, so the operator's table is the plain model's
-    and the graphs enter only through D (``graphs.build_graphs``). A unit
-    affinity reproduces the unreweighted model exactly.
+    and the graphs enter only through D (``graphs.build_graphs``), whose
+    rows the operator rebuilds from W on each read. A unit affinity
+    reproduces the unreweighted model exactly.
     """
-    if kind.boundary != "none" and cross is None:
+    if kind.boundary != "none" and affinity is None:
         raise StateError(f"{kind.name} needs boundary graphs")
     table = mats.marginal + mats.conditional
     weighted = mats.conditional
@@ -98,9 +102,12 @@ def assemble_db(mats: MmdTables, cross: np.ndarray | None, kind: ModelKind) -> M
             weighted = weighted - mats.separation
     if kind.boundary == "none":
         return MmdOperator(mats.groups, mats.n_source, table)
+    ns = mats.n_source
+    if affinity.shape != (ns, mats.groups.size - ns):
+        raise DimensionError(f"cross block shape {affinity.shape} does not match the pair's "
+                             f"{(ns, mats.groups.size - ns)}")
     c = table.shape[0] // 2
-    d = build_graphs(mats.groups, mats.n_source, cross, weighted[:c, c:])
-    return MmdOperator(mats.groups, mats.n_source, table, d)
+    return MmdOperator(mats.groups, ns, table, affinity, weighted[:c, c:])
 
 
 def solve_projection(s: np.ndarray, db: MmdOperator, k: int,
@@ -202,7 +209,7 @@ def _refine(ops: InputOperands, kind: ModelKind, target_truth, solve,
     for t in range(1, cfg.max_iter + 1):
         p = pair.with_pseudo_labels(pseudo)
         projection = embedding = None  # the last round's arrays are not kept through a solve
-        # Only the operator holds D, and only until solve returns.
+        # D is never held: the operator rebuilds its rows from x on each read.
         new, objective, eigvals, projection, embedding = solve(
             p, assemble_db(build_all(p), affinity, kind))
         churn = int(np.sum(new != pseudo))

@@ -15,9 +15,10 @@ def nn_classify(train_x, train_labels, query_x) -> np.ndarray:
     """1-NN labels for each column of query_x given labeled columns train_x.
 
     Brute-force squared Euclidean scan: |t|^2 + |q|^2 - 2 t.q, written in
-    place into the one train-by-query product a block of query columns at
-    a time, each block's argmin taken as it is done. Distance ties go to
-    the lowest training index, so results are deterministic.
+    place into the train-by-query product of a block of query columns,
+    each block's argmin taken as it is done; no (train, query) array is
+    held. Distance ties go to the lowest training index, so results are
+    deterministic.
     """
     train_x = np.asarray(train_x, dtype=float)
     query_x = np.asarray(query_x, dtype=float)
@@ -34,10 +35,12 @@ def nn_classify(train_x, train_labels, query_x) -> np.ndarray:
         raise DimensionError("one training label per training column required")
     t_sq = np.einsum("ij,ij->j", train_x, train_x)
     q_sq = np.einsum("ij,ij->j", query_x, query_x)
-    d2 = matmul(train_x.T, query_x, alpha=-2.0)
+    train_t = train_x.T
+    if not (train_t.flags.c_contiguous or train_t.flags.f_contiguous):
+        train_t = np.ascontiguousarray(train_t)  # the copy matmul would make, made once
     nearest = np.empty(query_x.shape[1], dtype=np.intp)
     for cols in _row_blocks(query_x.shape[1], train_x.shape[1]):
-        block = d2[:, cols]
+        block = matmul(train_t, query_x[:, cols], alpha=-2.0)
         # -2g + (t + q) is (t + q) - 2g bit for bit: negation and doubling are exact.
         block += t_sq[:, None] + q_sq[None, cols]
         nearest[cols] = np.argmin(block, axis=0)

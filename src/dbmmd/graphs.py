@@ -14,6 +14,13 @@ graphs here keep the magnitudes and apply them as positive multiplicative
 reweights instead: 1/W on same-class pairs, W itself on different-class
 pairs, so distant same-class pairs are pulled harder and near inter-class
 pairs are pushed harder, which is the stated intent of the construction.
+
+No graph here is held as an (n, n) or (n_s, n_t) array. The neighborhood
+graphs are edge lists (``EdgeGraph``), built from the distance walker of
+``linalg`` a block of rows at a time. The cross block W behind the
+boundary graphs is held as what rebuilds it (``CrossAffinity``), and
+``cross_rows`` gives D a block of source rows at a time: W's rows from x
+by ``pairwise_sq_dists``, D's from them by ``build_graphs``.
 """
 from __future__ import annotations
 
@@ -22,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandwidthError, DimensionError, ParameterError
-from .linalg import (_PANEL_ROWS, _as_feature_matrix, _empty, _MedianCount, _row_blocks,
-                     _row_panels, _strict_upper, gaussian_in_place, matmul,
-                     median_pairwise_distance, pairwise_sq_dists)
+from .linalg import (_PANEL_ROWS, _Distances, _MedianCount, _row_blocks, _row_panels,
+                     _strict_upper, gaussian_in_place, matmul, median_pairwise_distance,
+                     pairwise_sq_dists)
 
 # Floor for 1/W so underflowed affinities cannot blow up.
 W_FLOOR = 1e-6
@@ -67,22 +74,22 @@ def build_affinity(x, sigma: float | None = None,
     """(W, sigma): Gaussian weights w_ij = exp(-d_ij^2 / (2 sigma^2)) between
     columns of x on the graph's edges, and the bandwidth used.
 
-    The squared distances come from x a block of rows at a time, by the
-    products of ``median_pairwise_distance`` (each block's columns against
-    the columns from its first on), with for p > 0 those against the
-    columns before it; no (n, n) array is held. sigma None takes the
-    median nonzero pairwise distance, counted in the same walk, and fails
-    with BandwidthError when all points coincide; a given sigma must be
-    positive. neighborhood_p > 0 keeps edge i, j when i is among
-    the p nearest neighbors of j or vice versa; p = 0 keeps every pair. A
-    point is never its own neighbor, and among equally distant candidates
-    the one with the lowest column index is taken first, so coincident
-    points and tied distances give the same graph on every run. An edge's
-    weight is the distance in the row of its lower end when that end
-    chose it, else in the row of the other end.
+    The squared distances come from x a block of rows at a time, from the
+    walker ``median_pairwise_distance`` reads (``linalg._Distances``): each
+    block's columns against the columns from its first on, with for p > 0
+    those against the columns before it; no (n, n) array is held. sigma
+    None takes the median nonzero pairwise distance, counted in the same
+    walk, and fails with BandwidthError when all points coincide; a given
+    sigma must be positive. neighborhood_p > 0 keeps edge i, j when i is
+    among the p nearest neighbors of j or vice versa; p = 0 keeps every
+    pair. A point is never its own neighbor, and among equally distant
+    candidates the one with the lowest column index is taken first, so
+    coincident points and tied distances give the same graph on every
+    run. An edge's weight is the distance in the row of its lower end when
+    that end chose it, else in the row of the other end.
     """
-    x = _as_feature_matrix(x)
-    n = x.shape[1]
+    walk = _Distances(x)
+    n = walk.x.shape[1]
     if n < 2:
         raise ParameterError("affinity needs at least two samples")
     if sigma is not None and not sigma > 0.0:
@@ -92,39 +99,29 @@ def build_affinity(x, sigma: float | None = None,
     p = int(neighborhood_p)
     knn = 0 < p < n - 1
     count = _MedianCount() if sigma is None else None
-    rows, cols, w = _nearest_edges(x, p, count) if knn else _all_edges(x, count)
+    rows, cols, w = _nearest_edges(walk, p, count) if knn else _all_edges(walk, count)
     if count is not None:
         # The median's second pass, if it needs one: the same products again,
         # or for the complete graph the distances w holds.
-        again = ((_strict_upper(block, positive=True) for _, block in _upper_rows(x)) if knn
+        again = ((_strict_upper(block, positive=True) for _, block in walk.upper()) if knn
                  else (w[b][w[b] > 0.0] for b in _row_blocks(w.size, 1)))
         sigma = _nonzero_bandwidth(count.median(again))
     gaussian_in_place(w, sigma)
     return EdgeGraph(np.zeros(n), rows, cols, w), float(sigma)
 
 
-def _upper_rows(x: np.ndarray):
-    """``linalg._upper_rows`` through this module's ``pairwise_sq_dists`` binding.
-
-    Per row block, the distances from its columns to the columns from its first on.
-    """
-    n = x.shape[1]
-    for rows in _row_blocks(n, n):
-        yield rows, pairwise_sq_dists(x[:, rows], x[:, rows.start:])
-
-
-def _all_edges(x: np.ndarray, count: _MedianCount | None):
+def _all_edges(walk: _Distances, count: _MedianCount | None):
     """Every pair i < j in row order, as int32 index pairs, with its squared distance.
 
     Feeds the positive distances to the median's ``count`` unless None.
     """
-    n = x.shape[1]
+    n = walk.x.shape[1]
     idx = np.arange(n, dtype=np.int32)
     rows = np.repeat(idx, n - 1 - idx)
     cols = np.concatenate([idx[i + 1:] for i in range(n - 1)])
     d2 = np.empty(rows.size)
     at = 0
-    for _, block in _upper_rows(x):
+    for _, block in walk.upper():
         vals = _strict_upper(block)
         d2[at:at + vals.size] = vals
         at += vals.size
@@ -133,39 +130,34 @@ def _all_edges(x: np.ndarray, count: _MedianCount | None):
     return rows, cols, d2
 
 
-def _nearest_edges(x: np.ndarray, p: int, count: _MedianCount | None):
+def _nearest_edges(walk: _Distances, p: int, count: _MedianCount | None):
     """The symmetrized kNN union as int32 pairs i < j in row order, with squared distances.
 
-    A block's rows are its ``_upper_rows`` distances with the distances
-    to the columns before it in front. Each block of rows takes the p-th
-    smallest distance t by partition and keeps every column closer than
-    t; the rest of a row's p are its columns at exactly t, in index
-    order, as a stable argsort of the row would give. Each row emits its
-    p edges; a pair chosen from both ends keeps the lower end's distance.
-    Feeds the positive distances above the diagonal to the median's
-    ``count`` unless None.
+    Per block of rows, ``np.partition`` at p puts each row's p + 1
+    smallest distances first, the (p + 1)-th in place. Where the p-th of
+    them, t, is below the (p + 1)-th, the row's columns at or below t are
+    its p nearest, and no tie can change them. A row tied there takes its
+    columns closer than t, then the rest of its p from its columns at t,
+    in index order, as a stable argsort of the row would give. Each row
+    emits its p edges, rows in order; a pair chosen from both ends keeps
+    the lower end's distance. Feeds the positive distances above the
+    diagonal to the median's ``count`` unless None.
     """
-    n = x.shape[1]
+    n = walk.x.shape[1]
     heads, tails, dists = [], [], []
-    for rows, upper in _upper_rows(x):
-        if count is not None:
-            count.add(_strict_upper(upper, positive=True))
+    for rows, d in walk.full_rows():  # a point's distance to itself is +inf
         lo = rows.start
-        d = np.empty((upper.shape[0], n))
-        d[:, lo:] = upper
-        del upper
-        if lo:
-            d[:, :lo] = pairwise_sq_dists(x[:, rows], x[:, :lo])
-        own = np.arange(d.shape[0])
-        d[own, lo + own] = np.inf  # never its own neighbor
-        t = np.partition(d, p - 1, axis=1)[:, p - 1:p]
-        keep = d < t
-        tied = d == t
-        room = p - np.count_nonzero(keep, axis=1)
-        # Only rows with more columns at t than room rank them by index.
-        over = np.flatnonzero(np.count_nonzero(tied, axis=1) > room)
-        tied[over] &= np.cumsum(tied[over], axis=1) <= room[over, None]
-        keep |= tied
+        if count is not None:
+            count.add(_strict_upper(d[:, lo:], positive=True))
+        part = np.partition(d, p, axis=1)
+        t = part[:, :p].max(axis=1, keepdims=True)
+        keep = d <= t
+        tied = np.flatnonzero(t[:, 0] == part[:, p])
+        if tied.size:
+            d_tied, t_tied = d[tied], t[tied]
+            closer, at_t = d_tied < t_tied, d_tied == t_tied
+            room = p - np.count_nonzero(closer, axis=1)
+            keep[tied] = closer | (at_t & (np.cumsum(at_t, axis=1) <= room[:, None]))
         at = np.flatnonzero(keep)
         heads.append(lo + at // n)
         tails.append(at % n)
@@ -193,32 +185,64 @@ def _nonzero_bandwidth(sigma: float) -> float:
     return sigma
 
 
-def build_graphs(groups: np.ndarray, n_source: int, cross: np.ndarray,
-                 scale: np.ndarray) -> np.ndarray:
-    """D = S_x * (G - 1), the (n_s, n_t) cross block of a reweighted MMD operator.
+class CrossAffinity:
+    """W, the (n_s, n_t) source-by-target block of the Gaussian affinity of x, by rows.
 
-    ``groups`` is the packed group index and ``cross`` the source-by-target
-    block W of the Gaussian affinity of x, which is only read. G is
-    1/max(W, W_FLOOR) on same-class pairs and W on different-class pairs;
-    the floor only guards underflowed entries. ``scale`` is S_x, the C x C
-    source-by-target block of the reweighted table. D is built a block of
-    source rows at a time, so G and the class mask are never held whole.
+    Holds x, a C-ordered copy of its target columns (made once, so no
+    block copies them again) and sigma. ``w[rows]`` is W's rows for a
+    slice of source rows, made afresh: exp(d2 / (-2 sigma^2)) in place in
+    their ``pairwise_sq_dists`` to the target columns, which is the rbf
+    kernel's cross form of those columns. W is never held whole. An
+    (n_s, n_t) array reads the same way, so ``cross_rows`` takes either.
+    """
+
+    def __init__(self, x: np.ndarray, n_source: int, sigma: float):
+        self.x = x
+        self.target = np.ascontiguousarray(x[:, n_source:])
+        self.target.flags.writeable = False
+        self.sigma = sigma
+        self.shape = (n_source, self.target.shape[1])
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return gaussian_in_place(pairwise_sq_dists(self.x[:, rows], self.target), self.sigma)
+
+
+def cross_rows(affinity, groups: np.ndarray, n_source: int, scale: np.ndarray):
+    """(rows, D[rows]) per block of source rows of the cross block D of ``build_graphs``.
+
+    ``affinity`` is W, read a block of source rows at a time as
+    ``affinity[rows]``: a ``CrossAffinity`` or an (n_s, n_t) array. Each
+    block's W rows and D rows are the only (rows, n_t) arrays made.
+    """
+    for rows in _row_blocks(*affinity.shape):
+        yield rows, build_graphs(groups, n_source, affinity[rows], scale, rows)
+
+
+def build_graphs(groups: np.ndarray, n_source: int, cross: np.ndarray,
+                 scale: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """D = S_x * (G - 1) on the source rows ``rows`` of a reweighted MMD operator's cross block.
+
+    ``groups`` is the packed group index and ``cross`` those rows of the
+    source-by-target block W of the Gaussian affinity of x, which are only
+    read; by default, every row. G is 1/max(W, W_FLOOR) on same-class pairs
+    and W on different-class pairs; the floor only guards underflowed
+    entries. ``scale`` is S_x, the C x C source-by-target block of the
+    reweighted table. D is written in place in one array, so G is never
+    held.
     """
     c = scale.shape[0]
-    source, target = groups[:n_source], groups[n_source:] - c
+    source, target = groups[:n_source][rows], groups[n_source:] - c
     w = np.asarray(cross, dtype=float)
     if w.shape != (source.size, target.size):
         raise DimensionError(f"cross block shape {w.shape} does not match the pair's "
                              f"{(source.size, target.size)}")
-    d = _empty(w.shape)
-    for block in _row_blocks(n_source, target.size):
-        rows, w_rows, s = d[block], w[block], source[block]
-        # 1/W everywhere, then W back on different-class pairs.
-        np.maximum(w_rows, W_FLOOR, out=rows)
-        np.divide(1.0, rows, out=rows)
-        np.copyto(rows, w_rows, where=s[:, None] != target)
-        rows -= 1.0
-        rows *= scale[s][:, target]
+    # 1/W everywhere, then W back on different-class pairs. Row k of the
+    # C x n_t mask and scale is source class k's: a block takes whole rows.
+    d = np.maximum(w, W_FLOOR)
+    np.divide(1.0, d, out=d)
+    np.copyto(d, w, where=(np.arange(c)[:, None] != target)[source])
+    d -= 1.0
+    d *= scale[:, target][source]
     return d
 
 

@@ -23,6 +23,7 @@ import csv
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,12 @@ def _finish_domain(x_rows: np.ndarray, labels: np.ndarray | None, name: str):
 
 
 def _load_csv(path: Path):
+    """(x, y): the (rows, dims) features of a csv file and its int64 labels, or None.
+
+    The rows are parsed in C (``_parse_csv``) where that gives what the
+    line reader below gives; any other file, and any file with an error,
+    goes to the line reader, which names the line at fault.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -133,6 +140,12 @@ def _load_csv(path: Path):
         feat_cols = [i for i in range(n_cols) if i != label_col]
         if not feat_cols:
             raise FormatError(f"{path}: no feature columns")
+        parsed = _parse_csv(fh, n_cols, label_col)
+        if parsed is not None:
+            return parsed
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
         rows, labels = [], []
         for lineno, cells in enumerate(reader, start=2):
             if not cells:
@@ -158,6 +171,33 @@ def _load_csv(path: Path):
     x = np.asarray(rows, dtype=float)
     y = np.asarray(labels, dtype=np.int64) if label_col is not None else None
     return x, y
+
+
+def _parse_csv(fh, n_cols: int, label_col: int | None):
+    """The rows after the header as ``_load_csv`` returns them, parsed by ``np.loadtxt``, or None.
+
+    Features parse as ``float`` does (both round correctly), and labels as
+    strict int64: no float form, no overflow. loadtxt rejects what it reads
+    differently from the line reader (underscores, non-ASCII digits,
+    quotes), and a row of the wrong width fails the labelled record or the
+    shape check. Only a label in the last column is read here. None on any
+    error or warning (a file with no rows warns), and for a label
+    elsewhere.
+    """
+    if label_col not in (None, n_cols - 1):
+        return None
+    labeled = label_col is not None
+    dtype = np.dtype([("x", float, (n_cols - 1,)), ("y", np.int64)]) if labeled else float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(fh, delimiter=",", dtype=dtype, comments=None,
+                              ndmin=1 if labeled else 2)
+        except (ValueError, OverflowError, Warning):
+            return None
+    if labeled:
+        return np.ascontiguousarray(rows["x"]), np.ascontiguousarray(rows["y"])
+    return (rows, None) if rows.shape[1] == n_cols else None
 
 
 def _load_raw(path: Path):

@@ -6,11 +6,15 @@ dense arrays; problem sizes here are hundreds of samples, not millions.
 Every dense product goes through ``matmul`` and so, like every LAPACK
 call here, runs on scipy's BLAS.
 
-Distances are computed from x in place in their Gram product, and the
+Distances are computed from x in place in their Gram product. The
 passes over all pairs of columns (the median bandwidth here, the kNN
-graph in ``graphs``) take them a block of rows at a time
-(``_upper_rows``): rows lo.. against columns lo.., so no (n, n) array is
-held and every pass sees the same bits for a pair i < j from row i.
+graph in ``graphs``) read one walker, ``_Distances``, built once per x:
+it checks x and takes its column norms once, and yields the distances a
+block of rows at a time, rows lo.. against columns lo.. (``upper``) or
+against every column (``full_rows``). No (n, n) array is held, every
+pass sees the same bits for a pair i < j from row i, and every block is
+``pairwise_sq_dists`` of its rows and columns bit for bit off the
+diagonal.
 
 ``kernel_range`` finds the numerical range of the (n, n) kernel matrix
 K of x with a seeded randomized sketch of l = 160 columns, in O(n^2 l).
@@ -180,12 +184,14 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _sq_dists_in_place(g: np.ndarray, sq_rows: np.ndarray, sq_cols: np.ndarray,
-                       dim: int) -> None:
+                       dim: int, own: int | None = None) -> None:
     """g <- (sq_rows_i + sq_cols_j) + g_ij in place for g = -2 x^T y, cut below the error bound.
 
     An entry under 2 gamma_dim (sq_rows_i + sq_cols_j) is set to 0. Only
-    entries under the bound of their row's largest sum can be, so those
-    are found first and each is then held to its own bound.
+    entries under the bound of their row's largest sum can be, and only
+    rows whose least entry is, so those rows are scanned for them and each
+    is then held to its own bound. With ``own``, entry (i, i + own) pairs
+    a column with itself and is set to +inf before the scan.
     """
     eps = np.finfo(float).eps
     bound = 2.0 * dim * eps / (1.0 - dim * eps)
@@ -194,7 +200,15 @@ def _sq_dists_in_place(g: np.ndarray, sq_rows: np.ndarray, sq_cols: np.ndarray,
         block, sq = g[rows], sq_rows[rows]
         # (-2g) + s is s - 2g bit for bit: the sum is the same one.
         block += np.add(sq[:, None], sq_cols[None, :])
-        i, j = np.divmod(np.flatnonzero(block < bound * (sq[:, None] + widest)), block.shape[1])
+        if own is not None:
+            r = np.arange(block.shape[0])
+            c = rows.start + own + r
+            at = (c >= 0) & (c < block.shape[1])
+            block[r[at], c[at]] = np.inf
+        reach = bound * (sq + widest)
+        near = np.flatnonzero(block.min(axis=1, initial=np.inf) < reach)
+        i, j = np.divmod(np.flatnonzero(block[near] < reach[near, None]), block.shape[1])
+        i = near[i]
         cut = block[i, j] < bound * (sq[i] + sq_cols[j])
         block[i[cut], j[cut]] = 0.0
 
@@ -210,20 +224,64 @@ def _row_panels(n: int) -> list[slice]:
     return [slice(lo, min(lo + _PANEL_ROWS, n)) for lo in range(0, n, _PANEL_ROWS)]
 
 
-def _upper_rows(x: np.ndarray):
-    """(rows, d2) per row block of the (n, n) distances of x: rows lo.. from columns lo..
+class _Distances:
+    """The squared distances among the columns of one x, a block of rows at a time.
 
-    The distance passes over x all take these products, so the distances
-    above the diagonal that two passes see are the same bits: d2[r, c] is
-    the distance from column lo + r to column lo + c.
+    x is checked and its column norms taken once, and x^T is held
+    C-ordered, so a block costs its product and its add-and-cut pass.
+    Off the diagonal, the block of rows r and columns c is
+    ``pairwise_sq_dists(x[:, r], x[:, c])`` bit for bit: its left operand
+    is the C-ordered copy of x[:, r]^T that call makes, and its right
+    operand is passed as that call passes it, copied C-ordered unless
+    contiguous. A transposed view of x^T there would change dgemm's
+    transpose flag, and with it the bits. A column's distance to itself
+    reads +inf: the median reads only the pairs i < j, and the kNN graph
+    never takes a point as its own neighbor.
     """
-    n = x.shape[1]
-    for rows in _row_blocks(n, n):
-        yield rows, pairwise_sq_dists(x[:, rows], x[:, rows.start:])
+
+    def __init__(self, x):
+        self.x = _as_feature_matrix(x)
+        self.sq = _sq_norms(self.x)
+        self.xt = np.ascontiguousarray(self.x.T)
+
+    def block(self, rows: slice, cols: slice) -> np.ndarray:
+        """The (rows, cols) block of the distances, the self pairs at +inf."""
+        left = self.x[:, rows].T
+        if not (left.flags.c_contiguous or left.flags.f_contiguous):
+            left = self.xt[rows]
+        d2 = matmul(left, self.x[:, cols], alpha=-2.0)
+        _sq_dists_in_place(d2, self.sq[rows], self.sq[cols], self.x.shape[0],
+                           own=rows.start - cols.start)
+        return d2
+
+    def upper(self):
+        """(rows, d2) per row block: d2[r, c] is the distance from column lo + r to lo + c."""
+        n = self.x.shape[1]
+        for rows in _row_blocks(n, n):
+            yield rows, self.block(rows, slice(rows.start, n))
+
+    def full_rows(self):
+        """(rows, d2) per row block: d2[r, c] is the distance from column lo + r to c.
+
+        The columns from lo on are the ``upper`` block, those before lo a
+        product of their own; the mirror of an earlier upper block would
+        not be the same bits.
+        """
+        n = self.x.shape[1]
+        for rows, upper in self.upper():
+            lo = rows.start
+            if not lo:
+                yield rows, upper
+                continue
+            d2 = np.empty((upper.shape[0], n))
+            d2[:, lo:] = upper
+            del upper
+            d2[:, :lo] = self.block(rows, slice(0, lo))
+            yield rows, d2
 
 
 def _strict_upper(block: np.ndarray, positive: bool = False) -> np.ndarray:
-    """The entries (r, c), c > r, of an ``_upper_rows`` block, row by row.
+    """The entries (r, c), c > r, of an ``_Distances.upper`` block, row by row.
 
     Those are the distances of pairs i < j, each once. ``positive`` keeps
     only the entries > 0.
@@ -296,22 +354,22 @@ class _MedianCount:
 def median_pairwise_distance(x) -> float:
     """Median of the nonzero pairwise Euclidean distances between the columns of x.
 
-    Taken from x by row blocks of ``pairwise_sq_dists``, each block the
-    distances from its columns to those after it (``_upper_rows``); no
-    (n, n) array is held. A counting pass tallies the positive squared
-    distances by bucket (each bucket spans 1/16 of a binary octave), and
-    a second pass gathers the bucket or buckets holding the middle ranks
-    (``_MedianCount``). When the distances fit in one block the second
-    pass reads those kept from the first.
+    Taken from x by row blocks, each block the distances from its columns
+    to those after it (``_Distances.upper``); no (n, n) array is held. A
+    counting pass tallies the positive squared distances by bucket (each
+    bucket spans 1/16 of a binary octave), and a second pass gathers the
+    bucket or buckets holding the middle ranks (``_MedianCount``). When
+    the distances fit in one block the second pass reads those kept from
+    the first.
 
     Returns 0.0 when every pair of columns coincides; callers that need a
     positive bandwidth must treat that as an error.
     """
-    x = _as_feature_matrix(x)
+    walk = _Distances(x)
     count = _MedianCount()
-    for _, block in _upper_rows(x):
+    for _, block in walk.upper():
         count.add(_strict_upper(block, positive=True))
-    return count.median(_strict_upper(b, positive=True) for _, b in _upper_rows(x))
+    return count.median(_strict_upper(b, positive=True) for _, b in walk.upper())
 
 
 def _mirrored_tiles(a: np.ndarray):

@@ -31,13 +31,17 @@ tr((ZP) R (ZP)^T) = sum_k ||mu_s^k||^2 + sum_r ||mu_t^r||^2
 - 2 sum_(k, r) mu_s^k . mu_t^r, k and r over the classes in some pair.
 
 The boundary graphs reweight M entrywise on the cross-domain block only.
-The assembled operator (``MmdOperator``) holds that as
+The assembled operator (``MmdOperator``) reads that as
 M = P B P^T + [[0, D], [D^T, 0]]: B is the plain model's table and the
 (n_s, n_t) block D = S_x * (G - 1) scales the reweighted part S of it by
-the graph reweights G. ``graphs.build_graphs`` writes D straight from the
-affinity block W, so G itself is never held. A unit affinity gives
-G == 1, so D == 0 exactly and the reweighted model is the plain one bit
-for bit.
+the graph reweights G. D is never held: the operator reads it only
+through s_s D s_t^T and D x, and both are sums over blocks of source
+rows (Halko, Martinsson & Tropp, SIAM Review 2011, section 6, read
+matrix-free). Each block's rows of W come afresh from x, and
+``graphs.build_graphs`` writes D's rows straight from them
+(``graphs.cross_rows``), so neither W nor G is held either. A unit
+affinity gives G == 1, so D == 0 exactly and the reweighted model is
+the plain one bit for bit.
 """
 from __future__ import annotations
 
@@ -47,6 +51,7 @@ import numpy as np
 
 from .datamodel import DomainPair
 from .errors import StateError
+from .graphs import CrossAffinity, cross_rows
 from .linalg import matmul
 
 
@@ -94,33 +99,47 @@ def _repulsive(counts: np.ndarray, c: int) -> np.ndarray:
 class MmdOperator:
     """M = P B P^T + [[0, D], [D^T, 0]] over the packed order [source | target].
 
-    ``table`` is B, the 2C x 2C table of the plain model; ``cross`` is D,
-    the (n_s, n_t) block of ``graphs.build_graphs``, or None for an
-    unreweighted model.
+    ``table`` is B, the 2C x 2C table of the plain model. An unreweighted
+    model has no D: ``affinity`` and ``scale`` are None. Otherwise D's
+    rows are rebuilt a block of source rows at a time on every read
+    (``cross_rows``) from ``affinity``, the (n_s, n_t) block W read by rows
+    (``graphs.CrossAffinity`` or an array), and ``scale``, the C x C
+    source-by-target block S_x of the reweighted table.
     """
 
     groups: np.ndarray
     n_source: int
     table: np.ndarray
-    cross: np.ndarray | None = None
+    affinity: CrossAffinity | np.ndarray | None = None
+    scale: np.ndarray | None = None
+
+    def cross_rows(self):
+        """(rows, D[rows]) per block of source rows (``graphs.cross_rows``); reweighted only."""
+        return cross_rows(self.affinity, self.groups, self.n_source, self.scale)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """M x for an (n, m) x, from the group sums P^T x and, with a graph, D."""
+        """M x for an (n, m) x, from the group sums P^T x and, with a graph, D's row blocks."""
         sums = group_sums(x.T, self.groups, self.table.shape[0]).T
         out = matmul(self.table, sums)[self.groups]
-        if self.cross is not None:
+        if self.affinity is not None:
             ns = self.n_source
-            out[:ns] += matmul(self.cross, x[ns:])
-            out[ns:] += matmul(self.cross.T, x[:ns])
+            back = np.zeros((out.shape[0] - ns, out.shape[1]))
+            for rows, d in self.cross_rows():
+                out[rows] += matmul(d, x[ns:])
+                back += matmul(d.T, x[rows])
+            out[ns:] += back
         return out
 
     def sandwich(self, s: np.ndarray) -> np.ndarray:
-        """s M s^T from the group sums sP and, with a graph, the D block."""
+        """s M s^T from the group sums sP and, with a graph, s_s D summed over D's row blocks."""
         sp = group_sums(s, self.groups, self.table.shape[0])
         out = matmul(matmul(sp, self.table), sp.T)
-        if self.cross is not None:
+        if self.affinity is not None:
             ns = self.n_source
-            half = matmul(matmul(s[:, :ns], self.cross), s[:, ns:].T)
+            left = np.zeros((s.shape[0], s.shape[1] - ns))
+            for rows, d in self.cross_rows():
+                left += matmul(s[:, rows], d)
+            half = matmul(left, s[:, ns:].T)
             out += half + half.T
         return out
 

@@ -3,26 +3,27 @@
 An experiment runs several models over one pair under one config, and
 they all read the same input-space quantities: the packed features x, the
 bandwidth sigma, the numerical range U_r of the kernel matrix K, the
-source-by-target block of the Gaussian affinity behind the boundary
+source-by-target block W of the Gaussian affinity behind the boundary
 graphs, the fixed part of MEDA's system in the range of K, and the
 target's starting pseudo-labels. ``InputOperands`` builds each one the
 first time a cell asks for it and hands out read-only arrays, so a cell
-that writes into the affinity block raises instead of corrupting the
-cells after it.
+that writes into one raises instead of corrupting the cells after it.
 
-No (n, n) array is kept. K is read only through the range finder, which
-takes its products from x a panel of K's rows at a time and builds K
-whole only on its exact path (``linalg.kernel_range``). MEDA's
-normalized kNN Laplacian L only ever meets U_r, so its edge list gives
-L U_r a panel of L's rows at a time (``EdgeGraph.times``).
+No (n, n) or (ns, nt) array is kept. K is read only through the range
+finder, which takes its products from x a panel of K's rows at a time
+and builds K whole only on its exact path (``linalg.kernel_range``).
+MEDA's normalized kNN Laplacian L only ever meets U_r, so its edge list
+gives L U_r a panel of L's rows at a time (``EdgeGraph.times``). W is
+held as what rebuilds it (``graphs.CrossAffinity``): x, a C-ordered copy
+of the target columns and sigma, from which each read of a boundary
+operator takes W's rows a block of source rows at a time.
 
 The first build that needs a bandwidth resolves the median sigma, from
 x by row blocks (``linalg.median_pairwise_distance``, or inside the kNN
-affinity's own pass), and later builds reuse it. In every mode the
-affinity's cross block is exp(d2 / (-2 sigma^2)) of the (ns, nt)
-cross-form distances of the source and target columns, computed in place
-in that one array: bit for bit the rbf kernel's cross form
-``kernel_matrix(x_s, "rbf", sigma=sigma, y=x_t)``.
+affinity's own pass), and later builds reuse it. In every mode W's rows
+are exp(d2 / (-2 sigma^2)) of the cross-form distances of those source
+columns and the target columns, computed in place in one array: the rbf
+kernel's cross form ``kernel_matrix(x_s, "rbf", sigma=sigma, y=x_t)``.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ import numpy as np
 from .classify import nn_classify
 from .datamodel import AdaptConfig, DomainPair
 from .errors import ParameterError
-from .graphs import build_affinity, build_laplacian, median_bandwidth
-from .linalg import gaussian_in_place, kernel_range, matmul, pairwise_sq_dists
+from .graphs import CrossAffinity, build_affinity, build_laplacian, median_bandwidth
+from .linalg import kernel_range, matmul
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -50,7 +51,7 @@ class InputOperands:
         self._sigma = cfg.sigma
         self._range: tuple[np.ndarray, np.ndarray] | None = None
         self._range_terms: tuple[np.ndarray, np.ndarray] | None = None
-        self._affinity: np.ndarray | None = None
+        self._affinity: CrossAffinity | None = None
         self._initial: np.ndarray | None = None
 
     @classmethod
@@ -97,16 +98,13 @@ class InputOperands:
             self._range_terms = tuple(_read_only(a) for a in terms)
         return self._range_terms
 
-    def affinity(self) -> np.ndarray:
-        """The (ns, nt) cross block of the Gaussian affinity of x.
+    def affinity(self) -> CrossAffinity:
+        """W, the (ns, nt) cross block of the Gaussian affinity of x, read by source rows.
 
         The boundary graphs read nothing else of the affinity.
         """
         if self._affinity is None:
-            ns = self.pair.n_source
-            sigma = self._bandwidth()
-            w = pairwise_sq_dists(self.x[:, :ns], self.x[:, ns:])
-            self._affinity = _read_only(gaussian_in_place(w, sigma))
+            self._affinity = CrossAffinity(self.x, self.pair.n_source, self._bandwidth())
         return self._affinity
 
     def initial_labels(self) -> np.ndarray:

@@ -27,7 +27,8 @@ explicit n x n H, which the library never forms.
 ``dense_operator`` expands the engine's MMD operator to the (n, n) matrix
 M entry for entry; the tests use it wherever a test needs M itself.
 ``dense_boundary_block`` is the cross block D a reweighted operator must
-hold, bit for bit.
+rebuild, bit for bit; ``boundary_block`` stacks the operator's D from the
+row blocks it rebuilds on each read.
 
 ``dense_kernel`` builds the (n, n) K that the library reads only through
 ``linalg.kernel_range``, and ``dense_kernel_range`` is the full
@@ -236,21 +237,40 @@ def dense_boundary_block(pair: DomainPair, affinity: DenseAffinity, kind) -> np.
     return ((graphs.g_cg + graphs.g_sg)[:ns, ns:] - 1.0) * scaled[:ns, ns:]
 
 
+def boundary_block(op) -> np.ndarray | None:
+    """The (n_s, n_t) D of an ``mmd.MmdOperator``, stacked from its row blocks; None unreweighted.
+
+    The operator never holds D: it rebuilds its rows from W on each read
+    (``MmdOperator.cross_rows``), and these are those rows, in order.
+    """
+    if op.affinity is None:
+        return None
+    return np.concatenate([d for _, d in op.cross_rows()])
+
+
 def dense_operator(op) -> np.ndarray:
     """The (n, n) matrix M of an ``mmd.MmdOperator``, entry for entry.
 
     The table expanded over the group index, plus the D block on the
-    cross-domain block. Unreweighted, it equals the per-sample builders'
-    M exactly; reweighted, table + D can differ from their
-    m + G * c - s in the last bits, so the tests compare the table and D
-    with the per-sample terms separately.
+    cross-domain block, stacked from its row blocks (``boundary_block``).
+    Unreweighted, it equals the per-sample builders' M exactly;
+    reweighted, table + D can differ from their m + G * c - s in the last
+    bits, so the tests compare the table and D with the per-sample terms
+    separately.
     """
     out = op.table[op.groups][:, op.groups]
-    if op.cross is not None:
+    d = boundary_block(op)
+    if d is not None:
         ns = op.n_source
-        out[:ns, ns:] += op.cross
-        out[ns:, :ns] += op.cross.T
+        out[:ns, ns:] += d
+        out[ns:, :ns] += d.T
     return out
+
+
+def stacked_rows(affinity) -> np.ndarray:
+    """The (n_s, n_t) W that ``affinity[rows]`` reads, stacked from the row
+    blocks the boundary graphs read it in (``graphs.cross_rows``)."""
+    return np.concatenate([affinity[rows] for rows in _row_blocks(*affinity.shape)])
 
 
 def cross_block(pair: DomainPair, affinity: DenseAffinity) -> np.ndarray:

@@ -24,16 +24,18 @@ from dbmmd.adapt import (
 )
 from dbmmd.classify import hard_labels, nn_classify, one_hot
 from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pair
-from dbmmd.errors import NumericError, ParameterError, StateError, UnsupportedModelError
+from dbmmd.errors import (DimensionError, NumericError, ParameterError, StateError,
+                          UnsupportedModelError)
 from dbmmd.graphs import build_affinity, rcm_order
 from dbmmd.linalg import gen_eig_smallest, kernel_matrix, kernel_range, median_pairwise_distance
 from dbmmd.mmd import MmdOperator, build_all
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
-from dense_reference import (cross_block, dense_boundary_block, dense_build_affinity,
-                             dense_build_laplacian, dense_kernel, dense_kernel_range,
-                             dense_meda_solve, dense_meda_system, dense_operator)
+from dense_reference import (boundary_block, cross_block, dense_boundary_block,
+                             dense_build_affinity, dense_build_laplacian, dense_kernel,
+                             dense_kernel_range, dense_meda_solve, dense_meda_system,
+                             dense_operator)
 
 UNIT_AFFINITY = dict(sigma=float("inf"))
 
@@ -104,7 +106,7 @@ class TestAssembleDb:
         pair = labeled_pair(1)
         mats = build_all(pair)
         db = assemble_db(mats, None, ModelKind("JDA"))
-        assert db.cross is None
+        assert boundary_block(db) is None
         assert np.array_equal(db.table, mats.marginal + mats.conditional)
         assert np.array_equal(dense_operator(db), expand(mats, mats.marginal + mats.conditional))
 
@@ -141,7 +143,7 @@ class TestAssembleDb:
                     continue
                 reweighted = assemble_db(mats, cross, ModelKind(base, boundary))
                 assert np.array_equal(reweighted.table, plain.table), (base, boundary)
-                assert not np.any(reweighted.cross), (base, boundary)
+                assert not np.any(boundary_block(reweighted)), (base, boundary)
                 assert np.array_equal(dense_operator(reweighted),
                                       dense_operator(plain)), (base, boundary)
 
@@ -154,7 +156,7 @@ class TestAssembleDb:
         db = assemble_db(mats, cross, ModelKind("JDA", "DB"))
         cg = assemble_db(mats, cross, ModelKind("JDA", "CG"))
         assert np.array_equal(db.table, cg.table)
-        assert np.array_equal(db.cross, cg.cross)
+        assert np.array_equal(boundary_block(db), boundary_block(cg))
         assert np.array_equal(dense_operator(db), dense_operator(cg))
 
     def test_spirit_touches_only_masked_entries(self):
@@ -174,8 +176,8 @@ class TestAssembleDb:
         aff = dense_build_affinity(pair.packed_features())
         kind = ModelKind("CDDA", "DB")
         op = assemble_db(build_all(pair), cross_block(pair, aff), kind)
-        assert op.cross.tobytes() == dense_boundary_block(pair, aff, kind).tobytes()
-        assert np.any(op.cross != 0.0)
+        assert boundary_block(op).tobytes() == dense_boundary_block(pair, aff, kind).tobytes()
+        assert np.any(boundary_block(op) != 0.0)
 
     def test_reweighted_operator_allocates_no_ns_by_nt_array(self):
         # sandwich and matvec only read D: neither allocates an (n_s, n_t)
@@ -196,23 +198,32 @@ class TestAssembleDb:
             tracemalloc.stop()
         assert max(peaks) < 8 * pair.n_source * pair.n_target, peaks
 
-    def test_boundary_round_holds_one_ns_by_nt_array(self, monkeypatch):
-        # One CDDA+DB round's operator build: D is written a block of source
-        # rows at a time straight from W, so neither the reweights G nor an
-        # (n_s, n_t) class mask is ever held whole beside it. Traced in
-        # full: D would otherwise get a mapping tracemalloc does not see.
+    def test_boundary_round_holds_no_ns_by_nt_array(self, monkeypatch):
+        # One CDDA+DB round's operator build and both of its reads: W's and
+        # D's rows are rebuilt from x a block of source rows at a time, so
+        # no (n_s, n_t) array is made; the parent held W and D whole, at
+        # 1.0 x here each. Traced in full: an (n_s, n_t) array would
+        # otherwise get a mapping tracemalloc does not see.
         monkeypatch.setattr(linalg, "_MAPPED_BYTES", np.inf)
         pair = labeled_pair(14, n_s=1200, n_t=1200, class_count=4)
-        cross = InputOperands(pair, AdaptConfig()).affinity()
+        x = pair.packed_features()
+        affinity = InputOperands(pair, AdaptConfig()).affinity()
+        mats = build_all(pair)
+        vectors = np.random.default_rng(140).normal(size=(pair.n_total, 3))
+        peaks = []
         tracemalloc.start()
         try:
-            op = assemble_db(build_all(pair), cross, ModelKind("CDDA", "DB"))
-            peak = tracemalloc.get_traced_memory()[1]
+            op = assemble_db(mats, affinity, ModelKind("CDDA", "DB"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            for call in (lambda: op.sandwich(x), lambda: op.matvec(vectors)):
+                tracemalloc.reset_peak()
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         size = 8 * pair.n_source * pair.n_target
-        assert op.cross.nbytes == size
-        assert peak < 1.09 * size, peak / size
+        assert max(peaks) < 0.5 * size, [p / size for p in peaks]
+        assert boundary_block(op).shape == (pair.n_source, pair.n_target)
 
     def test_read_only_strided_affinity_is_not_written(self):
         # the graphs take any (ns, nt) W: here a read-only view that is
@@ -226,7 +237,7 @@ class TestAssembleDb:
         before = cross.copy()
         for base, boundary in (("JDA", "CG"), ("CDDA", "DB"), ("DGA-DA", "CG")):
             op = assemble_db(build_all(pair), cross, ModelKind(base, boundary))
-            assert np.any(op.cross != 0.0)
+            assert np.any(boundary_block(op) != 0.0)
         assert cross.tobytes() == before.tobytes()
 
     def test_trace_composition_oracle(self):
@@ -260,6 +271,15 @@ class TestAssembleDb:
         mats = build_all(pair)
         with pytest.raises(StateError):
             assemble_db(mats, None, ModelKind("CDDA", "DB"))
+
+    def test_misshapen_affinity_raises_before_any_read(self):
+        # D is only built when the operator is read, so W's shape is
+        # checked when the operator is assembled
+        pair = labeled_pair(9)
+        aff = dense_build_affinity(pair.packed_features())
+        for w in (aff.entries, cross_block(pair, aff).T):
+            with pytest.raises(DimensionError):
+                assemble_db(build_all(pair), w, ModelKind("CDDA", "DB"))
 
 
 class TestSolveProjection:

@@ -71,11 +71,11 @@ class TestNnClassify:
         d2 = t_sq[:, None] + q_sq[None, :] - 2.0 * matmul(train.T, query)
         assert np.array_equal(nn_classify(train, labels, query), np.argmin(d2, axis=0))
 
-    def test_one_train_by_query_array(self, monkeypatch):
-        # one m x q product; the expression and the argmin copy a block of
-        # query columns at a time. The out-of-place expression peaked at
-        # 3.0 x 8 m q traced bytes, this at 1.11 x. Traced in full: the
-        # product would otherwise get a mapping tracemalloc does not see.
+    def test_no_train_by_query_array(self, monkeypatch):
+        # each block of query columns takes its own m x (block) product, so
+        # no m x q array is made: the one product held whole peaked at
+        # 1.11 x 8 m q traced bytes. Traced in full: an m x q product would
+        # otherwise get a mapping tracemalloc does not see.
         monkeypatch.setattr(linalg, "_MAPPED_BYTES", np.inf)
         m = q = 1200
         rng = np.random.default_rng(12)
@@ -87,7 +87,24 @@ class TestNnClassify:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * 8 * m * q, peak / (8 * m * q)
+        assert peak < 0.5 * 8 * m * q, peak / (8 * m * q)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_exact_ties_across_query_blocks_go_to_the_lowest_index(self, offset):
+        # integer and half-integer coordinates make every distance exact on
+        # any BLAS and in any block shape, so ties are exact: each query
+        # coincides with (offset 0) or is equidistant from (offset 0.5)
+        # training points spread over the whole index range, and queries on
+        # both sides of each query-block boundary must take the first
+        m, q = 1500, 200
+        rng = np.random.default_rng(31)
+        train = rng.integers(0, 3, size=(2, m)).astype(float)
+        query = rng.integers(0, 3, size=(2, q)) + offset
+        assert len(linalg._row_blocks(q, m)) > 2
+        exact = ((train[:, :, None] - query[:, None, :]) ** 2).sum(axis=0)
+        nearest = exact == exact.min(axis=0)
+        assert np.all(nearest.sum(axis=0) > 1)
+        assert np.array_equal(nn_classify(train, np.arange(m), query), nearest.argmax(axis=0))
 
     def test_errors(self):
         with pytest.raises(DimensionError):

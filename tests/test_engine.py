@@ -4,7 +4,8 @@ For seeded random pairs (C from 1 to 5, with a class missing from the
 target pseudo-labels and the single-class pair among them), every base x
 boundary model must hold the dense reference exactly:
 its table expands to the plain model's matrix, and a reweighted model's
-cross block D is (G - 1) times the reweighted part S of the dense terms
+cross block D, stacked from the row blocks the operator rebuilds on each
+read, is (G - 1) times the reweighted part S of the dense terms
 (``dense_reference.dense_boundary_block``).
 Its left operand s M s^T and its product M x must match the dense
 products for primal and kernel data operands and for a block of vectors.
@@ -19,8 +20,9 @@ from dbmmd.datamodel import DomainPair, LabeledDomain, UnlabeledDomain
 from dbmmd.linalg import kernel_matrix
 from dbmmd.mmd import build_all
 
-from dense_reference import (cross_block, dense_assemble_db, dense_boundary_block,
-                             dense_build_affinity, dense_build_all, dense_build_graphs)
+from dense_reference import (boundary_block, cross_block, dense_assemble_db,
+                             dense_boundary_block, dense_build_affinity, dense_build_all,
+                             dense_build_graphs)
 
 KINDS = [
     ModelKind(base, boundary)
@@ -64,9 +66,10 @@ def test_operator_matches_dense_reference(seed):
         table = op.table[op.groups][:, op.groups]
         assert table.tobytes() == plain.tobytes(), case
         if reweighted:
-            assert op.cross.tobytes() == dense_boundary_block(pair, aff, kind).tobytes(), case
+            want_d = dense_boundary_block(pair, aff, kind)
+            assert boundary_block(op).tobytes() == want_d.tobytes(), case
         else:
-            assert op.cross is None, case
+            assert boundary_block(op) is None, case
         for name, s in operands.items():
             got, ref = op.sandwich(s), s @ want @ s.T
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (case, name)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-import dbmmd.graphs as graphs_module
+import dbmmd.linalg as linalg_module
 from dbmmd.datamodel import LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.errors import BandwidthError, DimensionError, ParameterError
 from dbmmd.graphs import W_FLOOR, EdgeGraph, build_affinity, build_graphs, build_laplacian, rcm_order
@@ -130,9 +130,9 @@ class TestBuildAffinity:
     def test_arguments_checked_before_the_distance_pass(self, monkeypatch):
         # a bad call fails in O(d n), before the O(d n^2) distances
         def no_distances(*blocks):
-            raise AssertionError("pairwise_sq_dists ran before the arguments were checked")
+            raise AssertionError("a distance block ran before the arguments were checked")
 
-        monkeypatch.setattr(graphs_module, "pairwise_sq_dists", no_distances)
+        monkeypatch.setattr(linalg_module._Distances, "block", no_distances)
         x = np.random.default_rng(19).normal(size=(2, 50))
         for sigma, p in ((0.0, 0), (-1.0, 5), (float("nan"), 5), (1.0, -1), (1.0, 2.5)):
             with pytest.raises(ParameterError):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import dbmmd.io as dbmmd_io
 from dbmmd.datamodel import LabeledDomain, UnlabeledDomain
 from dbmmd.errors import FormatError
 from dbmmd.io import atomic_write_text, load_features, save_features
@@ -116,6 +117,61 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="no such file"):
             load_features(tmp_path / "ghost.csv")
+
+    @pytest.mark.parametrize("text", [
+        "f0,f1,label\n0.1,-2e-300,3\n 1.,+.5,-4\n",
+        "f0,label\r\n1e308,9223372036854775807\r\n\r\n-0.0,-9223372036854775808\r\n",
+        "f0,label\r1,2\r3,4\r",
+        "label,f0\n1,2.5\n3,4.5\n",
+        "f0,f1\n1_0,2\n",
+        "f0,label\n1,5_0\n",
+        "f0,f1\n1.0,2.0",
+        "f0,f1\n1.0,2.0,3.0\n4.0,5.0,6.0\n",
+        "f0,f1,label\n1,2\n3,4\n",
+        "f0,label\n1,5.0\n",
+        "f0,label\n1,1e3\n",
+        "f0,f1\n1,2 # note\n",
+        'f0,f1\n"1",2\n',
+        "f0,f1\n1,2\n   \n",
+        "f0,f1\n1,\n",
+        "f0,f1\n",
+    ])
+    def test_parsed_rows_equal_the_line_reader(self, tmp_path, text, monkeypatch):
+        # a file loadtxt reads gives the line reader's arrays bit for bit,
+        # and one it cannot read the line reader's error, naming its line
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode())
+
+        def load():
+            try:
+                dom = load_features(path)
+            except FormatError as exc:
+                return str(exc)
+            labels = getattr(dom, "labels", None)
+            return type(dom), dom.features.tobytes(), None if labels is None else (
+                labels.tobytes(), dom.label_values)
+
+        fast = load()
+        monkeypatch.setattr(dbmmd_io, "_parse_csv", lambda *args: None)
+        assert fast == load()
+
+    def test_large_labelled_file_parses_without_the_line_reader(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(64, 300)), rng.integers(-3, 2**62, 300)
+        save_features(tmp_path / "big.csv", x, y)
+
+        parsed = []
+        parse = dbmmd_io._parse_csv
+
+        def recorded(*args):
+            parsed.append(parse(*args))
+            return parsed[-1]
+
+        monkeypatch.setattr(dbmmd_io, "_parse_csv", recorded)
+        dom = load_features(tmp_path / "big.csv")
+        assert parsed[0] is not None
+        assert dom.features.tobytes() == x.tobytes()
+        assert dom.label_values == tuple(sorted(set(y.tolist())))
 
 
 class TestRaw:

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +139,67 @@ class TestPairwiseSqDists:
             pairwise_sq_dists(np.ones(4))
         with pytest.raises(DimensionError):
             pairwise_sq_dists(np.ones((2, 3)), np.ones((3, 3)))
+
+
+def walker_x(d: int, n: int, kind: str) -> np.ndarray:
+    """A (d, n) x: normal, rounded to a grid (ties and coincident columns), or Fortran-ordered."""
+    x = np.random.default_rng(d * n).normal(size=(d, n))
+    if kind == "grid":
+        return np.round(2.0 * x)
+    return np.asfortranarray(x) if kind == "fortran" else x
+
+
+class TestDistanceWalker:
+    @pytest.mark.parametrize("kind", ["normal", "grid", "fortran"])
+    @pytest.mark.parametrize("d, n", [(64, 600), (2, 1800), (8, 700), (1, 300), (5, 200)])
+    def test_blocks_equal_pairwise_sq_dists_off_the_diagonal(self, d, n, kind):
+        # every block, upper and full-row, against the checked public call
+        # on the same rows and columns; only the self pairs differ (+inf)
+        x = walker_x(d, n, kind)
+        walk = linalg._Distances(x)
+        for rows, block in walk.upper():
+            want = pairwise_sq_dists(x[:, rows], x[:, rows.start:])
+            own = np.arange(block.shape[0])
+            assert np.all(block[own, own] == np.inf)
+            block[own, own] = want[own, own]
+            assert block.tobytes() == want.tobytes(), rows
+        for rows, block in walk.full_rows():
+            lo = rows.start
+            want = pairwise_sq_dists(x[:, rows], x[:, lo:])
+            if lo:
+                want = np.hstack([pairwise_sq_dists(x[:, rows], x[:, :lo]), want])
+            own = np.arange(block.shape[0])
+            assert np.all(block[own, lo + own] == np.inf)
+            block[own, lo + own] = want[own, lo + own]
+            assert block.tobytes() == want.tobytes(), rows
+
+    def test_rows_scanned_for_the_cut_hold_every_cut_entry(self):
+        # near-coincident columns far apart in index: their rows are the
+        # only ones the cut scans, and they still come out exactly 0
+        x = walker_x(16, 900, "normal")
+        x[:, 850] = x[:, 3]
+        x[:, 600] = x[:, 10] * (1.0 + 1e-17)
+        walk = linalg._Distances(x)
+        full = np.concatenate([block for _, block in walk.full_rows()])
+        assert full[3, 850] == full[850, 3] == full[10, 600] == full[600, 10] == 0.0
+        assert np.count_nonzero(full == 0.0) == 4
+        assert np.all(np.diag(full) == np.inf)
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_distance_walker_holds_on_nehalem_kernels():
+    # OpenBLAS's Nehalem kernels have no FMA, so their products round
+    # differently; the walker's blocks must still equal pairwise_sq_dists
+    # there bit for bit. A fresh interpreter, since the core type is read
+    # at load time.
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).relative_to(root)}::TestDistanceWalker"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=300)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-2000:]
 
 
 class TestMedianPairwiseDistance:

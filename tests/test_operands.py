@@ -15,13 +15,13 @@ from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pa
 from dbmmd.errors import BandwidthError, ParameterError
 from dbmmd.experiment import ExperimentSpec, run_experiment
 from dbmmd.graphs import build_affinity, build_laplacian
-from dbmmd.linalg import (kernel_matrix, kernel_range, matmul, median_pairwise_distance,
-                          pairwise_sq_dists)
+from dbmmd.linalg import (_row_blocks, kernel_matrix, kernel_range, matmul,
+                          median_pairwise_distance, pairwise_sq_dists)
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
 from dense_reference import (dense_build_affinity, dense_build_laplacian, dense_kernel_range,
-                             dense_matrix, dense_panel_product)
+                             dense_matrix, dense_panel_product, stacked_rows)
 
 RBF = AdaptConfig(k=2, lam=1.0, max_iter=2, kernel="rbf")
 
@@ -33,15 +33,24 @@ def pair_of(seed=5, per_class=15):
 
 
 def cross_affinity(pair, sigma):
-    """exp(-d^2 / (2 sigma^2)) over the (ns, nt) cross-form distances of the pair."""
+    """exp(-d^2 / (2 sigma^2)) over the (ns, nt) cross-form distances of the pair.
+
+    Taken by the blocks of source rows W is read in: a block's product can
+    round differently from the rows of one (ns, nt) product.
+    """
     x, ns = pair.packed_features(), pair.n_source
-    return np.exp(pairwise_sq_dists(x[:, :ns], x[:, ns:]) / (-2.0 * sigma * sigma))
+    return np.concatenate([np.exp(pairwise_sq_dists(x[:, rows], x[:, ns:]) / (-2.0 * sigma * sigma))
+                           for rows in _row_blocks(ns, pair.n_target)])
 
 
 def cross_kernel(pair, sigma):
-    """The rbf kernel's (ns, nt) cross form between the pair's source and target columns."""
+    """The rbf kernel's (ns, nt) cross form between the pair's source and target columns.
+
+    By the same blocks of source rows as ``cross_affinity``.
+    """
     x, ns = pair.packed_features(), pair.n_source
-    return kernel_matrix(x[:, :ns], "rbf", sigma=sigma, y=x[:, ns:])
+    return np.concatenate([kernel_matrix(x[:, rows], "rbf", sigma=sigma, y=x[:, ns:])
+                           for rows in _row_blocks(ns, pair.n_target)])
 
 
 def assert_near(got, want):
@@ -51,38 +60,35 @@ def assert_near(got, want):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts the builders the operands call, by name, and every distance product.
+    """Counts the builders the operands call, by name, and every distance pass over x.
 
-    The distance products are counted wherever they are made: in the
-    operands, in the median's and the affinity's row-block passes and in
-    the kernel. The pairs here are small enough for one row block, so a
-    pass over x is one product, and for K's exact path (n < 2 l), so K is
-    one ``kernel_matrix`` call.
+    The passes over the pairs of x (the median's and the kNN affinity's)
+    are counted by the blocks of their walker (``distance_block``), and
+    the kernel's products by ``pairwise_sq_dists``. ``cross_affinity``
+    counts the builds of what W's rows are read from; a boundary
+    operator reads them anew on each use, so those products are not
+    counted. The pairs here are small enough for one row block, so a pass
+    over x is one block, and for K's exact path (n < 2 l), so K is one
+    ``kernel_matrix`` call.
     """
     counts = {}
 
-    def count(module, name):
+    def count(module, name, key=None):
         fn = getattr(module, name)
 
         def counted(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
+            counts[key or name] = counts.get(key or name, 0) + 1
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
     for name in ("kernel_range", "build_affinity", "build_laplacian"):
         count(operands_module, name)
+    count(operands_module, "CrossAffinity", "cross_affinity")
     count(linalg_module, "kernel_matrix")
-    for module in (operands_module, graphs_module, linalg_module):
-        count(module, "pairwise_sq_dists")
-    median = graphs_module.median_pairwise_distance
-
-    def counted_median(*args, **kwargs):
-        counts["median"] = counts.get("median", 0) + 1
-        return median(*args, **kwargs)
-
-    # every median bandwidth, in or outside build_affinity, goes through graphs
-    monkeypatch.setattr(graphs_module, "median_pairwise_distance", counted_median)
+    count(linalg_module, "pairwise_sq_dists")
+    count(linalg_module._Distances, "block", "distance_block")
+    count(graphs_module, "median_pairwise_distance", "median")
     return counts
 
 
@@ -95,7 +101,7 @@ class TestValues:
         sigma = median_pairwise_distance(x)
         for ours, alone in zip(ops.kernel_range(), kernel_range(x, "rbf", sigma=sigma)):
             assert ours.tobytes() == alone.tobytes()
-        assert ops.affinity().tobytes() == cross_kernel(pair, sigma).tobytes()
+        assert stacked_rows(ops.affinity()).tobytes() == cross_kernel(pair, sigma).tobytes()
         # the affinity's own pass resolves the same median
         assert build_affinity(x, None, 0)[1] == sigma
 
@@ -104,7 +110,7 @@ class TestValues:
         # in either mode the rbf kernel's cross form of the source and target
         pair = pair_of()
         cfg = RBF.replace(sigma=0.7, kernel=kernel)
-        got = InputOperands(pair, cfg).affinity()
+        got = stacked_rows(InputOperands(pair, cfg).affinity())
         assert got.tobytes() == cross_kernel(pair, 0.7).tobytes()
         assert got.tobytes() == cross_affinity(pair, 0.7).tobytes()
 
@@ -127,22 +133,26 @@ class TestValues:
         assert_near(l_basis, matmul(dense, basis))
         # the bandwidth the Laplacian resolved is reused, not recomputed
         _, sigma = build_affinity(x, cfg.sigma, 0)
-        assert ops.affinity().tobytes() == cross_kernel(pair, sigma).tobytes()
+        assert ops.affinity().sigma == sigma
+        assert stacked_rows(ops.affinity()).tobytes() == cross_kernel(pair, sigma).tobytes()
 
     @pytest.mark.parametrize("kernel", ["rbf", "linear", "poly", "primal"])
     def test_affinity_holds_only_the_cross_block(self, kernel):
+        # only the cross block W, and that as what rebuilds its rows: x
+        # itself, a copy of the target columns and sigma; no (ns, nt)
+        # array, no K and no distances kept
         pair = pair_of(7, 100)
         ops = InputOperands(pair, AdaptConfig(kernel=kernel))
         cross = ops.affinity()
         ns, nt = pair.n_source, pair.n_target
         assert cross.shape == (ns, nt)
-        assert cross.nbytes == 8 * ns * nt
-        # its own array, or a view of one no larger: no K and no distances kept
-        owner = cross if cross.base is None else cross.base
-        assert owner.nbytes == 8 * ns * nt
+        assert cross.x is ops.x
+        assert cross.target.flags.c_contiguous
+        assert cross.target.tobytes() == ops.x[:, ns:].tobytes()
+        assert ops.affinity() is cross
         if kernel == "rbf":
             sigma = median_pairwise_distance(pair.packed_features())
-            assert cross.tobytes() == cross_kernel(pair, sigma).tobytes()
+            assert stacked_rows(cross).tobytes() == cross_kernel(pair, sigma).tobytes()
 
     def test_initial_labels_are_the_target_1nn_labels(self):
         pair = pair_of()
@@ -164,7 +174,7 @@ class TestValues:
 class TestSharing:
     def test_arrays_are_read_only(self):
         ops = InputOperands(pair_of(), RBF)
-        arrays = [ops.x, *ops.kernel_range(), ops.affinity(), *ops.range_terms()]
+        arrays = [ops.x, *ops.kernel_range(), ops.affinity().target, *ops.range_terms()]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -177,21 +187,23 @@ class TestSharing:
         ops = InputOperands(pair, RBF)
         for name in ("JDA", "JDA+CG", "MEDA", "MEDA+CG", "CDDA+DB"):
             run_adaptation(pair, RBF, ModelKind.parse(name), operands=ops)
-        # one pass each for the median, K, the kNN affinity and the cross
-        # block: the median's distances fit in one block, so its second pass
-        # reads them back
-        assert calls == {"pairwise_sq_dists": 4, "median": 1, "kernel_matrix": 1,
-                         "kernel_range": 1, "build_affinity": 1, "build_laplacian": 1}
+        # one pass each for the median and the kNN affinity, one product for
+        # K and one build of W's source: the median's distances fit in one
+        # block, so its second pass reads them back
+        assert calls == {"distance_block": 2, "pairwise_sq_dists": 1, "median": 1,
+                         "kernel_matrix": 1, "kernel_range": 1, "build_affinity": 1,
+                         "build_laplacian": 1, "cross_affinity": 1}
 
     def test_fixed_sigma_kernel_takes_one_distance_pass(self, calls):
         # a given sigma needs no median: the kernel takes one distance pass,
-        # for K on its exact path, and the affinity's cross block one more
+        # for K on its exact path, and W's rows are read from x
         pair = pair_of()
         cfg = RBF.replace(sigma=0.7)
         ops = InputOperands(pair, cfg)
         for name in ("JDA", "JDA+CG", "CDDA+DB"):
             run_adaptation(pair, cfg, ModelKind.parse(name), operands=ops)
-        assert calls == {"pairwise_sq_dists": 2, "kernel_matrix": 1, "kernel_range": 1}
+        assert calls == {"pairwise_sq_dists": 1, "kernel_matrix": 1, "kernel_range": 1,
+                         "cross_affinity": 1}
         want = dense_kernel_range(kernel_matrix(pair.packed_features(), "rbf", sigma=0.7))
         for ours, alone in zip(ops.kernel_range(), want):
             assert ours.tobytes() == alone.tobytes()
@@ -201,8 +213,9 @@ class TestSharing:
         spec = ExperimentSpec(models=("JDA", "JDA+CG", "MEDA", "MEDA+CG"), config=RBF,
                               output_dir=str(tmp_path / "out"), repeat=2, synthetic=recipe)
         assert run_experiment(spec).exit_code == 0
-        assert calls == {"pairwise_sq_dists": 8, "median": 2, "kernel_matrix": 2,
-                         "kernel_range": 2, "build_affinity": 2, "build_laplacian": 2}
+        assert calls == {"distance_block": 4, "pairwise_sq_dists": 2, "median": 2,
+                         "kernel_matrix": 2, "kernel_range": 2, "build_affinity": 2,
+                         "build_laplacian": 2, "cross_affinity": 2}
 
     def test_initial_labels_once_per_repeat(self, monkeypatch, tmp_path):
         scans = []
@@ -241,10 +254,11 @@ class TestSharing:
         assert_near(l_basis, matmul(dense, basis))
 
     def test_meda_cell_leaves_no_n_by_n_array_held(self, monkeypatch):
-        # neither K nor L is kept: between cells the operands hold the
-        # (ns, nt) affinity block, a quarter of 8 n^2 bytes here, and three
-        # (n, r) arrays, 0.48 x in all (K alone was 1.0 x). Traced in full,
-        # as no array gets a mapping.
+        # neither K nor L is kept, nor the (ns, nt) affinity block: between
+        # cells the operands hold three (n, r) arrays and what rebuilds W's
+        # rows, 0.23 x 8 n^2 bytes in all (K alone was 1.0 x, and with the
+        # held affinity block 0.48 x). Traced in full, as no array gets a
+        # mapping.
         monkeypatch.setattr(linalg_module, "_MAPPED_BYTES", np.inf)
         pair = pair_of(7, 100)
         n = pair.n_total
@@ -256,13 +270,14 @@ class TestSharing:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held < 0.6 * 8 * n * n, held / (8 * n * n)
+        assert held < 0.35 * 8 * n * n, held / (8 * n * n)
 
     def test_sketched_projection_cell_holds_no_n_by_n_array(self, monkeypatch):
         # rbf JDA+CG at n = 1200 >= 2 l: the range's panels, then the
-        # (ns, nt) affinity, a round's D and nn_classify's train-by-query
-        # product, a quarter of 8 n^2 bytes each: 0.92 x in all. With K and
-        # its symmetrized copy held, the peak was 2.3 x.
+        # rounds' row blocks of W and D and the 1-NN query blocks: 0.54 x
+        # 8 n^2 bytes. With the (ns, nt) affinity, a round's D and the
+        # train-by-query product held whole, a quarter of 8 n^2 each, it was
+        # 0.92 x, and with K and its symmetrized copy held 2.3 x.
         monkeypatch.setattr(linalg_module, "_MAPPED_BYTES", np.inf)
         pair = pair_of(7, 200)
         n = pair.n_total
@@ -273,7 +288,7 @@ class TestSharing:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.0 * 8 * n * n, peak / (8 * n * n)
+        assert peak < 0.7 * 8 * n * n, peak / (8 * n * n)
 
     def test_range_terms_hold_no_n_by_n_array(self, monkeypatch):
         # the kNN pass's row blocks and edges, then one (rows, n) panel of L
@@ -299,12 +314,12 @@ class TestSharing:
         assert calls == {}
 
     def test_boundary_cell_builds_only_the_cross_block(self, calls):
-        # the median's pass and the cross block's one product, and no
-        # affinity beyond the block
+        # the median's pass and the source of W's rows, and no affinity
+        # beyond the block
         pair = pair_of()
         cfg = RBF.replace(kernel="primal")
         run_adaptation(pair, cfg, ModelKind("CDDA", "DB"), operands=InputOperands(pair, cfg))
-        assert calls == {"pairwise_sq_dists": 2, "median": 1}
+        assert calls == {"distance_block": 1, "median": 1, "cross_affinity": 1}
 
     def test_complete_graph_range_terms_peak(self):
         # neighborhood_p = 0: the edge list of the complete graph, int32
@@ -345,19 +360,20 @@ class TestSharing:
             InputOperands(pair, RBF.replace(kernel="primal")).affinity()
         with pytest.raises(BandwidthError):
             InputOperands(pair, RBF).kernel_range()
-        assert np.all(InputOperands(pair, AdaptConfig(sigma=1.0)).affinity() == 1.0)
+        assert np.all(stacked_rows(InputOperands(pair, AdaptConfig(sigma=1.0)).affinity()) == 1.0)
         # K is all ones: one direction, of eigenvalue n
         ops = InputOperands(pair, RBF.replace(sigma=1.0))
-        assert np.all(ops.affinity() == 1.0)
+        assert np.all(stacked_rows(ops.affinity()) == 1.0)
         basis, w_r = ops.kernel_range()
         assert_allclose(w_r[-1], n, rtol=1e-12)
         assert_allclose(np.abs(basis[:, -1]), 1.0 / np.sqrt(n), rtol=1e-12)
 
-    def test_primal_cross_block_is_its_one_array(self, monkeypatch):
-        # exp(d2 / (-2 sigma^2)) in place in the cross-form product, after
-        # the median's row-block passes. Cut from the n x n distances it
-        # peaked at 5.0 x 8 ns nt traced bytes, now at 1.11 x. Traced in
-        # full: the block would otherwise get a mapping tracemalloc does not see.
+    def test_primal_affinity_holds_no_cross_block(self, monkeypatch):
+        # only the median's row-block passes and the copy of the target
+        # columns: 0.44 x 8 ns nt traced bytes. Cut from the n x n distances
+        # it peaked at 5.0 x, and with W held as one cross-form product at
+        # 1.11 x. Traced in full: an (ns, nt) array would otherwise get a
+        # mapping tracemalloc does not see.
         monkeypatch.setattr(linalg_module, "_MAPPED_BYTES", np.inf)
         ns = nt = 1200
         rng = np.random.default_rng(3)
@@ -370,7 +386,7 @@ class TestSharing:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * 8 * ns * nt, peak / (8 * ns * nt)
+        assert peak < 0.6 * 8 * ns * nt, peak / (8 * ns * nt)
 
     def test_coincident_points_raise_on_every_request(self):
         pair = make_pair(LabeledDomain(np.ones((2, 4)), np.array([0, 0, 1, 1])),

@@ -1,6 +1,7 @@
 """Smoke test of the command-line scripts under ``scripts/``."""
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,15 +22,27 @@ def test_run_benchmark_writes_both_summaries(tmp_path):
         assert summary.read_text() in out.stdout
 
 
-def test_make_golden_check_matches_the_fixture():
+def check_golden(env=None):
     fixture = SCRIPTS.parent / "tests" / "fixtures" / "golden.json"
     before = fixture.read_bytes()
     out = subprocess.run(
         [sys.executable, str(SCRIPTS / "make_golden.py"), "--check"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
     assert out.returncode == 0, out.stdout + out.stderr
     lines = out.stdout.splitlines()
     assert "labels, churns, fixed points, accuracies, configs and digests: match" in lines
     assert "objectives and eigenvalues within 1e-12 relative: match" in lines
     assert fixture.read_bytes() == before
+
+
+def test_make_golden_check_matches_the_fixture():
+    check_golden()
+
+
+def test_make_golden_check_matches_the_fixture_at_one_blas_thread():
+    # results must not depend on the BLAS thread count. The pool size is
+    # read at load time, hence the fresh interpreter. It runs the default
+    # kernels of the machine: the core type has its own check above.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    check_golden({**env, "OPENBLAS_NUM_THREADS": "1"})

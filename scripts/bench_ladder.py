@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run a named ladder of adaptation cells, each in a fresh process, and write BENCH_<label>.json.
 
-    python3 scripts/bench_ladder.py --label NAME [--top] [--cells NAME ...] [--out DIR]
+    python3 scripts/bench_ladder.py --label NAME [--top]
 
 A cell is one model on one seeded synthetic pair (rotation 30 degrees,
 noise 0.8, seed 7), run through ``adapt.run_adaptation``. Each cell runs
@@ -105,9 +105,6 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", help="writes BENCH_<label>.json")
     parser.add_argument("--top", action="store_true", help="add the n = 12000 cells")
-    parser.add_argument("--cells", nargs="+", metavar="NAME",
-                        help="run only these cells (default: every default cell)")
-    parser.add_argument("--out", default=str(ROOT), help="directory of the JSON file")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
     known = {**CELLS, **TOP_CELLS}
@@ -116,10 +113,7 @@ def main() -> int:
         return 0
     if not args.label:
         parser.error("--label is required")
-    names = args.cells or [*CELLS, *(TOP_CELLS if args.top else ())]
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        parser.error(f"unknown cells {unknown}; known: {sorted(known)}")
+    names = [*CELLS, *(TOP_CELLS if args.top else ())]
     env = dict(os.environ)
     threads = env.get("OPENBLAS_NUM_THREADS") or str(min(2, os.cpu_count() or 1))
     env.update({var: threads for var in THREAD_VARS})
@@ -144,7 +138,7 @@ def main() -> int:
                 "nproc": os.cpu_count(), "blas_threads": int(threads)},
         "cells": results,
     }
-    path = Path(args.out) / f"BENCH_{args.label}.json"
+    path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {path}")
     return 1 if any("error" in r for r in results.values()) else 0

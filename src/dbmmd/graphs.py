@@ -24,7 +24,7 @@ by ``pairwise_sq_dists``, D's from them by ``build_graphs``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -185,23 +185,32 @@ def _nonzero_bandwidth(sigma: float) -> float:
     return sigma
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CrossAffinity:
     """W, the (n_s, n_t) source-by-target block of the Gaussian affinity of x, by rows.
 
-    Holds x, a C-ordered copy of its target columns (made once, so no
-    block copies them again) and sigma. ``w[rows]`` is W's rows for a
-    slice of source rows, made afresh: exp(d2 / (-2 sigma^2)) in place in
-    their ``pairwise_sq_dists`` to the target columns, which is the rbf
-    kernel's cross form of those columns. W is never held whole. An
-    (n_s, n_t) array reads the same way, so ``cross_rows`` takes either.
+    Holds x, sigma and a read-only C-ordered copy of x's target columns
+    (made once, so no block copies them again); none of them can be
+    reassigned, so one instance is safe to share. ``w[rows]`` is W's rows
+    for a slice of source rows, made afresh: exp(d2 / (-2 sigma^2)) in
+    place in their ``pairwise_sq_dists`` to the target columns, which is
+    the rbf kernel's cross form of those columns. W is never held whole.
+    An (n_s, n_t) array reads the same way, so ``cross_rows`` takes either.
     """
 
-    def __init__(self, x: np.ndarray, n_source: int, sigma: float):
-        self.x = x
-        self.target = np.ascontiguousarray(x[:, n_source:])
-        self.target.flags.writeable = False
-        self.sigma = sigma
-        self.shape = (n_source, self.target.shape[1])
+    x: np.ndarray
+    n_source: int
+    sigma: float
+    target: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        target = np.ascontiguousarray(self.x[:, self.n_source:])
+        target.flags.writeable = False
+        object.__setattr__(self, "target", target)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n_source, self.target.shape[1]
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         return gaussian_in_place(pairwise_sq_dists(self.x[:, rows], self.target), self.sigma)

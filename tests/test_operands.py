@@ -181,6 +181,10 @@ class TestSharing:
                 a[0, 0] = 1.0
         with pytest.raises(ValueError):
             ops.initial_labels()[0] = 1
+        # the shared affinity's parts cannot be swapped out either
+        for name in ("x", "target", "sigma", "n_source"):
+            with pytest.raises(AttributeError):
+                setattr(ops.affinity(), name, getattr(ops.affinity(), name))
 
     def test_each_operand_is_built_once(self, calls):
         pair = pair_of()

@@ -1,8 +1,6 @@
 """Base classifiers: nearest neighbor, graph label propagation, accuracy."""
 from __future__ import annotations
 
-import mmap
-
 import numpy as np
 import scipy.linalg
 
@@ -82,11 +80,9 @@ def propagate_labels(laplacian: EdgeGraph, y0, mu: float) -> np.ndarray:
     at[order] = np.arange(n)
     i, j = at[laplacian.rows], at[laplacian.cols]
     # LAPACK lower band storage, entry (i, j), i >= j, at band[i - j, j], in
-    # Fortran order so that pbsv factors it without a copy. Its own zeroed
-    # anonymous mapping: once freed, its pages go back to the OS and do not
-    # stay resident on the malloc heap under later peaks.
+    # Fortran order so that pbsv factors it without a copy.
     rows = int(np.abs(i - j).max(initial=0)) + 1
-    band = np.frombuffer(mmap.mmap(-1, 8 * rows * n), dtype=float).reshape((rows, n), order="F")
+    band = np.zeros((rows, n), order="F")
     band[0] = laplacian.diag[order] + mu
     band[np.abs(i - j), np.minimum(i, j)] = laplacian.values
     try:

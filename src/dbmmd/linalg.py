@@ -1,8 +1,11 @@
 """Dense linear-algebra kernels used by every stage of the pipeline.
 
 Feature matrices follow the column-sample convention throughout: an
-``(l, n)`` array holds n samples of dimension l. All routines are plain
-dense arrays; problem sizes here are hundreds of samples, not millions.
+``(l, n)`` array holds n samples of dimension l. All routines take and
+return plain dense arrays, and every array they make is numpy's own, on
+the heap where tracemalloc sees it. Sizes run from a few hundred samples
+to the n = 12000 of the size ladder, so the passes over all pairs of
+columns work a block of rows at a time.
 Every dense product goes through ``matmul`` and so, like every LAPACK
 call here, runs on scipy's BLAS.
 
@@ -25,9 +28,6 @@ too wide for the sketch. The sketch's draws are fixed, so a result
 depends on x, the kernel and the BLAS alone.
 """
 from __future__ import annotations
-
-import math
-import mmap
 
 import numpy as np
 import scipy.linalg
@@ -61,43 +61,10 @@ _BLOCK = 1 << 16
 # whole (``_row_panels``): thin panels would read it again and again.
 _PANEL_ROWS = 256
 
-# Arrays of at least this many bytes that ``_empty`` gives get an
-# anonymous mapping of their own. Smaller ones stay on the heap, whose
-# free pages they can reuse. The arrays that reach it are the kernel's
-# (256, n) panels from n = 4096 and its (n, l) sketch products from
-# n = 6554; nothing in a primal run does. On the rbf JDA+CG and MEDA+CG
-# cells at n = 12000 (d = 2, C = 3, max_iter = 1, 2 BLAS threads) the
-# mapping holds max RSS at 129 MB against 143 MB on the heap, and costs
-# 0.7 to 1.3 s of 7 to 10 s in faulting fresh pages.
-_MAPPED_BYTES = 1 << 23
-
 # The median's buckets: the top 16 bits of a positive double's pattern
 # (the zero sign bit, 11 exponent bits and 4 mantissa bits), 2^15 in all.
 _BUCKET_SHIFT = 48
 _BUCKETS = 1 << (63 - _BUCKET_SHIFT)
-
-
-def _empty(shape: tuple[int, ...], order: str = "C") -> np.ndarray:
-    """np.empty(shape) of float64, in its own anonymous mapping from _MAPPED_BYTES on.
-
-    glibc serves a request below its dynamic mmap threshold from the brk
-    heap, and the threshold rises to the largest mapped block freed so far
-    (up to 32 MiB). Smaller arrays then carve up the holes a freed large
-    array leaves, the heap grows for the next one, and its pages stay
-    resident: the high-water mark depends on the allocation history. A
-    mapping's pages go back to the OS when the array is freed. Where the
-    OS offers it (Linux), they are faulted in by the one mmap call, which
-    costs about half the system time of faulting them a write at a time;
-    the caller writes every entry anyway.
-    """
-    nbytes = 8 * math.prod(shape)
-    if nbytes < _MAPPED_BYTES:
-        return np.empty(shape, order=order)
-    if hasattr(mmap, "MAP_POPULATE"):
-        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | mmap.MAP_POPULATE)
-    else:
-        buf = mmap.mmap(-1, nbytes)
-    return np.frombuffer(buf, dtype=float).reshape(shape, order=order)
 
 
 def _blas_operand(x: np.ndarray) -> tuple[np.ndarray, int]:
@@ -134,7 +101,7 @@ def matmul(a: np.ndarray, b: np.ndarray, alpha: float = 1.0) -> np.ndarray:
         raise DimensionError(f"matmul shapes {a.shape} and {b.shape} do not chain")
     # With beta = 0 dgemm writes every entry of c, so c is not zeroed first
     # (the array f2py would allocate is, at the cost of one more pass).
-    c = _empty((b.shape[1], a.shape[0]), order="F")
+    c = np.empty((b.shape[1], a.shape[0]), order="F")
     if c.size == 0:
         return c.T  # nothing to compute, and f2py rejects an empty c
     return blas.dgemm(alpha, bt, at, c=c, overwrite_c=True, trans_a=trans_a, trans_b=trans_b).T
@@ -505,7 +472,7 @@ def _kernel_times(x: np.ndarray, kind: str, sigma: float | None, degree: int,
     Each panel is the cross form ``kernel_matrix(x[:, rows], ..., y=x)``,
     so the (rows, n) panel is the largest array made.
     """
-    out = _empty((x.shape[1], m.shape[1]), order="F")
+    out = np.empty((x.shape[1], m.shape[1]), order="F")
     for rows in _row_panels(x.shape[1]):
         out[rows] = matmul(kernel_matrix(x[:, rows], kind, sigma=sigma, degree=degree, y=x), m)
     return out
@@ -541,12 +508,11 @@ def centering_matrix(s) -> np.ndarray:
     return s - s.mean(axis=1, keepdims=True)
 
 
-def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:
-    """A symmetrized copy of the square m, 0.5 * (m + m^T), or ParameterError.
+def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-10) -> None:
+    """ParameterError unless the square m is symmetric to within tol * max(1, max|m|).
 
     The scale max|m| and the largest |m - m^T| come from one walk of the
-    mirrored tiles, and the copy is symmetrized in place, so the copy is
-    the only n x n array made.
+    mirrored tiles, so no n x n array is made.
     """
     peak, skew = 0.0, 0.0
     for upper, lower in _mirrored_tiles(m):
@@ -554,7 +520,6 @@ def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray
         skew = max(skew, float(np.abs(upper - lower.T).max()))
     if skew > tol * max(1.0, peak):
         raise ParameterError(f"{name} operand must be symmetric")
-    return symmetrize_inplace(m.copy())
 
 
 def sign_flips(v: np.ndarray) -> np.ndarray:
@@ -568,18 +533,18 @@ def sign_flips(v: np.ndarray) -> np.ndarray:
     return np.where(peak < 0.0, -1.0, 1.0)
 
 
-def gen_eig_smallest(aop, bop, k: int,
-                     ridge: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def gen_eig_smallest(aop, bop, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k smallest eigenpairs of the symmetric pencil A v = w (B + ridge I) v.
 
     Parameters
     ----------
-    aop, bop : (n, n) symmetric arrays. B must be positive semi-definite;
-        the ridge makes the regularised operand definite.
+    aop, bop : (n, n) symmetric arrays, each checked to be symmetric to
+        within 1e-10 * max(1, max|entry|); eigh reads one triangle of
+        each. B must be positive semi-definite; the ridge
+        1e-9 * trace(B) / n makes the regularised operand definite, and
+        NumericError is raised when that is not positive (B is zero up
+        to round-off).
     k : number of pairs, 1 <= k <= n.
-    ridge : nonnegative shift added to B. None selects the default
-        relative ridge 1e-9 * trace(B) / n, and raises NumericError when
-        that is not positive (B is zero up to round-off).
 
     Returns (w, V): the k eigenvalues ascending and the C-ordered (n, k)
     eigenvectors as columns. Each column v is normalised so
@@ -597,18 +562,15 @@ def gen_eig_smallest(aop, bop, k: int,
     k = int(k)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ParameterError("pencil operands contain non-finite entries")
-    a = _check_symmetric(a, "left")
-    b = _check_symmetric(b, "right")
-    if ridge is None:
-        trace = float(np.trace(b))
-        ridge = DEFAULT_RIDGE_SCALE * trace / n
-        if not ridge > 0.0:  # a zero scatter (coincident points) has a trace of round-off
-            raise NumericError(
-                f"right operand is degenerate: the centered scatter has trace {trace:g}, "
-                f"so the default ridge {ridge:g} is not positive"
-            )
-    elif ridge < 0.0:
-        raise ParameterError(f"ridge must be nonnegative, got {ridge}")
+    _check_symmetric(a, "left")
+    _check_symmetric(b, "right")
+    trace = float(np.trace(b))
+    ridge = DEFAULT_RIDGE_SCALE * trace / n
+    if not ridge > 0.0:  # a zero scatter (coincident points) has a trace of round-off
+        raise NumericError(
+            f"right operand is degenerate: the centered scatter has trace {trace:g}, "
+            f"so the ridge {ridge:g} is not positive"
+        )
     b_reg = b + ridge * np.eye(n)
     try:
         w, v = scipy.linalg.eigh(a, b_reg, subset_by_index=(0, k - 1))

@@ -12,7 +12,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 import dbmmd
-from dbmmd import linalg
 from dbmmd.adapt import (
     _propagated_target_labels,
     _solve_with_escalation,
@@ -26,7 +25,7 @@ from dbmmd.classify import hard_labels, nn_classify, one_hot
 from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.errors import (DimensionError, NumericError, ParameterError, StateError,
                           UnsupportedModelError)
-from dbmmd.graphs import build_affinity, rcm_order
+from dbmmd.graphs import build_affinity, build_laplacian
 from dbmmd.linalg import gen_eig_smallest, kernel_matrix, kernel_range, median_pairwise_distance
 from dbmmd.mmd import MmdOperator, build_all
 from dbmmd.operands import InputOperands
@@ -198,13 +197,11 @@ class TestAssembleDb:
             tracemalloc.stop()
         assert max(peaks) < 8 * pair.n_source * pair.n_target, peaks
 
-    def test_boundary_round_holds_no_ns_by_nt_array(self, monkeypatch):
+    def test_boundary_round_holds_no_ns_by_nt_array(self):
         # One CDDA+DB round's operator build and both of its reads: W's and
         # D's rows are rebuilt from x a block of source rows at a time, so
-        # no (n_s, n_t) array is made; the parent held W and D whole, at
-        # 1.0 x here each. Traced in full: an (n_s, n_t) array would
-        # otherwise get a mapping tracemalloc does not see.
-        monkeypatch.setattr(linalg, "_MAPPED_BYTES", np.inf)
+        # no (n_s, n_t) array is made; held whole, W and D were 1.0 x here
+        # each.
         pair = labeled_pair(14, n_s=1200, n_t=1200, class_count=4)
         x = pair.packed_features()
         affinity = InputOperands(pair, AdaptConfig()).affinity()
@@ -724,28 +721,31 @@ class TestSolveWithEscalation:
 class TestPropagationMemory:
     def test_one_n_by_n_array_at_a_time(self):
         # the distances stream by row blocks, so no n x n array is traced:
-        # the peak is a row block of the neighbor pass, the edge list and
-        # (n, C) arrays (10.2 n^2 bytes while the distances were held whole).
-        # The band of mu I + L is an anonymous mapping, which tracemalloc
-        # does not see; it is allocated once the distance blocks are freed,
-        # so the two together bound the call's true peak.
+        # the graph phase peaks at a row block of the neighbor pass, the
+        # edge list and (n, C) arrays (10.2 n^2 bytes while the distances
+        # were held whole). The band of mu I + L is made once the distance
+        # blocks are freed, so the whole call peaks at most at the two
+        # together.
         ds = small_dataset(seed=41, per_class=200)
         pair = ds.pair.with_pseudo_labels(ds.target_truth)
         n = pair.n_total
         assert n == 1200
         z = np.random.default_rng(41).normal(size=(10, n))
+        cfg = AdaptConfig()
         tracemalloc.start()
         try:
-            labels = _propagated_target_labels(pair, z, AdaptConfig())
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks = []
+            for call in (lambda: build_laplacian(build_affinity(z, None, cfg.neighborhood_p)[0]),
+                         lambda: _propagated_target_labels(pair, z, cfg)):
+                tracemalloc.reset_peak()
+                out = call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                del out
         finally:
             tracemalloc.stop()
-        assert labels.shape == (pair.n_target,)
-        assert peak <= 2.8 * n * n, peak / (n * n)
-        graph, _ = build_affinity(z, None, AdaptConfig().neighborhood_p)
-        at = np.argsort(rcm_order(graph))
-        band = int(np.abs(at[graph.rows] - at[graph.cols]).max())
-        assert peak + 8 * (band + 1) * n <= 6.5 * n * n, (peak + 8 * (band + 1) * n) / (n * n)
+        graph, whole = peaks
+        assert graph <= 2.8 * n * n, graph / (n * n)
+        assert whole <= 6.5 * n * n, whole / (n * n)
 
     def test_cells_leave_scipy_sparse_unimported(self):
         # importing scipy.sparse costs megabytes of resident memory; a fresh

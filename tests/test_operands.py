@@ -257,13 +257,11 @@ class TestSharing:
         dense = dense_build_laplacian(dense_build_affinity(x, None, RBF.neighborhood_p))
         assert_near(l_basis, matmul(dense, basis))
 
-    def test_meda_cell_leaves_no_n_by_n_array_held(self, monkeypatch):
+    def test_meda_cell_leaves_no_n_by_n_array_held(self):
         # neither K nor L is kept, nor the (ns, nt) affinity block: between
         # cells the operands hold three (n, r) arrays and what rebuilds W's
         # rows, 0.23 x 8 n^2 bytes in all (K alone was 1.0 x, and with the
-        # held affinity block 0.48 x). Traced in full, as no array gets a
-        # mapping.
-        monkeypatch.setattr(linalg_module, "_MAPPED_BYTES", np.inf)
+        # held affinity block 0.48 x).
         pair = pair_of(7, 100)
         n = pair.n_total
         assert n >= 600
@@ -276,13 +274,12 @@ class TestSharing:
             tracemalloc.stop()
         assert held < 0.35 * 8 * n * n, held / (8 * n * n)
 
-    def test_sketched_projection_cell_holds_no_n_by_n_array(self, monkeypatch):
+    def test_sketched_projection_cell_holds_no_n_by_n_array(self):
         # rbf JDA+CG at n = 1200 >= 2 l: the range's panels, then the
         # rounds' row blocks of W and D and the 1-NN query blocks: 0.54 x
         # 8 n^2 bytes. With the (ns, nt) affinity, a round's D and the
         # train-by-query product held whole, a quarter of 8 n^2 each, it was
         # 0.92 x, and with K and its symmetrized copy held 2.3 x.
-        monkeypatch.setattr(linalg_module, "_MAPPED_BYTES", np.inf)
         pair = pair_of(7, 200)
         n = pair.n_total
         assert n == 1200
@@ -294,11 +291,10 @@ class TestSharing:
             tracemalloc.stop()
         assert peak < 0.7 * 8 * n * n, peak / (8 * n * n)
 
-    def test_range_terms_hold_no_n_by_n_array(self, monkeypatch):
+    def test_range_terms_hold_no_n_by_n_array(self):
         # the kNN pass's row blocks and edges, then one (rows, n) panel of L
         # at a time: 0.29 x; the scattered L alone was 1.0 x, and the call
         # peaked at 1.06 x
-        monkeypatch.setattr(linalg_module, "_MAPPED_BYTES", np.inf)
         pair = pair_of(7, 200)
         n = pair.n_total
         ops = InputOperands(pair, RBF)
@@ -372,13 +368,11 @@ class TestSharing:
         assert_allclose(w_r[-1], n, rtol=1e-12)
         assert_allclose(np.abs(basis[:, -1]), 1.0 / np.sqrt(n), rtol=1e-12)
 
-    def test_primal_affinity_holds_no_cross_block(self, monkeypatch):
+    def test_primal_affinity_holds_no_cross_block(self):
         # only the median's row-block passes and the copy of the target
         # columns: 0.44 x 8 ns nt traced bytes. Cut from the n x n distances
         # it peaked at 5.0 x, and with W held as one cross-form product at
-        # 1.11 x. Traced in full: an (ns, nt) array would otherwise get a
-        # mapping tracemalloc does not see.
-        monkeypatch.setattr(linalg_module, "_MAPPED_BYTES", np.inf)
+        # 1.11 x.
         ns = nt = 1200
         rng = np.random.default_rng(3)
         pair = make_pair(LabeledDomain(rng.normal(size=(64, ns)), np.arange(ns) % 3),

@@ -6,17 +6,18 @@ import scipy.linalg
 
 from .errors import DimensionError, NumericError, ParameterError
 from .graphs import EdgeGraph, rcm_order
-from .linalg import _row_blocks, matmul
+from .linalg import _row_blocks, pairwise_sq_dists
 
 
 def nn_classify(train_x, train_labels, query_x) -> np.ndarray:
     """1-NN labels for each column of query_x given labeled columns train_x.
 
-    Brute-force squared Euclidean scan: |t|^2 + |q|^2 - 2 t.q, written in
-    place into the train-by-query product of a block of query columns,
-    each block's argmin taken as it is done; no (train, query) array is
-    held. Distance ties go to the lowest training index, so results are
-    deterministic.
+    Brute-force squared Euclidean scan: the ``pairwise_sq_dists`` of a
+    block of query columns to every training column, each block's argmin
+    taken as it is done; no (query, train) array is held. Those distances
+    are cut to exactly 0 below their rounding error, so training columns
+    within rounding distance of a query tie, and ties go to the lowest
+    training index: which of them is taken does not depend on the BLAS.
     """
     train_x = np.asarray(train_x, dtype=float)
     query_x = np.asarray(query_x, dtype=float)
@@ -31,17 +32,9 @@ def nn_classify(train_x, train_labels, query_x) -> np.ndarray:
         raise ParameterError("need at least one training and one query sample")
     if train_labels.shape != (train_x.shape[1],):
         raise DimensionError("one training label per training column required")
-    t_sq = np.einsum("ij,ij->j", train_x, train_x)
-    q_sq = np.einsum("ij,ij->j", query_x, query_x)
-    train_t = train_x.T
-    if not (train_t.flags.c_contiguous or train_t.flags.f_contiguous):
-        train_t = np.ascontiguousarray(train_t)  # the copy matmul would make, made once
     nearest = np.empty(query_x.shape[1], dtype=np.intp)
     for cols in _row_blocks(query_x.shape[1], train_x.shape[1]):
-        block = matmul(train_t, query_x[:, cols], alpha=-2.0)
-        # -2g + (t + q) is (t + q) - 2g bit for bit: negation and doubling are exact.
-        block += t_sq[:, None] + q_sq[None, cols]
-        nearest[cols] = np.argmin(block, axis=0)
+        nearest[cols] = np.argmin(pairwise_sq_dists(query_x[:, cols], train_x), axis=1)
     return train_labels[nearest].astype(np.int64)
 
 

@@ -18,9 +18,10 @@ pairs are pushed harder, which is the stated intent of the construction.
 No graph here is held as an (n, n) or (n_s, n_t) array. The neighborhood
 graphs are edge lists (``EdgeGraph``), built from the distance walker of
 ``linalg`` a block of rows at a time. The cross block W behind the
-boundary graphs is held as what rebuilds it (``CrossAffinity``), and
-``cross_rows`` gives D a block of source rows at a time: W's rows from x
-by ``pairwise_sq_dists``, D's from them by ``build_graphs``.
+boundary graphs is held as what rebuilds it (``CrossAffinity``): W's
+rows for a block of source rows come from x by ``pairwise_sq_dists``,
+and ``build_graphs`` writes D's rows from them (read by
+``mmd.MmdOperator.cross_rows``).
 """
 from __future__ import annotations
 
@@ -28,10 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BandwidthError, DimensionError, ParameterError
+from .errors import DimensionError, ParameterError
 from .linalg import (_PANEL_ROWS, _Distances, _MedianCount, _row_blocks, _row_panels,
-                     _strict_upper, gaussian_in_place, matmul, median_pairwise_distance,
-                     pairwise_sq_dists)
+                     _strict_upper, gaussian_in_place, matmul, pairwise_sq_dists)
 
 # Floor for 1/W so underflowed affinities cannot blow up.
 W_FLOOR = 1e-6
@@ -105,7 +105,7 @@ def build_affinity(x, sigma: float | None = None,
         # or for the complete graph the distances w holds.
         again = ((_strict_upper(block, positive=True) for _, block in walk.upper()) if knn
                  else (w[b][w[b] > 0.0] for b in _row_blocks(w.size, 1)))
-        sigma = _nonzero_bandwidth(count.median(again))
+        sigma = count.median(again)
     gaussian_in_place(w, sigma)
     return EdgeGraph(np.zeros(n), rows, cols, w), float(sigma)
 
@@ -169,22 +169,6 @@ def _nearest_edges(walk: _Distances, p: int, count: _MedianCount | None):
     return low[first].astype(np.int32), high[first].astype(np.int32), dists[first]
 
 
-def median_bandwidth(x) -> float:
-    """Median nonzero pairwise distance between the columns of x.
-
-    The bandwidth of a kernel or affinity of x with no sigma given: fails
-    with BandwidthError when all points coincide, since a zero sigma has
-    no Gaussian.
-    """
-    return _nonzero_bandwidth(median_pairwise_distance(x))
-
-
-def _nonzero_bandwidth(sigma: float) -> float:
-    if sigma == 0.0:
-        raise BandwidthError("all points coincide; median bandwidth is zero")
-    return sigma
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class CrossAffinity:
     """W, the (n_s, n_t) source-by-target block of the Gaussian affinity of x, by rows.
@@ -194,8 +178,9 @@ class CrossAffinity:
     reassigned, so one instance is safe to share. ``w[rows]`` is W's rows
     for a slice of source rows, made afresh: exp(d2 / (-2 sigma^2)) in
     place in their ``pairwise_sq_dists`` to the target columns, which is
-    the rbf kernel's cross form of those columns. W is never held whole.
-    An (n_s, n_t) array reads the same way, so ``cross_rows`` takes either.
+    the rbf kernel of those columns against the target's. W is never held
+    whole. An (n_s, n_t) array reads the same way, so
+    ``mmd.MmdOperator.cross_rows`` takes either.
     """
 
     x: np.ndarray
@@ -214,17 +199,6 @@ class CrossAffinity:
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         return gaussian_in_place(pairwise_sq_dists(self.x[:, rows], self.target), self.sigma)
-
-
-def cross_rows(affinity, groups: np.ndarray, n_source: int, scale: np.ndarray):
-    """(rows, D[rows]) per block of source rows of the cross block D of ``build_graphs``.
-
-    ``affinity`` is W, read a block of source rows at a time as
-    ``affinity[rows]``: a ``CrossAffinity`` or an (n_s, n_t) array. Each
-    block's W rows and D rows are the only (rows, n_t) arrays made.
-    """
-    for rows in _row_blocks(*affinity.shape):
-        yield rows, build_graphs(groups, n_source, affinity[rows], scale, rows)
 
 
 def build_graphs(groups: np.ndarray, n_source: int, cross: np.ndarray,

@@ -9,23 +9,26 @@ columns work a block of rows at a time.
 Every dense product goes through ``matmul`` and so, like every LAPACK
 call here, runs on scipy's BLAS.
 
-Distances are computed from x in place in their Gram product. The
-passes over all pairs of columns (the median bandwidth here, the kNN
-graph in ``graphs``) read one walker, ``_Distances``, built once per x:
+Distances are computed in place in their Gram product, and
+``pairwise_sq_dists`` and ``kernel_matrix`` have one form, between the
+columns of an x and a y, y = x when none is given. The passes over all
+pairs of columns (the median bandwidth here, the kNN graph in
+``graphs``) read one walker, ``_Distances``, built once per x:
 it checks x and takes its column norms once, and yields the distances a
 block of rows at a time, rows lo.. against columns lo.. (``upper``) or
 against every column (``full_rows``). No (n, n) array is held, every
 pass sees the same bits for a pair i < j from row i, and every block is
 ``pairwise_sq_dists`` of its rows and columns bit for bit off the
-diagonal.
+diagonal. The median fails with BandwidthError when no pair of columns
+is apart, wherever it is taken.
 
 ``kernel_range`` finds the numerical range of the (n, n) kernel matrix
 K of x with a seeded randomized sketch of l = 160 columns, in O(n^2 l).
 The sketch reads K only through products, and takes each from x a panel
-of K's rows at a time (``kernel_matrix``'s cross form), so no (n, n)
-array is held; K is built and factored in full only when the range is
-too wide for the sketch. The sketch's draws are fixed, so a result
-depends on x, the kernel and the BLAS alone.
+of K's rows at a time (``kernel_matrix`` of some columns against all),
+so no (n, n) array is held; K is built and factored in full only when
+the range is too wide for the sketch. The sketch's draws are fixed, so a
+result depends on x, the kernel and the BLAS alone.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas
 
-from .errors import DimensionError, NumericError, ParameterError
+from .errors import BandwidthError, DimensionError, NumericError, ParameterError
 
 # Relative ridge applied to the right-hand pencil operand, the centered
 # scatter s H s^T of the (d, n) features or, in kernel mode, of the reduced
@@ -43,7 +46,7 @@ from .errors import DimensionError, NumericError, ParameterError
 # ridge keeps it definite there.
 DEFAULT_RIDGE_SCALE = 1e-9
 
-# Side of the square tiles ``_mirrored_tiles`` walks.
+# Side of the square tiles ``_check_symmetric`` walks.
 _TILE = 256
 
 # ``kernel_range``'s randomized range finder: the columns l of its
@@ -121,27 +124,19 @@ def _as_feature_matrix(x) -> np.ndarray:
 def pairwise_sq_dists(x, y=None) -> np.ndarray:
     """Squared Euclidean distances between the columns of ``x`` and ``y``.
 
-    With ``y`` None, the (n, n) distances among the columns of x: symmetric,
-    with an exactly zero diagonal. With ``y``, the (m, n') distances from
-    each column of the (d, m) x to each column of the (d, n') y.
+    The (m, n') distances from each column of the (d, m) x to each column
+    of the (d, n') y; with ``y`` None, y is x.
 
     Each entry is (|x_i|^2 + |y_j|^2) - 2 x_i.y_j, written in place into
     the one dgemm product -2 x^T y a block of rows at a time, so the only
     large array is the one returned. An entry below the rounding error of
     that expression, 2 gamma_d (|x_i|^2 + |y_j|^2) with
     gamma_d = d eps / (1 - d eps) (Higham 2002, section 3.1), is set to
-    0: coincident columns are exactly 0 apart on any BLAS, and no
-    distance is negative.
+    0: coincident columns are exactly 0 apart on any BLAS, a column's
+    distance to itself among them, and no distance is negative.
     """
     x = _as_feature_matrix(x)
-    if y is None:
-        d = matmul(x.T, x, alpha=-2.0)
-        sq = np.diag(d) / -2.0
-        _sq_dists_in_place(d, sq, sq, x.shape[0])
-        symmetrize_inplace(d)
-        np.fill_diagonal(d, 0.0)
-        return d
-    y = _as_feature_matrix(y)
+    y = x if y is None else _as_feature_matrix(y)
     if y.shape[0] != x.shape[0]:
         raise DimensionError(f"feature dims differ: {x.shape[0]} and {y.shape[0]}")
     d = matmul(x.T, y, alpha=-2.0)
@@ -296,19 +291,20 @@ class _MedianCount:
     def median(self, again) -> float:
         """Median of the square roots of the counted values.
 
-        ``again`` yields the same values again in blocks; it is read only
-        if they were not kept and there is at least one. The blocks'
-        entries in the bucket or buckets holding the middle ranks are
-        gathered, and a partition of those picks the middle value(s).
-        sqrt is monotone, so their square roots are the middle distances,
-        and the result equals np.median of all the square roots bit for
-        bit.
+        BandwidthError when none was counted: no pair of points is apart,
+        and a zero bandwidth has no Gaussian. ``again`` yields the same
+        values again in blocks; it is read only if they were not kept.
+        The blocks' entries in the bucket or buckets holding the middle
+        ranks are gathered, and a partition of those picks the middle
+        value(s). sqrt is monotone, so their square roots are the middle
+        distances, and the result equals np.median of all the square
+        roots bit for bit.
         """
         counts = self.counts
         cum = np.cumsum(counts)
         m = int(cum[-1])
         if m == 0:
-            return 0.0
+            raise BandwidthError("all points coincide; median bandwidth is zero")
         middle = np.array([(m - 1) // 2, m // 2])
         first, last = np.searchsorted(cum, middle, side="right")
         picked = []
@@ -333,39 +329,14 @@ def median_pairwise_distance(x) -> float:
     the distances fit in one block the second pass reads those kept from
     the first.
 
-    Returns 0.0 when every pair of columns coincides; callers that need a
-    positive bandwidth must treat that as an error.
+    The bandwidth of a kernel or affinity of x with no sigma given: fails
+    with BandwidthError when no pair of columns is apart.
     """
     walk = _Distances(x)
     count = _MedianCount()
     for _, block in walk.upper():
         count.add(_strict_upper(block, positive=True))
     return count.median(_strict_upper(b, positive=True) for _, b in walk.upper())
-
-
-def _mirrored_tiles(a: np.ndarray):
-    """Each pair (upper, lower) of mirrored square tiles of a, upper on or above the diagonal.
-
-    An (n, n) update that reads a^T a tile pair at a time needs no n x n
-    copy, which numpy makes when a whole-array operand overlaps its output.
-    """
-    n, t = a.shape[0], _TILE
-    for i in range(0, n, t):
-        for j in range(i, n, t):
-            yield a[i:i + t, j:j + t], a[j:j + t, i:i + t]
-
-
-def symmetrize_inplace(a: np.ndarray) -> np.ndarray:
-    """a <- 0.5 * (a + a^T) in place, one pair of mirrored tiles at a time.
-
-    Entry for entry equal to the out-of-place expression, without its two
-    n x n temporaries.
-    """
-    for upper, lower in _mirrored_tiles(a):
-        s = 0.5 * (upper + lower.T)
-        upper[...] = s
-        lower[...] = s.T
-    return a
 
 
 def gaussian_in_place(d2: np.ndarray, sigma: float) -> np.ndarray:
@@ -376,26 +347,22 @@ def gaussian_in_place(d2: np.ndarray, sigma: float) -> np.ndarray:
 
 def kernel_matrix(x, kind: str, *, sigma: float | None = None, degree: int = 2,
                   y=None) -> np.ndarray:
-    """Gram matrix of the columns of ``x`` under the named kernel, or its cross form.
+    """The (m, n') block k(x_i, y_j) of the named kernel between the columns of x and y.
 
     kind is one of "linear", "rbf" (needs sigma > 0, k = exp(-d^2 / 2 sigma^2))
-    or "poly" (degree >= 1, k = (x.y + 1)^degree). With ``y`` None, the
-    (n, n) K of the columns of x, exactly symmetric. With ``y``, the cross
-    form: the (m, n') block k(x_i, y_j) between the columns of the (d, m)
-    x and the (d, n') y, such as a panel of K's rows when y is every
-    column and x some of them. rbf takes its distances from
-    ``pairwise_sq_dists`` and its weights in place in that one array.
+    or "poly" (degree >= 1, k = (x.y + 1)^degree), x is (d, m) and y
+    (d, n'). With ``y`` None, y is x, and the result is the (n, n) K of
+    the columns of x, symmetric to within rounding; a panel of K's rows is
+    the block of some columns x against every column y. rbf takes its
+    distances from ``pairwise_sq_dists`` and its weights in place in that
+    one array.
     """
     x = _as_feature_matrix(x)
-    if y is not None:
-        y = _as_feature_matrix(y)
-        if y.shape[0] != x.shape[0]:
-            raise DimensionError(f"feature dims differ: {x.shape[0]} and {y.shape[0]}")
+    y = x if y is None else _as_feature_matrix(y)
+    if y.shape[0] != x.shape[0]:
+        raise DimensionError(f"feature dims differ: {x.shape[0]} and {y.shape[0]}")
     if kind == "linear":
-        if y is not None:
-            return matmul(x.T, y)
-        g = matmul(x.T, x)
-        return 0.5 * (g + g.T)
+        return matmul(x.T, y)
     if kind == "rbf":
         if sigma is None or not sigma > 0.0:
             raise ParameterError(f"rbf kernel needs sigma > 0, got {sigma}")
@@ -403,11 +370,7 @@ def kernel_matrix(x, kind: str, *, sigma: float | None = None, degree: int = 2,
     if kind == "poly":
         if int(degree) != degree or degree < 1:
             raise ParameterError(f"poly kernel needs integer degree >= 1, got {degree}")
-        if y is not None:
-            return (matmul(x.T, y) + 1.0) ** int(degree)
-        g = matmul(x.T, x)
-        g = 0.5 * (g + g.T)
-        return (g + 1.0) ** int(degree)
+        return (matmul(x.T, y) + 1.0) ** int(degree)
     raise ParameterError(f"unknown kernel kind {kind!r}")
 
 
@@ -446,9 +409,10 @@ def kernel_range(x, kind: str, *, sigma: float | None = None,
             return matmul(q, v[:, keep]), w[keep]
         del q, w, v  # saturated: freed before K is built
     k = kernel_matrix(x, kind, sigma=sigma, degree=degree)
-    # K is exactly symmetric as built, so its transpose is the same matrix
-    # in the Fortran order LAPACK factors in place: eigh copies nothing, and
-    # K is dropped before u[:, keep] copies the kept columns
+    # K's transpose is a Fortran-ordered view, which LAPACK factors in
+    # place: eigh copies nothing and reads the lower triangle of K^T, that
+    # is K's upper triangle, whose mirror K holds to within rounding. K is
+    # dropped before u[:, keep] copies the kept columns.
     w, u = scipy.linalg.eigh(k.T, overwrite_a=True)
     del k
     keep = _range_cut(w, n)
@@ -492,7 +456,7 @@ def _sketch(times, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     del omega
     q = _orth(times(q))
     b = matmul(q.T, times(q))
-    w, v = scipy.linalg.eigh(symmetrize_inplace(b), overwrite_a=True, check_finite=False)
+    w, v = scipy.linalg.eigh(0.5 * (b + b.T), overwrite_a=True, check_finite=False)
     return q, w, v
 
 
@@ -512,12 +476,16 @@ def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-10) -> None:
     """ParameterError unless the square m is symmetric to within tol * max(1, max|m|).
 
     The scale max|m| and the largest |m - m^T| come from one walk of the
-    mirrored tiles, so no n x n array is made.
+    pairs of mirrored square tiles, upper on or above the diagonal, so no
+    n x n array is made.
     """
+    n, t = m.shape[0], _TILE
     peak, skew = 0.0, 0.0
-    for upper, lower in _mirrored_tiles(m):
-        peak = max(peak, float(np.abs(upper).max()), float(np.abs(lower).max()))
-        skew = max(skew, float(np.abs(upper - lower.T).max()))
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            upper, lower = m[i:i + t, j:j + t], m[j:j + t, i:i + t]
+            peak = max(peak, float(np.abs(upper).max()), float(np.abs(lower).max()))
+            skew = max(skew, float(np.abs(upper - lower.T).max()))
     if skew > tol * max(1.0, peak):
         raise ParameterError(f"{name} operand must be symmetric")
 

@@ -39,7 +39,7 @@ through s_s D s_t^T and D x, and both are sums over blocks of source
 rows (Halko, Martinsson & Tropp, SIAM Review 2011, section 6, read
 matrix-free). Each block's rows of W come afresh from x, and
 ``graphs.build_graphs`` writes D's rows straight from them
-(``graphs.cross_rows``), so neither W nor G is held either. A unit
+(``MmdOperator.cross_rows``), so neither W nor G is held either. A unit
 affinity gives G == 1, so D == 0 exactly and the reweighted model is
 the plain one bit for bit.
 """
@@ -51,8 +51,8 @@ import numpy as np
 
 from .datamodel import DomainPair
 from .errors import StateError
-from .graphs import CrossAffinity, cross_rows
-from .linalg import matmul
+from .graphs import CrossAffinity, build_graphs
+from .linalg import _row_blocks, matmul
 
 
 def group_index(pair: DomainPair) -> np.ndarray:
@@ -114,8 +114,14 @@ class MmdOperator:
     scale: np.ndarray | None = None
 
     def cross_rows(self):
-        """(rows, D[rows]) per block of source rows (``graphs.cross_rows``); reweighted only."""
-        return cross_rows(self.affinity, self.groups, self.n_source, self.scale)
+        """(rows, D[rows]) per block of source rows; reweighted only.
+
+        Each block's W rows, ``affinity[rows]``, and D rows, written from them
+        by ``graphs.build_graphs``, are the only (rows, n_t) arrays made.
+        """
+        for rows in _row_blocks(*self.affinity.shape):
+            yield rows, build_graphs(self.groups, self.n_source, self.affinity[rows],
+                                     self.scale, rows)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """M x for an (n, m) x, from the group sums P^T x and, with a graph, D's row blocks."""

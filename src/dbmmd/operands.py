@@ -32,8 +32,8 @@ import numpy as np
 from .classify import nn_classify
 from .datamodel import AdaptConfig, DomainPair
 from .errors import ParameterError
-from .graphs import CrossAffinity, build_affinity, build_laplacian, median_bandwidth
-from .linalg import kernel_range, matmul
+from .graphs import CrossAffinity, build_affinity, build_laplacian
+from .linalg import kernel_range, matmul, median_pairwise_distance
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -67,7 +67,7 @@ class InputOperands:
     def _bandwidth(self) -> float:
         """sigma: the config's, or else the median pairwise distance of x, resolved once."""
         if self._sigma is None:
-            self._sigma = median_bandwidth(self.x)
+            self._sigma = median_pairwise_distance(self.x)
         return self._sigma
 
     def kernel_range(self) -> tuple[np.ndarray, np.ndarray]:

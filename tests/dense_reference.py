@@ -52,7 +52,7 @@ import numpy as np
 import scipy.linalg
 
 from dbmmd.datamodel import DomainPair
-from dbmmd.errors import ParameterError, StateError
+from dbmmd.errors import BandwidthError, ParameterError, StateError
 from dbmmd.graphs import W_FLOOR, EdgeGraph
 from dbmmd.linalg import _row_blocks, _row_panels, kernel_matrix, matmul, median_pairwise_distance
 
@@ -269,7 +269,7 @@ def dense_operator(op) -> np.ndarray:
 
 def stacked_rows(affinity) -> np.ndarray:
     """The (n_s, n_t) W that ``affinity[rows]`` reads, stacked from the row
-    blocks the boundary graphs read it in (``graphs.cross_rows``)."""
+    blocks the boundary graphs read it in (``MmdOperator.cross_rows``)."""
     return np.concatenate([affinity[rows] for rows in _row_blocks(*affinity.shape)])
 
 
@@ -284,31 +284,21 @@ def dense_centering_matrix(n: int) -> np.ndarray:
     return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
-def dense_pairwise_sq_dists(x, y=None) -> np.ndarray:
+def dense_pairwise_sq_dists(x, y) -> np.ndarray:
     """Squared distances between the columns of x and y, as one out-of-place expression.
 
     The Gram matrix is the library's own product: these bytes check the
     arithmetic around it, not the BLAS build under it. Entries below the
-    rounding bound 2 gamma_d (|x_i|^2 + |y_j|^2) are 0. With y None, the
-    norms are the Gram diagonal and the result is symmetrized with a zero
-    diagonal.
+    rounding bound 2 gamma_d (|x_i|^2 + |y_j|^2) are 0.
     """
     x = np.asarray(x, dtype=float)
-    if y is None:
-        g = matmul(x.T, x)
-        sq_x = sq_y = np.diag(g).copy()
-    else:
-        y = np.asarray(y, dtype=float)
-        g = matmul(x.T, y)
-        sq_x, sq_y = np.einsum("ij,ij->j", x, x), np.einsum("ij,ij->j", y, y)
-    s = sq_x[:, None] + sq_y[None, :]
+    y = np.asarray(y, dtype=float)
+    g = matmul(x.T, y)
+    s = np.einsum("ij,ij->j", x, x)[:, None] + np.einsum("ij,ij->j", y, y)[None, :]
     d = s - 2.0 * g
     eps = np.finfo(float).eps
     dim = x.shape[0]
     d[d < 2.0 * dim * eps / (1.0 - dim * eps) * s] = 0.0
-    if y is None:
-        d = 0.5 * (d + d.T)
-        np.fill_diagonal(d, 0.0)
     return d
 
 
@@ -336,7 +326,7 @@ def dense_median_pairwise_distance(d2: np.ndarray) -> float:
     vals = d2[np.triu_indices_from(d2, k=1)]
     vals = vals[vals > 0.0]
     if vals.size == 0:
-        return 0.0
+        raise BandwidthError("all points coincide; median bandwidth is zero")
     return float(np.median(np.sqrt(vals)))
 
 
@@ -443,13 +433,13 @@ def dense_kernel(x, cfg) -> np.ndarray:
 
 
 def dense_kernel_range(kmat) -> tuple[np.ndarray, np.ndarray]:
-    """(U_r, w_r) from one full eigh of the symmetrized K, cut at n * eps * max(w).
+    """(U_r, w_r) from one full eigh of K's upper triangle, cut at n * eps * max(w).
 
-    The library's exact path; it sketches the range instead wherever the
-    range is narrow next to n.
+    The library's exact path, which reads that triangle of K alone; it
+    sketches the range instead wherever the range is narrow next to n.
     """
     k = np.asarray(kmat, dtype=float)
-    w, u = scipy.linalg.eigh(0.5 * (k + k.T))
+    w, u = scipy.linalg.eigh(np.triu(k) + np.triu(k, 1).T)
     keep = w > k.shape[0] * np.finfo(float).eps * max(float(w[-1]), 0.0)
     return u[:, keep], w[keep]
 

@@ -12,10 +12,9 @@ from dbmmd.classify import accuracy, hard_labels, nn_classify, one_hot, propagat
 from dbmmd.errors import DimensionError, NumericError, ParameterError
 from dbmmd.graphs import EdgeGraph, build_affinity, build_laplacian
 from dbmmd import linalg
-from dbmmd.linalg import matmul
 
-from dense_reference import (dense_build_affinity, dense_build_laplacian, dense_propagate_labels,
-                             edge_graph, propagation_tolerance)
+from dense_reference import (dense_build_affinity, dense_build_laplacian, dense_pairwise_sq_dists,
+                             dense_propagate_labels, edge_graph, propagation_tolerance)
 
 
 class TestNnClassify:
@@ -57,8 +56,9 @@ class TestNnClassify:
 
     @pytest.mark.parametrize("m, q, grid", [(40, 3000, False), (700, 500, False), (300, 400, True)])
     def test_labels_of_the_out_of_place_expression(self, m, q, grid):
-        # the in-place blocks give the same distances, bit for bit, so the
-        # same argmin, ties included: grid points tie and coincide
+        # the query blocks give the distances of the out-of-place expression,
+        # bit for bit, so the same argmin, ties included: grid points tie
+        # and coincide
         rng = np.random.default_rng(m + q)
         if grid:
             train, query = rng.integers(0, 4, size=(2, m)), rng.integers(0, 4, size=(2, q))
@@ -66,10 +66,24 @@ class TestNnClassify:
         else:
             train, query = rng.normal(size=(5, m)), rng.normal(size=(5, q))
         labels = np.arange(m)
-        t_sq = np.einsum("ij,ij->j", train, train)
-        q_sq = np.einsum("ij,ij->j", query, query)
-        d2 = t_sq[:, None] + q_sq[None, :] - 2.0 * matmul(train.T, query)
-        assert np.array_equal(nn_classify(train, labels, query), np.argmin(d2, axis=0))
+        d2 = dense_pairwise_sq_dists(query, train)
+        assert np.array_equal(nn_classify(train, labels, query), np.argmin(d2, axis=1))
+
+    @pytest.mark.parametrize("d", [2, 5, 16, 64])
+    def test_points_within_rounding_distance_tie_to_the_lowest_index(self, d):
+        # three training columns a relative 1e-15 from the query are within
+        # the rounding error of their distances to it, which rounding noise
+        # would otherwise order: they are exactly 0 apart on any BLAS, and
+        # the lowest index among them wins wherever they sit among the rest
+        rng = np.random.default_rng(d)
+        for _ in range(50):
+            query = rng.normal(size=(d, 1)) * 10.0 ** rng.uniform(-3, 3)
+            near = query * (1.0 + 1e-15 * rng.normal(size=(d, 3)))
+            far = query + np.abs(query).max() * rng.normal(size=(d, 5))
+            order = rng.permutation(8)
+            train = np.hstack([near, far])[:, order]
+            first = int(np.flatnonzero(order < 3)[0])
+            assert nn_classify(train, np.arange(8), query)[0] == first
 
     def test_no_train_by_query_array(self):
         # each block of query columns takes its own m x (block) product, so

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import blas
 
 from dbmmd import linalg
-from dbmmd.errors import DimensionError, NumericError, ParameterError
+from dbmmd.errors import BandwidthError, DimensionError, NumericError, ParameterError
 from dbmmd.linalg import (
     centering_matrix,
     gen_eig_smallest,
@@ -104,7 +104,7 @@ class TestPairwiseSqDists:
         rng = np.random.default_rng(n)
         x = rng.normal(size=(8, n))
         d = pairwise_sq_dists(x)
-        expect = dense_pairwise_sq_dists(x)
+        expect = dense_pairwise_sq_dists(x, x)
         assert d.tobytes() == expect.tobytes()
         k = n // 3
         assert pairwise_sq_dists(x[:, :k], x[:, k:]).tobytes() == \
@@ -208,8 +208,9 @@ class TestMedianPairwiseDistance:
         # distances: {0, 5, 5} -> median of nonzero = 5
         assert median_pairwise_distance(x) == 5.0
 
-    def test_all_coincident_is_zero(self):
-        assert median_pairwise_distance(np.ones((2, 4))) == 0.0
+    def test_all_coincident_has_no_median(self):
+        with pytest.raises(BandwidthError, match="all points coincide"):
+            median_pairwise_distance(np.ones((2, 4)))
 
     def test_odd_and_even_pair_counts(self):
         # 3 pairs {1, 3, 2}: the middle one
@@ -221,10 +222,13 @@ class TestMedianPairwiseDistance:
         # 10 pairs, two coincident: {1, 1, 1, 1, 4, 4, 5, 5} leaves an even count
         assert median_pairwise_distance([[0.0, 0.0, 1.0, 1.0, 5.0]]) == 2.5
 
-    def test_all_coincident_precomputed_is_zero(self):
-        assert median_of_sq_dists(np.zeros((5, 5))) == 0.0
-        assert median_of_sq_dists(np.zeros((1, 1))) == 0.0
-        assert median_pairwise_distance(np.zeros((3, 1))) == 0.0
+    def test_all_coincident_precomputed_has_no_median(self):
+        # no pair apart, or no pair at all
+        for d2 in (np.zeros((5, 5)), np.zeros((1, 1))):
+            with pytest.raises(BandwidthError):
+                median_of_sq_dists(d2)
+        with pytest.raises(BandwidthError):
+            median_pairwise_distance(np.zeros((3, 1)))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_precomputed_matches_recomputed_and_oracle(self, seed):
@@ -249,14 +253,19 @@ class TestMedianPairwiseDistance:
 
     @pytest.mark.parametrize("x", [
         [[0.0, 2.0]],  # n = 2, one pair
-        [[1.0, 1.0, 1.0, 1.0, 1.0]],  # all points coincident: 0.0
+        [[1.0, 1.0, 1.0, 1.0, 1.0]],  # all points coincident: BandwidthError
         [[0.0, 0.0, 0.0, 3.0, 3.0]],  # one positive value among zeros
         [[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]],  # square corners: two values
         [[0.0, 1.0, 0.5], [0.0, 0.0, 0.75 ** 0.5]],  # equilateral: all distances equal
     ])
     def test_blocked_selection_on_small_cases(self, x):
         x = np.array(x)
-        assert median_pairwise_distance(x) == dense_median_pairwise_distance(dense_distance_rows(x))
+        d2 = dense_distance_rows(x)
+        if not (d2 > 0.0).any():
+            with pytest.raises(BandwidthError):
+                median_pairwise_distance(x)
+            return
+        assert median_pairwise_distance(x) == dense_median_pairwise_distance(d2)
 
     def test_one_positive_pair(self):
         d2 = np.zeros((5, 5))
@@ -455,7 +464,7 @@ class TestKernelRange:
 
     def test_one_symmetrized_copy_and_the_basis(self):
         # r = 551 of 600 saturates the sketch, which is freed before K is
-        # built; K, exactly symmetric as built, is factored in place, and
+        # built; K is factored in place, its upper triangle read, and
         # besides it the call holds only the eigenvectors and LAPACK workspace
         n = 600
         x = np.random.default_rng(72).normal(size=(3, n))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import dbmmd.graphs as graphs_module
 import dbmmd.linalg as linalg_module
 import dbmmd.operands as operands_module
 from dbmmd.adapt import ModelKind, run_adaptation
@@ -88,7 +87,7 @@ def calls(monkeypatch):
     count(linalg_module, "kernel_matrix")
     count(linalg_module, "pairwise_sq_dists")
     count(linalg_module._Distances, "block", "distance_block")
-    count(graphs_module, "median_pairwise_distance", "median")
+    count(operands_module, "median_pairwise_distance", "median")
     return counts
 
 
@@ -393,3 +392,26 @@ class TestSharing:
         for request in (ops.kernel_range, ops.affinity, ops.range_terms, ops.kernel_range):
             with pytest.raises(BandwidthError):
                 request()
+
+
+def rbf_operands(x: np.ndarray) -> InputOperands:
+    """Median-sigma rbf operands of x's first half as source, its second as target."""
+    half = x.shape[1] // 2
+    pair = make_pair(LabeledDomain(x[:, :half], np.arange(half) % 2),
+                     UnlabeledDomain(x[:, half:]))
+    return InputOperands(pair, RBF)
+
+
+@pytest.mark.parametrize("entry", [
+    median_pairwise_distance,
+    lambda x: build_affinity(x, None, 0),
+    lambda x: build_affinity(x, None, 5),
+    lambda x: rbf_operands(x).kernel_range(),
+    lambda x: rbf_operands(x).affinity(),
+], ids=["median", "complete-affinity", "knn-affinity", "kernel-range", "cross-affinity"])
+def test_every_median_fails_on_coincident_points(entry):
+    # one column repeated: the distances round to within their error bound,
+    # which is cut to 0, so no pair is apart and no bandwidth exists
+    x = np.tile(np.random.default_rng(8).normal(size=(16, 1)), (1, 8))
+    with pytest.raises(BandwidthError, match="all points coincide"):
+        entry(x)

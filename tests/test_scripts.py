@@ -1,6 +1,7 @@
 """Smoke test of the command-line scripts under ``scripts/``."""
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -46,3 +47,16 @@ def test_make_golden_check_matches_the_fixture_at_one_blas_thread():
     # kernels of the machine: the core type has its own check above.
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     check_golden({**env, "OPENBLAS_NUM_THREADS": "1"})
+
+
+def test_bench_ladder_child_records_every_documented_field():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_ladder.py"), "--child", "small300-JDA+CG"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    record = json.loads(out.stdout.strip().splitlines()[-1])
+    # the fields the script's docstring lists per cell
+    for field in ("wall_s", "max_rss_mb", "labels_sha256", "rounds", "churns", "accuracy"):
+        assert field in record, field
+    assert record["rounds"] == len(record["churns"])

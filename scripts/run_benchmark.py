@@ -15,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dbmmd.datamodel import AdaptConfig
-from dbmmd.experiment import ExperimentSpec, run_experiment
+from dbmmd.experiment import DatasetSpec, ExperimentSpec, run_experiment
 from dbmmd.synthetic import SyntheticRecipe
 
 RECIPE = SyntheticRecipe(
@@ -44,14 +44,14 @@ def main() -> int:
         ),
         config=AdaptConfig(k=2, lam=1.0, max_iter=10),
         output_dir=str(out / "projection"),
-        synthetic=RECIPE,
+        dataset=DatasetSpec(synthetic=RECIPE),
         repeat=args.repeat,
     )
     risk = ExperimentSpec(
         models=("MEDA", "MEDA+CG"),
         config=AdaptConfig(k=2, lam=1.0, max_iter=10, kernel="rbf"),
         output_dir=str(out / "structural_risk"),
-        synthetic=RECIPE,
+        dataset=DatasetSpec(synthetic=RECIPE),
         repeat=args.repeat,
     )
 

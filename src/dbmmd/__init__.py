@@ -28,7 +28,8 @@ from .errors import (
     StateError,
     UnsupportedModelError,
 )
-from .experiment import ExperimentSpec, rerender_summary, run_experiment, write_synthetic_files
+from .experiment import (DatasetSpec, ExperimentSpec, rerender_summary, run_experiment,
+                         write_synthetic_files)
 from .io import load_features, save_features
 from .synthetic import SyntheticDataset, SyntheticRecipe, generate_synthetic
 
@@ -38,6 +39,7 @@ __all__ = [
     "AdaptConfig",
     "AdaptationReport",
     "BandwidthError",
+    "DatasetSpec",
     "DimensionError",
     "DomainPair",
     "ExperimentSpec",

@@ -3,6 +3,12 @@
 Arrays stored on the containers are defensive copies with the writeable
 flag cleared: pseudo-labels are replaced via ``with_pseudo_labels``, never
 edited in place, so a fixed config and seed always replays bit-identically.
+
+The harness's JSON has one codec: ``from_json`` builds a frozen dataclass
+from an object, typing each value by its field (a dataclass field from a
+nested object), and ``to_json`` writes a dataclass back by its fields.
+Every ``from_dict`` and ``to_dict`` here and in ``synthetic`` and
+``experiment`` is a call of one of the two.
 """
 from __future__ import annotations
 
@@ -91,13 +97,21 @@ def _fit(tp, value, key: str):
     """value, read from JSON, as a field declared tp holds it.
 
     An int takes an integral number, a float any number, a tuple[X, ...]
-    an array of X, and only a bool field takes a bool. ParameterError
-    names key when the value does not fit.
+    an array of X, a dataclass an object (``from_json``), X | None null or
+    what X takes, and only a bool field takes a bool. ParameterError names
+    key when the value does not fit.
     """
     if isinstance(tp, types.UnionType):
-        for alt in typing.get_args(tp):
+        if value is None and type(None) in typing.get_args(tp):
+            return None
+        alts = [alt for alt in typing.get_args(tp) if alt is not type(None)]
+        if len(alts) == 1:
+            return _fit(alts[0], value, key)
+        for alt in alts:
             with contextlib.suppress(ParameterError):
                 return _fit(alt, value, key)
+    elif dataclasses.is_dataclass(tp):
+        return from_json(tp, value, key)
     elif typing.get_origin(tp) is tuple:
         if isinstance(value, list):
             item = typing.get_args(tp)[0]
@@ -112,30 +126,39 @@ def _fit(tp, value, key: str):
                          f"got {value!r}")
 
 
-def json_field(cls, name: str, value, key: str | None = None):
-    """``_fit`` to the declared type of field ``name`` of the dataclass cls."""
-    return _fit(typing.get_type_hints(cls)[name], value, key or name)
-
-
-def json_object(value, what: str) -> dict:
-    """value, when it is a JSON object (a dict); ParameterError otherwise."""
-    if not isinstance(value, dict):
-        raise ParameterError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def from_json(cls, d, what: str):
+def from_json(cls, d, what: str, prefix: str | None = None):
     """The frozen dataclass cls built from d, the JSON object called what.
 
-    Every key must name a field and every value fit that field's type;
-    omitted keys take the field defaults.
+    Every key must name a field and every value fit that field's type
+    (``_fit``); omitted keys take the field defaults, and a field without
+    one must be given. Errors name a field's key as prefix.key, prefix
+    being what unless given ("" names the bare key).
     """
-    json_object(d, what)
-    extra = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if not isinstance(d, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {type(d).__name__}")
+    fields = dataclasses.fields(cls)
+    extra = set(d) - {f.name for f in fields}
     if extra:
         raise ParameterError(f"unknown {what} keys: {sorted(extra)}")
+    missing = [f.name for f in fields if f.name not in d
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ParameterError(f"{what} missing required keys: {missing}")
+    prefix = what if prefix is None else prefix
     hints = typing.get_type_hints(cls)
-    return cls(**{k: _fit(hints[k], v, f"{what}.{k}") for k, v in d.items()})
+    return cls(**{k: _fit(hints[k], v, f"{prefix}.{k}" if prefix else k) for k, v in d.items()})
+
+
+def to_json(value):
+    """value as JSON holds it, the inverse of ``from_json``: a dataclass as
+    an object of its fields, an array by ``tolist()``, a tuple as a list."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    return value
 
 
 def remap_labels(raw) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -313,7 +336,7 @@ class AdaptConfig:
         return dataclasses.replace(self, **kw)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "AdaptConfig":
@@ -364,28 +387,8 @@ class AdaptationReport:
 
     def to_dict(self) -> dict:
         """JSON-friendly view. Embeddings are dumped separately as raw files."""
-        config = self.config.to_dict()
+        view = {f.name: to_json(getattr(self, f.name))
+                for f in dataclasses.fields(self) if f.name != "embedding"}
         # the propagation trade-off is sometimes quoted as 1/(1+mu); record both
-        config["mu_alpha_tradeoff"] = 1.0 / (1.0 + self.config.mu)
-        return {
-            "model": self.model,
-            "config": config,
-            "baseline_accuracy": self.baseline_accuracy,
-            "fixed_point_iteration": self.fixed_point_iteration,
-            "wall_time": self.wall_time,
-            "predicted_labels": [int(v) for v in self.predicted_labels],
-            "projection": [[float(v) for v in row] for row in np.asarray(self.projection)],
-            "label_values": list(self.label_values) if self.label_values else None,
-            "kernel_rank": self.kernel_rank,
-            "iterations": [
-                {
-                    "iteration": r.iteration,
-                    "churn": r.churn,
-                    "objective": r.objective,
-                    "accuracy": r.accuracy,
-                    "eigenvalues": list(r.eigenvalues),
-                    "pseudo_labels": [int(v) for v in r.pseudo_labels],
-                }
-                for r in self.iterations
-            ],
-        }
+        view["config"]["mu_alpha_tradeoff"] = 1.0 / (1.0 + self.config.mu)
+        return view

@@ -1,18 +1,23 @@
 """Experiment driver: datasets in, per-model reports and summary tables out.
 
-An experiment is described by a JSON spec:
+An experiment is described by a JSON spec, whose keys are the fields of
+``ExperimentSpec`` and, under "dataset", of ``DatasetSpec``:
 
     {
       "models": ["JDA", "JDA+CG", "CDDA+DB"],
       "dataset": {"synthetic": {"class_count": 3, ...}}
                  or {"source": "s.csv", "target": "t.csv",
                      "target_labels": "truth.csv"},
-      "config": {"k": 2, "lam": 1.0, ...},
       "output_dir": "out",
+      "config": {"k": 2, "lam": 1.0, ...},
       "repeat": 1,
       "data_format": "csv",
       "dump_embeddings": false
     }
+
+``datamodel.from_json`` reads it and ``datamodel.to_json`` writes it back
+(experiment.json), every field in field order and every dataset key
+present, null included. Each model is named once.
 
 Outputs under output_dir:
 
@@ -38,8 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from .adapt import ModelKind, run_adaptation
-from .datamodel import (AdaptConfig, LabeledDomain, UnlabeledDomain, from_json, json_field,
-                        json_object, make_pair)
+from .datamodel import (AdaptConfig, LabeledDomain, UnlabeledDomain, fit_int_fields, from_json,
+                        make_pair, to_json)
 from .errors import FormatError, ParameterError, UnsupportedModelError
 from .io import FORMATS, atomic_write_text, load_features, save_features
 from .operands import InputOperands
@@ -66,69 +71,58 @@ def _load_json(path: Path, what: str):
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """Validated description of one experiment."""
+class DatasetSpec:
+    """Where an experiment's pair comes from: a synthetic recipe, or a
+    source and a target file, with an optional truth file for the target."""
 
-    models: tuple[str, ...]
-    config: AdaptConfig
-    output_dir: str
-    repeat: int = 1
     synthetic: SyntheticRecipe | None = None
-    source_path: str | None = None
-    target_path: str | None = None
-    target_labels_path: str | None = None
-    data_format: str | None = None
-    dump_embeddings: bool = False
+    source: str | None = None
+    target: str | None = None
+    target_labels: str | None = None
 
     def __post_init__(self):
-        if not self.models:
-            raise ParameterError("experiment needs at least one model")
-        for name in self.models:
-            ModelKind.parse(name)
-        if int(self.repeat) != self.repeat or self.repeat < 1:
-            raise ParameterError(f"repeat must be a positive integer, got {self.repeat}")
-        has_files = self.source_path is not None or self.target_path is not None
+        has_files = self.source is not None or self.target is not None
         if self.synthetic is None and not has_files:
             raise ParameterError("dataset missing: give synthetic recipe or file paths")
         if self.synthetic is not None and has_files:
             raise ParameterError("dataset over-specified: synthetic and file paths given")
-        if has_files and (self.source_path is None or self.target_path is None):
+        if has_files and (self.source is None or self.target is None):
             raise ParameterError("file dataset needs both source and target paths")
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """Validated description of one experiment; its fields are the spec's JSON keys.
+
+    Models are held by their canonical names (``ModelKind.name``), each once.
+    """
+
+    models: tuple[str, ...]
+    dataset: DatasetSpec
+    output_dir: str
+    config: AdaptConfig = AdaptConfig()
+    repeat: int = 1
+    data_format: str | None = None
+    dump_embeddings: bool = False
+
+    def __post_init__(self):
+        fit_int_fields(self)
+        if not self.models:
+            raise ParameterError("experiment needs at least one model")
+        models = tuple(ModelKind.parse(name).name for name in self.models)
+        for i, name in enumerate(models):
+            if name in models[:i]:
+                raise ParameterError(f"models name {name} twice: {list(self.models)}")
+        object.__setattr__(self, "models", models)
+        if self.repeat < 1:
+            raise ParameterError(f"repeat must be a positive integer, got {self.repeat}")
+        if self.data_format is not None and self.data_format not in FORMATS:
+            raise ParameterError(f"data_format must be one of {FORMATS} or null, "
+                                 f"got {self.data_format!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        json_object(d, "spec")
-        allowed = {"models", "config", "output_dir", "repeat", "dataset", "data_format",
-                   "dump_embeddings"}
-        extra = set(d) - allowed
-        if extra:
-            raise ParameterError(f"unknown spec keys: {sorted(extra)}")
-        try:
-            models = json_field(cls, "models", d["models"])
-            output_dir = json_field(cls, "output_dir", d["output_dir"])
-        except KeyError as exc:
-            raise ParameterError(f"spec missing required key: {exc}") from None
-        dataset = json_object(d.get("dataset", {}), "dataset")
-        extra = set(dataset) - {"synthetic", "source", "target", "target_labels"}
-        if extra:
-            raise ParameterError(f"unknown dataset keys: {sorted(extra)}")
-        paths = {
-            f"{role}_path": json_field(cls, f"{role}_path", dataset.get(role), f"dataset.{role}")
-            for role in ("source", "target", "target_labels")
-        }
-        synthetic = dataset.get("synthetic")
-        if synthetic is not None:
-            synthetic = from_json(SyntheticRecipe, synthetic, "dataset.synthetic")
-        return cls(
-            models=models,
-            config=from_json(AdaptConfig, d.get("config", {}), "config"),
-            output_dir=output_dir,
-            repeat=json_field(cls, "repeat", d.get("repeat", 1)),
-            synthetic=synthetic,
-            data_format=json_field(cls, "data_format", d.get("data_format")),
-            dump_embeddings=json_field(cls, "dump_embeddings", d.get("dump_embeddings", False)),
-            **paths,
-        )
+        return from_json(cls, d, "spec", prefix="")
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentSpec":
@@ -141,21 +135,7 @@ class ExperimentSpec:
             raise type(exc)(f"{path}: {exc}") from None
 
     def to_dict(self) -> dict:
-        if self.synthetic is not None:
-            dataset = {"synthetic": self.synthetic.to_dict()}
-        else:
-            dataset = {"source": self.source_path, "target": self.target_path}
-            if self.target_labels_path is not None:
-                dataset["target_labels"] = self.target_labels_path
-        return {
-            "models": list(self.models),
-            "dataset": dataset,
-            "config": self.config.to_dict(),
-            "output_dir": self.output_dir,
-            "repeat": self.repeat,
-            "data_format": self.data_format,
-            "dump_embeddings": self.dump_embeddings,
-        }
+        return to_json(self)
 
 
 @dataclass
@@ -180,24 +160,24 @@ def _mapped_truth(source: LabeledDomain, truth_domain: LabeledDomain) -> np.ndar
     return np.asarray([to_dense[v] for v in raw], dtype=np.int64)
 
 
-def _file_dataset(spec: ExperimentSpec):
-    source = load_features(spec.source_path, spec.data_format)
+def _file_dataset(dataset: DatasetSpec, fmt: str | None):
+    source = load_features(dataset.source, fmt)
     if not isinstance(source, LabeledDomain):
-        raise FormatError(f"{spec.source_path}: source file has no labels")
-    target_loaded = load_features(spec.target_path, spec.data_format)
+        raise FormatError(f"{dataset.source}: source file has no labels")
+    target_loaded = load_features(dataset.target, fmt)
     truth = None
     if isinstance(target_loaded, LabeledDomain):
         truth = _mapped_truth(source, target_loaded)
         target = UnlabeledDomain(target_loaded.features, name=target_loaded.name)
     else:
         target = target_loaded
-    if spec.target_labels_path is not None:
-        labels_domain = load_features(spec.target_labels_path, spec.data_format)
+    if dataset.target_labels is not None:
+        labels_domain = load_features(dataset.target_labels, fmt)
         if not isinstance(labels_domain, LabeledDomain):
-            raise FormatError(f"{spec.target_labels_path}: truth file has no labels")
+            raise FormatError(f"{dataset.target_labels}: truth file has no labels")
         if labels_domain.n != target.n:
             raise FormatError(
-                f"{spec.target_labels_path}: {labels_domain.n} labels for {target.n} "
+                f"{dataset.target_labels}: {labels_domain.n} labels for {target.n} "
                 "target samples"
             )
         truth = _mapped_truth(source, labels_domain)
@@ -206,11 +186,11 @@ def _file_dataset(spec: ExperimentSpec):
 
 
 def _dataset_for_rep(spec: ExperimentSpec, rep: int):
-    if spec.synthetic is not None:
-        recipe = dataclasses.replace(spec.synthetic, seed=spec.synthetic.seed + rep)
-        ds = generate_synthetic(recipe)
+    recipe = spec.dataset.synthetic
+    if recipe is not None:
+        ds = generate_synthetic(dataclasses.replace(recipe, seed=recipe.seed + rep))
         return ds.pair, ds.target_truth, None
-    return _file_dataset(spec)
+    return _file_dataset(spec.dataset, spec.data_format)
 
 
 def _model_slug(name: str) -> str:

@@ -8,14 +8,13 @@ complete, replayable description of the dataset.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datamodel import (DomainPair, LabeledDomain, UnlabeledDomain, fit_int_fields, from_json,
-                        make_pair)
+                        make_pair, to_json)
 from .errors import ParameterError
 
 CENTER_RADIUS = 3.0
@@ -69,10 +68,7 @@ class SyntheticRecipe:
             raise ParameterError("cov_scale factor must be nonnegative")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        if isinstance(d["shift_param"], tuple):
-            d["shift_param"] = list(d["shift_param"])
-        return d
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticRecipe":

@@ -25,7 +25,7 @@ from dbmmd import linalg
 from dbmmd.adapt import ModelKind, assemble_db, run_adaptation
 from dbmmd.classify import propagate_labels
 from dbmmd.datamodel import AdaptConfig, DomainPair, LabeledDomain, UnlabeledDomain, make_pair
-from dbmmd.experiment import ExperimentSpec, run_experiment
+from dbmmd.experiment import DatasetSpec, ExperimentSpec, run_experiment
 from dbmmd.io import load_features, save_features
 from dbmmd.linalg import gen_eig_smallest
 from dbmmd.mmd import build_all, group_sums
@@ -492,7 +492,7 @@ def test_criterion_8_harness_reproducibility(golden, tmp_path):
                 models=("JDA", "CDDA+DB"),
                 config=config,
                 output_dir=str(out),
-                synthetic=small,
+                dataset=DatasetSpec(synthetic=small),
             )
 
         a = run_experiment(spec(tmp_path / "a"))

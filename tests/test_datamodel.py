@@ -355,3 +355,8 @@ def test_pair_invariants(n_s, n_t, class_count, seed):
     assert counts[:class_count].min() >= 1
     assert counts[class_count:].sum() == n_t
     assert pair.packed_features().shape == (3, n_s + n_t)
+
+
+def test_readme_counts_the_exported_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"top level exports {len(dbmmd.__all__)} names" in readme

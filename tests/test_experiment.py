@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from dbmmd.adapt import ModelKind, run_adaptation
 from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.errors import BandwidthError, FormatError, ParameterError
 from dbmmd.experiment import (
+    DatasetSpec,
     ExperimentSpec,
     render_summary_csv,
     rerender_summary,
@@ -39,10 +42,42 @@ def fast_spec(tmp_path, **kw):
         models=("JDA", "JDA+CG"),
         config=FAST_CONFIG,
         output_dir=str(tmp_path / "out"),
-        synthetic=FAST_RECIPE,
+        dataset=DatasetSpec(synthetic=FAST_RECIPE),
     )
     args.update(kw)
     return ExperimentSpec(**args)
+
+
+# experiment.json of fast_spec on a file dataset, as written before every
+# dataset key was: no null target_labels, and config ahead of output_dir.
+OLDER_EXPERIMENT_JSON = """{
+  "models": [
+    "JDA",
+    "JDA+CG"
+  ],
+  "dataset": {
+    "source": "data/source.csv",
+    "target": "data/target_labels.csv"
+  },
+  "config": {
+    "k": 2,
+    "lam": 1.0,
+    "mu": 0.01,
+    "max_iter": 4,
+    "kernel": "primal",
+    "sigma": null,
+    "degree": 2,
+    "neighborhood_p": 5,
+    "meda_alpha": 10.0,
+    "meda_rho": 0.1,
+    "meda_eta": 1.0
+  },
+  "output_dir": "out",
+  "repeat": 1,
+  "data_format": null,
+  "dump_embeddings": false
+}
+"""
 
 
 class TestSpecValidation:
@@ -54,19 +89,41 @@ class TestSpecValidation:
         with pytest.raises(Exception):
             fast_spec(tmp_path, models=("JDA", "MEDA+DB"))
 
-    def test_needs_exactly_one_dataset(self, tmp_path):
-        with pytest.raises(ParameterError):
-            fast_spec(tmp_path, synthetic=None)
-        with pytest.raises(ParameterError):
-            fast_spec(tmp_path, source_path="s.csv", target_path="t.csv")
+    def test_needs_exactly_one_dataset(self):
+        with pytest.raises(ParameterError, match="dataset missing"):
+            DatasetSpec()
+        with pytest.raises(ParameterError, match="over-specified"):
+            DatasetSpec(synthetic=FAST_RECIPE, source="s.csv", target="t.csv")
 
-    def test_file_dataset_needs_both_paths(self, tmp_path):
-        with pytest.raises(ParameterError):
-            fast_spec(tmp_path, synthetic=None, source_path="s.csv")
+    def test_file_dataset_needs_both_paths(self):
+        with pytest.raises(ParameterError, match="needs both"):
+            DatasetSpec(source="s.csv")
 
     def test_repeat_positive(self, tmp_path):
         with pytest.raises(ParameterError):
             fast_spec(tmp_path, repeat=0)
+        with pytest.raises(ParameterError, match="repeat must be int"):
+            fast_spec(tmp_path, repeat=True)
+
+    def test_models_are_held_by_their_canonical_names(self, tmp_path):
+        spec = fast_spec(tmp_path, models=("JDA+none", " CDDA+DB"))
+        assert spec.models == ("JDA", "CDDA+DB")
+
+    @pytest.mark.parametrize("models", [["JDA", "JDA"], ["JDA", "JDA+none"],
+                                        ["CDDA+DB", "JDA", " CDDA+DB"]])
+    def test_a_model_named_twice_is_refused(self, tmp_path, models):
+        # run twice, its second cell would overwrite the first's report
+        spec = {**fast_spec(tmp_path).to_dict(), "models": models}
+        with pytest.raises(ParameterError, match=r"models name (JDA|CDDA\+DB) twice"):
+            ExperimentSpec.from_dict(spec)
+
+    @pytest.mark.parametrize("dataset", [
+        {"synthetic": FAST_RECIPE.to_dict()}, {"source": "s.csv", "target": "t.csv"},
+    ])
+    def test_an_unknown_data_format_is_refused_with_the_spec(self, tmp_path, dataset):
+        spec = {**fast_spec(tmp_path).to_dict(), "dataset": dataset, "data_format": "xml"}
+        with pytest.raises(ParameterError, match="data_format must be one of"):
+            ExperimentSpec.from_dict(spec)
 
     def test_from_dict_roundtrip(self, tmp_path):
         spec = fast_spec(tmp_path, repeat=2)
@@ -169,7 +226,7 @@ class TestRunExperiment:
         recipe = dataclasses.replace(FAST_RECIPE, class_count=3, samples_per_class=100)
         config = FAST_CONFIG.replace(kernel="rbf", max_iter=1)
         result = run_experiment(fast_spec(tmp_path, models=("JDA+CG", "MEDA+CG"),
-                                          config=config, synthetic=recipe))
+                                          config=config, dataset=DatasetSpec(synthetic=recipe)))
         assert result.exit_code == 0
         out = result.output_dir
         basis, w_r = InputOperands(generate_synthetic(recipe).pair, config).kernel_range()
@@ -228,7 +285,7 @@ class TestRunExperiment:
 
     def test_vector_shift_param_round_trips_byte_identically(self, tmp_path):
         recipe = dataclasses.replace(FAST_RECIPE, shift="translation", shift_param=[1.5, -0.5])
-        run_experiment(fast_spec(tmp_path, synthetic=recipe, models=("JDA",)))
+        run_experiment(fast_spec(tmp_path, dataset=DatasetSpec(synthetic=recipe), models=("JDA",)))
         stored = (tmp_path / "out" / "experiment.json").read_text()
         again = ExperimentSpec.from_dict(json.loads(stored)).to_dict()
         assert json.dumps(again, indent=2) + "\n" == stored
@@ -237,6 +294,26 @@ class TestRunExperiment:
         result = run_experiment(fast_spec(tmp_path))
         original = (result.output_dir / "summary.csv").read_bytes()
         (result.output_dir / "summary.csv").unlink()
+        again = rerender_summary(result.output_dir)
+        assert again.exit_code == 0
+        assert (result.output_dir / "summary.csv").read_bytes() == original
+
+    def test_experiment_json_holds_every_field_and_dataset_key(self, tmp_path):
+        spec = fast_spec(tmp_path, models=("JDA",))
+        run_experiment(spec)
+        stored = json.loads((tmp_path / "out" / "experiment.json").read_text())
+        assert list(stored) == [f.name for f in dataclasses.fields(ExperimentSpec)]
+        assert stored["dataset"] == {"synthetic": FAST_RECIPE.to_dict(), "source": None,
+                                     "target": None, "target_labels": None}
+        assert ExperimentSpec.from_dict(stored) == spec
+
+    def test_rerender_reads_an_experiment_json_without_null_dataset_keys(self, tmp_path):
+        paths = write_synthetic_files(FAST_RECIPE, tmp_path / "data")
+        dataset = DatasetSpec(source=str(paths["source"]), target=str(paths["target_labels"]))
+        result = run_experiment(fast_spec(tmp_path, dataset=dataset))
+        original = (result.output_dir / "summary.csv").read_bytes()
+        (result.output_dir / "summary.csv").unlink()
+        (result.output_dir / "experiment.json").write_text(OLDER_EXPERIMENT_JSON)
         again = rerender_summary(result.output_dir)
         assert again.exit_code == 0
         assert (result.output_dir / "summary.csv").read_bytes() == original
@@ -346,8 +423,10 @@ def coincident_spec(tmp_path, models, config):
         models=models,
         config=config,
         output_dir=str(tmp_path / f"out_{config.kernel}"),
-        source_path=str(data / "source.csv"),
-        target_path=str(data / "target.csv"),
+        dataset=DatasetSpec(
+            source=str(data / "source.csv"),
+            target=str(data / "target.csv"),
+        ),
     )
 
 
@@ -404,10 +483,11 @@ class TestFileDatasets:
             models=("JDA",),
             config=FAST_CONFIG,
             output_dir=str(tmp_path / "out"),
-            synthetic=None,
-            source_path=str(paths["source"]),
-            target_path=str(paths["target"]),
-            target_labels_path=str(paths["target_labels"]),
+            dataset=DatasetSpec(
+                source=str(paths["source"]),
+                target=str(paths["target"]),
+                target_labels=str(paths["target_labels"]),
+            ),
         )
         result = run_experiment(spec)
         assert result.exit_code == 0
@@ -423,9 +503,11 @@ class TestFileDatasets:
             models=("JDA",),
             config=FAST_CONFIG,
             output_dir=str(tmp_path / "out"),
-            source_path=str(paths["source"]),
-            target_path=str(paths["target"]),
-            target_labels_path=str(paths["target_labels"]),
+            dataset=DatasetSpec(
+                source=str(paths["source"]),
+                target=str(paths["target"]),
+                target_labels=str(paths["target_labels"]),
+            ),
             data_format="raw",
         )
         result = run_experiment(spec)
@@ -437,8 +519,10 @@ class TestFileDatasets:
             models=("JDA",),
             config=FAST_CONFIG,
             output_dir=str(tmp_path / "out"),
-            source_path=str(paths["source"]),
-            target_path=str(paths["target"]),
+            dataset=DatasetSpec(
+                source=str(paths["source"]),
+                target=str(paths["target"]),
+            ),
         )
         result = run_experiment(spec)
         assert result.exit_code == 0
@@ -456,8 +540,10 @@ class TestFileDatasets:
             models=("JDA",),
             config=FAST_CONFIG,
             output_dir=str(tmp_path / "out"),
-            source_path=str(paths["target"]),  # no labels in this file
-            target_path=str(paths["source"]),
+            dataset=DatasetSpec(
+                source=str(paths["target"]),  # no labels in this file
+                target=str(paths["source"]),
+            ),
         )
         with pytest.raises(FormatError, match="no labels"):
             run_experiment(spec)
@@ -472,8 +558,10 @@ class TestFileDatasets:
             models=("JDA",),
             config=FAST_CONFIG,
             output_dir=str(tmp_path / "out"),
-            source_path=str(tmp_path / "s.csv"),
-            target_path=str(tmp_path / "t.csv"),
+            dataset=DatasetSpec(
+                source=str(tmp_path / "s.csv"),
+                target=str(tmp_path / "t.csv"),
+            ),
         )
         with pytest.raises(FormatError, match="never appear"):
             run_experiment(spec)
@@ -494,8 +582,10 @@ class TestFileDatasets:
             models=("JDA",),
             config=AdaptConfig(k=2, lam=1.0, max_iter=3),
             output_dir=str(tmp_path / "out"),
-            source_path=str(tmp_path / "s.csv"),
-            target_path=str(tmp_path / "t.csv"),
+            dataset=DatasetSpec(
+                source=str(tmp_path / "s.csv"),
+                target=str(tmp_path / "t.csv"),
+            ),
         )
         result = run_experiment(spec)
         assert result.rows[0]["accuracy_mean"] == 1.0
@@ -511,9 +601,11 @@ class TestFileDatasets:
             models=("JDA",),
             config=FAST_CONFIG,
             output_dir=str(tmp_path / "out"),
-            source_path=str(tmp_path / "s.csv"),
-            target_path=str(tmp_path / "t.csv"),
-            target_labels_path=str(tmp_path / "truth.csv"),
+            dataset=DatasetSpec(
+                source=str(tmp_path / "s.csv"),
+                target=str(tmp_path / "t.csv"),
+                target_labels=str(tmp_path / "truth.csv"),
+            ),
         )
         with pytest.raises(FormatError, match="labels for"):
             run_experiment(spec)
@@ -538,3 +630,22 @@ class TestRendering:
             "iterations_to_fixed_point,status"
         )
         assert lines[1] == "JDA,0.5,,,2.0,ok"
+
+
+class TestReadme:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def test_spec_examples_are_specs(self):
+        # the CLI quick start's heredoc and the synthetic spec's json block
+        heredoc = re.search(r"<<'EOF'\n(.*?)\nEOF\n", self.text, re.S).group(1)
+        block = re.search(r"```json\n(.*?)```", self.text, re.S).group(1)
+        files = ExperimentSpec.from_dict(json.loads(heredoc))
+        assert files.dataset.target_labels == "data/target_labels.csv"
+        synthetic = ExperimentSpec.from_dict(json.loads(block))
+        assert synthetic.dataset.synthetic.noise_sigma == 0.8
+        # the python example builds the json block's spec
+        (code,) = [block for block in re.findall(r"```python\n(.*?)```", self.text, re.S)
+                   if "DatasetSpec(" in block]
+        scope = {}
+        exec(code, scope)
+        assert scope["spec"] == synthetic

@@ -12,7 +12,7 @@ from dbmmd.adapt import ModelKind, run_adaptation
 from dbmmd.classify import nn_classify
 from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.errors import BandwidthError, ParameterError
-from dbmmd.experiment import ExperimentSpec, run_experiment
+from dbmmd.experiment import DatasetSpec, ExperimentSpec, run_experiment
 from dbmmd.graphs import build_affinity, build_laplacian
 from dbmmd.linalg import (_row_blocks, kernel_matrix, kernel_range, matmul,
                           median_pairwise_distance, pairwise_sq_dists)
@@ -214,7 +214,8 @@ class TestSharing:
     def test_experiment_builds_once_per_repeat(self, calls, tmp_path):
         recipe = SyntheticRecipe(class_count=2, samples_per_class=10, feature_dim=2, seed=3)
         spec = ExperimentSpec(models=("JDA", "JDA+CG", "MEDA", "MEDA+CG"), config=RBF,
-                              output_dir=str(tmp_path / "out"), repeat=2, synthetic=recipe)
+                              output_dir=str(tmp_path / "out"), repeat=2,
+                              dataset=DatasetSpec(synthetic=recipe))
         assert run_experiment(spec).exit_code == 0
         assert calls == {"distance_block": 4, "pairwise_sq_dists": 2, "median": 2,
                          "kernel_matrix": 2, "kernel_range": 2, "build_affinity": 2,
@@ -230,7 +231,8 @@ class TestSharing:
         monkeypatch.setattr(operands_module, "nn_classify", counted)
         recipe = SyntheticRecipe(class_count=2, samples_per_class=10, feature_dim=2, seed=3)
         spec = ExperimentSpec(models=("JDA", "CDDA+DB", "DGA-DA+DB", "MEDA+CG"), config=RBF,
-                              output_dir=str(tmp_path / "out"), repeat=2, synthetic=recipe)
+                              output_dir=str(tmp_path / "out"), repeat=2,
+                              dataset=DatasetSpec(synthetic=recipe))
         assert run_experiment(spec).exit_code == 0
         assert len(scans) == 2
 
@@ -238,7 +240,8 @@ class TestSharing:
         # MEDA first: its cells build the range and its E and L terms, JDA reuses the range
         recipe = SyntheticRecipe(class_count=2, samples_per_class=10, feature_dim=2, seed=4)
         spec = ExperimentSpec(models=("MEDA", "MEDA+CG", "JDA"), config=RBF,
-                              output_dir=str(tmp_path / "out"), repeat=2, synthetic=recipe)
+                              output_dir=str(tmp_path / "out"), repeat=2,
+                              dataset=DatasetSpec(synthetic=recipe))
         assert run_experiment(spec).exit_code == 0
         assert calls["kernel_range"] == 2 and calls["build_laplacian"] == 2
 

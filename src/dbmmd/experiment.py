@@ -21,7 +21,7 @@ present, null included. Each model is named once.
 
 Outputs under output_dir:
 
-    reports/<model>_rep<r>.json   full per-run reports
+    reports/<model>_rep<r>.json   full per-run reports, compact JSON
     runs.json                     one status row per (model, repeat)
     experiment.json               the resolved spec, for re-rendering
     summary.csv / summary.md      aggregated table (no wall times, so
@@ -323,7 +323,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 continue
             report.label_values = label_values
             report_path = out_dir / "reports" / f"{_model_slug(name)}_rep{rep}.json"
-            atomic_write_text(report_path, json.dumps(report.to_dict(), indent=2) + "\n")
+            # Compact: with indent set, json encodes in Python rather than in C.
+            atomic_write_text(report_path, json.dumps(report.to_dict()) + "\n")
             if spec.dump_embeddings and report.embedding is not None:
                 save_features(
                     out_dir / "embeddings" / f"{_model_slug(name)}_rep{rep}.f64",

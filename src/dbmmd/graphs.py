@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .linalg import (_PANEL_ROWS, _Distances, _MedianCount, _row_blocks, _row_panels,
+from .linalg import (_PANEL_ROWS, _Distances, _MedianSelect, _row_blocks, _row_panels,
                      _strict_upper, gaussian_in_place, matmul, pairwise_sq_dists)
 
 # Floor for 1/W so underflowed affinities cannot blow up.
@@ -78,15 +78,15 @@ def build_affinity(x, sigma: float | None = None,
     walker ``median_pairwise_distance`` reads (``linalg._Distances``): each
     block's columns against the columns from its first on, with for p > 0
     those against the columns before it; no (n, n) array is held. sigma
-    None takes the median nonzero pairwise distance, counted in the same
-    walk, and fails with BandwidthError when all points coincide; a given
-    sigma must be positive. neighborhood_p > 0 keeps edge i, j when i is
-    among the p nearest neighbors of j or vice versa; p = 0 keeps every
-    pair. A point is never its own neighbor, and among equally distant
-    candidates the one with the lowest column index is taken first, so
-    coincident points and tied distances give the same graph on every
-    run. An edge's weight is the distance in the row of its lower end when
-    that end chose it, else in the row of the other end.
+    None takes the median nonzero pairwise distance, selected in the same
+    walk (``linalg._MedianSelect``), and fails with BandwidthError when all
+    points coincide; a given sigma must be positive. neighborhood_p > 0
+    keeps edge i, j when i is among the p nearest neighbors of j or vice
+    versa; p = 0 keeps every pair. A point is never its own neighbor, and
+    among equally distant candidates the one with the lowest column index
+    is taken first, so coincident points and tied distances give the same
+    graph on every run. An edge's weight is the distance in the row of its
+    lower end when that end chose it, else in the row of the other end.
     """
     walk = _Distances(x)
     n = walk.x.shape[1]
@@ -98,22 +98,22 @@ def build_affinity(x, sigma: float | None = None,
         raise ParameterError(f"neighborhood_p must be a nonnegative integer, got {neighborhood_p}")
     p = int(neighborhood_p)
     knn = 0 < p < n - 1
-    count = _MedianCount() if sigma is None else None
-    rows, cols, w = _nearest_edges(walk, p, count) if knn else _all_edges(walk, count)
-    if count is not None:
-        # The median's second pass, if it needs one: the same products again,
-        # or for the complete graph the distances w holds.
-        again = ((_strict_upper(block, positive=True) for _, block in walk.upper()) if knn
-                 else (w[b][w[b] > 0.0] for b in _row_blocks(w.size, 1)))
-        sigma = count.median(again)
+    select = _MedianSelect(walk) if sigma is None else None
+    rows, cols, w = _nearest_edges(walk, p, select) if knn else _all_edges(walk, select)
+    if select is not None:
+        # The median's counting walks, if it needs them: the same products
+        # again, or for the complete graph the distances w holds.
+        sigma = select.median(
+            (lambda: (_strict_upper(block, positive=True) for _, block in walk.upper())) if knn
+            else (lambda: (w[b][w[b] > 0.0] for b in _row_blocks(w.size, 1))))
     gaussian_in_place(w, sigma)
     return EdgeGraph(np.zeros(n), rows, cols, w), float(sigma)
 
 
-def _all_edges(walk: _Distances, count: _MedianCount | None):
+def _all_edges(walk: _Distances, select: _MedianSelect | None):
     """Every pair i < j in row order, as int32 index pairs, with its squared distance.
 
-    Feeds the positive distances to the median's ``count`` unless None.
+    Feeds each block to the median's ``select`` unless None.
     """
     n = walk.x.shape[1]
     idx = np.arange(n, dtype=np.int32)
@@ -122,15 +122,15 @@ def _all_edges(walk: _Distances, count: _MedianCount | None):
     d2 = np.empty(rows.size)
     at = 0
     for _, block in walk.upper():
+        if select is not None:
+            select.add(block)
         vals = _strict_upper(block)
         d2[at:at + vals.size] = vals
         at += vals.size
-        if count is not None:
-            count.add(vals[vals > 0.0])
     return rows, cols, d2
 
 
-def _nearest_edges(walk: _Distances, p: int, count: _MedianCount | None):
+def _nearest_edges(walk: _Distances, p: int, select: _MedianSelect | None):
     """The symmetrized kNN union as int32 pairs i < j in row order, with squared distances.
 
     Per block of rows, ``np.partition`` at p puts each row's p + 1
@@ -140,15 +140,17 @@ def _nearest_edges(walk: _Distances, p: int, count: _MedianCount | None):
     columns closer than t, then the rest of its p from its columns at t,
     in index order, as a stable argsort of the row would give. Each row
     emits its p edges, rows in order; a pair chosen from both ends keeps
-    the lower end's distance. Feeds the positive distances above the
-    diagonal to the median's ``count`` unless None.
+    the lower end's distance. Feeds each block's columns from lo on, the
+    walker's ``upper`` block, to the median's ``select`` unless None.
     """
     n = walk.x.shape[1]
     heads, tails, dists = [], [], []
-    for rows, d in walk.full_rows():  # a point's distance to itself is +inf
+    for rows, upper in walk.upper():
+        if select is not None:
+            select.add(upper)
         lo = rows.start
-        if count is not None:
-            count.add(_strict_upper(d[:, lo:], positive=True))
+        d = walk.widen(rows, upper)  # a point's distance to itself is +inf
+        del upper
         part = np.partition(d, p, axis=1)
         t = part[:, :p].max(axis=1, keepdims=True)
         keep = d <= t

@@ -19,8 +19,12 @@ block of rows at a time, rows lo.. against columns lo.. (``upper``) or
 against every column (``full_rows``). No (n, n) array is held, every
 pass sees the same bits for a pair i < j from row i, and every block is
 ``pairwise_sq_dists`` of its rows and columns bit for bit off the
-diagonal. The median fails with BandwidthError when no pair of columns
-is apart, wherever it is taken.
+diagonal. The median takes one walk: a seeded sample of pairs brackets
+it beforehand, and the walk keeps the distances inside the bracket for
+an exact selection, with two counting walks as the fallback when the
+bracket misses. It fails with BandwidthError when no pair of columns is
+apart, wherever it is taken. Features whose squared distances could
+overflow fail with ParameterError.
 
 ``kernel_range`` finds the numerical range of the (n, n) kernel matrix
 K of x with a seeded randomized sketch of l = 160 columns, in O(n^2 l).
@@ -64,8 +68,20 @@ _BLOCK = 1 << 16
 # whole (``_row_panels``): thin panels would read it again and again.
 _PANEL_ROWS = 256
 
-# The median's buckets: the top 16 bits of a positive double's pattern
-# (the zero sign bit, 11 exponent bits and 4 mantissa bits), 2^15 in all.
+# The median's bracket (``_bracket``): the pairs of columns sampled for
+# it, the sample's seed, and its half width in standard deviations of the
+# sample median's rank (sqrt(m) / 2 for m sampled values). The walk keeps
+# the values inside it, up to twice as many as the sample predicts; a
+# bracket predicted to hold more than half of _KEPT_BUDGET values goes
+# straight to the counting walks.
+_SAMPLE_PAIRS = 1 << 14
+_SAMPLE_SEED = 0x3ED1A
+_BRACKET_SIGMAS = 5.0
+_KEPT_BUDGET = 1 << 19
+
+# The counting walks' buckets: the top 16 bits of a positive double's
+# pattern (the zero sign bit, 11 exponent bits and 4 mantissa bits), 2^15
+# in all.
 _BUCKET_SHIFT = 48
 _BUCKETS = 1 << (63 - _BUCKET_SHIFT)
 
@@ -145,8 +161,24 @@ def pairwise_sq_dists(x, y=None) -> np.ndarray:
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """|x_j|^2 for each column of x; a column's bits do not depend on its neighbors."""
-    return np.einsum("ij,ij->j", x, x)
+    """|x_j|^2 for each column of x; a column's bits do not depend on its neighbors.
+
+    ParameterError when the squared norms, their pairwise sums or the
+    squared distances those bound could overflow: |x_i - y_j|^2 <=
+    2 (|x_i|^2 + |y_j|^2), so 4 max|x_j|^2 must be finite. Every distance
+    pass takes its norms here, and would otherwise return inf or NaN.
+    """
+    sq = np.einsum("ij,ij->j", x, x)
+    if not sq.max(initial=0.0) <= np.finfo(float).max / 4.0:
+        raise ParameterError("squared column norms overflow: the features are too large "
+                             "for finite squared distances")
+    return sq
+
+
+def _cut_bound(dim: int) -> float:
+    """2 gamma_dim: a squared distance under this times |x_i|^2 + |y_j|^2 is rounding."""
+    eps = np.finfo(float).eps
+    return 2.0 * dim * eps / (1.0 - dim * eps)
 
 
 def _sq_dists_in_place(g: np.ndarray, sq_rows: np.ndarray, sq_cols: np.ndarray,
@@ -159,8 +191,7 @@ def _sq_dists_in_place(g: np.ndarray, sq_rows: np.ndarray, sq_cols: np.ndarray,
     is then held to its own bound. With ``own``, entry (i, i + own) pairs
     a column with itself and is set to +inf before the scan.
     """
-    eps = np.finfo(float).eps
-    bound = 2.0 * dim * eps / (1.0 - dim * eps)
+    bound = _cut_bound(dim)
     widest = sq_cols.max(initial=0.0)
     for rows in _row_blocks(g.shape[0], g.shape[1]):
         block, sq = g[rows], sq_rows[rows]
@@ -233,17 +264,19 @@ class _Distances:
         product of their own; the mirror of an earlier upper block would
         not be the same bits.
         """
-        n = self.x.shape[1]
         for rows, upper in self.upper():
-            lo = rows.start
-            if not lo:
-                yield rows, upper
-                continue
-            d2 = np.empty((upper.shape[0], n))
-            d2[:, lo:] = upper
-            del upper
-            d2[:, :lo] = self.block(rows, slice(0, lo))
-            yield rows, d2
+            yield rows, self.widen(rows, upper)
+
+    def widen(self, rows: slice, upper: np.ndarray) -> np.ndarray:
+        """The ``full_rows`` block of ``rows`` from their ``upper`` block, which it consumes."""
+        lo = rows.start
+        if not lo:
+            return upper
+        d2 = np.empty((upper.shape[0], self.x.shape[1]))
+        d2[:, lo:] = upper
+        del upper
+        d2[:, :lo] = self.block(rows, slice(0, lo))
+        return d2
 
 
 def _strict_upper(block: np.ndarray, positive: bool = False) -> np.ndarray:
@@ -268,11 +301,11 @@ def _bucket(vals: np.ndarray) -> np.ndarray:
 
 
 class _MedianCount:
-    """The median's counting pass, fed the positive squared distances a block at a time.
+    """The median's counting walk, fed the positive squared distances a block at a time.
 
-    Tallies them by bucket, and keeps the values themselves while they
-    total at most _BLOCK, so that a second pass over the blocks is needed
-    only past that.
+    The fallback of ``_MedianSelect``. Tallies the values by bucket, and
+    keeps them while they total at most _BLOCK, so that a second walk
+    over the blocks is needed only past that.
     """
 
     def __init__(self):
@@ -296,9 +329,7 @@ class _MedianCount:
         values again in blocks; it is read only if they were not kept.
         The blocks' entries in the bucket or buckets holding the middle
         ranks are gathered, and a partition of those picks the middle
-        value(s). sqrt is monotone, so their square roots are the middle
-        distances, and the result equals np.median of all the square
-        roots bit for bit.
+        value(s).
         """
         counts = self.counts
         cum = np.cumsum(counts)
@@ -311,32 +342,168 @@ class _MedianCount:
         for vals in self.kept if self.kept is not None else again:
             b = _bucket(vals)
             picked.append(vals[(b >= first) & (b <= last)])
-        picked = np.concatenate(picked)
         middle -= cum[first] - counts[first]
-        picked.partition(middle)
-        # np.median's own last step: the mean of the middle value(s).
-        return float(np.mean(np.sqrt(picked[middle[0]:middle[1] + 1])))
+        return _middle_distance(np.concatenate(picked), middle)
+
+
+def _middle_distance(vals: np.ndarray, middle: np.ndarray) -> float:
+    """The mean of the square roots of the values of ranks middle[0] and middle[1] in vals.
+
+    The ranks are equal or consecutive. vals is partitioned in place at
+    the first, and the second is the least value after it: numpy's
+    partition at two ranks takes several times as long. sqrt is monotone,
+    so their square roots are the middle distances, and the mean of those
+    is np.median's own last step: the result equals np.median of all the
+    square roots bit for bit.
+    """
+    first, last = int(middle[0]), int(middle[1])
+    vals.partition(first)
+    picked = [vals[first]] if last == first else [vals[first], vals[last:].min()]
+    return float(np.mean(np.sqrt(picked)))
+
+
+def _bracket(walk: _Distances) -> tuple[float, float, int] | None:
+    """(lo, hi, room): bounds around the median of a walk's positive distances.
+
+    room is the most values in [lo, hi] the walk may keep. With at most
+    _BLOCK pairs the bracket holds every positive distance. Past that,
+    _SAMPLE_PAIRS pairs i != j are drawn from a fixed seed, and their
+    distances taken from the walker's x^T and norms a chunk at a time,
+    those under the walker's cut as 0. The bounds are the sample's ranks
+    m/2 -+ _BRACKET_SIGMAS sqrt(m)/2 among its m positive distances (Floyd
+    & Rivest, "Expected time bounds for selection", CACM 1975), and room
+    is twice the count the sample predicts between them. The pairs are
+    drawn independently: pairs that share points, such as those among a
+    subset of the columns, spread their ranks more than the bracket
+    allows. None, to count instead, when the sample holds no positive
+    distance or room would pass _KEPT_BUDGET.
+    """
+    n = walk.x.shape[1]
+    pairs = n * (n - 1) // 2
+    if pairs <= _BLOCK:
+        return np.nextafter(0.0, 1.0), np.finfo(float).max, pairs
+    rng = np.random.default_rng(_SAMPLE_SEED)
+    first = rng.integers(0, n, _SAMPLE_PAIRS)
+    second = rng.integers(0, n - 1, _SAMPLE_PAIRS)
+    second += second >= first
+    sample = np.empty(_SAMPLE_PAIRS)
+    bound = _cut_bound(walk.x.shape[0])
+    for part in _row_blocks(_SAMPLE_PAIRS, walk.x.shape[0]):
+        i, j = first[part], second[part]
+        sums = walk.sq[i] + walk.sq[j]
+        d2 = sums - 2.0 * np.einsum("ij,ij->i", walk.xt[i], walk.xt[j])
+        d2[d2 < bound * sums] = 0.0
+        sample[part] = d2
+    positive = np.sort(sample[sample > 0.0])
+    m = positive.size
+    if not m:
+        return None
+    half = _BRACKET_SIGMAS * np.sqrt(m) / 2.0
+    low, high = int(np.floor((m - 1) / 2.0 - half)), int(np.ceil((m - 1) / 2.0 + half))
+    lo = positive[low] if low >= 0 else np.nextafter(0.0, 1.0)
+    hi = positive[high] if high < m else np.finfo(float).max
+    inside = np.count_nonzero((sample >= lo) & (sample <= hi))
+    room = 2 * int(np.ceil(pairs * inside / _SAMPLE_PAIRS))
+    return (lo, hi, room) if room <= _KEPT_BUDGET else None
+
+
+class _MedianSelect:
+    """The median of the positive distances of one walk, fed its ``upper`` blocks.
+
+    Per block, the pairs i < j below the bracket of ``_bracket`` are
+    counted, the zeros among them too, and those inside it are kept, up
+    to its room. When the middle ranks land among the kept values, one
+    partition of those gives the median, and the walk is the only one.
+    When they miss, or the kept values pass the room, or ``_bracket``
+    gave none, the counting walks of ``_MedianCount`` decide. The bracket
+    decides only which of these runs: each gives np.median of the nonzero
+    distances bit for bit.
+    """
+
+    def __init__(self, walk: _Distances):
+        bracket = _bracket(walk)
+        self.count = _MedianCount() if bracket is None else None
+        self.kept = None
+        if bracket is not None:
+            self.lo, self.hi, room = bracket
+            self.kept = np.empty(room)
+        self.size = self.zeros = self.below = self.at = 0
+        self.lower: dict[int, np.ndarray] = {}  # np.tri(k) per block height k
+
+    def add(self, block: np.ndarray) -> None:
+        """Count and keep the pairs of an ``_Distances.upper`` block."""
+        if self.count is not None:
+            self.count.add(_strict_upper(block, positive=True))
+            return
+        if self.kept is None:
+            return  # past the room: the counting walks decide
+        lo, hi = self.lo, self.hi
+        below = block < lo
+        inside = block <= hi
+        np.not_equal(inside, below, out=inside)
+        # The leading square's entries on and below its diagonal are the
+        # self pairs and pairs of earlier rows: taken back out.
+        k = block.shape[0]
+        own = self.lower.get(k)
+        if own is None:
+            own = self.lower[k] = np.tri(k, dtype=bool)
+        lead = block[:, :k][own]
+        inside[:, :k][own] = False
+        self.size += block.size - lead.size
+        self.zeros += np.count_nonzero(block == 0.0) - np.count_nonzero(lead == 0.0)
+        self.below += np.count_nonzero(below) - np.count_nonzero(lead < lo)
+        count = np.count_nonzero(inside)
+        if self.at + count > self.kept.size:
+            self.kept = None
+            return
+        self.kept[self.at:self.at + count] = block[inside]
+        self.at += count
+
+    def median(self, again) -> float:
+        """The median distance; ``again()`` yields the positive distances of a fresh walk.
+
+        BandwidthError when no pair is apart. The positive distances below
+        the bracket number ``below - zeros``, so the middle ranks fall at
+        ``middle + zeros - below`` among the kept values.
+        """
+        if self.count is not None:
+            return self.count.median(again())
+        m = self.size - self.zeros
+        if m == 0:
+            raise BandwidthError("all points coincide; median bandwidth is zero")
+        middle = np.array([(m - 1) // 2, m // 2]) + (self.zeros - self.below)
+        if self.kept is not None and middle[0] >= 0 and middle[1] < self.at:
+            return _middle_distance(self.kept[:self.at], middle)
+        count = _MedianCount()
+        for vals in again():
+            count.add(vals)
+        return count.median(again())
 
 
 def median_pairwise_distance(x) -> float:
     """Median of the nonzero pairwise Euclidean distances between the columns of x.
 
-    Taken from x by row blocks, each block the distances from its columns
-    to those after it (``_Distances.upper``); no (n, n) array is held. A
-    counting pass tallies the positive squared distances by bucket (each
-    bucket spans 1/16 of a binary octave), and a second pass gathers the
-    bucket or buckets holding the middle ranks (``_MedianCount``). When
-    the distances fit in one block the second pass reads those kept from
-    the first.
+    Taken from x in one walk of row blocks, each block the distances from
+    its columns to those after it (``_Distances.upper``); no (n, n) array
+    is held. Before the walk, a seeded sample of pairs brackets the median;
+    the walk counts the distances under the bracket and keeps those inside
+    it, and a partition of the kept values picks the middle ones
+    (``_MedianSelect``). With at most _BLOCK pairs every positive distance
+    is kept. Should the middle ranks fall outside the bracket, or the
+    bracket hold too many distances to keep, the walks of ``_MedianCount``
+    select them exactly by counting: two more, or one more when the sample
+    already predicts too many and the first walk counts. The sample moves
+    only the bracket, never the result, which equals np.median of the
+    nonzero distances bit for bit.
 
     The bandwidth of a kernel or affinity of x with no sigma given: fails
     with BandwidthError when no pair of columns is apart.
     """
     walk = _Distances(x)
-    count = _MedianCount()
+    select = _MedianSelect(walk)
     for _, block in walk.upper():
-        count.add(_strict_upper(block, positive=True))
-    return count.median(_strict_upper(b, positive=True) for _, b in walk.upper())
+        select.add(block)
+    return select.median(lambda: (_strict_upper(b, positive=True) for _, b in walk.upper()))
 
 
 def gaussian_in_place(d2: np.ndarray, sigma: float) -> np.ndarray:

@@ -126,6 +126,13 @@ class TestNnClassify:
         with pytest.raises(DimensionError):
             nn_classify(np.zeros(3), np.zeros(3, dtype=int), np.zeros((1, 2)))
 
+    def test_overflowing_features_are_an_error_not_a_nan_argmin(self):
+        huge = np.array([[0.0, 1e200, 2e200, 3.0]])
+        with pytest.raises(ParameterError, match="overflow"):
+            nn_classify(huge, np.arange(4), np.zeros((1, 2)))
+        with pytest.raises(ParameterError, match="overflow"):
+            nn_classify(np.zeros((1, 2)), np.arange(2), huge)
+
 
 class TestOneHot:
     def test_rows(self):

@@ -410,7 +410,7 @@ class TestSharedOperands:
                                        ds.target_truth).to_dict()
                 # wall time is the one field that differs between two runs
                 alone["wall_time"] = json.loads(written)["wall_time"]
-                assert written == json.dumps(alone, indent=2) + "\n", (name, rep)
+                assert written == json.dumps(alone) + "\n", (name, rep)
 
 
 def coincident_spec(tmp_path, models, config):

@@ -15,8 +15,9 @@ from dbmmd.graphs import W_FLOOR, EdgeGraph, build_affinity, build_graphs, build
 from dbmmd.mmd import build_all, group_index
 
 from dense_reference import (DenseAffinity, cross_block, dense_build_affinity,
-                             dense_build_graphs, dense_build_laplacian, dense_matrix,
-                             dense_panel_product, edge_graph)
+                             dense_build_graphs, dense_build_laplacian, dense_distance_rows,
+                             dense_matrix, dense_median_pairwise_distance, dense_panel_product,
+                             edge_graph)
 
 
 def assert_bits_equal(a, b):
@@ -126,6 +127,29 @@ class TestBuildAffinity:
                 build_affinity(x, sigma=sigma)
         with pytest.raises(ParameterError):
             build_affinity(x, sigma=1.0, neighborhood_p=-2)
+
+    @pytest.mark.parametrize("p", [0, 1, 5])
+    def test_overflowing_features_are_an_error_not_nan_weights(self, p):
+        x = np.array([[0.0, 1e200, 2e200, 3.0]])
+        for sigma in (None, 1.0):
+            with pytest.raises(ParameterError, match="overflow"):
+                build_affinity(x, sigma, p)
+
+    @pytest.mark.parametrize("bracket", ["miss", "overflow", "none"])
+    @pytest.mark.parametrize("p", [0, 5])
+    def test_median_fallback_gives_the_same_graph(self, monkeypatch, p, bracket):
+        # the counting walks, after a bracket that misses, one past its
+        # room, or none, resolve the same sigma and the same weights
+        x = np.random.default_rng(41).normal(size=(4, 500))
+        want, sigma = build_affinity(x, None, p)
+        assert sigma == dense_median_pairwise_distance(dense_distance_rows(x))
+        top = float(dense_distance_rows(x).max())
+        fixed = {"miss": (top, top, 10), "overflow": (1e-300, top, 10), "none": None}[bracket]
+        monkeypatch.setattr(linalg_module, "_bracket", lambda walk: fixed)
+        got, again = build_affinity(x, None, p)
+        assert again == sigma
+        for name in ("rows", "cols", "values"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_arguments_checked_before_the_distance_pass(self, monkeypatch):
         # a bad call fails in O(d n), before the O(d n^2) distances

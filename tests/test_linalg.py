@@ -134,6 +134,31 @@ class TestPairwiseSqDists:
         with pytest.raises(ParameterError):
             pairwise_sq_dists(np.ones((2, 2)), x)
 
+    # squared norms past the largest double; finite norms whose sum is not;
+    # finite sums under a squared distance that is not
+    OVERFLOWING = ([[0.0, 1e200, 2e200, 3.0]], [[1e154, -1e154]], [[7e153, -7e153]])
+
+    @pytest.mark.parametrize("x", OVERFLOWING)
+    def test_rejects_overflowing_squared_norms(self, x):
+        x = np.array(x)
+        with pytest.raises(ParameterError, match="overflow"):
+            pairwise_sq_dists(x)
+        with pytest.raises(ParameterError, match="overflow"):
+            pairwise_sq_dists(np.zeros((x.shape[0], 2)), x)
+        with pytest.raises(ParameterError, match="overflow"):
+            kernel_matrix(x, "rbf", sigma=1.0)
+        with pytest.raises(ParameterError, match="overflow"):
+            linalg._Distances(x)
+        with pytest.raises(ParameterError, match="overflow"):
+            median_pairwise_distance(x)
+
+    def test_large_finite_features_keep_finite_distances(self):
+        # just under the bound every distance is finite, and exact here
+        x = np.array([[0.0, 5e153, -5e153]])
+        d = pairwise_sq_dists(x)
+        assert np.isfinite(d).all()
+        assert d[1, 2] == d[2, 1] == 1e308
+
     def test_rejects_1d(self):
         with pytest.raises(DimensionError):
             pairwise_sq_dists(np.ones(4))
@@ -329,6 +354,85 @@ class TestMedianPairwiseDistance:
         finally:
             tracemalloc.stop()
         assert peak < 0.35 * 8 * n * n, peak / (8 * n * n)
+
+
+def spread_x(n: int, kind: str) -> np.ndarray:
+    """A (3, n) x: grid-rounded (ties), drawn from 40 points (coincident pairs), or octave-spread."""
+    rng = np.random.default_rng(n)
+    if kind == "tied":
+        return np.round(2.0 * rng.normal(size=(3, n)))
+    if kind == "coincident":
+        return rng.normal(size=(3, 40))[:, rng.integers(0, 40, n)]
+    return rng.normal(size=(3, n)) * np.exp2(rng.uniform(-8.0, 8.0, size=n))
+
+
+def counted_blocks(monkeypatch) -> list[int]:
+    """Counts the walker's distance blocks in calls[0]."""
+    calls = [0]
+    block = linalg._Distances.block
+
+    def counted(self, rows, cols):
+        calls[0] += 1
+        return block(self, rows, cols)
+
+    monkeypatch.setattr(linalg._Distances, "block", counted)
+    return calls
+
+
+class TestOneWalkMedian:
+    @pytest.mark.parametrize("kind", ["tied", "coincident", "octave"])
+    @pytest.mark.parametrize("n", [363, 600, 1200])
+    def test_equals_the_dense_oracle_above_the_keep_all_size(self, n, kind):
+        # past _BLOCK pairs (n > 362) the bracket comes from the sample
+        assert n * (n - 1) // 2 > linalg._BLOCK
+        x = spread_x(n, kind)
+        assert median_pairwise_distance(x) == dense_median_pairwise_distance(dense_distance_rows(x))
+
+    def brackets(self, x):
+        """Brackets that miss the middle ranks on either side, and one past its room."""
+        d2 = dense_distance_rows(x)
+        positive = np.sort(d2[np.triu_indices_from(d2, k=1)])
+        positive = positive[positive > 0.0]
+        return {"above": (positive[-2], positive[-1], positive.size),
+                "below": (positive[0], positive[1], positive.size),
+                "overflow": (positive[0], positive[-1], 10)}
+
+    @pytest.mark.parametrize("case", ["above", "below", "overflow", "counted"])
+    @pytest.mark.parametrize("kind", ["tied", "octave"])
+    def test_fallback_gives_the_same_bits(self, monkeypatch, kind, case):
+        # a bracket that misses, one whose kept values pass its room, and
+        # none at all: the counting walks give the same bits
+        n = 600
+        x = spread_x(n, kind)
+        want = median_pairwise_distance(x)
+        assert want == dense_median_pairwise_distance(dense_distance_rows(x))
+        bracket = None if case == "counted" else self.brackets(x)[case]
+        monkeypatch.setattr(linalg, "_bracket", lambda walk: bracket)
+        calls = counted_blocks(monkeypatch)
+        assert median_pairwise_distance(x) == want
+        # one walk with the bracket, then the count and the gather; one
+        # walk and the gather when counting from the start
+        assert calls[0] == (2 if case == "counted" else 3) * len(linalg._row_blocks(n, n))
+
+    def test_typical_input_takes_one_walk(self, monkeypatch):
+        n = 1200
+        x = np.random.default_rng(12).normal(size=(10, n))
+        calls = counted_blocks(monkeypatch)
+        sigma = median_pairwise_distance(x)
+        assert calls[0] == len(linalg._row_blocks(n, n))
+        assert sigma == dense_median_pairwise_distance(dense_distance_rows(x))
+
+    def test_sample_bracket_holds_the_median(self):
+        # the sample's bracket, at proj-large's size, holds the middle ranks
+        # and keeps a small share of the pairs
+        n = 3000
+        x = np.random.default_rng(5).normal(size=(64, n)) * np.repeat(
+            np.exp2(np.arange(10.0) / 4.0), n // 10)
+        walk = linalg._Distances(x)
+        lo, hi, room = linalg._bracket(walk)
+        sigma = median_pairwise_distance(x)
+        assert lo < sigma * sigma < hi
+        assert room < 0.1 * n * (n - 1) // 2
 
 
 class TestKernelMatrix:

@@ -15,8 +15,8 @@ The zoo is spanned by a base model and a boundary term:
 
 The assembled coefficient operator is M0 + compact - separation, held as
 the plain model's 2C x 2C group table plus, for a reweighted model, one
-cross-domain block D, rebuilt from x a block of source rows at a time
-whenever the operator is read (``mmd.MmdOperator``).
+cross-domain block D, read from blocks of W made afresh from x whenever
+the operator is read (``mmd.MmdOperator``).
 Each round projects, re-labels the target, and repeats until the pseudo-labels
 stop changing or the iteration cap is reached.
 """
@@ -41,7 +41,7 @@ from .errors import (
 )
 from .graphs import build_affinity, build_laplacian
 from .linalg import centering_matrix, gen_eig_smallest, matmul, sign_flips
-from .mmd import MmdOperator, MmdTables, build_all
+from .mmd import CrossTerm, MmdOperator, MmdTables, build_all
 from .operands import InputOperands
 
 BASE_MODELS = ("JDA", "CDDA", "DGA-DA", "MEDA")
@@ -69,6 +69,11 @@ class ModelKind:
     def name(self) -> str:
         return self.base if self.boundary == "none" else f"{self.base}+{self.boundary}"
 
+    @property
+    def reweights_separation(self) -> bool:
+        """DB on a model with a separation term: the separation graph reweights it."""
+        return self.boundary == "DB" and self.base in ("CDDA", "DGA-DA")
+
     @classmethod
     def parse(cls, text: str) -> "ModelKind":
         parts = text.strip().split("+")
@@ -83,14 +88,16 @@ def assemble_db(mats: MmdTables, affinity, kind: ModelKind) -> MmdOperator:
     """Coefficient operator M0 + compact - separation for one model.
 
     ``affinity`` is the (n_s, n_t) source-by-target block W of the input
-    affinity, read a block of source rows at a time (``graphs.CrossAffinity``,
-    or an array), and ignored by an unreweighted model. The graphs scale
-    only cross-domain entries: those of the compact term (CG), or of
-    compact minus separation (DB). The two terms never share a
-    cross-domain group pair, so the operator's table is the plain model's
-    and the graphs enter only through D (``graphs.build_graphs``), whose
-    rows the operator rebuilds from W on each read. A unit affinity
-    reproduces the unreweighted model exactly.
+    affinity, read a block at a time (``graphs.CrossAffinity``, or an
+    array), or a ``mmd.CrossTerm`` holding it; it is ignored by an
+    unreweighted model. The graphs scale only cross-domain entries: those
+    of the compact term (CG), or of compact minus separation (DB). The two
+    terms never share a cross-domain group pair, so the operator's table
+    is the plain model's and the graphs enter only through D
+    (``graphs.build_graphs``), which the operator reads from W on each
+    read: s_s D from W's class-diagonal blocks plus, for DB, the fixed
+    T of ``mmd.off_class_term``. A unit affinity reproduces the
+    unreweighted model exactly.
     """
     if kind.boundary != "none" and affinity is None:
         raise StateError(f"{kind.name} needs boundary graphs")
@@ -98,16 +105,18 @@ def assemble_db(mats: MmdTables, affinity, kind: ModelKind) -> MmdOperator:
     weighted = mats.conditional
     if kind.base in ("CDDA", "DGA-DA"):
         table = table - mats.separation
-        if kind.boundary == "DB":
-            weighted = weighted - mats.separation
+    if kind.reweights_separation:
+        weighted = weighted - mats.separation
     if kind.boundary == "none":
         return MmdOperator(mats.groups, mats.n_source, table)
-    ns = mats.n_source
-    if affinity.shape != (ns, mats.groups.size - ns):
-        raise DimensionError(f"cross block shape {affinity.shape} does not match the pair's "
-                             f"{(ns, mats.groups.size - ns)}")
-    c = table.shape[0] // 2
-    return MmdOperator(mats.groups, ns, table, affinity, weighted[:c, c:])
+    ns, c = mats.n_source, table.shape[0] // 2
+    cross = affinity if isinstance(affinity, CrossTerm) else (
+        CrossTerm.of(affinity, mats.groups[:ns], c))
+    if cross.affinity.shape != (ns, mats.groups.size - ns):
+        raise DimensionError(f"cross block shape {cross.affinity.shape} does not match the "
+                             f"pair's {(ns, mats.groups.size - ns)}")
+    return MmdOperator(mats.groups, ns, table, cross, weighted[:c, c:],
+                       kind.reweights_separation)
 
 
 def solve_projection(s: np.ndarray, db: MmdOperator, k: int,
@@ -153,14 +162,14 @@ def _data_operand(cfg: AdaptConfig, ops: InputOperands) -> tuple[np.ndarray | No
     projection never points into the null space of K.
     """
     if cfg.kernel == "primal":
-        return None, ops.x
+        return None, ops.pencil_operand()
     basis, w = ops.kernel_range()
     if cfg.k > w.size:
         raise ParameterError(
             f"k={cfg.k} exceeds the numerical rank r={w.size} of the {cfg.kernel} "
             f"kernel matrix (n={basis.shape[0]}); kernel mode has only r projection directions"
         )
-    return basis, w[:, None] * basis.T
+    return basis, ops.pencil_operand()
 
 
 def _expand(basis: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +209,7 @@ def _refine(ops: InputOperands, kind: ModelKind, target_truth, solve,
     always see the cross block of the input affinity.
     """
     pair, cfg = ops.pair, ops.cfg
-    affinity = ops.affinity() if kind.boundary != "none" else None
+    cross = None if kind.boundary == "none" else ops.cross_term(kind.reweights_separation)
     truth = None if target_truth is None else np.asarray(target_truth)
     pseudo = ops.initial_labels()
     baseline = None if truth is None else accuracy(pseudo, truth)
@@ -209,9 +218,9 @@ def _refine(ops: InputOperands, kind: ModelKind, target_truth, solve,
     for t in range(1, cfg.max_iter + 1):
         p = pair.with_pseudo_labels(pseudo)
         projection = embedding = None  # the last round's arrays are not kept through a solve
-        # D is never held: the operator rebuilds its rows from x on each read.
+        # D is never held: the operator reads W's blocks from x on each read.
         new, objective, eigvals, projection, embedding = solve(
-            p, assemble_db(build_all(p), affinity, kind))
+            p, assemble_db(build_all(p), cross, kind))
         churn = int(np.sum(new != pseudo))
         acc = None if truth is None else accuracy(new, truth)
         records.append(IterationRecord(t, churn, objective, eigvals, new, acc))

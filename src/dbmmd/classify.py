@@ -6,7 +6,7 @@ import scipy.linalg
 
 from .errors import DimensionError, NumericError, ParameterError
 from .graphs import EdgeGraph, rcm_order
-from .linalg import _row_blocks, pairwise_sq_dists
+from .linalg import _as_feature_matrix, _row_blocks, _sq_norms, pairwise_sq_dists
 
 
 def nn_classify(train_x, train_labels, query_x) -> np.ndarray:
@@ -14,7 +14,10 @@ def nn_classify(train_x, train_labels, query_x) -> np.ndarray:
 
     Brute-force squared Euclidean scan: the ``pairwise_sq_dists`` of a
     block of query columns to every training column, each block's argmin
-    taken as it is done; no (query, train) array is held. Those distances
+    taken as it is done; no (query, train) array is held. Both operands
+    are checked and their column norms taken once, and a training operand
+    that is neither C- nor F-contiguous is copied C-ordered once, the copy
+    each block's product would otherwise make. Those distances
     are cut to exactly 0 below their rounding error, so training columns
     within rounding distance of a query tie, and ties go to the lowest
     training index: which of them is taken does not depend on the BLAS.
@@ -32,9 +35,14 @@ def nn_classify(train_x, train_labels, query_x) -> np.ndarray:
         raise ParameterError("need at least one training and one query sample")
     if train_labels.shape != (train_x.shape[1],):
         raise DimensionError("one training label per training column required")
+    if not (train_x.flags.c_contiguous or train_x.flags.f_contiguous):
+        train_x = np.ascontiguousarray(train_x)
+    query_norms = _sq_norms(_as_feature_matrix(query_x))
+    train_norms = _sq_norms(_as_feature_matrix(train_x))
     nearest = np.empty(query_x.shape[1], dtype=np.intp)
     for cols in _row_blocks(query_x.shape[1], train_x.shape[1]):
-        nearest[cols] = np.argmin(pairwise_sq_dists(query_x[:, cols], train_x), axis=1)
+        nearest[cols] = np.argmin(pairwise_sq_dists(
+            query_x[:, cols], train_x, norms=(query_norms[cols], train_norms)), axis=1)
     return train_labels[nearest].astype(np.int64)
 
 

@@ -18,10 +18,12 @@ pairs are pushed harder, which is the stated intent of the construction.
 No graph here is held as an (n, n) or (n_s, n_t) array. The neighborhood
 graphs are edge lists (``EdgeGraph``), built from the distance walker of
 ``linalg`` a block of rows at a time. The cross block W behind the
-boundary graphs is held as what rebuilds it (``CrossAffinity``): W's
-rows for a block of source rows come from x by ``pairwise_sq_dists``,
-and ``build_graphs`` writes D's rows from them (read by
-``mmd.MmdOperator.cross_rows``).
+boundary graphs is held as what rebuilds it (``CrossAffinity``): a block
+of W, some source rows against all or some target columns, comes from x
+by ``pairwise_sq_dists`` with x's column norms taken once, and
+``build_graphs`` writes D's entries from it. ``mmd.MmdOperator`` reads
+W's blocks of source rows for D x, and for s_s D only its class-diagonal
+blocks, a block of source rows of each at a time.
 """
 from __future__ import annotations
 
@@ -30,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .linalg import (_PANEL_ROWS, _Distances, _MedianSelect, _row_blocks, _row_panels,
-                     _strict_upper, gaussian_in_place, matmul, pairwise_sq_dists)
+from .linalg import (_PANEL_ROWS, _as_feature_matrix, _Distances, _MedianSelect, _row_blocks,
+                     _row_panels, _sq_norms, _strict_upper, gaussian_in_place, matmul,
+                     pairwise_sq_dists)
 
 # Floor for 1/W so underflowed affinities cannot blow up.
 W_FLOOR = 1e-6
@@ -173,50 +176,58 @@ def _nearest_edges(walk: _Distances, p: int, select: _MedianSelect | None):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class CrossAffinity:
-    """W, the (n_s, n_t) source-by-target block of the Gaussian affinity of x, by rows.
+    """W, the (n_s, n_t) source-by-target block of the Gaussian affinity of x, by blocks.
 
-    Holds x, sigma and a read-only C-ordered copy of x's target columns
-    (made once, so no block copies them again); none of them can be
-    reassigned, so one instance is safe to share. ``w[rows]`` is W's rows
-    for a slice of source rows, made afresh: exp(d2 / (-2 sigma^2)) in
-    place in their ``pairwise_sq_dists`` to the target columns, which is
-    the rbf kernel of those columns against the target's. W is never held
-    whole. An (n_s, n_t) array reads the same way, so
-    ``mmd.MmdOperator.cross_rows`` takes either.
+    Holds x, sigma and the read-only squared norms of x's columns, taken
+    once (x is checked then), so no read re-checks its operands or takes
+    their norms again; none of them can be reassigned, so one instance is
+    safe to share. A read is made afresh: exp(d2 / (-2 sigma^2)) in place
+    in the ``pairwise_sq_dists`` of the source columns read and the target
+    columns, which is the rbf kernel of those columns against the
+    target's, and bit for bit that call on them. ``w[rows]`` reads a slice
+    of source rows against every target column, and
+    ``w[np.ix_(rows, cols)]`` the source rows ``rows`` against the target
+    columns ``cols``, both index arrays. W is never held whole. An
+    (n_s, n_t) array reads the same way, so ``mmd.MmdOperator`` takes either.
     """
 
     x: np.ndarray
     n_source: int
     sigma: float
-    target: np.ndarray = field(init=False, repr=False)
+    norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        target = np.ascontiguousarray(self.x[:, self.n_source:])
-        target.flags.writeable = False
-        object.__setattr__(self, "target", target)
+        norms = _sq_norms(_as_feature_matrix(self.x))
+        norms.flags.writeable = False
+        object.__setattr__(self, "norms", norms)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.n_source, self.target.shape[1]
+        return self.n_source, self.x.shape[1] - self.n_source
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return gaussian_in_place(pairwise_sq_dists(self.x[:, rows], self.target), self.sigma)
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = (key, slice(None)) if isinstance(key, slice) else (np.ravel(k) for k in key)
+        x, norms = self.x[:, rows], self.norms[rows]
+        y, y_norms = self.x[:, self.n_source:][:, cols], self.norms[self.n_source:][cols]
+        return gaussian_in_place(pairwise_sq_dists(x, y, norms=(norms, y_norms)), self.sigma)
 
 
-def build_graphs(groups: np.ndarray, n_source: int, cross: np.ndarray,
-                 scale: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """D = S_x * (G - 1) on the source rows ``rows`` of a reweighted MMD operator's cross block.
+def build_graphs(groups: np.ndarray, n_source: int, cross: np.ndarray, scale: np.ndarray,
+                 rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """D = S_x * (G - 1) on the source rows ``rows`` and target columns ``cols`` of a
+    reweighted MMD operator's cross block.
 
-    ``groups`` is the packed group index and ``cross`` those rows of the
-    source-by-target block W of the Gaussian affinity of x, which are only
-    read; by default, every row. G is 1/max(W, W_FLOOR) on same-class pairs
-    and W on different-class pairs; the floor only guards underflowed
-    entries. ``scale`` is S_x, the C x C source-by-target block of the
-    reweighted table. D is written in place in one array, so G is never
-    held.
+    ``groups`` is the packed group index and ``cross`` those entries of
+    the source-by-target block W of the Gaussian affinity of x, which are
+    only read; ``rows`` and ``cols`` are slices or index arrays, by
+    default every row and column. G is 1/max(W, W_FLOOR) on same-class
+    pairs and W on different-class pairs; the floor only guards
+    underflowed entries. ``scale`` is S_x, the C x C source-by-target
+    block of the reweighted table. D is written in place in one array, so
+    G is never held.
     """
     c = scale.shape[0]
-    source, target = groups[:n_source][rows], groups[n_source:] - c
+    source, target = groups[:n_source][rows], groups[n_source:][cols] - c
     w = np.asarray(cross, dtype=float)
     if w.shape != (source.size, target.size):
         raise DimensionError(f"cross block shape {w.shape} does not match the pair's "

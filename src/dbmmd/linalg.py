@@ -50,9 +50,6 @@ from .errors import BandwidthError, DimensionError, NumericError, ParameterError
 # ridge keeps it definite there.
 DEFAULT_RIDGE_SCALE = 1e-9
 
-# Side of the square tiles ``_check_symmetric`` walks.
-_TILE = 256
-
 # ``kernel_range``'s randomized range finder: the columns l of its
 # Gaussian test matrix, the margin below l a range must stay under for
 # the sketch to be trusted, and the seed of the test matrix.
@@ -137,7 +134,7 @@ def _as_feature_matrix(x) -> np.ndarray:
     return x
 
 
-def pairwise_sq_dists(x, y=None) -> np.ndarray:
+def pairwise_sq_dists(x, y=None, *, norms=None) -> np.ndarray:
     """Squared Euclidean distances between the columns of ``x`` and ``y``.
 
     The (m, n') distances from each column of the (d, m) x to each column
@@ -150,25 +147,43 @@ def pairwise_sq_dists(x, y=None) -> np.ndarray:
     gamma_d = d eps / (1 - d eps) (Higham 2002, section 3.1), is set to
     0: coincident columns are exactly 0 apart on any BLAS, a column's
     distance to itself among them, and no distance is negative.
+
+    ``norms``, when given, is the pair (|x_i|^2, |y_j|^2) as ``_sq_norms``
+    took it for these columns of an x and y it checked: a caller reading
+    many blocks of one checked x passes them, and neither operand is
+    checked again. A column's norm does not depend on its neighbors, so the
+    distances are the same bits either way.
     """
-    x = _as_feature_matrix(x)
-    y = x if y is None else _as_feature_matrix(y)
-    if y.shape[0] != x.shape[0]:
-        raise DimensionError(f"feature dims differ: {x.shape[0]} and {y.shape[0]}")
+    if norms is None:
+        x = _as_feature_matrix(x)
+        y = x if y is None else _as_feature_matrix(y)
+        if y.shape[0] != x.shape[0]:
+            raise DimensionError(f"feature dims differ: {x.shape[0]} and {y.shape[0]}")
+        norms = _sq_norms(x), _sq_norms(y)
+    elif y is None:
+        y = x
     d = matmul(x.T, y, alpha=-2.0)
-    _sq_dists_in_place(d, _sq_norms(x), _sq_norms(y), x.shape[0])
+    _sq_dists_in_place(d, *norms, x.shape[0])
     return d
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """|x_j|^2 for each column of x; a column's bits do not depend on its neighbors.
+    """|x_j|^2 for each column of x, its squares summed in row order.
 
-    ParameterError when the squared norms, their pairwise sums or the
-    squared distances those bound could overflow: |x_i - y_j|^2 <=
-    2 (|x_i|^2 + |y_j|^2), so 4 max|x_j|^2 must be finite. Every distance
-    pass takes its norms here, and would otherwise return inf or NaN.
+    So a column's bits depend neither on its neighbors nor on x's layout:
+    the norms of some columns of x, a view or a gathered copy (which
+    numpy makes F-ordered), are those columns' entries of the norms of x.
+    (``einsum`` sums that way only over a C-ordered x of two or more
+    columns.) ParameterError when the squared norms, their pairwise sums
+    or the squared distances those bound could overflow:
+    |x_i - y_j|^2 <= 2 (|x_i|^2 + |y_j|^2), so 4 max|x_j|^2 must be
+    finite. Every distance pass takes its norms here, and would otherwise
+    return inf or NaN.
     """
-    sq = np.einsum("ij,ij->j", x, x)
+    sq, square = np.zeros(x.shape[1]), np.empty(x.shape[1])
+    with np.errstate(over="ignore"):  # an overflow raises below
+        for row in x:
+            sq += np.multiply(row, row, out=square)
     if not sq.max(initial=0.0) <= np.finfo(float).max / 4.0:
         raise ParameterError("squared column norms overflow: the features are too large "
                              "for finite squared distances")
@@ -640,20 +655,9 @@ def centering_matrix(s) -> np.ndarray:
 
 
 def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-10) -> None:
-    """ParameterError unless the square m is symmetric to within tol * max(1, max|m|).
-
-    The scale max|m| and the largest |m - m^T| come from one walk of the
-    pairs of mirrored square tiles, upper on or above the diagonal, so no
-    n x n array is made.
-    """
-    n, t = m.shape[0], _TILE
-    peak, skew = 0.0, 0.0
-    for i in range(0, n, t):
-        for j in range(i, n, t):
-            upper, lower = m[i:i + t, j:j + t], m[j:j + t, i:i + t]
-            peak = max(peak, float(np.abs(upper).max()), float(np.abs(lower).max()))
-            skew = max(skew, float(np.abs(upper - lower.T).max()))
-    if skew > tol * max(1.0, peak):
+    """ParameterError unless the square m is symmetric to within tol * max(1, max|m|)."""
+    skew = np.abs(m - m.T).max(initial=0.0)
+    if skew > tol * max(1.0, np.abs(m).max(initial=0.0)):
         raise ParameterError(f"{name} operand must be symmetric")
 
 

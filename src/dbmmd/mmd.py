@@ -35,17 +35,24 @@ The assembled operator (``MmdOperator``) reads that as
 M = P B P^T + [[0, D], [D^T, 0]]: B is the plain model's table and the
 (n_s, n_t) block D = S_x * (G - 1) scales the reweighted part S of it by
 the graph reweights G. D is never held: the operator reads it only
-through s_s D s_t^T and D x, and both are sums over blocks of source
-rows (Halko, Martinsson & Tropp, SIAM Review 2011, section 6, read
-matrix-free). Each block's rows of W come afresh from x, and
-``graphs.build_graphs`` writes D's rows straight from them
-(``MmdOperator.cross_rows``), so neither W nor G is held either. A unit
-affinity gives G == 1, so D == 0 exactly and the reweighted model is
-the plain one bit for bit.
+through s_s D s_t^T and D x (Halko, Martinsson & Tropp, SIAM Review
+2011, section 6, read matrix-free), and W's entries come afresh from x
+on each read. D x (MEDA's beta) sums over blocks of source rows, and
+``graphs.build_graphs`` writes D's rows from W's (``cross_rows``). s_s D
+needs only the class-diagonal blocks of W, where a source row's class a
+is the target's pseudo-class b. With g_a = 1/n_s^a, eta_b = 2/n_t^b for
+DB and 0 for CG (``off_class_factors``), DB's S_x is eta_b g_a off that
+diagonal, so column j of s_s D is eta_b T[:, j] plus the class-b rows'
+s_i (D_ij - eta_b g_b (W_ij - 1)). T = s_s diag(g_a) (W - 1)
+(``off_class_term``) moves with no pseudo-label, so it is made once per
+pair, config and operand (``CrossTerm``, ``operands.InputOperands``),
+and a round reads sum_b n_s^b n_t^b entries of W, about n_s n_t / C.
+A unit affinity gives G == 1, so D == 0 exactly and the reweighted model
+is the plain one bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,23 +102,94 @@ def _repulsive(counts: np.ndarray, c: int) -> np.ndarray:
     return m
 
 
+def _class_rows(labels: np.ndarray, class_count: int) -> list[np.ndarray]:
+    """Per class 0 .. class_count - 1, the positions of labels holding it, in order."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=class_count))[:-1])
+
+
+def off_class_factors(groups: np.ndarray, class_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(g, eta): g_a = 1/n_s^a per source class and eta_b = 2/n_t^b per target class.
+
+    Taken from the counts of the packed group index (of the source labels
+    alone for g), 0 for an empty group.
+    DB's source-by-target scale off the class diagonal is S_x[a, b] =
+    eta_b g_a (the separation table's entry, up to rounding).
+    """
+    c = class_count
+    counts = np.bincount(groups, minlength=2 * c)
+    inv = np.divide(1.0, counts, out=np.zeros(2 * c), where=counts > 0)
+    return inv[:c], 2.0 * inv[c:]
+
+
+def off_class_term(affinity, s: np.ndarray, source_labels: np.ndarray,
+                   class_count: int) -> np.ndarray:
+    """T = s_s diag(g_a) (W - 1), (dim, n_t), from one walk of W's blocks of source rows.
+
+    s is the (dim, n) operand, s_s its source columns, and g_a of each
+    source row is ``off_class_factors``' for its class.
+    """
+    ns, nt = affinity.shape
+    g = off_class_factors(source_labels, class_count)[0][source_labels]
+    t = np.zeros((s.shape[0], nt))
+    for rows in _row_blocks(ns, nt):
+        t += matmul(s[:, rows] * g[rows], affinity[rows] - 1.0)
+    return t
+
+
+@dataclass(frozen=True, eq=False)
+class CrossTerm:
+    """What a reweighted operator reads besides its round's groups; no round moves it.
+
+    ``affinity`` is W, the (n_s, n_t) cross block of the input affinity,
+    read by source rows (``graphs.CrossAffinity`` or an array). ``labels``
+    are the source labels, and ``source`` holds each class's source rows,
+    in order, grouped once. ``off_class`` is None, or ``off_class_term``'s
+    read-only T for the operand ``operand``: the part of DB's s_s D that
+    sums W over every source row.
+    """
+
+    affinity: CrossAffinity | np.ndarray
+    labels: np.ndarray
+    source: tuple[np.ndarray, ...]
+    operand: np.ndarray | None = None
+    off_class: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, affinity, source_labels: np.ndarray, class_count: int) -> "CrossTerm":
+        """W with the source rows grouped by class, and no T."""
+        return cls(affinity, source_labels, tuple(_class_rows(source_labels, class_count)))
+
+    def with_operand(self, s: np.ndarray) -> "CrossTerm":
+        """This term holding T for the operand s."""
+        t = off_class_term(self.affinity, s, self.labels, len(self.source))
+        t.flags.writeable = False
+        return replace(self, operand=s, off_class=t)
+
+    def off_class_for(self, s: np.ndarray) -> np.ndarray:
+        """T for the operand s: the one held if s is its operand, else from a walk of W."""
+        if self.off_class is not None and s is self.operand:
+            return self.off_class
+        return off_class_term(self.affinity, s, self.labels, len(self.source))
+
+
 @dataclass(frozen=True)
 class MmdOperator:
     """M = P B P^T + [[0, D], [D^T, 0]] over the packed order [source | target].
 
     ``table`` is B, the 2C x 2C table of the plain model. An unreweighted
-    model has no D: ``affinity`` and ``scale`` are None. Otherwise D's
-    rows are rebuilt a block of source rows at a time on every read
-    (``cross_rows``) from ``affinity``, the (n_s, n_t) block W read by rows
-    (``graphs.CrossAffinity`` or an array), and ``scale``, the C x C
-    source-by-target block S_x of the reweighted table.
+    model has no D: ``cross`` and ``scale`` are None. Otherwise D is read
+    from ``cross``'s W, a block of W at a time made afresh on every read,
+    and ``scale``, the C x C source-by-target block S_x of the reweighted
+    table; ``repulsive`` marks DB's S_x, nonzero off the class diagonal.
     """
 
     groups: np.ndarray
     n_source: int
     table: np.ndarray
-    affinity: CrossAffinity | np.ndarray | None = None
+    cross: CrossTerm | None = None
     scale: np.ndarray | None = None
+    repulsive: bool = False
 
     def cross_rows(self):
         """(rows, D[rows]) per block of source rows; reweighted only.
@@ -119,15 +197,15 @@ class MmdOperator:
         Each block's W rows, ``affinity[rows]``, and D rows, written from them
         by ``graphs.build_graphs``, are the only (rows, n_t) arrays made.
         """
-        for rows in _row_blocks(*self.affinity.shape):
-            yield rows, build_graphs(self.groups, self.n_source, self.affinity[rows],
-                                     self.scale, rows)
+        affinity = self.cross.affinity
+        for rows in _row_blocks(*affinity.shape):
+            yield rows, build_graphs(self.groups, self.n_source, affinity[rows], self.scale, rows)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """M x for an (n, m) x, from the group sums P^T x and, with a graph, D's row blocks."""
         sums = group_sums(x.T, self.groups, self.table.shape[0]).T
         out = matmul(self.table, sums)[self.groups]
-        if self.affinity is not None:
+        if self.cross is not None:
             ns = self.n_source
             back = np.zeros((out.shape[0] - ns, out.shape[1]))
             for rows, d in self.cross_rows():
@@ -137,17 +215,47 @@ class MmdOperator:
         return out
 
     def sandwich(self, s: np.ndarray) -> np.ndarray:
-        """s M s^T from the group sums sP and, with a graph, s_s D summed over D's row blocks."""
+        """s M s^T from the group sums sP and, with a graph, s_s D (``cross_left``)."""
         sp = group_sums(s, self.groups, self.table.shape[0])
         out = matmul(matmul(sp, self.table), sp.T)
-        if self.affinity is not None:
-            ns = self.n_source
-            left = np.zeros((s.shape[0], s.shape[1] - ns))
-            for rows, d in self.cross_rows():
-                left += matmul(s[:, rows], d)
-            half = matmul(left, s[:, ns:].T)
+        if self.cross is not None:
+            half = matmul(self.cross_left(s), s[:, self.n_source:].T)
             out += half + half.T
         return out
+
+    def cross_left(self, s: np.ndarray) -> np.ndarray:
+        """s_s D, (dim, n_t), from W's class-diagonal blocks and, for DB, T.
+
+        With b the pseudo-class of target j and (g, eta) of
+        ``off_class_factors``, DB's D is eta_b g_a (W_ij - 1) off the class
+        diagonal, so column j is eta_b T[:, j] plus, over the source rows i
+        of class b, s_i (D_ij - eta_b g_b (W_ij - 1)); CG's eta is 0 and
+        needs no T. Each class's block of W is read in blocks of source
+        rows of about _BLOCK entries, and ``graphs.build_graphs`` writes its
+        D entries, so only sum_b n_s^b n_t^b entries of W are read.
+        """
+        ns, c = self.n_source, self.table.shape[0] // 2
+        target = self.groups[ns:] - c
+        g, eta = off_class_factors(self.groups, c)
+        if self.repulsive:
+            left = eta[target] * self.cross.off_class_for(s)
+        else:
+            left = np.zeros((s.shape[0], target.size))
+        for b, (rows, cols) in enumerate(zip(self.cross.source, _class_rows(target, c))):
+            if not (rows.size and cols.size):
+                continue
+            part = left[:, cols]
+            for block in _row_blocks(rows.size, cols.size):
+                at = rows[block]
+                w = self.cross.affinity[np.ix_(at, cols)]
+                d = build_graphs(self.groups, ns, w, self.scale, at, cols)
+                if self.repulsive:
+                    w -= 1.0
+                    w *= eta[b] * g[b]
+                    d -= w
+                part += matmul(s[:, at], d)
+            left[:, cols] = part
+        return left
 
 
 @dataclass(frozen=True)

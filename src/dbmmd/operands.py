@@ -14,9 +14,14 @@ finder, which takes its products from x a panel of K's rows at a time
 and builds K whole only on its exact path (``linalg.kernel_range``).
 MEDA's normalized kNN Laplacian L only ever meets U_r, so its edge list
 gives L U_r a panel of L's rows at a time (``EdgeGraph.times``). W is
-held as what rebuilds it (``graphs.CrossAffinity``): x, a C-ordered copy
-of the target columns and sigma, from which each read of a boundary
-operator takes W's rows a block of source rows at a time.
+held as what rebuilds it (``graphs.CrossAffinity``): x, the column
+norms of x and sigma, from which each read of a boundary operator takes
+a block of W. The boundary operators read W through one
+``mmd.CrossTerm``, which groups the source rows by class once and, the
+first time a DB model asks, holds T, the (dim, nt) part of DB's cross
+term that no pseudo-label moves, for the pencil operand: x in primal
+mode, S_r = diag(w_r) U_r^T in kernel mode, also held here. CDDA+DB and
+DGA-DA+DB then share one T.
 
 The first build that needs a bandwidth resolves the median sigma, from
 x by row blocks (``linalg.median_pairwise_distance``, or inside the kNN
@@ -34,6 +39,7 @@ from .datamodel import AdaptConfig, DomainPair
 from .errors import ParameterError
 from .graphs import CrossAffinity, build_affinity, build_laplacian
 from .linalg import kernel_range, matmul, median_pairwise_distance
+from .mmd import CrossTerm
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -52,6 +58,8 @@ class InputOperands:
         self._range: tuple[np.ndarray, np.ndarray] | None = None
         self._range_terms: tuple[np.ndarray, np.ndarray] | None = None
         self._affinity: CrossAffinity | None = None
+        self._operand: np.ndarray | None = None
+        self._cross: CrossTerm | None = None
         self._initial: np.ndarray | None = None
 
     @classmethod
@@ -106,6 +114,34 @@ class InputOperands:
         if self._affinity is None:
             self._affinity = CrossAffinity(self.x, self.pair.n_source, self._bandwidth())
         return self._affinity
+
+    def pencil_operand(self) -> np.ndarray:
+        """s, the (dim, n) operand of the projection pencil.
+
+        x in primal mode; in kernel mode the reduced operand
+        S_r = diag(w_r) U_r^T of ``linalg.kernel_range``.
+        """
+        if self._operand is None:
+            if self.cfg.kernel == "primal":
+                self._operand = self.x
+            else:
+                basis, w = self.kernel_range()
+                self._operand = _read_only(w[:, None] * basis.T)
+        return self._operand
+
+    def cross_term(self, off_class: bool = False) -> CrossTerm:
+        """W with the source rows grouped by class (``mmd.CrossTerm``), for the boundary graphs.
+
+        With ``off_class`` it also holds T (``mmd.off_class_term``) for the
+        pencil operand, made with one walk of W the first time a model
+        asks: a DB model on a base with a separation term.
+        """
+        if self._cross is None:
+            self._cross = CrossTerm.of(self.affinity(), self.pair.source.labels,
+                                       self.pair.class_count)
+        if off_class and self._cross.off_class is None:
+            self._cross = self._cross.with_operand(self.pencil_operand())
+        return self._cross
 
     def initial_labels(self) -> np.ndarray:
         """The target's own pseudo-labels, or else its 1-NN labels from the source."""

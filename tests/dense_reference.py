@@ -243,7 +243,7 @@ def boundary_block(op) -> np.ndarray | None:
     The operator never holds D: it rebuilds its rows from W on each read
     (``MmdOperator.cross_rows``), and these are those rows, in order.
     """
-    if op.affinity is None:
+    if op.cross is None:
         return None
     return np.concatenate([d for _, d in op.cross_rows()])
 
@@ -288,13 +288,14 @@ def dense_pairwise_sq_dists(x, y) -> np.ndarray:
     """Squared distances between the columns of x and y, as one out-of-place expression.
 
     The Gram matrix is the library's own product: these bytes check the
-    arithmetic around it, not the BLAS build under it. Entries below the
-    rounding bound 2 gamma_d (|x_i|^2 + |y_j|^2) are 0.
+    arithmetic around it, not the BLAS build under it. A column's squared
+    norm sums its squares in row order, whatever the layout of x or y.
+    Entries below the rounding bound 2 gamma_d (|x_i|^2 + |y_j|^2) are 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     g = matmul(x.T, y)
-    s = np.einsum("ij,ij->j", x, x)[:, None] + np.einsum("ij,ij->j", y, y)[None, :]
+    s = sum(r * r for r in x)[:, None] + sum(r * r for r in y)[None, :]
     d = s - 2.0 * g
     eps = np.finfo(float).eps
     dim = x.shape[0]

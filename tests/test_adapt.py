@@ -12,6 +12,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import dbmmd
+import dbmmd.graphs as graphs_module
+import dbmmd.mmd as mmd_module
 from dbmmd.adapt import (
     _propagated_target_labels,
     _solve_with_escalation,
@@ -221,6 +223,61 @@ class TestAssembleDb:
         size = 8 * pair.n_source * pair.n_target
         assert max(peaks) < 0.5 * size, [p / size for p in peaks]
         assert boundary_block(op).shape == (pair.n_source, pair.n_target)
+
+    def test_one_pseudo_class_round_holds_no_class_block(self):
+        # every target pseudo-labeled 0: class 0's block of W spans the whole
+        # target, and is read in blocks of about 64 K entries, so neither it
+        # nor its D is made whole (1.0 x here each): the read peaks at 0.22 x
+        pair = labeled_pair(16, n_s=1600, n_t=1600, class_count=2)
+        pair = pair.with_pseudo_labels(np.zeros(pair.n_target, dtype=int))
+        x = pair.packed_features()
+        ops = InputOperands(pair, AdaptConfig())
+        cross = ops.cross_term(off_class=True)
+        rows = int(np.sum(pair.source.labels == 0))
+        op = assemble_db(build_all(pair), cross, ModelKind("CDDA", "DB"))
+        tracemalloc.start()
+        try:
+            op.sandwich(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = 8 * rows * pair.n_target
+        assert peak < 0.5 * size, peak / size
+
+    @pytest.mark.parametrize("base, boundary", [("CDDA", "DB"), ("DGA-DA", "DB"),
+                                                ("JDA", "CG"), ("CDDA", "CG")])
+    def test_round_reads_only_the_class_diagonal_blocks_of_w(self, monkeypatch, base,
+                                                             boundary):
+        # Once T is built, a round reads W only where a source row's class is
+        # the target's pseudo-class: sum_b n_s^b n_t^b entries. Only DB on a
+        # base with a separation term builds T, and not in the round.
+        pair = labeled_pair(17, n_s=300, n_t=260, class_count=4)
+        ops = InputOperands(pair, AdaptConfig())
+        kind = ModelKind(base, boundary)
+        cross = ops.cross_term(kind.reweights_separation)
+        assert (cross.off_class is not None) == kind.reweights_separation
+        reads, terms = [], []
+        read, build_term = graphs_module.pairwise_sq_dists, mmd_module.off_class_term
+
+        def counted_read(*args, **kwargs):
+            out = read(*args, **kwargs)
+            reads.append(out.size)
+            return out
+
+        def counted_term(*args, **kwargs):
+            terms.append(1)
+            return build_term(*args, **kwargs)
+
+        monkeypatch.setattr(graphs_module, "pairwise_sq_dists", counted_read)
+        monkeypatch.setattr(mmd_module, "off_class_term", counted_term)
+        op = assemble_db(build_all(pair), cross, kind)
+        x = ops.pencil_operand()
+        got = op.sandwich(x)
+        ys, yt = pair.source.labels, pair.target.pseudo_labels
+        assert sum(reads) == sum(np.sum(ys == b) * np.sum(yt == b) for b in range(4))
+        assert terms == []
+        ref = x @ dense_operator(op) @ x.T
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_read_only_strided_affinity_is_not_written(self):
         # the graphs take any (ns, nt) W: here a read-only view that is

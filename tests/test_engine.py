@@ -1,8 +1,9 @@
 """The block-structured MMD operator against the dense n x n reference.
 
 For seeded random pairs (C from 1 to 5, with a class missing from the
-target pseudo-labels and the single-class pair among them), every base x
-boundary model must hold the dense reference exactly:
+target pseudo-labels and the single-class pair among them, plus a pair
+whose targets all carry one pseudo-class), every base x boundary model
+must hold the dense reference exactly:
 its table expands to the plain model's matrix, and a reweighted model's
 cross block D, stacked from the row blocks the operator rebuilds on each
 read, is (G - 1) times the reweighted part S of the dense terms
@@ -46,9 +47,25 @@ def random_pair(seed: int) -> DomainPair:
     return DomainPair(src, tgt, class_count=c)
 
 
+def one_pseudo_class_pair(seed: int) -> DomainPair:
+    """C = 3 with every target pseudo-labeled 1: one class-diagonal block spans the target."""
+    rng = np.random.default_rng(seed)
+    src = LabeledDomain(rng.normal(size=(3, 40)), np.arange(40) % 3, name="source")
+    tgt = UnlabeledDomain(rng.normal(size=(3, 30)), pseudo_labels=np.ones(30, dtype=int),
+                          name="target")
+    return DomainPair(src, tgt, class_count=3)
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_operator_matches_dense_reference(seed):
-    pair = random_pair(seed)
+    assert_matches_dense_reference(random_pair(seed), seed)
+
+
+def test_operator_matches_dense_reference_with_one_pseudo_class():
+    assert_matches_dense_reference(one_pseudo_class_pair(20), 20)
+
+
+def assert_matches_dense_reference(pair: DomainPair, seed: int):
     x = pair.packed_features()
     operands = {"primal": x, "kernel": kernel_matrix(x, "rbf", sigma=1.5)}
     vectors = np.random.default_rng(100 + seed).normal(size=(pair.n_total, 3))

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import dbmmd.linalg as linalg_module
+import dbmmd.mmd as mmd_module
 import dbmmd.operands as operands_module
 from dbmmd.adapt import ModelKind, run_adaptation
 from dbmmd.classify import nn_classify
@@ -14,7 +15,7 @@ from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pa
 from dbmmd.errors import BandwidthError, ParameterError
 from dbmmd.experiment import DatasetSpec, ExperimentSpec, run_experiment
 from dbmmd.graphs import build_affinity, build_laplacian
-from dbmmd.linalg import (_row_blocks, kernel_matrix, kernel_range, matmul,
+from dbmmd.linalg import (_row_blocks, gaussian_in_place, kernel_matrix, kernel_range, matmul,
                           median_pairwise_distance, pairwise_sq_dists)
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
@@ -138,20 +139,36 @@ class TestValues:
     @pytest.mark.parametrize("kernel", ["rbf", "linear", "poly", "primal"])
     def test_affinity_holds_only_the_cross_block(self, kernel):
         # only the cross block W, and that as what rebuilds its rows: x
-        # itself, a copy of the target columns and sigma; no (ns, nt)
-        # array, no K and no distances kept
+        # itself, its column norms and sigma; no (ns, nt) array, no K and
+        # no distances kept
         pair = pair_of(7, 100)
         ops = InputOperands(pair, AdaptConfig(kernel=kernel))
         cross = ops.affinity()
         ns, nt = pair.n_source, pair.n_target
         assert cross.shape == (ns, nt)
         assert cross.x is ops.x
-        assert cross.target.flags.c_contiguous
-        assert cross.target.tobytes() == ops.x[:, ns:].tobytes()
+        assert cross.norms.shape == (ns + nt,)
         assert ops.affinity() is cross
         if kernel == "rbf":
             sigma = median_pairwise_distance(pair.packed_features())
             assert stacked_rows(cross).tobytes() == cross_kernel(pair, sigma).tobytes()
+
+    def test_affinity_reads_equal_pairwise_sq_dists_of_their_columns(self):
+        # x's norms are taken once, yet each read of W is the Gaussian of
+        # the pairwise_sq_dists of its own source and target columns, bit for bit
+        recipe = SyntheticRecipe(class_count=4, samples_per_class=60, feature_dim=64, seed=2)
+        pair = generate_synthetic(recipe).pair
+        w = InputOperands(pair, AdaptConfig()).affinity()
+        x, ns = pair.packed_features(), pair.n_source
+        rng = np.random.default_rng(3)
+        rows = np.sort(rng.choice(ns, 37, replace=False))
+        cols = np.sort(rng.choice(pair.n_target, 53, replace=False))
+
+        def want(a, b):
+            return gaussian_in_place(pairwise_sq_dists(a, b), w.sigma)
+
+        assert w[np.ix_(rows, cols)].tobytes() == want(x[:, rows], x[:, ns + cols]).tobytes()
+        assert w[5:47].tobytes() == want(x[:, 5:47], x[:, ns:]).tobytes()
 
     def test_initial_labels_are_the_target_1nn_labels(self):
         pair = pair_of()
@@ -173,7 +190,8 @@ class TestValues:
 class TestSharing:
     def test_arrays_are_read_only(self):
         ops = InputOperands(pair_of(), RBF)
-        arrays = [ops.x, *ops.kernel_range(), ops.affinity().target, *ops.range_terms()]
+        arrays = [ops.x, *ops.kernel_range(), ops.affinity().norms, *ops.range_terms(),
+                  ops.pencil_operand(), ops.cross_term(off_class=True).off_class]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -181,7 +199,7 @@ class TestSharing:
         with pytest.raises(ValueError):
             ops.initial_labels()[0] = 1
         # the shared affinity's parts cannot be swapped out either
-        for name in ("x", "target", "sigma", "n_source"):
+        for name in ("x", "norms", "sigma", "n_source"):
             with pytest.raises(AttributeError):
                 setattr(ops.affinity(), name, getattr(ops.affinity(), name))
 
@@ -220,6 +238,23 @@ class TestSharing:
         assert calls == {"distance_block": 4, "pairwise_sq_dists": 2, "median": 2,
                          "kernel_matrix": 2, "kernel_range": 2, "build_affinity": 2,
                          "build_laplacian": 2, "cross_affinity": 2}
+
+    @pytest.mark.parametrize("kernel", ["primal", "rbf"])
+    def test_experiment_builds_t_once_for_both_db_cells(self, monkeypatch, tmp_path, kernel):
+        # CDDA+DB and DGA-DA+DB share T, made for the one pencil operand of
+        # the pair and config; the CG cell asks for none
+        terms = []
+        build = mmd_module.off_class_term
+        monkeypatch.setattr(mmd_module, "off_class_term",
+                            lambda *a, **k: terms.append(a[1]) or build(*a, **k))
+        recipe = SyntheticRecipe(class_count=3, samples_per_class=20, feature_dim=4, seed=3)
+        spec = ExperimentSpec(models=("JDA+CG", "CDDA+DB", "DGA-DA+DB"),
+                              config=RBF.replace(kernel=kernel),
+                              output_dir=str(tmp_path / "out"),
+                              dataset=DatasetSpec(synthetic=recipe))
+        assert run_experiment(spec).exit_code == 0
+        assert len(terms) == 1
+        assert terms[0].shape[1] == 120 and not terms[0].flags.writeable
 
     def test_initial_labels_once_per_repeat(self, monkeypatch, tmp_path):
         scans = []

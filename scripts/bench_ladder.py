@@ -19,7 +19,8 @@ process, such as the first eigensolver call. Per cell the file records:
 
 A speed-up between two files counts only where a cell's digest, rounds and
 churns are equal. The default cells have n <= 3000 and take about a
-minute; --top adds the primal CDDA+DB and DGA-DA+DB cells at n = 12000.
+minute; --top adds the cells at n = 12000: primal CDDA+DB and DGA-DA+DB,
+and rbf-kernel JDA+CG and MEDA+CG.
 BLAS threads are min(2, nproc) unless OPENBLAS_NUM_THREADS is set.
 """
 from __future__ import annotations
@@ -44,6 +45,7 @@ PROJ_3000 = dict(class_count=10, samples_per_class=150, feature_dim=64)
 SMALL_300 = dict(class_count=3, samples_per_class=50, feature_dim=8)
 RBF_1800 = dict(class_count=3, samples_per_class=300, feature_dim=2)
 PROJ_12000 = dict(class_count=10, samples_per_class=600, feature_dim=64)
+RBF_12000 = dict(class_count=3, samples_per_class=2000, feature_dim=2)
 
 CELLS = {
     **_cells("small300", ("JDA+CG", "CDDA+DB", "DGA-DA+DB"), SMALL_300,
@@ -55,8 +57,12 @@ CELLS = {
     **_cells("proj3000", ("JDA", "CDDA+DB", "DGA-DA+DB"), PROJ_3000,
              dict(k=10, lam=1.0, max_iter=2)),
 }
-TOP_CELLS = _cells("proj12000", ("CDDA+DB", "DGA-DA+DB"), PROJ_12000,
-                   dict(k=10, lam=1.0, max_iter=2))
+TOP_CELLS = {
+    **_cells("proj12000", ("CDDA+DB", "DGA-DA+DB"), PROJ_12000,
+             dict(k=10, lam=1.0, max_iter=2)),
+    **_cells("rbf12000", ("JDA+CG", "MEDA+CG"), RBF_12000,
+             dict(k=10, lam=1.0, max_iter=2, kernel="rbf")),
+}
 
 
 def run_cell(cell: dict) -> dict:

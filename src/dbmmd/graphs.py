@@ -225,6 +225,11 @@ def build_graphs(groups: np.ndarray, n_source: int, cross: np.ndarray, scale: np
     underflowed entries. ``scale`` is S_x, the C x C source-by-target
     block of the reweighted table. D is written in place in one array, so
     G is never held.
+
+    On a block whose rows and columns are all of one class b, a
+    class-diagonal block, every pair shares the class: no mask is built,
+    and S_x[b, b] multiplies D as a scalar, the same bits as the general
+    path's gathered (rows, cols) copy of it.
     """
     c = scale.shape[0]
     source, target = groups[:n_source][rows], groups[n_source:][cols] - c
@@ -232,13 +237,19 @@ def build_graphs(groups: np.ndarray, n_source: int, cross: np.ndarray, scale: np
     if w.shape != (source.size, target.size):
         raise DimensionError(f"cross block shape {w.shape} does not match the pair's "
                              f"{(source.size, target.size)}")
-    # 1/W everywhere, then W back on different-class pairs. Row k of the
-    # C x n_t mask and scale is source class k's: a block takes whole rows.
+    # 1/W everywhere, then W back on different-class pairs.
     d = np.maximum(w, W_FLOOR)
     np.divide(1.0, d, out=d)
-    np.copyto(d, w, where=(np.arange(c)[:, None] != target)[source])
+    b = source[:1]
+    if b.size and (source == b).all() and (target == b).all():
+        s = scale[b[0], b[0]]
+    else:
+        # Row k of the C x n_t mask and scale is source class k's: a block
+        # takes whole rows.
+        np.copyto(d, w, where=(np.arange(c)[:, None] != target)[source])
+        s = scale[:, target][source]
     d -= 1.0
-    d *= scale[:, target][source]
+    d *= s
     return d
 
 

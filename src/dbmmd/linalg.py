@@ -31,14 +31,18 @@ K of x with a seeded randomized sketch of l = 160 columns, in O(n^2 l).
 The sketch reads K only through products, and takes each from x a panel
 of K's rows at a time (``kernel_matrix`` of some columns against all),
 so no (n, n) array is held; K is built and factored in full only when
-the range is too wide for the sketch. The sketch's draws are fixed, so a
+the range is too wide for the sketch. Each product's basis is the Q of
+LAPACK's level-3 Householder QR, dgeqrt and dgemqrt (``_orth``), whose
+panels are factored and applied with gemm and trmm; geqrf + orgqr factor
+a panel one level-2 reflector per column, on n-long vectors that
+OpenBLAS's threads share at a loss. The sketch's draws are fixed, so a
 result depends on x, the kernel and the BLAS alone.
 """
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
 from .errors import BandwidthError, DimensionError, NumericError, ParameterError
 
@@ -56,6 +60,9 @@ DEFAULT_RIDGE_SCALE = 1e-9
 _SKETCH_COLS = 160
 _SKETCH_OVERSAMPLE = 16
 _SKETCH_SEED = 0x5EED
+
+# Columns per panel of ``_orth``'s QR: LAPACK's own block size for geqrf.
+_QR_BLOCK = 32
 
 # Entries per (rows, n) block temporary of the distance passes, and of
 # the blocked loops over an (m, n) array.
@@ -607,8 +614,28 @@ def _range_cut(w: np.ndarray, n: int) -> np.ndarray:
 
 
 def _orth(y: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of the columns of the Fortran-ordered y, overwriting y."""
-    return scipy.linalg.qr(y, mode="economic", overwrite_a=True, check_finite=False)[0]
+    """The (n, l) Q of y = QR, n >= l, an orthonormal basis of the columns of y.
+
+    y is Fortran-ordered and overwritten. LAPACK's dgeqrt factors it in
+    panels of _QR_BLOCK columns, each factored recursively at level 3
+    (Elmroth & Gustavson, IBM J. Res. Dev. 2000) and kept as a compact-WY
+    block, and dgemqrt applies the blocks to [I_l; 0] with gemm and trmm.
+    geqrf's panels apply one level-2 reflector (dlarf, a gemv and a ger)
+    per column instead, which OpenBLAS threads on n-long vectors at a loss.
+    The reflectors are dlarfg's, as geqrf's are, so Q's columns have
+    geqrf + orgqr's signs. NumericError if LAPACK reports an illegal
+    argument.
+    """
+    n, l = y.shape
+    v, t, info = lapack.dgeqrt(min(_QR_BLOCK, l), y, overwrite_a=1)
+    if info:
+        raise NumericError(f"dgeqrt failed with info {info}")
+    q = np.zeros((n, l), order="F")
+    np.fill_diagonal(q, 1.0)
+    q, info = lapack.dgemqrt(v, t, q, overwrite_c=1)
+    if info:
+        raise NumericError(f"dgemqrt failed with info {info}")
+    return q
 
 
 def _kernel_times(x: np.ndarray, kind: str, sigma: float | None, degree: int,
@@ -632,11 +659,19 @@ def _sketch(times, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     an (n, l) orthonormal basis of K K Omega for an (n, l) Gaussian Omega
     drawn from a fixed seed, and (w, V) are the eigenpairs of the l x l
     Q^T K Q, w ascending. ``times(M)`` returns the Fortran-ordered K M.
+    Each Q is ``_orth``'s, LAPACK's dgeqrt + dgemqrt: level-3 panels,
+    against the level-2 ``dlarf`` per column of geqrf + orgqr, which
+    OpenBLAS threads on n-long vectors at a loss.
     """
-    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((n, _SKETCH_COLS))
-    q = _orth(times(omega))
-    del omega
-    q = _orth(times(q))
+    # Each product's input is dropped before its QR, so that besides the
+    # panel of K only two (n, l) arrays are alive at once: y, which the QR
+    # overwrites, and the Q it writes.
+    q = np.random.default_rng(_SKETCH_SEED).standard_normal((n, _SKETCH_COLS))
+    for _ in range(2):
+        y = times(q)
+        del q
+        q = _orth(y)
+        del y
     b = matmul(q.T, times(q))
     w, v = scipy.linalg.eigh(0.5 * (b + b.T), overwrite_a=True, check_finite=False)
     return q, w, v

@@ -408,7 +408,26 @@ def test_sketched_range_holds_across_blas_kernels():
     here = sketched_runs(FIXTURE_PATH)
     assert here["n"] >= 2 * linalg._SKETCH_COLS
     assert here["r"] < linalg._SKETCH_COLS - linalg._SKETCH_OVERSAMPLE
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    assert sketched_runs_under(OPENBLAS_CORETYPE="Prescott") == here
+
+
+def test_sketched_range_holds_across_blas_threads():
+    """The sketched kernel range gives the same r and labels at 1 and 2 BLAS threads.
+
+    The sketch's QR and products split their sums by thread, so Q's bits
+    differ between the two counts; r and every round's labels must not.
+    """
+    here = sketched_runs(FIXTURE_PATH)
+    for threads in ("1", "2"):
+        assert sketched_runs_under(OPENBLAS_NUM_THREADS=threads) == here, threads
+
+
+def sketched_runs_under(**env_vars: str) -> dict:
+    """``sketched_runs`` in a fresh interpreter with these environment variables set.
+
+    OpenBLAS reads its core type and thread count at load time.
+    """
+    env = dict(os.environ, **env_vars)
     src = str(Path(dbmmd.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     out = subprocess.run(
@@ -416,7 +435,7 @@ def test_sketched_range_holds_across_blas_kernels():
          str(FIXTURE_PATH)],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    assert json.loads(out.stdout) == here
+    return json.loads(out.stdout)
 
 
 def test_criterion_5_fixed_points(golden, golden_rerun):

@@ -330,6 +330,22 @@ class TestBuildGraphs:
         # the distant same-class pair underflows to w == 0; 1/W is floored
         assert d.max() == 1.0 / W_FLOOR - 1.0
 
+    def test_class_diagonal_block_is_the_general_call(self):
+        # a block of one class's source rows and target columns takes no
+        # mask and one scale entry; its D is the full row block's bit for
+        # bit, with a distinct S_x entry per class pair and floored entries
+        pair = labeled_pair(8, n_s=40, n_t=36, class_count=4)
+        groups, ns, c = group_index(pair), pair.n_source, pair.class_count
+        cross = cross_block(pair, dense_build_affinity(pair.packed_features(), sigma=0.05))
+        assert np.count_nonzero(cross < W_FLOOR)
+        scale = np.random.default_rng(9).uniform(-3.0, 3.0, size=(c, c))
+        for b in range(c):
+            rows = np.flatnonzero(pair.source.labels == b)
+            cols = np.flatnonzero(pair.target.pseudo_labels == b)
+            general = build_graphs(groups, ns, cross[rows], scale, rows)
+            block = build_graphs(groups, ns, cross[np.ix_(rows, cols)], scale, rows, cols)
+            assert_bits_equal(block, np.ascontiguousarray(general[:, cols]))
+
     def test_shape_mismatch_rejected(self):
         # the graphs take the (n_s, n_t) cross block, not the (n, n) affinity
         pair = labeled_pair(6)

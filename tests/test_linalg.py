@@ -659,8 +659,14 @@ class TestSketchedKernelRange:
     def test_sketch_holds_one_copy_of_k(self):
         # at most one panel of K's rows, the (n, l) sketch arrays and the
         # basis: well under one copy of K, which the array form held in full
-        # beside its symmetrized copy (1.0 x 8 n^2 and more).
-        n = 1800
+        # beside its symmetrized copy (1.0 x 8 n^2 and more). Alive at once
+        # are a product's input and output, two (n, l) arrays, while one
+        # (_PANEL_ROWS, n) panel of K and its add-and-cut temporaries (two
+        # blocks of _BLOCK entries) make it. The QR writes Q into a new array
+        # beside the product it overwrites, so a product held past its QR
+        # adds a third (n, l) array to the next product's peak: 4.9 x 8 n l
+        # here, against the 3.9 x 8 n l read without it.
+        n, cols = 1800, linalg._SKETCH_COLS
         x, sigma = median_x(76, n)
         tracemalloc.start()
         try:
@@ -670,6 +676,81 @@ class TestSketchedKernelRange:
             tracemalloc.stop()
         assert basis.shape[1] < linalg._SKETCH_COLS - linalg._SKETCH_OVERSAMPLE
         assert peak < 0.5 * 8 * n * n, peak / (8 * n * n)
+        bound = 8 * (2 * n * cols + linalg._PANEL_ROWS * n + 2 * linalg._BLOCK)
+        assert peak < bound, (peak / (8 * n * cols), bound / (8 * n * cols))
+
+
+def fortran_normal(seed: int, n: int, cols: int) -> np.ndarray:
+    return np.asfortranarray(np.random.default_rng(seed).normal(size=(n, cols)))
+
+
+class TestOrth:
+    """``_orth``: the Q of y = QR by LAPACK's dgeqrt and dgemqrt."""
+
+    @pytest.mark.parametrize("n, cols", [(320, 160), (1000, 160), (97, 33), (40, 1)])
+    def test_orthonormal_and_spans_y(self, n, cols):
+        y = fortran_normal(n, n, cols)
+        q = linalg._orth(y.copy(order="F"))
+        assert q.shape == (n, cols)
+        assert_allclose(q.T @ q, np.eye(cols), rtol=0, atol=1e-13)
+        assert_allclose(q @ (q.T @ y), y, rtol=0, atol=1e-13 * np.abs(y).max())
+
+    @pytest.mark.parametrize("n, cols", [(320, 160), (1000, 160), (97, 33)])
+    def test_signs_are_geqrf_orgqr(self, n, cols):
+        # the same Householder reflectors (dlarfg's), so the same columns up
+        # to rounding, not up to sign
+        y = fortran_normal(n + 1, n, cols)
+        want = scipy.linalg.qr(y, mode="economic")[0]
+        assert_allclose(linalg._orth(y.copy(order="F")), want, rtol=0, atol=1e-14)
+
+    def test_rank_deficient_columns_stay_orthonormal(self):
+        y = fortran_normal(81, 400, 160)
+        y[:, 7] = 0.0
+        y[:, 90:] = 0.0
+        y[:, 20] = y[:, 3]
+        y[:, 21] = 2.0 * y[:, 3]
+        q = linalg._orth(y.copy(order="F"))
+        assert_allclose(q.T @ q, np.eye(160), rtol=0, atol=1e-13)
+        assert_allclose(q @ (q.T @ y), y, rtol=0, atol=1e-13 * np.abs(y).max())
+
+    def test_sketch_of_a_rank_two_kernel_stays_orthonormal(self):
+        # K = x^T x has rank 2, so K Omega has 158 columns of rounding
+        n, cols = 2 * linalg._SKETCH_COLS, linalg._SKETCH_COLS
+        x = np.random.default_rng(82).normal(size=(2, n))
+        omega = np.random.default_rng(83).normal(size=(n, cols))
+        y = linalg._kernel_times(x, "linear", None, 2, omega)
+        q = linalg._orth(y)
+        assert_allclose(q.T @ q, np.eye(cols), rtol=0, atol=1e-13)
+
+    def test_lapack_error_is_a_numeric_error(self, monkeypatch):
+        dgeqrt = scipy.linalg.lapack.dgeqrt
+
+        def failing(*args, **kwargs):
+            v, t, _ = dgeqrt(*args, **kwargs)
+            return v, t, -2
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", failing)
+        with pytest.raises(NumericError, match="dgeqrt"):
+            linalg._orth(fortran_normal(84, 40, 8))
+
+    def test_sketch_calls_neither_geqrf_nor_orgqr(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("geqrf + orgqr called")
+
+        monkeypatch.setattr(scipy.linalg, "qr", forbidden)
+        for name in ("dgeqrf", "dorgqr"):
+            monkeypatch.setattr(scipy.linalg.lapack, name, forbidden)
+        panels, dgeqrt = [], scipy.linalg.lapack.dgeqrt
+
+        def spy(nb, a, **kwargs):
+            panels.append(nb)
+            return dgeqrt(nb, a, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeqrt", spy)
+        x, sigma = median_x(85, 2 * linalg._SKETCH_COLS)
+        basis, _ = kernel_range(x, "rbf", sigma=sigma)
+        assert basis.shape[1] < linalg._SKETCH_COLS - linalg._SKETCH_OVERSAMPLE
+        assert panels == [linalg._QR_BLOCK] * 2  # one QR per sketch product
 
 
 class TestCheckSymmetric:

@@ -10,16 +10,19 @@ warm-up run on a 10-per-class pair first takes the one-off costs of a
 process, such as the first eigensolver call. Per cell the file records:
 
   wall_s         the median run_adaptation call (operands, rounds,
-                 labels) over as many runs as fit in a second, at least
-                 one and at most five; generating the pair is left out
+                 labels) over at least three runs, and up to five while
+                 they fit in a second; generating the pair is left out
+  walls_s        each run's wall time, in order, so the spread beside
+                 the median is in the file
   max_rss_mb     the process's resident high-water mark (ru_maxrss),
                  imports and the pair included
   labels_sha256  of the predicted target labels, written as in perfbench
   rounds, churns, accuracy
 
 A speed-up between two files counts only where a cell's digest, rounds and
-churns are equal. The default cells have n <= 3000 and take about a
-minute; --top adds the cells at n = 12000: primal CDDA+DB and DGA-DA+DB,
+churns are equal, and by more than the spread of their walls_s. The
+default cells have n <= 3000 and take about a minute; --top adds the
+cells at n = 12000: primal CDDA+DB and DGA-DA+DB,
 and rbf-kernel JDA+CG and MEDA+CG.
 BLAS threads are min(2, nproc) unless OPENBLAS_NUM_THREADS is set.
 """
@@ -88,7 +91,7 @@ def run_cell(cell: dict) -> dict:
     run_adaptation(warm.pair, cfg, kind, warm.target_truth)
     ds = pair(cell["data"]["samples_per_class"])
     walls, spent = [], 0.0
-    while not walls or (spent < 1.0 and len(walls) < 5):
+    while len(walls) < 3 or (spent < 1.0 and len(walls) < 5):
         t0 = time.perf_counter()
         report = run_adaptation(ds.pair, cfg, kind, ds.target_truth)
         walls.append(time.perf_counter() - t0)
@@ -97,6 +100,7 @@ def run_cell(cell: dict) -> dict:
     return {
         "n": ds.pair.n_total,
         "wall_s": round(statistics.median(walls), 4),
+        "walls_s": [round(w, 4) for w in walls],
         "runs": len(walls),
         "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "labels_sha256": sha256(labels.encode()).hexdigest(),

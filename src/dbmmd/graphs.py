@@ -20,10 +20,12 @@ graphs are edge lists (``EdgeGraph``), built from the distance walker of
 ``linalg`` a block of rows at a time. The cross block W behind the
 boundary graphs is held as what rebuilds it (``CrossAffinity``): a block
 of W, some source rows against all or some target columns, comes from x
-by ``pairwise_sq_dists`` with x's column norms taken once, and
-``build_graphs`` writes D's entries from it. ``mmd.MmdOperator`` reads
-W's blocks of source rows for D x, and for s_s D only its class-diagonal
-blocks, a block of source rows of each at a time.
+by ``pairwise_sq_dists`` with x's column norms taken once.
+``mmd.MmdOperator`` reads only W's class-diagonal blocks, where a source
+row's class is the target's pseudo-class, a block of source rows at a
+time, and ``build_graphs`` writes the same-class rule's D there. The
+different-class weight W enters only as the W - 1 of
+``mmd.off_class_term``, one walk of W's blocks of source rows.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 from .linalg import (_PANEL_ROWS, _as_feature_matrix, _Distances, _MedianSelect, _row_blocks,
                      _row_panels, _sq_norms, _strict_upper, gaussian_in_place, matmul,
                      pairwise_sq_dists)
@@ -212,44 +214,23 @@ class CrossAffinity:
         return gaussian_in_place(pairwise_sq_dists(x, y, norms=(norms, y_norms)), self.sigma)
 
 
-def build_graphs(groups: np.ndarray, n_source: int, cross: np.ndarray, scale: np.ndarray,
-                 rows=slice(None), cols=slice(None)) -> np.ndarray:
-    """D = S_x * (G - 1) on the source rows ``rows`` and target columns ``cols`` of a
-    reweighted MMD operator's cross block.
+def build_graphs(cross: np.ndarray, scale: float) -> np.ndarray:
+    """D = S_x[b, b] (1/max(W, W_FLOOR) - 1) on a class-diagonal block of W.
 
-    ``groups`` is the packed group index and ``cross`` those entries of
-    the source-by-target block W of the Gaussian affinity of x, which are
-    only read; ``rows`` and ``cols`` are slices or index arrays, by
-    default every row and column. G is 1/max(W, W_FLOOR) on same-class
-    pairs and W on different-class pairs; the floor only guards
-    underflowed entries. ``scale`` is S_x, the C x C source-by-target
-    block of the reweighted table. D is written in place in one array, so
-    G is never held.
-
-    On a block whose rows and columns are all of one class b, a
-    class-diagonal block, every pair shares the class: no mask is built,
-    and S_x[b, b] multiplies D as a scalar, the same bits as the general
-    path's gathered (rows, cols) copy of it.
+    ``cross`` holds entries of the source-by-target block W of the
+    Gaussian affinity of x whose source rows and target columns all carry
+    one class b, so every pair shares the class and G, the compacting
+    graph, is 1/W there; the floor only guards underflowed entries.
+    ``cross`` is only read, and D is written in place in one array, so G
+    is never held. ``scale`` is S_x[b, b], the reweighted table's entry
+    for source class b against target class b. A different-class pair's
+    G is W itself, and it enters the operator through
+    ``mmd.off_class_term``'s W - 1 alone.
     """
-    c = scale.shape[0]
-    source, target = groups[:n_source][rows], groups[n_source:][cols] - c
-    w = np.asarray(cross, dtype=float)
-    if w.shape != (source.size, target.size):
-        raise DimensionError(f"cross block shape {w.shape} does not match the pair's "
-                             f"{(source.size, target.size)}")
-    # 1/W everywhere, then W back on different-class pairs.
-    d = np.maximum(w, W_FLOOR)
+    d = np.maximum(cross, W_FLOOR)
     np.divide(1.0, d, out=d)
-    b = source[:1]
-    if b.size and (source == b).all() and (target == b).all():
-        s = scale[b[0], b[0]]
-    else:
-        # Row k of the C x n_t mask and scale is source class k's: a block
-        # takes whole rows.
-        np.copyto(d, w, where=(np.arange(c)[:, None] != target)[source])
-        s = scale[:, target][source]
     d -= 1.0
-    d *= s
+    d *= scale
     return d
 
 

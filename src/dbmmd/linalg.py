@@ -15,8 +15,8 @@ columns of an x and a y, y = x when none is given. The passes over all
 pairs of columns (the median bandwidth here, the kNN graph in
 ``graphs``) read one walker, ``_Distances``, built once per x:
 it checks x and takes its column norms once, and yields the distances a
-block of rows at a time, rows lo.. against columns lo.. (``upper``) or
-against every column (``full_rows``). No (n, n) array is held, every
+block of rows at a time, rows lo.. against columns lo.. (``upper``),
+which ``widen`` extends to every column. No (n, n) array is held, every
 pass sees the same bits for a pair i < j from row i, and every block is
 ``pairwise_sq_dists`` of its rows and columns bit for bit off the
 diagonal. The median takes one walk: a seeded sample of pairs brackets
@@ -279,18 +279,13 @@ class _Distances:
         for rows in _row_blocks(n, n):
             yield rows, self.block(rows, slice(rows.start, n))
 
-    def full_rows(self):
-        """(rows, d2) per row block: d2[r, c] is the distance from column lo + r to c.
-
-        The columns from lo on are the ``upper`` block, those before lo a
-        product of their own; the mirror of an earlier upper block would
-        not be the same bits.
-        """
-        for rows, upper in self.upper():
-            yield rows, self.widen(rows, upper)
-
     def widen(self, rows: slice, upper: np.ndarray) -> np.ndarray:
-        """The ``full_rows`` block of ``rows`` from their ``upper`` block, which it consumes."""
+        """The distances from ``rows`` to every column, from their ``upper`` block.
+
+        It consumes that block. The columns before lo are a product of
+        their own; the mirror of an earlier upper block would not be the
+        same bits.
+        """
         lo = rows.start
         if not lo:
             return upper

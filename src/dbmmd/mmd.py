@@ -37,16 +37,18 @@ M = P B P^T + [[0, D], [D^T, 0]]: B is the plain model's table and the
 the graph reweights G. D is never held: the operator reads it only
 through s_s D s_t^T and D x (Halko, Martinsson & Tropp, SIAM Review
 2011, section 6, read matrix-free), and W's entries come afresh from x
-on each read. D x (MEDA's beta) sums over blocks of source rows, and
-``graphs.build_graphs`` writes D's rows from W's (``cross_rows``). s_s D
-needs only the class-diagonal blocks of W, where a source row's class a
-is the target's pseudo-class b. With g_a = 1/n_s^a, eta_b = 2/n_t^b for
-DB and 0 for CG (``off_class_factors``), DB's S_x is eta_b g_a off that
-diagonal, so column j of s_s D is eta_b T[:, j] plus the class-b rows'
-s_i (D_ij - eta_b g_b (W_ij - 1)). T = s_s diag(g_a) (W - 1)
-(``off_class_term``) moves with no pseudo-label, so it is made once per
-pair, config and operand (``CrossTerm``, ``operands.InputOperands``),
-and a round reads sum_b n_s^b n_t^b entries of W, about n_s n_t / C.
+on each read. Both reads take one reader of W's class-diagonal blocks,
+where a source row's class a is the target's pseudo-class b: there G is
+1/W and S_x is the conditional table's (b, C + b) entry
+(``graphs.build_graphs``). With g_a = 1/n_s^a and eta_b = 2/n_t^b
+(``off_class_factors``), DB's S_x is eta_b g_a off that diagonal, and
+CG's is 0. So under CG the class-diagonal blocks are all of D, and a
+round reads sum_b n_s^b n_t^b entries of W, about n_s n_t / C. Under DB,
+column j of s_s D is eta_b T[:, j] plus the class-b rows'
+s_i (D_ij - eta_b g_b (W_ij - 1)), with T = s_s diag(g_a) (W - 1)
+(``off_class_term``). T moves with no pseudo-label, so it is made once
+per pair, config and operand (``CrossTerm``, ``operands.InputOperands``).
+D x is read only under CG: MEDA, the one model that takes it, has no DB.
 A unit affinity gives G == 1, so D == 0 exactly and the reweighted model
 is the plain one bit for bit.
 """
@@ -178,40 +180,63 @@ class MmdOperator:
     """M = P B P^T + [[0, D], [D^T, 0]] over the packed order [source | target].
 
     ``table`` is B, the 2C x 2C table of the plain model. An unreweighted
-    model has no D: ``cross`` and ``scale`` are None. Otherwise D is read
-    from ``cross``'s W, a block of W at a time made afresh on every read,
-    and ``scale``, the C x C source-by-target block S_x of the reweighted
-    table; ``repulsive`` marks DB's S_x, nonzero off the class diagonal.
+    model has no D: ``cross`` and ``diagonal`` are None. Otherwise D is
+    read from ``cross``'s W, a block of W at a time made afresh on every
+    read, and ``diagonal``, S_x[b, b] per class b: the reweighted table's
+    entries on the class diagonal of its source-by-target block, the only
+    ones read. ``repulsive`` marks DB, whose D is eta_b g_a (W - 1) off
+    the class diagonal.
     """
 
     groups: np.ndarray
     n_source: int
     table: np.ndarray
     cross: CrossTerm | None = None
-    scale: np.ndarray | None = None
+    diagonal: np.ndarray | None = None
     repulsive: bool = False
 
-    def cross_rows(self):
-        """(rows, D[rows]) per block of source rows; reweighted only.
+    def _class_blocks(self):
+        """(at, cols, d) per block of about _BLOCK entries of W's class-diagonal blocks.
 
-        Each block's W rows, ``affinity[rows]``, and D rows, written from them
-        by ``graphs.build_graphs``, are the only (rows, n_t) arrays made.
+        For each class b with source rows and pseudo-labeled target
+        columns ``cols``, ``at`` is a block of b's source rows and d their
+        D against ``cols`` (``graphs.build_graphs``), for DB less the
+        eta_b g_b (W - 1) that T already holds. Each block of W read is the
+        only (at, cols) array made besides d.
         """
-        affinity = self.cross.affinity
-        for rows in _row_blocks(*affinity.shape):
-            yield rows, build_graphs(self.groups, self.n_source, affinity[rows], self.scale, rows)
+        ns, c = self.n_source, self.diagonal.size
+        g, eta = off_class_factors(self.groups, c)
+        target = self.groups[ns:] - c
+        for b, (rows, cols) in enumerate(zip(self.cross.source, _class_rows(target, c))):
+            if not (rows.size and cols.size):
+                continue
+            for block in _row_blocks(rows.size, cols.size):
+                at = rows[block]
+                w = self.cross.affinity[np.ix_(at, cols)]
+                d = build_graphs(w, self.diagonal[b])
+                if self.repulsive:
+                    w -= 1.0
+                    w *= eta[b] * g[b]
+                    d -= w
+                yield at, cols, d
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """M x for an (n, m) x, from the group sums P^T x and, with a graph, D's row blocks."""
+        """M x for an (n, m) x, from the group sums P^T x and, with a graph, D's class blocks.
+
+        Under CG, W's class-diagonal blocks hold all of D. DB's D is
+        nonzero off them too, and nothing takes its D x, so a repulsive
+        operator raises StateError.
+        """
+        if self.repulsive:
+            raise StateError("M x is read only without a separation graph; "
+                             "a DB operator is read through s M s^T")
         sums = group_sums(x.T, self.groups, self.table.shape[0]).T
         out = matmul(self.table, sums)[self.groups]
         if self.cross is not None:
             ns = self.n_source
-            back = np.zeros((out.shape[0] - ns, out.shape[1]))
-            for rows, d in self.cross_rows():
-                out[rows] += matmul(d, x[ns:])
-                back += matmul(d.T, x[rows])
-            out[ns:] += back
+            for at, cols, d in self._class_blocks():
+                out[at] += matmul(d, x[ns + cols])
+                out[ns + cols] += matmul(d.T, x[at])
         return out
 
     def sandwich(self, s: np.ndarray) -> np.ndarray:
@@ -226,35 +251,18 @@ class MmdOperator:
     def cross_left(self, s: np.ndarray) -> np.ndarray:
         """s_s D, (dim, n_t), from W's class-diagonal blocks and, for DB, T.
 
-        With b the pseudo-class of target j and (g, eta) of
-        ``off_class_factors``, DB's D is eta_b g_a (W_ij - 1) off the class
-        diagonal, so column j is eta_b T[:, j] plus, over the source rows i
-        of class b, s_i (D_ij - eta_b g_b (W_ij - 1)); CG's eta is 0 and
-        needs no T. Each class's block of W is read in blocks of source
-        rows of about _BLOCK entries, and ``graphs.build_graphs`` writes its
-        D entries, so only sum_b n_s^b n_t^b entries of W are read.
+        Column j, of pseudo-class b, is the sum over the class-b source
+        rows i of s_i D_ij (``_class_blocks``); for DB, plus eta_b T[:, j],
+        which holds the rest.
         """
-        ns, c = self.n_source, self.table.shape[0] // 2
-        target = self.groups[ns:] - c
-        g, eta = off_class_factors(self.groups, c)
+        ns, c = self.n_source, self.diagonal.size
         if self.repulsive:
-            left = eta[target] * self.cross.off_class_for(s)
+            eta = off_class_factors(self.groups, c)[1]
+            left = eta[self.groups[ns:] - c] * self.cross.off_class_for(s)
         else:
-            left = np.zeros((s.shape[0], target.size))
-        for b, (rows, cols) in enumerate(zip(self.cross.source, _class_rows(target, c))):
-            if not (rows.size and cols.size):
-                continue
-            part = left[:, cols]
-            for block in _row_blocks(rows.size, cols.size):
-                at = rows[block]
-                w = self.cross.affinity[np.ix_(at, cols)]
-                d = build_graphs(self.groups, ns, w, self.scale, at, cols)
-                if self.repulsive:
-                    w -= 1.0
-                    w *= eta[b] * g[b]
-                    d -= w
-                part += matmul(s[:, at], d)
-            left[:, cols] = part
+            left = np.zeros((s.shape[0], self.groups.size - ns))
+        for at, cols, d in self._class_blocks():
+            left[:, cols] += matmul(s[:, at], d)
         return left
 
 

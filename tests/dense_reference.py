@@ -27,8 +27,11 @@ explicit n x n H, which the library never forms.
 ``dense_operator`` expands the engine's MMD operator to the (n, n) matrix
 M entry for entry; the tests use it wherever a test needs M itself.
 ``dense_boundary_block`` is the cross block D a reweighted operator must
-rebuild, bit for bit; ``boundary_block`` stacks the operator's D from the
-row blocks it rebuilds on each read.
+hold, from the per-sample terms; ``boundary_block`` builds the operator's
+D from its W, groups and class-diagonal scale, never through the
+operator's own reads, so checking those reads against it is not
+circular. The two agree entry for entry, the class-diagonal blocks bit
+for bit (``class_diagonal``).
 
 ``dense_kernel`` builds the (n, n) K that the library reads only through
 ``linalg.kernel_range``, and ``dense_kernel_range`` is the full
@@ -238,21 +241,42 @@ def dense_boundary_block(pair: DomainPair, affinity: DenseAffinity, kind) -> np.
 
 
 def boundary_block(op) -> np.ndarray | None:
-    """The (n_s, n_t) D of an ``mmd.MmdOperator``, stacked from its row blocks; None unreweighted.
+    """The (n_s, n_t) D of an ``mmd.MmdOperator``, built here; None unreweighted.
 
-    The operator never holds D: it rebuilds its rows from W on each read
-    (``MmdOperator.cross_rows``), and these are those rows, in order.
+    The operator never holds D, so it is built from what the operator
+    holds: its W (``stacked_rows``), its groups and its scale on the class
+    diagonal, S_x[b, b], never through its own reads. Same-class pairs
+    take (1/max(W, W_FLOOR) - 1) S_x[b, b], in ``graphs.build_graphs``'
+    order of operations. Off the class diagonal, CG's D is 0 and DB's is
+    (W - 1) times the negated separation entry 2/(n_s^a n_t^b) of the
+    per-sample terms. So every entry equals ``dense_boundary_block``'s,
+    the class-diagonal ones bit for bit; off it, the dense CG block holds
+    (W - 1) * 0, a -0.0 where W < 1.
     """
     if op.cross is None:
         return None
-    return np.concatenate([d for _, d in op.cross_rows()])
+    ns, c = op.n_source, op.diagonal.size
+    source, target = op.groups[:ns], op.groups[ns:] - c
+    w = stacked_rows(op.cross.affinity)
+    same = source[:, None] == target
+    d = np.where(same, (1.0 / np.maximum(w, W_FLOOR) - 1.0) * op.diagonal[source][:, None], 0.0)
+    if op.repulsive:
+        pairs = np.outer(np.bincount(source, minlength=c), np.bincount(target, minlength=c))
+        d[~same] = ((w - 1.0) * (2.0 / pairs[source][:, target]))[~same]
+    return d
+
+
+def class_diagonal(op) -> np.ndarray:
+    """(n_s, n_t) mask of the pairs whose source class is the target's pseudo-class."""
+    c = op.table.shape[0] // 2
+    return op.groups[:op.n_source, None] == op.groups[op.n_source:] - c
 
 
 def dense_operator(op) -> np.ndarray:
     """The (n, n) matrix M of an ``mmd.MmdOperator``, entry for entry.
 
     The table expanded over the group index, plus the D block on the
-    cross-domain block, stacked from its row blocks (``boundary_block``).
+    cross-domain block, built from what the operator holds (``boundary_block``).
     Unreweighted, it equals the per-sample builders' M exactly;
     reweighted, table + D can differ from their m + G * c - s in the last
     bits, so the tests compare the table and D with the per-sample terms
@@ -268,8 +292,8 @@ def dense_operator(op) -> np.ndarray:
 
 
 def stacked_rows(affinity) -> np.ndarray:
-    """The (n_s, n_t) W that ``affinity[rows]`` reads, stacked from the row
-    blocks the boundary graphs read it in (``MmdOperator.cross_rows``)."""
+    """The (n_s, n_t) W that ``affinity[rows]`` reads, stacked from blocks of
+    source rows of about _BLOCK entries each (``linalg._row_blocks``)."""
     return np.concatenate([affinity[rows] for rows in _row_blocks(*affinity.shape)])
 
 

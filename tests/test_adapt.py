@@ -33,7 +33,7 @@ from dbmmd.mmd import MmdOperator, build_all
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
-from dense_reference import (boundary_block, cross_block, dense_boundary_block,
+from dense_reference import (boundary_block, class_diagonal, cross_block, dense_boundary_block,
                              dense_build_affinity, dense_build_laplacian, dense_kernel,
                              dense_kernel_range, dense_meda_solve, dense_meda_system,
                              dense_operator)
@@ -177,21 +177,25 @@ class TestAssembleDb:
         aff = dense_build_affinity(pair.packed_features())
         kind = ModelKind("CDDA", "DB")
         op = assemble_db(build_all(pair), cross_block(pair, aff), kind)
-        assert boundary_block(op).tobytes() == dense_boundary_block(pair, aff, kind).tobytes()
-        assert np.any(boundary_block(op) != 0.0)
+        got, want = boundary_block(op), dense_boundary_block(pair, aff, kind)
+        same = class_diagonal(op)
+        assert got[same].tobytes() == want[same].tobytes()
+        assert np.array_equal(got, want)
+        assert np.any(got[same] != 0.0) and np.any(got[~same] != 0.0)
 
     def test_reweighted_operator_allocates_no_ns_by_nt_array(self):
         # sandwich and matvec only read D: neither allocates an (n_s, n_t)
-        # array of its own
+        # array of its own. matvec is read under CG, the one boundary MEDA has
         pair = labeled_pair(13, n_s=600, n_t=600, class_count=4)
         x = pair.packed_features()
-        op = assemble_db(build_all(pair), cross_block(pair, dense_build_affinity(x)),
-                         ModelKind("CDDA", "DB"))
+        cross = cross_block(pair, dense_build_affinity(x))
+        db, cg = (assemble_db(build_all(pair), cross, ModelKind(base, boundary))
+                  for base, boundary in (("CDDA", "DB"), ("MEDA", "CG")))
         vectors = np.random.default_rng(130).normal(size=(pair.n_total, 3))
         tracemalloc.start()
         try:
             peaks = []
-            for call in (lambda: op.sandwich(x), lambda: op.matvec(vectors)):
+            for call in (lambda: db.sandwich(x), lambda: cg.matvec(vectors)):
                 tracemalloc.reset_peak()
                 call()
                 peaks.append(tracemalloc.get_traced_memory()[1])
@@ -200,10 +204,10 @@ class TestAssembleDb:
         assert max(peaks) < 8 * pair.n_source * pair.n_target, peaks
 
     def test_boundary_round_holds_no_ns_by_nt_array(self):
-        # One CDDA+DB round's operator build and both of its reads: W's and
-        # D's rows are rebuilt from x a block of source rows at a time, so
-        # no (n_s, n_t) array is made; held whole, W and D were 1.0 x here
-        # each.
+        # One CDDA+DB round's operator build and its sandwich, and a MEDA+CG
+        # round's matvec: W's and D's rows are rebuilt from x a block of
+        # source rows at a time, so no (n_s, n_t) array is made; held whole,
+        # W and D were 1.0 x here each.
         pair = labeled_pair(14, n_s=1200, n_t=1200, class_count=4)
         x = pair.packed_features()
         affinity = InputOperands(pair, AdaptConfig()).affinity()
@@ -212,9 +216,10 @@ class TestAssembleDb:
         peaks = []
         tracemalloc.start()
         try:
-            op = assemble_db(mats, affinity, ModelKind("CDDA", "DB"))
+            db = assemble_db(mats, affinity, ModelKind("CDDA", "DB"))
+            cg = assemble_db(mats, affinity, ModelKind("MEDA", "CG"))
             peaks.append(tracemalloc.get_traced_memory()[1])
-            for call in (lambda: op.sandwich(x), lambda: op.matvec(vectors)):
+            for call in (lambda: db.sandwich(x), lambda: cg.matvec(vectors)):
                 tracemalloc.reset_peak()
                 call()
                 peaks.append(tracemalloc.get_traced_memory()[1])
@@ -222,7 +227,7 @@ class TestAssembleDb:
             tracemalloc.stop()
         size = 8 * pair.n_source * pair.n_target
         assert max(peaks) < 0.5 * size, [p / size for p in peaks]
-        assert boundary_block(op).shape == (pair.n_source, pair.n_target)
+        assert boundary_block(db).shape == (pair.n_source, pair.n_target)
 
     def test_one_pseudo_class_round_holds_no_class_block(self):
         # every target pseudo-labeled 0: class 0's block of W spans the whole
@@ -245,12 +250,14 @@ class TestAssembleDb:
         assert peak < 0.5 * size, peak / size
 
     @pytest.mark.parametrize("base, boundary", [("CDDA", "DB"), ("DGA-DA", "DB"),
-                                                ("JDA", "CG"), ("CDDA", "CG")])
+                                                ("JDA", "CG"), ("CDDA", "CG"),
+                                                ("MEDA", "CG")])
     def test_round_reads_only_the_class_diagonal_blocks_of_w(self, monkeypatch, base,
                                                              boundary):
         # Once T is built, a round reads W only where a source row's class is
-        # the target's pseudo-class: sum_b n_s^b n_t^b entries. Only DB on a
-        # base with a separation term builds T, and not in the round.
+        # the target's pseudo-class: sum_b n_s^b n_t^b entries, in the
+        # sandwich and, under CG, in the matvec of MEDA's beta too. Only DB
+        # on a base with a separation term builds T, and not in the round.
         pair = labeled_pair(17, n_s=300, n_t=260, class_count=4)
         ops = InputOperands(pair, AdaptConfig())
         kind = ModelKind(base, boundary)
@@ -274,9 +281,22 @@ class TestAssembleDb:
         x = ops.pencil_operand()
         got = op.sandwich(x)
         ys, yt = pair.source.labels, pair.target.pseudo_labels
-        assert sum(reads) == sum(np.sum(ys == b) * np.sum(yt == b) for b in range(4))
+        diagonal_blocks = sum(np.sum(ys == b) * np.sum(yt == b) for b in range(4))
+        assert sum(reads) == diagonal_blocks
         assert terms == []
-        ref = x @ dense_operator(op) @ x.T
+        m = dense_operator(op)
+        ref = x @ m @ x.T
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        vectors = np.random.default_rng(170).normal(size=(pair.n_total, 3))
+        if kind.reweights_separation:
+            # D x is read only under CG, the one boundary MEDA has
+            with pytest.raises(StateError):
+                op.matvec(vectors)
+            return
+        reads.clear()
+        got = op.matvec(vectors)
+        assert sum(reads) == diagonal_blocks
+        ref = m @ vectors
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_read_only_strided_affinity_is_not_written(self):

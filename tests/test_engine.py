@@ -5,11 +5,16 @@ target pseudo-labels and the single-class pair among them, plus a pair
 whose targets all carry one pseudo-class), every base x boundary model
 must hold the dense reference exactly:
 its table expands to the plain model's matrix, and a reweighted model's
-cross block D, stacked from the row blocks the operator rebuilds on each
-read, is (G - 1) times the reweighted part S of the dense terms
-(``dense_reference.dense_boundary_block``).
-Its left operand s M s^T and its product M x must match the dense
-products for primal and kernel data operands and for a block of vectors.
+cross block D, built from the operator's W, groups and class-diagonal
+scale (``dense_reference.boundary_block``), is (G - 1) times the
+reweighted part S of the dense terms
+(``dense_reference.dense_boundary_block``): bit for bit on the
+class-diagonal blocks, and equal elsewhere, where the dense CG block holds
+signed zeros. Under CG the blocks the operator reads D from are the dense
+class-diagonal blocks bit for bit. Its left operand s M s^T must match
+the dense products for primal and kernel data operands, and its product
+M x for a block of vectors, except under CDDA+DB and DGA-DA+DB, whose
+operators do not define it.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from dbmmd.datamodel import DomainPair, LabeledDomain, UnlabeledDomain
 from dbmmd.linalg import kernel_matrix
 from dbmmd.mmd import build_all
 
-from dense_reference import (boundary_block, cross_block, dense_assemble_db,
+from dense_reference import (boundary_block, class_diagonal, cross_block, dense_assemble_db,
                              dense_boundary_block, dense_build_affinity, dense_build_all,
                              dense_build_graphs)
 
@@ -83,15 +88,21 @@ def assert_matches_dense_reference(pair: DomainPair, seed: int):
         table = op.table[op.groups][:, op.groups]
         assert table.tobytes() == plain.tobytes(), case
         if reweighted:
-            want_d = dense_boundary_block(pair, aff, kind)
-            assert boundary_block(op).tobytes() == want_d.tobytes(), case
+            want_d, got_d = dense_boundary_block(pair, aff, kind), boundary_block(op)
+            same = class_diagonal(op)
+            assert got_d[same].tobytes() == want_d[same].tobytes(), case
+            assert np.array_equal(got_d, want_d), case
+            if not op.repulsive:
+                for at, cols, d in op._class_blocks():
+                    assert d.tobytes() == want_d[np.ix_(at, cols)].tobytes(), case
         else:
             assert boundary_block(op) is None, case
         for name, s in operands.items():
             got, ref = op.sandwich(s), s @ want @ s.T
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (case, name)
-        got, ref = op.matvec(vectors), want @ vectors
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (case, "matvec")
+        if not op.repulsive:
+            got, ref = op.matvec(vectors), want @ vectors
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (case, "matvec")
 
 
 def test_cases_cover_missing_class_and_single_class():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,15 +10,16 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import dbmmd.linalg as linalg_module
+from dbmmd.adapt import ModelKind, assemble_db
 from dbmmd.datamodel import LabeledDomain, UnlabeledDomain, make_pair
 from dbmmd.errors import BandwidthError, DimensionError, ParameterError
 from dbmmd.graphs import W_FLOOR, EdgeGraph, build_affinity, build_graphs, build_laplacian, rcm_order
-from dbmmd.mmd import build_all, group_index
+from dbmmd.mmd import build_all, off_class_term
 
-from dense_reference import (DenseAffinity, cross_block, dense_build_affinity,
-                             dense_build_graphs, dense_build_laplacian, dense_distance_rows,
-                             dense_matrix, dense_median_pairwise_distance, dense_panel_product,
-                             edge_graph)
+from dense_reference import (DenseAffinity, cross_block, dense_boundary_block,
+                             dense_build_affinity, dense_build_graphs, dense_build_laplacian,
+                             dense_distance_rows, dense_matrix, dense_median_pairwise_distance,
+                             dense_panel_product, edge_graph)
 
 
 def assert_bits_equal(a, b):
@@ -259,9 +261,22 @@ class TestNeighborTies:
 
 
 def unit_scaled_block(pair, cross):
-    """``build_graphs`` with S_x == 1, so D is G - 1: the graph reweights less one."""
-    c = pair.class_count
-    return build_graphs(group_index(pair), pair.n_source, cross, np.ones((c, c)))
+    """G - 1 over the cross block W, from the two places the operator takes it.
+
+    Same-class pairs: ``build_graphs`` with S_x[b, b] == 1 on each block of
+    W's class-diagonal blocks that a CG operator's reader visits, each
+    pair once. Different-class pairs: ``off_class_term``'s W - 1, with one
+    source row per class (g == 1) and s = I, so T is W - 1 exactly.
+    """
+    ns = pair.n_source
+    op = assemble_db(build_all(pair), cross, ModelKind("JDA", "CG"))
+    d = off_class_term(cross, np.eye(ns), np.arange(ns), ns)
+    seen = np.zeros(d.shape, dtype=bool)
+    for at, cols, block in replace(op, diagonal=np.ones_like(op.diagonal))._class_blocks():
+        assert not seen[np.ix_(at, cols)].any()
+        seen[np.ix_(at, cols)] = True
+        d[np.ix_(at, cols)] = block
+    return d
 
 
 class TestBuildGraphs:
@@ -292,18 +307,19 @@ class TestBuildGraphs:
         assert_bits_equal(d, (dense.g_cg + dense.g_sg)[:n_s, n_s:] - 1.0)
 
     def test_cg_mask_matches_conditional_negatives(self):
-        # the same-class pairs are exactly where the conditional matrix is
-        # negative when every class has mass on both sides
+        # the same-class pairs, those the operator's reader visits, are
+        # exactly where the conditional matrix is negative when every class
+        # has mass on both sides
         pair = labeled_pair(4)
         mats = build_all(pair)
         n_s = pair.n_source
         mc = mats.conditional[np.ix_(mats.groups[:n_s], mats.groups[n_s:])]
         aff = dense_build_affinity(pair.packed_features())
-        w = aff.entries[:n_s, n_s:]
-        assert np.all(w < 1.0)
-        d = unit_scaled_block(pair, cross_block(pair, aff))
-        same_class = d == 1.0 / np.maximum(w, W_FLOOR) - 1.0
-        assert np.array_equal(same_class, mc < 0.0)
+        op = assemble_db(mats, cross_block(pair, aff), ModelKind("JDA", "CG"))
+        visited = np.zeros(mc.shape, dtype=bool)
+        for at, cols, _ in op._class_blocks():
+            visited[np.ix_(at, cols)] = True
+        assert np.array_equal(visited, mc < 0.0)
 
     def test_spirit_weights_monotone_in_distance(self):
         # farther same-class cross pairs must get a strictly larger CG pull
@@ -330,24 +346,26 @@ class TestBuildGraphs:
         # the distant same-class pair underflows to w == 0; 1/W is floored
         assert d.max() == 1.0 / W_FLOOR - 1.0
 
-    def test_class_diagonal_block_is_the_general_call(self):
-        # a block of one class's source rows and target columns takes no
-        # mask and one scale entry; its D is the full row block's bit for
-        # bit, with a distinct S_x entry per class pair and floored entries
+    def test_class_diagonal_block_matches_dense(self):
+        # each block the operator's reader writes, of one class's source
+        # rows against its target columns, is the dense D's bit for bit,
+        # with a distinct S_x[b, b] per class and floored entries
         pair = labeled_pair(8, n_s=40, n_t=36, class_count=4)
-        groups, ns, c = group_index(pair), pair.n_source, pair.class_count
-        cross = cross_block(pair, dense_build_affinity(pair.packed_features(), sigma=0.05))
+        aff = dense_build_affinity(pair.packed_features(), sigma=0.05)
+        cross = cross_block(pair, aff)
         assert np.count_nonzero(cross < W_FLOOR)
-        scale = np.random.default_rng(9).uniform(-3.0, 3.0, size=(c, c))
-        for b in range(c):
-            rows = np.flatnonzero(pair.source.labels == b)
-            cols = np.flatnonzero(pair.target.pseudo_labels == b)
-            general = build_graphs(groups, ns, cross[rows], scale, rows)
-            block = build_graphs(groups, ns, cross[np.ix_(rows, cols)], scale, rows, cols)
-            assert_bits_equal(block, np.ascontiguousarray(general[:, cols]))
+        kind = ModelKind("CDDA", "CG")
+        op = assemble_db(build_all(pair), cross, kind)
+        assert np.unique(op.diagonal).size == pair.class_count
+        want = dense_boundary_block(pair, aff, kind)
+        for at, cols, d in op._class_blocks():
+            assert_bits_equal(d, want[np.ix_(at, cols)])
+            assert_bits_equal(d, build_graphs(cross[np.ix_(at, cols)],
+                                              op.diagonal[pair.source.labels[at[0]]]))
 
     def test_shape_mismatch_rejected(self):
-        # the graphs take the (n_s, n_t) cross block, not the (n, n) affinity
+        # the graphs take the (n_s, n_t) cross block, not the (n, n) affinity;
+        # the operator checks its shape when it is assembled
         pair = labeled_pair(6)
         aff = dense_build_affinity(pair.packed_features())
         with pytest.raises(DimensionError):

@@ -178,8 +178,9 @@ class TestDistanceWalker:
     @pytest.mark.parametrize("kind", ["normal", "grid", "fortran"])
     @pytest.mark.parametrize("d, n", [(64, 600), (2, 1800), (8, 700), (1, 300), (5, 200)])
     def test_blocks_equal_pairwise_sq_dists_off_the_diagonal(self, d, n, kind):
-        # every block, upper and full-row, against the checked public call
-        # on the same rows and columns; only the self pairs differ (+inf)
+        # every block, upper and widened to every column as the kNN graph
+        # reads it, against the checked public call on the same rows and
+        # columns; only the self pairs differ (+inf)
         x = walker_x(d, n, kind)
         walk = linalg._Distances(x)
         for rows, block in walk.upper():
@@ -188,8 +189,8 @@ class TestDistanceWalker:
             assert np.all(block[own, own] == np.inf)
             block[own, own] = want[own, own]
             assert block.tobytes() == want.tobytes(), rows
-        for rows, block in walk.full_rows():
-            lo = rows.start
+        for rows, upper in walk.upper():
+            block, lo = walk.widen(rows, upper), rows.start
             want = pairwise_sq_dists(x[:, rows], x[:, lo:])
             if lo:
                 want = np.hstack([pairwise_sq_dists(x[:, rows], x[:, :lo]), want])
@@ -205,7 +206,7 @@ class TestDistanceWalker:
         x[:, 850] = x[:, 3]
         x[:, 600] = x[:, 10] * (1.0 + 1e-17)
         walk = linalg._Distances(x)
-        full = np.concatenate([block for _, block in walk.full_rows()])
+        full = np.concatenate([walk.widen(rows, upper) for rows, upper in walk.upper()])
         assert full[3, 850] == full[850, 3] == full[10, 600] == full[600, 10] == 0.0
         assert np.count_nonzero(full == 0.0) == 4
         assert np.all(np.diag(full) == np.inf)

@@ -16,6 +16,9 @@ process, such as the first eigensolver call. Per cell the file records:
                  the median is in the file
   max_rss_mb     the process's resident high-water mark (ru_maxrss),
                  imports and the pair included
+  first_rss_mb   the same mark after the warm-up and the first timed
+                 run, so that cells which took different numbers of runs
+                 compare: later runs in one process can raise it
   labels_sha256  of the predicted target labels, written as in perfbench
   rounds, churns, accuracy
 
@@ -87,6 +90,9 @@ def run_cell(cell: dict) -> dict:
             **{**cell["data"], "samples_per_class": per_class}, shift="rotation",
             shift_param=30.0, noise_sigma=0.8, seed=7))
 
+    def rss_mb() -> float:
+        return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+
     warm = pair(10)
     run_adaptation(warm.pair, cfg, kind, warm.target_truth)
     ds = pair(cell["data"]["samples_per_class"])
@@ -96,13 +102,16 @@ def run_cell(cell: dict) -> dict:
         report = run_adaptation(ds.pair, cfg, kind, ds.target_truth)
         walls.append(time.perf_counter() - t0)
         spent += walls[-1]
+        if len(walls) == 1:
+            first_rss = rss_mb()
     labels = ",".join(str(v) for v in report.predicted_labels.tolist())
     return {
         "n": ds.pair.n_total,
         "wall_s": round(statistics.median(walls), 4),
         "walls_s": [round(w, 4) for w in walls],
         "runs": len(walls),
-        "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "max_rss_mb": rss_mb(),
+        "first_rss_mb": first_rss,
         "labels_sha256": sha256(labels.encode()).hexdigest(),
         "rounds": len(report.iterations),
         "churns": [r.churn for r in report.iterations],

@@ -185,12 +185,23 @@ def _file_dataset(dataset: DatasetSpec, fmt: str | None):
     return pair, truth, source.label_values
 
 
-def _dataset_for_rep(spec: ExperimentSpec, rep: int):
+def _repeats(spec: ExperimentSpec):
+    """(pair, truth, label values, operands) of each repeat, in order.
+
+    A synthetic recipe is re-seeded per repeat, seed + rep. The repeats of
+    a file pair are byte-identical reruns, so its files are loaded and its
+    operands built once, and every repeat shares them.
+    """
     recipe = spec.dataset.synthetic
-    if recipe is not None:
+    if recipe is None:
+        pair, truth, label_values = _file_dataset(spec.dataset, spec.data_format)
+        operands = InputOperands(pair, spec.config)
+        for _ in range(spec.repeat):
+            yield pair, truth, label_values, operands
+        return
+    for rep in range(spec.repeat):
         ds = generate_synthetic(dataclasses.replace(recipe, seed=recipe.seed + rep))
-        return ds.pair, ds.target_truth, None
-    return _file_dataset(spec.dataset, spec.data_format)
+        yield ds.pair, ds.target_truth, None, InputOperands(ds.pair, spec.config)
 
 
 def _model_slug(name: str) -> str:
@@ -294,14 +305,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     Returns the aggregated rows plus an exit code: 0 when every cell ran,
     1 when any cell failed. Spec-level problems raise instead. The cells
     of one repeat share one ``InputOperands``, so the kernel, bandwidth
-    and input graphs are built at most once per repeat.
+    and input graphs are built at most once per repeat, and for a file
+    pair at most once (``_repeats``).
     """
     out_dir = Path(spec.output_dir)
     (out_dir / "reports").mkdir(parents=True, exist_ok=True)
     runs: list[dict] = []
-    for rep in range(spec.repeat):
-        pair, truth, label_values = _dataset_for_rep(spec, rep)
-        operands = InputOperands(pair, spec.config)
+    for rep, (pair, truth, label_values, operands) in enumerate(_repeats(spec)):
         for name in spec.models:
             kind = ModelKind.parse(name)
             row = {

@@ -29,9 +29,11 @@ overflow fail with ParameterError.
 ``kernel_range`` finds the numerical range of the (n, n) kernel matrix
 K of x with a seeded randomized sketch of l = 160 columns, in O(n^2 l).
 The sketch reads K only through products, and takes each from x a panel
-of K's rows at a time (``kernel_matrix`` of some columns against all),
-so no (n, n) array is held; K is built and factored in full only when
-the range is too wide for the sketch. Each product's basis is the Q of
+of K's rows at a time (``kernel_matrix`` of some columns against all, bit
+for bit), so no (n, n) array is held; K is built and factored in full
+only when the range is too wide for the sketch. A product checks x and
+the kernel and takes x's norms and transpose once, and writes every
+panel into one (_PANEL_ROWS, n) buffer. Each product's basis is the Q of
 LAPACK's level-3 Householder QR, dgeqrt and dgemqrt (``_orth``), whose
 panels are factored and applied with gemm and trmm; geqrf + orgqr factor
 a panel one level-2 reflector per column, on n-long vectors that
@@ -69,8 +71,15 @@ _QR_BLOCK = 32
 _BLOCK = 1 << 16
 
 # Rows per panel of a product whose (n, l) right operand each panel reads
-# whole (``_row_panels``): thin panels would read it again and again.
-_PANEL_ROWS = 256
+# whole (``_row_panels``): the kernel sketch's panels of K and
+# ``graphs.EdgeGraph.times``. Thin panels read that operand again and
+# again. On the rbf kernel-mid workload (n = 1800, l = 160, 2 BLAS
+# threads on a 2-vCPU x86-64 host), 64-row panels held the process's
+# peak RSS to 74.1-74.4 MB against 75.0-75.3 MB at 128 rows, but ran
+# slower in 3 of 3 paired runs (0.265-0.277 against 0.247-0.260 s) and
+# took up to 4 % longer per product K m; 256-row panels peaked at
+# 77.5-77.6 MB.
+_PANEL_ROWS = 128
 
 # The median's bracket (``_bracket``): the pairs of columns sampled for
 # it, the sample's seed, and its half width in standard deviations of the
@@ -104,7 +113,8 @@ def _blas_operand(x: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ascontiguousarray(x).T, 0
 
 
-def matmul(a: np.ndarray, b: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray, alpha: float = 1.0, *,
+           out: np.ndarray | None = None) -> np.ndarray:
     """alpha * (a @ b) for 2-D float64 operands, computed by scipy's dgemm.
 
     numpy and scipy each bundle an OpenBLAS with its own thread pool, and
@@ -117,6 +127,12 @@ def matmul(a: np.ndarray, b: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     A power-of-two alpha scales every rounded partial sum exactly (short of
     overflow or underflow), so the result is alpha times the product bit
     for bit, with no pass of its own.
+
+    ``out``, when given, is a C-ordered, writeable float64 array of the
+    product's shape; dgemm writes the product into it, the same bits as
+    into a fresh array, and it is returned. It must not overlap either
+    operand, which dgemm reads while it writes. DimensionError for an
+    ``out`` of another shape, dtype or layout, or a read-only one.
     """
     at, trans_b = _blas_operand(a)
     bt, trans_a = _blas_operand(b)
@@ -124,10 +140,17 @@ def matmul(a: np.ndarray, b: np.ndarray, alpha: float = 1.0) -> np.ndarray:
         raise DimensionError(f"matmul shapes {a.shape} and {b.shape} do not chain")
     # With beta = 0 dgemm writes every entry of c, so c is not zeroed first
     # (the array f2py would allocate is, at the cost of one more pass).
-    c = np.empty((b.shape[1], a.shape[0]), order="F")
-    if c.size == 0:
-        return c.T  # nothing to compute, and f2py rejects an empty c
-    return blas.dgemm(alpha, bt, at, c=c, overwrite_c=True, trans_a=trans_a, trans_b=trans_b).T
+    if out is None:
+        c = np.empty((b.shape[1], a.shape[0]), order="F")
+    elif (out.shape == (a.shape[0], b.shape[1]) and out.dtype == np.float64
+          and out.flags.c_contiguous and out.flags.writeable):
+        c = out.T
+    else:
+        raise DimensionError(f"matmul needs a C-ordered, writeable float64 out of shape "
+                             f"{(a.shape[0], b.shape[1])}, got {out.dtype} {out.shape}")
+    if c.size:  # else there is nothing to compute, and f2py rejects an empty c
+        c = blas.dgemm(alpha, bt, at, c=c, overwrite_c=True, trans_a=trans_a, trans_b=trans_b)
+    return c.T if out is None else out
 
 
 def _as_feature_matrix(x) -> np.ndarray:
@@ -243,6 +266,16 @@ def _row_panels(n: int) -> list[slice]:
     return [slice(lo, min(lo + _PANEL_ROWS, n)) for lo in range(0, n, _PANEL_ROWS)]
 
 
+def _rows_operand(x: np.ndarray, xt: np.ndarray, rows: slice) -> np.ndarray:
+    """The left operand x[:, rows]^T of a product over some columns of x, as matmul takes it.
+
+    The view when it is contiguous, which matmul passes as is; else
+    xt[rows], xt the C-ordered x^T: the copy matmul would make of the view.
+    """
+    left = x[:, rows].T
+    return left if left.flags.c_contiguous or left.flags.f_contiguous else xt[rows]
+
+
 class _Distances:
     """The squared distances among the columns of one x, a block of rows at a time.
 
@@ -265,10 +298,7 @@ class _Distances:
 
     def block(self, rows: slice, cols: slice) -> np.ndarray:
         """The (rows, cols) block of the distances, the self pairs at +inf."""
-        left = self.x[:, rows].T
-        if not (left.flags.c_contiguous or left.flags.f_contiguous):
-            left = self.xt[rows]
-        d2 = matmul(left, self.x[:, cols], alpha=-2.0)
+        d2 = matmul(_rows_operand(self.x, self.xt, rows), self.x[:, cols], alpha=-2.0)
         _sq_dists_in_place(d2, self.sq[rows], self.sq[cols], self.x.shape[0],
                            own=rows.start - cols.start)
         return d2
@@ -545,17 +575,23 @@ def kernel_matrix(x, kind: str, *, sigma: float | None = None, degree: int = 2,
     y = x if y is None else _as_feature_matrix(y)
     if y.shape[0] != x.shape[0]:
         raise DimensionError(f"feature dims differ: {x.shape[0]} and {y.shape[0]}")
-    if kind == "linear":
-        return matmul(x.T, y)
+    _check_kernel(kind, sigma, degree)
+    if kind == "rbf":
+        return gaussian_in_place(pairwise_sq_dists(x, y), sigma)
+    k = matmul(x.T, y)
+    return k if kind == "linear" else (k + 1.0) ** int(degree)
+
+
+def _check_kernel(kind: str, sigma: float | None, degree: int) -> None:
+    """ParameterError unless kind names a kernel and its parameter is valid."""
     if kind == "rbf":
         if sigma is None or not sigma > 0.0:
             raise ParameterError(f"rbf kernel needs sigma > 0, got {sigma}")
-        return gaussian_in_place(pairwise_sq_dists(x, y), sigma)
-    if kind == "poly":
+    elif kind == "poly":
         if int(degree) != degree or degree < 1:
             raise ParameterError(f"poly kernel needs integer degree >= 1, got {degree}")
-        return (matmul(x.T, y) + 1.0) ** int(degree)
-    raise ParameterError(f"unknown kernel kind {kind!r}")
+    elif kind != "linear":
+        raise ParameterError(f"unknown kernel kind {kind!r}")
 
 
 def kernel_range(x, kind: str, *, sigma: float | None = None,
@@ -633,16 +669,44 @@ def _orth(y: np.ndarray) -> np.ndarray:
     return q
 
 
-def _kernel_times(x: np.ndarray, kind: str, sigma: float | None, degree: int,
+def _kernel_times(x, kind: str, sigma: float | None, degree: int,
                   m: np.ndarray) -> np.ndarray:
     """K m for the kernel matrix K of x, a panel of K's rows at a time: Fortran-ordered.
 
-    Each panel is the cross form ``kernel_matrix(x[:, rows], ..., y=x)``,
-    so the (rows, n) panel is the largest array made.
+    x and the kernel's parameters are checked once, as ``kernel_matrix``
+    checks them, and x's C-ordered transpose (and for rbf its squared
+    norms) taken once. Every panel of K is written into one
+    (_PANEL_ROWS, n) buffer and its product with m into one
+    (_PANEL_ROWS, l) buffer, both made once per call. A panel is
+    ``kernel_matrix(x[:, rows], kind, ..., y=x)`` bit for bit: its Gram or
+    distance product is the same dgemm on the same operands, and the
+    kernel is applied in place. Its self pairs read +inf through the
+    add-and-cut pass, so that a row is scanned only for the pairs of
+    other columns near it, and 0.0 after it, the value the cut gives a
+    column's distance to itself on any BLAS.
     """
-    out = np.empty((x.shape[1], m.shape[1]), order="F")
-    for rows in _row_panels(x.shape[1]):
-        out[rows] = matmul(kernel_matrix(x[:, rows], kind, sigma=sigma, degree=degree, y=x), m)
+    x = _as_feature_matrix(x)
+    _check_kernel(kind, sigma, degree)
+    n = x.shape[1]
+    xt = np.ascontiguousarray(x.T)
+    sq = _sq_norms(x) if kind == "rbf" else None
+    out = np.empty((n, m.shape[1]), order="F")
+    height = min(n, _PANEL_ROWS)
+    panels, products = np.empty((height, n)), np.empty((height, m.shape[1]))
+    for rows in _row_panels(n):
+        panel = panels[:rows.stop - rows.start]
+        left = _rows_operand(x, xt, rows)
+        if kind == "rbf":
+            matmul(left, x, alpha=-2.0, out=panel)
+            _sq_dists_in_place(panel, sq[rows], sq, x.shape[0], own=rows.start)
+            np.fill_diagonal(panel[:, rows], 0.0)
+            gaussian_in_place(panel, sigma)
+        else:
+            matmul(left, x, out=panel)
+            if kind == "poly":
+                panel += 1.0
+                panel **= int(degree)
+        out[rows] = matmul(panel, m, out=products[:panel.shape[0]])
     return out
 
 

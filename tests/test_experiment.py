@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dbmmd import experiment as experiment_module
 from dbmmd import linalg
 from dbmmd.adapt import ModelKind, run_adaptation
 from dbmmd.datamodel import AdaptConfig, LabeledDomain, UnlabeledDomain, make_pair
@@ -268,6 +269,44 @@ class TestRunExperiment:
         assert row["accuracy_range"] == pytest.approx(max(accs) - min(accs), abs=1e-15)
         for rep in range(3):
             assert (result.output_dir / "reports" / f"JDA_rep{rep}.json").exists()
+
+    def test_file_pair_is_loaded_once_for_all_repeats(self, tmp_path, monkeypatch):
+        # the repeats of a file pair are byte-identical reruns: each file is
+        # parsed once, and each repeat writes what a one-repeat run writes
+        paths = write_synthetic_files(FAST_RECIPE, tmp_path / "data")
+        dataset = DatasetSpec(source=str(paths["source"]), target=str(paths["target"]),
+                              target_labels=str(paths["target_labels"]))
+        config = FAST_CONFIG.replace(kernel="rbf")
+        once = run_experiment(fast_spec(tmp_path, dataset=dataset, config=config,
+                                        output_dir=str(tmp_path / "once")))
+        loaded, load = [], experiment_module.load_features
+
+        def counted(path, *args, **kwargs):
+            loaded.append(Path(path).name)
+            return load(path, *args, **kwargs)
+
+        monkeypatch.setattr(experiment_module, "load_features", counted)
+        result = run_experiment(fast_spec(tmp_path, dataset=dataset, config=config, repeat=3))
+        assert sorted(loaded) == sorted(Path(p).name for p in paths.values())
+        assert result.exit_code == once.exit_code == 0
+
+        def without_wall_time(path):
+            report = json.loads(path.read_text())
+            del report["wall_time"]
+            return report
+
+        first = json.loads((once.output_dir / "runs.json").read_text())
+        want = [{**row, "repeat": rep, "report": row["report"].replace("_rep0", f"_rep{rep}")}
+                for rep in range(3) for row in first]
+        assert json.loads((result.output_dir / "runs.json").read_text()) == want
+        for row in want:
+            got = without_wall_time(result.output_dir / row["report"])
+            model = row["report"].replace(f"_rep{row['repeat']}", "_rep0")
+            assert got == without_wall_time(once.output_dir / model)
+        for row, single in zip(result.rows, once.rows):
+            assert row["accuracy_range"] == 0.0
+            assert row["accuracy_mean"] == np.mean([single["accuracy_mean"]] * 3)
+            assert row["iterations_to_fixed_point"] == single["iterations_to_fixed_point"]
 
     def test_failed_cell_is_isolated(self, tmp_path):
         # MEDA on a primal config fails inside the cell; JDA still runs

@@ -661,12 +661,13 @@ class TestSketchedKernelRange:
         # at most one panel of K's rows, the (n, l) sketch arrays and the
         # basis: well under one copy of K, which the array form held in full
         # beside its symmetrized copy (1.0 x 8 n^2 and more). Alive at once
-        # are a product's input and output, two (n, l) arrays, while one
-        # (_PANEL_ROWS, n) panel of K and its add-and-cut temporaries (two
-        # blocks of _BLOCK entries) make it. The QR writes Q into a new array
-        # beside the product it overwrites, so a product held past its QR
-        # adds a third (n, l) array to the next product's peak: 4.9 x 8 n l
-        # here, against the 3.9 x 8 n l read without it.
+        # are a product's input and output, two (n, l) arrays, while the one
+        # (_PANEL_ROWS, n) panel buffer of K, the (_PANEL_ROWS, l) buffer of
+        # its products and the add-and-cut temporaries (at most two blocks of
+        # _BLOCK entries) make it: 3.17 x 8 n l here, against a bound of
+        # 3.33. The QR writes Q into a new array beside the product it
+        # overwrites, so a product held past its QR adds a third (n, l) array
+        # to the next product's peak.
         n, cols = 1800, linalg._SKETCH_COLS
         x, sigma = median_x(76, n)
         tracemalloc.start()
@@ -677,8 +678,89 @@ class TestSketchedKernelRange:
             tracemalloc.stop()
         assert basis.shape[1] < linalg._SKETCH_COLS - linalg._SKETCH_OVERSAMPLE
         assert peak < 0.5 * 8 * n * n, peak / (8 * n * n)
-        bound = 8 * (2 * n * cols + linalg._PANEL_ROWS * n + 2 * linalg._BLOCK)
+        rows = linalg._PANEL_ROWS
+        bound = 8 * (2 * n * cols + rows * n + rows * cols + 2 * linalg._BLOCK)
         assert peak < bound, (peak / (8 * n * cols), bound / (8 * n * cols))
+
+
+def panel_products(monkeypatch, m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(operand, copy) of the left operand of every product with m ``linalg.matmul`` takes.
+
+    Each operand is held as given, views included, so that no panel's
+    memory is freed and taken again by the next; the copy holds what it
+    read then.
+    """
+    panels, matmul = [], linalg.matmul
+
+    def spy(a, b, *args, **kwargs):
+        if b is m:
+            panels.append((a, a.copy()))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "matmul", spy)
+    return panels
+
+
+# (kind, kernel parameters) of every kernel, sigma None for the rbf median
+KERNELS = [("rbf", {"sigma": None}), ("linear", {}), ("poly", {"degree": 2}),
+           ("poly", {"degree": 3})]
+
+
+class TestKernelTimes:
+    """``_kernel_times``: K m from panels of K's rows, one buffer for all of them."""
+
+    @pytest.mark.parametrize("kind, kwargs", KERNELS, ids=["rbf", "linear", "poly2", "poly3"])
+    @pytest.mark.parametrize("n", [1, 128, 333])
+    @pytest.mark.parametrize("d, order", [(1, "C"), (2, "C"), (5, "F")])
+    def test_panels_are_kernel_matrix_rows(self, monkeypatch, kind, kwargs, n, d, order):
+        # n = 333 is not a multiple of _PANEL_ROWS; columns 1 and 2 coincide
+        # and column 3 is zero
+        x = np.asarray(np.random.default_rng(n + d).normal(size=(d, n)), order=order)
+        if n > 3:
+            x[:, 2] = x[:, 1]
+            x[:, 3] = 0.0
+        if kind == "rbf":
+            kwargs = {"sigma": median_pairwise_distance(x) if n > 1 else 1.0}
+        m = np.random.default_rng(1).normal(size=(n, 7))
+        panels = panel_products(monkeypatch, m)
+        got = linalg._kernel_times(x, kind, kwargs.get("sigma"), kwargs.get("degree", 2), m)
+        monkeypatch.undo()
+        rows = linalg._row_panels(n)
+        assert len(panels) == len(rows)
+        want = np.empty((n, m.shape[1]))
+        for (_, panel), part in zip(panels, rows):
+            k_rows = kernel_matrix(x[:, part], kind, y=x, **kwargs)
+            assert panel.tobytes() == k_rows.tobytes()
+            if kind == "rbf":
+                assert (np.diagonal(panel[:, part]) == 1.0).all()
+            want[part] = linalg.matmul(k_rows, m)
+        assert got.flags.f_contiguous and got.tobytes(order="C") == want.tobytes()
+
+    def test_panels_share_one_buffer(self, monkeypatch):
+        n = 3 * linalg._PANEL_ROWS + 5
+        x, sigma = median_x(86, n)
+        m = np.random.default_rng(87).normal(size=(n, 4))
+        for kind, kwargs in [("rbf", {"sigma": sigma}), ("linear", {}), ("poly", {})]:
+            panels = panel_products(monkeypatch, m)
+            linalg._kernel_times(x, kind, kwargs.get("sigma"), 2, m)
+            monkeypatch.undo()
+            assert len(panels) == 4
+            first = panels[0][0]
+            assert all(np.shares_memory(panel, first) for panel, _ in panels), kind
+
+    def test_checks_as_kernel_matrix_does(self):
+        x, m = np.ones((2, 5)), np.ones((5, 2))
+        for kind, sigma, degree, match in [("sigmoid", None, 2, "unknown kernel"),
+                                           ("rbf", None, 2, "sigma > 0"),
+                                           ("rbf", -1.0, 2, "sigma > 0"),
+                                           ("poly", None, 0, "degree"),
+                                           ("poly", None, 1.5, "degree")]:
+            with pytest.raises(ParameterError, match=match):
+                linalg._kernel_times(x, kind, sigma, degree, m)
+        with pytest.raises(ParameterError, match="non-finite"):
+            linalg._kernel_times(np.full((2, 5), np.inf), "linear", None, 2, m)
+        with pytest.raises(DimensionError):
+            linalg._kernel_times(np.ones(5), "linear", None, 2, m)
 
 
 def fortran_normal(seed: int, n: int, cols: int) -> np.ndarray:
@@ -999,3 +1081,33 @@ class TestMatmul:
             linalg.matmul(np.ones(3), np.ones((3, 2)))
         with pytest.raises(DimensionError):
             linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("m, k, n", [(5, 4, 3), (1, 7, 1), (17, 9, 13), (8, 0, 6),
+                                         (0, 4, 3)])
+    @pytest.mark.parametrize("order_a", ["C", "F", "N"])
+    def test_out_is_the_allocating_form_bit_for_bit(self, m, k, n, order_a):
+        rng = np.random.default_rng(m * 100 + k * 10 + n)
+        a, b = layout(rng.normal(size=(m, k)), order_a), rng.normal(size=(k, n))
+        for alpha in (1.0, -2.0):
+            out = np.full((m, n), np.nan)
+            got = linalg.matmul(a, b, alpha=alpha, out=out)
+            assert got is out or np.shares_memory(got, out)
+            assert out.tobytes() == linalg.matmul(a, b, alpha=alpha).tobytes()
+
+    def test_out_in_place_of_the_leading_rows_of_a_buffer(self):
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(5, 6)), rng.normal(size=(6, 4))
+        buffer = np.zeros((9, 4))
+        linalg.matmul(a, b, out=buffer[:5])
+        assert buffer[:5].tobytes() == linalg.matmul(a, b).tobytes()
+        assert not buffer[5:].any()
+
+    def test_rejects_a_wrong_out(self):
+        a, b = np.ones((4, 3)), np.ones((3, 5))
+        read_only = np.empty((4, 5))
+        read_only.setflags(write=False)
+        for out in (np.empty((5, 4)), np.empty((4, 6)), np.empty((4, 5), order="F"),
+                    np.empty((4, 10))[:, ::2], np.empty((4, 5), dtype=np.float32),
+                    read_only):
+            with pytest.raises(DimensionError, match="out"):
+                linalg.matmul(a, b, out=out)

@@ -57,9 +57,11 @@ def test_bench_ladder_child_records_every_documented_field():
     assert out.returncode == 0, out.stderr
     record = json.loads(out.stdout.strip().splitlines()[-1])
     # the fields the script's docstring lists per cell
-    for field in ("wall_s", "walls_s", "max_rss_mb", "labels_sha256", "rounds", "churns",
-                  "accuracy"):
+    for field in ("wall_s", "walls_s", "max_rss_mb", "first_rss_mb", "labels_sha256",
+                  "rounds", "churns", "accuracy"):
         assert field in record, field
+    # the high-water mark after the first timed run, which later runs only raise
+    assert 0.0 < record["first_rss_mb"] <= record["max_rss_mb"]
     assert record["rounds"] == len(record["churns"])
     # at least three runs, each one's time beside their median
     assert len(record["walls_s"]) == record["runs"] >= 3

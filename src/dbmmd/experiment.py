@@ -306,7 +306,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     1 when any cell failed. Spec-level problems raise instead. The cells
     of one repeat share one ``InputOperands``, so the kernel, bandwidth
     and input graphs are built at most once per repeat, and for a file
-    pair at most once (``_repeats``).
+    pair at most once (``_repeats``). A cell's ``wall_time`` includes the
+    operands it is the first to build, so for a file pair only repeat 0's
+    times include them, and the later repeats time the adaptation alone.
     """
     out_dir = Path(spec.output_dir)
     (out_dir / "reports").mkdir(parents=True, exist_ok=True)

@@ -32,7 +32,7 @@ The sketch reads K only through products, and takes each from x a panel
 of K's rows at a time (``kernel_matrix`` of some columns against all, bit
 for bit), so no (n, n) array is held; K is built and factored in full
 only when the range is too wide for the sketch. A product checks x and
-the kernel and takes x's norms and transpose once, and writes every
+takes its transpose (and for rbf its norms) once, and writes every
 panel into one (_PANEL_ROWS, n) buffer. Each product's basis is the Q of
 LAPACK's level-3 Householder QR, dgeqrt and dgemqrt (``_orth``), whose
 panels are factored and applied with gemm and trmm; geqrf + orgqr factor
@@ -164,7 +164,7 @@ def _as_feature_matrix(x) -> np.ndarray:
     return x
 
 
-def pairwise_sq_dists(x, y=None, *, norms=None) -> np.ndarray:
+def pairwise_sq_dists(x, y=None, *, norms=None, out=None, own=None) -> np.ndarray:
     """Squared Euclidean distances between the columns of ``x`` and ``y``.
 
     The (m, n') distances from each column of the (d, m) x to each column
@@ -182,7 +182,13 @@ def pairwise_sq_dists(x, y=None, *, norms=None) -> np.ndarray:
     took it for these columns of an x and y it checked: a caller reading
     many blocks of one checked x passes them, and neither operand is
     checked again. A column's norm does not depend on its neighbors, so the
-    distances are the same bits either way.
+    distances are the same bits either way. ``out`` is the array the
+    product is written into, as ``matmul`` takes it. ``own`` says that
+    column i of x is column own + i of y: those self pairs are then held
+    at +inf through the cut's scan, so that a row is scanned only for the
+    other columns near it, and set to 0.0 after it, the value the cut
+    gives them. The result is the same bits with or without any of the
+    three.
     """
     if norms is None:
         x = _as_feature_matrix(x)
@@ -192,8 +198,13 @@ def pairwise_sq_dists(x, y=None, *, norms=None) -> np.ndarray:
         norms = _sq_norms(x), _sq_norms(y)
     elif y is None:
         y = x
-    d = matmul(x.T, y, alpha=-2.0)
-    _sq_dists_in_place(d, *norms, x.shape[0])
+    if own is not None and not 0 <= own <= y.shape[1] - x.shape[1]:
+        raise DimensionError(f"columns {own}..{own + x.shape[1]} of y are not x's "
+                             f"{x.shape[1]} columns: y has {y.shape[1]}")
+    d = matmul(x.T, y, alpha=-2.0, out=out)
+    _sq_dists_in_place(d, *norms, x.shape[0], own=own)
+    if own is not None:
+        np.fill_diagonal(d[:, own:], 0.0)
     return d
 
 
@@ -560,7 +571,7 @@ def gaussian_in_place(d2: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def kernel_matrix(x, kind: str, *, sigma: float | None = None, degree: int = 2,
-                  y=None) -> np.ndarray:
+                  y=None, norms=None, out=None, own=None) -> np.ndarray:
     """The (m, n') block k(x_i, y_j) of the named kernel between the columns of x and y.
 
     kind is one of "linear", "rbf" (needs sigma > 0, k = exp(-d^2 / 2 sigma^2))
@@ -569,29 +580,36 @@ def kernel_matrix(x, kind: str, *, sigma: float | None = None, degree: int = 2,
     the columns of x, symmetric to within rounding; a panel of K's rows is
     the block of some columns x against every column y. rbf takes its
     distances from ``pairwise_sq_dists`` and its weights in place in that
-    one array.
+    one array, and poly its power in place in the Gram product.
+
+    ``norms``, ``out`` and ``own`` serve a caller that takes many panels
+    of one K (``_kernel_times``). The block is written into ``out``, as
+    ``matmul`` takes it. rbf passes ``norms`` and ``own`` on to
+    ``pairwise_sq_dists``: with ``norms`` neither operand is checked
+    again, and ``own`` sets the self pairs without a scan; linear and
+    poly read neither. The block is the same bits with or without them.
     """
-    x = _as_feature_matrix(x)
-    y = x if y is None else _as_feature_matrix(y)
-    if y.shape[0] != x.shape[0]:
-        raise DimensionError(f"feature dims differ: {x.shape[0]} and {y.shape[0]}")
-    _check_kernel(kind, sigma, degree)
-    if kind == "rbf":
-        return gaussian_in_place(pairwise_sq_dists(x, y), sigma)
-    k = matmul(x.T, y)
-    return k if kind == "linear" else (k + 1.0) ** int(degree)
-
-
-def _check_kernel(kind: str, sigma: float | None, degree: int) -> None:
-    """ParameterError unless kind names a kernel and its parameter is valid."""
+    if norms is None:
+        x = _as_feature_matrix(x)
+        y = x if y is None else _as_feature_matrix(y)
+        if y.shape[0] != x.shape[0]:
+            raise DimensionError(f"feature dims differ: {x.shape[0]} and {y.shape[0]}")
+    elif y is None:
+        y = x
+    if kind == "linear":
+        return matmul(x.T, y, out=out)
     if kind == "rbf":
         if sigma is None or not sigma > 0.0:
             raise ParameterError(f"rbf kernel needs sigma > 0, got {sigma}")
-    elif kind == "poly":
+        return gaussian_in_place(pairwise_sq_dists(x, y, norms=norms, out=out, own=own), sigma)
+    if kind == "poly":
         if int(degree) != degree or degree < 1:
             raise ParameterError(f"poly kernel needs integer degree >= 1, got {degree}")
-    elif kind != "linear":
-        raise ParameterError(f"unknown kernel kind {kind!r}")
+        k = matmul(x.T, y, out=out)
+        k += 1.0
+        k **= int(degree)
+        return k
+    raise ParameterError(f"unknown kernel kind {kind!r}")
 
 
 def kernel_range(x, kind: str, *, sigma: float | None = None,
@@ -673,20 +691,17 @@ def _kernel_times(x, kind: str, sigma: float | None, degree: int,
                   m: np.ndarray) -> np.ndarray:
     """K m for the kernel matrix K of x, a panel of K's rows at a time: Fortran-ordered.
 
-    x and the kernel's parameters are checked once, as ``kernel_matrix``
-    checks them, and x's C-ordered transpose (and for rbf its squared
-    norms) taken once. Every panel of K is written into one
-    (_PANEL_ROWS, n) buffer and its product with m into one
-    (_PANEL_ROWS, l) buffer, both made once per call. A panel is
-    ``kernel_matrix(x[:, rows], kind, ..., y=x)`` bit for bit: its Gram or
-    distance product is the same dgemm on the same operands, and the
-    kernel is applied in place. Its self pairs read +inf through the
-    add-and-cut pass, so that a row is scanned only for the pairs of
-    other columns near it, and 0.0 after it, the value the cut gives a
-    column's distance to itself on any BLAS.
+    Each panel is ``kernel_matrix(x[:, rows], kind, ..., y=x)``, written
+    into one (_PANEL_ROWS, n) buffer and its product with m into one
+    (_PANEL_ROWS, l) buffer, both made once per call. x is checked and its
+    C-ordered transpose taken once; the panel's left operand is the
+    transpose's rows, the copy of x[:, rows]^T that matmul would make. For
+    rbf x's squared norms are taken once too, so a panel checks nothing
+    again, and its self pairs are set without a scan (``own``); a linear
+    or poly panel checks its operands, one pass over x beside its
+    (_PANEL_ROWS, n) product.
     """
     x = _as_feature_matrix(x)
-    _check_kernel(kind, sigma, degree)
     n = x.shape[1]
     xt = np.ascontiguousarray(x.T)
     sq = _sq_norms(x) if kind == "rbf" else None
@@ -694,18 +709,9 @@ def _kernel_times(x, kind: str, sigma: float | None, degree: int,
     height = min(n, _PANEL_ROWS)
     panels, products = np.empty((height, n)), np.empty((height, m.shape[1]))
     for rows in _row_panels(n):
-        panel = panels[:rows.stop - rows.start]
-        left = _rows_operand(x, xt, rows)
-        if kind == "rbf":
-            matmul(left, x, alpha=-2.0, out=panel)
-            _sq_dists_in_place(panel, sq[rows], sq, x.shape[0], own=rows.start)
-            np.fill_diagonal(panel[:, rows], 0.0)
-            gaussian_in_place(panel, sigma)
-        else:
-            matmul(left, x, out=panel)
-            if kind == "poly":
-                panel += 1.0
-                panel **= int(degree)
+        panel = kernel_matrix(_rows_operand(x, xt, rows).T, kind, sigma=sigma, degree=degree,
+                              y=x, norms=None if sq is None else (sq[rows], sq),
+                              out=panels[:rows.stop - rows.start], own=rows.start)
         out[rows] = matmul(panel, m, out=products[:panel.shape[0]])
     return out
 

@@ -165,6 +165,26 @@ class TestPairwiseSqDists:
         with pytest.raises(DimensionError):
             pairwise_sq_dists(np.ones((2, 3)), np.ones((3, 3)))
 
+    @pytest.mark.parametrize("lo, hi", [(0, 40), (40, 90), (0, 90), (89, 90)])
+    def test_norms_out_and_own_keep_the_bits(self, lo, hi):
+        # columns 5 and 6 coincide and column 7 is zero; the self pairs read
+        # 0.0 whether the cut gives it or own sets it
+        x = np.random.default_rng(hi).normal(size=(3, 90))
+        x[:, 6], x[:, 7] = x[:, 5], 0.0
+        want = pairwise_sq_dists(x[:, lo:hi], x)
+        sq = linalg._sq_norms(x)
+        out = np.full((hi - lo, 90), np.nan)
+        got = pairwise_sq_dists(x[:, lo:hi], x, norms=(sq[lo:hi], sq), out=out, own=lo)
+        assert got is out and got.tobytes() == want.tobytes()
+        assert not np.diagonal(got[:, lo:]).any()
+        assert pairwise_sq_dists(x[:, lo:hi], x, own=lo).tobytes() == want.tobytes()
+
+    def test_rejects_an_own_outside_y(self):
+        x = np.ones((2, 5))
+        for own in (-1, 3):
+            with pytest.raises(DimensionError, match="columns"):
+                pairwise_sq_dists(x[:, :3], x, own=own)
+
 
 def walker_x(d: int, n: int, kind: str) -> np.ndarray:
     """A (d, n) x: normal, rounded to a grid (ties and coincident columns), or Fortran-ordered."""
@@ -513,6 +533,18 @@ class TestKernelMatrix:
         assert rows.shape == (256, 700)
         assert_allclose(rows, k[256:512], rtol=0, atol=1e-13 * np.abs(k).max())
 
+    @pytest.mark.parametrize("kind, kwargs", [("linear", {}), ("rbf", {"sigma": 1.3}),
+                                              ("poly", {"degree": 3})])
+    def test_norms_out_and_own_keep_the_bits(self, kind, kwargs):
+        # the panel form _kernel_times takes, against the allocating form
+        x = np.random.default_rng(11).normal(size=(3, 300))
+        want = kernel_matrix(x[:, 100:228], kind, y=x, **kwargs)
+        sq = linalg._sq_norms(x)
+        out = np.full((128, 300), np.nan)
+        got = kernel_matrix(x[:, 100:228], kind, y=x, out=out, own=100,
+                            norms=(sq[100:228], sq) if kind == "rbf" else None, **kwargs)
+        assert got is out and got.tobytes() == want.tobytes()
+
     def test_cross_form_argument_checks(self):
         x = np.random.default_rng(3).normal(size=(2, 4))
         for kind, kwargs in (("linear", {}), ("rbf", {"sigma": 1.0}), ("poly", {})):
@@ -747,6 +779,25 @@ class TestKernelTimes:
             assert len(panels) == 4
             first = panels[0][0]
             assert all(np.shares_memory(panel, first) for panel, _ in panels), kind
+
+    def test_every_panel_is_a_kernel_matrix_call(self, monkeypatch):
+        # by its module name, so that a tracer wrapping linalg.kernel_matrix
+        # charges the sketch's kernel work to it
+        n = 2 * linalg._PANEL_ROWS + 1
+        x, sigma = median_x(88, n)
+        m = np.ones((n, 3))
+        kernel = linalg.kernel_matrix
+        for kind in ("rbf", "linear", "poly"):
+            calls = []
+
+            def spy(x_rows, *args, **kwargs):
+                calls.append(x_rows.shape[1])
+                return kernel(x_rows, *args, **kwargs)
+
+            monkeypatch.setattr(linalg, "kernel_matrix", spy)
+            linalg._kernel_times(x, kind, sigma, 2, m)
+            monkeypatch.undo()
+            assert calls == [linalg._PANEL_ROWS, linalg._PANEL_ROWS, 1], kind
 
     def test_checks_as_kernel_matrix_does(self):
         x, m = np.ones((2, 5)), np.ones((5, 2))

@@ -84,38 +84,33 @@ class ModelKind:
         raise UnsupportedModelError(f"cannot parse model name {text!r}")
 
 
-def assemble_db(mats: MmdTables, affinity, kind: ModelKind) -> MmdOperator:
+def assemble_db(mats: MmdTables, cross: CrossTerm | None, kind: ModelKind) -> MmdOperator:
     """Coefficient operator M0 + compact - separation for one model.
 
-    ``affinity`` is the (n_s, n_t) source-by-target block W of the input
-    affinity, read a block at a time (``graphs.CrossAffinity``, or an
-    array), or a ``mmd.CrossTerm`` holding it; it is ignored by an
+    ``cross`` is the ``mmd.CrossTerm`` of the (n_s, n_t) source-by-target
+    block W of the input affinity (``operands.InputOperands.cross_term``),
+    holding T for the pencil operand under DB; it is ignored by an
     unreweighted model, and its shape is checked here, since nothing
     reads it before the operator does. The graphs scale only cross-domain
     entries: those of the compact term (CG), or of compact minus
     separation (DB). The two terms never share a cross-domain group pair,
     so the operator's table is the plain model's and the graphs enter
-    only through D, which the operator reads from W on each read. Its
-    source-by-target scale is the conditional table's on the class
-    diagonal, where the separation table is 0, for CG and DB alike; off
-    it, DB's is the eta_b g_a of ``mmd.off_class_factors``. A unit
-    affinity reproduces the unreweighted model exactly.
+    only through D, which the operator reads from W on each read, with
+    every scale from ``mmd.off_class_factors``. A unit affinity
+    reproduces the unreweighted model exactly.
     """
-    if kind.boundary != "none" and affinity is None:
+    if kind.boundary != "none" and cross is None:
         raise StateError(f"{kind.name} needs boundary graphs")
     table = mats.marginal + mats.conditional
     if kind.base in ("CDDA", "DGA-DA"):
         table = table - mats.separation
     if kind.boundary == "none":
         return MmdOperator(mats.groups, mats.n_source, table)
-    ns, c = mats.n_source, table.shape[0] // 2
-    cross = affinity if isinstance(affinity, CrossTerm) else (
-        CrossTerm.of(affinity, mats.groups[:ns], c))
+    ns = mats.n_source
     if cross.affinity.shape != (ns, mats.groups.size - ns):
         raise DimensionError(f"cross block shape {cross.affinity.shape} does not match the "
                              f"pair's {(ns, mats.groups.size - ns)}")
-    diagonal = mats.conditional[np.arange(c), c + np.arange(c)]
-    return MmdOperator(mats.groups, ns, table, cross, diagonal, kind.reweights_separation)
+    return MmdOperator(mats.groups, ns, table, cross, kind.reweights_separation)
 
 
 def solve_projection(s: np.ndarray, db: MmdOperator, k: int,

@@ -57,7 +57,8 @@ class EdgeGraph:
 
         Each panel's rows are scattered from the edges into one zeroed
         (rows, n) buffer, reused from panel to panel, and multiplied by u
-        in one dgemm, so no (n, n) array is made.
+        in one dgemm that writes the product's rows in place, so no (n, n)
+        array is made and no panel's product is copied.
         """
         n = self.diag.size
         out = np.empty((n, u.shape[1]))
@@ -70,7 +71,7 @@ class EdgeGraph:
                 at = np.flatnonzero((ends >= lo) & (ends < hi))
                 panel[ends[at] - lo, others[at]] = self.values[at]
             panel[np.arange(hi - lo), np.arange(lo, hi)] = self.diag[rows]
-            out[rows] = matmul(panel, u)
+            matmul(panel, u, out=out[rows])
         return out
 
 

@@ -38,16 +38,19 @@ the graph reweights G. D is never held: the operator reads it only
 through s_s D s_t^T and D x (Halko, Martinsson & Tropp, SIAM Review
 2011, section 6, read matrix-free), and W's entries come afresh from x
 on each read. Both reads take one reader of W's class-diagonal blocks,
-where a source row's class a is the target's pseudo-class b: there G is
-1/W and S_x is the conditional table's (b, C + b) entry
-(``graphs.build_graphs``). With g_a = 1/n_s^a and eta_b = 2/n_t^b
-(``off_class_factors``), DB's S_x is eta_b g_a off that diagonal, and
-CG's is 0. So under CG the class-diagonal blocks are all of D, and a
-round reads sum_b n_s^b n_t^b entries of W, about n_s n_t / C. Under DB,
-column j of s_s D is eta_b T[:, j] plus the class-b rows'
+where a source row's class a is the target's pseudo-class b. Every scale
+of D comes from g_a = 1/n_s^a and eta_b = 2/n_t^b (``off_class_factors``).
+On the class diagonal G is 1/W and S_x is -g_b eta_b / 2, the conditional
+table's (b, C + b) entry bit for bit, for CG and DB alike
+(``graphs.build_graphs``). Off it, DB's S_x is eta_b g_a and CG's is 0.
+So under CG the class-diagonal blocks are all of D, and a round reads
+sum_b n_s^b n_t^b entries of W, about n_s n_t / C. Under DB, column j of
+s_s D is eta_b T[:, j] plus the class-b rows'
 s_i (D_ij - eta_b g_b (W_ij - 1)), with T = s_s diag(g_a) (W - 1)
 (``off_class_term``). T moves with no pseudo-label, so it is made once
-per pair, config and operand (``CrossTerm``, ``operands.InputOperands``).
+per pair, config and operand: the operator reads W and T from one
+``CrossTerm``, which only ``operands.InputOperands`` makes in the
+library, and a DB operator read with another operand raises StateError.
 D x is read only under CG: MEDA, the one model that takes it, has no DB.
 A unit affinity gives G == 1, so D == 0 exactly and the reweighted model
 is the plain one bit for bit.
@@ -114,9 +117,11 @@ def off_class_factors(groups: np.ndarray, class_count: int) -> tuple[np.ndarray,
     """(g, eta): g_a = 1/n_s^a per source class and eta_b = 2/n_t^b per target class.
 
     Taken from the counts of the packed group index (of the source labels
-    alone for g), 0 for an empty group.
-    DB's source-by-target scale off the class diagonal is S_x[a, b] =
-    eta_b g_a (the separation table's entry, up to rounding).
+    alone for g), 0 for an empty group. Every source-by-target scale S_x
+    of a boundary operator comes from these: S_x[b, b] = -g_b eta_b / 2
+    on the class diagonal, for CG and DB alike (the conditional table's
+    entry, bit for bit), and DB's S_x[a, b] = eta_b g_a off it (the
+    separation table's entry, up to rounding).
     """
     c = class_count
     counts = np.bincount(groups, minlength=2 * c)
@@ -148,7 +153,8 @@ class CrossTerm:
     are the source labels, and ``source`` holds each class's source rows,
     in order, grouped once. ``off_class`` is None, or ``off_class_term``'s
     read-only T for the operand ``operand``: the part of DB's s_s D that
-    sums W over every source row.
+    sums W over every source row. A CG operator reads no T; a DB operator
+    reads this one, and only with ``operand``.
     """
 
     affinity: CrossAffinity | np.ndarray
@@ -168,31 +174,23 @@ class CrossTerm:
         t.flags.writeable = False
         return replace(self, operand=s, off_class=t)
 
-    def off_class_for(self, s: np.ndarray) -> np.ndarray:
-        """T for the operand s: the one held if s is its operand, else from a walk of W."""
-        if self.off_class is not None and s is self.operand:
-            return self.off_class
-        return off_class_term(self.affinity, s, self.labels, len(self.source))
-
 
 @dataclass(frozen=True)
 class MmdOperator:
     """M = P B P^T + [[0, D], [D^T, 0]] over the packed order [source | target].
 
     ``table`` is B, the 2C x 2C table of the plain model. An unreweighted
-    model has no D: ``cross`` and ``diagonal`` are None. Otherwise D is
-    read from ``cross``'s W, a block of W at a time made afresh on every
-    read, and ``diagonal``, S_x[b, b] per class b: the reweighted table's
-    entries on the class diagonal of its source-by-target block, the only
-    ones read. ``repulsive`` marks DB, whose D is eta_b g_a (W - 1) off
-    the class diagonal.
+    model has no D: ``cross`` is None. Otherwise D is read from
+    ``cross``'s W, a block of W at a time made afresh on every read, with
+    its scales from the group counts (``off_class_factors``).
+    ``repulsive`` marks DB, whose D is eta_b g_a (W - 1) off the class
+    diagonal, read through ``cross``'s T.
     """
 
     groups: np.ndarray
     n_source: int
     table: np.ndarray
     cross: CrossTerm | None = None
-    diagonal: np.ndarray | None = None
     repulsive: bool = False
 
     def _class_blocks(self):
@@ -200,11 +198,12 @@ class MmdOperator:
 
         For each class b with source rows and pseudo-labeled target
         columns ``cols``, ``at`` is a block of b's source rows and d their
-        D against ``cols`` (``graphs.build_graphs``), for DB less the
-        eta_b g_b (W - 1) that T already holds. Each block of W read is the
-        only (at, cols) array made besides d.
+        D against ``cols`` (``graphs.build_graphs``, at S_x[b, b] =
+        -g_b eta_b / 2), for DB less the eta_b g_b (W - 1) that T already
+        holds. Each block of W read is the only (at, cols) array made
+        besides d.
         """
-        ns, c = self.n_source, self.diagonal.size
+        ns, c = self.n_source, self.table.shape[0] // 2
         g, eta = off_class_factors(self.groups, c)
         target = self.groups[ns:] - c
         for b, (rows, cols) in enumerate(zip(self.cross.source, _class_rows(target, c))):
@@ -213,7 +212,7 @@ class MmdOperator:
             for block in _row_blocks(rows.size, cols.size):
                 at = rows[block]
                 w = self.cross.affinity[np.ix_(at, cols)]
-                d = build_graphs(w, self.diagonal[b])
+                d = build_graphs(w, -g[b] * eta[b] / 2)
                 if self.repulsive:
                     w -= 1.0
                     w *= eta[b] * g[b]
@@ -253,12 +252,16 @@ class MmdOperator:
 
         Column j, of pseudo-class b, is the sum over the class-b source
         rows i of s_i D_ij (``_class_blocks``); for DB, plus eta_b T[:, j],
-        which holds the rest.
+        which holds the rest. StateError for DB if ``cross`` holds no T,
+        or holds it for an operand other than s.
         """
-        ns, c = self.n_source, self.diagonal.size
+        ns, c = self.n_source, self.table.shape[0] // 2
         if self.repulsive:
+            if self.cross.off_class is None or s is not self.cross.operand:
+                raise StateError("a DB operator is read only with the operand its "
+                                 "CrossTerm holds T for")
             eta = off_class_factors(self.groups, c)[1]
-            left = eta[self.groups[ns:] - c] * self.cross.off_class_for(s)
+            left = eta[self.groups[ns:] - c] * self.cross.off_class
         else:
             left = np.zeros((s.shape[0], self.groups.size - ns))
         for at, cols, d in self._class_blocks():

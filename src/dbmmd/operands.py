@@ -16,11 +16,12 @@ MEDA's normalized kNN Laplacian L only ever meets U_r, so its edge list
 gives L U_r a panel of L's rows at a time (``EdgeGraph.times``). W is
 held as what rebuilds it (``graphs.CrossAffinity``): x, the column
 norms of x and sigma, from which each read of a boundary operator takes
-a block of W. The boundary operators read W through one
-``mmd.CrossTerm``, which groups the source rows by class once and, the
-first time a DB model asks, holds T, the (dim, nt) part of DB's cross
-term that no pseudo-label moves, for the pencil operand: x in primal
-mode, S_r = diag(w_r) U_r^T in kernel mode, also held here. CDDA+DB and
+a block of W. W and T reach the boundary operators in one form, the
+``mmd.CrossTerm`` of ``cross_term``, made here and nowhere else in the
+library: it groups the source rows by class once and, the first time a
+DB model asks, holds T, the (dim, nt) part of DB's cross term that no
+pseudo-label moves, for the pencil operand: x in primal mode,
+S_r = diag(w_r) U_r^T in kernel mode, also held here. CDDA+DB and
 DGA-DA+DB then share one T.
 
 The first build that needs a bandwidth resolves the median sigma, from
@@ -57,7 +58,6 @@ class InputOperands:
         self._sigma = cfg.sigma
         self._range: tuple[np.ndarray, np.ndarray] | None = None
         self._range_terms: tuple[np.ndarray, np.ndarray] | None = None
-        self._affinity: CrossAffinity | None = None
         self._operand: np.ndarray | None = None
         self._cross: CrossTerm | None = None
         self._initial: np.ndarray | None = None
@@ -106,15 +106,6 @@ class InputOperands:
             self._range_terms = tuple(_read_only(a) for a in terms)
         return self._range_terms
 
-    def affinity(self) -> CrossAffinity:
-        """W, the (ns, nt) cross block of the Gaussian affinity of x, read by source rows.
-
-        The boundary graphs read nothing else of the affinity.
-        """
-        if self._affinity is None:
-            self._affinity = CrossAffinity(self.x, self.pair.n_source, self._bandwidth())
-        return self._affinity
-
     def pencil_operand(self) -> np.ndarray:
         """s, the (dim, n) operand of the projection pencil.
 
@@ -130,15 +121,19 @@ class InputOperands:
         return self._operand
 
     def cross_term(self, off_class: bool = False) -> CrossTerm:
-        """W with the source rows grouped by class (``mmd.CrossTerm``), for the boundary graphs.
+        """The ``mmd.CrossTerm`` every boundary operator of this pair and config reads.
 
-        With ``off_class`` it also holds T (``mmd.off_class_term``) for the
-        pencil operand, made with one walk of W the first time a model
-        asks: a DB model on a base with a separation term.
+        It holds W, the (ns, nt) cross block of the Gaussian affinity of x,
+        as a ``graphs.CrossAffinity`` read by source rows (the boundary
+        graphs read nothing else of the affinity), with the source rows
+        grouped by class. With ``off_class`` it also holds T
+        (``mmd.off_class_term``) for the pencil operand, made with one walk
+        of W the first time a model asks: a DB model on a base with a
+        separation term.
         """
         if self._cross is None:
-            self._cross = CrossTerm.of(self.affinity(), self.pair.source.labels,
-                                       self.pair.class_count)
+            w = CrossAffinity(self.x, self.pair.n_source, self._bandwidth())
+            self._cross = CrossTerm.of(w, self.pair.source.labels, self.pair.class_count)
         if off_class and self._cross.off_class is None:
             self._cross = self._cross.with_operand(self.pencil_operand())
         return self._cross

@@ -28,10 +28,13 @@ explicit n x n H, which the library never forms.
 M entry for entry; the tests use it wherever a test needs M itself.
 ``dense_boundary_block`` is the cross block D a reweighted operator must
 hold, from the per-sample terms; ``boundary_block`` builds the operator's
-D from its W, groups and class-diagonal scale, never through the
-operator's own reads, so checking those reads against it is not
-circular. The two agree entry for entry, the class-diagonal blocks bit
-for bit (``class_diagonal``).
+D from its W and groups, with the class-diagonal scale taken here from
+the group counts (``class_diagonal_scale``), never through the
+operator's own reads or scales, so checking those reads against it is
+not circular. The two agree entry for entry, the class-diagonal blocks
+bit for bit (``class_diagonal``). ``cross_term`` wraps a W, an array or
+a ``graphs.CrossAffinity``, in the ``mmd.CrossTerm`` that
+``adapt.assemble_db`` takes, with T for a given operand.
 
 ``dense_kernel`` builds the (n, n) K that the library reads only through
 ``linalg.kernel_range``, and ``dense_kernel_range`` is the full
@@ -58,6 +61,7 @@ from dbmmd.datamodel import DomainPair
 from dbmmd.errors import BandwidthError, ParameterError, StateError
 from dbmmd.graphs import W_FLOOR, EdgeGraph
 from dbmmd.linalg import _row_blocks, _row_panels, kernel_matrix, matmul, median_pairwise_distance
+from dbmmd.mmd import CrossTerm
 
 DIRECTIONS = ("source_to_target", "target_to_source")
 
@@ -240,26 +244,42 @@ def dense_boundary_block(pair: DomainPair, affinity: DenseAffinity, kind) -> np.
     return ((graphs.g_cg + graphs.g_sg)[:ns, ns:] - 1.0) * scaled[:ns, ns:]
 
 
+def class_diagonal_scale(op) -> np.ndarray:
+    """S_x[b, b] = (1/n_s^b) (-1/n_t^b) per class b from an operator's group counts.
+
+    The per-sample conditional term's entry for a source row and a target
+    column of class b; 0 for a class missing on either side.
+    """
+    c = op.table.shape[0] // 2
+    counts = np.bincount(op.groups, minlength=2 * c)
+    ns, nt = counts[:c], counts[c:]
+    both = (ns > 0) & (nt > 0)
+    scale = np.zeros(c)
+    scale[both] = (1.0 / ns[both]) * (-1.0 / nt[both])
+    return scale
+
+
 def boundary_block(op) -> np.ndarray | None:
     """The (n_s, n_t) D of an ``mmd.MmdOperator``, built here; None unreweighted.
 
     The operator never holds D, so it is built from what the operator
-    holds: its W (``stacked_rows``), its groups and its scale on the class
-    diagonal, S_x[b, b], never through its own reads. Same-class pairs
-    take (1/max(W, W_FLOOR) - 1) S_x[b, b], in ``graphs.build_graphs``'
-    order of operations. Off the class diagonal, CG's D is 0 and DB's is
-    (W - 1) times the negated separation entry 2/(n_s^a n_t^b) of the
-    per-sample terms. So every entry equals ``dense_boundary_block``'s,
-    the class-diagonal ones bit for bit; off it, the dense CG block holds
-    (W - 1) * 0, a -0.0 where W < 1.
+    holds: its W (``stacked_rows``) and its groups, never through its own
+    reads. Same-class pairs take (1/max(W, W_FLOOR) - 1) S_x[b, b], in
+    ``graphs.build_graphs``' order of operations, with S_x[b, b] from the
+    group counts (``class_diagonal_scale``). Off the class diagonal, CG's
+    D is 0 and DB's is (W - 1) times the negated separation entry
+    2/(n_s^a n_t^b) of the per-sample terms. So every entry equals
+    ``dense_boundary_block``'s, the class-diagonal ones bit for bit; off
+    it, the dense CG block holds (W - 1) * 0, a -0.0 where W < 1.
     """
     if op.cross is None:
         return None
-    ns, c = op.n_source, op.diagonal.size
+    ns, c = op.n_source, op.table.shape[0] // 2
     source, target = op.groups[:ns], op.groups[ns:] - c
     w = stacked_rows(op.cross.affinity)
     same = source[:, None] == target
-    d = np.where(same, (1.0 / np.maximum(w, W_FLOOR) - 1.0) * op.diagonal[source][:, None], 0.0)
+    scale = class_diagonal_scale(op)
+    d = np.where(same, (1.0 / np.maximum(w, W_FLOOR) - 1.0) * scale[source][:, None], 0.0)
     if op.repulsive:
         pairs = np.outer(np.bincount(source, minlength=c), np.bincount(target, minlength=c))
         d[~same] = ((w - 1.0) * (2.0 / pairs[source][:, target]))[~same]
@@ -301,6 +321,15 @@ def cross_block(pair: DomainPair, affinity: DenseAffinity) -> np.ndarray:
     """The (n_s, n_t) source-by-target block of a dense affinity, the boundary graphs' input."""
     ns = pair.n_source
     return affinity.entries[:ns, ns:]
+
+
+def cross_term(pair: DomainPair, w, operand: np.ndarray | None = None) -> CrossTerm:
+    """The ``mmd.CrossTerm`` of the cross block w of a pair, with T for ``operand`` if given.
+
+    A DB operator on the term reads T, so it is read only with ``operand``.
+    """
+    term = CrossTerm.of(w, pair.source.labels, pair.class_count)
+    return term if operand is None else term.with_operand(operand)
 
 
 def dense_centering_matrix(n: int) -> np.ndarray:

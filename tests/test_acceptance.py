@@ -32,8 +32,8 @@ from dbmmd.mmd import build_all, group_sums
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
-from dense_reference import (boundary_block, build_repulsive, cross_block, dense_build_affinity,
-                             dense_operator, edge_graph)
+from dense_reference import (boundary_block, build_repulsive, cross_block, cross_term,
+                             dense_build_affinity, dense_operator, edge_graph)
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden.json"
 
@@ -220,7 +220,8 @@ def test_criterion_3_unit_affinity_reductions(golden):
         cfg = AdaptConfig.from_dict(golden["config"]).replace(sigma=float("inf"))
         pair = ds.pair.with_pseudo_labels(ds.target_truth)
         mats = build_all(pair)
-        cross = cross_block(pair, dense_build_affinity(pair.packed_features(), float("inf")))
+        cross = cross_term(pair, cross_block(pair, dense_build_affinity(pair.packed_features(),
+                                                                          float("inf"))))
         plain = assemble_db(mats, None, ModelKind("CDDA"))
         reweighted = assemble_db(mats, cross, ModelKind("CDDA", "DB"))
         assert np.array_equal(plain.table, reweighted.table)

@@ -33,10 +33,10 @@ from dbmmd.mmd import MmdOperator, build_all
 from dbmmd.operands import InputOperands
 from dbmmd.synthetic import SyntheticRecipe, generate_synthetic
 
-from dense_reference import (boundary_block, class_diagonal, cross_block, dense_boundary_block,
-                             dense_build_affinity, dense_build_laplacian, dense_kernel,
-                             dense_kernel_range, dense_meda_solve, dense_meda_system,
-                             dense_operator)
+from dense_reference import (boundary_block, class_diagonal, cross_block, cross_term,
+                             dense_boundary_block, dense_build_affinity, dense_build_laplacian,
+                             dense_kernel, dense_kernel_range, dense_meda_solve,
+                             dense_meda_system, dense_operator)
 
 UNIT_AFFINITY = dict(sigma=float("inf"))
 
@@ -136,7 +136,8 @@ class TestAssembleDb:
         # operator must equal the plain one bit for bit: same table, D == 0
         pair = labeled_pair(4)
         mats = build_all(pair)
-        cross = cross_block(pair, dense_build_affinity(pair.packed_features(), float("inf")))
+        cross = cross_term(pair, cross_block(pair, dense_build_affinity(pair.packed_features(),
+                                                                          float("inf"))))
         for base in ("JDA", "CDDA", "DGA-DA"):
             plain = assemble_db(mats, None, ModelKind(base))
             for boundary in ("CG", "DB"):
@@ -153,7 +154,7 @@ class TestAssembleDb:
         # compact term, exactly what CG does
         pair = labeled_pair(5)
         mats = build_all(pair)
-        cross = cross_block(pair, dense_build_affinity(pair.packed_features()))
+        cross = cross_term(pair, cross_block(pair, dense_build_affinity(pair.packed_features())))
         db = assemble_db(mats, cross, ModelKind("JDA", "DB"))
         cg = assemble_db(mats, cross, ModelKind("JDA", "CG"))
         assert np.array_equal(db.table, cg.table)
@@ -164,7 +165,7 @@ class TestAssembleDb:
         # the graph reweights cross-domain entries only
         pair = labeled_pair(6)
         mats = build_all(pair)
-        cross = cross_block(pair, dense_build_affinity(pair.packed_features()))
+        cross = cross_term(pair, cross_block(pair, dense_build_affinity(pair.packed_features())))
         plain = dense_operator(assemble_db(mats, None, ModelKind("CDDA")))
         db = dense_operator(assemble_db(mats, cross, ModelKind("CDDA", "DB")))
         ns = pair.n_source
@@ -176,7 +177,7 @@ class TestAssembleDb:
         pair = labeled_pair(9, n_s=450, n_t=400, class_count=4)
         aff = dense_build_affinity(pair.packed_features())
         kind = ModelKind("CDDA", "DB")
-        op = assemble_db(build_all(pair), cross_block(pair, aff), kind)
+        op = assemble_db(build_all(pair), cross_term(pair, cross_block(pair, aff)), kind)
         got, want = boundary_block(op), dense_boundary_block(pair, aff, kind)
         same = class_diagonal(op)
         assert got[same].tobytes() == want[same].tobytes()
@@ -185,10 +186,11 @@ class TestAssembleDb:
 
     def test_reweighted_operator_allocates_no_ns_by_nt_array(self):
         # sandwich and matvec only read D: neither allocates an (n_s, n_t)
-        # array of its own. matvec is read under CG, the one boundary MEDA has
+        # array of its own. matvec is read under CG, the one boundary MEDA
+        # has; T for the sandwich's operand is made before either
         pair = labeled_pair(13, n_s=600, n_t=600, class_count=4)
         x = pair.packed_features()
-        cross = cross_block(pair, dense_build_affinity(x))
+        cross = cross_term(pair, cross_block(pair, dense_build_affinity(x)), x)
         db, cg = (assemble_db(build_all(pair), cross, ModelKind(base, boundary))
                   for base, boundary in (("CDDA", "DB"), ("MEDA", "CG")))
         vectors = np.random.default_rng(130).normal(size=(pair.n_total, 3))
@@ -207,10 +209,11 @@ class TestAssembleDb:
         # One CDDA+DB round's operator build and its sandwich, and a MEDA+CG
         # round's matvec: W's and D's rows are rebuilt from x a block of
         # source rows at a time, so no (n_s, n_t) array is made; held whole,
-        # W and D were 1.0 x here each.
+        # W and D were 1.0 x here each. T is made before the rounds.
         pair = labeled_pair(14, n_s=1200, n_t=1200, class_count=4)
-        x = pair.packed_features()
-        affinity = InputOperands(pair, AdaptConfig()).affinity()
+        ops = InputOperands(pair, AdaptConfig())
+        x = ops.pencil_operand()
+        affinity = ops.cross_term(off_class=True)
         mats = build_all(pair)
         vectors = np.random.default_rng(140).normal(size=(pair.n_total, 3))
         peaks = []
@@ -235,9 +238,9 @@ class TestAssembleDb:
         # nor its D is made whole (1.0 x here each): the read peaks at 0.22 x
         pair = labeled_pair(16, n_s=1600, n_t=1600, class_count=2)
         pair = pair.with_pseudo_labels(np.zeros(pair.n_target, dtype=int))
-        x = pair.packed_features()
         ops = InputOperands(pair, AdaptConfig())
         cross = ops.cross_term(off_class=True)
+        x = ops.pencil_operand()
         rows = int(np.sum(pair.source.labels == 0))
         op = assemble_db(build_all(pair), cross, ModelKind("CDDA", "DB"))
         tracemalloc.start()
@@ -310,7 +313,7 @@ class TestAssembleDb:
         assert not (cross.flags.c_contiguous or cross.flags.f_contiguous)
         before = cross.copy()
         for base, boundary in (("JDA", "CG"), ("CDDA", "DB"), ("DGA-DA", "CG")):
-            op = assemble_db(build_all(pair), cross, ModelKind(base, boundary))
+            op = assemble_db(build_all(pair), cross_term(pair, cross), ModelKind(base, boundary))
             assert np.any(boundary_block(op) != 0.0)
         assert cross.tobytes() == before.tobytes()
 
@@ -353,7 +356,35 @@ class TestAssembleDb:
         aff = dense_build_affinity(pair.packed_features())
         for w in (aff.entries, cross_block(pair, aff).T):
             with pytest.raises(DimensionError):
-                assemble_db(build_all(pair), w, ModelKind("CDDA", "DB"))
+                assemble_db(build_all(pair), cross_term(pair, w), ModelKind("CDDA", "DB"))
+
+    def test_db_term_without_t_raises(self):
+        # DB's s_s D sums W over every source row through T: a term that
+        # holds none is a StateError, not a walk of W. CG reads no T.
+        pair = labeled_pair(11, n_s=30, n_t=25)
+        x = pair.packed_features()
+        bare = cross_term(pair, cross_block(pair, dense_build_affinity(x)))
+        mats = build_all(pair)
+        for base in ("CDDA", "DGA-DA"):
+            with pytest.raises(StateError):
+                assemble_db(mats, bare, ModelKind(base, "DB")).sandwich(x)
+        cg = assemble_db(mats, bare, ModelKind("CDDA", "CG"))
+        ref = x @ dense_operator(cg) @ x.T
+        assert np.abs(cg.sandwich(x) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_db_sandwich_with_another_operand_raises(self):
+        # T is held for one operand; any other, even an equal copy, is a
+        # StateError, and the held one still reads the dense M
+        pair = labeled_pair(12, n_s=30, n_t=25)
+        x = pair.packed_features()
+        cross = cross_term(pair, cross_block(pair, dense_build_affinity(x)), x)
+        for base in ("CDDA", "DGA-DA"):
+            op = assemble_db(build_all(pair), cross, ModelKind(base, "DB"))
+            for other in (x.copy(), 2.0 * x, x[:1]):
+                with pytest.raises(StateError):
+                    op.sandwich(other)
+            got, ref = op.sandwich(x), x @ dense_operator(op) @ x.T
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestSolveProjection:
@@ -673,7 +704,7 @@ def dense_meda_replay(pair, cfg, kind, report):
     rounds = []
     for rec in report.iterations:
         p = pair.with_pseudo_labels(pseudo)
-        cross = None if kind.boundary == "none" else ops.affinity()
+        cross = None if kind.boundary == "none" else ops.cross_term()
         m = dense_operator(assemble_db(build_all(p), cross, kind))
         beta = dense_meda_solve(dense_meda_system(m, lap, kmat, ns, alpha, rho, eta), y)
         scores = kmat @ beta

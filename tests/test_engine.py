@@ -5,16 +5,17 @@ target pseudo-labels and the single-class pair among them, plus a pair
 whose targets all carry one pseudo-class), every base x boundary model
 must hold the dense reference exactly:
 its table expands to the plain model's matrix, and a reweighted model's
-cross block D, built from the operator's W, groups and class-diagonal
-scale (``dense_reference.boundary_block``), is (G - 1) times the
+cross block D, built from the operator's W and group counts
+(``dense_reference.boundary_block``), is (G - 1) times the
 reweighted part S of the dense terms
 (``dense_reference.dense_boundary_block``): bit for bit on the
 class-diagonal blocks, and equal elsewhere, where the dense CG block holds
 signed zeros. Under CG the blocks the operator reads D from are the dense
 class-diagonal blocks bit for bit. Its left operand s M s^T must match
-the dense products for primal and kernel data operands, and its product
-M x for a block of vectors, except under CDDA+DB and DGA-DA+DB, whose
-operators do not define it.
+the dense products for primal and kernel data operands, each read from
+an operator whose ``mmd.CrossTerm`` holds T for that operand, and its
+product M x for a block of vectors, except under CDDA+DB and DGA-DA+DB,
+whose operators do not define it.
 """
 from __future__ import annotations
 
@@ -26,9 +27,9 @@ from dbmmd.datamodel import DomainPair, LabeledDomain, UnlabeledDomain
 from dbmmd.linalg import kernel_matrix
 from dbmmd.mmd import build_all
 
-from dense_reference import (boundary_block, class_diagonal, cross_block, dense_assemble_db,
-                             dense_boundary_block, dense_build_affinity, dense_build_all,
-                             dense_build_graphs)
+from dense_reference import (boundary_block, class_diagonal, cross_block, cross_term,
+                             dense_assemble_db, dense_boundary_block, dense_build_affinity,
+                             dense_build_all, dense_build_graphs)
 
 KINDS = [
     ModelKind(base, boundary)
@@ -78,10 +79,13 @@ def assert_matches_dense_reference(pair: DomainPair, seed: int):
     mats = build_all(pair)
     dense_mats = dense_build_all(pair)
     cross = cross_block(pair, aff)
+    terms = {name: cross_term(pair, cross, s) for name, s in operands.items()}
     dense_graphs = dense_build_graphs(pair, aff)
     for kind in KINDS:
         reweighted = kind.boundary != "none"
-        op = assemble_db(mats, cross if reweighted else None, kind)
+        operators = {name: assemble_db(mats, term if reweighted else None, kind)
+                     for name, term in terms.items()}
+        op = operators["primal"]
         want = dense_assemble_db(dense_mats, dense_graphs if reweighted else None, kind)
         case = (seed, kind.name)
         plain = dense_assemble_db(dense_mats, None, ModelKind(kind.base))
@@ -98,7 +102,7 @@ def assert_matches_dense_reference(pair: DomainPair, seed: int):
         else:
             assert boundary_block(op) is None, case
         for name, s in operands.items():
-            got, ref = op.sandwich(s), s @ want @ s.T
+            got, ref = operators[name].sandwich(s), s @ want @ s.T
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (case, name)
         if not op.repulsive:
             got, ref = op.matvec(vectors), want @ vectors

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +15,10 @@ from dbmmd.errors import BandwidthError, DimensionError, ParameterError
 from dbmmd.graphs import W_FLOOR, EdgeGraph, build_affinity, build_graphs, build_laplacian, rcm_order
 from dbmmd.mmd import build_all, off_class_term
 
-from dense_reference import (DenseAffinity, cross_block, dense_boundary_block,
-                             dense_build_affinity, dense_build_graphs, dense_build_laplacian,
-                             dense_distance_rows, dense_matrix, dense_median_pairwise_distance,
-                             dense_panel_product, edge_graph)
+from dense_reference import (DenseAffinity, class_diagonal_scale, cross_block, cross_term,
+                             dense_boundary_block, dense_build_affinity, dense_build_graphs,
+                             dense_build_laplacian, dense_distance_rows, dense_matrix,
+                             dense_median_pairwise_distance, dense_panel_product, edge_graph)
 
 
 def assert_bits_equal(a, b):
@@ -263,19 +262,19 @@ class TestNeighborTies:
 def unit_scaled_block(pair, cross):
     """G - 1 over the cross block W, from the two places the operator takes it.
 
-    Same-class pairs: ``build_graphs`` with S_x[b, b] == 1 on each block of
-    W's class-diagonal blocks that a CG operator's reader visits, each
-    pair once. Different-class pairs: ``off_class_term``'s W - 1, with one
+    Same-class pairs: ``build_graphs(w, 1.0)`` on each block w of W's
+    class-diagonal blocks that a CG operator's reader visits, each pair
+    once. Different-class pairs: ``off_class_term``'s W - 1, with one
     source row per class (g == 1) and s = I, so T is W - 1 exactly.
     """
     ns = pair.n_source
-    op = assemble_db(build_all(pair), cross, ModelKind("JDA", "CG"))
+    op = assemble_db(build_all(pair), cross_term(pair, cross), ModelKind("JDA", "CG"))
     d = off_class_term(cross, np.eye(ns), np.arange(ns), ns)
     seen = np.zeros(d.shape, dtype=bool)
-    for at, cols, block in replace(op, diagonal=np.ones_like(op.diagonal))._class_blocks():
+    for at, cols, _ in op._class_blocks():
         assert not seen[np.ix_(at, cols)].any()
         seen[np.ix_(at, cols)] = True
-        d[np.ix_(at, cols)] = block
+        d[np.ix_(at, cols)] = build_graphs(cross[np.ix_(at, cols)], 1.0)
     return d
 
 
@@ -315,7 +314,7 @@ class TestBuildGraphs:
         n_s = pair.n_source
         mc = mats.conditional[np.ix_(mats.groups[:n_s], mats.groups[n_s:])]
         aff = dense_build_affinity(pair.packed_features())
-        op = assemble_db(mats, cross_block(pair, aff), ModelKind("JDA", "CG"))
+        op = assemble_db(mats, cross_term(pair, cross_block(pair, aff)), ModelKind("JDA", "CG"))
         visited = np.zeros(mc.shape, dtype=bool)
         for at, cols, _ in op._class_blocks():
             visited[np.ix_(at, cols)] = True
@@ -355,13 +354,14 @@ class TestBuildGraphs:
         cross = cross_block(pair, aff)
         assert np.count_nonzero(cross < W_FLOOR)
         kind = ModelKind("CDDA", "CG")
-        op = assemble_db(build_all(pair), cross, kind)
-        assert np.unique(op.diagonal).size == pair.class_count
+        op = assemble_db(build_all(pair), cross_term(pair, cross), kind)
+        scale = class_diagonal_scale(op)
+        assert np.unique(scale).size == pair.class_count
         want = dense_boundary_block(pair, aff, kind)
         for at, cols, d in op._class_blocks():
             assert_bits_equal(d, want[np.ix_(at, cols)])
             assert_bits_equal(d, build_graphs(cross[np.ix_(at, cols)],
-                                              op.diagonal[pair.source.labels[at[0]]]))
+                                              scale[pair.source.labels[at[0]]]))
 
     def test_shape_mismatch_rejected(self):
         # the graphs take the (n_s, n_t) cross block, not the (n, n) affinity;

@@ -101,7 +101,8 @@ class TestValues:
         sigma = median_pairwise_distance(x)
         for ours, alone in zip(ops.kernel_range(), kernel_range(x, "rbf", sigma=sigma)):
             assert ours.tobytes() == alone.tobytes()
-        assert stacked_rows(ops.affinity()).tobytes() == cross_kernel(pair, sigma).tobytes()
+        w = ops.cross_term().affinity
+        assert stacked_rows(w).tobytes() == cross_kernel(pair, sigma).tobytes()
         # the affinity's own pass resolves the same median
         assert build_affinity(x, None, 0)[1] == sigma
 
@@ -110,7 +111,7 @@ class TestValues:
         # in either mode the rbf kernel's cross form of the source and target
         pair = pair_of()
         cfg = RBF.replace(sigma=0.7, kernel=kernel)
-        got = stacked_rows(InputOperands(pair, cfg).affinity())
+        got = stacked_rows(InputOperands(pair, cfg).cross_term().affinity)
         assert got.tobytes() == cross_kernel(pair, 0.7).tobytes()
         assert got.tobytes() == cross_affinity(pair, 0.7).tobytes()
 
@@ -133,8 +134,9 @@ class TestValues:
         assert_near(l_basis, matmul(dense, basis))
         # the bandwidth the Laplacian resolved is reused, not recomputed
         _, sigma = build_affinity(x, cfg.sigma, 0)
-        assert ops.affinity().sigma == sigma
-        assert stacked_rows(ops.affinity()).tobytes() == cross_kernel(pair, sigma).tobytes()
+        w = ops.cross_term().affinity
+        assert w.sigma == sigma
+        assert stacked_rows(w).tobytes() == cross_kernel(pair, sigma).tobytes()
 
     @pytest.mark.parametrize("kernel", ["rbf", "linear", "poly", "primal"])
     def test_affinity_holds_only_the_cross_block(self, kernel):
@@ -143,12 +145,12 @@ class TestValues:
         # no distances kept
         pair = pair_of(7, 100)
         ops = InputOperands(pair, AdaptConfig(kernel=kernel))
-        cross = ops.affinity()
+        cross = ops.cross_term().affinity
         ns, nt = pair.n_source, pair.n_target
         assert cross.shape == (ns, nt)
         assert cross.x is ops.x
         assert cross.norms.shape == (ns + nt,)
-        assert ops.affinity() is cross
+        assert ops.cross_term().affinity is cross
         if kernel == "rbf":
             sigma = median_pairwise_distance(pair.packed_features())
             assert stacked_rows(cross).tobytes() == cross_kernel(pair, sigma).tobytes()
@@ -158,7 +160,7 @@ class TestValues:
         # the pairwise_sq_dists of its own source and target columns, bit for bit
         recipe = SyntheticRecipe(class_count=4, samples_per_class=60, feature_dim=64, seed=2)
         pair = generate_synthetic(recipe).pair
-        w = InputOperands(pair, AdaptConfig()).affinity()
+        w = InputOperands(pair, AdaptConfig()).cross_term().affinity
         x, ns = pair.packed_features(), pair.n_source
         rng = np.random.default_rng(3)
         rows = np.sort(rng.choice(ns, 37, replace=False))
@@ -190,7 +192,8 @@ class TestValues:
 class TestSharing:
     def test_arrays_are_read_only(self):
         ops = InputOperands(pair_of(), RBF)
-        arrays = [ops.x, *ops.kernel_range(), ops.affinity().norms, *ops.range_terms(),
+        w = ops.cross_term().affinity
+        arrays = [ops.x, *ops.kernel_range(), w.norms, *ops.range_terms(),
                   ops.pencil_operand(), ops.cross_term(off_class=True).off_class]
         for a in arrays:
             assert not a.flags.writeable
@@ -201,7 +204,7 @@ class TestSharing:
         # the shared affinity's parts cannot be swapped out either
         for name in ("x", "norms", "sigma", "n_source"):
             with pytest.raises(AttributeError):
-                setattr(ops.affinity(), name, getattr(ops.affinity(), name))
+                setattr(w, name, getattr(w, name))
 
     def test_each_operand_is_built_once(self, calls):
         pair = pair_of()
@@ -394,13 +397,14 @@ class TestSharing:
         x = np.tile(np.random.default_rng(0).normal(size=(d, 1)), (1, n // 2))
         pair = make_pair(LabeledDomain(x, np.arange(n // 2) % 2), UnlabeledDomain(x.copy()))
         with pytest.raises(BandwidthError):
-            InputOperands(pair, RBF.replace(kernel="primal")).affinity()
+            InputOperands(pair, RBF.replace(kernel="primal")).cross_term().affinity
         with pytest.raises(BandwidthError):
             InputOperands(pair, RBF).kernel_range()
-        assert np.all(stacked_rows(InputOperands(pair, AdaptConfig(sigma=1.0)).affinity()) == 1.0)
+        w = InputOperands(pair, AdaptConfig(sigma=1.0)).cross_term().affinity
+        assert np.all(stacked_rows(w) == 1.0)
         # K is all ones: one direction, of eigenvalue n
         ops = InputOperands(pair, RBF.replace(sigma=1.0))
-        assert np.all(stacked_rows(ops.affinity()) == 1.0)
+        assert np.all(stacked_rows(ops.cross_term().affinity) == 1.0)
         basis, w_r = ops.kernel_range()
         assert_allclose(w_r[-1], n, rtol=1e-12)
         assert_allclose(np.abs(basis[:, -1]), 1.0 / np.sqrt(n), rtol=1e-12)
@@ -417,7 +421,7 @@ class TestSharing:
         ops = InputOperands(pair, AdaptConfig())
         tracemalloc.start()
         try:
-            ops.affinity()
+            ops.cross_term().affinity
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -427,7 +431,7 @@ class TestSharing:
         pair = make_pair(LabeledDomain(np.ones((2, 4)), np.array([0, 0, 1, 1])),
                          UnlabeledDomain(np.ones((2, 4))))
         ops = InputOperands(pair, RBF)
-        for request in (ops.kernel_range, ops.affinity, ops.range_terms, ops.kernel_range):
+        for request in (ops.kernel_range, ops.cross_term, ops.range_terms, ops.kernel_range):
             with pytest.raises(BandwidthError):
                 request()
 
@@ -445,7 +449,7 @@ def rbf_operands(x: np.ndarray) -> InputOperands:
     lambda x: build_affinity(x, None, 0),
     lambda x: build_affinity(x, None, 5),
     lambda x: rbf_operands(x).kernel_range(),
-    lambda x: rbf_operands(x).affinity(),
+    lambda x: rbf_operands(x).cross_term().affinity,
 ], ids=["median", "complete-affinity", "knn-affinity", "kernel-range", "cross-affinity"])
 def test_every_median_fails_on_coincident_points(entry):
     # one column repeated: the distances round to within their error bound,

@@ -2,6 +2,7 @@
 """Run a named ladder of adaptation cells, each in a fresh process, and write BENCH_<label>.json.
 
     python3 scripts/bench_ladder.py --label NAME [--top]
+    python3 scripts/bench_ladder.py --diff OLD.json NEW.json
 
 A cell is one model on one seeded synthetic pair (rotation 30 degrees,
 noise 0.8, seed 7), run through ``adapt.run_adaptation``. Each cell runs
@@ -28,6 +29,12 @@ default cells have n <= 3000 and take about a minute; --top adds the
 cells at n = 12000: primal CDDA+DB and DGA-DA+DB,
 and rbf-kernel JDA+CG and MEDA+CG.
 BLAS threads are min(2, nproc) unless OPENBLAS_NUM_THREADS is set.
+
+--diff runs no cell. For each cell in both files it prints wall_s and
+first_rss_mb from the old file to the new, and it exits 1 when any of
+those cells' labels_sha256, rounds or churns differ (or either run
+failed). The two walls come from different sessions, not paired runs, so
+the diff alone shows no speed-up.
 """
 from __future__ import annotations
 
@@ -119,13 +126,40 @@ def run_cell(cell: dict) -> dict:
     }
 
 
+def diff(old_path: str, new_path: str) -> int:
+    """Print the cells two ladder files share, old to new; 1 if any result differs."""
+    old, new = (json.loads(Path(p).read_text())["cells"] for p in (old_path, new_path))
+    print("walls are medians from different sessions, not paired runs: "
+          "they show no speed-up by themselves")
+    mismatched = 0
+    for name in (n for n in old if n in new):
+        a, b = old[name], new[name]
+        if "error" in a or "error" in b:
+            print(f"{name}: failed in {'old' if 'error' in a else 'new'}")
+            mismatched += 1
+            continue
+        line = (f"{name}: wall_s {a['wall_s']} -> {b['wall_s']}, "
+                f"first_rss_mb {a.get('first_rss_mb', '-')} -> {b.get('first_rss_mb', '-')}")
+        differ = [k for k in ("labels_sha256", "rounds", "churns") if a[k] != b[k]]
+        if differ:
+            line += f"  MISMATCH: {', '.join(differ)}"
+            mismatched += 1
+        print(line)
+    print(f"{mismatched} mismatched cells")
+    return 1 if mismatched else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", help="writes BENCH_<label>.json")
     parser.add_argument("--top", action="store_true", help="add the n = 12000 cells")
+    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two ladder files, running no cell")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.diff:
+        return diff(*args.diff)
     known = {**CELLS, **TOP_CELLS}
     if args.child:
         print(json.dumps(run_cell(known[args.child])))

@@ -129,9 +129,14 @@ def solve_projection(s: np.ndarray, db: MmdOperator, k: int,
     from the group sums of s (see ``MmdOperator.sandwich``). Returns
     (A, eigenvalues, objective) with A columnwise normalized against the
     ridged right operand and the objective tr(A^T (s M s^T + lam I) A)
-    taken from the same left operand.
+    taken from the same left operand. A DB operator reads s only as the
+    float64 operand its ``CrossTerm`` holds T for: ParameterError for an
+    s of another dtype, which would be converted to a new array.
     """
-    s = np.asarray(s, dtype=float)
+    s = np.asarray(s)
+    if db.repulsive and s.dtype != np.float64:
+        raise ParameterError(f"a DB operator needs its float64 data operand, got {s.dtype}")
+    s = s.astype(float, copy=False)
     if s.ndim != 2:
         raise ParameterError("data operand must be 2-D")
     if not lam > 0.0:

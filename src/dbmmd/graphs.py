@@ -34,9 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import (_PANEL_ROWS, _as_feature_matrix, _Distances, _MedianSelect, _row_blocks,
-                     _row_panels, _sq_norms, _strict_upper, gaussian_in_place, matmul,
-                     pairwise_sq_dists)
+from .linalg import (_PANEL_ROWS, _as_feature_matrix, _Distances, _MedianSelect, _row_panels,
+                     _sq_norms, _strict_upper, gaussian_in_place, matmul, pairwise_sq_dists)
 
 # Floor for 1/W so underflowed affinities cannot blow up.
 W_FLOOR = 1e-6
@@ -84,8 +83,9 @@ def build_affinity(x, sigma: float | None = None,
     walker ``median_pairwise_distance`` reads (``linalg._Distances``): each
     block's columns against the columns from its first on, with for p > 0
     those against the columns before it; no (n, n) array is held. sigma
-    None takes the median nonzero pairwise distance, selected in the same
-    walk (``linalg._MedianSelect``), and fails with BandwidthError when all
+    None takes the median nonzero pairwise distance, selected from the
+    same walk's blocks (``linalg._MedianSelect``, which walks x again only
+    when its bracket misses), and fails with BandwidthError when all
     points coincide; a given sigma must be positive. neighborhood_p > 0
     keeps edge i, j when i is among the p nearest neighbors of j or vice
     versa; p = 0 keeps every pair. A point is never its own neighbor, and
@@ -107,11 +107,7 @@ def build_affinity(x, sigma: float | None = None,
     select = _MedianSelect(walk) if sigma is None else None
     rows, cols, w = _nearest_edges(walk, p, select) if knn else _all_edges(walk, select)
     if select is not None:
-        # The median's counting walks, if it needs them: the same products
-        # again, or for the complete graph the distances w holds.
-        sigma = select.median(
-            (lambda: (_strict_upper(block, positive=True) for _, block in walk.upper())) if knn
-            else (lambda: (w[b][w[b] > 0.0] for b in _row_blocks(w.size, 1))))
+        sigma = select.median()
     gaussian_in_place(w, sigma)
     return EdgeGraph(np.zeros(n), rows, cols, w), float(sigma)
 

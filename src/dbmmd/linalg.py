@@ -19,12 +19,12 @@ block of rows at a time, rows lo.. against columns lo.. (``upper``),
 which ``widen`` extends to every column. No (n, n) array is held, every
 pass sees the same bits for a pair i < j from row i, and every block is
 ``pairwise_sq_dists`` of its rows and columns bit for bit off the
-diagonal. The median takes one walk: a seeded sample of pairs brackets
-it beforehand, and the walk keeps the distances inside the bracket for
-an exact selection, with two counting walks as the fallback when the
-bracket misses. It fails with BandwidthError when no pair of columns is
-apart, wherever it is taken. Features whose squared distances could
-overflow fail with ParameterError.
+diagonal. The median is one exact selection: a walk keeps the distances
+inside a bracket, and a partition of those picks the middle ones. A
+seeded sample of pairs gives the first walk's bracket; when it misses, a
+tally of the distances by bucket gives the next. It fails with
+BandwidthError when no pair of columns is apart, wherever it is taken.
+Features whose squared distances could overflow fail with ParameterError.
 
 ``kernel_range`` finds the numerical range of the (n, n) kernel matrix
 K of x with a seeded randomized sketch of l = 160 columns, in O(n^2 l).
@@ -85,14 +85,14 @@ _PANEL_ROWS = 128
 # it, the sample's seed, and its half width in standard deviations of the
 # sample median's rank (sqrt(m) / 2 for m sampled values). The walk keeps
 # the values inside it, up to twice as many as the sample predicts; a
-# bracket predicted to hold more than half of _KEPT_BUDGET values goes
-# straight to the counting walks.
+# bracket predicted to hold more than half of _KEPT_BUDGET values gives
+# way to a tally in the first walk.
 _SAMPLE_PAIRS = 1 << 14
 _SAMPLE_SEED = 0x3ED1A
 _BRACKET_SIGMAS = 5.0
 _KEPT_BUDGET = 1 << 19
 
-# The counting walks' buckets: the top 16 bits of a positive double's
+# The median tally's buckets: the top 16 bits of a positive double's
 # pattern (the zero sign bit, 11 exponent bits and 4 mantissa bits), 2^15
 # in all.
 _BUCKET_SHIFT = 48
@@ -337,13 +337,12 @@ class _Distances:
         return d2
 
 
-def _strict_upper(block: np.ndarray, positive: bool = False) -> np.ndarray:
+def _strict_upper(block: np.ndarray) -> np.ndarray:
     """The entries (r, c), c > r, of an ``_Distances.upper`` block, row by row.
 
-    Those are the distances of pairs i < j, each once. ``positive`` keeps
-    only the entries > 0.
+    Those are the distances of pairs i < j, each once.
     """
-    keep = block > 0.0 if positive else np.ones(block.shape, dtype=bool)
+    keep = np.ones(block.shape, dtype=bool)
     lead = keep[:, :keep.shape[0]]
     lead[np.tri(*lead.shape, dtype=bool)] = False
     return block[keep]
@@ -358,50 +357,24 @@ def _bucket(vals: np.ndarray) -> np.ndarray:
     return vals.view(np.int64) >> _BUCKET_SHIFT
 
 
-class _MedianCount:
-    """The median's counting walk, fed the positive squared distances a block at a time.
+def _tally_bracket(counts: np.ndarray) -> tuple[float, float, int]:
+    """(lo, hi, room): the buckets that hold the middle ranks of a tally of positive values.
 
-    The fallback of ``_MedianSelect``. Tallies the values by bucket, and
-    keeps them while they total at most _BLOCK, so that a second walk
-    over the blocks is needed only past that.
+    lo is the least double of the lower middle rank's bucket (the least
+    positive double for bucket 0), hi the greatest double of the upper
+    one's, and room the exact count of the values from lo's bucket to
+    hi's, so a walk that keeps the values in [lo, hi] keeps both middle
+    ranks and no more than room. BandwidthError when nothing was tallied:
+    no pair of points is apart, and a zero bandwidth has no Gaussian.
     """
-
-    def __init__(self):
-        self.counts = np.zeros(_BUCKETS, dtype=np.int64)
-        self.kept: list[np.ndarray] | None = []
-        self.size = 0
-
-    def add(self, vals: np.ndarray) -> None:
-        self.counts += np.bincount(_bucket(vals), minlength=_BUCKETS)
-        self.size += vals.size
-        if self.kept is not None:
-            self.kept.append(vals)
-            if self.size > _BLOCK:
-                self.kept = None
-
-    def median(self, again) -> float:
-        """Median of the square roots of the counted values.
-
-        BandwidthError when none was counted: no pair of points is apart,
-        and a zero bandwidth has no Gaussian. ``again`` yields the same
-        values again in blocks; it is read only if they were not kept.
-        The blocks' entries in the bucket or buckets holding the middle
-        ranks are gathered, and a partition of those picks the middle
-        value(s).
-        """
-        counts = self.counts
-        cum = np.cumsum(counts)
-        m = int(cum[-1])
-        if m == 0:
-            raise BandwidthError("all points coincide; median bandwidth is zero")
-        middle = np.array([(m - 1) // 2, m // 2])
-        first, last = np.searchsorted(cum, middle, side="right")
-        picked = []
-        for vals in self.kept if self.kept is not None else again:
-            b = _bucket(vals)
-            picked.append(vals[(b >= first) & (b <= last)])
-        middle -= cum[first] - counts[first]
-        return _middle_distance(np.concatenate(picked), middle)
+    cum = np.cumsum(counts)
+    m = int(cum[-1])
+    if m == 0:
+        raise BandwidthError("all points coincide; median bandwidth is zero")
+    first, last = np.searchsorted(cum, [(m - 1) // 2, m // 2], side="right")
+    lo = (np.int64(first) << _BUCKET_SHIFT).view(np.float64)
+    hi = ((np.int64(last + 1) << _BUCKET_SHIFT) - 1).view(np.float64)
+    return max(lo, np.nextafter(0.0, 1.0)), hi, int(cum[last] - cum[first] + counts[first])
 
 
 def _middle_distance(vals: np.ndarray, middle: np.ndarray) -> float:
@@ -433,7 +406,7 @@ def _bracket(walk: _Distances) -> tuple[float, float, int] | None:
     is twice the count the sample predicts between them. The pairs are
     drawn independently: pairs that share points, such as those among a
     subset of the columns, spread their ranks more than the bracket
-    allows. None, to count instead, when the sample holds no positive
+    allows. None, to tally instead, when the sample holds no positive
     distance or room would pass _KEPT_BUDGET.
     """
     n = walk.x.shape[1]
@@ -466,35 +439,40 @@ def _bracket(walk: _Distances) -> tuple[float, float, int] | None:
 
 
 class _MedianSelect:
-    """The median of the positive distances of one walk, fed its ``upper`` blocks.
+    """The median of the positive distances of one walker, fed its ``upper`` blocks.
 
-    Per block, the pairs i < j below the bracket of ``_bracket`` are
-    counted, the zeros among them too, and those inside it are kept, up
-    to its room. When the middle ranks land among the kept values, one
-    partition of those gives the median, and the walk is the only one.
-    When they miss, or the kept values pass the room, or ``_bracket``
-    gave none, the counting walks of ``_MedianCount`` decide. The bracket
-    decides only which of these runs: each gives np.median of the nonzero
-    distances bit for bit.
+    Per block, the pairs i < j below a bracket [lo, hi] are counted, the
+    zeros among them too, and those inside it are kept, up to its room.
+    The first walk's bracket is ``_bracket``'s, or when that gives none
+    the first walk tallies the distances by bucket. Should the middle
+    ranks miss the kept values, or these pass the room, a walk tallies
+    them; the tally's bracket (``_tally_bracket``) then holds them
+    exactly, for one more walk. The bracket decides only how many walks
+    run: each way gives np.median of the nonzero distances bit for bit.
     """
 
     def __init__(self, walk: _Distances):
-        bracket = _bracket(walk)
-        self.count = _MedianCount() if bracket is None else None
+        self.walk = walk
+        self.lower: dict[int, np.ndarray] = {}  # np.tri(k) per block height k
+        self._start(_bracket(walk))
+
+    def _start(self, bracket: tuple[float, float, int] | None) -> None:
+        """Keep against ``bracket`` from the next block on, or tally when it is None."""
+        self.counts = np.zeros(_BUCKETS, dtype=np.int64) if bracket is None else None
         self.kept = None
         if bracket is not None:
             self.lo, self.hi, room = bracket
             self.kept = np.empty(room)
         self.size = self.zeros = self.below = self.at = 0
-        self.lower: dict[int, np.ndarray] = {}  # np.tri(k) per block height k
 
     def add(self, block: np.ndarray) -> None:
-        """Count and keep the pairs of an ``_Distances.upper`` block."""
-        if self.count is not None:
-            self.count.add(_strict_upper(block, positive=True))
+        """Tally, or count and keep, the pairs of an ``_Distances.upper`` block."""
+        if self.counts is not None:
+            vals = _strict_upper(block)
+            self.counts += np.bincount(_bucket(vals[vals > 0.0]), minlength=_BUCKETS)
             return
         if self.kept is None:
-            return  # past the room: the counting walks decide
+            return  # past the room: a tally decides
         lo, hi = self.lo, self.hi
         below = block < lo
         inside = block <= hi
@@ -517,25 +495,34 @@ class _MedianSelect:
         self.kept[self.at:self.at + count] = block[inside]
         self.at += count
 
-    def median(self, again) -> float:
-        """The median distance; ``again()`` yields the positive distances of a fresh walk.
+    def _pick(self) -> float | None:
+        """The median from the kept values, or None when they miss the middle ranks.
 
         BandwidthError when no pair is apart. The positive distances below
         the bracket number ``below - zeros``, so the middle ranks fall at
         ``middle + zeros - below`` among the kept values.
         """
-        if self.count is not None:
-            return self.count.median(again())
         m = self.size - self.zeros
         if m == 0:
             raise BandwidthError("all points coincide; median bandwidth is zero")
         middle = np.array([(m - 1) // 2, m // 2]) + (self.zeros - self.below)
-        if self.kept is not None and middle[0] >= 0 and middle[1] < self.at:
-            return _middle_distance(self.kept[:self.at], middle)
-        count = _MedianCount()
-        for vals in again():
-            count.add(vals)
-        return count.median(again())
+        if self.kept is None or middle[0] < 0 or middle[1] >= self.at:
+            return None
+        return _middle_distance(self.kept[:self.at], middle)
+
+    def median(self) -> float:
+        """The median distance, once the first walk's blocks were all added."""
+        if self.counts is None:
+            picked = self._pick()
+            if picked is not None:
+                return picked
+            self._start(None)
+            for _, block in self.walk.upper():
+                self.add(block)
+        self._start(_tally_bracket(self.counts))
+        for _, block in self.walk.upper():
+            self.add(block)
+        return self._pick()
 
 
 def median_pairwise_distance(x) -> float:
@@ -548,11 +535,12 @@ def median_pairwise_distance(x) -> float:
     it, and a partition of the kept values picks the middle ones
     (``_MedianSelect``). With at most _BLOCK pairs every positive distance
     is kept. Should the middle ranks fall outside the bracket, or the
-    bracket hold too many distances to keep, the walks of ``_MedianCount``
-    select them exactly by counting: two more, or one more when the sample
-    already predicts too many and the first walk counts. The sample moves
-    only the bracket, never the result, which equals np.median of the
-    nonzero distances bit for bit.
+    bracket hold too many distances to keep, a walk tallies the distances
+    by bucket, and one more keeps those in the buckets of the middle
+    ranks: three walks, or two when the sample already predicts too many
+    and the first walk tallies. The sample moves only the bracket, never
+    the result, which equals np.median of the nonzero distances bit for
+    bit.
 
     The bandwidth of a kernel or affinity of x with no sigma given: fails
     with BandwidthError when no pair of columns is apart.
@@ -561,7 +549,7 @@ def median_pairwise_distance(x) -> float:
     select = _MedianSelect(walk)
     for _, block in walk.upper():
         select.add(block)
-    return select.median(lambda: (_strict_upper(b, positive=True) for _, b in walk.upper()))
+    return select.median()
 
 
 def gaussian_in_place(d2: np.ndarray, sigma: float) -> np.ndarray:

@@ -443,6 +443,18 @@ class TestSolveProjection:
         assert_allclose(signs * z, z_ref, atol=1e-9 * np.abs(z_ref).max())
         assert_allclose(objective, sum(ref_vals), rtol=1e-10)
 
+    def test_db_operand_of_another_dtype_is_a_parameter_error(self):
+        # converting a float32 operand would make an array T was not made
+        # for: the error names the dtype; CG converts it and solves
+        pair = labeled_pair(18, n_s=30, n_t=25)
+        ops = InputOperands(pair, AdaptConfig())
+        x = ops.pencil_operand().astype(np.float32)
+        db = assemble_db(build_all(pair), ops.cross_term(off_class=True), ModelKind("CDDA", "DB"))
+        with pytest.raises(ParameterError, match="float32"):
+            solve_projection(x, db, k=2, lam=1.0)
+        cg = assemble_db(build_all(pair), ops.cross_term(), ModelKind("CDDA", "CG"))
+        assert solve_projection(x, cg, k=2, lam=1.0)[0].shape == (x.shape[0], 2)
+
     def test_shape_and_parameter_errors(self):
         x = np.zeros((2, 5))
         with pytest.raises(ParameterError):

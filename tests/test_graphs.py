@@ -139,8 +139,8 @@ class TestBuildAffinity:
     @pytest.mark.parametrize("bracket", ["miss", "overflow", "none"])
     @pytest.mark.parametrize("p", [0, 5])
     def test_median_fallback_gives_the_same_graph(self, monkeypatch, p, bracket):
-        # the counting walks, after a bracket that misses, one past its
-        # room, or none, resolve the same sigma and the same weights
+        # the tally's bracket, after a bracket that misses, one past its
+        # room, or none, resolves the same sigma and the same weights
         x = np.random.default_rng(41).normal(size=(4, 500))
         want, sigma = build_affinity(x, None, p)
         assert sigma == dense_median_pairwise_distance(dense_distance_rows(x))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,23 +52,28 @@ def charpoly_eigenvalues(a, b):
 
 
 def median_of_sq_dists(d2):
-    """The library's two-pass selection over the upper triangle of a given (n, n) d2.
+    """The library's selection over the upper triangle of a given (n, n) d2, from a tally.
 
-    d2 is read in the row blocks of the library's distance passes, so
-    crafted values reach the same code as ``median_pairwise_distance``.
-    Values are not kept between the passes, so the second pass runs.
+    A stand-in walker yields d2's row blocks as ``_Distances.upper`` does,
+    the self pairs at +inf. With no sample bracket the first walk tallies
+    the values by bucket, a second keeps the tally's bracket, and a
+    partition of the kept values picks the middle ones, so crafted values
+    reach the same code as ``median_pairwise_distance``'s fallback.
     """
     n = d2.shape[0]
 
     def upper():
-        return (linalg._strict_upper(d2[rows, rows.start:], positive=True)
-                for rows in linalg._row_blocks(n, n))
+        for rows in linalg._row_blocks(n, n):
+            block = d2[rows, rows.start:].copy()
+            np.fill_diagonal(block, np.inf)
+            yield rows, block
 
-    count = linalg._MedianCount()
-    for vals in upper():
-        count.add(vals)
-    count.kept = None
-    return count.median(upper())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_bracket", lambda walk: None)
+        select = linalg._MedianSelect(SimpleNamespace(upper=upper))
+    for _, block in upper():
+        select.add(block)
+    return select.median()
 
 
 class TestPairwiseSqDists:
@@ -334,6 +340,11 @@ class TestMedianPairwiseDistance:
         ((np.nextafter(B, 0.0), B, np.nextafter(B, 2.0)), (0.3, 0.4, 0.3)),  # run over both ranks
         ((np.nextafter(B, 0.0), B), (0.5, 0.5)),  # the ranks split across a bucket edge
         ((1.0, 1.0 + 2.0 ** -40, 4.0), (0.45, 0.1, 0.45)),  # a run of 1.0 ends at the ranks
+        ((5e-324, 1e-310), (0.5, 0.5)),  # subnormal: the ranks in bucket 0
+        ((0.0, 5e-324, 1e-310, 1.0), (0.2, 0.3, 0.3, 0.2)),  # bucket 0 beside zeros
+        # the top finite bucket, 0x7FEF, up to the largest double
+        ((1.75e308, np.nextafter(np.finfo(float).max, 0.0), np.finfo(float).max),
+         (0.3, 0.4, 0.3)),
     ])
     @pytest.mark.parametrize("n", [301, 302, 1030])
     def test_ties_straddling_the_middle_ranks(self, n, values, p):
@@ -422,7 +433,7 @@ class TestOneWalkMedian:
     @pytest.mark.parametrize("kind", ["tied", "octave"])
     def test_fallback_gives_the_same_bits(self, monkeypatch, kind, case):
         # a bracket that misses, one whose kept values pass its room, and
-        # none at all: the counting walks give the same bits
+        # none at all: the tally's bracket gives the same bits
         n = 600
         x = spread_x(n, kind)
         want = median_pairwise_distance(x)
@@ -431,8 +442,8 @@ class TestOneWalkMedian:
         monkeypatch.setattr(linalg, "_bracket", lambda walk: bracket)
         calls = counted_blocks(monkeypatch)
         assert median_pairwise_distance(x) == want
-        # one walk with the bracket, then the count and the gather; one
-        # walk and the gather when counting from the start
+        # one walk with the bracket, then the tally and a walk with its
+        # bracket; the tally's walk alone when tallying from the start
         assert calls[0] == (2 if case == "counted" else 3) * len(linalg._row_blocks(n, n))
 
     def test_typical_input_takes_one_walk(self, monkeypatch):
@@ -442,6 +453,37 @@ class TestOneWalkMedian:
         sigma = median_pairwise_distance(x)
         assert calls[0] == len(linalg._row_blocks(n, n))
         assert sigma == dense_median_pairwise_distance(dense_distance_rows(x))
+
+    def test_bracket_past_the_budget_tallies_in_the_first_walk(self, monkeypatch):
+        # the ladder's n = 12000 path at n = 1200: the sample predicts more
+        # than the budget admits, so _bracket itself gives none, the first
+        # walk tallies and a second keeps the tally's bracket
+        n = 1200
+        x = np.random.default_rng(12).normal(size=(10, n))
+        walk = linalg._Distances(x)
+        room = linalg._bracket(walk)[2]
+        monkeypatch.setattr(linalg, "_KEPT_BUDGET", room - 1)
+        assert linalg._bracket(walk) is None
+        calls = counted_blocks(monkeypatch)
+        sigma = median_pairwise_distance(x)
+        assert calls[0] == 2 * len(linalg._row_blocks(n, n))
+        assert sigma == dense_median_pairwise_distance(dense_distance_rows(x))
+
+    def test_tally_bracket_is_the_buckets_of_the_middle_ranks(self):
+        counts = np.zeros(linalg._BUCKETS, dtype=np.int64)
+        with pytest.raises(BandwidthError):
+            linalg._tally_bracket(counts)
+        top = np.finfo(float).max
+        counts[[0, 0x3FF0, 0x7FEF]] = 3, 1, 2
+        # six values: the middle ranks 2 and 3 in buckets 0 and 0x3FF0
+        lo, hi, room = linalg._tally_bracket(counts)
+        assert (lo, hi, room) == (5e-324, np.nextafter(1.0 + 2.0 ** -4, 0.0), 4)
+        counts[0x3FF0] = 0
+        # five values: both middle ranks in bucket 0
+        assert linalg._tally_bracket(counts) == (5e-324, np.nextafter(2.0 ** -1026, 0.0), 3)
+        counts[0] = 0
+        # two values in the top finite bucket, 0x7FEF
+        assert linalg._tally_bracket(counts) == (float.fromhex("0x1.fp+1023"), top, 2)
 
     def test_sample_bracket_holds_the_median(self):
         # the sample's bracket, at proj-large's size, holds the middle ranks

@@ -49,6 +49,37 @@ def test_make_golden_check_matches_the_fixture_at_one_blas_thread():
     check_golden({**env, "OPENBLAS_NUM_THREADS": "1"})
 
 
+def ladder_file(path: Path, cells: dict) -> str:
+    path.write_text(json.dumps({"label": path.stem, "env": {}, "cells": cells}))
+    return str(path)
+
+
+def test_bench_ladder_diff_prints_shared_cells_and_flags_changed_results(tmp_path):
+    same = {"wall_s": 1.5, "first_rss_mb": 80.0, "labels_sha256": "ab", "rounds": 2,
+            "churns": [3, 0]}
+    old = ladder_file(tmp_path / "old.json", {"a": same, "b": same, "gone": same})
+    new = ladder_file(tmp_path / "new.json", {"a": {**same, "wall_s": 1.2},
+                                              "b": {**same, "first_rss_mb": 90.0},
+                                              "added": same})
+
+    def run(*files):
+        return subprocess.run([sys.executable, str(SCRIPTS / "bench_ladder.py"), "--diff",
+                               *files], capture_output=True, text=True, timeout=60)
+
+    out = run(old, new)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "not paired runs" in out.stdout
+    assert "a: wall_s 1.5 -> 1.2, first_rss_mb 80.0 -> 80.0" in out.stdout
+    assert "b: wall_s 1.5 -> 1.5, first_rss_mb 80.0 -> 90.0" in out.stdout
+    assert "gone" not in out.stdout and "added" not in out.stdout
+    # a changed digest, round count or churn is a mismatch, and exits 1
+    for field, value in (("labels_sha256", "cd"), ("rounds", 3), ("churns", [3, 1])):
+        changed = ladder_file(tmp_path / f"{field}.json", {"a": {**same, field: value}})
+        out = run(old, changed)
+        assert out.returncode == 1, field
+        assert f"MISMATCH: {field}" in out.stdout
+
+
 def test_bench_ladder_child_records_every_documented_field():
     out = subprocess.run(
         [sys.executable, str(SCRIPTS / "bench_ladder.py"), "--child", "small300-JDA+CG"],
